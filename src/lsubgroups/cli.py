@@ -12,7 +12,7 @@ import json
 import sys
 
 from .errors import DocumentError, InstanceTooLargeError, LSubgroupsError
-from .frattini import frattini, non_generator_points, non_generator_subgroup
+from .frattini import frattini, non_generator_subgroup
 from .groups import FiniteGroup, group_from_document
 from .harness import InstanceSpec, run_suite
 from .lattice import FiniteLattice, lattice_from_document
@@ -202,12 +202,11 @@ def _cmd_frattini(ws: Workspace, args) -> int:
 def _cmd_nongen(ws: Workspace, args) -> int:
     mu = ws.subset()
     lam = non_generator_subgroup(mu, budget=args.budget)
-    points = non_generator_points(mu, budget=args.budget)
+    lat = mu.lattice
     verdicts = {}
     for x in mu.group.elements:
-        for a in mu.lattice.down_set(mu.value(x)):
-            key = f"{a}@{x}"
-            verdicts[key] = any(p.point == x and p.height == a for p in points)
+        for a in lat.down_set(mu.value(x)):
+            verdicts[f"{a}@{x}"] = lat.leq(a, lam.value(x))
     payload = {"lambda": lam.values(), "points": verdicts}
     lines = [_value_table("non-generator subgroup", lam), "non-generator points:"]
     for key, ok in verdicts.items():

@@ -8,11 +8,17 @@ L-subset already generates mu on its own.  Over chain lattices the join of
 all non-generator points coincides with the Frattini L-subgroup, and the
 report produced here carries both sides of that comparison.
 
-The non-generator search quantifies over L(mu) rather than over all
-L-subsets of mu: adjoining a point to eta and to the subgroup generated by
-eta produce the same generated subgroup, so a witness among arbitrary
-L-subsets always yields one among L-subgroups.  The reduction is exercised
-against the raw definition on tiny instances in the test suite.
+Both constructions come from one pass over L(mu) that finds its coatoms:
+the members other than mu with nothing strictly between them and mu.  The
+maximal L-subgroups are the non-constant coatoms.  Generation is monotone
+and every member of L(mu) other than mu lies below some coatom, so a_x is a
+non-generator exactly when it lies in every coatom, and the non-generator
+subgroup is the meet of all coatoms.  It is enough to quantify over L(mu)
+rather than over all L-subsets of mu: adjoining a point to eta and to the
+subgroup generated by eta produce the same generated subgroup.  The
+point-by-point search of ``is_non_generator`` is kept as the reference; the
+test suite checks the coatom form against it, and the reduction to L(mu)
+against the raw definition on tiny instances.
 """
 from __future__ import annotations
 
@@ -40,7 +46,8 @@ from .lsets import (
 )
 from .maximal import (
     DEFAULT_BUDGET,
-    _rank_function,
+    _by_rank,
+    _coatoms,
     enumerate_l_subgroups,
     maximal_l_subgroups,
 )
@@ -51,10 +58,11 @@ class FrattiniReport:
     """Frattini L-subgroup alongside the non-generator subgroup.
 
     ``used_fallback`` records the no-maximal-subgroups case, in which phi is
-    mu itself.  ``nongen`` is the join of all non-generator points; it is
-    always contained in phi.  Over a finite chain the two coincide unless
-    the instance is constant-obstructed (see ``constant_obstructed``), and
-    that is asserted.
+    mu itself.  ``nongen`` is the join of all non-generator points, which is
+    the meet of all coatoms of L(mu); phi is the meet of the non-constant
+    ones, so it always contains ``nongen``.  Over a finite chain the two
+    coincide unless some coatom is constant (see ``constant_obstructed``),
+    and that is asserted.
     """
 
     phi: LSubset
@@ -76,37 +84,23 @@ class FrattiniReport:
 
 
 def constant_obstructed(mu: LSubset, budget: int = DEFAULT_BUDGET) -> bool:
-    """True when some constant in L(mu) has nothing strictly between it and mu.
+    """True when some coatom of L(mu) is constant.
 
-    Such a constant behaves like a maximal member of L(mu) minus the
-    non-constancy requirement, so it blocks the usual argument that every
-    point of the Frattini L-subgroup is a non-generator: adjoining the
-    missing point to it generates mu while the constant itself does not.
-    On instances free of this obstruction the two constructions coincide
-    over chain lattices; on obstructed ones the non-generator subgroup can
-    be strictly smaller, starting with mu the characteristic function of
-    the trivial subgroup.
+    Such a constant has nothing strictly between it and mu, yet it is not a
+    maximal L-subgroup, so it enters the meet that gives the non-generator
+    subgroup but not the one that gives phi: adjoining a missing point to it
+    generates mu while the constant itself does not.  On instances free of
+    this obstruction the two constructions coincide over chain lattices; on
+    obstructed ones the non-generator subgroup can be strictly smaller,
+    starting with mu the characteristic function of the trivial subgroup.
     """
-    subgroups = enumerate_l_subgroups(mu, budget=budget)
-    for kappa in subgroups:
-        if not kappa.is_constant() or kappa == mu:
-            continue
-        blocked = not any(
-            nu != kappa and nu != mu and contains(nu, kappa) and contains(mu, nu)
-            for nu in subgroups
-        )
-        if blocked:
-            return True
-    return False
+    return any(c.is_constant() for c in _coatoms(mu, budget))
 
 
 def frattini(mu: LSubset, budget: int = DEFAULT_BUDGET) -> FrattiniReport:
     """Compute the Frattini L-subgroup of mu and its non-generator subgroup."""
     maximals = maximal_l_subgroups(mu, budget=budget)
-    if maximals:
-        phi = intersection_of(maximals)
-    else:
-        phi = mu
+    phi = _meet(maximals, mu)
     nongen = non_generator_subgroup(mu, budget=budget)
     assert contains(phi, nongen), "non-generator points must lie inside the Frattini L-subgroup"
     equality = nongen == phi
@@ -117,11 +111,7 @@ def frattini(mu: LSubset, budget: int = DEFAULT_BUDGET) -> FrattiniReport:
 
 
 def is_non_generator(
-    point: LPoint,
-    mu: LSubset,
-    budget: int = DEFAULT_BUDGET,
-    method: str = "search",
-    _enumeration: tuple[LSubset, ...] | None = None,
+    point: LPoint, mu: LSubset, budget: int = DEFAULT_BUDGET, method: str = "search"
 ) -> tuple[bool, LSubset | None]:
     """Decide whether the point can always be dropped from generating families.
 
@@ -132,19 +122,17 @@ def is_non_generator(
     instead, which is only valid over chain lattices; it exists as a faster
     route and is cross-checked against the search in tests.
     """
+    if method not in ("search", "chain"):
+        raise ValueError(f"unknown method {method!r}")
+    if method == "chain" and not mu.lattice.is_upper_well_ordered():
+        raise HypothesisNotMetError("the chain shortcut needs a chain lattice")
     if not point_in(point, mu):
         raise LPointNotInParentError(f"{point} is not a point of the parent")
     if point.height == mu.lattice.bottom:
         return True, None  # adjoining a bottom point changes nothing
     if method == "chain":
-        if not mu.lattice.is_upper_well_ordered():
-            raise HypothesisNotMetError("the chain shortcut needs a chain lattice")
-        phi = _phi_only(mu, budget)
-        return point_in(point, phi), None
-    if method != "search":
-        raise ValueError(f"unknown method {method!r}")
-    subgroups = _enumeration if _enumeration is not None else enumerate_l_subgroups(mu, budget=budget)
-    for eta in sorted(subgroups, key=_rank_function(mu.lattice), reverse=True):
+        return point_in(point, _phi_only(mu, budget)), None
+    for eta in _by_rank(mu, budget):
         if eta == mu:
             continue
         if generate(adjoin_point(eta, point)) == mu:
@@ -157,35 +145,14 @@ def non_generator_points(
 ) -> frozenset[LPoint]:
     """All non-generator points a_x of mu, over every x and every a ≤ mu(x).
 
-    The non-generators at a fixed x form a down-set in the lattice, so the
-    scan walks heights from the top down and reuses verdicts: anything
-    below a known non-generator is one, anything above a known failure
-    fails.
+    A point is a non-generator exactly when it lies in every coatom of
+    L(mu): a_x qualifies when a ≤ lambda(x), for lambda the meet of the
+    coatoms (mu itself when there are none).
     """
-    lat = mu.lattice
-    subgroups = enumerate_l_subgroups(mu, budget=budget)
-    accepted: set[LPoint] = set()
-    by_height_desc = sorted(lat.elements, key=lambda a: len(lat.up_set(a)))
-    for x in mu.group.elements:
-        cap = mu.value(x)
-        good: list[str] = []
-        bad: list[str] = []
-        for a in by_height_desc:
-            if not lat.leq(a, cap):
-                continue
-            if any(lat.leq(a, b) for b in good):
-                accepted.add(LPoint(x, a))
-                continue
-            if any(lat.leq(b, a) for b in bad):
-                bad.append(a)
-                continue
-            ok, _ = is_non_generator(LPoint(x, a), mu, budget=budget, _enumeration=subgroups)
-            if ok:
-                good.append(a)
-                accepted.add(LPoint(x, a))
-            else:
-                bad.append(a)
-    return frozenset(accepted)
+    lam = _meet(_coatoms(mu, budget), mu)
+    return frozenset(
+        LPoint(x, a) for x in mu.group.elements for a in mu.lattice.down_set(lam.value(x))
+    )
 
 
 def non_generator_subgroup(mu: LSubset, budget: int = DEFAULT_BUDGET) -> LSubset:
@@ -201,9 +168,12 @@ def non_generator_subgroup(mu: LSubset, budget: int = DEFAULT_BUDGET) -> LSubset
     return result
 
 
+def _meet(family: tuple[LSubset, ...], mu: LSubset) -> LSubset:
+    return intersection_of(family) if family else mu
+
+
 def _phi_only(mu: LSubset, budget: int) -> LSubset:
-    maximals = maximal_l_subgroups(mu, budget=budget)
-    return intersection_of(maximals) if maximals else mu
+    return _meet(maximal_l_subgroups(mu, budget=budget), mu)
 
 
 def check_nongenerator_inclusion(mu: LSubset, budget: int = DEFAULT_BUDGET) -> dict:

@@ -4,6 +4,8 @@ A maximal L-subgroup of mu is a proper L-subgroup with nothing strictly
 between it and mu.  Two independent tests are provided: the definitional
 search through the full enumeration of L(mu), and the lattice-point test
 (eta is maximal iff adjoining any missing point generates all of mu).  The
+list of all maximal L-subgroups is read off the coatoms of L(mu), found
+once per parent and cached (the Frattini module reads them too).  The
 level-profile machinery classifies how each level subset of eta sits inside
 the matching level of mu and pins down the single defect level that
 maximality forces when the images are jointly supstar.
@@ -121,6 +123,34 @@ def _enumeration(mu: LSubset, budget: int) -> tuple[LSubset, ...]:
     return tuple(found)
 
 
+@lru_cache(maxsize=64)
+def _by_rank(mu: LSubset, budget: int) -> tuple[LSubset, ...]:
+    # stable largest-first order of L(mu): anything strictly above a member
+    # comes before it
+    return tuple(sorted(_enumeration(mu, budget), key=_rank_function(mu.lattice), reverse=True))
+
+
+@lru_cache(maxsize=64)
+def _coatoms(mu: LSubset, budget: int) -> tuple[LSubset, ...]:
+    """Members of L(mu) other than mu with nothing strictly between them and mu.
+
+    Constants are kept.  A member that is not a coatom lies strictly under
+    one, which ranks higher, so a largest-first scan need only test each
+    member against the coatoms found so far.  Canonical order.
+    """
+    leq = mu.lattice._leq
+
+    def below(lo: LSubset, hi: LSubset) -> bool:
+        return all(leq[a][b] for a, b in zip(lo.value_indices(), hi.value_indices()))
+
+    found: list[LSubset] = []
+    for eta in _by_rank(mu, budget):
+        if eta != mu and not any(below(eta, c) for c in found):
+            found.append(eta)
+    found.sort(key=lambda s: s.value_indices())
+    return tuple(found)
+
+
 def enumerate_l_subgroups(
     mu: LSubset, only_proper: bool = False, budget: int = DEFAULT_BUDGET
 ) -> tuple[LSubset, ...]:
@@ -142,8 +172,7 @@ def enumerate_l_subgroups(
 def _definition_verdict(eta: LSubset, mu: LSubset, budget: int) -> MaximalityVerdict:
     # scan largest-first: anything strictly above a witness ranks higher and
     # was already rejected, so the first hit is a containment-maximal witness
-    rank = _rank_function(mu.lattice)
-    for theta in sorted(_enumeration(mu, budget), key=rank, reverse=True):
+    for theta in _by_rank(mu, budget):
         if theta == eta or theta == mu:
             continue
         if contains(theta, eta) and contains(mu, theta):
@@ -179,14 +208,14 @@ def is_maximal(
     candidate that is not a proper L-subgroup of mu is never maximal and is
     reported with reason ``not_proper``.
     """
+    if strategy not in ("definition", "lpoint", "both"):
+        raise ValueError(f"unknown strategy {strategy!r}")
     if not is_proper_l_subgroup(eta, mu):
         return MaximalityVerdict(False, "not_proper")
     if strategy == "definition":
         return _definition_verdict(eta, mu, budget)
     if strategy == "lpoint":
         return _lpoint_verdict(eta, mu)
-    if strategy != "both":
-        raise ValueError(f"unknown strategy {strategy!r}")
     by_definition = _definition_verdict(eta, mu, budget)
     by_point = _lpoint_verdict(eta, mu)
     assert by_definition.maximal == by_point.maximal, (
@@ -205,35 +234,10 @@ def is_maximal(
 def maximal_l_subgroups(mu: LSubset, budget: int = DEFAULT_BUDGET) -> tuple[LSubset, ...]:
     """All maximal L-subgroups of mu, in canonical order.
 
-    Filters the full enumeration: eta qualifies when proper and nothing in
-    L(mu) is strictly between eta and mu.  Candidates are visited from the
-    largest down so that most rejections are witnessed by an already-found
-    maximal; only the rare candidate below no maximal needs the full scan.
+    These are the non-constant coatoms of L(mu): proper members with
+    nothing in L(mu) strictly between them and mu.
     """
-    everything = _enumeration(mu, budget)
-    proper = [s for s in everything if not s.is_constant() and s != mu]
-    leq = mu.lattice._leq
-    rank = _rank_function(mu.lattice)
-
-    def strictly_below(lo: LSubset, hi: LSubset) -> bool:
-        return lo != hi and all(leq[a][b] for a, b in zip(lo.value_indices(), hi.value_indices()))
-
-    maximals: list[LSubset] = []
-    by_rank = sorted(everything, key=rank, reverse=True)
-    for eta in sorted(proper, key=rank, reverse=True):
-        if any(strictly_below(eta, m) for m in maximals):
-            continue
-        blocked = False
-        for theta in by_rank:
-            if rank(theta) <= rank(eta):
-                break
-            if theta != mu and strictly_below(eta, theta) and strictly_below(theta, mu):
-                blocked = True
-                break
-        if not blocked:
-            maximals.append(eta)
-    maximals.sort(key=lambda s: s.value_indices())
-    return tuple(maximals)
+    return tuple(c for c in _coatoms(mu, budget) if not c.is_constant())
 
 
 # ------------------------------------------------------------ level structure

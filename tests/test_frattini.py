@@ -5,10 +5,12 @@ import pytest
 
 from lsubgroups import (
     HypothesisNotMetError,
+    InstanceSpec,
     LPoint,
     LSubset,
     NotNormalInGroupError,
     adjoin_point,
+    build_instance,
     builtin_group,
     chain_lattice,
     characteristic,
@@ -16,6 +18,7 @@ from lsubgroups import (
     constant,
     constant_obstructed,
     contains,
+    enumerate_l_subgroups,
     frattini,
     frattini_classical,
     frattini_image_inclusion,
@@ -51,6 +54,37 @@ def is_non_generator_by_raw_definition(point, mu):
         if generate(adjoin_point(eta, point)) == mu and generate(eta) != mu:
             return False
     return True
+
+
+def constant_obstructed_by_pairwise_scan(mu):
+    """Oracle: some constant in L(mu) has nothing strictly between it and mu."""
+    subgroups = enumerate_l_subgroups(mu)
+    for kappa in subgroups:
+        if not kappa.is_constant() or kappa == mu:
+            continue
+        blocked = not any(
+            nu != kappa and nu != mu and contains(nu, kappa) and contains(mu, nu)
+            for nu in subgroups
+        )
+        if blocked:
+            return True
+    return False
+
+
+def coatoms_largest_first(mu):
+    """Members of L(mu) with nothing strictly between them and mu, in the
+    stable order of decreasing rank (summed down-set sizes of the values)."""
+    lat = mu.lattice
+    members = enumerate_l_subgroups(mu)
+    coatoms = [
+        c
+        for c in members
+        if c != mu and not any(nu != c and nu != mu and contains(nu, c) for nu in members)
+    ]
+    sizes = {a: len(lat.down_set(a)) for a in lat.elements}
+    return sorted(
+        coatoms, key=lambda s: sum(sizes[s.value(x)] for x in s.group.elements), reverse=True
+    )
 
 
 class TestWorkedFrattini:
@@ -125,6 +159,12 @@ class TestNonGenerators:
         mu = constant(builtin_group("C2"), lat, "1")
         with pytest.raises(HypothesisNotMetError):
             is_non_generator(LPoint("g", "p"), mu, method="chain")
+        with pytest.raises(HypothesisNotMetError):
+            is_non_generator(LPoint("g", "0"), mu, method="chain")
+
+    def test_unknown_method_rejected_even_for_a_bottom_point(self, d8_case):
+        with pytest.raises(ValueError):
+            is_non_generator(LPoint("e", "0"), d8_case["mu"], method="bogus")
 
     def test_reduction_to_l_subgroups_matches_raw_definition(self):
         # tiny instances where all of L^mu can be swept
@@ -141,6 +181,37 @@ class TestNonGenerators:
                     point = LPoint(x, a)
                     reduced, _ = is_non_generator(point, mu)
                     assert reduced == is_non_generator_by_raw_definition(point, mu)
+
+
+class TestCoatomsMatchTheReferenceSearch:
+    """The coatom characterisation against the point-by-point search of
+    ``is_non_generator`` and the pairwise obstruction scan, on seeded
+    instances over chains and over product and divisor lattices."""
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            InstanceSpec(0),
+            InstanceSpec(
+                1, lattice_kind="product2x2|product2x3|divisors12|divisors30|chain1|chain2"
+            ),
+        ],
+        ids=["chains", "products"],
+    )
+    def test_seeded_instances(self, spec):
+        for trial in range(60):
+            mu = build_instance(spec, trial).mu
+            coatoms = coatoms_largest_first(mu)
+            points = non_generator_points(mu)
+            for x in mu.group.elements:
+                for a in mu.lattice.down_set(mu.value(x)):
+                    point = LPoint(x, a)
+                    ok, witness = is_non_generator(point, mu)
+                    assert (point in points) == ok
+                    if not ok:
+                        assert witness == next(c for c in coatoms if not point_in(point, c))
+            assert constant_obstructed(mu) == constant_obstructed_by_pairwise_scan(mu)
+            assert constant_obstructed(mu) == any(c.is_constant() for c in coatoms)
 
 
 class TestChainEqualityBoundary:

@@ -144,6 +144,8 @@ class TestStrategyAgreement:
     def test_unknown_strategy(self, d8_case):
         with pytest.raises(ValueError):
             is_maximal(d8_case["eta1"], d8_case["mu"], strategy="guess")
+        with pytest.raises(ValueError):
+            is_maximal(d8_case["mu"], d8_case["mu"], strategy="guess")
 
 
 class TestTipRelation:
