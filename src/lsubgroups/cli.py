@@ -11,7 +11,7 @@ import argparse
 import json
 import sys
 
-from .errors import DocumentError, InstanceTooLargeError, LSubgroupsError
+from .errors import DocumentError, InstanceTooLargeError, LSubgroupsError, NotAnLSubgroupError
 from .frattini import frattini, non_generator_subgroup
 from .groups import FiniteGroup, group_from_document
 from .harness import InstanceSpec, run_suite
@@ -75,6 +75,14 @@ class Workspace:
         if not path:
             raise DocumentError("this command needs an L-subset document (-s)")
         return l_subset_from_document(_load_json(path), self.group(), self.lattice())
+
+
+def _parent(ws: Workspace) -> LSubset:
+    """The -s document of a command that needs it to be an L-subgroup."""
+    mu = ws.subset()
+    if not is_l_subgroup(mu):
+        raise NotAnLSubgroupError("the parent L-subset (-s) is not an L-subgroup")
+    return mu
 
 
 def _value_table(title: str, subset: LSubset) -> str:
@@ -165,7 +173,7 @@ def _cmd_generate(ws: Workspace, args) -> int:
 
 
 def _cmd_maximals(ws: Workspace, args) -> int:
-    mu = ws.subset()
+    mu = _parent(ws)
     maximals = maximal_l_subgroups(mu, budget=args.budget)
     payload = {"count": len(maximals), "maximals": []}
     lines = [f"{len(maximals)} maximal L-subgroup(s)"]
@@ -185,7 +193,7 @@ def _cmd_maximals(ws: Workspace, args) -> int:
 
 
 def _cmd_frattini(ws: Workspace, args) -> int:
-    mu = ws.subset()
+    mu = _parent(ws)
     report = frattini(mu, budget=args.budget)
     table = "\n".join(
         [
@@ -200,7 +208,7 @@ def _cmd_frattini(ws: Workspace, args) -> int:
 
 
 def _cmd_nongen(ws: Workspace, args) -> int:
-    mu = ws.subset()
+    mu = _parent(ws)
     lam = non_generator_subgroup(mu, budget=args.budget)
     lat = mu.lattice
     verdicts = {}

@@ -462,6 +462,8 @@ def _search_l_subgroup_values(
     it, and with partial product constraints checked as soon as the three
     participants of a triple are assigned.  Yields in lexicographic order
     of the value tuple with respect to element order and lattice index.
+    This is the engine of ``generate_oracle`` and the reference the tests
+    hold the level-map enumeration of ``maximal.enumerate_l_subgroups`` to.
     """
     n = len(group)
     leq, meet = lat._leq, lat._meet

@@ -1,5 +1,12 @@
 """Maximal L-subgroups: enumeration, three detection strategies, level profiles.
 
+L(mu), the L-subgroups below mu, is enumerated through levels.  Over a
+finite distributive lattice, where join-irreducibles are join-prime, a
+member eta is an antitone map j -> H_j from the join-irreducibles to the
+subgroups and the empty set, with H_j (eta's level at j) inside mu's level
+at j and eta(x) the join of the j with x in H_j.  Non-distributive lattices
+are refused; the budget gates on the raw ``candidate_space_size``.
+
 A maximal L-subgroup of mu is a proper L-subgroup with nothing strictly
 between it and mu.  Two independent tests are provided: the definitional
 search through the full enumeration of L(mu), and the lattice-point test
@@ -14,15 +21,15 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 from typing import Iterable
 
-from .errors import InstanceTooLargeError, NotAnIsomorphismError, NotAnLSubgroupError, NotMaximalError
-from .groups import GroupHom, maximal_subgroups_of
+from .errors import InstanceTooLargeError, NonDistributiveLatticeError, NotAnIsomorphismError
+from .errors import NotAnLSubgroupError, NotMaximalError
+from .groups import GroupHom, all_subgroups, maximal_subgroups_of
 from .lsets import (
     LPoint,
     LSubset,
-    _search_l_subgroup_values,
     adjoin_point,
     are_jointly_supstar,
     contains,
@@ -112,13 +119,44 @@ def _rank_function(lat):
 
 @lru_cache(maxsize=64)
 def _enumeration(mu: LSubset, budget: int) -> tuple[LSubset, ...]:
+    group, lat = mu.group, mu.lattice
+    if not lat.distributive:
+        raise NonDistributiveLatticeError("L-subgroup tests require a distributive lattice")
     size = candidate_space_size(mu)
     if size > budget:
         raise InstanceTooLargeError(size, budget)
-    found = [
-        LSubset(mu.group, mu.lattice, vals)
-        for vals in _search_l_subgroup_values(mu.group, mu.lattice, lower=None, upper=mu.value_indices())
+    leq, join, bottom = lat._leq, lat._join, lat.index(lat.bottom)
+    order = sorted(range(len(lat)), key=_down_sizes(lat).__getitem__)
+    # j is join-irreducible when the elements strictly below it join to less
+    irreducibles = [
+        j for j in order
+        if reduce(lambda a, i: join[a][i], (i for i in order if i != j and leq[i][j]), bottom) != j
     ]
+    # antitone: H_j must sit inside H_i for every join-irreducible i below j
+    earlier = [[p for p in range(k) if leq[irreducibles[p]][j]] for k, j in enumerate(irreducibles)]
+    vals = mu.value_indices()
+    levels = [sum(1 << x for x, v in enumerate(vals) if leq[j][v]) for j in irreducibles]
+    indexed = [()] + [tuple(map(group.index, s)) for s in all_subgroups(group)]
+    subgroups = [(sum(1 << x for x in xs), xs) for xs in indexed]
+    fitting: dict[int, list] = {}  # bound mask -> the subgroups (or ∅) inside it
+    found: list[LSubset] = []
+
+    def walk(k: int, acc: list[int], chosen: tuple[int, ...]) -> None:
+        if k == len(irreducibles):
+            found.append(LSubset(group, lat, tuple(acc)))
+            return
+        j, bound = irreducibles[k], levels[k]
+        for p in earlier[k]:
+            bound &= chosen[p]
+        if bound not in fitting:
+            fitting[bound] = [(h, xs) for h, xs in subgroups if not h & ~bound]
+        for h, xs in fitting[bound]:
+            nxt = list(acc)
+            for x in xs:
+                nxt[x] = join[nxt[x]][j]
+            walk(k + 1, nxt, chosen + (h,))
+
+    walk(0, [bottom] * len(group), ())
     found.sort(key=lambda s: s.value_indices())
     return tuple(found)
 
@@ -156,10 +194,12 @@ def enumerate_l_subgroups(
 ) -> tuple[LSubset, ...]:
     """All L-subgroups sitting below mu pointwise, in canonical order.
 
-    Canonical order is lexicographic on the value tuple (group element
-    order, lattice index order).  ``only_proper`` drops the constants and
-    mu itself.  Raises InstanceTooLargeError when the raw candidate space
-    exceeds the budget.
+    Found as level maps (see the module docstring); mu need not be an
+    L-subgroup.  Canonical order is lexicographic on the value tuple (group
+    element order, lattice index order).  ``only_proper`` drops the
+    constants and mu itself.  Raises NonDistributiveLatticeError over a
+    non-distributive lattice and InstanceTooLargeError when the raw
+    candidate space exceeds the budget.
     """
     everything = _enumeration(mu, budget)
     if not only_proper:

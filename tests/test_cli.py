@@ -8,6 +8,8 @@ from lsubgroups.cli import main
 
 from conftest import D8_MU, D8_PHI, FIVE_CHAIN, Q8_ETA_MAXIMAL, Q8_MU_MAXIMAL
 
+D8_ELEMENTS = list(D8_MU)
+
 
 @pytest.fixture
 def docs(tmp_path):
@@ -208,6 +210,32 @@ class TestErrors:
             "-l", docs["chain5.json"], "-g", docs["d8.json"], "-s", str(bad),
         )
         assert code == 2
+
+    @pytest.mark.parametrize("command", ["maximals", "frattini", "nongen"])
+    def test_parent_that_is_not_an_l_subgroup(self, tmp_path, docs, capsys, command):
+        # r at the top but r2 = r·r at the bottom breaks the subgroup law
+        values = {x: "0" for x in D8_ELEMENTS}
+        values.update({"e": "1", "r": "1", "r3": "1"})
+        bad = tmp_path / "not_a_subgroup.json"
+        bad.write_text(json.dumps({"values": values}))
+        code, out, err = run(
+            capsys, command, "-l", docs["chain5.json"], "-g", docs["d8.json"], "-s", str(bad),
+        )
+        assert (code, out) == (2, "")
+        assert err == "error: the parent L-subset (-s) is not an L-subgroup\n"
+
+    @pytest.mark.parametrize("command", ["maximals", "frattini", "nongen"])
+    def test_parent_over_a_non_distributive_lattice(self, tmp_path, docs, capsys, command):
+        pentagon = tmp_path / "pentagon.json"
+        pentagon.write_text(json.dumps({
+            "elements": ["0", "x", "z", "y", "1"],
+            "le": [["0", "x"], ["x", "z"], ["z", "1"], ["0", "y"], ["y", "1"]],
+        }))
+        top = tmp_path / "top.json"
+        top.write_text(json.dumps({"values": {x: "1" for x in D8_ELEMENTS}}))
+        code, out, err = run(capsys, command, "-l", str(pentagon), "-g", docs["d8.json"], "-s", str(top))
+        assert (code, out) == (2, "")
+        assert err == "error: L-subgroup tests require a distributive lattice\n"
 
     def test_budget_exceeded(self, docs, capsys):
         code, _, err = run(

@@ -9,6 +9,7 @@ from lsubgroups import (
     LPoint,
     LSubset,
     LevelRelation,
+    NonDistributiveLatticeError,
     NotAnIsomorphismError,
     NotMaximalError,
     TipRelation,
@@ -22,13 +23,16 @@ from lsubgroups import (
     inner_automorphism,
     is_maximal,
     level_profile,
+    make_lattice,
     maximal_l_subgroups,
     sufficient_maximal_check,
     tip_relation,
     transport_maximal,
     transport_maximal_preimage,
     validate_hom,
+    validate_lattice,
 )
+from lsubgroups.lsets import _search_l_subgroup_values
 
 
 def brute_force_l_subgroups(mu):
@@ -94,6 +98,57 @@ class TestEnumeration:
     def test_budget_guard(self, d8_case):
         with pytest.raises(InstanceTooLargeError):
             enumerate_l_subgroups(d8_case["mu"], budget=100)
+
+    def test_non_distributive_refused(self):
+        pentagon = validate_lattice(
+            ["0", "x", "z", "y", "1"],
+            [("0", "x"), ("x", "z"), ("z", "1"), ("0", "y"), ("y", "1")],
+        )
+        mu = constant(builtin_group("C2"), pentagon, "1")
+        with pytest.raises(NonDistributiveLatticeError, match="require a distributive lattice"):
+            enumerate_l_subgroups(mu)
+        with pytest.raises(NonDistributiveLatticeError, match="require a distributive lattice"):
+            maximal_l_subgroups(mu)
+
+
+class TestLevelMapsMatchTheElementSearch:
+    """The level-map enumeration against the element-wise search, which
+    stays as its reference, on seeded parents over chains, products and
+    divisor lattices, on parents that are not L-subgroups, and on the
+    trivial group."""
+
+    @staticmethod
+    def by_search(mu):
+        found = _search_l_subgroup_values(mu.group, mu.lattice, lower=None, upper=mu.value_indices())
+        return sorted(
+            (LSubset(mu.group, mu.lattice, vals) for vals in found), key=lambda s: s.value_indices()
+        )
+
+    @pytest.mark.parametrize(
+        "spec",
+        [InstanceSpec(0)]
+        + [
+            InstanceSpec(1, lattice_kind=kind)
+            for kind in ("product2x2", "product2x3", "divisors12", "divisors30", "chain1", "chain2")
+        ],
+        ids=["chains", "product2x2", "product2x3", "divisors12", "divisors30", "chain1", "chain2"],
+    )
+    def test_seeded_parents(self, spec):
+        for trial in range(120):
+            mu = build_instance(spec, trial).mu
+            assert list(enumerate_l_subgroups(mu)) == self.by_search(mu)
+
+    def test_parents_that_are_not_l_subgroups(self):
+        for trial in range(120):
+            for raw in build_instance(InstanceSpec(2), trial).raws:
+                assert list(enumerate_l_subgroups(raw)) == self.by_search(raw)
+
+    @pytest.mark.parametrize("length", [1, 2, 3])
+    def test_constant_top_over_the_trivial_group(self, length):
+        lat = make_lattice(f"chain{length}")
+        mu = constant(builtin_group("C1"), lat, lat.top)
+        assert list(enumerate_l_subgroups(mu)) == self.by_search(mu)
+        assert len(enumerate_l_subgroups(mu)) == length
 
 
 class TestWorkedMaximality:
