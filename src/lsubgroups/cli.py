@@ -305,7 +305,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--format", choices=["table", "json", "dot"], default="table", help="output format"
     )
-    parser.add_argument("--budget", type=int, default=DEFAULT_BUDGET, help="candidate-space budget")
+    parser.add_argument(
+        "--budget", type=int, default=DEFAULT_BUDGET, help="level maps the enumeration may visit"
+    )
     parser.add_argument("--seed", type=int, default=0, help="seed for verify")
     parser.add_argument("--trials", type=int, default=25, help="instances for verify")
     return parser

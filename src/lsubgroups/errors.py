@@ -98,10 +98,10 @@ class HypothesisNotMetError(LSubgroupsError):
 # ---------------------------------------------------------------- search
 
 class InstanceTooLargeError(LSubgroupsError):
-    """The candidate space exceeds the configured budget."""
+    """A search space, or the work done so far, exceeds the configured budget."""
 
-    def __init__(self, size, budget):
-        super().__init__(f"candidate space {size} exceeds budget {budget}")
+    def __init__(self, size, budget, message: str | None = None):
+        super().__init__(message or f"candidate space {size} exceeds budget {budget}")
         self.size = size
         self.budget = budget
 

@@ -2,13 +2,15 @@
 
 An LSubset is a total map from group elements into a lattice.  The module
 provides the membership algebra (union, intersection, set product, lattice
-points), level subsets, the subgroup and normality predicates in both their
-pointwise and level-set forms, the sup-property tests, generation of the
-smallest containing L-subgroup, and transport along group homomorphisms.
+points), level subsets, the subgroup and normality predicates, the
+sup-property tests, generation of the smallest containing L-subgroup, and
+transport along group homomorphisms.
 
-Predicates that the theory characterises two ways compute both routes and
-insist they agree; equality of L-subsets is exact pointwise equality of
-lattice elements, there is no tolerance anywhere.
+Predicates that the theory characterises two ways answer by the pointwise
+route; the level-set route of the subgroup test stays available as the
+reference the test suite and the harness hold it to.  Equality of
+L-subsets is exact pointwise equality of lattice elements, there is no
+tolerance anywhere.
 """
 from __future__ import annotations
 
@@ -274,14 +276,14 @@ def _levelwise_is_l_subgroup(mu: LSubset) -> bool:
     )
 
 
-def is_l_subgroup(mu: LSubset, strategy: str = "both") -> bool:
+def is_l_subgroup(mu: LSubset, strategy: str = "pointwise") -> bool:
     """Is mu an L-subgroup of its group?
 
-    The pointwise route checks mu(xy) ≥ mu(x) ∧ mu(y) and mu(x⁻¹) = mu(x);
-    the level route checks that every non-empty level subset, over every
-    lattice element, is a subgroup.  Both routes are available separately
-    for the agreement tests; the default runs both and insists they match.
-    Refuses non-distributive lattices, which the theory does not cover.
+    The pointwise route (the default) checks mu(xy) ≥ mu(x) ∧ mu(y) and
+    mu(x⁻¹) = mu(x); the level route checks that every non-empty level
+    subset, over every lattice element, is a subgroup, and is the reference
+    the agreement tests compare against.  Refuses non-distributive
+    lattices, which the theory does not cover.
     """
     if not mu.lattice.distributive:
         raise NonDistributiveLatticeError("L-subgroup tests require a distributive lattice")
@@ -289,32 +291,17 @@ def is_l_subgroup(mu: LSubset, strategy: str = "both") -> bool:
         return _pointwise_is_l_subgroup(mu)
     if strategy == "levelwise":
         return _levelwise_is_l_subgroup(mu)
-    if strategy != "both":
-        raise ValueError(f"unknown strategy {strategy!r}")
-    pointwise = _pointwise_is_l_subgroup(mu)
-    levelwise = _levelwise_is_l_subgroup(mu)
-    assert pointwise == levelwise, "pointwise and level-set subgroup tests disagree"
-    return pointwise
+    raise ValueError(f"unknown strategy {strategy!r}")
 
 
 def is_l_subgroup_of(eta: LSubset, mu: LSubset) -> bool:
     """eta ∈ L(mu): eta ⊆ mu with both L-subgroups of the group.
 
-    Also evaluated through the level characterisation (each non-empty level
-    of eta is a subgroup of the matching level of mu); the two answers must
-    agree.
+    Answered pointwise; the level characterisation (each non-empty level of
+    eta is a subgroup of the matching level of mu) is the tests' reference.
     """
     _same_carriers(eta, mu)
-    if not contains(mu, eta) or not is_l_subgroup(mu):
-        return False
-    direct = is_l_subgroup(eta)
-    levelwise = all(
-        is_subgroup(eta.group, lv) and lv <= mu.level(a)
-        for a in eta.lattice.elements
-        if (lv := eta.level(a))
-    )
-    assert direct == levelwise, "direct and level-set subgroup-of tests disagree"
-    return direct
+    return contains(mu, eta) and is_l_subgroup(mu) and is_l_subgroup(eta)
 
 
 def is_proper_l_subgroup(eta: LSubset, mu: LSubset) -> bool:
@@ -325,57 +312,41 @@ def is_proper_l_subgroup(eta: LSubset, mu: LSubset) -> bool:
 def is_normal_in_group(mu: LSubset) -> bool:
     """Is mu a normal L-subgroup of the whole group?
 
-    Pointwise this is mu(xy) = mu(yx) for all x, y; the level route asks
-    every non-empty level subset to be a normal subgroup of the group.
+    Answered pointwise: mu(xy) = mu(yx) for all x, y.  The level route
+    (every non-empty level subset is a normal subgroup of the group) is the
+    tests' reference.
     """
     if not is_l_subgroup(mu):
         raise NotAnLSubgroupError("normality is defined for L-subgroups")
     group = mu.group
     vals = mu._vals
     n = len(group)
-    pointwise = all(
+    return all(
         vals[group.op_index(i, j)] == vals[group.op_index(j, i)]
         for i in range(n)
         for j in range(n)
     )
-    everything = frozenset(group.elements)
-    levelwise = all(
-        all(group.conjugate(g, x) in lv for g in group.elements for x in lv)
-        for a in mu.lattice.elements
-        if (lv := mu.level(a)) and lv != everything
-    )
-    assert pointwise == levelwise, "pointwise and level-set normality tests disagree"
-    return pointwise
 
 
 def is_normal_in(eta: LSubset, mu: LSubset) -> bool:
     """Is eta a normal L-subgroup of mu?
 
-    Pointwise: eta(yxy⁻¹) ≥ eta(x) ∧ mu(y) for all x, y.  Level route:
-    every non-empty level of eta is normal in the matching level of mu.
+    Answered pointwise: eta(yxy⁻¹) ≥ eta(x) ∧ mu(y) for all x, y.  The
+    level route (every non-empty level of eta is normal in the matching
+    level of mu) is the tests' reference.
     """
     if not is_l_subgroup_of(eta, mu):
         raise NotAnLSubgroupError("normality in mu is defined for members of L(mu)")
     group, lat = eta.group, eta.lattice
     leq, meet = lat._leq, lat._meet
     ev, mv = eta._vals, mu._vals
+    op, inv = group.op_index, group.inverse_index
     n = len(group)
-    pointwise = True
-    for xi in range(n):
-        for yi in range(n):
-            conj = group.op_index(group.op_index(yi, xi), group.inverse_index(yi))
-            if not leq[meet[ev[xi]][mv[yi]]][ev[conj]]:
-                pointwise = False
-                break
-        if not pointwise:
-            break
-    levelwise = all(
-        all(group.conjugate(g, x) in lv for g in mu.level(a) for x in lv)
-        for a in lat.elements
-        if (lv := eta.level(a))
+    return all(
+        leq[meet[ev[xi]][mv[yi]]][ev[op(op(yi, xi), inv(yi))]]
+        for xi in range(n)
+        for yi in range(n)
     )
-    assert pointwise == levelwise, "pointwise and level-set relative normality disagree"
-    return pointwise
 
 
 # --------------------------------------------------------- sup properties

@@ -5,7 +5,7 @@ finite distributive lattice, where join-irreducibles are join-prime, a
 member eta is an antitone map j -> H_j from the join-irreducibles to the
 subgroups and the empty set, with H_j (eta's level at j) inside mu's level
 at j and eta(x) the join of the j with x in H_j.  Non-distributive lattices
-are refused; the budget gates on the raw ``candidate_space_size``.
+are refused; the budget bounds the partial level maps the walk visits.
 
 A maximal L-subgroup of mu is a proper L-subgroup with nothing strictly
 between it and mu.  Two independent tests are provided: the definitional
@@ -31,7 +31,6 @@ from .lsets import (
     LPoint,
     LSubset,
     adjoin_point,
-    are_jointly_supstar,
     contains,
     generate,
     is_l_subgroup_of,
@@ -93,7 +92,10 @@ class LevelProfile:
 # ------------------------------------------------------------- enumeration
 
 def candidate_space_size(mu: LSubset) -> int:
-    """Size of the raw search space: the product of the down-set sizes."""
+    """Size of the raw search space: the product of the down-set sizes.
+
+    A statistic only; the enumeration budget counts the work actually done.
+    """
     total = 1
     for x in mu.group.elements:
         total *= len(mu.lattice.down_set(mu.value(x)))
@@ -122,9 +124,6 @@ def _enumeration(mu: LSubset, budget: int) -> tuple[LSubset, ...]:
     group, lat = mu.group, mu.lattice
     if not lat.distributive:
         raise NonDistributiveLatticeError("L-subgroup tests require a distributive lattice")
-    size = candidate_space_size(mu)
-    if size > budget:
-        raise InstanceTooLargeError(size, budget)
     leq, join, bottom = lat._leq, lat._join, lat.index(lat.bottom)
     order = sorted(range(len(lat)), key=_down_sizes(lat).__getitem__)
     # j is join-irreducible when the elements strictly below it join to less
@@ -140,8 +139,16 @@ def _enumeration(mu: LSubset, budget: int) -> tuple[LSubset, ...]:
     subgroups = [(sum(1 << x for x in xs), xs) for xs in indexed]
     fitting: dict[int, list] = {}  # bound mask -> the subgroups (or ∅) inside it
     found: list[LSubset] = []
+    visited = 0
 
     def walk(k: int, acc: list[int], chosen: tuple[int, ...]) -> None:
+        nonlocal visited
+        visited += 1
+        if visited > budget:
+            raise InstanceTooLargeError(visited, budget, (
+                f"enumeration of L(mu) exceeded its budget of {budget} partial level maps "
+                f"after {len(found)} members"
+            ))
         if k == len(irreducibles):
             found.append(LSubset(group, lat, tuple(acc)))
             return
@@ -198,8 +205,8 @@ def enumerate_l_subgroups(
     L-subgroup.  Canonical order is lexicographic on the value tuple (group
     element order, lattice index order).  ``only_proper`` drops the
     constants and mu itself.  Raises NonDistributiveLatticeError over a
-    non-distributive lattice and InstanceTooLargeError when the raw
-    candidate space exceeds the budget.
+    non-distributive lattice and InstanceTooLargeError once the walk has
+    visited more than ``budget`` partial level maps.
     """
     everything = _enumeration(mu, budget)
     if not only_proper:
@@ -286,8 +293,9 @@ def tip_relation(eta: LSubset, mu: LSubset) -> TipRelation:
     """Relate the tips of a maximal eta and its parent.
 
     Either the tips agree or the parent's tip covers eta's; anything else
-    would contradict maximality, so Violation is asserted unreachable.
-    Raises NotMaximalError when eta is not maximal in mu.
+    would contradict maximality and is reported as Violation, which the
+    harness property ``maximal_tips`` treats as a failure.  Raises
+    NotMaximalError when eta is not maximal in mu.
     """
     if not is_maximal(eta, mu, strategy="lpoint"):
         raise NotMaximalError("tip relation is defined for maximal L-subgroups")
@@ -297,7 +305,7 @@ def tip_relation(eta: LSubset, mu: LSubset) -> TipRelation:
         return TipRelation.EQUAL
     if lat.is_cover(mu.value(e), eta.value(e)):
         return TipRelation.PARENT_COVERS
-    assert False, "maximal L-subgroup with tip neither equal nor covered"
+    return TipRelation.VIOLATION
 
 
 def level_profile(eta: LSubset, mu: LSubset) -> LevelProfile:
@@ -305,7 +313,8 @@ def level_profile(eta: LSubset, mu: LSubset) -> LevelProfile:
 
     When eta is in fact maximal and jointly supstar with mu, exactly one
     level may differ, and when the tips also agree that defect level must
-    be a maximal subgroup classically; both facts are asserted here.
+    be a maximal subgroup classically; the harness property
+    ``maximal_level_profiles`` checks both facts.
     """
     if not is_l_subgroup_of(eta, mu):
         raise NotAnLSubgroupError("level profiles require eta in L(mu)")
@@ -324,18 +333,7 @@ def level_profile(eta: LSubset, mu: LSubset) -> LevelProfile:
         else:
             rows.append((a, LevelRelation.PROPER_SUBGROUP))
     defects = [a for a, rel in rows if rel is not LevelRelation.EQUAL]
-    profile = LevelProfile(tuple(rows), defects[0] if len(defects) == 1 else None)
-
-    if are_jointly_supstar(eta, mu) and is_proper_l_subgroup(eta, mu) and _lpoint_verdict(eta, mu).maximal:
-        assert profile.unique_defect_level is not None, (
-            "maximal jointly-supstar subgroup must have exactly one defect level"
-        )
-        if eta.value(group.identity) == mu.value(group.identity):
-            defect_rel = dict(rows)[profile.unique_defect_level]
-            assert defect_rel is LevelRelation.PROPER_MAXIMAL_SUBGROUP, (
-                "with equal tips the defect level must be a maximal subgroup"
-            )
-    return profile
+    return LevelProfile(tuple(rows), defects[0] if len(defects) == 1 else None)
 
 
 def sufficient_maximal_check(eta: LSubset, mu: LSubset) -> bool:
@@ -344,7 +342,8 @@ def sufficient_maximal_check(eta: LSubset, mu: LSubset) -> bool:
     True when the tips agree and, over every lattice element a below the
     tip of mu, exactly one level of eta is a maximal subgroup of the
     matching level of mu while all the others coincide.  A true answer
-    implies maximality (asserted); a false answer implies nothing.
+    implies maximality (the harness property ``sufficient_condition_sound``
+    checks it); a false answer implies nothing.
     """
     if not is_l_subgroup_of(eta, mu):
         return False
@@ -364,12 +363,7 @@ def sufficient_maximal_check(eta: LSubset, mu: LSubset) -> bool:
                 return False
         else:
             return False
-    result = defects == 1
-    if result:
-        assert _lpoint_verdict(eta, mu).maximal, (
-            "the sufficient level pattern held but the subgroup is not maximal"
-        )
-    return result
+    return defects == 1
 
 
 # ---------------------------------------------------------------- transport

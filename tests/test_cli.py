@@ -1,14 +1,19 @@
 """End-to-end runs of the command line front end."""
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from lsubgroups import l_subset_from_document
+from lsubgroups import builtin_group, l_subset_from_document
 from lsubgroups.cli import main
 
 from conftest import D8_MU, D8_PHI, FIVE_CHAIN, Q8_ETA_MAXIMAL, Q8_MU_MAXIMAL
 
 D8_ELEMENTS = list(D8_MU)
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 @pytest.fixture
@@ -166,6 +171,16 @@ class TestVerify:
         assert code == 0
         assert json.loads(out)["passed"] is True
 
+    def test_same_report_without_asserts(self):
+        # python -O strips assert statements; no answer may depend on them
+        argv = ["-m", "lsubgroups.cli", "verify", "--seed", "0", "--trials", "25", "--format", "json"]
+        path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+        env = dict(os.environ, PYTHONPATH=path)
+        plain = subprocess.run([sys.executable, *argv], capture_output=True, env=env, timeout=300)
+        optimised = subprocess.run([sys.executable, "-O", *argv], capture_output=True, env=env, timeout=300)
+        assert plain.returncode == optimised.returncode == 0
+        assert optimised.stdout == plain.stdout
+
 
 class TestHasse:
     def test_lattice_diagram(self, docs, capsys):
@@ -244,3 +259,20 @@ class TestErrors:
         )
         assert code == 3
         assert "budget" in err
+
+    def test_large_raw_space_is_not_refused(self, tmp_path, capsys):
+        # 4^12 raw candidates, above the default budget, but few members
+        paths = {}
+        for name, payload in [
+            ("chain4.json", {"chain": ["0", "a", "b", "1"]}),
+            ("c12.json", {"builtin": "C12"}),
+            ("top.json", {"values": {x: "1" for x in builtin_group("C12").elements}}),
+        ]:
+            (tmp_path / name).write_text(json.dumps(payload))
+            paths[name] = str(tmp_path / name)
+        code, out, err = run(
+            capsys, "maximals", "--format", "json",
+            "-l", paths["chain4.json"], "-g", paths["c12.json"], "-s", paths["top.json"],
+        )
+        assert (code, err) == (0, "")
+        assert json.loads(out)["count"] == 2

@@ -21,6 +21,7 @@ from lsubgroups import (
     characteristic,
     constant,
     contains,
+    enumerate_l_subgroups,
     generate,
     generate_oracle,
     has_sup_property,
@@ -30,6 +31,7 @@ from lsubgroups import (
     is_normal_in,
     is_normal_in_group,
     is_proper_l_subgroup,
+    is_subgroup,
     l_subset,
     l_subset_from_document,
     point_in,
@@ -43,6 +45,54 @@ from lsubgroups import (
     validate_lattice,
 )
 from lsubgroups.errors import DocumentError
+
+
+def levelwise_is_l_subgroup_of(eta, mu):
+    """Oracle: every non-empty level of mu is a subgroup, and every non-empty
+    level of eta is a subgroup inside the matching level of mu."""
+    return all(
+        is_subgroup(mu.group, lv) for a in mu.lattice.elements if (lv := mu.level(a))
+    ) and all(
+        is_subgroup(eta.group, lv) and lv <= mu.level(a)
+        for a in eta.lattice.elements
+        if (lv := eta.level(a))
+    )
+
+
+def levelwise_is_normal_in_group(mu):
+    """Oracle: every level of mu is closed under conjugation by the group."""
+    group = mu.group
+    return all(
+        group.conjugate(g, x) in lv
+        for a in mu.lattice.elements
+        for lv in [mu.level(a)]
+        for g in group.elements
+        for x in lv
+    )
+
+
+def levelwise_is_normal_in(eta, mu):
+    """Oracle: every level of eta is closed under conjugation by the
+    matching level of mu."""
+    group = eta.group
+    return all(
+        group.conjugate(g, x) in lv
+        for a in eta.lattice.elements
+        for lv in [eta.level(a)]
+        for g in mu.level(a)
+        for x in lv
+    )
+
+
+def seeded_probes(spec, trials=40, cap=24):
+    """Per trial: the instance and its probes, namely mu, eta, the raws and
+    (a seeded sample of at most ``cap``) members of L(mu)."""
+    for trial in range(trials):
+        inst = build_instance(spec, trial)
+        members = list(enumerate_l_subgroups(inst.mu))
+        if len(members) > cap:
+            members = random.Random(trial).sample(members, cap)
+        yield inst, [inst.mu, inst.eta, *inst.raws, *members]
 
 
 def diamond():
@@ -197,6 +247,11 @@ class TestSubgroupPredicates:
             raw = random_l_subset_below(rng, d8_case["mu"])
             assert is_l_subgroup(raw, "pointwise") == is_l_subgroup(raw, "levelwise")
 
+    @pytest.mark.parametrize("strategy", ["both", "guess"])
+    def test_unknown_strategy(self, d8_case, strategy):
+        with pytest.raises(ValueError):
+            is_l_subgroup(d8_case["mu"], strategy)
+
     def test_non_distributive_refused(self):
         g = builtin_group("C2")
         bad = constant(g, pentagon(), "1")
@@ -214,6 +269,60 @@ class TestSubgroupPredicates:
         tail = constant(d8_case["group"], d8_case["lattice"], "a")
         assert is_l_subgroup_of(tail, d8_case["mu"])
         assert not is_proper_l_subgroup(tail, d8_case["mu"])
+
+
+SEEDED_SPECS = pytest.mark.parametrize(
+    "spec",
+    [InstanceSpec(0), InstanceSpec(1, lattice_kind="product2x3"), InstanceSpec(1, lattice_kind="divisors30")],
+    ids=["chains", "product2x3", "divisors30"],
+)
+
+
+class TestPredicatesMatchTheLevelRoute:
+    """Membership and normality are answered pointwise; their level-set
+    characterisations stay here as the reference, checked on seeded
+    instances over chains, a product lattice and a divisor lattice."""
+
+    @SEEDED_SPECS
+    def test_membership(self, spec):
+        seen = set()
+        for inst, probes in seeded_probes(spec):
+            for parent in [inst.mu, *inst.raws]:
+                for probe in probes:
+                    answer = is_l_subgroup_of(probe, parent)
+                    assert answer == levelwise_is_l_subgroup_of(probe, parent)
+                    seen.add(answer)
+        assert seen == {True, False}
+
+    @SEEDED_SPECS
+    def test_normality_in_the_group(self, spec):
+        seen = set()
+        for _, probes in seeded_probes(spec):
+            for probe in probes:
+                if not is_l_subgroup(probe, "levelwise"):
+                    with pytest.raises(NotAnLSubgroupError):
+                        is_normal_in_group(probe)
+                    continue
+                answer = is_normal_in_group(probe)
+                assert answer == levelwise_is_normal_in_group(probe)
+                seen.add(answer)
+        assert seen == {True, False}
+
+    @SEEDED_SPECS
+    def test_normality_in_a_parent(self, spec):
+        seen = set()
+        for inst, probes in seeded_probes(spec):
+            top = constant(inst.group, inst.lattice, inst.lattice.top)
+            for parent in [inst.mu, top]:
+                for probe in probes:
+                    if not levelwise_is_l_subgroup_of(probe, parent):
+                        with pytest.raises(NotAnLSubgroupError):
+                            is_normal_in(probe, parent)
+                        continue
+                    answer = is_normal_in(probe, parent)
+                    assert answer == levelwise_is_normal_in(probe, parent)
+                    seen.add(answer)
+        assert seen == {True, False}
 
 
 class TestNormality:

@@ -3,12 +3,15 @@ from itertools import product as cartesian
 
 import pytest
 
+import lsubgroups.maximal as maximal_module
 from lsubgroups import (
+    DEFAULT_BUDGET,
     InstanceSpec,
     InstanceTooLargeError,
     LPoint,
     LSubset,
     LevelRelation,
+    MaximalityVerdict,
     NonDistributiveLatticeError,
     NotAnIsomorphismError,
     NotMaximalError,
@@ -16,6 +19,7 @@ from lsubgroups import (
     build_instance,
     builtin_group,
     candidate_space_size,
+    chain_lattice,
     constant,
     contains,
     enumerate_l_subgroups,
@@ -90,14 +94,25 @@ class TestEnumeration:
 
     def test_trivial_group_has_two_members_over_two_chain(self):
         g = builtin_group("C1")
-        from lsubgroups import chain_lattice
-
         mu = constant(g, chain_lattice(["0", "1"]), "1")
         assert len(enumerate_l_subgroups(mu)) == 2
 
     def test_budget_guard(self, d8_case):
         with pytest.raises(InstanceTooLargeError):
             enumerate_l_subgroups(d8_case["mu"], budget=100)
+
+    def test_budget_error_names_the_enumeration_and_its_progress(self, d8_case):
+        # the walk over the d8 parent visits 204 partial level maps
+        with pytest.raises(InstanceTooLargeError, match=r"enumeration of L\(mu\) .* after \d+ members"):
+            enumerate_l_subgroups(d8_case["mu"], budget=203)
+        assert len(enumerate_l_subgroups(d8_case["mu"], budget=204)) == 94
+
+    def test_budget_counts_work_not_the_raw_space(self):
+        # 4^12 raw candidates, yet the walk lists every member after
+        # visiting 98 partial level maps
+        mu = constant(builtin_group("C12"), chain_lattice(["0", "a", "b", "1"]), "1")
+        assert candidate_space_size(mu) == 16_777_216 > DEFAULT_BUDGET
+        assert len(enumerate_l_subgroups(mu)) == 65
 
     def test_non_distributive_refused(self):
         pentagon = validate_lattice(
@@ -216,6 +231,13 @@ class TestTipRelation:
     def test_rejects_non_maximal(self, d8_case):
         with pytest.raises(NotMaximalError):
             tip_relation(d8_case["phi"], d8_case["mu"])
+
+    def test_violation_is_reported(self, d8_case, monkeypatch):
+        # a tip two steps below mu's: with the maximality gate bypassed the
+        # answer is Violation, a value that survives python -O
+        monkeypatch.setattr(maximal_module, "is_maximal", lambda *args, **kwargs: MaximalityVerdict(True))
+        eta = constant(d8_case["group"], d8_case["lattice"], "b")
+        assert tip_relation(eta, d8_case["mu"]) is TipRelation.VIOLATION
 
 
 class TestLevelProfile:
