@@ -21,6 +21,7 @@ from .lsets import (
     contains,
     generate,
     is_l_subgroup,
+    is_l_subgroup_of,
     is_proper_l_subgroup,
     l_subset_from_document,
 )
@@ -135,7 +136,7 @@ def _cmd_validate(ws: Workspace, args) -> int:
             raise DocumentError("-s2 needs a first L-subset to compare against")
         sub = ws.subset()
         second = ws.subset(args.subset2)
-        member = contains(sub, second) and is_l_subgroup(second) and is_l_subgroup(sub)
+        member = is_l_subgroup_of(second, sub)
         payload["subset2"] = {
             "l_subgroup": is_l_subgroup(second),
             "contained_in_first": contains(sub, second),

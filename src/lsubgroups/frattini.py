@@ -38,7 +38,6 @@ from .lsets import (
     contains,
     generate,
     intersection_of,
-    is_l_subgroup_of,
     is_normal_in,
     is_normal_in_group,
     point_in,
@@ -61,8 +60,8 @@ class FrattiniReport:
     mu itself.  ``nongen`` is the join of all non-generator points, which is
     the meet of all coatoms of L(mu); phi is the meet of the non-constant
     ones, so it always contains ``nongen``.  Over a finite chain the two
-    coincide unless some coatom is constant (see ``constant_obstructed``),
-    and that is asserted.
+    coincide unless some coatom is constant (see ``constant_obstructed``);
+    the harness property ``nongenerators_inside_frattini`` checks both.
     """
 
     phi: LSubset
@@ -102,36 +101,24 @@ def frattini(mu: LSubset, budget: int = DEFAULT_BUDGET) -> FrattiniReport:
     maximals = maximal_l_subgroups(mu, budget=budget)
     phi = _meet(maximals, mu)
     nongen = non_generator_subgroup(mu, budget=budget)
-    assert contains(phi, nongen), "non-generator points must lie inside the Frattini L-subgroup"
-    equality = nongen == phi
     obstructed = constant_obstructed(mu, budget=budget)
-    if mu.lattice.is_upper_well_ordered() and not obstructed:
-        assert equality, "over a finite chain the two constructions must coincide"
-    return FrattiniReport(phi, len(maximals), not maximals, nongen, equality, obstructed)
+    return FrattiniReport(phi, len(maximals), not maximals, nongen, nongen == phi, obstructed)
 
 
 def is_non_generator(
-    point: LPoint, mu: LSubset, budget: int = DEFAULT_BUDGET, method: str = "search"
+    point: LPoint, mu: LSubset, budget: int = DEFAULT_BUDGET
 ) -> tuple[bool, LSubset | None]:
     """Decide whether the point can always be dropped from generating families.
 
-    The default ``search`` method scans L(mu) largest-first; a false answer
-    returns the witness eta with <eta, a_x> = mu yet <eta> != mu, and the
-    scan order makes that witness containment-maximal among all witnesses.
-    The ``chain`` method uses membership in the Frattini L-subgroup
-    instead, which is only valid over chain lattices; it exists as a faster
-    route and is cross-checked against the search in tests.
+    Scans L(mu) largest-first; a false answer returns the witness eta with
+    <eta, a_x> = mu yet <eta> != mu, and the scan order makes that witness
+    containment-maximal among all witnesses.  ``non_generator_points``
+    gives the same answers from one coatom pass.
     """
-    if method not in ("search", "chain"):
-        raise ValueError(f"unknown method {method!r}")
-    if method == "chain" and not mu.lattice.is_upper_well_ordered():
-        raise HypothesisNotMetError("the chain shortcut needs a chain lattice")
     if not point_in(point, mu):
         raise LPointNotInParentError(f"{point} is not a point of the parent")
     if point.height == mu.lattice.bottom:
         return True, None  # adjoining a bottom point changes nothing
-    if method == "chain":
-        return point_in(point, _phi_only(mu, budget)), None
     for eta in _by_rank(mu, budget):
         if eta == mu:
             continue
@@ -156,16 +143,14 @@ def non_generator_points(
 
 
 def non_generator_subgroup(mu: LSubset, budget: int = DEFAULT_BUDGET) -> LSubset:
-    """Join of all non-generator points; checked to be an L-subgroup of mu."""
+    """Join of all non-generator points, a member of L(mu)."""
     lat = mu.lattice
     points = non_generator_points(mu, budget=budget)
     heights: dict[str, list[str]] = {x: [] for x in mu.group.elements}
     for p in points:
         heights[p.point].append(p.height)
     vals = tuple(lat.index(lat.join_set(heights[x])) for x in mu.group.elements)
-    result = LSubset(mu.group, lat, vals)
-    assert is_l_subgroup_of(result, mu), "non-generator points must form an L-subgroup of mu"
-    return result
+    return LSubset(mu.group, lat, vals)
 
 
 def _meet(family: tuple[LSubset, ...], mu: LSubset) -> LSubset:
@@ -179,16 +164,13 @@ def _phi_only(mu: LSubset, budget: int) -> LSubset:
 def check_nongenerator_inclusion(mu: LSubset, budget: int = DEFAULT_BUDGET) -> dict:
     """Compare the non-generator subgroup with the Frattini L-subgroup.
 
-    Inclusion of the non-generator subgroup is expected unconditionally;
-    over a chain lattice equality is asserted unless the instance is
-    constant-obstructed, and the obstruction flag is part of the result.
+    Returns the inclusion, the equality and the obstruction flag; the
+    harness property ``nongenerators_inside_frattini`` states when the
+    first two hold.
     """
     report = frattini(mu, budget=budget)
-    inclusion = contains(report.phi, report.nongen)
-    if mu.lattice.is_upper_well_ordered() and not report.constant_obstructed:
-        assert report.equality_holds
     return {
-        "inclusion": inclusion,
+        "inclusion": contains(report.phi, report.nongen),
         "equality": report.equality_holds,
         "constant_obstructed": report.constant_obstructed,
     }
@@ -245,27 +227,22 @@ def nongenerators_conjugation_closed(
 
 
 def frattini_is_normal(mu: LSubset, budget: int = DEFAULT_BUDGET) -> bool:
-    """Over a chain lattice, phi of a normal mu is normal in mu (asserted)."""
+    """Over a chain lattice, return whether phi of a normal mu is normal in mu."""
     if not mu.lattice.is_upper_well_ordered():
         raise HypothesisNotMetError("normality of phi is stated over chain lattices")
     if not is_normal_in_group(mu):
         raise NotNormalInGroupError("normality of phi needs mu normal in the group")
-    phi = _phi_only(mu, budget)
-    result = is_normal_in(phi, mu)
-    assert result, "the Frattini L-subgroup of a normal parent must be normal in it"
-    return result
+    return is_normal_in(_phi_only(mu, budget), mu)
 
 
 def frattini_image_inclusion(f: GroupHom, mu: LSubset, budget: int = DEFAULT_BUDGET) -> bool:
-    """f(phi(mu)) sits inside phi(f(mu)) for an isomorphism f (asserted)."""
+    """Return whether f(phi(mu)) sits inside phi(f(mu)) for an isomorphism f."""
     if not f.bijective:
         raise NotAnIsomorphismError("the image comparison requires an isomorphism")
     phi_source = _phi_only(mu, budget)
     image_mu = pushforward(f, mu)
     phi_target = _phi_only(image_mu, budget)
-    result = contains(phi_target, pushforward(f, phi_source))
-    assert result, "the image of phi must land inside phi of the image"
-    return result
+    return contains(phi_target, pushforward(f, phi_source))
 
 
 def maximal_avoiding(
@@ -273,9 +250,8 @@ def maximal_avoiding(
 ) -> tuple[LSubset, ...]:
     """Largest members of L(mu) containing theta and missing the point.
 
-    Finite exhaustion over the enumeration of L(mu); existence is
-    guaranteed because theta itself qualifies, and the result is asserted
-    non-empty.
+    Finite exhaustion over the enumeration of L(mu); the result is never
+    empty, because theta itself qualifies.
     """
     if not point_in(point, mu):
         raise LPointNotInParentError(f"{point} is not a point of the parent")
@@ -286,10 +262,8 @@ def maximal_avoiding(
         for nu in enumerate_l_subgroups(mu, budget=budget)
         if contains(nu, theta) and not point_in(point, nu)
     ]
-    tops = tuple(
+    return tuple(
         nu
         for nu in candidates
         if not any(other != nu and contains(other, nu) for other in candidates)
     )
-    assert tops, "theta itself satisfies the constraints, so a maximal member exists"
-    return tops

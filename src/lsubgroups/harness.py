@@ -17,6 +17,9 @@ from .errors import SearchExhaustedError
 from .frattini import (
     FrattiniReport,
     frattini,
+    frattini_image_inclusion,
+    frattini_is_normal,
+    frattini_level_compare,
     maximal_avoiding,
     non_generator_points,
     nongenerators_conjugation_closed,
@@ -394,6 +397,8 @@ def prop_subgroup_tests_agree(inst: Instance):
 def prop_generation_closure_laws(inst: Instance):
     raw = inst.raws[0]
     gen = generate(raw)
+    if not is_l_subgroup(gen):
+        _fail(reason="generation does not give an L-subgroup")
     if not contains(gen, raw):
         _fail(reason="generation is not extensive")
     if generate(gen) != gen:
@@ -425,8 +430,12 @@ def prop_sup_property_levelwise_generation(inst: Instance):
 
 def prop_generation_commutes_with_image(inst: Instance):
     raw = inst.raws[0]
+    gen = generate(raw)
     for f in inst.homs():
-        if generate(pushforward(f, raw)) != pushforward(f, generate(raw)):
+        image = pushforward(f, gen)
+        if not is_l_subgroup(image):
+            _fail(hom=f.as_document(), reason="image of an L-subgroup is not an L-subgroup")
+        if generate(pushforward(f, raw)) != image:
             _fail(hom=f.as_document(), reason="generation does not commute with the image")
 
 
@@ -434,7 +443,10 @@ def prop_generation_commutes_with_preimage(inst: Instance):
     raw = inst.raws[0]
     for f in inst.homs():
         theta = pushforward(f, raw)
-        if generate(pullback(f, theta)) != pullback(f, generate(theta)):
+        preimage = pullback(f, generate(theta))
+        if not is_l_subgroup(preimage):
+            _fail(hom=f.as_document(), reason="preimage of an L-subgroup is not an L-subgroup")
+        if generate(pullback(f, theta)) != preimage:
             _fail(hom=f.as_document(), reason="generation does not commute with the preimage")
 
 
@@ -583,15 +595,14 @@ def prop_frattini_level_inclusion(inst: Instance):
     if report.phi.value(inst.group.identity) != inst.mu.value(inst.group.identity):
         return SKIPPED
     for b in sorted(inst.mu.image()):
-        classical = frattini_classical(inst.group, inst.mu.level(b))
-        if not classical <= report.phi.level(b):
+        if not frattini_level_compare(inst.mu, b)["forward_inclusion"]:
             _fail(level=b, reason="classical Frattini of the level escapes the level of phi")
 
 
 def prop_frattini_normal_in_parent(inst: Instance):
     if not inst.lattice.is_upper_well_ordered() or not is_normal_in_group(inst.mu):
         return SKIPPED
-    if not is_normal_in(inst.report().phi, inst.mu):
+    if not frattini_is_normal(inst.mu):
         _fail(reason="phi is not normal in mu")
 
 
@@ -604,12 +615,8 @@ def prop_nongenerator_conjugation_closure(inst: Instance):
 
 
 def prop_frattini_image_inclusion(inst: Instance):
-    report = inst.report()
     for f in inst.isos()[:1]:
-        image_mu = pushforward(f, inst.mu)
-        image_maximals = maximal_l_subgroups(image_mu)
-        phi_target = intersection_of(image_maximals) if image_maximals else image_mu
-        if not contains(phi_target, pushforward(f, report.phi)):
+        if not frattini_image_inclusion(f, inst.mu):
             _fail(reason="image of phi escapes phi of the image")
 
 
@@ -896,9 +903,7 @@ def search_converse_counterexample(
             continue
         verdict = is_maximal(eta, mu, strategy="both")
         if not verdict.maximal and verdict.witness_between is not None:
-            profile = level_profile(eta, mu)
-            assert profile.unique_defect_level is not None
             return ConverseCounterexample(
-                mu, eta, verdict.witness_between, profile.unique_defect_level
+                mu, eta, verdict.witness_between, level_profile(eta, mu).unique_defect_level
             )
     raise SearchExhaustedError("no level-pattern counterexample found in the pool")

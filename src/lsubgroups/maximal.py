@@ -251,9 +251,10 @@ def is_maximal(
 
     ``definition`` searches the enumeration of L(mu) for something strictly
     between; ``lpoint`` checks that every point of mu outside eta generates
-    mu when adjoined; ``both`` runs the two and insists they agree.  A
-    candidate that is not a proper L-subgroup of mu is never maximal and is
-    reported with reason ``not_proper``.
+    mu when adjoined; ``both`` returns the definitional verdict, adding the
+    point witness to a negative one.  A candidate that is not a proper
+    L-subgroup of mu is never maximal and is reported with reason
+    ``not_proper``.
     """
     if strategy not in ("definition", "lpoint", "both"):
         raise ValueError(f"unknown strategy {strategy!r}")
@@ -264,12 +265,9 @@ def is_maximal(
     if strategy == "lpoint":
         return _lpoint_verdict(eta, mu)
     by_definition = _definition_verdict(eta, mu, budget)
-    by_point = _lpoint_verdict(eta, mu)
-    assert by_definition.maximal == by_point.maximal, (
-        "definitional and point maximality tests disagree"
-    )
     if by_definition.maximal:
         return by_definition
+    by_point = _lpoint_verdict(eta, mu)
     return MaximalityVerdict(
         False,
         by_definition.reason,
@@ -373,8 +371,7 @@ def transport_maximal(
 ) -> tuple[LSubset, MaximalityVerdict]:
     """Push a maximal L-subgroup through an isomorphism.
 
-    Returns f(eta) together with its (asserted positive) maximality verdict
-    inside f(mu).
+    Returns f(eta) together with its maximality verdict inside f(mu).
     """
     if not f.bijective:
         raise NotAnIsomorphismError("transport requires a bijective homomorphism")
@@ -383,7 +380,6 @@ def transport_maximal(
     image_eta = pushforward(f, eta)
     image_mu = pushforward(f, mu)
     verdict = is_maximal(image_eta, image_mu, strategy="both", budget=budget)
-    assert verdict.maximal, "isomorphic image of a maximal L-subgroup must be maximal"
     return image_eta, verdict
 
 
@@ -398,5 +394,4 @@ def transport_maximal_preimage(
     back_theta = pullback(f, theta)
     back_nu = pullback(f, nu)
     verdict = is_maximal(back_theta, back_nu, strategy="both", budget=budget)
-    assert verdict.maximal, "isomorphic preimage of a maximal L-subgroup must be maximal"
     return back_theta, verdict

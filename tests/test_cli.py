@@ -1,4 +1,5 @@
 """End-to-end runs of the command line front end."""
+import ast
 import json
 import os
 import subprocess
@@ -14,6 +15,7 @@ from conftest import D8_MU, D8_PHI, FIVE_CHAIN, Q8_ETA_MAXIMAL, Q8_MU_MAXIMAL
 
 D8_ELEMENTS = list(D8_MU)
 SRC = Path(__file__).resolve().parents[1] / "src"
+SAMPLES = SRC.parent / "samples"
 
 
 @pytest.fixture
@@ -39,6 +41,16 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def run_module(argv, *flags):
+    """Run the CLI in a fresh interpreter started with the given flags."""
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    return subprocess.run(
+        [sys.executable, *flags, "-m", "lsubgroups.cli", *argv],
+        capture_output=True, env=env, timeout=300,
+    )
 
 
 class TestValidate:
@@ -173,13 +185,37 @@ class TestVerify:
 
     def test_same_report_without_asserts(self):
         # python -O strips assert statements; no answer may depend on them
-        argv = ["-m", "lsubgroups.cli", "verify", "--seed", "0", "--trials", "25", "--format", "json"]
-        path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
-        env = dict(os.environ, PYTHONPATH=path)
-        plain = subprocess.run([sys.executable, *argv], capture_output=True, env=env, timeout=300)
-        optimised = subprocess.run([sys.executable, "-O", *argv], capture_output=True, env=env, timeout=300)
+        argv = ["verify", "--seed", "0", "--trials", "25", "--format", "json"]
+        plain, optimised = run_module(argv), run_module(argv, "-O")
         assert plain.returncode == optimised.returncode == 0
         assert optimised.stdout == plain.stdout
+
+
+class TestWithoutAsserts:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["maximals", "-l", "chain5.json", "-g", "q8.json", "-s", "mu_q8.json", "--format", "json"],
+            ["frattini", "-l", "chain5.json", "-g", "d8.json", "-s", "mu_d8.json"],
+            ["nongen", "-l", "chain5.json", "-g", "d8.json", "-s", "mu_d8.json", "--format", "json"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_same_output_on_the_samples(self, argv):
+        argv = [str(SAMPLES / a) if a.endswith(".json") else a for a in argv]
+        plain, optimised = run_module(argv), run_module(argv, "-O")
+        assert plain.returncode == optimised.returncode == 0
+        assert optimised.stdout == plain.stdout
+
+    def test_library_has_no_assert_statements(self):
+        # an assert vanishes under -O, so a check the answers rely on must raise
+        found = [
+            f"{path.name}:{node.lineno}"
+            for path in sorted((SRC / "lsubgroups").glob("*.py"))
+            for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+            if isinstance(node, ast.Assert)
+        ]
+        assert found == []
 
 
 class TestHasse:

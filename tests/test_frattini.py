@@ -143,29 +143,6 @@ class TestNonGenerators:
         assert lam.value("r2") == "b"
         assert lam == d8_case["phi"]
 
-    def test_chain_fast_path_agrees_with_search(self, d8_case):
-        mu = d8_case["mu"]
-        for x in mu.group.elements:
-            for a in mu.lattice.down_set(mu.value(x)):
-                point = LPoint(x, a)
-                by_search, _ = is_non_generator(point, mu, method="search")
-                by_chain, _ = is_non_generator(point, mu, method="chain")
-                assert by_search == by_chain
-
-    def test_chain_fast_path_needs_a_chain(self):
-        lat = validate_lattice(
-            ["0", "p", "q", "1"], [("0", "p"), ("0", "q"), ("p", "1"), ("q", "1")]
-        )
-        mu = constant(builtin_group("C2"), lat, "1")
-        with pytest.raises(HypothesisNotMetError):
-            is_non_generator(LPoint("g", "p"), mu, method="chain")
-        with pytest.raises(HypothesisNotMetError):
-            is_non_generator(LPoint("g", "0"), mu, method="chain")
-
-    def test_unknown_method_rejected_even_for_a_bottom_point(self, d8_case):
-        with pytest.raises(ValueError):
-            is_non_generator(LPoint("e", "0"), d8_case["mu"], method="bogus")
-
     def test_reduction_to_l_subgroups_matches_raw_definition(self):
         # tiny instances where all of L^mu can be swept
         lat = chain_lattice(["0", "m", "1"])
@@ -242,6 +219,13 @@ class TestChainEqualityBoundary:
         assert report.constant_obstructed
         assert not report.equality_holds
         assert contains(report.phi, report.nongen)
+        # the identity at the top lies in phi but is not a non-generator
+        point = LPoint("e", "1")
+        assert point not in non_generator_points(mu)
+        ok, witness = is_non_generator(point, mu)
+        assert not ok and witness == l_subset(c2, lat, {"e": "m", "g": "m"})
+        with pytest.raises(TypeError):
+            is_non_generator(point, mu, method="chain")
 
     def test_worked_instances_are_unobstructed(self, d8_case, q8_maximal_case):
         assert not constant_obstructed(d8_case["mu"])
