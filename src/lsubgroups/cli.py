@@ -307,7 +307,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--format", choices=["table", "json", "dot"], default="table", help="output format"
     )
     parser.add_argument(
-        "--budget", type=int, default=DEFAULT_BUDGET, help="level maps the enumeration may visit"
+        "--budget", type=int, default=DEFAULT_BUDGET,
+        help="units of work for the coatoms of L(mu): one per level cut and one per ordered pair of cuts",
     )
     parser.add_argument("--seed", type=int, default=0, help="seed for verify")
     parser.add_argument("--trials", type=int, default=25, help="instances for verify")

@@ -98,7 +98,7 @@ class HypothesisNotMetError(LSubgroupsError):
 # ---------------------------------------------------------------- search
 
 class InstanceTooLargeError(LSubgroupsError):
-    """A search space, or the work done so far, exceeds the configured budget."""
+    """A search space, or the work a computation does or needs, exceeds the budget."""
 
     def __init__(self, size, budget, message: str | None = None):
         super().__init__(message or f"candidate space {size} exceeds budget {budget}")

@@ -8,17 +8,18 @@ L-subset already generates mu on its own.  Over chain lattices the join of
 all non-generator points coincides with the Frattini L-subgroup, and the
 report produced here carries both sides of that comparison.
 
-Both constructions come from one pass over L(mu) that finds its coatoms:
-the members other than mu with nothing strictly between them and mu.  The
-maximal L-subgroups are the non-constant coatoms.  Generation is monotone
-and every member of L(mu) other than mu lies below some coatom, so a_x is a
+Both constructions read the coatoms of L(mu), the members other than mu
+with nothing strictly between them and mu, which ``maximal`` builds in
+closed form from level cuts: a cut meets mu's levels at and above one
+join-irreducible j with one lower cover of mu's level at j.  The maximal
+L-subgroups are the non-constant coatoms.  Generation is monotone and every
+member of L(mu) other than mu lies below some coatom, so a_x is a
 non-generator exactly when it lies in every coatom, and the non-generator
 subgroup is the meet of all coatoms.  It is enough to quantify over L(mu)
 rather than over all L-subsets of mu: adjoining a point to eta and to the
-subgroup generated by eta produce the same generated subgroup.  The
-point-by-point search of ``is_non_generator`` is kept as the reference; the
-test suite checks the coatom form against it, and the reduction to L(mu)
-against the raw definition on tiny instances.
+subgroup generated by eta produce the same generated subgroup.  The test
+suite checks the coatom form against a generate-based scan of L(mu), and
+the reduction to L(mu) against the raw definition on tiny instances.
 """
 from __future__ import annotations
 
@@ -34,9 +35,7 @@ from .groups import GroupHom, frattini_classical
 from .lsets import (
     LPoint,
     LSubset,
-    adjoin_point,
     contains,
-    generate,
     intersection_of,
     is_normal_in,
     is_normal_in_group,
@@ -45,8 +44,8 @@ from .lsets import (
 )
 from .maximal import (
     DEFAULT_BUDGET,
-    _by_rank,
     _coatoms,
+    _highest_coatom,
     enumerate_l_subgroups,
     maximal_l_subgroups,
 )
@@ -57,7 +56,8 @@ class FrattiniReport:
     """Frattini L-subgroup alongside the non-generator subgroup.
 
     ``used_fallback`` records the no-maximal-subgroups case, in which phi is
-    mu itself.  ``nongen`` is the join of all non-generator points, which is
+    mu itself.  Both sides come from the level cuts of mu (see the module
+    docstring): ``nongen`` is the join of all non-generator points, which is
     the meet of all coatoms of L(mu); phi is the meet of the non-constant
     ones, so it always contains ``nongen``.  Over a finite chain the two
     coincide unless some coatom is constant (see ``constant_obstructed``);
@@ -110,21 +110,19 @@ def is_non_generator(
 ) -> tuple[bool, LSubset | None]:
     """Decide whether the point can always be dropped from generating families.
 
-    Scans L(mu) largest-first; a false answer returns the witness eta with
-    <eta, a_x> = mu yet <eta> != mu, and the scan order makes that witness
-    containment-maximal among all witnesses.  ``non_generator_points``
-    gives the same answers from one coatom pass.
+    A false answer returns the witness eta with <eta, a_x> = mu yet
+    <eta> != mu: the coatom of L(mu) of highest rank that misses the point
+    (see ``maximal._highest_coatom``).  A coatom missing a_x generates mu
+    with it, and any witness lies under such a coatom, so this is also the
+    first witness of a largest-first scan of L(mu), containment-maximal
+    among all witnesses.
     """
     if not point_in(point, mu):
         raise LPointNotInParentError(f"{point} is not a point of the parent")
     if point.height == mu.lattice.bottom:
         return True, None  # adjoining a bottom point changes nothing
-    for eta in _by_rank(mu, budget):
-        if eta == mu:
-            continue
-        if generate(adjoin_point(eta, point)) == mu:
-            return False, eta
-    return True, None
+    witness = _highest_coatom(mu, budget, lambda c: not point_in(point, c))
+    return witness is None, witness
 
 
 def non_generator_points(

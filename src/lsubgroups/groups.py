@@ -3,9 +3,12 @@
 Everything here is classical: validation of Cayley tables, a handful of
 builtin groups used throughout the examples, subgroup closure and
 enumeration, normality, classical Frattini subgroups, and validated
-homomorphisms.  Groups stay tiny (order ≤ 16), so the algorithms favour
+homomorphisms.  Groups stay small (order ≤ 32), so the algorithms favour
 clarity over asymptotics: subgroup enumeration works by closing generator
 sets, and every derived fact can be re-checked by brute force in tests.
+Inside the library a subgroup is also handled as a bitmask over element
+indices; the lower covers of each subgroup mask in the subgroup lattice are
+looked up once per group and cached.
 """
 from __future__ import annotations
 
@@ -29,10 +32,14 @@ class FiniteGroup:
 
     Elements are opaque names; the table maps (row, column) index pairs to
     the index of the product.  Instances are immutable; the only interior
-    state is a private memo of subgroup closures, which is safe to share.
+    state is private memos (subgroup closures, the subgroup list and its
+    cover table), which are safe to share.
     """
 
-    __slots__ = ("elements", "identity", "_index", "_table", "_inv", "_closure_memo", "_subgroups", "_hash")
+    __slots__ = (
+        "elements", "identity", "_index", "_table", "_inv", "_closure_memo", "_subgroups", "_covers",
+        "_hash",
+    )
 
     def __init__(self, elements, table, identity_index, inverse):
         self.elements: tuple[str, ...] = elements
@@ -42,6 +49,7 @@ class FiniteGroup:
         self._inv = inverse
         self._closure_memo: dict[frozenset[int], frozenset[int]] = {}
         self._subgroups: tuple[frozenset[str], ...] | None = None
+        self._covers: dict[int, tuple[int, ...] | None] | None = None
         self._hash = hash((elements, tuple(map(tuple, table))))
 
     def __len__(self) -> int:
@@ -326,11 +334,38 @@ def _require_subgroup(group: FiniteGroup, subset: Iterable[str], label: str) -> 
     return sub
 
 
+def _lower_covers(group: FiniteGroup, mask: int) -> tuple[int, ...] | None:
+    """Maximal proper subgroups of the subgroup with element bitmask ``mask``.
+
+    Bitmasks over element indices, in ``all_subgroups`` order; None when
+    ``mask`` is not a subgroup.  The table holds every subgroup mask and is
+    filled in per mask on first use.
+    """
+    table = group._covers
+    if table is None:
+        table = group._covers = dict.fromkeys(
+            sum(1 << group.index(x) for x in s) for s in all_subgroups(group)
+        )
+    if mask not in table:
+        return None
+    covers = table[mask]
+    if covers is None:
+        # largest first: a subgroup under a larger proper one lies under a
+        # maximal one, which is met earlier
+        found: list[int] = []
+        for s in reversed(table):
+            if s != mask and not s & ~mask and not any(not s & ~m for m in found):
+                found.append(s)
+        covers = table[mask] = tuple(reversed(found))
+    return covers
+
+
 def maximal_subgroups_of(group: FiniteGroup, sub: Iterable[str]) -> tuple[frozenset[str], ...]:
     """Maximal proper subgroups of ``sub``; the trivial subgroup has none."""
     sub = _require_subgroup(group, sub, "argument")
-    inside = [s for s in all_subgroups(group) if s < sub]
-    return tuple(s for s in inside if not any(s < t for t in inside))
+    covers = _lower_covers(group, sum(1 << group.index(x) for x in sub))
+    names = group.elements
+    return tuple(frozenset(x for i, x in enumerate(names) if m >> i & 1) for m in covers)
 
 
 def is_normal_subgroup(group: FiniteGroup, normal: Iterable[str], ambient: Iterable[str]) -> bool:

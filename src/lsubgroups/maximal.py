@@ -1,18 +1,26 @@
-"""Maximal L-subgroups: enumeration, three detection strategies, level profiles.
+"""Maximal L-subgroups: coatoms by level cuts, enumeration, detection, level profiles.
 
-L(mu), the L-subgroups below mu, is enumerated through levels.  Over a
-finite distributive lattice, where join-irreducibles are join-prime, a
-member eta is an antitone map j -> H_j from the join-irreducibles to the
-subgroups and the empty set, with H_j (eta's level at j) inside mu's level
-at j and eta(x) the join of the j with x in H_j.  Non-distributive lattices
-are refused; the budget bounds the partial level maps the walk visits.
+Over a finite distributive lattice, where join-irreducibles are join-prime,
+a member eta of L(mu), the L-subgroups below mu, is an antitone map j -> H_j
+from the join-irreducibles to the subgroups and the empty set, with H_j
+(eta's level at j) inside mu's level mu_j and eta(x) the join of the j with
+x in H_j.  Non-distributive lattices are refused.
 
-A maximal L-subgroup of mu is a proper L-subgroup with nothing strictly
-between it and mu.  Two independent tests are provided: the definitional
-search through the full enumeration of L(mu), and the lattice-point test
-(eta is maximal iff adjoining any missing point generates all of mu).  The
-list of all maximal L-subgroups is read off the coatoms of L(mu), found
-once per parent and cached (the Frattini module reads them too).  The
+The coatoms of L(mu), the members other than mu with nothing strictly
+between them and mu, come in closed form without walking L(mu).  For each
+join-irreducible j and each lower cover M of mu_j in Sub(G) ∪ {∅} (a
+maximal subgroup of mu_j, or ∅ when mu_j is trivial), the cut theta^{j,M}
+keeps mu_i at every join-irreducible i not above j and cuts it to mu_i ∩ M
+at every i ≥ j.  Each cut is antitone and proper, and every proper member
+eta lies under one: take j minimal where eta differs from mu and M ⊇ eta_j.
+So the coatoms are the cuts under no other cut.  They are found once per
+parent and cached; the maximal L-subgroups are the non-constant ones, and
+the Frattini module reads them too.
+
+Two independent maximality tests are provided: the definitional one (is
+there a coatom strictly above eta?) and the lattice-point test (eta is
+maximal iff adjoining any missing point generates all of mu).
+``enumerate_l_subgroups`` walks all of L(mu) as level maps.  The
 level-profile machinery classifies how each level subset of eta sits inside
 the matching level of mu and pins down the single defect level that
 maximality forces when the images are jointly supstar.
@@ -26,7 +34,7 @@ from typing import Iterable
 
 from .errors import InstanceTooLargeError, NonDistributiveLatticeError, NotAnIsomorphismError
 from .errors import NotAnLSubgroupError, NotMaximalError
-from .groups import GroupHom, all_subgroups, maximal_subgroups_of
+from .groups import GroupHom, _lower_covers, all_subgroups, maximal_subgroups_of
 from .lsets import (
     LPoint,
     LSubset,
@@ -104,24 +112,16 @@ def candidate_space_size(mu: LSubset) -> int:
 
 def _down_sizes(lat) -> list[int]:
     # |down-set| grows strictly along the order, no matter how the carrier
-    # happens to be listed, which makes it a safe rank for largest-first scans
+    # happens to be listed, which makes it a linear extension and a rank
     leq = lat._leq
     n = len(lat.elements)
     return [sum(1 for j in range(n) if leq[j][i]) for i in range(n)]
 
 
-def _rank_function(lat):
-    sizes = _down_sizes(lat)
-
-    def rank(s: LSubset) -> int:
-        return sum(sizes[v] for v in s.value_indices())
-
-    return rank
-
-
-@lru_cache(maxsize=64)
-def _enumeration(mu: LSubset, budget: int) -> tuple[LSubset, ...]:
-    group, lat = mu.group, mu.lattice
+def _level_masks(mu: LSubset) -> tuple[list[int], list[int]]:
+    # the join-irreducibles in _down_sizes order, and mu's level at each as
+    # a bitmask over element indices
+    lat = mu.lattice
     if not lat.distributive:
         raise NonDistributiveLatticeError("L-subgroup tests require a distributive lattice")
     leq, join, bottom = lat._leq, lat._join, lat.index(lat.bottom)
@@ -131,10 +131,17 @@ def _enumeration(mu: LSubset, budget: int) -> tuple[LSubset, ...]:
         j for j in order
         if reduce(lambda a, i: join[a][i], (i for i in order if i != j and leq[i][j]), bottom) != j
     ]
+    vals = mu.value_indices()
+    return irreducibles, [sum(1 << x for x, v in enumerate(vals) if leq[j][v]) for j in irreducibles]
+
+
+@lru_cache(maxsize=64)
+def _enumeration(mu: LSubset, budget: int) -> tuple[LSubset, ...]:
+    group, lat = mu.group, mu.lattice
+    irreducibles, levels = _level_masks(mu)
+    leq, join, bottom = lat._leq, lat._join, lat.index(lat.bottom)
     # antitone: H_j must sit inside H_i for every join-irreducible i below j
     earlier = [[p for p in range(k) if leq[irreducibles[p]][j]] for k, j in enumerate(irreducibles)]
-    vals = mu.value_indices()
-    levels = [sum(1 << x for x, v in enumerate(vals) if leq[j][v]) for j in irreducibles]
     indexed = [()] + [tuple(map(group.index, s)) for s in all_subgroups(group)]
     subgroups = [(sum(1 << x for x in xs), xs) for xs in indexed]
     fitting: dict[int, list] = {}  # bound mask -> the subgroups (or ∅) inside it
@@ -169,31 +176,70 @@ def _enumeration(mu: LSubset, budget: int) -> tuple[LSubset, ...]:
 
 
 @lru_cache(maxsize=64)
-def _by_rank(mu: LSubset, budget: int) -> tuple[LSubset, ...]:
-    # stable largest-first order of L(mu): anything strictly above a member
-    # comes before it
-    return tuple(sorted(_enumeration(mu, budget), key=_rank_function(mu.lattice), reverse=True))
-
-
-@lru_cache(maxsize=64)
 def _coatoms(mu: LSubset, budget: int) -> tuple[LSubset, ...]:
     """Members of L(mu) other than mu with nothing strictly between them and mu.
 
-    Constants are kept.  A member that is not a coatom lies strictly under
-    one, which ranks higher, so a largest-first scan need only test each
-    member against the coatoms found so far.  Canonical order.
+    Constants are kept.  Built from the level cuts theta^{j,M} of the module
+    docstring, each packed into one integer with |G| bits per
+    join-irreducible, so containment is one mask test; the coatoms are the
+    cuts under no other cut, in canonical order.  The budget counts units of
+    work: one per cut built and one per ordered pair of cuts the filter may
+    compare, n + n² for n cuts, charged before comparing.  Raises
+    NotAnLSubgroupError when mu is not an L-subgroup (some level at a
+    join-irreducible is neither empty nor a subgroup),
+    NonDistributiveLatticeError over a non-distributive lattice and
+    InstanceTooLargeError when the work exceeds ``budget``.
     """
-    leq = mu.lattice._leq
-
-    def below(lo: LSubset, hi: LSubset) -> bool:
-        return all(leq[a][b] for a, b in zip(lo.value_indices(), hi.value_indices()))
-
+    group, lat = mu.group, mu.lattice
+    irreducibles, levels = _level_masks(mu)
+    leq, join, bottom = lat._leq, lat._join, lat.index(lat.bottom)
+    n = len(group)
+    packed = sum(level << k * n for k, level in enumerate(levels))
+    cuts: list[int] = []
+    for j, level in zip(irreducibles, levels):
+        if not level:
+            continue
+        covers = _lower_covers(group, level)
+        if covers is None:
+            raise NotAnLSubgroupError("the coatoms of L(mu) require mu to be an L-subgroup")
+        spread = sum(1 << k * n for k, i in enumerate(irreducibles) if leq[j][i])
+        kept = packed & ~(((1 << n) - 1) * spread)
+        # only the trivial subgroup has no maximal subgroup; ∅ covers it
+        cuts.extend(kept | packed & m * spread for m in covers or (0,))
+    work = len(cuts) * (len(cuts) + 1)
+    if work > budget:
+        raise InstanceTooLargeError(work, budget, (
+            f"coatoms of L(mu) need {work} units of work ({len(cuts)} level cuts and the "
+            f"ordered pairs among them), over the budget of {budget}"
+        ))
     found: list[LSubset] = []
-    for eta in _by_rank(mu, budget):
-        if eta != mu and not any(below(eta, c) for c in found):
-            found.append(eta)
+    for c in cuts:
+        if any(c != d and not c & ~d for d in cuts):
+            continue
+        vals = [bottom] * n
+        for k, j in enumerate(irreducibles):
+            for x in range(n):
+                if c >> k * n + x & 1:
+                    vals[x] = join[vals[x]][j]
+        found.append(LSubset(group, lat, tuple(vals)))
     found.sort(key=lambda s: s.value_indices())
     return tuple(found)
+
+
+def _highest_coatom(mu: LSubset, budget: int, keep) -> LSubset | None:
+    """The coatom of L(mu) of highest rank that ``keep`` accepts, or None.
+
+    Rank is the summed down-set size of the values, which grows strictly
+    along containment; ties go to the first in canonical order.  This is
+    the first hit of a scan of all of L(mu) in that order whenever every
+    hit lies under an accepted coatom.
+    """
+    sizes = _down_sizes(mu.lattice)
+    return min(
+        (c for c in _coatoms(mu, budget) if keep(c)),
+        key=lambda c: -sum(sizes[v] for v in c.value_indices()),
+        default=None,
+    )
 
 
 def enumerate_l_subgroups(
@@ -204,9 +250,10 @@ def enumerate_l_subgroups(
     Found as level maps (see the module docstring); mu need not be an
     L-subgroup.  Canonical order is lexicographic on the value tuple (group
     element order, lattice index order).  ``only_proper`` drops the
-    constants and mu itself.  Raises NonDistributiveLatticeError over a
-    non-distributive lattice and InstanceTooLargeError once the walk has
-    visited more than ``budget`` partial level maps.
+    constants and mu itself.  The budget counts units of work, here one per
+    partial level map the walk visits.  Raises NonDistributiveLatticeError
+    over a non-distributive lattice and InstanceTooLargeError once the walk
+    has visited more than ``budget`` partial level maps.
     """
     everything = _enumeration(mu, budget)
     if not only_proper:
@@ -217,14 +264,12 @@ def enumerate_l_subgroups(
 # ---------------------------------------------------------------- strategies
 
 def _definition_verdict(eta: LSubset, mu: LSubset, budget: int) -> MaximalityVerdict:
-    # scan largest-first: anything strictly above a witness ranks higher and
-    # was already rejected, so the first hit is a containment-maximal witness
-    for theta in _by_rank(mu, budget):
-        if theta == eta or theta == mu:
-            continue
-        if contains(theta, eta) and contains(mu, theta):
-            return MaximalityVerdict(False, "strictly_between", witness_between=theta)
-    return MaximalityVerdict(True)
+    # every member strictly between eta and mu lies under a coatom strictly
+    # above eta, so eta is maximal exactly when there is no such coatom
+    theta = _highest_coatom(mu, budget, lambda c: c != eta and contains(c, eta))
+    if theta is None:
+        return MaximalityVerdict(True)
+    return MaximalityVerdict(False, "strictly_between", witness_between=theta)
 
 
 def _missing_points(eta: LSubset, mu: LSubset) -> Iterable[LPoint]:
@@ -249,8 +294,10 @@ def is_maximal(
 ) -> MaximalityVerdict:
     """Test whether eta is a maximal L-subgroup of mu.
 
-    ``definition`` searches the enumeration of L(mu) for something strictly
-    between; ``lpoint`` checks that every point of mu outside eta generates
+    ``definition`` looks for a coatom of L(mu) strictly above eta and
+    returns the one of highest rank as ``witness_between`` (see
+    ``_highest_coatom``), a containment-maximal member strictly between;
+    ``lpoint`` checks that every point of mu outside eta generates
     mu when adjoined; ``both`` returns the definitional verdict, adding the
     point witness to a negative one.  A candidate that is not a proper
     L-subgroup of mu is never maximal and is reported with reason

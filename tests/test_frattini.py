@@ -1,13 +1,16 @@
 """Frattini L-subgroups, non-generators, level comparisons, normality."""
+from dataclasses import replace
 from itertools import product as cartesian
 
 import pytest
 
 from lsubgroups import (
+    DEFAULT_BUDGET,
     HypothesisNotMetError,
     InstanceSpec,
     LPoint,
     LSubset,
+    MaximalityVerdict,
     NotNormalInGroupError,
     adjoin_point,
     build_instance,
@@ -27,6 +30,7 @@ from lsubgroups import (
     generate,
     identity_hom,
     inner_automorphism,
+    is_maximal,
     is_non_generator,
     l_subset,
     maximal_avoiding,
@@ -38,6 +42,7 @@ from lsubgroups import (
     validate_lattice,
 )
 from lsubgroups.errors import LPointNotInParentError
+from lsubgroups.maximal import _coatoms
 
 
 def raw_l_subsets_below(mu):
@@ -71,20 +76,48 @@ def constant_obstructed_by_pairwise_scan(mu):
     return False
 
 
+def rank(s):
+    """Summed down-set sizes of the values: grows strictly along containment."""
+    return sum(len(s.lattice.down_set(s.value(x))) for x in s.group.elements)
+
+
+def by_rank(mu):
+    """L(mu) in the stable order of decreasing rank: anything strictly above a
+    member comes before it, and canonical order breaks ties."""
+    return sorted(enumerate_l_subgroups(mu), key=rank, reverse=True)
+
+
 def coatoms_largest_first(mu):
     """Members of L(mu) with nothing strictly between them and mu, in the
-    stable order of decreasing rank (summed down-set sizes of the values)."""
-    lat = mu.lattice
+    stable order of decreasing rank."""
     members = enumerate_l_subgroups(mu)
     coatoms = [
         c
         for c in members
         if c != mu and not any(nu != c and nu != mu and contains(nu, c) for nu in members)
     ]
-    sizes = {a: len(lat.down_set(a)) for a in lat.elements}
-    return sorted(
-        coatoms, key=lambda s: sum(sizes[s.value(x)] for x in s.group.elements), reverse=True
-    )
+    return sorted(coatoms, key=rank, reverse=True)
+
+
+def definition_verdict_by_scan(eta, mu, scan):
+    """Oracle: the first member of ``scan = by_rank(mu)`` strictly between eta
+    and mu, which is containment-maximal among all such members."""
+    for theta in scan:
+        if theta != eta and theta != mu and contains(theta, eta) and contains(mu, theta):
+            return MaximalityVerdict(False, "strictly_between", witness_between=theta)
+    return MaximalityVerdict(True)
+
+
+def is_non_generator_by_scan(point, mu, scan):
+    """Oracle: the first member of ``scan = by_rank(mu)`` other than mu that
+    generates mu once the point is adjoined; a bottom point is always a
+    non-generator."""
+    if point.height == mu.lattice.bottom:
+        return True, None
+    for eta in scan:
+        if eta != mu and generate(adjoin_point(eta, point)) == mu:
+            return False, eta
+    return True, None
 
 
 class TestWorkedFrattini:
@@ -161,9 +194,12 @@ class TestNonGenerators:
 
 
 class TestCoatomsMatchTheReferenceSearch:
-    """The coatom characterisation against the point-by-point search of
-    ``is_non_generator`` and the pairwise obstruction scan, on seeded
-    instances over chains and over product and divisor lattices."""
+    """The closed-form coatoms (level cuts) and the witnesses read off them
+    against scans of the whole of L(mu): the pairwise coatom definition, the
+    rank-ordered definitional scan of ``is_maximal``, the generate-based
+    non-generator scan and the pairwise obstruction scan, on seeded
+    instances over chains, product and divisor lattices, dense subgroup
+    chains and constant parents."""
 
     @pytest.mark.parametrize(
         "spec",
@@ -172,21 +208,31 @@ class TestCoatomsMatchTheReferenceSearch:
             InstanceSpec(
                 1, lattice_kind="product2x2|product2x3|divisors12|divisors30|chain1|chain2"
             ),
+            InstanceSpec(7, subgroup_density=0.9),
+            InstanceSpec(3, subgroup_density=0.0),
         ],
-        ids=["chains", "products"],
+        ids=["chains", "products", "dense", "constants"],
     )
     def test_seeded_instances(self, spec):
-        for trial in range(60):
+        for trial in range(80):
             mu = build_instance(spec, trial).mu
+            scan = by_rank(mu)
             coatoms = coatoms_largest_first(mu)
+            assert _coatoms(mu, DEFAULT_BUDGET) == tuple(sorted(coatoms, key=LSubset.value_indices))
             points = non_generator_points(mu)
             for x in mu.group.elements:
                 for a in mu.lattice.down_set(mu.value(x)):
                     point = LPoint(x, a)
                     ok, witness = is_non_generator(point, mu)
+                    assert (ok, witness) == is_non_generator_by_scan(point, mu, scan)
                     assert (point in points) == ok
                     if not ok:
                         assert witness == next(c for c in coatoms if not point_in(point, c))
+            for eta in enumerate_l_subgroups(mu, only_proper=True):
+                expected = definition_verdict_by_scan(eta, mu, scan)
+                verdict = is_maximal(eta, mu, "both")
+                assert verdict == replace(expected, witness_point=verdict.witness_point)
+                assert (verdict.witness_point is None) == verdict.maximal
             assert constant_obstructed(mu) == constant_obstructed_by_pairwise_scan(mu)
             assert constant_obstructed(mu) == any(c.is_constant() for c in coatoms)
 

@@ -14,6 +14,7 @@ from lsubgroups import (
     MaximalityVerdict,
     NonDistributiveLatticeError,
     NotAnIsomorphismError,
+    NotAnLSubgroupError,
     NotMaximalError,
     TipRelation,
     build_instance,
@@ -21,18 +22,24 @@ from lsubgroups import (
     candidate_space_size,
     chain_lattice,
     constant,
+    constant_obstructed,
     contains,
     enumerate_l_subgroups,
+    frattini,
     identity_hom,
     inner_automorphism,
     is_maximal,
+    is_non_generator,
+    l_subset,
     level_profile,
     make_lattice,
     maximal_l_subgroups,
+    non_generator_points,
     sufficient_maximal_check,
     tip_relation,
     transport_maximal,
     transport_maximal_preimage,
+    validate_group,
     validate_hom,
     validate_lattice,
 )
@@ -164,6 +171,65 @@ class TestLevelMapsMatchTheElementSearch:
         mu = constant(builtin_group("C1"), lat, lat.top)
         assert list(enumerate_l_subgroups(mu)) == self.by_search(mu)
         assert len(enumerate_l_subgroups(mu)) == length
+
+
+def elementary_abelian(k):
+    names = [format(i, f"0{k}b") for i in range(2 ** k)]
+    return validate_group(names, [[names[i ^ j] for j in range(2 ** k)] for i in range(2 ** k)])
+
+
+def dihedral(order):
+    # s^a r^i with r^i s = s r^-i
+    n = order // 2
+    pairs = [(a, i) for a in (0, 1) for i in range(n)]
+    names = [("s" if a else "r") + str(i) for a, i in pairs]
+    table = [
+        [names[pairs.index(((a + b) % 2, ((-i if b else i) + j) % n))] for b, j in pairs]
+        for a, i in pairs
+    ]
+    return validate_group(names, table)
+
+
+class TestClosedFormCoatoms:
+    """The coatoms of L(mu) come from level cuts, never from a walk of L(mu):
+    their parent check, their budget unit and the parents they reach."""
+
+    def test_parent_that_is_not_an_l_subgroup(self):
+        # L(mu) is still enumerated (it holds only the constant 0); before the
+        # closed form the coatom readers answered from it (no maximals, an
+        # obstructing constant, the fallback phi), now they refuse the parent
+        lat = chain_lattice(["0", "1"])
+        c2 = builtin_group("C2")
+        mu = l_subset(c2, lat, {"e": "0", "g": "1"})
+        assert enumerate_l_subgroups(mu) == (constant(c2, lat, "0"),)
+        for call in (maximal_l_subgroups, constant_obstructed, frattini, non_generator_points):
+            with pytest.raises(NotAnLSubgroupError, match="require mu to be an L-subgroup"):
+                call(mu)
+        with pytest.raises(NotAnLSubgroupError):
+            is_non_generator(LPoint("g", "1"), mu)
+
+    def test_budget_counts_cuts_and_the_pairs_among_them(self, d8_case):
+        # mu's levels at the join-irreducibles a, b, c, 1 are D8, the Klein
+        # subgroup, the centre and {e}, with 3 + 3 + 1 + 1 lower covers: 8
+        # cuts and 64 ordered pairs, 72 units in all
+        mu = d8_case["mu"]
+        with pytest.raises(InstanceTooLargeError, match=r"need 72 units of work \(8 level cuts"):
+            maximal_l_subgroups(mu, budget=71)
+        assert len(maximal_l_subgroups(mu, budget=72)) == 4
+
+    @pytest.mark.parametrize(
+        "group, maximal_subgroups",
+        [(elementary_abelian(5), 31), (dihedral(24), 6), (builtin_group("C12"), 2)],
+        ids=["C2^5", "D24", "C12"],
+    )
+    def test_constant_top_over_divisors30(self, group, maximal_subgroups):
+        # each of the 3 atoms of the divisor lattice of 30 cuts the whole
+        # group down to one maximal subgroup; the raw space is 8^|G|
+        lat = make_lattice("divisors30")
+        top = constant(group, lat, lat.top)
+        report = frattini(top, budget=10**5)
+        assert report.maximal_count == 3 * maximal_subgroups
+        assert not constant_obstructed(top)
 
 
 class TestWorkedMaximality:
