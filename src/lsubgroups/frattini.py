@@ -202,19 +202,18 @@ def frattini_level_compare(mu: LSubset, b: str, budget: int = DEFAULT_BUDGET) ->
 
 
 def nongenerators_conjugation_closed(
-    mu: LSubset,
-    budget: int = DEFAULT_BUDGET,
-    _points: frozenset[LPoint] | None = None,
+    mu: LSubset, budget: int = DEFAULT_BUDGET
 ) -> tuple[bool, dict | None]:
     """Check that conjugation permutes the non-generator points.
 
-    Requires mu normal in the ambient group.  Returns (True, None) or a
-    counterexample naming the point and conjugator; no counterexample is
-    ever expected.
+    The points are those of ``non_generator_points``, read from the coatoms
+    of L(mu) that ``maximal`` caches per parent.  Requires mu normal in the
+    ambient group.  Returns (True, None) or a counterexample naming the
+    point and conjugator; no counterexample is ever expected.
     """
     if not is_normal_in_group(mu):
         raise NotNormalInGroupError("conjugation closure needs mu normal in the group")
-    points = _points if _points is not None else non_generator_points(mu, budget=budget)
+    points = non_generator_points(mu, budget=budget)
     group = mu.group
     for p in points:
         for g in group.elements:

@@ -15,13 +15,11 @@ from typing import Callable, Iterable
 
 from .errors import SearchExhaustedError
 from .frattini import (
-    FrattiniReport,
     frattini,
     frattini_image_inclusion,
     frattini_is_normal,
     frattini_level_compare,
     maximal_avoiding,
-    non_generator_points,
     nongenerators_conjugation_closed,
 )
 from .groups import (
@@ -184,7 +182,11 @@ _SPACE_CAP = 60_000
 
 
 class Instance:
-    """One concrete generated instance with cached derived data."""
+    """One concrete generated instance: the (mu, eta) pair and its seeded samples.
+
+    Derived data (L(mu), the maximals, the Frattini report) is not kept
+    here; the properties ask the library, whose caches serve repeat calls.
+    """
 
     def __init__(self, spec: InstanceSpec, trial: int, lattice_kind: str, group_name: str):
         self.spec = spec
@@ -207,16 +209,7 @@ class Instance:
         self.eta = intersection_of(
             [mu, _chain_valued_l_subgroup(rng, self.group, self.lattice, density)]
         )
-        self.raws = [random_l_subset_below(rng, mu) for _ in range(3)]
-        self.points = []
-        for _ in range(3):
-            x = rng.choice(self.group.elements)
-            a = rng.choice(self.lattice.down_set(mu.value(x)))
-            self.points.append(LPoint(x, a))
-        self._enumeration: tuple[LSubset, ...] | None = None
-        self._maximals: tuple[LSubset, ...] | None = None
-        self._report: FrattiniReport | None = None
-        self._nongen_points: frozenset[LPoint] | None = None
+        self._draw_samples(rng)
 
     @classmethod
     def pinned(cls, mu: LSubset, eta: LSubset, group_name: str, label: str = "pinned",
@@ -235,40 +228,16 @@ class Instance:
         inst.group = mu.group
         inst.mu = mu
         inst.eta = eta
-        rng = random.Random(f"pinned:{label}:{seed}")
-        inst.raws = [random_l_subset_below(rng, mu) for _ in range(3)]
-        inst.points = []
-        for _ in range(3):
-            x = rng.choice(inst.group.elements)
-            a = rng.choice(inst.lattice.down_set(mu.value(x)))
-            inst.points.append(LPoint(x, a))
-        inst._enumeration = None
-        inst._maximals = None
-        inst._report = None
-        inst._nongen_points = None
+        inst._draw_samples(random.Random(f"pinned:{label}:{seed}"))
         return inst
 
-    # cached heavyweight computations -------------------------------------
-
-    def enumeration(self) -> tuple[LSubset, ...]:
-        if self._enumeration is None:
-            self._enumeration = enumerate_l_subgroups(self.mu)
-        return self._enumeration
-
-    def maximals(self) -> tuple[LSubset, ...]:
-        if self._maximals is None:
-            self._maximals = maximal_l_subgroups(self.mu)
-        return self._maximals
-
-    def report(self) -> FrattiniReport:
-        if self._report is None:
-            self._report = frattini(self.mu)
-        return self._report
-
-    def nongen_points(self) -> frozenset[LPoint]:
-        if self._nongen_points is None:
-            self._nongen_points = non_generator_points(self.mu)
-        return self._nongen_points
+    def _draw_samples(self, rng: random.Random) -> None:
+        # three raw L-subsets under mu, then three points of mu
+        self.raws = [random_l_subset_below(rng, self.mu) for _ in range(3)]
+        self.points = []
+        for _ in range(3):
+            x = rng.choice(self.group.elements)
+            self.points.append(LPoint(x, rng.choice(self.lattice.down_set(self.mu.value(x)))))
 
     def homs(self) -> list[GroupHom]:
         g = self.group
@@ -502,10 +471,10 @@ def prop_normality_matches_top_parent(inst: Instance):
 
 
 def prop_maximality_strategies_agree(inst: Instance):
-    pool = inst.enumeration()
+    pool = enumerate_l_subgroups(inst.mu)
     if len(pool) > 120:
         rng = random.Random(f"{inst.spec.seed}:{inst.trial}:agree")
-        pool = tuple(rng.sample(pool, 60)) + tuple(inst.maximals()) + (inst.eta,)
+        pool = tuple(rng.sample(pool, 60)) + maximal_l_subgroups(inst.mu) + (inst.eta,)
     for nu in pool:
         by_def = is_maximal(nu, inst.mu, "definition")
         by_pt = is_maximal(nu, inst.mu, "lpoint")
@@ -514,7 +483,7 @@ def prop_maximality_strategies_agree(inst: Instance):
 
 
 def prop_maximal_level_profiles(inst: Instance):
-    for m in inst.maximals():
+    for m in maximal_l_subgroups(inst.mu):
         profile = level_profile(m, inst.mu)
         if not are_jointly_supstar(m, inst.mu):
             continue
@@ -527,10 +496,10 @@ def prop_maximal_level_profiles(inst: Instance):
 
 
 def prop_sufficient_condition_sound(inst: Instance):
-    pool = inst.enumeration()
+    pool = enumerate_l_subgroups(inst.mu)
     if len(pool) > 120:
         rng = random.Random(f"{inst.spec.seed}:{inst.trial}:suff")
-        pool = tuple(rng.sample(pool, 60)) + tuple(inst.maximals())
+        pool = tuple(rng.sample(pool, 60)) + maximal_l_subgroups(inst.mu)
     for nu in pool:
         if sufficient_maximal_check(nu, inst.mu):
             if not is_maximal(nu, inst.mu, "definition").maximal:
@@ -538,13 +507,13 @@ def prop_sufficient_condition_sound(inst: Instance):
 
 
 def prop_maximal_tips(inst: Instance):
-    for m in inst.maximals():
+    for m in maximal_l_subgroups(inst.mu):
         if tip_relation(m, inst.mu) is TipRelation.VIOLATION:
             _fail(maximal=m.values(), reason="tip relation violated")
 
 
 def prop_transport_preserves_maximality(inst: Instance):
-    maximals = inst.maximals()
+    maximals = maximal_l_subgroups(inst.mu)
     if not maximals:
         return SKIPPED
     m = maximals[0]
@@ -555,12 +524,12 @@ def prop_transport_preserves_maximality(inst: Instance):
 
 
 def prop_nongenerators_form_l_subgroup(inst: Instance):
-    if not is_l_subgroup_of(inst.report().nongen, inst.mu):
+    if not is_l_subgroup_of(frattini(inst.mu).nongen, inst.mu):
         _fail(reason="non-generator subgroup is not in L(mu)")
 
 
 def prop_nongenerators_inside_frattini(inst: Instance):
-    report = inst.report()
+    report = frattini(inst.mu)
     if not contains(report.phi, report.nongen):
         _fail(reason="non-generator subgroup escapes phi")
     # equality over chains is only a theorem away from constant-obstructed
@@ -574,15 +543,15 @@ def prop_nongenerators_inside_frattini(inst: Instance):
 
 
 def prop_frattini_below_each_maximal(inst: Instance):
-    report = inst.report()
-    for m in inst.maximals():
+    report = frattini(inst.mu)
+    for m in maximal_l_subgroups(inst.mu):
         if not contains(m, report.phi):
             _fail(maximal=m.values(), reason="phi escapes a maximal subgroup")
 
 
 def prop_fallback_iff_no_maximals(inst: Instance):
-    report = inst.report()
-    if report.used_fallback != (len(inst.maximals()) == 0):
+    report = frattini(inst.mu)
+    if report.used_fallback != (len(maximal_l_subgroups(inst.mu)) == 0):
         _fail(reason="fallback flag disagrees with the maximal count")
     if report.used_fallback and report.phi != inst.mu:
         _fail(reason="fallback must return mu itself")
@@ -591,7 +560,7 @@ def prop_fallback_iff_no_maximals(inst: Instance):
 def prop_frattini_level_inclusion(inst: Instance):
     if not inst.lattice.is_upper_well_ordered():
         return SKIPPED
-    report = inst.report()
+    report = frattini(inst.mu)
     if report.phi.value(inst.group.identity) != inst.mu.value(inst.group.identity):
         return SKIPPED
     for b in sorted(inst.mu.image()):
@@ -609,7 +578,7 @@ def prop_frattini_normal_in_parent(inst: Instance):
 def prop_nongenerator_conjugation_closure(inst: Instance):
     if not is_normal_in_group(inst.mu):
         return SKIPPED
-    ok, counter = nongenerators_conjugation_closed(inst.mu, _points=inst.nongen_points())
+    ok, counter = nongenerators_conjugation_closed(inst.mu)
     if not ok:
         _fail(reason="conjugation moved a non-generator outside the set", counter=str(counter))
 
@@ -624,7 +593,7 @@ def prop_maximal_avoiding_exists(inst: Instance):
     if not inst.lattice.is_upper_well_ordered():
         return SKIPPED
     rng = random.Random(f"{inst.spec.seed}:{inst.trial}:zorn")
-    pool = inst.enumeration()
+    pool = enumerate_l_subgroups(inst.mu)
     theta = pool[rng.randrange(len(pool))]
     missing = [
         LPoint(x, a)
@@ -661,10 +630,10 @@ def prop_crisp_case_collapses(inst: Instance):
                 key=lambda s: s.value_indices(),
             )
         )
-        if inst.maximals() != expected_maximals:
+        if maximal_l_subgroups(inst.mu) != expected_maximals:
             _fail(reason="crisp maximal subgroups differ from classical ones")
         expected_phi = characteristic(group, lat, frattini_classical(group, top_level))
-        if inst.report().phi != expected_phi:
+        if frattini(inst.mu).phi != expected_phi:
             _fail(reason="crisp phi differs from the classical Frattini subgroup")
 
 
@@ -864,23 +833,15 @@ def reference_nonmaximal_pair() -> tuple[LSubset, LSubset]:
 
 
 def _single_defect_pattern_over_images(eta: LSubset, mu: LSubset) -> bool:
-    group = mu.group
-    if eta.value(group.identity) != mu.value(group.identity):
+    # eta in L(mu).  With equal tips and a chain for the joint image, a level
+    # b outside mu's image equals mu's level at the least value of mu above
+    # b, so a lone defect always sits at a value of mu
+    identity = mu.group.identity
+    if eta.value(identity) != mu.value(identity) or not are_jointly_supstar(eta, mu):
         return False
-    if not are_jointly_supstar(eta, mu):
-        return False
-    defects = 0
-    for a in sorted(eta.image() | mu.image()):
-        lv_eta, lv_mu = eta.level(a), mu.level(a)
-        if lv_eta == lv_mu:
-            continue
-        if a in mu.image() and lv_eta and lv_eta in maximal_subgroups_of(group, lv_mu):
-            defects += 1
-            if defects > 1:
-                return False
-        else:
-            return False
-    return defects == 1
+    return [rel for _, rel in level_profile(eta, mu).defects()] == [
+        LevelRelation.PROPER_MAXIMAL_SUBGROUP
+    ]
 
 
 def search_converse_counterexample(

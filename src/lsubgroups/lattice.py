@@ -86,13 +86,6 @@ class FiniteLattice:
         """True when a ≤ b."""
         return self._leq[self.index(a)][self.index(b)]
 
-    def lt(self, a: str, b: str) -> bool:
-        return a != b and self.leq(a, b)
-
-    def comparable(self, a: str, b: str) -> bool:
-        i, j = self.index(a), self.index(b)
-        return self._leq[i][j] or self._leq[j][i]
-
     def join(self, a: str, b: str) -> str:
         """Least upper bound of a and b."""
         return self.elements[self._join[self.index(a)][self.index(b)]]
@@ -128,11 +121,6 @@ class FiniteLattice:
         """All elements ≤ a, in carrier order."""
         i = self.index(a)
         return tuple(x for j, x in enumerate(self.elements) if self._leq[j][i])
-
-    def up_set(self, a: str) -> tuple[str, ...]:
-        """All elements ≥ a, in carrier order."""
-        i = self.index(a)
-        return tuple(x for j, x in enumerate(self.elements) if self._leq[i][j])
 
     def is_cover(self, b: str, a: str) -> bool:
         """True when b covers a: a < b with nothing strictly between."""

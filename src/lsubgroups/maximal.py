@@ -18,12 +18,14 @@ parent and cached; the maximal L-subgroups are the non-constant ones, and
 the Frattini module reads them too.
 
 Two independent maximality tests are provided: the definitional one (is
-there a coatom strictly above eta?) and the lattice-point test (eta is
-maximal iff adjoining any missing point generates all of mu).
-``enumerate_l_subgroups`` walks all of L(mu) as level maps.  The
-level-profile machinery classifies how each level subset of eta sits inside
-the matching level of mu and pins down the single defect level that
-maximality forces when the images are jointly supstar.
+there a coatom strictly above eta?), which the preconditions of
+``tip_relation`` and the transports read, and the lattice-point test (eta
+is maximal iff adjoining any missing point generates all of mu), kept as
+the reference the test suite holds the coatoms to.
+``enumerate_l_subgroups`` walks all of L(mu) as level maps.  One level
+classifier places each level of eta inside mu's; the level profile and the
+sufficient pattern read it, and the profile pins down the single defect
+level that maximality forces when the images are jointly supstar.
 """
 from __future__ import annotations
 
@@ -339,10 +341,11 @@ def tip_relation(eta: LSubset, mu: LSubset) -> TipRelation:
 
     Either the tips agree or the parent's tip covers eta's; anything else
     would contradict maximality and is reported as Violation, which the
-    harness property ``maximal_tips`` treats as a failure.  Raises
+    harness property ``maximal_tips`` treats as a failure.  Maximality is
+    read from the coatoms of L(mu) at ``DEFAULT_BUDGET``.  Raises
     NotMaximalError when eta is not maximal in mu.
     """
-    if not is_maximal(eta, mu, strategy="lpoint"):
+    if not is_maximal(eta, mu, strategy="definition"):
         raise NotMaximalError("tip relation is defined for maximal L-subgroups")
     lat = mu.lattice
     e = mu.group.identity
@@ -351,6 +354,15 @@ def tip_relation(eta: LSubset, mu: LSubset) -> TipRelation:
     if lat.is_cover(mu.value(e), eta.value(e)):
         return TipRelation.PARENT_COVERS
     return TipRelation.VIOLATION
+
+
+def _level_relation(eta: LSubset, mu: LSubset, a: str) -> LevelRelation:
+    lv_eta, lv_mu = eta.level(a), mu.level(a)
+    if lv_eta == lv_mu:
+        return LevelRelation.EQUAL
+    if lv_eta and lv_eta in maximal_subgroups_of(mu.group, lv_mu):
+        return LevelRelation.PROPER_MAXIMAL_SUBGROUP
+    return LevelRelation.PROPER_SUBGROUP
 
 
 def level_profile(eta: LSubset, mu: LSubset) -> LevelProfile:
@@ -363,22 +375,10 @@ def level_profile(eta: LSubset, mu: LSubset) -> LevelProfile:
     """
     if not is_l_subgroup_of(eta, mu):
         raise NotAnLSubgroupError("level profiles require eta in L(mu)")
-    group = mu.group
-    lat = mu.lattice
     image = eta.image() | mu.image()
-    rows: list[tuple[str, LevelRelation]] = []
-    for a in lat.elements:
-        if a not in image:
-            continue
-        lv_eta, lv_mu = eta.level(a), mu.level(a)
-        if lv_eta == lv_mu:
-            rows.append((a, LevelRelation.EQUAL))
-        elif lv_eta and lv_eta in maximal_subgroups_of(group, lv_mu):
-            rows.append((a, LevelRelation.PROPER_MAXIMAL_SUBGROUP))
-        else:
-            rows.append((a, LevelRelation.PROPER_SUBGROUP))
+    rows = tuple((a, _level_relation(eta, mu, a)) for a in mu.lattice.elements if a in image)
     defects = [a for a, rel in rows if rel is not LevelRelation.EQUAL]
-    return LevelProfile(tuple(rows), defects[0] if len(defects) == 1 else None)
+    return LevelProfile(rows, defects[0] if len(defects) == 1 else None)
 
 
 def sufficient_maximal_check(eta: LSubset, mu: LSubset) -> bool:
@@ -392,26 +392,29 @@ def sufficient_maximal_check(eta: LSubset, mu: LSubset) -> bool:
     """
     if not is_l_subgroup_of(eta, mu):
         return False
-    group = mu.group
-    lat = mu.lattice
-    e = group.identity
-    if eta.value(e) != mu.value(e):
+    tip = mu.value(mu.group.identity)
+    if eta.value(mu.group.identity) != tip:
         return False
-    defects = 0
-    for a in lat.down_set(mu.value(e)):
-        lv_eta, lv_mu = eta.level(a), mu.level(a)
-        if lv_eta == lv_mu:
-            continue
-        if lv_eta and lv_eta in maximal_subgroups_of(group, lv_mu):
-            defects += 1
-            if defects > 1:
-                return False
-        else:
-            return False
-    return defects == 1
+    defects = [
+        rel for a in mu.lattice.down_set(tip)
+        if (rel := _level_relation(eta, mu, a)) is not LevelRelation.EQUAL
+    ]
+    return defects == [LevelRelation.PROPER_MAXIMAL_SUBGROUP]
 
 
 # ---------------------------------------------------------------- transport
+
+def _transport(
+    move, f: GroupHom, eta: LSubset, mu: LSubset, budget: int
+) -> tuple[LSubset, MaximalityVerdict]:
+    # move is pushforward or pullback; both keep maximality along a bijection
+    if not f.bijective:
+        raise NotAnIsomorphismError("transport requires a bijective homomorphism")
+    if not is_maximal(eta, mu, strategy="definition", budget=budget):
+        raise NotMaximalError("transport requires a maximal L-subgroup")
+    moved = move(f, eta)
+    return moved, is_maximal(moved, move(f, mu), strategy="both", budget=budget)
+
 
 def transport_maximal(
     f: GroupHom, eta: LSubset, mu: LSubset, budget: int = DEFAULT_BUDGET
@@ -420,25 +423,11 @@ def transport_maximal(
 
     Returns f(eta) together with its maximality verdict inside f(mu).
     """
-    if not f.bijective:
-        raise NotAnIsomorphismError("transport requires a bijective homomorphism")
-    if not is_maximal(eta, mu, strategy="lpoint"):
-        raise NotMaximalError("transport requires a maximal L-subgroup")
-    image_eta = pushforward(f, eta)
-    image_mu = pushforward(f, mu)
-    verdict = is_maximal(image_eta, image_mu, strategy="both", budget=budget)
-    return image_eta, verdict
+    return _transport(pushforward, f, eta, mu, budget)
 
 
 def transport_maximal_preimage(
     f: GroupHom, theta: LSubset, nu: LSubset, budget: int = DEFAULT_BUDGET
 ) -> tuple[LSubset, MaximalityVerdict]:
     """Pull a maximal L-subgroup back through an isomorphism."""
-    if not f.bijective:
-        raise NotAnIsomorphismError("transport requires a bijective homomorphism")
-    if not is_maximal(theta, nu, strategy="lpoint"):
-        raise NotMaximalError("transport requires a maximal L-subgroup")
-    back_theta = pullback(f, theta)
-    back_nu = pullback(f, nu)
-    verdict = is_maximal(back_theta, back_nu, strategy="both", budget=budget)
-    return back_theta, verdict
+    return _transport(pullback, f, theta, nu, budget)

@@ -27,7 +27,8 @@ from lsubgroups import (
     search_converse_counterexample,
     subgroup_closure,
 )
-from lsubgroups import enumerate_l_subgroups, is_maximal, is_proper_l_subgroup
+from lsubgroups import are_jointly_supstar, enumerate_l_subgroups, is_maximal, is_proper_l_subgroup
+from lsubgroups import level_profile
 from lsubgroups.groups import all_subgroups
 from lsubgroups.harness import (
     PROPERTIES,
@@ -218,6 +219,26 @@ class TestCrispPatternSearch:
                         continue
                     if _single_defect_pattern_over_images(eta, mu):
                         assert is_maximal(eta, mu, "definition").maximal
+
+
+class TestConversePattern:
+    def test_lone_defect_sits_at_a_value_of_mu(self):
+        # the converse-pattern check relies on this: with equal tips and a
+        # chain for the joint image, a level b outside mu's image equals mu's
+        # level at the least value of mu above b, and eta's level at b is
+        # squeezed between eta's and mu's levels there
+        seen = 0
+        for kind in ("chain3-5", "product2x3", "divisors30"):
+            for seed in range(6):
+                mu = build_instance(InstanceSpec(seed=seed, lattice_kind=kind)).mu
+                for eta in enumerate_l_subgroups(mu)[:200]:
+                    if eta.tip() != mu.tip() or not are_jointly_supstar(eta, mu):
+                        continue
+                    defects = level_profile(eta, mu).defects()
+                    if len(defects) == 1:
+                        seen += 1
+                        assert defects[0][0] in mu.image()
+        assert seen > 50
 
 
 class TestConverseSearch:

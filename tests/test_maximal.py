@@ -298,6 +298,23 @@ class TestTipRelation:
         with pytest.raises(NotMaximalError):
             tip_relation(d8_case["phi"], d8_case["mu"])
 
+    def test_preconditions_read_the_coatoms(self, d8_case, q8_maximal_case, monkeypatch):
+        # maximality preconditions use the closed form, never the point
+        # route's one generate call per missing point
+        def refuse(*args, **kwargs):
+            raise AssertionError("generate called")
+
+        monkeypatch.setattr(maximal_module, "generate", refuse)
+        assert tip_relation(d8_case["eta4"], d8_case["mu"]) is TipRelation.PARENT_COVERS
+        assert tip_relation(q8_maximal_case["eta"], q8_maximal_case["mu"]) is TipRelation.EQUAL
+        f = inner_automorphism(d8_case["group"], "r")
+        assert transport_maximal(f, d8_case["eta1"], d8_case["mu"])[1].maximal
+        assert transport_maximal_preimage(f, d8_case["eta2"], d8_case["mu"])[1].maximal
+        g = identity_hom(q8_maximal_case["group"])
+        assert transport_maximal(g, q8_maximal_case["eta"], q8_maximal_case["mu"])[1].maximal
+        with pytest.raises(NotMaximalError):
+            tip_relation(d8_case["phi"], d8_case["mu"])
+
     def test_violation_is_reported(self, d8_case, monkeypatch):
         # a tip two steps below mu's: with the maximality gate bypassed the
         # answer is Violation, a value that survives python -O
@@ -355,6 +372,27 @@ class TestSufficientCheck:
         assert not sufficient_maximal_check(eta, mu)
         assert eta.level("b") == {"1", "-1"}
         assert mu.level("b") == {"1", "-1", "i", "-i"}
+
+    @pytest.mark.parametrize(
+        "parent, table, defects",
+        [
+            # {e} inside the centre at c, the Klein subgroup inside D8 at a:
+            # two defects, each a maximal subgroup
+            ("mu", {"e": "1", "r2": "b", "s": "b", "sr2": "b",
+                    "r": "0", "r3": "0", "sr": "0", "sr3": "0"}, ["a", "c"]),
+            # {e} at 1 under the constant top: one defect, not maximal in D8
+            ("top", {"e": "1", "r2": "c", "s": "c", "sr2": "c",
+                     "r": "c", "r3": "c", "sr": "c", "sr3": "c"}, ["1"]),
+        ],
+        ids=["two_maximal_defects", "lone_non_maximal_defect"],
+    )
+    def test_refuses_other_defect_patterns(self, d8_case, parent, table, defects):
+        d8, lat = d8_case["group"], d8_case["lattice"]
+        mu = d8_case["mu"] if parent == "mu" else constant(d8, lat, "1")
+        eta = l_subset(d8, lat, table)
+        assert eta.tip() == mu.tip()
+        assert [a for a, _ in level_profile(eta, mu).defects()] == defects
+        assert not sufficient_maximal_check(eta, mu)
 
 
 class TestTransport:
