@@ -3,15 +3,17 @@
 Everything here is classical: validation of Cayley tables, a handful of
 builtin groups used throughout the examples, subgroup closure and
 enumeration, normality, classical Frattini subgroups, and validated
-homomorphisms.  Groups stay small (order ≤ 32), so the algorithms favour
-clarity over asymptotics: subgroup enumeration works by closing generator
-sets, and every derived fact can be re-checked by brute force in tests.
-Inside the library a subgroup is also handled as a bitmask over element
-indices; the lower covers of each subgroup mask in the subgroup lattice are
-looked up once per group and cached.
+homomorphisms.  Inside the library a subgroup is a bitmask over element
+indices, and each group keeps one table of its subgroup masks, built once
+by coset extension and holding the lower covers of each mask once asked
+for; closure, enumeration, maximal subgroups and classical Frattini
+subgroups all read it.  Element names appear only in arguments and
+results.
 """
 from __future__ import annotations
 
+from functools import reduce
+from operator import and_
 from typing import Iterable, Mapping, Sequence
 
 from .errors import (
@@ -32,14 +34,11 @@ class FiniteGroup:
 
     Elements are opaque names; the table maps (row, column) index pairs to
     the index of the product.  Instances are immutable; the only interior
-    state is private memos (subgroup closures, the subgroup list and its
-    cover table), which are safe to share.
+    state is one private memo, the subgroup table of ``_subgroup_table``,
+    which is safe to share.
     """
 
-    __slots__ = (
-        "elements", "identity", "_index", "_table", "_inv", "_closure_memo", "_subgroups", "_covers",
-        "_hash",
-    )
+    __slots__ = ("elements", "identity", "_index", "_table", "_inv", "_subgroups", "_hash")
 
     def __init__(self, elements, table, identity_index, inverse):
         self.elements: tuple[str, ...] = elements
@@ -47,9 +46,7 @@ class FiniteGroup:
         self._table = table
         self.identity: str = elements[identity_index]
         self._inv = inverse
-        self._closure_memo: dict[frozenset[int], frozenset[int]] = {}
-        self._subgroups: tuple[frozenset[str], ...] | None = None
-        self._covers: dict[int, tuple[int, ...] | None] | None = None
+        self._subgroups: dict[int, tuple[int, ...] | None] | None = None
         self._hash = hash((elements, tuple(map(tuple, table))))
 
     def __len__(self) -> int:
@@ -98,30 +95,6 @@ class FiniteGroup:
     @property
     def identity_index(self) -> int:
         return self._index[self.identity]
-
-    def closure_indices(self, seed: frozenset[int]) -> frozenset[int]:
-        """Smallest subgroup containing ``seed``; the empty seed closes to {e}."""
-        memo = self._closure_memo
-        cached = memo.get(seed)
-        if cached is not None:
-            return cached
-        table = self._table
-        current = set(seed)
-        current.add(self.identity_index)
-        frontier = list(current)
-        while frontier:
-            nxt = []
-            for x in frontier:
-                for y in list(current):
-                    for z in (table[x][y], table[y][x]):
-                        if z not in current:
-                            current.add(z)
-                            nxt.append(z)
-            frontier = nxt
-        # inverses come for free in a finite group once products are closed
-        result = frozenset(current)
-        memo[seed] = result
-        return result
 
     def as_document(self) -> dict:
         return {
@@ -282,10 +255,77 @@ def builtin_group(name: str) -> FiniteGroup:
 
 # ------------------------------------------------------------- subgroups
 
+def _indices(mask: int) -> tuple[int, ...]:
+    """Element indices of the set bits of ``mask``, ascending."""
+    found = []
+    while mask:
+        low = mask & -mask
+        found.append(low.bit_length() - 1)
+        mask ^= low
+    return tuple(found)
+
+
+def _mask(group: FiniteGroup, names: Iterable[str]) -> int:
+    mask = 0
+    for x in names:
+        mask |= 1 << group.index(x)
+    return mask
+
+
+def _names(group: FiniteGroup, mask: int) -> frozenset[str]:
+    return frozenset(map(group.elements.__getitem__, _indices(mask)))
+
+
+def _subgroup_table(group: FiniteGroup) -> dict[int, tuple[int, ...] | None]:
+    """Every subgroup as an element bitmask, mapped to its lower covers.
+
+    Keys run in ``all_subgroups`` order: by size, then by element indices.
+    The covers start as None and are filled in by ``_lower_covers``.  Built
+    once per group by coset extension (Dimino's algorithm): for a known
+    subgroup H, found with generators S, and an element g outside it,
+    <H, g> is the union of the right cosets H·r reached from H·g by right
+    multiplication with S and g.  Every subgroup other than {e} is <H, g>
+    for one of its maximal subgroups H, so extending from {e} finds them
+    all; the elements of H·g all give the same <H, g> and are tried once.
+    """
+    if group._subgroups is not None:
+        return group._subgroups
+    table = group._table
+    trivial = 1 << group.identity_index
+    generators = {trivial: ()}
+    queue = [trivial]
+    for h in queue:
+        members = _indices(h)
+        tried = h
+        for g in range(len(group)):
+            if tried >> g & 1:
+                continue
+            coset = sum(1 << table[x][g] for x in members)
+            tried |= coset
+            step = generators[h] + (g,)
+            bigger, reps = h | coset, [g]
+            for r in reps:
+                for s in step:
+                    y = table[r][s]
+                    if not bigger >> y & 1:
+                        bigger |= sum(1 << table[x][y] for x in members)
+                        reps.append(y)
+            if bigger not in generators:
+                generators[bigger] = step
+                queue.append(bigger)
+    queue.sort(key=lambda m: (m.bit_count(), _indices(m)))
+    group._subgroups = dict.fromkeys(queue)
+    return group._subgroups
+
+
 def subgroup_closure(group: FiniteGroup, seed: Iterable[str]) -> frozenset[str]:
-    """Smallest subgroup containing ``seed``; closure of the empty set is {e}."""
-    idxs = frozenset(group.index(x) for x in seed)
-    return frozenset(group.elements[i] for i in group.closure_indices(idxs))
+    """Smallest subgroup containing ``seed``; closure of the empty set is {e}.
+
+    The first subgroup in the table that holds the seed: the table runs by
+    size, so it is the least one.
+    """
+    seed = _mask(group, seed)
+    return _names(group, next(m for m in _subgroup_table(group) if not seed & ~m))
 
 
 def is_subgroup(group: FiniteGroup, subset: Iterable[str]) -> bool:
@@ -299,53 +339,25 @@ def is_subgroup(group: FiniteGroup, subset: Iterable[str]) -> bool:
 
 
 def all_subgroups(group: FiniteGroup) -> tuple[frozenset[str], ...]:
-    """Every subgroup, sorted by (size, element indices).
-
-    Works by repeatedly extending known subgroups with one extra generator
-    and closing; every subgroup is reached this way because it can be built
-    up one generator at a time from the trivial subgroup.
-    """
-    if group._subgroups is not None:
-        return group._subgroups
-    trivial = group.closure_indices(frozenset())
-    found = {trivial}
-    frontier = [trivial]
-    while frontier:
-        fresh = []
-        for sub in frontier:
-            for g in range(len(group)):
-                if g in sub:
-                    continue
-                bigger = group.closure_indices(frozenset(sub | {g}))
-                if bigger not in found:
-                    found.add(bigger)
-                    fresh.append(bigger)
-        frontier = fresh
-    as_names = [frozenset(group.elements[i] for i in sub) for sub in found]
-    as_names.sort(key=lambda s: (len(s), sorted(group.index(x) for x in s)))
-    group._subgroups = tuple(as_names)
-    return group._subgroups
+    """Every subgroup, sorted by (size, element indices)."""
+    return tuple(_names(group, m) for m in _subgroup_table(group))
 
 
-def _require_subgroup(group: FiniteGroup, subset: Iterable[str], label: str) -> frozenset[str]:
+def _require_subgroup(group: FiniteGroup, subset: Iterable[str], label: str) -> int:
+    """The bitmask of ``subset``; NotASubgroupError unless it is a subgroup."""
     sub = frozenset(subset)
     if not is_subgroup(group, sub):
         raise NotASubgroupError(f"{label} is not a subgroup: {sorted(sub)}")
-    return sub
+    return _mask(group, sub)
 
 
 def _lower_covers(group: FiniteGroup, mask: int) -> tuple[int, ...] | None:
     """Maximal proper subgroups of the subgroup with element bitmask ``mask``.
 
-    Bitmasks over element indices, in ``all_subgroups`` order; None when
-    ``mask`` is not a subgroup.  The table holds every subgroup mask and is
-    filled in per mask on first use.
+    Bitmasks in ``all_subgroups`` order; None when ``mask`` is not a
+    subgroup.  Filled into the subgroup table per mask on first use.
     """
-    table = group._covers
-    if table is None:
-        table = group._covers = dict.fromkeys(
-            sum(1 << group.index(x) for x in s) for s in all_subgroups(group)
-        )
+    table = _subgroup_table(group)
     if mask not in table:
         return None
     covers = table[mask]
@@ -362,31 +374,24 @@ def _lower_covers(group: FiniteGroup, mask: int) -> tuple[int, ...] | None:
 
 def maximal_subgroups_of(group: FiniteGroup, sub: Iterable[str]) -> tuple[frozenset[str], ...]:
     """Maximal proper subgroups of ``sub``; the trivial subgroup has none."""
-    sub = _require_subgroup(group, sub, "argument")
-    covers = _lower_covers(group, sum(1 << group.index(x) for x in sub))
-    names = group.elements
-    return tuple(frozenset(x for i, x in enumerate(names) if m >> i & 1) for m in covers)
+    covers = _lower_covers(group, _require_subgroup(group, sub, "argument"))
+    return tuple(_names(group, m) for m in covers)
 
 
 def is_normal_subgroup(group: FiniteGroup, normal: Iterable[str], ambient: Iterable[str]) -> bool:
     """True when ``normal`` is a normal subgroup of ``ambient``."""
     normal = _require_subgroup(group, normal, "normal part")
     ambient = _require_subgroup(group, ambient, "ambient part")
-    if not normal <= ambient:
+    if normal & ~ambient:
         raise NotASubgroupError("normal part must be contained in the ambient subgroup")
-    return all(group.conjugate(h, x) in normal for h in ambient for x in normal)
+    table, inv, inside = group._table, group._inv, _indices(normal)
+    return all(normal >> table[table[h][x]][inv[h]] & 1 for h in _indices(ambient) for x in inside)
 
 
 def frattini_classical(group: FiniteGroup, sub: Iterable[str]) -> frozenset[str]:
     """Intersection of the maximal subgroups of ``sub``; ``sub`` itself when none exist."""
-    sub = _require_subgroup(group, sub, "argument")
-    maximals = maximal_subgroups_of(group, sub)
-    if not maximals:
-        return sub
-    result = set(sub)
-    for m in maximals:
-        result &= m
-    return frozenset(result)
+    mask = _require_subgroup(group, sub, "argument")
+    return _names(group, reduce(and_, _lower_covers(group, mask), mask))
 
 
 # ------------------------------------------------------- homomorphisms

@@ -216,8 +216,9 @@ class Instance:
                seed: int = 0) -> "Instance":
         """Wrap a concrete (mu, eta) pair so the property suite can run on it.
 
-        The auxiliary samples (raw subsets, points) still derive from the
-        seed, so a pinned instance is as reproducible as a generated one.
+        The auxiliary samples (raw subsets, points, hom and iso pools) still
+        derive from the seed, so a pinned instance is as reproducible as a
+        generated one.
         """
         inst = object.__new__(cls)
         inst.spec = InstanceSpec(seed=seed)
@@ -232,32 +233,25 @@ class Instance:
         return inst
 
     def _draw_samples(self, rng: random.Random) -> None:
-        # three raw L-subsets under mu, then three points of mu
+        # three raw L-subsets under mu, then three points of mu; the hom and
+        # iso pools draw from their own seeded streams
         self.raws = [random_l_subset_below(rng, self.mu) for _ in range(3)]
         self.points = []
         for _ in range(3):
             x = rng.choice(self.group.elements)
             self.points.append(LPoint(x, rng.choice(self.lattice.down_set(self.mu.value(x)))))
-
-    def homs(self) -> list[GroupHom]:
         g = self.group
         rng = random.Random(f"{self.spec.seed}:{self.trial}:homs")
-        pool = [identity_hom(g), inner_automorphism(g, rng.choice(g.elements))]
-        trivial_target = builtin_group("C1")
-        pool.append(validate_hom(g, trivial_target, {x: "e" for x in g.elements}))
+        self.homs = [identity_hom(g), inner_automorphism(g, rng.choice(g.elements))]
+        self.homs.append(validate_hom(g, builtin_group("C1"), {x: "e" for x in g.elements}))
         named = _named_quotient(self.group_name, g)
         if named is not None:
-            pool.append(named)
-        return pool
-
-    def isos(self) -> list[GroupHom]:
-        g = self.group
+            self.homs.append(named)
         rng = random.Random(f"{self.spec.seed}:{self.trial}:isos")
-        pool = [inner_automorphism(g, rng.choice(g.elements))]
+        self.isos = [inner_automorphism(g, rng.choice(g.elements))]
         outer = _named_outer_automorphism(self.group_name, g)
         if outer is not None:
-            pool.append(outer)
-        return pool
+            self.isos.append(outer)
 
     def describe(self) -> dict:
         return {
@@ -400,7 +394,7 @@ def prop_sup_property_levelwise_generation(inst: Instance):
 def prop_generation_commutes_with_image(inst: Instance):
     raw = inst.raws[0]
     gen = generate(raw)
-    for f in inst.homs():
+    for f in inst.homs:
         image = pushforward(f, gen)
         if not is_l_subgroup(image):
             _fail(hom=f.as_document(), reason="image of an L-subgroup is not an L-subgroup")
@@ -410,7 +404,7 @@ def prop_generation_commutes_with_image(inst: Instance):
 
 def prop_generation_commutes_with_preimage(inst: Instance):
     raw = inst.raws[0]
-    for f in inst.homs():
+    for f in inst.homs:
         theta = pushforward(f, raw)
         preimage = pullback(f, generate(theta))
         if not is_l_subgroup(preimage):
@@ -421,7 +415,7 @@ def prop_generation_commutes_with_preimage(inst: Instance):
 
 def prop_image_preimage_laws(inst: Instance):
     raw1, raw2 = inst.raws[0], inst.raws[1]
-    for f in inst.homs():
+    for f in inst.homs:
         lhs = pushforward(f, union_of([raw1, raw2]))
         rhs = union_of([pushforward(f, raw1), pushforward(f, raw2)])
         if lhs != rhs:
@@ -517,7 +511,7 @@ def prop_transport_preserves_maximality(inst: Instance):
     if not maximals:
         return SKIPPED
     m = maximals[0]
-    for f in inst.isos()[:1]:
+    for f in inst.isos[:1]:
         _, verdict = transport_maximal(f, m, inst.mu)
         if not verdict.maximal:
             _fail(reason="transported subgroup lost maximality")
@@ -584,7 +578,7 @@ def prop_nongenerator_conjugation_closure(inst: Instance):
 
 
 def prop_frattini_image_inclusion(inst: Instance):
-    for f in inst.isos()[:1]:
+    for f in inst.isos[:1]:
         if not frattini_image_inclusion(f, inst.mu):
             _fail(reason="image of phi escapes phi of the image")
 
@@ -862,8 +856,8 @@ def search_converse_counterexample(
             continue
         if not _single_defect_pattern_over_images(eta, mu):
             continue
-        verdict = is_maximal(eta, mu, strategy="both")
-        if not verdict.maximal and verdict.witness_between is not None:
+        verdict = is_maximal(eta, mu, strategy="definition")
+        if not verdict.maximal:
             return ConverseCounterexample(
                 mu, eta, verdict.witness_between, level_profile(eta, mu).unique_defect_level
             )

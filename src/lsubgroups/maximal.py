@@ -36,7 +36,7 @@ from typing import Iterable
 
 from .errors import InstanceTooLargeError, NonDistributiveLatticeError, NotAnIsomorphismError
 from .errors import NotAnLSubgroupError, NotMaximalError
-from .groups import GroupHom, _lower_covers, all_subgroups, maximal_subgroups_of
+from .groups import GroupHom, _indices, _lower_covers, _subgroup_table
 from .lsets import (
     LPoint,
     LSubset,
@@ -120,9 +120,14 @@ def _down_sizes(lat) -> list[int]:
     return [sum(1 for j in range(n) if leq[j][i]) for i in range(n)]
 
 
+def _level_mask(s: LSubset, a: int) -> int:
+    # the level of s at lattice index a as a bitmask over element indices
+    above = s.lattice._leq[a]
+    return sum(1 << x for x, v in enumerate(s.value_indices()) if above[v])
+
+
 def _level_masks(mu: LSubset) -> tuple[list[int], list[int]]:
-    # the join-irreducibles in _down_sizes order, and mu's level at each as
-    # a bitmask over element indices
+    # the join-irreducibles in _down_sizes order, and mu's level at each
     lat = mu.lattice
     if not lat.distributive:
         raise NonDistributiveLatticeError("L-subgroup tests require a distributive lattice")
@@ -133,8 +138,7 @@ def _level_masks(mu: LSubset) -> tuple[list[int], list[int]]:
         j for j in order
         if reduce(lambda a, i: join[a][i], (i for i in order if i != j and leq[i][j]), bottom) != j
     ]
-    vals = mu.value_indices()
-    return irreducibles, [sum(1 << x for x, v in enumerate(vals) if leq[j][v]) for j in irreducibles]
+    return irreducibles, [_level_mask(mu, j) for j in irreducibles]
 
 
 @lru_cache(maxsize=64)
@@ -144,8 +148,7 @@ def _enumeration(mu: LSubset, budget: int) -> tuple[LSubset, ...]:
     leq, join, bottom = lat._leq, lat._join, lat.index(lat.bottom)
     # antitone: H_j must sit inside H_i for every join-irreducible i below j
     earlier = [[p for p in range(k) if leq[irreducibles[p]][j]] for k, j in enumerate(irreducibles)]
-    indexed = [()] + [tuple(map(group.index, s)) for s in all_subgroups(group)]
-    subgroups = [(sum(1 << x for x in xs), xs) for xs in indexed]
+    subgroups = [(0, ())] + [(h, _indices(h)) for h in _subgroup_table(group)]
     fitting: dict[int, list] = {}  # bound mask -> the subgroups (or ∅) inside it
     found: list[LSubset] = []
     visited = 0
@@ -357,10 +360,12 @@ def tip_relation(eta: LSubset, mu: LSubset) -> TipRelation:
 
 
 def _level_relation(eta: LSubset, mu: LSubset, a: str) -> LevelRelation:
-    lv_eta, lv_mu = eta.level(a), mu.level(a)
+    # mu is an L-subgroup here, so its non-empty levels are in the subgroup table
+    ai = mu.lattice.index(a)
+    lv_eta, lv_mu = _level_mask(eta, ai), _level_mask(mu, ai)
     if lv_eta == lv_mu:
         return LevelRelation.EQUAL
-    if lv_eta and lv_eta in maximal_subgroups_of(mu.group, lv_mu):
+    if lv_eta and lv_eta in _lower_covers(mu.group, lv_mu):
         return LevelRelation.PROPER_MAXIMAL_SUBGROUP
     return LevelRelation.PROPER_SUBGROUP
 

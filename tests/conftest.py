@@ -1,11 +1,13 @@
-"""Shared fixtures: the two worked instances used across the suite.
+"""Shared fixtures: the two worked instances used across the suite, and group builders.
 
 The value tables are frozen literals so every test checks the library
 against independently written data rather than against other library calls.
+``elementary_abelian`` and ``dihedral`` build the larger groups the tests
+share; import them with ``from conftest import ...``.
 """
 import pytest
 
-from lsubgroups import builtin_group, chain_lattice, l_subset
+from lsubgroups import builtin_group, chain_lattice, l_subset, validate_group
 
 FIVE_CHAIN = ["0", "a", "b", "c", "1"]
 
@@ -63,6 +65,25 @@ Q8_THETA_WITNESS = {
     "i": "b", "-i": "b",
     "j": "a", "-j": "a", "k": "a", "-k": "a",
 }
+
+
+def elementary_abelian(k):
+    """C2^k on the bit strings of length k, multiplied by XOR."""
+    names = [format(i, f"0{k}b") for i in range(2 ** k)]
+    return validate_group(names, [[names[i ^ j] for j in range(2 ** k)] for i in range(2 ** k)])
+
+
+def dihedral(order):
+    """The dihedral group of the given order, as words s^a r^i."""
+    # s^a r^i with r^i s = s r^-i
+    n = order // 2
+    pairs = [(a, i) for a in (0, 1) for i in range(n)]
+    names = [("s" if a else "r") + str(i) for a, i in pairs]
+    table = [
+        [names[pairs.index(((a + b) % 2, ((-i if b else i) + j) % n))] for b, j in pairs]
+        for a, i in pairs
+    ]
+    return validate_group(names, table)
 
 
 @pytest.fixture(scope="session")

@@ -39,11 +39,12 @@ from lsubgroups import (
     tip_relation,
     transport_maximal,
     transport_maximal_preimage,
-    validate_group,
     validate_hom,
     validate_lattice,
 )
 from lsubgroups.lsets import _search_l_subgroup_values
+
+from conftest import dihedral, elementary_abelian
 
 
 def brute_force_l_subgroups(mu):
@@ -171,23 +172,6 @@ class TestLevelMapsMatchTheElementSearch:
         mu = constant(builtin_group("C1"), lat, lat.top)
         assert list(enumerate_l_subgroups(mu)) == self.by_search(mu)
         assert len(enumerate_l_subgroups(mu)) == length
-
-
-def elementary_abelian(k):
-    names = [format(i, f"0{k}b") for i in range(2 ** k)]
-    return validate_group(names, [[names[i ^ j] for j in range(2 ** k)] for i in range(2 ** k)])
-
-
-def dihedral(order):
-    # s^a r^i with r^i s = s r^-i
-    n = order // 2
-    pairs = [(a, i) for a in (0, 1) for i in range(n)]
-    names = [("s" if a else "r") + str(i) for a, i in pairs]
-    table = [
-        [names[pairs.index(((a + b) % 2, ((-i if b else i) + j) % n))] for b, j in pairs]
-        for a, i in pairs
-    ]
-    return validate_group(names, table)
 
 
 class TestClosedFormCoatoms:
