@@ -3,7 +3,8 @@
 Reads lattice/group/L-subset JSON documents, dispatches to the library and
 prints human tables, canonical JSON, or DOT diagrams.  Exit codes: 0 on
 success, 1 when a verification run reports failures, 2 on parse or
-cross-validation errors, 3 when a search budget is exceeded.
+cross-validation errors (``--trials`` below 1 and ``--budget`` below 0
+among them), 3 when a search budget is exceeded.
 """
 from __future__ import annotations
 
@@ -316,7 +317,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if args.trials < 1:
+        parser.error(f"argument --trials: must be at least 1, not {args.trials}")
+    if args.budget < 0:
+        parser.error(f"argument --budget: must be at least 0, not {args.budget}")
     if args.format == "dot" and args.command != "hasse":
         print("dot output is only available for the hasse command", file=sys.stderr)
         return EXIT_BAD_INPUT

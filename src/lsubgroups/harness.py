@@ -38,6 +38,7 @@ from .lattice import FiniteLattice, chain_lattice, validate_lattice
 from .lsets import (
     LPoint,
     LSubset,
+    _pointwise_is_l_subgroup,
     adjoin_point,
     are_jointly_supstar,
     characteristic,
@@ -216,7 +217,7 @@ class Instance:
                seed: int = 0) -> "Instance":
         """Wrap a concrete (mu, eta) pair so the property suite can run on it.
 
-        The auxiliary samples (raw subsets, points, hom and iso pools) still
+        The auxiliary samples (raw subsets, points, the hom pool and the iso) still
         derive from the seed, so a pinned instance is as reproducible as a
         generated one.
         """
@@ -233,8 +234,8 @@ class Instance:
         return inst
 
     def _draw_samples(self, rng: random.Random) -> None:
-        # three raw L-subsets under mu, then three points of mu; the hom and
-        # iso pools draw from their own seeded streams
+        # three raw L-subsets under mu, then three points of mu; the hom pool
+        # and the inner automorphism iso draw from their own seeded streams
         self.raws = [random_l_subset_below(rng, self.mu) for _ in range(3)]
         self.points = []
         for _ in range(3):
@@ -248,10 +249,7 @@ class Instance:
         if named is not None:
             self.homs.append(named)
         rng = random.Random(f"{self.spec.seed}:{self.trial}:isos")
-        self.isos = [inner_automorphism(g, rng.choice(g.elements))]
-        outer = _named_outer_automorphism(self.group_name, g)
-        if outer is not None:
-            self.isos.append(outer)
+        self.iso = inner_automorphism(g, rng.choice(g.elements))
 
     def describe(self) -> dict:
         return {
@@ -282,19 +280,6 @@ def _named_quotient(name: str, g: FiniteGroup) -> GroupHom | None:
                 target = builtin_group(f"C{n // p}")
                 mapping = {x: target.elements[i % (n // p)] for i, x in enumerate(g.elements)}
                 return validate_hom(g, target, mapping)
-    return None
-
-
-def _named_outer_automorphism(name: str, g: FiniteGroup) -> GroupHom | None:
-    if name == "Q8":
-        swap = {"1": "1", "-1": "-1", "i": "j", "-i": "-j", "j": "i", "-j": "-i", "k": "-k", "-k": "k"}
-        return validate_hom(g, g, swap)
-    if name == "D8":
-        # r -> r, s -> sr extends to an automorphism
-        words = {"e": "e", "r": "r", "r2": "r2", "r3": "r3", "s": "sr", "sr": "sr2", "sr2": "sr3", "sr3": "s"}
-        return validate_hom(g, g, words)
-    if name == "V4":
-        return validate_hom(g, g, {"e": "e", "a": "b", "b": "a", "c": "c"})
     return None
 
 
@@ -351,9 +336,7 @@ def prop_containment_is_levelwise(inst: Instance):
 
 def prop_subgroup_tests_agree(inst: Instance):
     for probe in [inst.mu, inst.eta, *inst.raws]:
-        pointwise = is_l_subgroup(probe, "pointwise")
-        levelwise = is_l_subgroup(probe, "levelwise")
-        if pointwise != levelwise:
+        if is_l_subgroup(probe) != _pointwise_is_l_subgroup(probe):
             _fail(probe=probe.values(), reason="pointwise and levelwise verdicts differ")
 
 
@@ -510,11 +493,9 @@ def prop_transport_preserves_maximality(inst: Instance):
     maximals = maximal_l_subgroups(inst.mu)
     if not maximals:
         return SKIPPED
-    m = maximals[0]
-    for f in inst.isos[:1]:
-        _, verdict = transport_maximal(f, m, inst.mu)
-        if not verdict.maximal:
-            _fail(reason="transported subgroup lost maximality")
+    _, verdict = transport_maximal(inst.iso, maximals[0], inst.mu)
+    if not verdict.maximal:
+        _fail(reason="transported subgroup lost maximality")
 
 
 def prop_nongenerators_form_l_subgroup(inst: Instance):
@@ -578,9 +559,8 @@ def prop_nongenerator_conjugation_closure(inst: Instance):
 
 
 def prop_frattini_image_inclusion(inst: Instance):
-    for f in inst.isos[:1]:
-        if not frattini_image_inclusion(f, inst.mu):
-            _fail(reason="image of phi escapes phi of the image")
+    if not frattini_image_inclusion(inst.iso, inst.mu):
+        _fail(reason="image of phi escapes phi of the image")
 
 
 def prop_maximal_avoiding_exists(inst: Instance):

@@ -6,14 +6,15 @@ points), level subsets, the subgroup and normality predicates, the
 sup-property tests, generation of the smallest containing L-subgroup, and
 transport along group homomorphisms.
 
-Predicates that the theory characterises two ways answer by the pointwise
-route; the level-set route of the subgroup test stays available as the
-reference the test suite and the harness hold it to.  Equality of
-L-subsets is exact pointwise equality of lattice elements, there is no
-tolerance anywhere.
+The subgroup test reads the levels at the join-irreducibles only, as
+bitmasks looked up in the group's subgroup table; the maximal module reads
+the same level masks.  The pointwise test is kept only as the reference the
+harness holds it to.  Equality of L-subsets is exact pointwise equality of
+lattice elements, there is no tolerance anywhere.
 """
 from __future__ import annotations
 
+from functools import lru_cache, reduce
 from typing import Iterable, Mapping, NamedTuple
 
 from .errors import (
@@ -24,7 +25,7 @@ from .errors import (
     NotAnLSubgroupError,
     UnknownElementError,
 )
-from .groups import FiniteGroup, GroupHom, is_subgroup, subgroup_closure
+from .groups import FiniteGroup, GroupHom, _subgroup_table, subgroup_closure
 from .lattice import FiniteLattice
 
 
@@ -255,6 +256,7 @@ def point_in(point: LPoint, mu: LSubset) -> bool:
 # ----------------------------------------------------- subgroup predicates
 
 def _pointwise_is_l_subgroup(mu: LSubset) -> bool:
+    # the reference for is_l_subgroup, read only by the harness
     group, lat = mu.group, mu.lattice
     vals = mu._vals
     leq, meet = lat._leq, lat._meet
@@ -268,37 +270,59 @@ def _pointwise_is_l_subgroup(mu: LSubset) -> bool:
     return True
 
 
-def _levelwise_is_l_subgroup(mu: LSubset) -> bool:
-    return all(
-        is_subgroup(mu.group, lv)
-        for a in mu.lattice.elements
-        if (lv := mu.level(a))
+def _down_sizes(lat: FiniteLattice) -> list[int]:
+    # |down-set| grows strictly along the order, no matter how the carrier
+    # happens to be listed, which makes it a linear extension and a rank
+    leq = lat._leq
+    n = len(lat.elements)
+    return [sum(1 for j in range(n) if leq[j][i]) for i in range(n)]
+
+
+@lru_cache(maxsize=64)
+def _irreducibles(lat: FiniteLattice) -> tuple[int, ...]:
+    # the join-irreducibles in _down_sizes order: j is one when the elements
+    # strictly below it join to less than j
+    leq, join, bottom = lat._leq, lat._join, lat.index(lat.bottom)
+    order = sorted(range(len(lat)), key=_down_sizes(lat).__getitem__)
+    return tuple(
+        j for j in order
+        if reduce(lambda a, i: join[a][i], (i for i in order if i != j and leq[i][j]), bottom) != j
     )
 
 
-def is_l_subgroup(mu: LSubset, strategy: str = "pointwise") -> bool:
+def _level_mask(s: LSubset, a: int) -> int:
+    # the level of s at lattice index a as a bitmask over element indices
+    above = s.lattice._leq[a]
+    return sum(1 << x for x, v in enumerate(s.value_indices()) if above[v])
+
+
+def _level_masks(mu: LSubset) -> tuple[tuple[int, ...], list[int]]:
+    # the join-irreducibles in _down_sizes order, and mu's level at each
+    lat = mu.lattice
+    if not lat.distributive:
+        raise NonDistributiveLatticeError("L-subgroup tests require a distributive lattice")
+    irreducibles = _irreducibles(lat)
+    return irreducibles, [_level_mask(mu, j) for j in irreducibles]
+
+
+def is_l_subgroup(mu: LSubset) -> bool:
     """Is mu an L-subgroup of its group?
 
-    The pointwise route (the default) checks mu(xy) ≥ mu(x) ∧ mu(y) and
-    mu(x⁻¹) = mu(x); the level route checks that every non-empty level
-    subset, over every lattice element, is a subgroup, and is the reference
-    the agreement tests compare against.  Refuses non-distributive
-    lattices, which the theory does not cover.
+    True when every non-empty level subset is a subgroup.  Each level is
+    the intersection of the levels at the join-irreducibles below it, so
+    only those are read, as bitmasks: each must be empty or in the group's
+    subgroup table.  The harness compares it with the pointwise test.
+    Refuses non-distributive lattices, which the theory does not cover.
     """
-    if not mu.lattice.distributive:
-        raise NonDistributiveLatticeError("L-subgroup tests require a distributive lattice")
-    if strategy == "pointwise":
-        return _pointwise_is_l_subgroup(mu)
-    if strategy == "levelwise":
-        return _levelwise_is_l_subgroup(mu)
-    raise ValueError(f"unknown strategy {strategy!r}")
+    table = _subgroup_table(mu.group)
+    return all(not level or level in table for level in _level_masks(mu)[1])
 
 
 def is_l_subgroup_of(eta: LSubset, mu: LSubset) -> bool:
     """eta ∈ L(mu): eta ⊆ mu with both L-subgroups of the group.
 
-    Answered pointwise; the level characterisation (each non-empty level of
-    eta is a subgroup of the matching level of mu) is the tests' reference.
+    Containment is checked pointwise and each subgroup test by its levels at
+    the join-irreducibles; the tests hold it to the frozenset level oracle.
     """
     _same_carriers(eta, mu)
     return contains(mu, eta) and is_l_subgroup(mu) and is_l_subgroup(eta)

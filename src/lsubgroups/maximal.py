@@ -31,18 +31,20 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from functools import lru_cache, reduce
+from functools import lru_cache
 from typing import Iterable
 
-from .errors import InstanceTooLargeError, NonDistributiveLatticeError, NotAnIsomorphismError
+from .errors import InstanceTooLargeError, NotAnIsomorphismError
 from .errors import NotAnLSubgroupError, NotMaximalError
 from .groups import GroupHom, _indices, _lower_covers, _subgroup_table
+from .lsets import _down_sizes, _level_mask, _level_masks
 from .lsets import (
     LPoint,
     LSubset,
     adjoin_point,
     contains,
     generate,
+    is_l_subgroup,
     is_l_subgroup_of,
     is_proper_l_subgroup,
     pullback,
@@ -112,35 +114,6 @@ def candidate_space_size(mu: LSubset) -> int:
     return total
 
 
-def _down_sizes(lat) -> list[int]:
-    # |down-set| grows strictly along the order, no matter how the carrier
-    # happens to be listed, which makes it a linear extension and a rank
-    leq = lat._leq
-    n = len(lat.elements)
-    return [sum(1 for j in range(n) if leq[j][i]) for i in range(n)]
-
-
-def _level_mask(s: LSubset, a: int) -> int:
-    # the level of s at lattice index a as a bitmask over element indices
-    above = s.lattice._leq[a]
-    return sum(1 << x for x, v in enumerate(s.value_indices()) if above[v])
-
-
-def _level_masks(mu: LSubset) -> tuple[list[int], list[int]]:
-    # the join-irreducibles in _down_sizes order, and mu's level at each
-    lat = mu.lattice
-    if not lat.distributive:
-        raise NonDistributiveLatticeError("L-subgroup tests require a distributive lattice")
-    leq, join, bottom = lat._leq, lat._join, lat.index(lat.bottom)
-    order = sorted(range(len(lat)), key=_down_sizes(lat).__getitem__)
-    # j is join-irreducible when the elements strictly below it join to less
-    irreducibles = [
-        j for j in order
-        if reduce(lambda a, i: join[a][i], (i for i in order if i != j and leq[i][j]), bottom) != j
-    ]
-    return irreducibles, [_level_mask(mu, j) for j in irreducibles]
-
-
 @lru_cache(maxsize=64)
 def _enumeration(mu: LSubset, budget: int) -> tuple[LSubset, ...]:
     group, lat = mu.group, mu.lattice
@@ -195,6 +168,8 @@ def _coatoms(mu: LSubset, budget: int) -> tuple[LSubset, ...]:
     NonDistributiveLatticeError over a non-distributive lattice and
     InstanceTooLargeError when the work exceeds ``budget``.
     """
+    if not is_l_subgroup(mu):
+        raise NotAnLSubgroupError("the coatoms of L(mu) require mu to be an L-subgroup")
     group, lat = mu.group, mu.lattice
     irreducibles, levels = _level_masks(mu)
     leq, join, bottom = lat._leq, lat._join, lat.index(lat.bottom)
@@ -204,13 +179,10 @@ def _coatoms(mu: LSubset, budget: int) -> tuple[LSubset, ...]:
     for j, level in zip(irreducibles, levels):
         if not level:
             continue
-        covers = _lower_covers(group, level)
-        if covers is None:
-            raise NotAnLSubgroupError("the coatoms of L(mu) require mu to be an L-subgroup")
         spread = sum(1 << k * n for k, i in enumerate(irreducibles) if leq[j][i])
         kept = packed & ~(((1 << n) - 1) * spread)
         # only the trivial subgroup has no maximal subgroup; ∅ covers it
-        cuts.extend(kept | packed & m * spread for m in covers or (0,))
+        cuts.extend(kept | packed & m * spread for m in _lower_covers(group, level) or (0,))
     work = len(cuts) * (len(cuts) + 1)
     if work > budget:
         raise InstanceTooLargeError(work, budget, (

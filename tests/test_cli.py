@@ -288,6 +288,19 @@ class TestErrors:
         assert (code, out) == (2, "")
         assert err == "error: L-subgroup tests require a distributive lattice\n"
 
+    @pytest.mark.parametrize(
+        "command, flag, value, least",
+        [("verify", "--trials", "0", 1), ("verify", "--trials", "-3", 1), ("maximals", "--budget", "-1", 0)],
+    )
+    def test_counts_out_of_range(self, docs, capsys, command, flag, value, least):
+        # refused as malformed input while parsing, before any work is done
+        with pytest.raises(SystemExit) as stop:
+            main([command, flag, value,
+                  "-l", docs["chain5.json"], "-g", docs["q8.json"], "-s", docs["mu_q8.json"]])
+        captured = capsys.readouterr()
+        assert (stop.value.code, captured.out) == (2, "")
+        assert captured.err.endswith(f"error: argument {flag}: must be at least {least}, not {value}\n")
+
     def test_budget_exceeded(self, docs, capsys):
         code, _, err = run(
             capsys, "maximals", "--budget", "10",

@@ -22,18 +22,22 @@ from lsubgroups import (
     constant,
     contains,
     enumerate_l_subgroups,
+    frattini,
     generate,
     generate_oracle,
     has_sup_property,
     intersection_of,
     is_l_subgroup,
     is_l_subgroup_of,
+    is_maximal,
     is_normal_in,
     is_normal_in_group,
     is_proper_l_subgroup,
     is_subgroup,
     l_subset,
     l_subset_from_document,
+    level_profile,
+    make_lattice,
     point_in,
     pullback,
     pushforward,
@@ -44,15 +48,22 @@ from lsubgroups import (
     validate_hom,
     validate_lattice,
 )
+from lsubgroups import lsets
 from lsubgroups.errors import DocumentError
+
+
+def levelwise_is_l_subgroup(mu):
+    """Oracle: every non-empty level, over every lattice element, is a
+    subgroup, checked on frozensets of names."""
+    return all(
+        is_subgroup(mu.group, lv) for a in mu.lattice.elements if (lv := mu.level(a))
+    )
 
 
 def levelwise_is_l_subgroup_of(eta, mu):
     """Oracle: every non-empty level of mu is a subgroup, and every non-empty
     level of eta is a subgroup inside the matching level of mu."""
-    return all(
-        is_subgroup(mu.group, lv) for a in mu.lattice.elements if (lv := mu.level(a))
-    ) and all(
+    return levelwise_is_l_subgroup(mu) and all(
         is_subgroup(eta.group, lv) and lv <= mu.level(a)
         for a in eta.lattice.elements
         if (lv := eta.level(a))
@@ -229,7 +240,14 @@ class TestSubgroupPredicates:
         assert is_l_subgroup(q8_maximal_case["mu"])
 
     def test_constants_are_l_subgroups(self, d8, five_chain):
-        assert is_l_subgroup(constant(d8, five_chain, "b"))
+        # the bottom constant has only empty levels above the bottom, the
+        # one-element lattice has no join-irreducibles, and over C1 every
+        # L-subset is a constant
+        point = validate_lattice(["*"], [])
+        for group in (d8, builtin_group("C1")):
+            for lat in (five_chain, point):
+                for a in lat.elements:
+                    assert is_l_subgroup(constant(group, lat, a))
 
     def test_swapped_values_fail(self, d8, five_chain):
         # raising r above r2 breaks the product law at r * r = r2
@@ -241,22 +259,45 @@ class TestSubgroupPredicates:
         )
         assert not is_l_subgroup(bad)
 
-    def test_strategies_agree_on_raw_subsets(self, d8_case):
-        rng = random.Random(5)
-        for _ in range(25):
-            raw = random_l_subset_below(rng, d8_case["mu"])
-            assert is_l_subgroup(raw, "pointwise") == is_l_subgroup(raw, "levelwise")
+    def test_takes_no_strategy(self, d8_case):
+        with pytest.raises(TypeError):
+            is_l_subgroup(d8_case["mu"], "pointwise")
 
-    @pytest.mark.parametrize("strategy", ["both", "guess"])
-    def test_unknown_strategy(self, d8_case, strategy):
-        with pytest.raises(ValueError):
-            is_l_subgroup(d8_case["mu"], strategy)
+    def test_empty_level_at_one_irreducible(self):
+        # {e, a} at p, nothing at q: the level at q is empty, the rest subgroups
+        v4 = builtin_group("V4")
+        mu = l_subset(v4, diamond(), {"e": "p", "a": "p", "b": "0", "c": "0"})
+        assert mu.level("q") == frozenset()
+        assert is_l_subgroup(mu)
+        assert lsets._pointwise_is_l_subgroup(mu)
+
+    def test_unattained_irreducible_level_is_read(self):
+        # every attained level is a subgroup, but the level at the atom 2,
+        # which no element attains, is {e, a, b}
+        v4 = builtin_group("V4")
+        mu = l_subset(v4, make_lattice("divisors30"), {"e": "30", "a": "6", "b": "10", "c": "1"})
+        assert all(is_subgroup(v4, mu.level(v)) for v in mu.image() if mu.level(v))
+        assert mu.level("2") == {"e", "a", "b"}
+        assert not is_l_subgroup(mu)
+        assert not lsets._pointwise_is_l_subgroup(mu)
 
     def test_non_distributive_refused(self):
         g = builtin_group("C2")
         bad = constant(g, pentagon(), "1")
         with pytest.raises(NonDistributiveLatticeError):
             is_l_subgroup(bad)
+
+    def test_library_does_not_lean_on_the_pointwise_test(self, monkeypatch, d8_case, q8_maximal_case):
+        # the pointwise test is the harness's reference only
+        def refuse(mu):
+            raise AssertionError("the pointwise subgroup test was called")
+
+        monkeypatch.setattr(lsets, "_pointwise_is_l_subgroup", refuse)
+        for mu, eta in [(d8_case["mu"], d8_case["eta1"]), (q8_maximal_case["mu"], q8_maximal_case["eta"])]:
+            assert is_l_subgroup_of(eta, mu)
+            assert is_maximal(eta, mu, "definition")
+            assert level_profile(eta, mu).unique_defect_level is not None
+            assert frattini(mu).maximal_count > 0
 
     def test_membership_of_worked_pair(self, q8_maximal_case):
         assert is_l_subgroup_of(q8_maximal_case["eta"], q8_maximal_case["mu"])
@@ -279,9 +320,21 @@ SEEDED_SPECS = pytest.mark.parametrize(
 
 
 class TestPredicatesMatchTheLevelRoute:
-    """Membership and normality are answered pointwise; their level-set
-    characterisations stay here as the reference, checked on seeded
-    instances over chains, a product lattice and a divisor lattice."""
+    """The subgroup test reads the level masks at the join-irreducibles and
+    normality is answered pointwise; the frozenset level characterisations
+    stay here as the reference, with the pointwise subgroup test, checked on
+    seeded instances over chains, a product lattice and a divisor lattice."""
+
+    @SEEDED_SPECS
+    def test_subgroup_test(self, spec):
+        seen = set()
+        for _, probes in seeded_probes(spec):
+            for probe in probes:
+                answer = is_l_subgroup(probe)
+                assert answer == lsets._pointwise_is_l_subgroup(probe)
+                assert answer == levelwise_is_l_subgroup(probe)
+                seen.add(answer)
+        assert seen == {True, False}
 
     @SEEDED_SPECS
     def test_membership(self, spec):
@@ -299,7 +352,7 @@ class TestPredicatesMatchTheLevelRoute:
         seen = set()
         for _, probes in seeded_probes(spec):
             for probe in probes:
-                if not is_l_subgroup(probe, "levelwise"):
+                if not levelwise_is_l_subgroup(probe):
                     with pytest.raises(NotAnLSubgroupError):
                         is_normal_in_group(probe)
                     continue
