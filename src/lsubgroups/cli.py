@@ -4,12 +4,15 @@ Reads lattice/group/L-subset JSON documents, dispatches to the library and
 prints human tables, canonical JSON, or DOT diagrams.  Exit codes: 0 on
 success, 1 when a verification run reports failures, 2 on parse or
 cross-validation errors (``--trials`` below 1 and ``--budget`` below 0
-among them), 3 when a search budget is exceeded.
+among them), 3 when a search budget is exceeded, and 141 (128 + SIGPIPE,
+as a shell reports a process killed by a broken pipe) when the reader of
+standard output goes away first, as in ``lsubgroups verify | head``.
 """
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .errors import DocumentError, InstanceTooLargeError, LSubgroupsError, NotAnLSubgroupError
@@ -38,6 +41,7 @@ EXIT_OK = 0
 EXIT_VERIFICATION_FAILED = 1
 EXIT_BAD_INPUT = 2
 EXIT_BUDGET = 3
+EXIT_BROKEN_PIPE = 141
 
 
 def _load_json(path: str) -> dict:
@@ -328,7 +332,14 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_BAD_INPUT
     ws = Workspace(args)
     try:
-        return _COMMANDS[args.command](ws, args)
+        code = _COMMANDS[args.command](ws, args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader left: point stdout at devnull so that the flush at
+        # interpreter exit has nowhere to fail
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
     except InstanceTooLargeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET

@@ -433,15 +433,13 @@ def validate_hom(source: FiniteGroup, target: FiniteGroup, mapping: Mapping[str,
     missing = [x for x in source.elements if x not in mapping]
     if missing:
         raise NotAHomomorphismError(f"map is not total; missing {missing}")
-    for x in source.elements:
-        target.index(mapping[x])
-    for x in source.elements:
-        for y in source.elements:
-            if mapping[source.op(x, y)] != target.op(mapping[x], mapping[y]):
-                raise NotAHomomorphismError(
-                    f"f({x}*{y}) != f({x})*f({y})"
-                )
-    image = {mapping[x] for x in source.elements}
+    f = [target.index(mapping[x]) for x in source.elements]
+    table, target_table = source._table, target._table
+    for i, x in enumerate(source.elements):
+        for j, y in enumerate(source.elements):
+            if f[table[i][j]] != target_table[f[i]][f[j]]:
+                raise NotAHomomorphismError(f"f({x}*{y}) != f({x})*f({y})")
+    image = set(f)
     injective = len(image) == len(source)
     surjective = len(image) == len(target)
     clean = {x: mapping[x] for x in source.elements}

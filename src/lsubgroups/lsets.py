@@ -6,11 +6,14 @@ points), level subsets, the subgroup and normality predicates, the
 sup-property tests, generation of the smallest containing L-subgroup, and
 transport along group homomorphisms.
 
-The subgroup test reads the levels at the join-irreducibles only, as
-bitmasks looked up in the group's subgroup table; the maximal module reads
-the same level masks.  The pointwise test is kept only as the reference the
-harness holds it to.  Equality of L-subsets is exact pointwise equality of
-lattice elements, there is no tolerance anywhere.
+Over a finite distributive lattice every element is the join of the
+join-irreducibles below it, and the level at a join is the intersection of
+the levels at its parts, so both the subgroup test and generation read the
+levels at the join-irreducibles only.  The subgroup test looks those level
+bitmasks up in the group's subgroup table; they are cached per L-subset and
+the maximal module reads the same masks.  The pointwise test is kept only as
+the reference the harness holds it to.  Equality of L-subsets is exact
+pointwise equality of lattice elements, there is no tolerance anywhere.
 """
 from __future__ import annotations
 
@@ -296,13 +299,20 @@ def _level_mask(s: LSubset, a: int) -> int:
     return sum(1 << x for x, v in enumerate(s.value_indices()) if above[v])
 
 
-def _level_masks(mu: LSubset) -> tuple[tuple[int, ...], list[int]]:
-    # the join-irreducibles in _down_sizes order, and mu's level at each
+@lru_cache(maxsize=64)
+def _level_masks(mu: LSubset) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    # the join-irreducibles in _down_sizes order, and mu's level at each: the
+    # elements of each attained value in one mask, ORed into every level below
     lat = mu.lattice
     if not lat.distributive:
         raise NonDistributiveLatticeError("L-subgroup tests require a distributive lattice")
-    irreducibles = _irreducibles(lat)
-    return irreducibles, [_level_mask(mu, j) for j in irreducibles]
+    by_value: dict[int, int] = {}
+    for x, v in enumerate(mu.value_indices()):
+        by_value[v] = by_value.get(v, 0) | 1 << x
+    irreducibles, leq = _irreducibles(lat), lat._leq
+    return irreducibles, tuple(
+        sum(mask for v, mask in by_value.items() if leq[j][v]) for j in irreducibles
+    )
 
 
 def is_l_subgroup(mu: LSubset) -> bool:
@@ -395,24 +405,25 @@ def are_jointly_supstar(eta: LSubset, theta: LSubset) -> bool:
 def generate(eta: LSubset) -> LSubset:
     """The smallest L-subgroup containing eta.
 
-    With a0 the tip of eta, the result maps x to the join of all lattice
+    With a0 the tip of eta, the result maps x to the join of the lattice
     elements a ≤ a0 whose level subset generates a subgroup containing x;
-    the join runs over every lattice element below a0, not only attained
-    values, and the empty level set generates the trivial subgroup.
+    the empty level set generates the trivial subgroup.  The join is taken
+    over the join-irreducibles below a0 only: any other a is the join of
+    the irreducibles below it, whose levels contain eta's level at a and so
+    generate at least as much, which puts a under their join already.
     """
     lat, group = eta.lattice, eta.group
     if not lat.distributive:
         raise NonDistributiveLatticeError("generation requires a distributive lattice")
-    tip_i = eta._vals[0]
-    for v in eta._vals[1:]:
-        tip_i = lat._join[tip_i][v]
-    below = [a for a in lat.elements if lat._leq[lat.index(a)][tip_i]]
-    reach = {a: subgroup_closure(group, eta.level(a)) for a in below}
-    vals = tuple(
-        lat.index(lat.join_set(a for a in below if x in reach[a]))
-        for x in group.elements
-    )
-    return LSubset(group, lat, vals)
+    leq, join, tip = lat._leq, lat._join, lat.index(eta.tip())
+    vals = [lat.index(lat.bottom)] * len(group)
+    for a in _irreducibles(lat):
+        if leq[a][tip]:
+            level = (x for x, v in zip(group.elements, eta._vals) if leq[a][v])
+            for x in subgroup_closure(group, level):
+                i = group.index(x)
+                vals[i] = join[vals[i]][a]
+    return LSubset(group, lat, tuple(vals))
 
 
 def generate_oracle(
@@ -516,12 +527,13 @@ def pushforward(f: GroupHom, mu: LSubset) -> LSubset:
     """f(mu)(y) = join of mu over the fibre of y; bottom on empty fibres."""
     if mu.group != f.source:
         raise MismatchedCarriersError("pushforward needs an L-subset over the source group")
-    lat = mu.lattice
-    buckets: dict[str, list[str]] = {y: [] for y in f.target.elements}
-    for x in f.source.elements:
-        buckets[f(x)].append(mu.value(x))
-    vals = tuple(lat.index(lat.join_set(buckets[y])) for y in f.target.elements)
-    return LSubset(f.target, lat, vals)
+    lat, target = mu.lattice, f.target
+    join = lat._join
+    vals = [lat.index(lat.bottom)] * len(target)
+    for x, v in zip(f.source.elements, mu._vals):
+        y = target.index(f(x))
+        vals[y] = join[vals[y]][v]
+    return LSubset(target, lat, tuple(vals))
 
 
 def pullback(f: GroupHom, nu: LSubset) -> LSubset:

@@ -43,13 +43,17 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def module_env():
+    """The environment of a fresh interpreter that imports the library from src/."""
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    return dict(os.environ, PYTHONPATH=path)
+
+
 def run_module(argv, *flags):
     """Run the CLI in a fresh interpreter started with the given flags."""
-    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
-    env = dict(os.environ, PYTHONPATH=path)
     return subprocess.run(
         [sys.executable, *flags, "-m", "lsubgroups.cli", *argv],
-        capture_output=True, env=env, timeout=300,
+        capture_output=True, env=module_env(), timeout=300,
     )
 
 
@@ -300,6 +304,28 @@ class TestErrors:
         captured = capsys.readouterr()
         assert (stop.value.code, captured.out) == (2, "")
         assert captured.err.endswith(f"error: argument {flag}: must be at least {least}, not {value}\n")
+
+    def test_reader_that_leaves_early(self, tmp_path):
+        # C2^6 with long element names over a 60-chain: the level table runs
+        # to some 140 KB, more than a pipe holds, so the CLI is still writing
+        # when the reader takes one line and closes its end
+        names = [f"element_{i:06b}_with_a_rather_long_name" for i in range(64)]
+        chain = [f"c{k}" for k in range(60)]
+        for name, payload in [
+            ("group.json", {"elements": names, "table": [[names[i ^ j] for j in range(64)] for i in range(64)]}),
+            ("chain.json", {"chain": chain}),
+            ("top.json", {"values": {x: chain[-1] for x in names}}),
+        ]:
+            (tmp_path / name).write_text(json.dumps(payload))
+        argv = ["levels", "-l", "chain.json", "-g", "group.json", "-s", "top.json"]
+        with subprocess.Popen(
+            [sys.executable, "-m", "lsubgroups.cli", *argv], cwd=tmp_path,
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=module_env(),
+        ) as child:
+            assert child.stdout.readline() == b"level subsets\n"
+            child.stdout.close()
+            err = child.stderr.read()
+            assert (child.wait(timeout=300), err) == (141, b"")
 
     def test_budget_exceeded(self, docs, capsys):
         code, _, err = run(

@@ -1,5 +1,6 @@
 """Group validation, builtins, subgroup machinery and homomorphisms."""
 import random
+import re
 from itertools import combinations
 
 import pytest
@@ -356,7 +357,9 @@ class TestHoms:
         g = builtin_group("D8")
         bad = {x: x for x in g.elements}
         bad["s"] = "r"  # s^2 = e but r^2 = r2
-        with pytest.raises(NotAHomomorphismError):
+        # pairs are checked in element order, so (r, s) fails first:
+        # f(r*s) = f(sr3) = sr3 but f(r)*f(s) = r*r = r2
+        with pytest.raises(NotAHomomorphismError, match=re.escape("f(r*s) != f(r)*f(s)")):
             validate_hom(g, g, bad)
 
     def test_partial_map_rejected(self):

@@ -14,6 +14,7 @@ from lsubgroups import (
     NotAnLSubgroupError,
     UnknownElementError,
     adjoin_point,
+    all_subgroups,
     are_jointly_supstar,
     build_instance,
     builtin_group,
@@ -312,6 +313,51 @@ class TestSubgroupPredicates:
         assert not is_proper_l_subgroup(tail, d8_case["mu"])
 
 
+def two_subgroup_family(seed=10, trials=12):
+    """Seeded L-subsets over product2x3 and divisors30 on V4, C6 and D8: e at
+    the top, two random proper non-trivial subgroups at two random values
+    other than the top and the bottom, and each element at the join of the
+    values of the subgroups holding it.  The attained levels are e's, each
+    subgroup, their intersection and the group; when the two values are
+    incomparable with a meet above the bottom, the level at each
+    join-irreducible below that meet, which no element attains, is the
+    union of the two subgroups."""
+    rng = random.Random(seed)
+    for kind in ("product2x3", "divisors30"):
+        lat = make_lattice(kind)
+        for name in ("V4", "C6", "D8"):
+            group = builtin_group(name)
+            subgroups = all_subgroups(group)[1:-1]
+            heights = [a for a in lat.elements if a not in (lat.bottom, lat.top)]
+            for _ in range(trials):
+                pieces = [(rng.choice(subgroups), rng.choice(heights)) for _ in range(2)]
+                values = {x: lat.join_set(a for h, a in pieces if x in h) for x in group.elements}
+                values[group.identity] = lat.top
+                yield l_subset(group, lat, values)
+
+
+def unattained_irreducible_defect(mu):
+    """Every attained level is a subgroup, but the level at some join-
+    irreducible (one lower cover) that no element attains is not."""
+    lat, group, image = mu.lattice, mu.group, mu.image()
+    irreducibles = [a for a in lat.elements if sum(lat.is_cover(a, b) for b in lat.elements) == 1]
+    return all(is_subgroup(group, mu.level(v)) for v in image) and any(
+        a not in image and mu.level(a) and not is_subgroup(group, mu.level(a))
+        for a in irreducibles
+    )
+
+
+class TestUnattainedIrreducibleLevels:
+    def test_subgroup_test_reads_them(self):
+        # a test that read levels only at attained values would call every
+        # patterned member an L-subgroup
+        patterned = 0
+        for mu in two_subgroup_family():
+            assert is_l_subgroup(mu) == lsets._pointwise_is_l_subgroup(mu)
+            patterned += unattained_irreducible_defect(mu)
+        assert patterned >= 3
+
+
 SEEDED_SPECS = pytest.mark.parametrize(
     "spec",
     [InstanceSpec(0), InstanceSpec(1, lattice_kind="product2x3"), InstanceSpec(1, lattice_kind="divisors30")],
@@ -488,7 +534,9 @@ class TestGenerationOracle:
     @settings(max_examples=30, deadline=None)
     @given(seed=st.integers(min_value=0, max_value=10_000))
     def test_matches_on_random_instances(self, seed):
-        inst = build_instance(InstanceSpec(seed=seed, lattice_kind="chain2-5"))
+        # off chains too, where generation joins at the join-irreducibles only
+        spec = InstanceSpec(seed=seed, lattice_kind="chain2-5|product2x2|product2x3|divisors12")
+        inst = build_instance(spec)
         raw = random_l_subset_below(random.Random(seed), inst.mu)
         assert generate(raw) == generate_oracle(raw)
 

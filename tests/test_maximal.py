@@ -4,6 +4,7 @@ from itertools import product as cartesian
 import pytest
 
 import lsubgroups.maximal as maximal_module
+from lsubgroups import lsets
 from lsubgroups import (
     DEFAULT_BUDGET,
     InstanceSpec,
@@ -191,6 +192,14 @@ class TestClosedFormCoatoms:
                 call(mu)
         with pytest.raises(NotAnLSubgroupError):
             is_non_generator(LPoint("g", "1"), mu)
+
+    def test_parent_levels_are_built_once(self, d8_case):
+        # the parent check and the cuts read the same cached level masks
+        maximal_module._coatoms.cache_clear()
+        lsets._level_masks.cache_clear()
+        maximal_l_subgroups(d8_case["mu"])
+        info = lsets._level_masks.cache_info()
+        assert (info.misses, info.hits) == (1, 1)
 
     def test_budget_counts_cuts_and_the_pairs_among_them(self, d8_case):
         # mu's levels at the join-irreducibles a, b, c, 1 are D8, the Klein
