@@ -12,7 +12,7 @@ results.
 """
 from __future__ import annotations
 
-from functools import reduce
+from functools import lru_cache, reduce
 from operator import and_
 from typing import Iterable, Mapping, Sequence
 
@@ -35,7 +35,8 @@ class FiniteGroup:
     Elements are opaque names; the table maps (row, column) index pairs to
     the index of the product.  Instances are immutable; the only interior
     state is one private memo, the subgroup table of ``_subgroup_table``,
-    which is safe to share.
+    which is safe to share: ``builtin_group`` hands out one shared group
+    per name, so each builtin builds its table once per process.
     """
 
     __slots__ = ("elements", "identity", "_index", "_table", "_inv", "_subgroups", "_hash")
@@ -240,8 +241,13 @@ def _quaternion8() -> FiniteGroup:
     return validate_group(names, table)
 
 
+@lru_cache(maxsize=64)
 def builtin_group(name: str) -> FiniteGroup:
-    """Builtin groups with fixed element names: Q8, D8, V4 and Cn (e.g. C6)."""
+    """Builtin groups with fixed element names: Q8, D8, V4 and Cn (e.g. C6).
+
+    One shared, validated group per name: repeat calls return the same
+    object, with its subgroup table and lower covers.
+    """
     if name == "Q8":
         return _quaternion8()
     if name == "D8":

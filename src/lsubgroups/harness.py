@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Callable, Iterable
 
 from .errors import SearchExhaustedError
@@ -93,14 +94,19 @@ class InstanceSpec:
     subgroup_density: float = 0.6
 
 
+@lru_cache(maxsize=64)
 def make_lattice(kind: str) -> FiniteLattice:
-    """Build the named lattice kind; see InstanceSpec for the grammar."""
+    """Build the named lattice kind; see InstanceSpec for the grammar.
+
+    One shared, validated lattice per kind.  Chains have 1 to 16 elements.
+    """
     if kind.startswith("chain"):
         n = int(kind[5:])
+        if not 1 <= n <= len(_CHAIN_MIDS) + 2:
+            raise ValueError(f"unknown lattice kind {kind!r}: a chain has 1 to 16 elements")
         if n == 1:
             return chain_lattice(["0"])
-        names = ["0", *(_CHAIN_MIDS[: n - 2]), "1"]
-        return chain_lattice(names)
+        return chain_lattice(["0", *_CHAIN_MIDS[: n - 2], "1"])
     if kind.startswith("product"):
         m, n = (int(part) for part in kind[7:].split("x"))
         names = [f"({i},{j})" for i in range(m) for j in range(n)]

@@ -273,12 +273,13 @@ def _pointwise_is_l_subgroup(mu: LSubset) -> bool:
     return True
 
 
-def _down_sizes(lat: FiniteLattice) -> list[int]:
+@lru_cache(maxsize=64)
+def _down_sizes(lat: FiniteLattice) -> tuple[int, ...]:
     # |down-set| grows strictly along the order, no matter how the carrier
     # happens to be listed, which makes it a linear extension and a rank
     leq = lat._leq
     n = len(lat.elements)
-    return [sum(1 for j in range(n) if leq[j][i]) for i in range(n)]
+    return tuple(sum(1 for j in range(n) if leq[j][i]) for i in range(n))
 
 
 @lru_cache(maxsize=64)

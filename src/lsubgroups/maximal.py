@@ -21,7 +21,9 @@ Two independent maximality tests are provided: the definitional one (is
 there a coatom strictly above eta?), which the preconditions of
 ``tip_relation`` and the transports read, and the lattice-point test (eta
 is maximal iff adjoining any missing point generates all of mu), kept as
-the reference the test suite holds the coatoms to.
+the reference the test suite holds the coatoms to.  The point test reads
+the generated L-subgroup's levels at the join-irreducibles as bitmasks and
+compares them with mu's, with no L-subset built per point.
 ``enumerate_l_subgroups`` walks all of L(mu) as level maps.  One level
 classifier places each level of eta inside mu's; the level profile and the
 sufficient pattern read it, and the profile pins down the single defect
@@ -32,7 +34,6 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable
 
 from .errors import InstanceTooLargeError, NotAnIsomorphismError
 from .errors import NotAnLSubgroupError, NotMaximalError
@@ -41,9 +42,8 @@ from .lsets import _down_sizes, _level_mask, _level_masks
 from .lsets import (
     LPoint,
     LSubset,
-    adjoin_point,
     contains,
-    generate,
+    generate,  # unused; bench/tests/test_bench.py::test_tracer_restores_every_binding reads it
     is_l_subgroup,
     is_l_subgroup_of,
     is_proper_l_subgroup,
@@ -249,20 +249,26 @@ def _definition_verdict(eta: LSubset, mu: LSubset, budget: int) -> MaximalityVer
     return MaximalityVerdict(False, "strictly_between", witness_between=theta)
 
 
-def _missing_points(eta: LSubset, mu: LSubset) -> Iterable[LPoint]:
-    lat = eta.lattice
-    for x in mu.group.elements:
-        cap = mu.value(x)
-        have = eta.value(x)
-        for a in lat.elements:
-            if lat.leq(a, cap) and not lat.leq(a, have):
-                yield LPoint(x, a)
-
-
 def _lpoint_verdict(eta: LSubset, mu: LSubset) -> MaximalityVerdict:
-    for point in _missing_points(eta, mu):
-        if generate(adjoin_point(eta, point)) != mu:
-            return MaximalityVerdict(False, "point_fails_to_generate", witness_point=point)
+    # at each join-irreducible j, <eta ∪ a_x> has the closure of theta_j, eta's
+    # level with x added when j ≤ a, or ∅ when theta_j is empty: j is
+    # join-prime, so j is under the tip exactly when it is under some value
+    group, lat = mu.group, mu.lattice
+    leq, table = lat._leq, _subgroup_table(group)
+    irreducibles, have = _level_masks(eta)
+    want = _level_masks(mu)[1]
+    closures = {0: 0}
+    for x, (cap, low) in enumerate(zip(mu.value_indices(), eta.value_indices())):
+        for a in range(len(lat)):
+            if not leq[a][cap] or leq[a][low]:
+                continue
+            for j, level, target in zip(irreducibles, have, want):
+                theta = level | 1 << x if leq[j][a] else level
+                if theta not in closures:
+                    closures[theta] = next(m for m in table if not theta & ~m)
+                if closures[theta] != target:
+                    point = LPoint(group.elements[x], lat.elements[a])
+                    return MaximalityVerdict(False, "point_fails_to_generate", witness_point=point)
     return MaximalityVerdict(True)
 
 
@@ -274,8 +280,10 @@ def is_maximal(
     ``definition`` looks for a coatom of L(mu) strictly above eta and
     returns the one of highest rank as ``witness_between`` (see
     ``_highest_coatom``), a containment-maximal member strictly between;
-    ``lpoint`` checks that every point of mu outside eta generates
-    mu when adjoined; ``both`` returns the definitional verdict, adding the
+    ``lpoint`` checks that every point of mu outside eta generates mu when
+    adjoined, comparing the generated levels at the join-irreducibles with
+    mu's and returning the first point that fails, in group order and then
+    lattice order; ``both`` returns the definitional verdict, adding the
     point witness to a negative one.  A candidate that is not a proper
     L-subgroup of mu is never maximal and is reported with reason
     ``not_proper``.

@@ -195,6 +195,15 @@ class TestBuiltins:
         with pytest.raises(UnknownBuiltinError):
             builtin_group("S5")
 
+    def test_one_shared_group_per_name(self):
+        assert builtin_group("D8") is builtin_group("D8")
+        assert builtin_group("C6") is not builtin_group("C12")
+
+    def test_unknown_name_raises_on_every_call(self):
+        for _ in range(3):
+            with pytest.raises(UnknownBuiltinError):
+                builtin_group("X9")
+
 
 class TestSubgroups:
     def test_closure_of_r2(self):

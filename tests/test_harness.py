@@ -64,6 +64,24 @@ class TestLatticeKinds:
         with pytest.raises(ValueError):
             make_lattice("moebius")
 
+    def test_chain_lengths_run_from_one_to_sixteen(self):
+        assert len(make_lattice("chain1")) == 1
+        assert len(make_lattice("chain16")) == 16
+        for kind in ("chain0", "chain17", "chain30"):
+            with pytest.raises(ValueError, match="unknown lattice kind"):
+                make_lattice(kind)
+
+
+class TestSharedCarriers:
+    def test_instances_reuse_the_group_and_its_subgroup_table(self):
+        spec = InstanceSpec(seed=3)
+        first = build_instance(spec, 0, override_lattice="chain4", override_group="D8")
+        all_subgroups(first.group)
+        second = build_instance(spec, 1, override_lattice="chain4", override_group="D8")
+        assert second.group is first.group is builtin_group("D8")
+        assert second.group._subgroups is first.group._subgroups is not None
+        assert second.lattice is first.lattice
+
 
 class TestGenerator:
     @settings(max_examples=25, deadline=None)

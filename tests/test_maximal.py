@@ -18,6 +18,7 @@ from lsubgroups import (
     NotAnLSubgroupError,
     NotMaximalError,
     TipRelation,
+    adjoin_point,
     build_instance,
     builtin_group,
     candidate_space_size,
@@ -27,10 +28,12 @@ from lsubgroups import (
     contains,
     enumerate_l_subgroups,
     frattini,
+    generate,
     identity_hom,
     inner_automorphism,
     is_maximal,
     is_non_generator,
+    is_proper_l_subgroup,
     l_subset,
     level_profile,
     make_lattice,
@@ -65,6 +68,23 @@ def brute_force_l_subgroups(mu):
                 LSubset(group, lat, tuple(lat.index(table[x]) for x in group.elements))
             )
     return found
+
+
+def lpoint_verdict_by_generate(eta, mu):
+    """Oracle for the point test: generate eta ∪ a_x for each missing point a_x.
+
+    Points run in group order, then lattice order, as in ``is_maximal``.
+    """
+    if not is_proper_l_subgroup(eta, mu):
+        return MaximalityVerdict(False, "not_proper")
+    lat = mu.lattice
+    for x in mu.group.elements:
+        for a in lat.elements:
+            if lat.leq(a, mu.value(x)) and not lat.leq(a, eta.value(x)):
+                point = LPoint(x, a)
+                if generate(adjoin_point(eta, point)) != mu:
+                    return MaximalityVerdict(False, "point_fails_to_generate", witness_point=point)
+    return MaximalityVerdict(True)
 
 
 def brute_force_maximals(mu):
@@ -480,6 +500,23 @@ class TestRandomInstances:
                     is_maximal(nu, inst.mu, "definition").maximal
                     == is_maximal(nu, inst.mu, "lpoint").maximal
                 )
+
+    def test_point_test_matches_generation_off_chains(self):
+        # every member of L(mu), over product and divisor lattices too, where
+        # trivial levels and levels at unattained join-irreducibles occur
+        checked = maximal = 0
+        for seed in range(60):
+            inst = build_instance(InstanceSpec(
+                seed=seed, lattice_kind="chain2-5|product2x2|product2x3|divisors12|divisors30"
+            ))
+            for nu in enumerate_l_subgroups(inst.mu):
+                expected = lpoint_verdict_by_generate(nu, inst.mu)
+                assert is_maximal(nu, inst.mu, "lpoint") == expected
+                both = is_maximal(nu, inst.mu, "both")
+                assert (both.maximal, both.witness_point) == (expected.maximal, expected.witness_point)
+                checked += 1
+                maximal += expected.maximal
+        assert checked > 1000 and maximal > 100
 
     def test_maximals_match_brute_force_on_small_instances(self):
         for seed in range(4):
