@@ -17,38 +17,22 @@ member of L(mu) other than mu lies below some coatom, so a_x is a
 non-generator exactly when it lies in every coatom, and the non-generator
 subgroup is the meet of all coatoms.  It is enough to quantify over L(mu)
 rather than over all L-subsets of mu: adjoining a point to eta and to the
-subgroup generated by eta produce the same generated subgroup.  The test
-suite checks the coatom form against a generate-based scan of L(mu), and
-the reduction to L(mu) against the raw definition on tiny instances.
+subgroup generated by eta produce the same generated subgroup.
+``maximal_avoiding`` reads the same cut builder, cutting at each j ≤ a
+with the subgroups of mu_j maximal among those that hold theta_j and miss
+x.  The test suite checks both against scans of L(mu), and the reduction
+to L(mu) against the raw definition on tiny instances.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import (
-    HypothesisNotMetError,
-    LPointNotInParentError,
-    NotNormalInGroupError,
-    NotAnIsomorphismError,
-)
-from .groups import GroupHom, frattini_classical
-from .lsets import (
-    LPoint,
-    LSubset,
-    contains,
-    intersection_of,
-    is_normal_in,
-    is_normal_in_group,
-    point_in,
-    pushforward,
-)
-from .maximal import (
-    DEFAULT_BUDGET,
-    _coatoms,
-    _highest_coatom,
-    enumerate_l_subgroups,
-    maximal_l_subgroups,
-)
+from .errors import HypothesisNotMetError, LPointNotInParentError
+from .errors import NotAnIsomorphismError, NotNormalInGroupError
+from .groups import GroupHom, _subgroup_table, frattini_classical
+from .lsets import LPoint, LSubset, _level_masks, contains, intersection_of
+from .lsets import is_normal_in, is_normal_in_group, point_in, pushforward
+from .maximal import DEFAULT_BUDGET, _coatoms, _highest_coatom, _maximal_cuts, maximal_l_subgroups
 
 
 @dataclass(frozen=True)
@@ -245,22 +229,34 @@ def frattini_image_inclusion(f: GroupHom, mu: LSubset, budget: int = DEFAULT_BUD
 def maximal_avoiding(
     mu: LSubset, theta: LSubset, point: LPoint, budget: int = DEFAULT_BUDGET
 ) -> tuple[LSubset, ...]:
-    """Largest members of L(mu) containing theta and missing the point.
+    """Largest members of L(mu) containing theta and missing the point, in canonical order.
 
-    Finite exhaustion over the enumeration of L(mu); the result is never
-    empty, because theta itself qualifies.
+    Such a member nu has x outside nu_j for some join-irreducible j ≤ a,
+    and nu_j inside some K maximal among the subgroups (or ∅) of mu_j that
+    hold theta_j and miss x, so nu lies under the level cut theta^{j,K}:
+    the answer is the cuts under no other cut (``maximal._maximal_cuts``
+    sets the budget's unit and refuses a parent that is not an
+    L-subgroup).  Never empty when theta ∈ L(mu); empty when theta is not
+    below mu or the point lies in the L-subgroup theta generates.
     """
     if not point_in(point, mu):
         raise LPointNotInParentError(f"{point} is not a point of the parent")
     if point_in(point, theta):
         raise LPointNotInParentError(f"{point} already lies inside theta")
-    candidates = [
-        nu
-        for nu in enumerate_l_subgroups(mu, budget=budget)
-        if contains(nu, theta) and not point_in(point, nu)
-    ]
-    return tuple(
-        nu
-        for nu in candidates
-        if not any(other != nu and contains(other, nu) for other in candidates)
-    )
+    x, a = mu.group.index(point.point), mu.lattice.index(point.height)
+    below, leq, table = contains(mu, theta), mu.lattice._leq, _subgroup_table(mu.group)
+    seeds = dict(zip(*_level_masks(theta)))
+
+    def pick(j: int, level: int) -> list[int]:
+        if not (below and leq[j][a]):
+            return []
+        # largest first: a qualifying subgroup under a larger qualifying one
+        # lies under a maximal one, met earlier; ∅ comes last and qualifies
+        # only when no subgroup does (x = e and theta_j empty)
+        tops: list[int] = []
+        for h in (*reversed(table), 0):
+            if not seeds[j] & ~h and not h & ~level and not h >> x & 1 and all(h & ~t for t in tops):
+                tops.append(h)
+        return tops
+
+    return _maximal_cuts(mu, budget, pick)

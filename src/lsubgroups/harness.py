@@ -10,6 +10,7 @@ non-theorems are counterexample searches.  Same seed, same report.
 from __future__ import annotations
 
 import random
+import re
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Callable, Iterable
@@ -100,31 +101,24 @@ def make_lattice(kind: str) -> FiniteLattice:
 
     One shared, validated lattice per kind.  Chains have 1 to 16 elements.
     """
-    if kind.startswith("chain"):
-        n = int(kind[5:])
-        if not 1 <= n <= len(_CHAIN_MIDS) + 2:
+    # each size is a positive decimal with no leading zero
+    match = re.fullmatch(r"(chain|divisors)([1-9][0-9]*)|product([1-9][0-9]*)x([1-9][0-9]*)", kind)
+    if match is None:
+        raise ValueError(f"unknown lattice kind {kind!r}")
+    shape, size, m, n = match.groups()
+    if shape == "chain":
+        if int(size) > len(_CHAIN_MIDS) + 2:
             raise ValueError(f"unknown lattice kind {kind!r}: a chain has 1 to 16 elements")
-        if n == 1:
-            return chain_lattice(["0"])
-        return chain_lattice(["0", *_CHAIN_MIDS[: n - 2], "1"])
-    if kind.startswith("product"):
-        m, n = (int(part) for part in kind[7:].split("x"))
-        names = [f"({i},{j})" for i in range(m) for j in range(n)]
-        pairs = []
-        for i in range(m):
-            for j in range(n):
-                if i + 1 < m:
-                    pairs.append((f"({i},{j})", f"({i + 1},{j})"))
-                if j + 1 < n:
-                    pairs.append((f"({i},{j})", f"({i},{j + 1})"))
-        return validate_lattice(names, pairs)
-    if kind.startswith("divisors"):
-        n = int(kind[8:])
-        divs = [d for d in range(1, n + 1) if n % d == 0]
-        names = [str(d) for d in divs]
+        return chain_lattice(["0"] if size == "1" else ["0", *_CHAIN_MIDS[: int(size) - 2], "1"])
+    if shape == "divisors":
+        divs = [d for d in range(1, int(size) + 1) if int(size) % d == 0]
         pairs = [(str(d), str(e)) for d in divs for e in divs if d != e and e % d == 0]
-        return validate_lattice(names, pairs)
-    raise ValueError(f"unknown lattice kind {kind!r}")
+        return validate_lattice([str(d) for d in divs], pairs)
+    m, n = int(m), int(n)
+    names = [f"({i},{j})" for i in range(m) for j in range(n)]
+    pairs = [(f"({i},{j})", f"({i + 1},{j})") for i in range(m - 1) for j in range(n)]
+    pairs += [(f"({i},{j})", f"({i},{j + 1})") for i in range(m) for j in range(n - 1)]
+    return validate_lattice(names, pairs)
 
 
 def _resolve(rng: random.Random, kinds: str) -> str:

@@ -15,7 +15,9 @@ at every i ≥ j.  Each cut is antitone and proper, and every proper member
 eta lies under one: take j minimal where eta differs from mu and M ⊇ eta_j.
 So the coatoms are the cuts under no other cut.  They are found once per
 parent and cached; the maximal L-subgroups are the non-constant ones, and
-the Frattini module reads them too.
+the Frattini module reads them too.  With M ranging over the subgroups of
+mu_j maximal among those that hold theta_j and miss x, for each j ≤ a, the
+same builder gives ``frattini.maximal_avoiding``.
 
 Two independent maximality tests are provided: the definitional one (is
 there a coatom strictly above eta?), which the preconditions of
@@ -153,23 +155,23 @@ def _enumeration(mu: LSubset, budget: int) -> tuple[LSubset, ...]:
     return tuple(found)
 
 
-@lru_cache(maxsize=64)
-def _coatoms(mu: LSubset, budget: int) -> tuple[LSubset, ...]:
-    """Members of L(mu) other than mu with nothing strictly between them and mu.
+def _maximal_cuts(mu: LSubset, budget: int, pick) -> tuple[LSubset, ...]:
+    """The level cuts of mu that lie under no other cut, in canonical order.
 
-    Constants are kept.  Built from the level cuts theta^{j,M} of the module
-    docstring, each packed into one integer with |G| bits per
-    join-irreducible, so containment is one mask test; the coatoms are the
-    cuts under no other cut, in canonical order.  The budget counts units of
-    work: one per cut built and one per ordered pair of cuts the filter may
-    compare, n + n² for n cuts, charged before comparing.  Raises
+    ``pick(j, level)`` gives the masks M to cut with at the join-irreducible
+    j, where mu's level is the non-empty mask ``level``; the cut theta^{j,M}
+    of the module docstring meets every level at or above j with M.  Each
+    cut is packed into one integer with |G| bits per join-irreducible, so
+    containment is one mask test.  The budget counts units of work: one per
+    cut built and one per ordered pair of cuts the filter may compare,
+    n + n² for n cuts, charged before comparing.  Raises
     NotAnLSubgroupError when mu is not an L-subgroup (some level at a
     join-irreducible is neither empty nor a subgroup),
     NonDistributiveLatticeError over a non-distributive lattice and
     InstanceTooLargeError when the work exceeds ``budget``.
     """
     if not is_l_subgroup(mu):
-        raise NotAnLSubgroupError("the coatoms of L(mu) require mu to be an L-subgroup")
+        raise NotAnLSubgroupError("level cuts of mu require mu to be an L-subgroup")
     group, lat = mu.group, mu.lattice
     irreducibles, levels = _level_masks(mu)
     leq, join, bottom = lat._leq, lat._join, lat.index(lat.bottom)
@@ -181,12 +183,11 @@ def _coatoms(mu: LSubset, budget: int) -> tuple[LSubset, ...]:
             continue
         spread = sum(1 << k * n for k, i in enumerate(irreducibles) if leq[j][i])
         kept = packed & ~(((1 << n) - 1) * spread)
-        # only the trivial subgroup has no maximal subgroup; ∅ covers it
-        cuts.extend(kept | packed & m * spread for m in _lower_covers(group, level) or (0,))
+        cuts.extend(kept | packed & m * spread for m in pick(j, level))
     work = len(cuts) * (len(cuts) + 1)
     if work > budget:
         raise InstanceTooLargeError(work, budget, (
-            f"coatoms of L(mu) need {work} units of work ({len(cuts)} level cuts and the "
+            f"the level cuts of mu need {work} units of work ({len(cuts)} level cuts and the "
             f"ordered pairs among them), over the budget of {budget}"
         ))
     found: list[LSubset] = []
@@ -201,6 +202,16 @@ def _coatoms(mu: LSubset, budget: int) -> tuple[LSubset, ...]:
         found.append(LSubset(group, lat, tuple(vals)))
     found.sort(key=lambda s: s.value_indices())
     return tuple(found)
+
+
+@lru_cache(maxsize=64)
+def _coatoms(mu: LSubset, budget: int) -> tuple[LSubset, ...]:
+    """Members of L(mu) other than mu with nothing strictly between them and mu.
+
+    Constants are kept.  The cuts with M a lower cover of mu_j; only the
+    trivial subgroup has no maximal subgroup, and ∅ covers it.
+    """
+    return _maximal_cuts(mu, budget, lambda j, level: _lower_covers(mu.group, level) or (0,))
 
 
 def _highest_coatom(mu: LSubset, budget: int, keep) -> LSubset | None:

@@ -1,4 +1,5 @@
 """Frattini L-subgroups, non-generators, level comparisons, normality."""
+import random
 from dataclasses import replace
 from itertools import product as cartesian
 
@@ -8,9 +9,11 @@ from lsubgroups import (
     DEFAULT_BUDGET,
     HypothesisNotMetError,
     InstanceSpec,
+    InstanceTooLargeError,
     LPoint,
     LSubset,
     MaximalityVerdict,
+    NotAnLSubgroupError,
     NotNormalInGroupError,
     adjoin_point,
     build_instance,
@@ -30,19 +33,25 @@ from lsubgroups import (
     generate,
     identity_hom,
     inner_automorphism,
+    is_l_subgroup,
+    is_l_subgroup_of,
     is_maximal,
     is_non_generator,
     l_subset,
+    make_lattice,
     maximal_avoiding,
     non_generator_points,
     non_generator_subgroup,
     nongenerators_conjugation_closed,
     point_in,
+    random_l_subset_below,
     validate_hom,
     validate_lattice,
 )
 from lsubgroups.errors import LPointNotInParentError
 from lsubgroups.maximal import _coatoms
+
+from conftest import elementary_abelian
 
 
 def raw_l_subsets_below(mu):
@@ -74,6 +83,21 @@ def constant_obstructed_by_pairwise_scan(mu):
         if blocked:
             return True
     return False
+
+
+def maximal_avoiding_by_enumeration(mu, theta, point):
+    """Oracle: the members of L(mu) that contain theta and miss the point,
+    kept when no other such member lies above them, in canonical order."""
+    candidates = [
+        nu
+        for nu in enumerate_l_subgroups(mu)
+        if contains(nu, theta) and not point_in(point, nu)
+    ]
+    return tuple(
+        nu
+        for nu in candidates
+        if not any(other != nu and contains(other, nu) for other in candidates)
+    )
 
 
 def rank(s):
@@ -422,23 +446,84 @@ class TestMaximalAvoiding:
             assert contains(nu, theta)
             assert not point_in(point, nu)
 
-    def test_results_are_maximal_in_the_filtered_family(self, d8_case):
-        from lsubgroups import enumerate_l_subgroups
-
-        theta = d8_case["eta1"]
-        point = LPoint("r2", "c")
-        tops = maximal_avoiding(d8_case["mu"], theta, point)
-        family = [
-            nu
-            for nu in enumerate_l_subgroups(d8_case["mu"])
-            if contains(nu, theta) and not point_in(point, nu)
-        ]
-        for top in tops:
-            assert not any(other != top and contains(other, top) for other in family)
-
     def test_point_already_inside_is_rejected(self, d8_case):
         with pytest.raises(LPointNotInParentError):
             maximal_avoiding(d8_case["mu"], d8_case["mu"], LPoint("e", "1"))
+
+    def test_parent_that_is_not_an_l_subgroup(self):
+        # the enumeration route accepted this parent (L(mu) holds only the
+        # constant 0); the level cuts refuse it, as the coatoms do
+        lat = chain_lattice(["0", "1"])
+        c2 = builtin_group("C2")
+        mu = l_subset(c2, lat, {"e": "0", "g": "1"})
+        with pytest.raises(NotAnLSubgroupError, match="require mu to be an L-subgroup"):
+            maximal_avoiding(mu, constant(c2, lat, "0"), LPoint("g", "1"))
+
+    def test_budget_counts_cuts_and_the_pairs_among_them(self, d8_case):
+        # r2 at height b: at a the four subgroups {e, s}, {e, sr2}, {e, sr},
+        # {e, sr3} of D8 miss r2, at b two of them inside the Klein subgroup:
+        # 6 cuts and 36 ordered pairs, 42 units; the two cuts at b are the tops
+        mu, theta = d8_case["mu"], constant(d8_case["group"], d8_case["lattice"], "0")
+        point = LPoint("r2", "b")
+        with pytest.raises(InstanceTooLargeError, match=r"need 42 units of work \(6 level cuts"):
+            maximal_avoiding(mu, theta, point, budget=41)
+        assert len(maximal_avoiding(mu, theta, point, budget=42)) == 2
+
+    def test_constant_top_of_c2_5_over_divisors30(self):
+        # |L(mu)| = 375^3, so no walk of L(mu) fits the default budget; each
+        # atom j of the lattice cuts the group to one of the 16 hyperplanes of
+        # C2^5 that miss x, and these 48 cuts are pairwise incomparable
+        group, lat = elementary_abelian(5), make_lattice("divisors30")
+        mu, theta = constant(group, lat, "30"), constant(group, lat, "1")
+        x = group.elements[1]
+        tops = maximal_avoiding(mu, theta, LPoint(x, "30"))
+        assert len(tops) == 48
+        cut_at = {"2": 0, "3": 0, "5": 0}
+        for nu in tops:
+            assert is_l_subgroup_of(nu, mu) and not point_in(LPoint(x, "30"), nu)
+            cut = [j for j in cut_at if nu.level(j) != set(group.elements)]
+            assert len(cut) == 1 and len(nu.level(cut[0])) == 16 and x not in nu.level(cut[0])
+            cut_at[cut[0]] += 1
+        assert cut_at == {"2": 16, "3": 16, "5": 16}
+
+
+class TestMaximalAvoidingMatchesTheEnumeration:
+    """The level cuts of ``maximal_avoiding`` against a filter of the whole
+    of L(mu), in the same canonical order, for every missing point of three
+    kinds of theta: a member of L(mu), a raw L-subset under mu that is not
+    an L-subgroup, and an L-subset that is not below mu."""
+
+    @pytest.mark.parametrize(
+        "kind", ["chain2-6", "product2x2", "product2x3", "divisors12", "divisors30"]
+    )
+    def test_seeded_triples(self, kind):
+        spec = InstanceSpec(5, lattice_kind=kind)
+        rng = random.Random(f"avoiding:{kind}")
+        seen = {"member": 0, "raw": 0, "raw, point in <theta>": 0, "not below": 0}
+        for trial in range(60):
+            mu = build_instance(spec, trial).mu
+            group, lat = mu.group, mu.lattice
+            thetas = {"member": rng.choice(enumerate_l_subgroups(mu))}
+            raw = random_l_subset_below(rng, mu)
+            if not is_l_subgroup(raw):
+                thetas["raw"] = raw
+            wild = LSubset(group, lat, tuple(rng.randrange(len(lat)) for _ in group.elements))
+            if not contains(mu, wild):
+                thetas["not below"] = wild
+            for label, theta in thetas.items():
+                spanned = generate(theta)
+                for x in group.elements:
+                    for a in lat.down_set(mu.value(x)):
+                        point = LPoint(x, a)
+                        if point_in(point, theta):
+                            continue
+                        tops = maximal_avoiding(mu, theta, point)
+                        assert tops == maximal_avoiding_by_enumeration(mu, theta, point)
+                        below = label != "not below"
+                        assert bool(tops) == (below and not point_in(point, spanned))
+                        seen[label] += 1
+                        seen["raw, point in <theta>"] += label == "raw" and not tops
+        assert all(seen.values()), seen
 
 
 def test_non_generator_points_cover_all_heights(d8_case):

@@ -61,8 +61,17 @@ class TestLatticeKinds:
         assert lat.meet("4", "6") == "2"
 
     def test_unknown_kind(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="unknown lattice kind"):
             make_lattice("moebius")
+
+    @pytest.mark.parametrize("kind", [
+        "chainx", "productx", "divisors", "product2", "product2x3x4",
+        "product0x3", "divisors0", "divisors-4", "chain 3", "chain03",
+    ])
+    def test_malformed_kind(self, kind):
+        # sizes are positive decimals without leading zeros or spaces
+        with pytest.raises(ValueError, match="unknown lattice kind"):
+            make_lattice(kind)
 
     def test_chain_lengths_run_from_one_to_sixteen(self):
         assert len(make_lattice("chain1")) == 1
