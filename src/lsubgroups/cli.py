@@ -190,7 +190,7 @@ def _cmd_maximals(ws: Workspace, args) -> int:
             "tip_relation": tip_relation(m, mu).value,
             "defect_level": profile.unique_defect_level,
             "levels": {a: rel.value for a, rel in profile.witness_levels},
-            "verdict": is_maximal(m, mu, strategy="both", budget=args.budget).maximal,
+            "verdict": is_maximal(m, mu, budget=args.budget).maximal,
         }
         payload["maximals"].append(entry)
         lines.append(_value_table(f"[{i}] tip_relation={entry['tip_relation']} defect={entry['defect_level']}", m))

@@ -103,8 +103,6 @@ def is_non_generator(
     """
     if not point_in(point, mu):
         raise LPointNotInParentError(f"{point} is not a point of the parent")
-    if point.height == mu.lattice.bottom:
-        return True, None  # adjoining a bottom point changes nothing
     witness = _highest_coatom(mu, budget, lambda c: not point_in(point, c))
     return witness is None, witness
 

@@ -13,7 +13,7 @@ import random
 import re
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Callable, Iterable
+from typing import Callable
 
 from .errors import SearchExhaustedError
 from .frattini import (
@@ -63,6 +63,7 @@ from .lsets import (
 )
 from .maximal import (
     LevelRelation,
+    _lpoint_verdict,
     candidate_space_size,
     enumerate_l_subgroups,
     is_maximal,
@@ -75,6 +76,7 @@ from .maximal import (
 )
 
 _CHAIN_MIDS = "abcdefghijklmn"
+_CHAIN_RANGE = re.compile(r"chain([1-9][0-9]*)-([1-9][0-9]*)")
 
 
 @dataclass(frozen=True)
@@ -86,13 +88,23 @@ class InstanceSpec:
     these joined with ``|`` to be drawn from.  ``group_kind`` is a builtin
     group name, or names joined with ``|``.  ``subgroup_density`` in [0, 1]
     controls how many links the generating subgroup chains keep; at zero
-    both members of the pair degenerate to constants.
+    both members of the pair degenerate to constants.  A bad alternative
+    of either kind is refused when the spec is made, whatever the seed.
     """
 
     seed: int
     lattice_kind: str = "chain2-6"
     group_kind: str = "Q8|D8|C6|V4"
     subgroup_density: float = 0.6
+
+    def __post_init__(self) -> None:
+        for kind in self.lattice_kind.split("|"):
+            bounds = _CHAIN_RANGE.fullmatch(kind)
+            if bounds and int(bounds[1]) > int(bounds[2]):
+                raise ValueError(f"unknown lattice kind {kind!r}: the range is empty")
+            make_lattice(f"chain{bounds[2]}" if bounds else kind)
+        for name in self.group_kind.split("|"):
+            builtin_group(name)
 
 
 @lru_cache(maxsize=64)
@@ -123,10 +135,8 @@ def make_lattice(kind: str) -> FiniteLattice:
 
 def _resolve(rng: random.Random, kinds: str) -> str:
     kind = rng.choice(kinds.split("|"))
-    if kind.startswith("chain") and "-" in kind:
-        lo, hi = (int(part) for part in kind[5:].split("-"))
-        return f"chain{rng.randint(lo, hi)}"
-    return kind
+    bounds = _CHAIN_RANGE.fullmatch(kind)
+    return f"chain{rng.randint(int(bounds[1]), int(bounds[2]))}" if bounds else kind
 
 
 def _chain_valued_l_subgroup(
@@ -453,9 +463,14 @@ def prop_maximality_strategies_agree(inst: Instance):
         rng = random.Random(f"{inst.spec.seed}:{inst.trial}:agree")
         pool = tuple(rng.sample(pool, 60)) + maximal_l_subgroups(inst.mu) + (inst.eta,)
     for nu in pool:
-        by_def = is_maximal(nu, inst.mu, "definition")
-        by_pt = is_maximal(nu, inst.mu, "lpoint")
-        if by_def.maximal != by_pt.maximal:
+        verdict = is_maximal(nu, inst.mu)
+        if verdict.reason == "not_proper":
+            continue
+        if verdict.maximal:
+            by_point = _lpoint_verdict(nu, inst.mu).maximal
+        else:  # a negative verdict already holds the point route's answer
+            by_point = verdict.witness_point is None
+        if verdict.maximal != by_point:
             _fail(candidate=nu.values(), reason="strategies disagree")
 
 
@@ -479,7 +494,7 @@ def prop_sufficient_condition_sound(inst: Instance):
         pool = tuple(rng.sample(pool, 60)) + maximal_l_subgroups(inst.mu)
     for nu in pool:
         if sufficient_maximal_check(nu, inst.mu):
-            if not is_maximal(nu, inst.mu, "definition").maximal:
+            if not is_maximal(nu, inst.mu).maximal:
                 _fail(candidate=nu.values(), reason="pattern held but candidate is not maximal")
 
 
@@ -818,25 +833,22 @@ def _single_defect_pattern_over_images(eta: LSubset, mu: LSubset) -> bool:
     ]
 
 
-def search_converse_counterexample(
-    candidates: Iterable[tuple[LSubset, LSubset]] = (), seeds: Iterable[int] = range(8)
-) -> ConverseCounterexample:
+def search_converse_counterexample() -> ConverseCounterexample:
     """Find a pair whose level pattern matches yet maximality fails.
 
-    The reference Q8 pair is seeded into the search, so the search always
+    The pool is the reference Q8 pair, swept first, and then the instances
+    of seeds 0-7 over chains of 4 or 5 elements, so the search always
     succeeds; SearchExhaustedError is treated as a failure of the suite.
     """
-    pool: list[tuple[LSubset, LSubset]] = [reference_nonmaximal_pair()]
-    pool.extend(candidates)
-    for seed in seeds:
-        mu, eta = random_l_subgroup(InstanceSpec(seed=seed, lattice_kind="chain4-5"))
-        pool.append((mu, eta))
+    pool = [reference_nonmaximal_pair()]
+    for seed in range(8):
+        pool.append(random_l_subgroup(InstanceSpec(seed=seed, lattice_kind="chain4-5")))
     for mu, eta in pool:
         if not is_proper_l_subgroup(eta, mu):
             continue
         if not _single_defect_pattern_over_images(eta, mu):
             continue
-        verdict = is_maximal(eta, mu, strategy="definition")
+        verdict = is_maximal(eta, mu)
         if not verdict.maximal:
             return ConverseCounterexample(
                 mu, eta, verdict.witness_between, level_profile(eta, mu).unique_defect_level

@@ -427,19 +427,20 @@ def generate(eta: LSubset) -> LSubset:
     return LSubset(group, lat, tuple(vals))
 
 
-def generate_oracle(
-    eta: LSubset, max_group_order: int = 8, max_lattice_size: int = 6
-) -> LSubset:
+_ORACLE_MAX_ORDER, _ORACLE_MAX_LEVELS = 8, 6
+
+
+def generate_oracle(eta: LSubset) -> LSubset:
     """Independent route to the generated L-subgroup, by exhaustion.
 
     Enumerates every L-subgroup of the group that contains eta and meets
-    them pointwise.  Guarded by instance-size limits because the candidate
-    space is the full product of up-sets.
+    them pointwise.  Refuses more than 8 elements or 6 levels, because the
+    candidate space is the full product of up-sets.
     """
     group, lat = eta.group, eta.lattice
-    if len(group) > max_group_order or len(lat) > max_lattice_size:
+    if len(group) > _ORACLE_MAX_ORDER or len(lat) > _ORACLE_MAX_LEVELS:
         raise InstanceTooLargeError(
-            f"{len(group)} elements x {len(lat)} levels", f"{max_group_order} x {max_lattice_size}"
+            f"{len(group)} elements x {len(lat)} levels", f"{_ORACLE_MAX_ORDER} x {_ORACLE_MAX_LEVELS}"
         )
     meet = lat._meet
     acc = [lat.index(lat.top)] * len(group)

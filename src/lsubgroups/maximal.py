@@ -19,13 +19,13 @@ the Frattini module reads them too.  With M ranging over the subgroups of
 mu_j maximal among those that hold theta_j and miss x, for each j ≤ a, the
 same builder gives ``frattini.maximal_avoiding``.
 
-Two independent maximality tests are provided: the definitional one (is
-there a coatom strictly above eta?), which the preconditions of
-``tip_relation`` and the transports read, and the lattice-point test (eta
-is maximal iff adjoining any missing point generates all of mu), kept as
-the reference the test suite holds the coatoms to.  The point test reads
-the generated L-subgroup's levels at the join-irreducibles as bitmasks and
-compares them with mu's, with no L-subset built per point.
+``is_maximal`` answers by the definition: eta is maximal exactly when no
+coatom is strictly above it.  A no also names a point of mu outside eta
+that fails to generate mu when adjoined, from the lattice-point test (eta
+is maximal iff adjoining any missing point generates mu), which
+``_lpoint_verdict`` keeps as the reference the tests hold the coatoms to.
+It compares the generated levels at the join-irreducibles, as bitmasks,
+with mu's, and builds no L-subset per point.
 ``enumerate_l_subgroups`` walks all of L(mu) as level maps.  One level
 classifier places each level of eta inside mu's; the level profile and the
 sufficient pattern read it, and the profile pins down the single defect
@@ -230,40 +230,27 @@ def _highest_coatom(mu: LSubset, budget: int, keep) -> LSubset | None:
     )
 
 
-def enumerate_l_subgroups(
-    mu: LSubset, only_proper: bool = False, budget: int = DEFAULT_BUDGET
-) -> tuple[LSubset, ...]:
+def enumerate_l_subgroups(mu: LSubset, budget: int = DEFAULT_BUDGET) -> tuple[LSubset, ...]:
     """All L-subgroups sitting below mu pointwise, in canonical order.
 
     Found as level maps (see the module docstring); mu need not be an
     L-subgroup.  Canonical order is lexicographic on the value tuple (group
-    element order, lattice index order).  ``only_proper`` drops the
-    constants and mu itself.  The budget counts units of work, here one per
-    partial level map the walk visits.  Raises NonDistributiveLatticeError
-    over a non-distributive lattice and InstanceTooLargeError once the walk
-    has visited more than ``budget`` partial level maps.
+    element order, lattice index order).  The budget counts units of work,
+    here one per partial level map the walk visits.  Raises
+    NonDistributiveLatticeError over a non-distributive lattice and
+    InstanceTooLargeError once the walk has visited more than ``budget``
+    partial level maps.
     """
-    everything = _enumeration(mu, budget)
-    if not only_proper:
-        return everything
-    return tuple(s for s in everything if not s.is_constant() and s != mu)
+    return _enumeration(mu, budget)
 
 
-# ---------------------------------------------------------------- strategies
-
-def _definition_verdict(eta: LSubset, mu: LSubset, budget: int) -> MaximalityVerdict:
-    # every member strictly between eta and mu lies under a coatom strictly
-    # above eta, so eta is maximal exactly when there is no such coatom
-    theta = _highest_coatom(mu, budget, lambda c: c != eta and contains(c, eta))
-    if theta is None:
-        return MaximalityVerdict(True)
-    return MaximalityVerdict(False, "strictly_between", witness_between=theta)
-
+# --------------------------------------------------------------- maximality
 
 def _lpoint_verdict(eta: LSubset, mu: LSubset) -> MaximalityVerdict:
-    # at each join-irreducible j, <eta ∪ a_x> has the closure of theta_j, eta's
-    # level with x added when j ≤ a, or ∅ when theta_j is empty: j is
-    # join-prime, so j is under the tip exactly when it is under some value
+    # eta is a proper member of L(mu).  At each join-irreducible j,
+    # <eta ∪ a_x> has the closure of theta_j, eta's level with x added when
+    # j ≤ a, or ∅ when theta_j is empty: j is join-prime, so j is under the
+    # tip exactly when it is under some value
     group, lat = mu.group, mu.lattice
     leq, table = lat._leq, _subgroup_table(group)
     irreducibles, have = _level_masks(eta)
@@ -283,40 +270,27 @@ def _lpoint_verdict(eta: LSubset, mu: LSubset) -> MaximalityVerdict:
     return MaximalityVerdict(True)
 
 
-def is_maximal(
-    eta: LSubset, mu: LSubset, strategy: str = "both", budget: int = DEFAULT_BUDGET
-) -> MaximalityVerdict:
+def is_maximal(eta: LSubset, mu: LSubset, *, budget: int = DEFAULT_BUDGET) -> MaximalityVerdict:
     """Test whether eta is a maximal L-subgroup of mu.
 
-    ``definition`` looks for a coatom of L(mu) strictly above eta and
+    Looks for a coatom of L(mu) strictly above eta and, when there is one,
     returns the one of highest rank as ``witness_between`` (see
-    ``_highest_coatom``), a containment-maximal member strictly between;
-    ``lpoint`` checks that every point of mu outside eta generates mu when
-    adjoined, comparing the generated levels at the join-irreducibles with
-    mu's and returning the first point that fails, in group order and then
-    lattice order; ``both`` returns the definitional verdict, adding the
-    point witness to a negative one.  A candidate that is not a proper
-    L-subgroup of mu is never maximal and is reported with reason
-    ``not_proper``.
+    ``_highest_coatom``), a containment-maximal member strictly between.
+    A negative verdict also carries ``witness_point``: the first point of mu
+    outside eta, in group order and then lattice order, whose adjunction
+    fails to generate mu (see ``_lpoint_verdict``).  A candidate that is
+    not a proper L-subgroup of mu is never maximal and is reported with
+    reason ``not_proper``.
     """
-    if strategy not in ("definition", "lpoint", "both"):
-        raise ValueError(f"unknown strategy {strategy!r}")
     if not is_proper_l_subgroup(eta, mu):
         return MaximalityVerdict(False, "not_proper")
-    if strategy == "definition":
-        return _definition_verdict(eta, mu, budget)
-    if strategy == "lpoint":
-        return _lpoint_verdict(eta, mu)
-    by_definition = _definition_verdict(eta, mu, budget)
-    if by_definition.maximal:
-        return by_definition
-    by_point = _lpoint_verdict(eta, mu)
-    return MaximalityVerdict(
-        False,
-        by_definition.reason,
-        witness_between=by_definition.witness_between,
-        witness_point=by_point.witness_point,
-    )
+    # every member strictly between eta and mu lies under a coatom strictly
+    # above eta, so eta is maximal exactly when there is no such coatom
+    theta = _highest_coatom(mu, budget, lambda c: c != eta and contains(c, eta))
+    if theta is None:
+        return MaximalityVerdict(True)
+    point = _lpoint_verdict(eta, mu).witness_point
+    return MaximalityVerdict(False, "strictly_between", witness_between=theta, witness_point=point)
 
 
 def maximal_l_subgroups(mu: LSubset, budget: int = DEFAULT_BUDGET) -> tuple[LSubset, ...]:
@@ -339,7 +313,7 @@ def tip_relation(eta: LSubset, mu: LSubset) -> TipRelation:
     read from the coatoms of L(mu) at ``DEFAULT_BUDGET``.  Raises
     NotMaximalError when eta is not maximal in mu.
     """
-    if not is_maximal(eta, mu, strategy="definition"):
+    if not is_maximal(eta, mu):
         raise NotMaximalError("tip relation is defined for maximal L-subgroups")
     lat = mu.lattice
     e = mu.group.identity
@@ -406,10 +380,10 @@ def _transport(
     # move is pushforward or pullback; both keep maximality along a bijection
     if not f.bijective:
         raise NotAnIsomorphismError("transport requires a bijective homomorphism")
-    if not is_maximal(eta, mu, strategy="definition", budget=budget):
+    if not is_maximal(eta, mu, budget=budget):
         raise NotMaximalError("transport requires a maximal L-subgroup")
     moved = move(f, eta)
-    return moved, is_maximal(moved, move(f, mu), strategy="both", budget=budget)
+    return moved, is_maximal(moved, move(f, mu), budget=budget)
 
 
 def transport_maximal(

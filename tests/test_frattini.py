@@ -195,6 +195,16 @@ class TestNonGenerators:
         with pytest.raises(LPointNotInParentError):
             is_non_generator(LPoint("r", "c"), d8_case["mu"])
 
+    def test_parent_must_be_an_l_subgroup_at_every_height(self, d8_case):
+        # the level at 1 is {e, r}, not a subgroup: a bottom point is refused
+        # like any other, as frattini and non_generator_points refuse the parent
+        bad = l_subset(d8_case["group"], chain_lattice(["0", "a", "1"]), {
+            "e": "1", "r": "1", "r2": "0", "r3": "0", "s": "0", "sr": "0", "sr2": "0", "sr3": "0",
+        })
+        for height in ("0", "a"):
+            with pytest.raises(NotAnLSubgroupError):
+                is_non_generator(LPoint("r", height), bad)
+
     def test_lambda_values(self, d8_case):
         lam = non_generator_subgroup(d8_case["mu"])
         assert lam.value("r2") == "b"
@@ -252,9 +262,11 @@ class TestCoatomsMatchTheReferenceSearch:
                     assert (point in points) == ok
                     if not ok:
                         assert witness == next(c for c in coatoms if not point_in(point, c))
-            for eta in enumerate_l_subgroups(mu, only_proper=True):
+            for eta in enumerate_l_subgroups(mu):
+                if eta.is_constant() or eta == mu:
+                    continue
                 expected = definition_verdict_by_scan(eta, mu, scan)
-                verdict = is_maximal(eta, mu, "both")
+                verdict = is_maximal(eta, mu)
                 assert verdict == replace(expected, witness_point=verdict.witness_point)
                 assert (verdict.witness_point is None) == verdict.maximal
             assert constant_obstructed(mu) == constant_obstructed_by_pairwise_scan(mu)

@@ -27,6 +27,7 @@ from lsubgroups import (
     search_converse_counterexample,
     subgroup_closure,
 )
+from lsubgroups import UnknownBuiltinError
 from lsubgroups import are_jointly_supstar, enumerate_l_subgroups, is_maximal, is_proper_l_subgroup
 from lsubgroups import level_profile
 from lsubgroups.groups import all_subgroups
@@ -72,6 +73,24 @@ class TestLatticeKinds:
         # sizes are positive decimals without leading zeros or spaces
         with pytest.raises(ValueError, match="unknown lattice kind"):
             make_lattice(kind)
+        with pytest.raises(ValueError, match="unknown lattice kind"):
+            InstanceSpec(0, lattice_kind=kind)
+
+    @pytest.mark.parametrize("lattice_kind, group_kind, error, message", [
+        ("chain2-6", "C0|D8", UnknownBuiltinError, "unknown builtin group 'C0'"),
+        ("chain2-6", "X9|V4", UnknownBuiltinError, "unknown builtin group 'X9'"),
+        ("chain0-4", "Q8", ValueError, "unknown lattice kind 'chain0-4'"),
+        ("chain3-2", "Q8", ValueError, "unknown lattice kind 'chain3-2'"),
+        ("chain2-x", "Q8", ValueError, "unknown lattice kind 'chain2-x'"),
+        ("chain2-17", "Q8", ValueError, "unknown lattice kind 'chain17'"),
+        ("chain2-6|moebius", "Q8", ValueError, "unknown lattice kind 'moebius'"),
+    ])
+    def test_malformed_spec_is_refused_on_every_seed(self, lattice_kind, group_kind, error, message):
+        # every alternative is checked when the spec is made, not only the
+        # ones that some trial happens to draw
+        for seed in range(4):
+            with pytest.raises(error, match=message):
+                InstanceSpec(seed, lattice_kind=lattice_kind, group_kind=group_kind)
 
     def test_chain_lengths_run_from_one_to_sixteen(self):
         assert len(make_lattice("chain1")) == 1
@@ -245,7 +264,7 @@ class TestCrispPatternSearch:
                     if not is_proper_l_subgroup(eta, mu):
                         continue
                     if _single_defect_pattern_over_images(eta, mu):
-                        assert is_maximal(eta, mu, "definition").maximal
+                        assert is_maximal(eta, mu).maximal
 
 
 class TestConversePattern:

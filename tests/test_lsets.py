@@ -296,7 +296,7 @@ class TestSubgroupPredicates:
         monkeypatch.setattr(lsets, "_pointwise_is_l_subgroup", refuse)
         for mu, eta in [(d8_case["mu"], d8_case["eta1"]), (q8_maximal_case["mu"], q8_maximal_case["eta"])]:
             assert is_l_subgroup_of(eta, mu)
-            assert is_maximal(eta, mu, "definition")
+            assert is_maximal(eta, mu)
             assert level_profile(eta, mu).unique_defect_level is not None
             assert frattini(mu).maximal_count > 0
 
@@ -527,9 +527,14 @@ class TestGenerationOracle:
         seed = adjoin_point(d8_case["eta1"], LPoint("r2", "c"))
         assert generate_oracle(seed) == generate(seed) == d8_case["mu"]
 
-    def test_guard(self, d8_case):
-        with pytest.raises(InstanceTooLargeError):
-            generate_oracle(d8_case["mu"], max_group_order=4)
+    def test_guard(self):
+        # at most 8 elements and 6 levels; each limit refuses on its own
+        c12 = constant(builtin_group("C12"), chain_lattice(["0", "1"]), "1")
+        with pytest.raises(InstanceTooLargeError, match="12 elements x 2 levels exceeds budget 8 x 6"):
+            generate_oracle(c12)
+        d8 = constant(builtin_group("D8"), make_lattice("chain7"), "1")
+        with pytest.raises(InstanceTooLargeError, match="8 elements x 7 levels exceeds budget 8 x 6"):
+            generate_oracle(d8)
 
     @settings(max_examples=30, deadline=None)
     @given(seed=st.integers(min_value=0, max_value=10_000))

@@ -29,6 +29,7 @@ from lsubgroups import (
     enumerate_l_subgroups,
     frattini,
     generate,
+    generate_oracle,
     identity_hom,
     inner_automorphism,
     is_maximal,
@@ -39,6 +40,7 @@ from lsubgroups import (
     make_lattice,
     maximal_l_subgroups,
     non_generator_points,
+    search_converse_counterexample,
     sufficient_maximal_check,
     tip_relation,
     transport_maximal,
@@ -47,6 +49,7 @@ from lsubgroups import (
     validate_lattice,
 )
 from lsubgroups.lsets import _search_l_subgroup_values
+from lsubgroups.maximal import _lpoint_verdict
 
 from conftest import dihedral, elementary_abelian
 
@@ -73,7 +76,7 @@ def brute_force_l_subgroups(mu):
 def lpoint_verdict_by_generate(eta, mu):
     """Oracle for the point test: generate eta ∪ a_x for each missing point a_x.
 
-    Points run in group order, then lattice order, as in ``is_maximal``.
+    Points run in group order, then lattice order, as in ``_lpoint_verdict``.
     """
     if not is_proper_l_subgroup(eta, mu):
         return MaximalityVerdict(False, "not_proper")
@@ -111,15 +114,6 @@ class TestEnumeration:
             assert list(enumerate_l_subgroups(mu)) == sorted(
                 brute_force_l_subgroups(mu), key=lambda s: s.value_indices()
             )
-
-    def test_only_proper_drops_constants_and_mu(self, d8_case):
-        mu = d8_case["mu"]
-        proper = enumerate_l_subgroups(mu, only_proper=True)
-        assert mu not in proper
-        assert all(not s.is_constant() for s in proper)
-        assert set(proper) | {mu} | {
-            s for s in enumerate_l_subgroups(mu) if s.is_constant()
-        } == set(enumerate_l_subgroups(mu))
 
     def test_trivial_group_has_two_members_over_two_chain(self):
         g = builtin_group("C1")
@@ -247,7 +241,7 @@ class TestClosedFormCoatoms:
 
 class TestWorkedMaximality:
     def test_q8_pair_is_maximal(self, q8_maximal_case):
-        verdict = is_maximal(q8_maximal_case["eta"], q8_maximal_case["mu"], strategy="both")
+        verdict = is_maximal(q8_maximal_case["eta"], q8_maximal_case["mu"])
         assert verdict.maximal
 
     def test_parent_in_itself_is_not(self, d8_case):
@@ -256,7 +250,7 @@ class TestWorkedMaximality:
         assert verdict.reason == "not_proper"
 
     def test_converse_pair_is_not_maximal(self, q8_converse_case):
-        verdict = is_maximal(q8_converse_case["eta"], q8_converse_case["mu"], strategy="both")
+        verdict = is_maximal(q8_converse_case["eta"], q8_converse_case["mu"])
         assert not verdict.maximal
         assert verdict.witness_between == q8_converse_case["theta"]
         assert verdict.witness_point is not None
@@ -286,15 +280,21 @@ class TestStrategyAgreement:
     def test_full_enumeration_agreement(self, case, d8_case, q8_maximal_case, q8_converse_case):
         mu = {"d8": d8_case["mu"], "q8max": q8_maximal_case["mu"], "q8conv": q8_converse_case["mu"]}[case]
         for nu in enumerate_l_subgroups(mu):
-            by_def = is_maximal(nu, mu, "definition")
-            by_pt = is_maximal(nu, mu, "lpoint")
-            assert by_def.maximal == by_pt.maximal
+            verdict = is_maximal(nu, mu)
+            if verdict.reason != "not_proper":
+                assert verdict.maximal == _lpoint_verdict(nu, mu).maximal
 
-    def test_unknown_strategy(self, d8_case):
-        with pytest.raises(ValueError):
-            is_maximal(d8_case["eta1"], d8_case["mu"], strategy="guess")
-        with pytest.raises(ValueError):
-            is_maximal(d8_case["mu"], d8_case["mu"], strategy="guess")
+    def test_removed_parameters_are_refused(self, d8_case):
+        # no route choice, no proper-only filter, no oracle limits and no
+        # search pool: each is refused rather than taken for another argument
+        with pytest.raises(TypeError):
+            is_maximal(d8_case["eta1"], d8_case["mu"], "definition")
+        with pytest.raises(TypeError):
+            enumerate_l_subgroups(d8_case["mu"], only_proper=True)
+        with pytest.raises(TypeError):
+            generate_oracle(d8_case["eta1"], max_group_order=4)
+        with pytest.raises(TypeError):
+            search_converse_counterexample(seeds=[0])
 
 
 class TestTipRelation:
@@ -496,10 +496,9 @@ class TestRandomInstances:
         for seed in range(6):
             inst = build_instance(InstanceSpec(seed=seed, lattice_kind="chain2-4"))
             for nu in enumerate_l_subgroups(inst.mu):
-                assert (
-                    is_maximal(nu, inst.mu, "definition").maximal
-                    == is_maximal(nu, inst.mu, "lpoint").maximal
-                )
+                verdict = is_maximal(nu, inst.mu)
+                if verdict.reason != "not_proper":
+                    assert verdict.maximal == _lpoint_verdict(nu, inst.mu).maximal
 
     def test_point_test_matches_generation_off_chains(self):
         # every member of L(mu), over product and divisor lattices too, where
@@ -511,9 +510,10 @@ class TestRandomInstances:
             ))
             for nu in enumerate_l_subgroups(inst.mu):
                 expected = lpoint_verdict_by_generate(nu, inst.mu)
-                assert is_maximal(nu, inst.mu, "lpoint") == expected
-                both = is_maximal(nu, inst.mu, "both")
-                assert (both.maximal, both.witness_point) == (expected.maximal, expected.witness_point)
+                verdict = is_maximal(nu, inst.mu)
+                assert (verdict.maximal, verdict.witness_point) == (expected.maximal, expected.witness_point)
+                if verdict.reason != "not_proper":
+                    assert _lpoint_verdict(nu, inst.mu) == expected
                 checked += 1
                 maximal += expected.maximal
         assert checked > 1000 and maximal > 100
