@@ -22,17 +22,21 @@ subgroup generated by eta produce the same generated subgroup.
 with the subgroups of mu_j maximal among those that hold theta_j and miss
 x.  The test suite checks both against scans of L(mu), and the reduction
 to L(mu) against the raw definition on tiny instances.
+
+``frattini`` builds one report per parent and budget.  A point a_x meets
+the packed coatom cuts as one mask: bit x at each join-irreducible j ≤ a.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .errors import HypothesisNotMetError, LPointNotInParentError
 from .errors import NotAnIsomorphismError, NotNormalInGroupError
 from .groups import GroupHom, _subgroup_table, frattini_classical
-from .lsets import LPoint, LSubset, _level_masks, contains, intersection_of
+from .lsets import LPoint, LSubset, _irreducibles, _level_masks, contains, intersection_of
 from .lsets import is_normal_in, is_normal_in_group, point_in, pushforward
-from .maximal import DEFAULT_BUDGET, _coatoms, _highest_coatom, _maximal_cuts, maximal_l_subgroups
+from .maximal import DEFAULT_BUDGET, _coatom_scan, _coatoms, _maximal_cuts, maximal_l_subgroups
 
 
 @dataclass(frozen=True)
@@ -81,7 +85,13 @@ def constant_obstructed(mu: LSubset, budget: int = DEFAULT_BUDGET) -> bool:
 
 
 def frattini(mu: LSubset, budget: int = DEFAULT_BUDGET) -> FrattiniReport:
-    """Compute the Frattini L-subgroup of mu and its non-generator subgroup."""
+    """The Frattini L-subgroup of mu and its non-generator subgroup, once per (mu, budget)."""
+    return _frattini_report(mu, budget)
+
+
+# a plain function keeps ``frattini`` a function that tracers can wrap
+@lru_cache(maxsize=64)
+def _frattini_report(mu: LSubset, budget: int) -> FrattiniReport:
     maximals = maximal_l_subgroups(mu, budget=budget)
     phi = _meet(maximals, mu)
     nongen = non_generator_subgroup(mu, budget=budget)
@@ -95,15 +105,18 @@ def is_non_generator(
     """Decide whether the point can always be dropped from generating families.
 
     A false answer returns the witness eta with <eta, a_x> = mu yet
-    <eta> != mu: the coatom of L(mu) of highest rank that misses the point
-    (see ``maximal._highest_coatom``).  A coatom missing a_x generates mu
-    with it, and any witness lies under such a coatom, so this is also the
-    first witness of a largest-first scan of L(mu), containment-maximal
-    among all witnesses.
+    <eta> != mu: the first coatom of L(mu) in the scan order of
+    ``maximal._coatom_scan`` whose packed cut misses the point's mask.  A
+    coatom missing a_x generates mu with it, and any witness lies under
+    such a coatom, so this is also the first witness of a largest-first
+    scan of L(mu), containment-maximal among all witnesses.
     """
     if not point_in(point, mu):
         raise LPointNotInParentError(f"{point} is not a point of the parent")
-    witness = _highest_coatom(mu, budget, lambda c: not point_in(point, c))
+    lat, x, n = mu.lattice, mu.group.index(point.point), len(mu.group)
+    a = lat.index(point.height)
+    mask = sum(1 << k * n + x for k, j in enumerate(_irreducibles(lat)) if lat._leq[j][a])
+    witness = next((c for p, c in _coatom_scan(mu, budget) if mask & ~p), None)
     return witness is None, witness
 
 
@@ -257,4 +270,4 @@ def maximal_avoiding(
                 tops.append(h)
         return tops
 
-    return _maximal_cuts(mu, budget, pick)
+    return tuple(c for _, c in _maximal_cuts(mu, budget, pick))

@@ -403,15 +403,16 @@ def frattini_classical(group: FiniteGroup, sub: Iterable[str]) -> frozenset[str]
 # ------------------------------------------------------- homomorphisms
 
 class GroupHom:
-    """A validated homomorphism between two finite groups."""
+    """A validated homomorphism; ``image_indices`` holds f(x) by target index, in source order."""
 
-    __slots__ = ("source", "target", "mapping", "injective", "surjective")
+    __slots__ = ("source", "target", "mapping", "image_indices", "injective", "surjective")
 
     def __init__(self, source: FiniteGroup, target: FiniteGroup, mapping: dict[str, str],
-                 injective: bool, surjective: bool):
+                 image_indices: tuple[int, ...], injective: bool, surjective: bool):
         self.source = source
         self.target = target
         self.mapping = mapping
+        self.image_indices = image_indices
         self.injective = injective
         self.surjective = surjective
 
@@ -449,7 +450,7 @@ def validate_hom(source: FiniteGroup, target: FiniteGroup, mapping: Mapping[str,
     injective = len(image) == len(source)
     surjective = len(image) == len(target)
     clean = {x: mapping[x] for x in source.elements}
-    return GroupHom(source, target, clean, injective, surjective)
+    return GroupHom(source, target, clean, tuple(f), injective, surjective)
 
 
 def identity_hom(group: FiniteGroup) -> GroupHom:

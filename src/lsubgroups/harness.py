@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Callable
 
+from . import lsets
 from .errors import SearchExhaustedError
 from .frattini import (
     frattini,
@@ -367,7 +368,8 @@ def prop_generation_closure_laws(inst: Instance):
 
 
 def prop_generation_matches_exhaustive_meet(inst: Instance):
-    if len(inst.group) > 8 or len(inst.lattice) > 6:
+    # the limits generate_oracle refuses beyond, read when the property runs
+    if len(inst.group) > lsets._ORACLE_MAX_ORDER or len(inst.lattice) > lsets._ORACLE_MAX_LEVELS:
         return SKIPPED
     raw = inst.raws[0]
     if generate(raw) != generate_oracle(raw):

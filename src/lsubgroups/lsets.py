@@ -294,12 +294,6 @@ def _irreducibles(lat: FiniteLattice) -> tuple[int, ...]:
     )
 
 
-def _level_mask(s: LSubset, a: int) -> int:
-    # the level of s at lattice index a as a bitmask over element indices
-    above = s.lattice._leq[a]
-    return sum(1 << x for x, v in enumerate(s.value_indices()) if above[v])
-
-
 @lru_cache(maxsize=64)
 def _level_masks(mu: LSubset) -> tuple[tuple[int, ...], tuple[int, ...]]:
     # the join-irreducibles in _down_sizes order, and mu's level at each: the
@@ -332,11 +326,20 @@ def is_l_subgroup(mu: LSubset) -> bool:
 def is_l_subgroup_of(eta: LSubset, mu: LSubset) -> bool:
     """eta ∈ L(mu): eta ⊆ mu with both L-subgroups of the group.
 
-    Containment is checked pointwise and each subgroup test by its levels at
-    the join-irreducibles; the tests hold it to the frozenset level oracle.
+    One pass over the cached levels of both at the join-irreducibles: each
+    is empty or a subgroup, and eta's lies in mu's, which gives eta ⊆ mu as
+    every element is the join of the irreducibles below it.  Over a
+    non-distributive lattice: False when eta is not below mu, else
+    NonDistributiveLatticeError.  The tests hold it to the level oracle.
     """
     _same_carriers(eta, mu)
-    return contains(mu, eta) and is_l_subgroup(mu) and is_l_subgroup(eta)
+    if not mu.lattice.distributive and not contains(mu, eta):
+        return False
+    table = _subgroup_table(mu.group)
+    return all(
+        not e & ~m and (not e or e in table) and (not m or m in table)
+        for e, m in zip(_level_masks(eta)[1], _level_masks(mu)[1])
+    )
 
 
 def is_proper_l_subgroup(eta: LSubset, mu: LSubset) -> bool:
@@ -459,8 +462,8 @@ def _search_l_subgroup_values(
 
     Depth-first assignment over inverse-pair orbits (x and x⁻¹ must share a
     value), with the identity first so every later value can be clipped to
-    it, and with partial product constraints checked as soon as the three
-    participants of a triple are assigned.  Yields in lexicographic order
+    it, and with each product constraint checked once per orbit triple, as
+    soon as its three orbits are assigned.  Yields in lexicographic order
     of the value tuple with respect to element order and lattice index.
     This is the engine of ``generate_oracle`` and the reference the tests
     hold the level-map enumeration of ``maximal.enumerate_l_subgroups`` to.
@@ -484,12 +487,19 @@ def _search_l_subgroup_values(
         for i in orbit:
             pos[i] = p
 
-    # triples (i, j, ij) bucketed by the step at which all three are known
+    # a triple (i, j, ij) constrains three orbits: each orbit triple is
+    # checked once, at the step at which all three are known, and never when
+    # ij shares an orbit with i or j, as meet(v_i, v_j) ≤ v_i always holds
     buckets: list[list[tuple[int, int, int]]] = [[] for _ in orbits]
+    checked: set[tuple[int, int, int]] = set()
     for i in range(n):
         for j in range(n):
             p = group.op_index(i, j)
-            buckets[max(pos[i], pos[j], pos[p])].append((i, j, p))
+            key = (min(pos[i], pos[j]), max(pos[i], pos[j]), pos[p])
+            if pos[p] in key[:2] or key in checked:
+                continue
+            checked.add(key)
+            buckets[max(key)].append((i, j, p))
 
     lower = lower or tuple(lat.index(lat.bottom) for _ in range(n))
     upper = upper or tuple(lat.index(lat.top) for _ in range(n))
@@ -532,8 +542,7 @@ def pushforward(f: GroupHom, mu: LSubset) -> LSubset:
     lat, target = mu.lattice, f.target
     join = lat._join
     vals = [lat.index(lat.bottom)] * len(target)
-    for x, v in zip(f.source.elements, mu._vals):
-        y = target.index(f(x))
+    for y, v in zip(f.image_indices, mu._vals):
         vals[y] = join[vals[y]][v]
     return LSubset(target, lat, tuple(vals))
 
@@ -543,5 +552,5 @@ def pullback(f: GroupHom, nu: LSubset) -> LSubset:
     if nu.group != f.target:
         raise MismatchedCarriersError("pullback needs an L-subset over the target group")
     lat = nu.lattice
-    vals = tuple(nu._vals[f.target.index(f(x))] for x in f.source.elements)
+    vals = tuple(nu._vals[y] for y in f.image_indices)
     return LSubset(f.source, lat, vals)

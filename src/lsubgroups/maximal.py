@@ -14,14 +14,16 @@ keeps mu_i at every join-irreducible i not above j and cuts it to mu_i ∩ M
 at every i ≥ j.  Each cut is antitone and proper, and every proper member
 eta lies under one: take j minimal where eta differs from mu and M ⊇ eta_j.
 So the coatoms are the cuts under no other cut.  They are found once per
-parent and cached; the maximal L-subgroups are the non-constant ones, and
-the Frattini module reads them too.  With M ranging over the subgroups of
-mu_j maximal among those that hold theta_j and miss x, for each j ≤ a, the
-same builder gives ``frattini.maximal_avoiding``.
+parent and cached with their cuts packed into integers; the maximal
+L-subgroups are the non-constant ones, and the Frattini module reads them.
+With M ranging over the subgroups of mu_j maximal among those that hold
+theta_j and miss x, for each j ≤ a, the same builder gives
+``frattini.maximal_avoiding``.
 
 ``is_maximal`` answers by the definition: eta is maximal exactly when no
-coatom is strictly above it.  A no also names a point of mu outside eta
-that fails to generate mu when adjoined, from the lattice-point test (eta
+coatom is strictly above it, one mask test per coatom against eta packed
+the same way.  A no also names a point of mu outside eta that fails to
+generate mu when adjoined, from the lattice-point test (eta
 is maximal iff adjoining any missing point generates mu), which
 ``_lpoint_verdict`` keeps as the reference the tests hold the coatoms to.
 It compares the generated levels at the join-irreducibles, as bitmasks,
@@ -35,16 +37,16 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
+from operator import and_
 
 from .errors import InstanceTooLargeError, NotAnIsomorphismError
 from .errors import NotAnLSubgroupError, NotMaximalError
 from .groups import GroupHom, _indices, _lower_covers, _subgroup_table
-from .lsets import _down_sizes, _level_mask, _level_masks
+from .lsets import _down_sizes, _level_masks
 from .lsets import (
     LPoint,
     LSubset,
-    contains,
     generate,  # unused; bench/tests/test_bench.py::test_tracer_restores_every_binding reads it
     is_l_subgroup,
     is_l_subgroup_of,
@@ -155,7 +157,12 @@ def _enumeration(mu: LSubset, budget: int) -> tuple[LSubset, ...]:
     return tuple(found)
 
 
-def _maximal_cuts(mu: LSubset, budget: int, pick) -> tuple[LSubset, ...]:
+def _pack(levels: tuple[int, ...], n: int) -> int:
+    # one level mask per join-irreducible, |G| bits each, the first lowest
+    return sum(level << k * n for k, level in enumerate(levels))
+
+
+def _maximal_cuts(mu: LSubset, budget: int, pick) -> tuple[tuple[int, LSubset], ...]:
     """The level cuts of mu that lie under no other cut, in canonical order.
 
     ``pick(j, level)`` gives the masks M to cut with at the join-irreducible
@@ -164,7 +171,9 @@ def _maximal_cuts(mu: LSubset, budget: int, pick) -> tuple[LSubset, ...]:
     cut is packed into one integer with |G| bits per join-irreducible, so
     containment is one mask test.  The budget counts units of work: one per
     cut built and one per ordered pair of cuts the filter may compare,
-    n + n² for n cuts, charged before comparing.  Raises
+    n + n² for n cuts, charged before comparing.  Each cut comes with its
+    packed form, which is its levels at the join-irreducibles laid out by
+    ``_pack``, since every cut is antitone.  Raises
     NotAnLSubgroupError when mu is not an L-subgroup (some level at a
     join-irreducible is neither empty nor a subgroup),
     NonDistributiveLatticeError over a non-distributive lattice and
@@ -176,7 +185,7 @@ def _maximal_cuts(mu: LSubset, budget: int, pick) -> tuple[LSubset, ...]:
     irreducibles, levels = _level_masks(mu)
     leq, join, bottom = lat._leq, lat._join, lat.index(lat.bottom)
     n = len(group)
-    packed = sum(level << k * n for k, level in enumerate(levels))
+    packed = _pack(levels, n)
     cuts: list[int] = []
     for j, level in zip(irreducibles, levels):
         if not level:
@@ -190,7 +199,7 @@ def _maximal_cuts(mu: LSubset, budget: int, pick) -> tuple[LSubset, ...]:
             f"the level cuts of mu need {work} units of work ({len(cuts)} level cuts and the "
             f"ordered pairs among them), over the budget of {budget}"
         ))
-    found: list[LSubset] = []
+    found: list[tuple[int, LSubset]] = []
     for c in cuts:
         if any(c != d and not c & ~d for d in cuts):
             continue
@@ -199,35 +208,38 @@ def _maximal_cuts(mu: LSubset, budget: int, pick) -> tuple[LSubset, ...]:
             for x in range(n):
                 if c >> k * n + x & 1:
                     vals[x] = join[vals[x]][j]
-        found.append(LSubset(group, lat, tuple(vals)))
-    found.sort(key=lambda s: s.value_indices())
+        found.append((c, LSubset(group, lat, tuple(vals))))
+    found.sort(key=lambda cut: cut[1].value_indices())
     return tuple(found)
 
 
 @lru_cache(maxsize=64)
-def _coatoms(mu: LSubset, budget: int) -> tuple[LSubset, ...]:
-    """Members of L(mu) other than mu with nothing strictly between them and mu.
+def _coatom_index(mu: LSubset, budget: int) -> tuple[tuple[LSubset, ...], tuple]:
+    """The coatoms of L(mu) in canonical order, alone and with their packed cuts.
 
     Constants are kept.  The cuts with M a lower cover of mu_j; only the
     trivial subgroup has no maximal subgroup, and ∅ covers it.
     """
-    return _maximal_cuts(mu, budget, lambda j, level: _lower_covers(mu.group, level) or (0,))
+    cuts = _maximal_cuts(mu, budget, lambda j, level: _lower_covers(mu.group, level) or (0,))
+    return tuple(c for _, c in cuts), cuts
 
 
-def _highest_coatom(mu: LSubset, budget: int, keep) -> LSubset | None:
-    """The coatom of L(mu) of highest rank that ``keep`` accepts, or None.
+def _coatoms(mu: LSubset, budget: int) -> tuple[LSubset, ...]:
+    """Members of L(mu) other than mu with nothing strictly between them and mu."""
+    return _coatom_index(mu, budget)[0]
 
-    Rank is the summed down-set size of the values, which grows strictly
-    along containment; ties go to the first in canonical order.  This is
-    the first hit of a scan of all of L(mu) in that order whenever every
-    hit lies under an accepted coatom.
+
+@lru_cache(maxsize=64)
+def _coatom_scan(mu: LSubset, budget: int) -> tuple[tuple[int, LSubset], ...]:
+    """The coatoms with their packed cuts, by rank descending, canonical order on ties.
+
+    Rank, the summed down-set size of the values, grows strictly along
+    containment: the first coatom a witness scan accepts is the first hit
+    of a scan of all of L(mu) by rank whenever every hit lies under one.
     """
     sizes = _down_sizes(mu.lattice)
-    return min(
-        (c for c in _coatoms(mu, budget) if keep(c)),
-        key=lambda c: -sum(sizes[v] for v in c.value_indices()),
-        default=None,
-    )
+    cuts = _coatom_index(mu, budget)[1]
+    return tuple(sorted(cuts, key=lambda cut: -sum(sizes[v] for v in cut[1].value_indices())))
 
 
 def enumerate_l_subgroups(mu: LSubset, budget: int = DEFAULT_BUDGET) -> tuple[LSubset, ...]:
@@ -273,20 +285,21 @@ def _lpoint_verdict(eta: LSubset, mu: LSubset) -> MaximalityVerdict:
 def is_maximal(eta: LSubset, mu: LSubset, *, budget: int = DEFAULT_BUDGET) -> MaximalityVerdict:
     """Test whether eta is a maximal L-subgroup of mu.
 
-    Looks for a coatom of L(mu) strictly above eta and, when there is one,
-    returns the one of highest rank as ``witness_between`` (see
-    ``_highest_coatom``), a containment-maximal member strictly between.
-    A negative verdict also carries ``witness_point``: the first point of mu
-    outside eta, in group order and then lattice order, whose adjunction
-    fails to generate mu (see ``_lpoint_verdict``).  A candidate that is
-    not a proper L-subgroup of mu is never maximal and is reported with
-    reason ``not_proper``.
+    Looks for a coatom of L(mu) strictly above eta, one mask test each
+    against eta packed once, and returns the first in scan order (see
+    ``_coatom_scan``) as ``witness_between``, a containment-maximal member
+    strictly between.  A negative verdict also carries ``witness_point``:
+    the first point of mu outside eta, in group order and then lattice
+    order, whose adjunction fails to generate mu (see ``_lpoint_verdict``).
+    A candidate that is not a proper L-subgroup of mu is never maximal and
+    is reported with reason ``not_proper``.
     """
     if not is_proper_l_subgroup(eta, mu):
         return MaximalityVerdict(False, "not_proper")
     # every member strictly between eta and mu lies under a coatom strictly
     # above eta, so eta is maximal exactly when there is no such coatom
-    theta = _highest_coatom(mu, budget, lambda c: c != eta and contains(c, eta))
+    pe = _pack(_level_masks(eta)[1], len(mu.group))
+    theta = next((c for p, c in _coatom_scan(mu, budget) if p != pe and not pe & ~p), None)
     if theta is None:
         return MaximalityVerdict(True)
     point = _lpoint_verdict(eta, mu).witness_point
@@ -324,10 +337,17 @@ def tip_relation(eta: LSubset, mu: LSubset) -> TipRelation:
     return TipRelation.VIOLATION
 
 
+def _level_at(s: LSubset, a: int) -> int:
+    # a is the join of the join-irreducibles below it, so the level at a is
+    # the meet of the levels at those, and the whole group at the bottom
+    below = (mask for j, mask in zip(*_level_masks(s)) if s.lattice._leq[j][a])
+    return reduce(and_, below, (1 << len(s.group)) - 1)
+
+
 def _level_relation(eta: LSubset, mu: LSubset, a: str) -> LevelRelation:
     # mu is an L-subgroup here, so its non-empty levels are in the subgroup table
     ai = mu.lattice.index(a)
-    lv_eta, lv_mu = _level_mask(eta, ai), _level_mask(mu, ai)
+    lv_eta, lv_mu = _level_at(eta, ai), _level_at(mu, ai)
     if lv_eta == lv_mu:
         return LevelRelation.EQUAL
     if lv_eta and lv_eta in _lower_covers(mu.group, lv_mu):

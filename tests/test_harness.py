@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from lsubgroups import (
     InstanceSpec,
+    InstanceTooLargeError,
     builtin_group,
     build_instance,
     characteristic,
@@ -16,6 +17,7 @@ from lsubgroups import (
     frattini,
     frattini_classical,
     generate,
+    generate_oracle,
     is_l_subgroup_of,
     make_lattice,
     maximal_l_subgroups,
@@ -29,7 +31,7 @@ from lsubgroups import (
 )
 from lsubgroups import UnknownBuiltinError
 from lsubgroups import are_jointly_supstar, enumerate_l_subgroups, is_maximal, is_proper_l_subgroup
-from lsubgroups import level_profile
+from lsubgroups import level_profile, lsets
 from lsubgroups.groups import all_subgroups
 from lsubgroups.harness import (
     PROPERTIES,
@@ -234,6 +236,21 @@ class TestSuite:
         assert report.passed
         # chain-only checks cannot run over a product lattice
         assert report.properties["frattini_normal_in_parent"].skipped == 2
+
+
+class TestOracleLimits:
+    @pytest.mark.parametrize("limit", ["_ORACLE_MAX_ORDER", "_ORACLE_MAX_LEVELS"])
+    def test_exhaustive_meet_skips_what_the_oracle_refuses(self, monkeypatch, limit):
+        # the property reads the oracle's own limits, so lowering either one
+        # skips the instance instead of erroring
+        inst = build_instance(InstanceSpec(0))
+        prop = PROPERTIES["generation_matches_exhaustive_meet"]
+        assert prop(inst) is None
+        size = len(inst.group) if limit == "_ORACLE_MAX_ORDER" else len(inst.lattice)
+        monkeypatch.setattr(lsets, limit, size - 1)
+        with pytest.raises(InstanceTooLargeError):
+            generate_oracle(inst.raws[0])
+        assert prop(inst) == SKIPPED
 
 
 class TestPinnedInstances:

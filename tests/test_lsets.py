@@ -1,5 +1,6 @@
 """Level sets, membership algebra, subgroup predicates, generation, transport."""
 import random
+from itertools import product as cartesian
 
 import pytest
 from hypothesis import given, settings
@@ -9,6 +10,7 @@ from lsubgroups import (
     InstanceSpec,
     InstanceTooLargeError,
     LPoint,
+    LSubset,
     MismatchedCarriersError,
     NonDistributiveLatticeError,
     NotAnLSubgroupError,
@@ -546,6 +548,30 @@ class TestGenerationOracle:
         assert generate(raw) == generate_oracle(raw)
 
 
+class TestElementSearch:
+    """The element-wise search behind ``generate_oracle``, unbounded, against
+    a lexicographic filter of the whole product space by the pointwise test."""
+
+    @pytest.mark.parametrize(
+        "kind, names",
+        [
+            ("chain2", ["C1", "C2", "C3", "V4", "C4", "C5", "C6", "C7", "C8", "Q8", "D8"]),
+            ("chain3", ["C1", "C2", "C3", "V4", "C4", "C5", "C6"]),
+            ("product2x2", ["C1", "C2", "C3", "V4", "C4", "C5", "C6"]),
+        ],
+    )
+    def test_yields_the_filtered_product_space_in_order(self, kind, names):
+        lat = make_lattice(kind)
+        for name in names:
+            group = builtin_group(name)
+            found = list(lsets._search_l_subgroup_values(group, lat, lower=None, upper=None))
+            expected = [
+                vals for vals in cartesian(range(len(lat)), repeat=len(group))
+                if lsets._pointwise_is_l_subgroup(LSubset(group, lat, vals))
+            ]
+            assert found == expected, name
+
+
 class TestDiamondGeneration:
     def test_join_of_incomparables_can_exceed_levelwise_closure(self):
         # values p and q on a three-cycle join to the top at every generator,
@@ -632,6 +658,22 @@ class TestTransport:
         for nu_vals in [{"e": "1", "g": "a"}, {"e": "b", "g": "b"}, {"e": "c", "g": "0"}]:
             nu = l_subset(c2, five_chain, nu_vals)
             assert contains(nu, pushforward(f, mu)) == contains(pullback(f, nu), mu)
+
+    def test_index_transport_matches_the_name_formula(self):
+        # f(mu)(y) is the join of mu over the fibre of y, f⁻¹(nu)(x) = nu(f(x))
+        checked = 0
+        for seed in range(20):
+            inst = build_instance(InstanceSpec(seed))
+            lat, rng = inst.lattice, random.Random(seed)
+            for f in [*inst.homs, inst.iso]:
+                assert f.image_indices == tuple(f.target.index(f(x)) for x in f.source.elements)
+                for mu in inst.raws:
+                    fibres = {y: [mu.value(x) for x in f.preimage(y)] for y in f.target.elements}
+                    assert pushforward(f, mu).values() == {y: lat.join_set(v) for y, v in fibres.items()}
+                nu = l_subset(f.target, lat, {y: rng.choice(lat.elements) for y in f.target.elements})
+                assert pullback(f, nu).values() == {x: nu.value(f(x)) for x in f.source.elements}
+                checked += 1
+        assert checked >= 80
 
     def test_carrier_checks(self, d8_case, q8_maximal_case):
         from lsubgroups import identity_hom

@@ -32,6 +32,7 @@ from lsubgroups import (
     generate_oracle,
     identity_hom,
     inner_automorphism,
+    is_l_subgroup_of,
     is_maximal,
     is_non_generator,
     is_proper_l_subgroup,
@@ -40,6 +41,7 @@ from lsubgroups import (
     make_lattice,
     maximal_l_subgroups,
     non_generator_points,
+    point_in,
     search_converse_counterexample,
     sufficient_maximal_check,
     tip_relation,
@@ -49,7 +51,7 @@ from lsubgroups import (
     validate_lattice,
 )
 from lsubgroups.lsets import _search_l_subgroup_values
-from lsubgroups.maximal import _lpoint_verdict
+from lsubgroups.maximal import _coatoms, _lpoint_verdict
 
 from conftest import dihedral, elementary_abelian
 
@@ -209,7 +211,7 @@ class TestClosedFormCoatoms:
 
     def test_parent_levels_are_built_once(self, d8_case):
         # the parent check and the cuts read the same cached level masks
-        maximal_module._coatoms.cache_clear()
+        maximal_module._coatom_index.cache_clear()
         lsets._level_masks.cache_clear()
         maximal_l_subgroups(d8_case["mu"])
         info = lsets._level_masks.cache_info()
@@ -524,3 +526,65 @@ class TestRandomInstances:
                 InstanceSpec(seed=seed, lattice_kind="chain2-3", group_kind="V4|C6")
             )
             assert list(maximal_l_subgroups(inst.mu)) == brute_force_maximals(inst.mu)
+
+
+def highest_coatom_by_contains(mu, keep):
+    """Reference for the witness scans: the coatom of highest rank (summed
+    down-set sizes of the values) that ``keep`` accepts, first in canonical
+    order on ties, compared point by point."""
+    lat = mu.lattice
+    return min(
+        (c for c in _coatoms(mu, DEFAULT_BUDGET) if keep(c)),
+        key=lambda c: -sum(len(lat.down_set(v)) for v in c.values().values()),
+        default=None,
+    )
+
+
+def is_maximal_by_contains(eta, mu):
+    if not is_proper_l_subgroup(eta, mu):
+        return MaximalityVerdict(False, "not_proper")
+    theta = highest_coatom_by_contains(mu, lambda c: c != eta and contains(c, eta))
+    if theta is None:
+        return MaximalityVerdict(True)
+    point = _lpoint_verdict(eta, mu).witness_point
+    return MaximalityVerdict(False, "strictly_between", witness_between=theta, witness_point=point)
+
+
+class TestWitnessPins:
+    """Every verdict and witness of ``is_maximal`` and ``is_non_generator``
+    against the rank-ordered scan of the coatoms with pointwise containment
+    and point membership."""
+
+    @pytest.mark.parametrize("kind", ["chain2-6", "product2x3", "divisors30"])
+    def test_seeded_instances(self, kind):
+        between = points = 0
+        for seed in range(40):
+            mu = build_instance(InstanceSpec(seed, lattice_kind=kind)).mu
+            for nu in enumerate_l_subgroups(mu):
+                verdict = is_maximal(nu, mu)
+                assert verdict == is_maximal_by_contains(nu, mu)
+                between += verdict.witness_between is not None
+            for x in mu.group.elements:
+                for a in mu.lattice.down_set(mu.value(x)):
+                    point = LPoint(x, a)
+                    witness = highest_coatom_by_contains(mu, lambda c: not point_in(point, c))
+                    assert is_non_generator(point, mu) == (witness is None, witness)
+                    points += witness is not None
+        assert between > 40 and points > 40
+
+    def test_non_distributive_lattice_on_m3(self):
+        # eta not below mu: not a member and not proper; eta below mu: refused
+        m3 = validate_lattice(
+            ["0", "p", "q", "r", "1"],
+            [("0", "p"), ("0", "q"), ("0", "r"), ("p", "1"), ("q", "1"), ("r", "1")],
+        )
+        c2 = builtin_group("C2")
+        mu = constant(c2, m3, "p")
+        outside = l_subset(c2, m3, {"e": "q", "g": "0"})
+        inside = l_subset(c2, m3, {"e": "p", "g": "0"})
+        assert not is_l_subgroup_of(outside, mu)
+        assert is_maximal(outside, mu) == MaximalityVerdict(False, "not_proper")
+        with pytest.raises(NonDistributiveLatticeError, match="require a distributive lattice"):
+            is_l_subgroup_of(inside, mu)
+        with pytest.raises(NonDistributiveLatticeError, match="require a distributive lattice"):
+            is_maximal(inside, mu)
