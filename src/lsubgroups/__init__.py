@@ -2,7 +2,8 @@
 
 Level subsets, membership algebra, generated L-subgroups, maximal
 L-subgroups, Frattini L-subgroups and non-generator points, plus a
-property-based verification harness and a small CLI.
+property-based verification harness, loaded on first use of one of its
+names, and a small CLI.
 """
 
 from .errors import (
@@ -103,17 +104,27 @@ from .frattini import (
     non_generator_subgroup,
     nongenerators_conjugation_closed,
 )
-from .harness import (
-    ConverseCounterexample,
-    InstanceSpec,
-    SuiteReport,
-    build_instance,
-    make_lattice,
-    random_l_subgroup,
-    random_l_subset_below,
-    reference_nonmaximal_pair,
-    run_suite,
-    search_converse_counterexample,
+
+# The harness loads on first use of one of its names (PEP 562).  The rest
+# stays eager: importing a submodule such as lsubgroups.frattini rebinds the
+# package attribute of that name from the function to the module.
+_HARNESS_NAMES = (
+    "ConverseCounterexample", "InstanceSpec", "SuiteReport", "build_instance", "make_lattice",
+    "random_l_subgroup", "random_l_subset_below", "reference_nonmaximal_pair", "run_suite",
+    "search_converse_counterexample",
 )
+
+
+def __getattr__(name: str):
+    if name in _HARNESS_NAMES:
+        from . import harness
+
+        return getattr(harness, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return [*globals(), *_HARNESS_NAMES]
+
 
 __version__ = "0.1.0"

@@ -18,7 +18,6 @@ import sys
 from .errors import DocumentError, InstanceTooLargeError, LSubgroupsError, NotAnLSubgroupError
 from .frattini import frattini, non_generator_subgroup
 from .groups import FiniteGroup, group_from_document
-from .harness import InstanceSpec, run_suite
 from .lattice import FiniteLattice, lattice_from_document
 from .lsets import (
     LSubset,
@@ -230,6 +229,8 @@ def _cmd_nongen(ws: Workspace, args) -> int:
 
 
 def _cmd_verify(ws: Workspace, args) -> int:
+    from .harness import InstanceSpec, run_suite  # only this command loads the harness
+
     spec = InstanceSpec(seed=args.seed)
     report = run_suite(spec, trials=args.trials)
     if args.format == "json":
@@ -279,6 +280,8 @@ def _dot_levels(sub: LSubset) -> str:
 
 
 def _cmd_hasse(ws: Workspace, args) -> int:
+    if args.format == "json":
+        raise DocumentError("the hasse command prints DOT; --format json is not available for it")
     if args.subset:
         print(_dot_levels(ws.subset()))
     else:

@@ -28,8 +28,8 @@ the packed coatom cuts as one mask: bit x at each join-irreducible j ≤ a.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 from .errors import HypothesisNotMetError, LPointNotInParentError
 from .errors import NotAnIsomorphismError, NotNormalInGroupError
@@ -39,8 +39,7 @@ from .lsets import is_normal_in, is_normal_in_group, point_in, pushforward
 from .maximal import DEFAULT_BUDGET, _coatom_scan, _coatoms, _maximal_cuts, maximal_l_subgroups
 
 
-@dataclass(frozen=True)
-class FrattiniReport:
+class FrattiniReport(NamedTuple):
     """Frattini L-subgroup alongside the non-generator subgroup.
 
     ``used_fallback`` records the no-maximal-subgroups case, in which phi is

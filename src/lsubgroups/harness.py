@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import random
 import re
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from functools import lru_cache
 from typing import Callable
 
@@ -670,12 +670,7 @@ class PropertyStats:
     first_counterexample: dict | None = None
 
     def as_document(self) -> dict:
-        return {
-            "trials": self.trials,
-            "skipped": self.skipped,
-            "failures": self.failures,
-            "first_counterexample": self.first_counterexample,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -746,7 +741,6 @@ def run_suite(spec: InstanceSpec, trials: int) -> SuiteReport:
     """
     if trials < 1:
         raise ValueError("trials must be at least 1")
-    report = SuiteReport(seed=spec.seed, trials=trials)
     stats = {name: PropertyStats() for name in PROPERTIES}
     for trial in range(trials):
         inst = build_instance(spec, trial)
@@ -781,9 +775,7 @@ def run_suite(spec: InstanceSpec, trials: int) -> SuiteReport:
         converse.failures = 1
         converse.first_counterexample = {"detail": {"error": str(exc)}}
     stats["converse_level_pattern_insufficient"] = converse
-
-    report.properties = stats
-    return report
+    return SuiteReport(spec.seed, trials, stats)
 
 
 # --------------------------------------------- converse counterexample search

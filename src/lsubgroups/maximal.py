@@ -36,9 +36,8 @@ level that maximality forces when the images are jointly supstar.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
-from functools import lru_cache, reduce
-from operator import and_
+from functools import lru_cache
+from typing import NamedTuple
 
 from .errors import InstanceTooLargeError, NotAnIsomorphismError
 from .errors import NotAnLSubgroupError, NotMaximalError
@@ -70,8 +69,7 @@ class TipRelation(enum.Enum):
     VIOLATION = "violation"
 
 
-@dataclass(frozen=True)
-class MaximalityVerdict:
+class MaximalityVerdict(NamedTuple):
     """Outcome of a maximality test, with a witness when the answer is no.
 
     ``witness_between`` is an L-subgroup strictly between the candidate and
@@ -89,8 +87,7 @@ class MaximalityVerdict:
         return self.maximal
 
 
-@dataclass(frozen=True)
-class LevelProfile:
+class LevelProfile(NamedTuple):
     """How each level of eta sits inside the matching level of mu.
 
     ``witness_levels`` lists (lattice element, relation) over the union of
@@ -337,22 +334,26 @@ def tip_relation(eta: LSubset, mu: LSubset) -> TipRelation:
     return TipRelation.VIOLATION
 
 
-def _level_at(s: LSubset, a: int) -> int:
-    # a is the join of the join-irreducibles below it, so the level at a is
-    # the meet of the levels at those, and the whole group at the bottom
-    below = (mask for j, mask in zip(*_level_masks(s)) if s.lattice._leq[j][a])
-    return reduce(and_, below, (1 << len(s.group)) - 1)
-
-
-def _level_relation(eta: LSubset, mu: LSubset, a: str) -> LevelRelation:
-    # mu is an L-subgroup here, so its non-empty levels are in the subgroup table
-    ai = mu.lattice.index(a)
-    lv_eta, lv_mu = _level_at(eta, ai), _level_at(mu, ai)
-    if lv_eta == lv_mu:
-        return LevelRelation.EQUAL
-    if lv_eta and lv_eta in _lower_covers(mu.group, lv_mu):
-        return LevelRelation.PROPER_MAXIMAL_SUBGROUP
-    return LevelRelation.PROPER_SUBGROUP
+def _level_relations(eta: LSubset, mu: LSubset, elements):
+    # yields (a, how eta's level at a sits in mu's) for each a.  The level at
+    # a is the meet of the levels at the join-irreducibles below a, the whole
+    # group at the bottom; mu is an L-subgroup here, so its non-empty levels
+    # are in the subgroup table
+    lat, group = mu.lattice, mu.group
+    irreducibles, have = _level_masks(eta)
+    want = _level_masks(mu)[1]
+    for a in elements:
+        ai = lat.index(a)
+        lv_eta = lv_mu = (1 << len(group)) - 1
+        for j, h, m in zip(irreducibles, have, want):
+            if lat._leq[j][ai]:
+                lv_eta, lv_mu = lv_eta & h, lv_mu & m
+        if lv_eta == lv_mu:
+            yield a, LevelRelation.EQUAL
+        elif lv_eta and lv_eta in _lower_covers(group, lv_mu):
+            yield a, LevelRelation.PROPER_MAXIMAL_SUBGROUP
+        else:
+            yield a, LevelRelation.PROPER_SUBGROUP
 
 
 def level_profile(eta: LSubset, mu: LSubset) -> LevelProfile:
@@ -366,7 +367,7 @@ def level_profile(eta: LSubset, mu: LSubset) -> LevelProfile:
     if not is_l_subgroup_of(eta, mu):
         raise NotAnLSubgroupError("level profiles require eta in L(mu)")
     image = eta.image() | mu.image()
-    rows = tuple((a, _level_relation(eta, mu, a)) for a in mu.lattice.elements if a in image)
+    rows = tuple(_level_relations(eta, mu, [a for a in mu.lattice.elements if a in image]))
     defects = [a for a, rel in rows if rel is not LevelRelation.EQUAL]
     return LevelProfile(rows, defects[0] if len(defects) == 1 else None)
 
@@ -385,10 +386,8 @@ def sufficient_maximal_check(eta: LSubset, mu: LSubset) -> bool:
     tip = mu.value(mu.group.identity)
     if eta.value(mu.group.identity) != tip:
         return False
-    defects = [
-        rel for a in mu.lattice.down_set(tip)
-        if (rel := _level_relation(eta, mu, a)) is not LevelRelation.EQUAL
-    ]
+    rows = _level_relations(eta, mu, mu.lattice.down_set(tip))
+    defects = [rel for _, rel in rows if rel is not LevelRelation.EQUAL]
     return defects == [LevelRelation.PROPER_MAXIMAL_SUBGROUP]
 
 

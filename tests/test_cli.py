@@ -1,6 +1,7 @@
 """End-to-end runs of the command line front end."""
 import ast
 import hashlib
+import importlib
 import json
 import os
 import subprocess
@@ -56,6 +57,57 @@ def run_module(argv, *flags):
         [sys.executable, *flags, "-m", "lsubgroups.cli", *argv],
         capture_output=True, env=module_env(), timeout=300,
     )
+
+
+def run_python(code):
+    """Run a snippet in a fresh interpreter and return what it prints, parsed as JSON."""
+    done = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, env=module_env(), timeout=300,
+    )
+    assert done.returncode == 0, done.stderr.decode()
+    return json.loads(done.stdout)
+
+
+# every name the package exported when all of its imports were eager
+PACKAGE_EXPORTS = {
+    "errors": (
+        "DocumentError EmptySubsetError HypothesisNotMetError InstanceTooLargeError "
+        "LPointNotInParentError LSubgroupsError MismatchedCarriersError NoIdentityError "
+        "NoInverseError NonDistributiveLatticeError NotAHomomorphismError NotALatticeError "
+        "NotAPosetError NotAnIsomorphismError NotAnLSubgroupError NotAssociativeError "
+        "NotASubgroupError NotClosedError NotMaximalError NotNormalInGroupError "
+        "SearchExhaustedError UnknownBuiltinError UnknownElementError"
+    ),
+    "lattice": "FiniteLattice chain_lattice lattice_from_document validate_lattice",
+    "groups": (
+        "FiniteGroup GroupHom all_subgroups builtin_group frattini_classical group_from_document "
+        "hom_from_document identity_hom inner_automorphism is_normal_subgroup is_subgroup "
+        "maximal_subgroups_of subgroup_closure validate_group validate_hom"
+    ),
+    "lsets": (
+        "LPoint LSubset adjoin_point are_jointly_supstar characteristic constant contains "
+        "generate generate_oracle has_sup_property intersection_of is_l_subgroup "
+        "is_l_subgroup_of is_normal_in is_normal_in_group is_proper_l_subgroup l_subset "
+        "l_subset_from_document point_in pullback pushforward set_product union_of"
+    ),
+    "maximal": (
+        "DEFAULT_BUDGET LevelProfile LevelRelation MaximalityVerdict TipRelation "
+        "candidate_space_size enumerate_l_subgroups is_maximal level_profile "
+        "maximal_l_subgroups sufficient_maximal_check tip_relation transport_maximal "
+        "transport_maximal_preimage"
+    ),
+    "frattini": (
+        "FrattiniReport check_nongenerator_inclusion constant_obstructed frattini "
+        "frattini_image_inclusion frattini_is_normal frattini_level_compare is_non_generator "
+        "maximal_avoiding non_generator_points non_generator_subgroup "
+        "nongenerators_conjugation_closed"
+    ),
+    "harness": (
+        "ConverseCounterexample InstanceSpec SuiteReport build_instance make_lattice "
+        "random_l_subgroup random_l_subset_below reference_nonmaximal_pair run_suite "
+        "search_converse_counterexample"
+    ),
+}
 
 
 class TestValidate:
@@ -236,6 +288,48 @@ class TestWithoutAsserts:
         assert found == []
 
 
+class TestColdImport:
+    """A command that does not verify loads neither the harness nor dataclasses."""
+
+    def test_cli_import_leaves_the_harness_and_dataclasses_unloaded(self):
+        loaded = run_python(
+            "import json, sys, types, lsubgroups.cli, lsubgroups\n"
+            "print(json.dumps([[m for m in ('lsubgroups.harness', 'dataclasses') if m in sys.modules],"
+            " isinstance(lsubgroups.frattini, types.FunctionType)]))"
+        )
+        assert loaded == [[], True]
+
+    def test_a_harness_name_loads_it_on_first_use(self):
+        seen = run_python(
+            "import json, sys, lsubgroups\n"
+            "before = 'lsubgroups.harness' in sys.modules\n"
+            "run_suite = lsubgroups.run_suite\n"
+            "print(json.dumps([before, run_suite is sys.modules['lsubgroups.harness'].run_suite]))"
+        )
+        assert seen == [False, True]
+
+    @pytest.mark.parametrize("module", sorted(PACKAGE_EXPORTS))
+    def test_every_export_resolves_to_its_module_object(self, module):
+        import lsubgroups
+
+        source = importlib.import_module(f"lsubgroups.{module}")
+        listed = dir(lsubgroups)
+        for name in PACKAGE_EXPORTS[module].split():
+            assert getattr(lsubgroups, name) is getattr(source, name), name
+            assert name in listed
+
+    def test_unknown_name_raises_attribute_error(self):
+        import lsubgroups
+
+        with pytest.raises(AttributeError, match="no_such_name"):
+            lsubgroups.no_such_name
+
+    def test_verify_in_a_fresh_process(self):
+        done = run_module(["verify", "--seed", "0", "--trials", "3"])
+        assert done.returncode == 0, done.stderr.decode()
+        assert done.stdout.decode().splitlines()[-1] == "passed"
+
+
 class TestHasse:
     def test_lattice_diagram(self, docs, capsys):
         code, out, _ = run(capsys, "hasse", "-l", docs["chain5.json"], "--format", "dot")
@@ -257,6 +351,16 @@ class TestHasse:
             "-l", docs["chain5.json"], "-g", docs["d8.json"], "-s", docs["mu_d8.json"],
         )
         assert code == 2
+
+    @pytest.mark.parametrize("with_subset", [False, True], ids=["lattice", "levels"])
+    def test_json_refused(self, docs, capsys, with_subset):
+        argv = ["hasse", "-l", docs["chain5.json"], "--format", "json"]
+        if with_subset:
+            argv += ["-g", docs["d8.json"], "-s", docs["mu_d8.json"]]
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and "json" in err
 
 
 class TestErrors:

@@ -1,6 +1,5 @@
 """Frattini L-subgroups, non-generators, level comparisons, normality."""
 import random
-from dataclasses import replace
 from itertools import product as cartesian
 
 import pytest
@@ -51,7 +50,7 @@ from lsubgroups import (
 from lsubgroups.errors import LPointNotInParentError
 from lsubgroups.maximal import _coatoms
 
-from conftest import elementary_abelian
+from conftest import D8_PHI, elementary_abelian
 
 
 def raw_l_subsets_below(mu):
@@ -158,6 +157,23 @@ class TestWorkedFrattini:
         assert doc["phi"]["e"] == "c"
         assert doc["lambda"] == doc["phi"]
         assert doc["maximal_count"] == 4
+
+    def test_document_keys_and_values(self, d8_case):
+        assert frattini(d8_case["mu"]).as_document() == {
+            "phi": D8_PHI,
+            "lambda": D8_PHI,
+            "maximal_count": 4,
+            "used_fallback": False,
+            "equality_holds": True,
+            "constant_obstructed": False,
+        }
+
+    def test_report_is_an_immutable_hashable_record(self, d8_case):
+        report = frattini(d8_case["mu"])
+        assert hash(report) == hash(frattini(d8_case["mu"], budget=DEFAULT_BUDGET - 1))
+        with pytest.raises(AttributeError):
+            report.maximal_count = 5
+        assert repr(report).startswith("FrattiniReport(phi=LSubset(")
 
     def test_phi_below_every_maximal(self, q8_maximal_case):
         from lsubgroups import maximal_l_subgroups
@@ -267,7 +283,7 @@ class TestCoatomsMatchTheReferenceSearch:
                     continue
                 expected = definition_verdict_by_scan(eta, mu, scan)
                 verdict = is_maximal(eta, mu)
-                assert verdict == replace(expected, witness_point=verdict.witness_point)
+                assert verdict == expected._replace(witness_point=verdict.witness_point)
                 assert (verdict.witness_point is None) == verdict.maximal
             assert constant_obstructed(mu) == constant_obstructed_by_pairwise_scan(mu)
             assert constant_obstructed(mu) == any(c.is_constant() for c in coatoms)

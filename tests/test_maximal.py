@@ -1,5 +1,7 @@
 """Maximal L-subgroups: strategies, profiles, transport, enumeration."""
+from functools import reduce
 from itertools import product as cartesian
+from operator import and_
 
 import pytest
 
@@ -51,6 +53,7 @@ from lsubgroups import (
     validate_lattice,
 )
 from lsubgroups.lsets import _search_l_subgroup_values
+from lsubgroups.groups import _lower_covers
 from lsubgroups.maximal import _coatoms, _lpoint_verdict
 
 from conftest import dihedral, elementary_abelian
@@ -367,6 +370,77 @@ class TestLevelProfile:
         profile = level_profile(d8_case["eta4"], d8_case["mu"])
         assert profile.unique_defect_level == "1"
         assert dict(profile.witness_levels)["1"] is LevelRelation.PROPER_SUBGROUP
+
+
+def level_relation_per_element(eta, mu, a):
+    """Reference for the level classifier: each level at a read on its own,
+    as the meet of the levels at the join-irreducibles below a."""
+    ai = mu.lattice.index(a)
+
+    def level_at(s):
+        below = (m for j, m in zip(*lsets._level_masks(s)) if s.lattice._leq[j][ai])
+        return reduce(and_, below, (1 << len(s.group)) - 1)
+
+    lv_eta, lv_mu = level_at(eta), level_at(mu)
+    if lv_eta == lv_mu:
+        return LevelRelation.EQUAL
+    if lv_eta and lv_eta in _lower_covers(mu.group, lv_mu):
+        return LevelRelation.PROPER_MAXIMAL_SUBGROUP
+    return LevelRelation.PROPER_SUBGROUP
+
+
+class TestLevelRelationsMatchThePerElementForm:
+    @pytest.mark.parametrize("kind", ["chain2-6", "product2x3", "divisors30"])
+    def test_seeded_instances(self, kind):
+        defects = sufficient = 0
+        for seed in range(40):
+            mu = build_instance(InstanceSpec(seed, lattice_kind=kind)).mu
+            lat, e = mu.lattice, mu.group.identity
+            for eta in enumerate_l_subgroups(mu):
+                image = eta.image() | mu.image()
+                rows = tuple(
+                    (a, level_relation_per_element(eta, mu, a)) for a in lat.elements if a in image
+                )
+                lone = [a for a, rel in rows if rel is not LevelRelation.EQUAL]
+                profile = level_profile(eta, mu)
+                assert profile.witness_levels == rows
+                assert profile.unique_defect_level == (lone[0] if len(lone) == 1 else None)
+                below_tip = [
+                    rel for a in lat.down_set(mu.value(e))
+                    if (rel := level_relation_per_element(eta, mu, a)) is not LevelRelation.EQUAL
+                ]
+                expected = eta.value(e) == mu.value(e) and below_tip == [
+                    LevelRelation.PROPER_MAXIMAL_SUBGROUP
+                ]
+                assert sufficient_maximal_check(eta, mu) == expected
+                defects += profile.unique_defect_level is not None
+                sufficient += expected
+        assert defects > 40 and sufficient > 10
+
+
+class TestRecords:
+    def test_verdict_truth_follows_maximal(self):
+        # a non-empty tuple is truthy, so __bool__ must read the field
+        assert bool(MaximalityVerdict(False, "x")) is False
+        assert bool(MaximalityVerdict(True)) is True
+
+    def test_verdict_fields_defaults_and_repr(self):
+        verdict = MaximalityVerdict(False, "not_proper")
+        assert (verdict.witness_between, verdict.witness_point) == (None, None)
+        assert repr(verdict) == (
+            "MaximalityVerdict(maximal=False, reason='not_proper', "
+            "witness_between=None, witness_point=None)"
+        )
+
+    def test_records_are_hashable_and_immutable(self, d8_case):
+        profile = level_profile(d8_case["eta2"], d8_case["mu"])
+        verdict = is_maximal(d8_case["phi"], d8_case["mu"])
+        for record, field in [(profile, "unique_defect_level"), (verdict, "maximal")]:
+            assert hash(record) == hash(type(record)(*record))
+            with pytest.raises(AttributeError):
+                setattr(record, field, None)
+        assert profile.defects() == (("b", LevelRelation.PROPER_MAXIMAL_SUBGROUP),)
+        assert repr(profile).startswith("LevelProfile(witness_levels=((")
 
 
 class TestSufficientCheck:
