@@ -49,8 +49,14 @@ def _load_json(path: str) -> dict:
             return json.load(handle)
     except FileNotFoundError:
         raise DocumentError(f"no such file: {path}")
+    except OSError as exc:
+        raise DocumentError(f"cannot read {path}: {exc.strerror}")
+    except UnicodeDecodeError as exc:
+        raise DocumentError(f"{path}: not UTF-8 text: {exc.reason} at byte {exc.start}")
     except json.JSONDecodeError as exc:
         raise DocumentError(f"{path}: {exc}")
+    except RecursionError:
+        raise DocumentError(f"{path}: JSON nested too deeply to read")
 
 
 class Workspace:
@@ -331,7 +337,7 @@ def main(argv: list[str] | None = None) -> int:
     if args.budget < 0:
         parser.error(f"argument --budget: must be at least 0, not {args.budget}")
     if args.format == "dot" and args.command != "hasse":
-        print("dot output is only available for the hasse command", file=sys.stderr)
+        print("error: dot output is only available for the hasse command", file=sys.stderr)
         return EXIT_BAD_INPUT
     ws = Workspace(args)
     try:

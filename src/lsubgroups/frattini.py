@@ -18,10 +18,11 @@ non-generator exactly when it lies in every coatom, and the non-generator
 subgroup is the meet of all coatoms.  It is enough to quantify over L(mu)
 rather than over all L-subsets of mu: adjoining a point to eta and to the
 subgroup generated by eta produce the same generated subgroup.
-``maximal_avoiding`` reads the same cut builder, cutting at each j ≤ a
-with the subgroups of mu_j maximal among those that hold theta_j and miss
-x.  The test suite checks both against scans of L(mu), and the reduction
-to L(mu) against the raw definition on tiny instances.
+``maximal_avoiding`` reads the same cut builder, cutting only at the j
+maximal among the join-irreducibles ≤ a, with the subgroups of mu_j
+maximal among those that hold theta_j and miss x.  The test suite checks
+both against scans of L(mu), and the reduction to L(mu) against the raw
+definition on tiny instances.
 
 ``frattini`` builds one report per parent and budget.  A point a_x meets
 the packed coatom cuts as one mask: bit x at each join-irreducible j ≤ a.
@@ -36,7 +37,7 @@ from .errors import NotAnIsomorphismError, NotNormalInGroupError
 from .groups import GroupHom, _subgroup_table, frattini_classical
 from .lsets import LPoint, LSubset, _irreducibles, _level_masks, contains, intersection_of
 from .lsets import is_normal_in, is_normal_in_group, point_in, pushforward
-from .maximal import DEFAULT_BUDGET, _coatom_scan, _coatoms, _maximal_cuts, maximal_l_subgroups
+from .maximal import DEFAULT_BUDGET, _coatom_scan, _coatoms, _level_cuts, maximal_l_subgroups
 
 
 class FrattiniReport(NamedTuple):
@@ -243,11 +244,12 @@ def maximal_avoiding(
 
     Such a member nu has x outside nu_j for some join-irreducible j ≤ a,
     and nu_j inside some K maximal among the subgroups (or ∅) of mu_j that
-    hold theta_j and miss x, so nu lies under the level cut theta^{j,K}:
-    the answer is the cuts under no other cut (``maximal._maximal_cuts``
-    sets the budget's unit and refuses a parent that is not an
-    L-subgroup).  Never empty when theta ∈ L(mu); empty when theta is not
-    below mu or the point lies in the L-subgroup theta generates.
+    hold theta_j and miss x, so nu lies under the level cut theta^{j,K}.
+    A cut at j lies strictly under one at any j' with j < j' ≤ a, and the
+    cuts at the j maximal under a are incomparable: they are the answer,
+    with no filter.  The budget counts n + n² units for the n cuts built.
+    Never empty when theta ∈ L(mu); empty when theta is not below mu or the
+    point lies in the L-subgroup theta generates.
     """
     if not point_in(point, mu):
         raise LPointNotInParentError(f"{point} is not a point of the parent")
@@ -257,9 +259,9 @@ def maximal_avoiding(
     below, leq, table = contains(mu, theta), mu.lattice._leq, _subgroup_table(mu.group)
     seeds = dict(zip(*_level_masks(theta)))
 
-    def pick(j: int, level: int) -> list[int]:
-        if not (below and leq[j][a]):
-            return []
+    def pick(j: int, level: int, above: int) -> tuple[int, list[int]]:
+        if not (below and leq[j][a]) or any(i != j and leq[j][i] and leq[i][a] for i in seeds):
+            return 0, []
         # largest first: a qualifying subgroup under a larger qualifying one
         # lies under a maximal one, met earlier; ∅ comes last and qualifies
         # only when no subgroup does (x = e and theta_j empty)
@@ -267,6 +269,6 @@ def maximal_avoiding(
         for h in (*reversed(table), 0):
             if not seeds[j] & ~h and not h & ~level and not h >> x & 1 and all(h & ~t for t in tops):
                 tops.append(h)
-        return tops
+        return len(tops), tops
 
-    return tuple(c for _, c in _maximal_cuts(mu, budget, pick))
+    return tuple(c for _, c in _level_cuts(mu, budget, pick))

@@ -468,6 +468,8 @@ def group_from_document(doc: dict) -> FiniteGroup:
     if not isinstance(doc, dict):
         raise DocumentError("group document must be a JSON object")
     if "builtin" in doc:
+        if not isinstance(doc["builtin"], str):
+            raise DocumentError("'builtin' must be a group name")
         try:
             return builtin_group(doc["builtin"])
         except UnknownBuiltinError as exc:
@@ -478,8 +480,10 @@ def group_from_document(doc: dict) -> FiniteGroup:
     table = doc["table"]
     if not isinstance(names, list) or not all(isinstance(x, str) for x in names):
         raise DocumentError("'elements' must be a list of element names")
-    if not isinstance(table, list) or not all(isinstance(row, list) for row in table):
-        raise DocumentError("'table' must be a list of rows")
+    if not isinstance(table, list) or not all(
+        isinstance(row, list) and all(isinstance(x, str) for x in row) for row in table
+    ):
+        raise DocumentError("'table' must be a list of rows of element names")
     try:
         return validate_group(names, table)
     except (NotClosedError, NotAssociativeError, NoIdentityError, NoInverseError) as exc:
@@ -490,6 +494,8 @@ def hom_from_document(doc: dict, source: FiniteGroup, target: FiniteGroup) -> Gr
     """Parse ``{"map": {"x": "y", ...}}`` against validated source and target."""
     if not isinstance(doc, dict) or "map" not in doc or not isinstance(doc["map"], dict):
         raise DocumentError("hom document needs a 'map' object")
+    if not all(isinstance(y, str) for y in doc["map"].values()):
+        raise DocumentError("each value in 'map' must be an element name")
     try:
         return validate_hom(source, target, doc["map"])
     except (NotAHomomorphismError, UnknownElementError) as exc:

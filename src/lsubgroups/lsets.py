@@ -177,6 +177,8 @@ def l_subset_from_document(doc: dict, group: FiniteGroup, lattice: FiniteLattice
     """Parse ``{"values": {"x": "a", ...}}`` against a group and lattice."""
     if not isinstance(doc, dict) or "values" not in doc or not isinstance(doc["values"], dict):
         raise DocumentError("L-subset document needs a 'values' object")
+    if not all(isinstance(a, str) for a in doc["values"].values()):
+        raise DocumentError("each value in 'values' must be a lattice element name")
     try:
         return l_subset(group, lattice, doc["values"])
     except UnknownElementError as exc:

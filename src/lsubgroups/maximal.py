@@ -13,12 +13,12 @@ maximal subgroup of mu_j, or ∅ when mu_j is trivial), the cut theta^{j,M}
 keeps mu_i at every join-irreducible i not above j and cuts it to mu_i ∩ M
 at every i ≥ j.  Each cut is antitone and proper, and every proper member
 eta lies under one: take j minimal where eta differs from mu and M ⊇ eta_j.
-So the coatoms are the cuts under no other cut.  They are found once per
-parent and cached with their cuts packed into integers; the maximal
-L-subgroups are the non-constant ones, and the Frattini module reads them.
-With M ranging over the subgroups of mu_j maximal among those that hold
-theta_j and miss x, for each j ≤ a, the same builder gives
-``frattini.maximal_avoiding``.
+If mu_i is not inside M at some i > j, the cut lies strictly under a cut
+at i; otherwise it differs from mu only at j, under no other cut.  So the
+coatoms are the cuts whose M holds mu's levels strictly above j.  They are
+found once per parent and cached with their cuts packed into integers; the
+maximal L-subgroups are the non-constant ones, and the Frattini module
+reads them, ``frattini.maximal_avoiding`` through the same builder.
 
 ``is_maximal`` answers by the definition: eta is maximal exactly when no
 coatom is strictly above it, one mask test per coatom against eta packed
@@ -36,7 +36,7 @@ level that maximality forces when the images are jointly supstar.
 from __future__ import annotations
 
 import enum
-from functools import lru_cache
+from functools import lru_cache, reduce
 from typing import NamedTuple
 
 from .errors import InstanceTooLargeError, NotAnIsomorphismError
@@ -159,20 +159,16 @@ def _pack(levels: tuple[int, ...], n: int) -> int:
     return sum(level << k * n for k, level in enumerate(levels))
 
 
-def _maximal_cuts(mu: LSubset, budget: int, pick) -> tuple[tuple[int, LSubset], ...]:
-    """The level cuts of mu that lie under no other cut, in canonical order.
+def _level_cuts(mu: LSubset, budget: int, pick) -> tuple[tuple[int, LSubset], ...]:
+    """The level cuts of mu that ``pick`` keeps, each with its packed form, in canonical order.
 
-    ``pick(j, level)`` gives the masks M to cut with at the join-irreducible
-    j, where mu's level is the non-empty mask ``level``; the cut theta^{j,M}
-    of the module docstring meets every level at or above j with M.  Each
-    cut is packed into one integer with |G| bits per join-irreducible, so
-    containment is one mask test.  The budget counts units of work: one per
-    cut built and one per ordered pair of cuts the filter may compare,
-    n + n² for n cuts, charged before comparing.  Each cut comes with its
-    packed form, which is its levels at the join-irreducibles laid out by
-    ``_pack``, since every cut is antitone.  Raises
-    NotAnLSubgroupError when mu is not an L-subgroup (some level at a
-    join-irreducible is neither empty nor a subgroup),
+    ``pick(j, level, above)`` sees each join-irreducible j where mu's level
+    is the non-empty mask ``level``, with ``above`` the OR of mu's levels
+    strictly above j, and returns how many cuts at j it weighed and the
+    masks M it keeps.  The builder compares no cuts.  The budget counts
+    n + n² units for the n cuts weighed.  A cut is packed into one integer,
+    its levels at the join-irreducibles laid out by ``_pack``.  Raises
+    NotAnLSubgroupError when mu is not an L-subgroup,
     NonDistributiveLatticeError over a non-distributive lattice and
     InstanceTooLargeError when the work exceeds ``budget``.
     """
@@ -181,30 +177,29 @@ def _maximal_cuts(mu: LSubset, budget: int, pick) -> tuple[tuple[int, LSubset], 
     group, lat = mu.group, mu.lattice
     irreducibles, levels = _level_masks(mu)
     leq, join, bottom = lat._leq, lat._join, lat.index(lat.bottom)
-    n = len(group)
+    n, full = len(group), (1 << len(group)) - 1
     packed = _pack(levels, n)
-    cuts: list[int] = []
+    weighed, cuts = 0, []
     for j, level in zip(irreducibles, levels):
         if not level:
             continue
         spread = sum(1 << k * n for k, i in enumerate(irreducibles) if leq[j][i])
-        kept = packed & ~(((1 << n) - 1) * spread)
-        cuts.extend(kept | packed & m * spread for m in pick(j, level))
-    work = len(cuts) * (len(cuts) + 1)
+        above = reduce(int.__or__, (lv for i, lv in zip(irreducibles, levels) if i != j and leq[j][i]), 0)
+        count, masks = pick(j, level, above)
+        weighed += count
+        cuts.extend(packed & ~(full * spread) | packed & m * spread for m in masks)
+    work = weighed * (weighed + 1)
     if work > budget:
         raise InstanceTooLargeError(work, budget, (
-            f"the level cuts of mu need {work} units of work ({len(cuts)} level cuts and the "
+            f"the level cuts of mu need {work} units of work ({weighed} level cuts and the "
             f"ordered pairs among them), over the budget of {budget}"
         ))
     found: list[tuple[int, LSubset]] = []
     for c in cuts:
-        if any(c != d and not c & ~d for d in cuts):
-            continue
         vals = [bottom] * n
         for k, j in enumerate(irreducibles):
-            for x in range(n):
-                if c >> k * n + x & 1:
-                    vals[x] = join[vals[x]][j]
+            for x in _indices(c >> k * n & full):
+                vals[x] = join[vals[x]][j]
         found.append((c, LSubset(group, lat, tuple(vals))))
     found.sort(key=lambda cut: cut[1].value_indices())
     return tuple(found)
@@ -214,10 +209,14 @@ def _maximal_cuts(mu: LSubset, budget: int, pick) -> tuple[tuple[int, LSubset], 
 def _coatom_index(mu: LSubset, budget: int) -> tuple[tuple[LSubset, ...], tuple]:
     """The coatoms of L(mu) in canonical order, alone and with their packed cuts.
 
-    Constants are kept.  The cuts with M a lower cover of mu_j; only the
-    trivial subgroup has no maximal subgroup, and ∅ covers it.
+    Constants are kept.  Every cut by a lower cover M of mu_j (∅ when mu_j
+    is trivial) is weighed, and kept when M holds mu's levels above j.
     """
-    cuts = _maximal_cuts(mu, budget, lambda j, level: _lower_covers(mu.group, level) or (0,))
+    def pick(j: int, level: int, above: int) -> tuple[int, list[int]]:
+        covers = _lower_covers(mu.group, level) or (0,)
+        return len(covers), [m for m in covers if not above & ~m]
+
+    cuts = _level_cuts(mu, budget, pick)
     return tuple(c for _, c in cuts), cuts
 
 

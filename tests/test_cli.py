@@ -229,6 +229,63 @@ class TestNongen:
         assert payload["points"]["c@r2"] is False
 
 
+D8_SAMPLE = ["-l", "chain5.json", "-g", "d8.json", "-s", "mu_d8.json"]
+Q8_SAMPLE = ["-l", "chain5.json", "-g", "q8.json", "-s", "mu_q8.json"]
+EMPTY = "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"
+
+# id: (argv on samples/, exit code, sha256 of stdout, sha256 of stderr)
+SAMPLE_BYTES = {
+    "validate": (["validate", *D8_SAMPLE], 0,
+        "75d25925b303ac4c41959ec0b1be8e40e351e51f6e059cd9a212a271983d6a0d", EMPTY),
+    "levels": (["levels", *D8_SAMPLE], 0,
+        "0fd9918621c07a1ffa945bdecb55414ebb417d84f5f9d564eec44cad8fe6e27f", EMPTY),
+    "generate": (["generate", "-l", "chain5.json", "-g", "q8.json", "-s", "eta_q8.json"], 0,
+        "10afc8639bae6cb548714efd4ff1c6d31235264b91c82376f3d0fc7985204ac6", EMPTY),
+    "hasse": (["hasse", "-l", "chain5.json", "--format", "dot"], 0,
+        "f47ed8a538c8a4f3541d9e51f53aa7fd58a50e43dbe1fea6c20b1620888eacc4", EMPTY),
+    "maximals d8 table": (["maximals", *D8_SAMPLE], 0,
+        "eec647018e97cf2807696be8383fdcf916f6bed409616a285ddde1bf3bd73e66", EMPTY),
+    "maximals d8 json": (["maximals", *D8_SAMPLE, "--format", "json"], 0,
+        "9b677d4c4d8f84d47fbcb8c2d83d8bd5e234508a42bad61972a1c47ed84c769c", EMPTY),
+    "maximals q8 table": (["maximals", *Q8_SAMPLE], 0,
+        "173515f74d4079a9126a94e28791dae50abe26d8a6bdd17eb4d45305185096a8", EMPTY),
+    "maximals q8 json": (["maximals", *Q8_SAMPLE, "--format", "json"], 0,
+        "de3da3635b0d2a2ab5507a79321832395337f0b72d375fbc17624f6625b37a19", EMPTY),
+    "frattini d8 table": (["frattini", *D8_SAMPLE], 0,
+        "9f595513836f95312f41648b1feb8b56c038eb260e0462d3a0e9fea66947981e", EMPTY),
+    "frattini d8 json": (["frattini", *D8_SAMPLE, "--format", "json"], 0,
+        "56939c9ddc90450e9cc0f1ca9e60dedd565ca49f6c2b6834029b487e5fe61a9c", EMPTY),
+    "frattini q8 table": (["frattini", *Q8_SAMPLE], 0,
+        "d427607ed3375bcc4951fa79f4ce6be1eeb6621100e57d79c1b5fc3012653290", EMPTY),
+    "frattini q8 json": (["frattini", *Q8_SAMPLE, "--format", "json"], 0,
+        "9e46f3010d0abacdd4a8db3d6a96ce6b7c6ba20e9a9511a99de625be93520b67", EMPTY),
+    "nongen d8 table": (["nongen", *D8_SAMPLE], 0,
+        "4aab033932a1320deb7d7837dcaae48a1a480bc8211ac374351fe115491b5d1c", EMPTY),
+    "nongen d8 json": (["nongen", *D8_SAMPLE, "--format", "json"], 0,
+        "90f6e4e59b00b081cac867a6a75dec5aaffa0b8d5228d1691d37ce578c26f6c3", EMPTY),
+    "nongen q8 table": (["nongen", *Q8_SAMPLE], 0,
+        "5956bf2c9d37a86854d13c94021d694abb67c3035666cfcc85626d2fd350f8d5", EMPTY),
+    "nongen q8 json": (["nongen", *Q8_SAMPLE, "--format", "json"], 0,
+        "96e1c906fb2668ec62b35f6ea265089dd1151380b97a6003c22d1b7dda3a4774", EMPTY),
+    "maximals budget 10": (["maximals", "--budget", "10", *D8_SAMPLE], 3,
+        EMPTY, "59decbe632702f5a90f47c6f88a2e787c8a89e438543f8ec408d652f9b3ee63b"),
+}
+
+
+class TestSampleBytes:
+    """Every README sample command but ``verify``, the three coatom readers on
+    both sample parents in both formats, and the budget refusal, byte for
+    byte.  A change that moves one of these digests changes what a user
+    sees; update it on purpose and say so in CHANGES.md."""
+
+    @pytest.mark.parametrize("case", sorted(SAMPLE_BYTES))
+    def test_digests(self, capsys, case):
+        argv, *pinned = SAMPLE_BYTES[case]
+        code, out, err = run(capsys, *[str(SAMPLES / a) if a.endswith(".json") else a for a in argv])
+        digests = [hashlib.sha256(text.encode()).hexdigest() for text in (out, err)]
+        assert [code, *digests] == pinned
+
+
 class TestVerify:
     def test_small_run(self, capsys):
         code, out, _ = run(capsys, "verify", "--seed", "5", "--trials", "3")
@@ -351,6 +408,7 @@ class TestHasse:
             "-l", docs["chain5.json"], "-g", docs["d8.json"], "-s", docs["mu_d8.json"],
         )
         assert code == 2
+        assert err == "error: dot output is only available for the hasse command\n"
 
     @pytest.mark.parametrize("with_subset", [False, True], ids=["lattice", "levels"])
     def test_json_refused(self, docs, capsys, with_subset):
@@ -383,6 +441,30 @@ class TestErrors:
             "-l", docs["chain5.json"], "-g", docs["d8.json"], "-s", str(bad),
         )
         assert code == 2
+
+    @pytest.mark.parametrize("flag, content", [
+        ("-g", '{"builtin": 5}'),
+        ("-g", '{"builtin": ["D8"]}'),
+        ("-g", '{"elements": ["e", "g"], "table": [["e", ["g"]], ["g", "e"]]}'),
+        ("-s", json.dumps({"values": {**{x: "0" for x in D8_ELEMENTS}, "e": ["1"]}})),
+        ("-l", None),
+        ("-l", b'{"chain": ["0", "\xff"]}'),
+        ("-l", "[" * 100_000 + "]" * 100_000),
+    ], ids=["builtin number", "builtin list", "table entry list", "value list", "directory",
+            "not utf-8", "nested deep"])
+    def test_malformed_document(self, tmp_path, docs, capsys, flag, content):
+        # each used to end in a traceback and exit 1
+        path = tmp_path / "malformed.json"
+        if content is None:
+            path.mkdir()
+        elif isinstance(content, bytes):
+            path.write_bytes(content)
+        else:
+            path.write_text(content)
+        paths = {"-l": docs["chain5.json"], "-g": docs["d8.json"], "-s": docs["mu_d8.json"], flag: str(path)}
+        code, out, err = run(capsys, "levels", *[a for pair in paths.items() for a in pair])
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
 
     @pytest.mark.parametrize("command", ["maximals", "frattini", "nongen"])
     def test_parent_that_is_not_an_l_subgroup(self, tmp_path, docs, capsys, command):

@@ -487,15 +487,17 @@ class TestMaximalAvoiding:
         with pytest.raises(NotAnLSubgroupError, match="require mu to be an L-subgroup"):
             maximal_avoiding(mu, constant(c2, lat, "0"), LPoint("g", "1"))
 
-    def test_budget_counts_cuts_and_the_pairs_among_them(self, d8_case):
-        # r2 at height b: at a the four subgroups {e, s}, {e, sr2}, {e, sr},
-        # {e, sr3} of D8 miss r2, at b two of them inside the Klein subgroup:
-        # 6 cuts and 36 ordered pairs, 42 units; the two cuts at b are the tops
+    def test_budget_counts_the_cuts_it_builds(self, d8_case):
+        # r2 at height b: b is the largest join-irreducible under b, and two
+        # subgroups of the Klein level there, {e, s} and {e, sr2}, miss r2:
+        # 2 cuts, 2 + 2² = 6 units.  The four cuts at a by {e, s}, {e, sr2},
+        # {e, sr} and {e, sr3} lie under these two and are never built
         mu, theta = d8_case["mu"], constant(d8_case["group"], d8_case["lattice"], "0")
         point = LPoint("r2", "b")
-        with pytest.raises(InstanceTooLargeError, match=r"need 42 units of work \(6 level cuts"):
-            maximal_avoiding(mu, theta, point, budget=41)
-        assert len(maximal_avoiding(mu, theta, point, budget=42)) == 2
+        with pytest.raises(InstanceTooLargeError, match=r"need 6 units of work \(2 level cuts"):
+            maximal_avoiding(mu, theta, point, budget=5)
+        tops = maximal_avoiding(mu, theta, point, budget=6)
+        assert [sorted(nu.level("b")) for nu in tops] == [["e", "sr2"], ["e", "s"]]
 
     def test_constant_top_of_c2_5_over_divisors30(self):
         # |L(mu)| = 375^3, so no walk of L(mu) fits the default budget; each

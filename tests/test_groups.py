@@ -406,7 +406,16 @@ class TestDocuments:
         {"builtin": "S5"},
         {"elements": ["e"], "table": [["x"]]},
         {"elements": "e", "table": []},
+        {"builtin": 5},
+        {"builtin": ["D8"]},
+        {"elements": ["e", "g"], "table": [["e", ["g"]], ["g", "e"]]},
     ])
     def test_malformed(self, doc):
         with pytest.raises(DocumentError):
             group_from_document(doc)
+
+    @pytest.mark.parametrize("mapping", [{"e": "e", "g": ["g"]}, {"e": "e", "g": 5}])
+    def test_malformed_hom(self, mapping):
+        g = builtin_group("C2")
+        with pytest.raises(DocumentError):
+            hom_from_document({"map": mapping}, g, g)

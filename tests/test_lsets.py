@@ -187,6 +187,12 @@ class TestConstructors:
         with pytest.raises(DocumentError):
             l_subset_from_document({"values": {"e": "1"}}, d8, five_chain)
 
+    def test_document_value_that_is_a_list(self, d8, five_chain):
+        values = {x: "0" for x in d8.elements}
+        values["e"] = ["1"]
+        with pytest.raises(DocumentError, match="must be a lattice element name"):
+            l_subset_from_document({"values": values}, d8, five_chain)
+
 
 class TestSetAlgebra:
     def test_containment_of_worked_pair(self, q8_maximal_case):

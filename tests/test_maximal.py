@@ -41,6 +41,7 @@ from lsubgroups import (
     l_subset,
     level_profile,
     make_lattice,
+    maximal_avoiding,
     maximal_l_subgroups,
     non_generator_points,
     point_in,
@@ -52,9 +53,9 @@ from lsubgroups import (
     validate_hom,
     validate_lattice,
 )
-from lsubgroups.lsets import _search_l_subgroup_values
-from lsubgroups.groups import _lower_covers
-from lsubgroups.maximal import _coatoms, _lpoint_verdict
+from lsubgroups.lsets import _level_masks, _search_l_subgroup_values
+from lsubgroups.groups import _lower_covers, _subgroup_table
+from lsubgroups.maximal import _coatom_index, _coatoms, _lpoint_verdict
 
 from conftest import dihedral, elementary_abelian
 
@@ -242,6 +243,116 @@ class TestClosedFormCoatoms:
         report = frattini(top, budget=10**5)
         assert report.maximal_count == 3 * maximal_subgroups
         assert not constant_obstructed(top)
+
+
+def level_cuts_by_pair_filter(mu, pick):
+    """Reference for the closed-form cut choices: every cut theta^{j,M} with
+    M in ``pick(j, level)``, kept when no other cut lies over it, comparing
+    every ordered pair of cuts as packed masks; in canonical order, each
+    unpacked by joining the join-irreducibles whose level holds x."""
+    group, lat = mu.group, mu.lattice
+    irreducibles, levels = _level_masks(mu)
+    n = len(group)
+    cuts = []
+    for j, level in zip(irreducibles, levels):
+        if level:
+            for m in pick(j, level):
+                cut = [lv & m if lat._leq[j][i] else lv for i, lv in zip(irreducibles, levels)]
+                cuts.append(sum(lv << k * n for k, lv in enumerate(cut)))
+    found = []
+    for c in cuts:
+        if any(c != d and not c & ~d for d in cuts):
+            continue
+        vals = {
+            x: lat.join_set(lat.elements[i] for k, i in enumerate(irreducibles) if c >> k * n + b & 1)
+            for b, x in enumerate(group.elements)
+        }
+        found.append((c, l_subset(group, lat, vals)))
+    return sorted(found, key=lambda cut: cut[1].value_indices())
+
+
+def avoiding_by_pair_filter(mu, theta, point):
+    """Reference for ``maximal_avoiding``: the cuts at every join-irreducible
+    j ≤ a by the subgroups (or ∅) of mu_j maximal among those that hold
+    theta_j and miss x, then the pair filter."""
+    if not contains(mu, theta):
+        return ()
+    x, a = mu.group.index(point.point), mu.lattice.index(point.height)
+    seeds = dict(zip(*_level_masks(theta)))
+
+    def pick(j, level):
+        if not mu.lattice._leq[j][a]:
+            return []
+        fit = [h for h in (*_subgroup_table(mu.group), 0)
+               if not seeds[j] & ~h and not h & ~level and not h >> x & 1]
+        return [h for h in fit if not any(h != k and not h & ~k for k in fit)]
+
+    return tuple(c for _, c in level_cuts_by_pair_filter(mu, pick))
+
+
+SCALE_PARENTS = {
+    "C2^5 over divisors30": (elementary_abelian, 5, "divisors30"),
+    "D24 over divisors30": (dihedral, 24, "divisors30"),
+    "C2^6 over chain16": (elementary_abelian, 6, "chain16"),
+    "C2^6 over product4x4": (elementary_abelian, 6, "product4x4"),
+}
+
+
+class TestClosedFormCutsMatchThePairFilter:
+    """The coatoms keep a lower-cover cut at j exactly when its cover holds
+    mu's levels strictly above j, and ``maximal_avoiding`` cuts only at the
+    join-irreducibles maximal under a; both against every candidate cut and
+    the pairwise filter, on seeded parents and members of their L(mu), and
+    on constant tops that no walk of L(mu) reaches."""
+
+    @staticmethod
+    def covers(mu):
+        return lambda j, level: _lower_covers(mu.group, level) or (0,)
+
+    @pytest.mark.parametrize(
+        "kind", ["chain2-6", "chain8", "product2x3", "product3x3", "divisors12", "divisors30"]
+    )
+    def test_coatoms_on_seeded_parents(self, kind):
+        spec = InstanceSpec(7, lattice_kind=kind, group_kind="Q8|D8|C6|V4|C12|C8")
+        for trial in range(30):
+            mu = build_instance(spec, trial).mu
+            for parent in (mu, *enumerate_l_subgroups(mu)[::7]):
+                expected = level_cuts_by_pair_filter(parent, self.covers(parent))
+                assert list(_coatom_index(parent, DEFAULT_BUDGET)[1]) == expected
+
+    @pytest.mark.parametrize("name", sorted(SCALE_PARENTS))
+    def test_coatoms_on_constant_tops(self, name):
+        build, size, kind = SCALE_PARENTS[name]
+        lat = make_lattice(kind)
+        mu = constant(build(size), lat, lat.top)
+        assert list(_coatom_index(mu, DEFAULT_BUDGET)[1]) == level_cuts_by_pair_filter(mu, self.covers(mu))
+
+    @pytest.mark.parametrize("kind", ["chain2-6", "product2x3", "product3x3", "divisors30"])
+    def test_avoiding_on_seeded_parents(self, kind):
+        spec = InstanceSpec(8, lattice_kind=kind)
+        checked = 0
+        for trial in range(30):
+            mu = build_instance(spec, trial).mu
+            group, lat = mu.group, mu.lattice
+            members = enumerate_l_subgroups(mu)
+            for theta in (constant(group, lat, lat.bottom), members[trial % len(members)]):
+                for x in group.elements:
+                    for a in lat.down_set(mu.value(x)):
+                        point = LPoint(x, a)
+                        if not point_in(point, theta):
+                            assert maximal_avoiding(mu, theta, point) == avoiding_by_pair_filter(mu, theta, point)
+                            checked += 1
+        assert checked > 250
+
+    def test_avoiding_on_the_constant_top_of_c2_5_over_divisors30(self):
+        group, lat = elementary_abelian(5), make_lattice("divisors30")
+        mu, theta = constant(group, lat, "30"), constant(group, lat, "1")
+        for x in group.elements[1:3]:
+            for a in ("30", "6", "5"):
+                point = LPoint(x, a)
+                tops = maximal_avoiding(mu, theta, point)
+                assert tops == avoiding_by_pair_filter(mu, theta, point)
+                assert len(tops) == {"30": 48, "6": 32, "5": 16}[a]
 
 
 class TestWorkedMaximality:
