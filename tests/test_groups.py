@@ -406,11 +406,18 @@ class TestDocuments:
         {"builtin": "S5"},
         {"elements": ["e"], "table": [["x"]]},
         {"elements": "e", "table": []},
+    ])
+    def test_malformed(self, doc):
+        with pytest.raises(DocumentError):
+            group_from_document(doc)
+
+    @pytest.mark.parametrize("doc", [
         {"builtin": 5},
         {"builtin": ["D8"]},
         {"elements": ["e", "g"], "table": [["e", ["g"]], ["g", "e"]]},
     ])
-    def test_malformed(self, doc):
+    def test_value_of_the_wrong_type(self, doc):
+        # each used to escape as AttributeError or TypeError
         with pytest.raises(DocumentError):
             group_from_document(doc)
 
