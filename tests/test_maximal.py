@@ -174,8 +174,11 @@ class TestLevelMapsMatchTheElementSearch:
         + [
             InstanceSpec(1, lattice_kind=kind)
             for kind in ("product2x2", "product2x3", "divisors12", "divisors30", "chain1", "chain2")
-        ],
-        ids=["chains", "product2x2", "product2x3", "divisors12", "divisors30", "chain1", "chain2"],
+        ]
+        # more than 8 join-irreducibles: a member's code needs more than one byte per element
+        + [InstanceSpec(1, lattice_kind=kind) for kind in ("chain10", "chain12", "chain16")],
+        ids=["chains", "product2x2", "product2x3", "divisors12", "divisors30", "chain1", "chain2",
+             "chain10", "chain12", "chain16"],
     )
     def test_seeded_parents(self, spec):
         for trial in range(120):
