@@ -28,21 +28,29 @@ is maximal iff adjoining any missing point generates mu), which
 ``_lpoint_verdict`` keeps as the reference the tests hold the coatoms to.
 It compares the generated levels at the join-irreducibles, as bitmasks,
 with mu's, and builds no L-subset per point.
-``enumerate_l_subgroups`` walks all of L(mu) as level maps.  One level
-classifier places each level of eta inside mu's; the level profile and the
-sufficient pattern read it, and the profile pins down the single defect
-level that maximality forces when the images are jointly supstar.
+``enumerate_l_subgroups`` walks L(mu) as level maps, depth first over the
+join-irreducibles.  The subtree below a node depends only on the bounds
+its choices leave on the later join-irreducibles, so it is walked once and
+a repeat is charged its recorded visits.  As eta(x) is the join of the
+join-irreducibles whose level holds x (Birkhoff), a member packs into one
+integer with a field per group element, put together from the recorded
+subtrees by one OR per level and decoded through a table, as the level
+cuts are.  One level classifier places each level of eta inside mu's; the
+level profile and the sufficient pattern read it, and the profile pins
+down the single defect level that maximality forces when the images are
+jointly supstar.
 """
 from __future__ import annotations
 
 import enum
 from functools import lru_cache, reduce
+from itertools import repeat
 from typing import NamedTuple
 
 from .errors import InstanceTooLargeError, NotAnIsomorphismError
 from .errors import NotAnLSubgroupError, NotMaximalError
 from .groups import GroupHom, _indices, _lower_covers, _subgroup_table
-from .lsets import _down_sizes, _level_masks
+from .lsets import _down_sizes, _irreducibles, _level_masks
 from .lsets import (
     LPoint,
     LSubset,
@@ -116,42 +124,98 @@ def candidate_space_size(mu: LSubset) -> int:
 
 
 @lru_cache(maxsize=64)
+def _birkhoff(lat) -> tuple[int, object]:
+    # a member's value at x is the join of the join-irreducibles whose level
+    # holds x, so it packs into a field of one bit per join-irreducible, in
+    # _irreducibles order.  Returns the field width in bits and a decoder of
+    # codes with one field per group element into their values as lattice
+    # indices, bytes for one-byte fields and tuples for wider ones, which
+    # sort in canonical order either way
+    irreducibles, leq = _irreducibles(lat), lat._leq
+    size = -(-len(irreducibles) // 8) or 1
+    down = {sum(1 << k for k, j in enumerate(irreducibles) if leq[j][a]): a for a in range(len(lat))}
+    if size == 1:
+        table = bytes(down.get(c, 0) for c in range(256))
+        return 8, lambda codes, n: map(
+            bytes.translate, map(int.to_bytes, codes, repeat(n), repeat("little")), repeat(table)
+        )
+    fields = {c.to_bytes(size, "little"): a for c, a in down.items()}
+    return 8 * size, lambda codes, n: (
+        tuple(fields[raw[i:i + size]] for i in range(0, n * size, size))
+        for raw in map(int.to_bytes, codes, repeat(n * size), repeat("little"))
+    )
+
+
+@lru_cache(maxsize=4096)
+def _spread(mask: int, width: int) -> int:
+    # one set bit at the start of the field of each element in mask
+    return sum(1 << x * width for x in _indices(mask))
+
+
+@lru_cache(maxsize=64)
 def _enumeration(mu: LSubset, budget: int) -> tuple[LSubset, ...]:
+    # A node's key is the bounds left on the join-irreducibles from its own
+    # on: mu's levels met with the levels chosen below each (antitone).  A
+    # repeat that the budget runs out in is walked again to the exact visit.
     group, lat = mu.group, mu.lattice
     irreducibles, levels = _level_masks(mu)
-    leq, join, bottom = lat._leq, lat._join, lat.index(lat.bottom)
-    # antitone: H_j must sit inside H_i for every join-irreducible i below j
-    earlier = [[p for p in range(k) if leq[irreducibles[p]][j]] for k, j in enumerate(irreducibles)]
-    subgroups = [(0, ())] + [(h, _indices(h)) for h in _subgroup_table(group)]
-    fitting: dict[int, list] = {}  # bound mask -> the subgroups (or ∅) inside it
-    found: list[LSubset] = []
-    visited = 0
+    leq, m = lat._leq, len(irreducibles)
+    # at position k, the later positions whose bound the choice meets
+    later = [[leq[j][i] for i in irreducibles[k + 1:]] for k, j in enumerate(irreducibles)]
+    subgroups = (0, *_subgroup_table(group))
+    fitting: dict[int, list[int]] = {}  # bound mask -> the subgroups (or ∅) inside it
+    records = {(): (1, 1, ())}  # key -> (visits, members, ((choice, child key), ...))
+    visited = members = 0
 
-    def walk(k: int, acc: list[int], chosen: tuple[int, ...]) -> None:
-        nonlocal visited
+    def walk(key: tuple[int, ...]) -> None:
+        nonlocal visited, members
         visited += 1
         if visited > budget:
             raise InstanceTooLargeError(visited, budget, (
                 f"enumeration of L(mu) exceeded its budget of {budget} partial level maps "
-                f"after {len(found)} members"
+                f"after {members} members"
             ))
-        if k == len(irreducibles):
-            found.append(LSubset(group, lat, tuple(acc)))
+        if not key:  # a leaf: walked only to be refused, or as all of L(mu) over one element
+            members += 1
             return
-        j, bound = irreducibles[k], levels[k]
-        for p in earlier[k]:
-            bound &= chosen[p]
-        if bound not in fitting:
-            fitting[bound] = [(h, xs) for h, xs in subgroups if not h & ~bound]
-        for h, xs in fitting[bound]:
-            nxt = list(acc)
-            for x in xs:
-                nxt[x] = join[nxt[x]][j]
-            walk(k + 1, nxt, chosen + (h,))
+        if key in records:  # a repeat that the budget runs out in
+            children = records[key][2]
+        else:
+            bound, rest, meets = key[0], key[1:], later[m - len(key)]
+            if bound not in fitting:
+                fitting[bound] = [h for h in subgroups if not h & ~bound]
+            children = tuple(
+                (h, tuple([b & h if meet else b for b, meet in zip(rest, meets)])) for h in fitting[bound]
+            )
+        start = visited - 1, members
+        for _, child in children:
+            record = records.get(child)
+            if record is not None and visited + record[0] <= budget:
+                visited += record[0]
+                members += record[1]
+            else:
+                walk(child)
+        records[key] = (visited - start[0], members - start[1], children)
 
-    walk(0, [bottom] * len(group), ())
-    found.sort(key=lambda s: s.value_indices())
-    return tuple(found)
+    root = tuple(levels)
+    walk(root)
+    width, decode = _birkhoff(lat)
+    codes: dict[tuple[int, ...], list[int]] = {(): [0]}
+
+    def assemble(key: tuple[int, ...]) -> list[int]:
+        shift, found = m - len(key), []
+        for h, child in records[key][2]:
+            below = codes[child] if child in codes else assemble(child)
+            found += map((_spread(h, width) << shift).__or__, below) if h else below
+        codes[key] = found
+        return found
+
+    found = sorted(decode(codes[root] if root in codes else assemble(root), len(group)))
+    # walk and assemble refer to themselves, so their closures wait for the
+    # cycle collector: free the codes and records before building the members
+    codes.clear()
+    records.clear()
+    return tuple(map(LSubset, repeat(group), repeat(lat), map(tuple, found)))
 
 
 def _pack(levels: tuple[int, ...], n: int) -> int:
@@ -167,7 +231,8 @@ def _level_cuts(mu: LSubset, budget: int, pick) -> tuple[tuple[int, LSubset], ..
     strictly above j, and returns how many cuts at j it weighed and the
     masks M it keeps.  The builder compares no cuts.  The budget counts
     n + n² units for the n cuts weighed.  A cut is packed into one integer,
-    its levels at the join-irreducibles laid out by ``_pack``.  Raises
+    its levels at the join-irreducibles laid out by ``_pack``, and its
+    L-subset is decoded from its per-element code (see ``_birkhoff``).  Raises
     NotAnLSubgroupError when mu is not an L-subgroup,
     NonDistributiveLatticeError over a non-distributive lattice and
     InstanceTooLargeError when the work exceeds ``budget``.
@@ -176,8 +241,7 @@ def _level_cuts(mu: LSubset, budget: int, pick) -> tuple[tuple[int, LSubset], ..
         raise NotAnLSubgroupError("level cuts of mu require mu to be an L-subgroup")
     group, lat = mu.group, mu.lattice
     irreducibles, levels = _level_masks(mu)
-    leq, join, bottom = lat._leq, lat._join, lat.index(lat.bottom)
-    n, full = len(group), (1 << len(group)) - 1
+    leq, n, full = lat._leq, len(group), (1 << len(group)) - 1
     packed = _pack(levels, n)
     weighed, cuts = 0, []
     for j, level in zip(irreducibles, levels):
@@ -194,15 +258,10 @@ def _level_cuts(mu: LSubset, budget: int, pick) -> tuple[tuple[int, LSubset], ..
             f"the level cuts of mu need {work} units of work ({weighed} level cuts and the "
             f"ordered pairs among them), over the budget of {budget}"
         ))
-    found: list[tuple[int, LSubset]] = []
-    for c in cuts:
-        vals = [bottom] * n
-        for k, j in enumerate(irreducibles):
-            for x in _indices(c >> k * n & full):
-                vals[x] = join[vals[x]][j]
-        found.append((c, LSubset(group, lat, tuple(vals))))
-    found.sort(key=lambda cut: cut[1].value_indices())
-    return tuple(found)
+    width, decode = _birkhoff(lat)
+    codes = [sum(_spread(c >> k * n & full, width) << k for k in range(len(levels))) for c in cuts]
+    found = sorted(zip(decode(codes, n), cuts))
+    return tuple((c, LSubset(group, lat, tuple(vals))) for vals, c in found)
 
 
 @lru_cache(maxsize=64)
@@ -244,10 +303,11 @@ def enumerate_l_subgroups(mu: LSubset, budget: int = DEFAULT_BUDGET) -> tuple[LS
     Found as level maps (see the module docstring); mu need not be an
     L-subgroup.  Canonical order is lexicographic on the value tuple (group
     element order, lattice index order).  The budget counts units of work,
-    here one per partial level map the walk visits.  Raises
-    NonDistributiveLatticeError over a non-distributive lattice and
+    here one per partial level map of the depth-first walk; a repeated
+    subtree, walked once, is charged its full visit count each time.
+    Raises NonDistributiveLatticeError over a non-distributive lattice and
     InstanceTooLargeError once the walk has visited more than ``budget``
-    partial level maps.
+    partial level maps, naming how many members it had found by then.
     """
     return _enumeration(mu, budget)
 

@@ -54,7 +54,7 @@ from lsubgroups import (
     validate_lattice,
 )
 from lsubgroups.lsets import _level_masks, _search_l_subgroup_values
-from lsubgroups.groups import _lower_covers, _subgroup_table
+from lsubgroups.groups import _indices, _lower_covers, _subgroup_table
 from lsubgroups.maximal import _coatom_index, _coatoms, _lpoint_verdict
 
 from conftest import dihedral, elementary_abelian
@@ -196,6 +196,123 @@ class TestLevelMapsMatchTheElementSearch:
         mu = constant(builtin_group("C1"), lat, lat.top)
         assert list(enumerate_l_subgroups(mu)) == self.by_search(mu)
         assert len(enumerate_l_subgroups(mu)) == length
+
+
+def enumeration_by_recursive_walk(mu, budget):
+    """Reference for the memoised walk: the depth-first walk over level maps
+    that visits every partial level map in a call of its own and builds each
+    member by joining, at each x, the join-irreducibles whose level holds x.
+    Returns the members in canonical order and the number of partial level
+    maps visited; refuses as ``enumerate_l_subgroups`` must."""
+    group, lat = mu.group, mu.lattice
+    irreducibles, levels = _level_masks(mu)
+    leq, join, bottom = lat._leq, lat._join, lat.index(lat.bottom)
+    earlier = [[p for p in range(k) if leq[irreducibles[p]][j]] for k, j in enumerate(irreducibles)]
+    subgroups = [(0, ())] + [(h, _indices(h)) for h in _subgroup_table(group)]
+    found = []
+    visited = 0
+
+    def walk(k, acc, chosen):
+        nonlocal visited
+        visited += 1
+        if visited > budget:
+            raise InstanceTooLargeError(visited, budget, (
+                f"enumeration of L(mu) exceeded its budget of {budget} partial level maps "
+                f"after {len(found)} members"
+            ))
+        if k == len(irreducibles):
+            found.append(LSubset(group, lat, tuple(acc)))
+            return
+        j, bound = irreducibles[k], levels[k]
+        for p in earlier[k]:
+            bound &= chosen[p]
+        for h, xs in subgroups:
+            if not h & ~bound:
+                nxt = list(acc)
+                for x in xs:
+                    nxt[x] = join[nxt[x]][j]
+                walk(k + 1, nxt, chosen + (h,))
+
+    walk(0, [bottom] * len(group), ())
+    return sorted(found, key=lambda s: s.value_indices()), visited
+
+
+def refusal(call):
+    with pytest.raises(InstanceTooLargeError) as caught:
+        call()
+    error = caught.value
+    return type(error), str(error), error.args, error.size, error.budget
+
+
+class TestMemoisedWalkMatchesTheRecursiveWalk:
+    """The memoised walk against the recursive walk it replaced, which stays
+    as its reference: the same members in the same order, and the same
+    refusal (type, message, args) at budgets that run out at the first
+    visits, inside the walk and at its last visit, on seeded parents over
+    six lattice kinds and a chain of 12, on parents that are not
+    L-subgroups and on the trivial group."""
+
+    @staticmethod
+    def check(mu):
+        members, visits = enumeration_by_recursive_walk(mu, DEFAULT_BUDGET)
+        assert enumerate_l_subgroups(mu, budget=visits) == tuple(members)
+        for budget in {1, 2, visits // 3, visits // 2, 2 * visits // 3, visits - 1}:
+            if 0 < budget < visits:
+                expected = refusal(lambda: enumeration_by_recursive_walk(mu, budget))
+                assert refusal(lambda: enumerate_l_subgroups(mu, budget=budget)) == expected
+        return visits
+
+    @pytest.mark.parametrize(
+        "kind", ["chain2-6", "chain8", "chain12", "product2x3", "product3x3", "divisors12", "divisors30"]
+    )
+    def test_seeded_parents(self, kind):
+        spec = InstanceSpec(7, lattice_kind=kind, group_kind="Q8|D8|C6|V4|C12|C8")
+        visits = [self.check(build_instance(spec, trial).mu) for trial in range(20)]
+        assert max(visits) > 100
+
+    def test_parents_that_are_not_l_subgroups(self):
+        for trial in range(40):
+            for raw in build_instance(InstanceSpec(2), trial).raws:
+                self.check(raw)
+
+    @pytest.mark.parametrize("length", [1, 2, 3])
+    def test_trivial_group(self, length):
+        lat = make_lattice(f"chain{length}")
+        for value in lat.elements:
+            self.check(constant(builtin_group("C1"), lat, value))
+        mu = constant(builtin_group("C1"), lat, lat.top)
+        assert refusal(lambda: enumerate_l_subgroups(mu, budget=0)) == refusal(
+            lambda: enumeration_by_recursive_walk(mu, 0)
+        )
+
+
+class TestHopelessParent:
+    """Constant-top C2^5 over divisors30: at each of the three atoms the level
+    is one of the 374 subgroups or ∅, so |L(mu)| = 375³, about 5.3·10⁷.  A
+    repeated subtree is charged its recorded visits, so the walk reaches the
+    budget without building any member."""
+
+    @staticmethod
+    def parent():
+        lat = make_lattice("divisors30")
+        return constant(elementary_abelian(5), lat, lat.top)
+
+    def test_refused_at_the_default_budget(self):
+        # the root, 70 whole subtrees below the first atom of 1 + 375·376
+        # visits each, one more node there, 345 whole subtrees of 1 + 375
+        # visits, one node and 207 leaves make 10^7 visits and 9,973,332
+        # members; the next visit is refused
+        error = refusal(lambda: enumerate_l_subgroups(self.parent()))
+        assert error[1] == (
+            "enumeration of L(mu) exceeded its budget of 10000000 partial level maps after 9973332 members"
+        )
+        assert error[3:] == (DEFAULT_BUDGET + 1, DEFAULT_BUDGET)
+
+    def test_refusal_matches_the_recursive_walk(self):
+        mu = self.parent()
+        expected = refusal(lambda: enumeration_by_recursive_walk(mu, 10**5))
+        assert expected[1].endswith("after 99732 members")
+        assert refusal(lambda: enumerate_l_subgroups(mu, budget=10**5)) == expected
 
 
 class TestClosedFormCoatoms:
