@@ -49,7 +49,7 @@ from typing import NamedTuple
 
 from .errors import InstanceTooLargeError, NotAnIsomorphismError
 from .errors import NotAnLSubgroupError, NotMaximalError
-from .groups import GroupHom, _indices, _lower_covers, _subgroup_table
+from .groups import GroupHom, _lower_covers, _subgroup_table
 from .lsets import _down_sizes, _irreducibles, _level_masks
 from .lsets import (
     LPoint,
@@ -148,8 +148,9 @@ def _birkhoff(lat) -> tuple[int, object]:
 
 @lru_cache(maxsize=4096)
 def _spread(mask: int, width: int) -> int:
-    # one set bit at the start of the field of each element in mask
-    return sum(1 << x * width for x in _indices(mask))
+    # one set bit at the start of the field of each element in mask: each
+    # binary digit of mask read as a hexadecimal digit, width / 4 digits apart
+    return int(("0" * (width // 4 - 1)).join(format(mask, "b")), 16)
 
 
 @lru_cache(maxsize=64)
@@ -186,7 +187,7 @@ def _enumeration(mu: LSubset, budget: int) -> tuple[LSubset, ...]:
                 fitting[bound] = [h for h in subgroups if not h & ~bound]
             children = tuple(
                 (h, tuple([b & h if meet else b for b, meet in zip(rest, meets)])) for h in fitting[bound]
-            )
+            ) if True in meets else tuple(zip(fitting[bound], repeat(rest)))
         start = visited - 1, members
         for _, child in children:
             record = records.get(child)
@@ -203,12 +204,12 @@ def _enumeration(mu: LSubset, budget: int) -> tuple[LSubset, ...]:
     codes: dict[tuple[int, ...], list[int]] = {(): [0]}
 
     def assemble(key: tuple[int, ...]) -> list[int]:
-        shift, found = m - len(key), []
+        shift, listed = m - len(key), []
         for h, child in records[key][2]:
             below = codes[child] if child in codes else assemble(child)
-            found += map((_spread(h, width) << shift).__or__, below) if h else below
-        codes[key] = found
-        return found
+            listed += map((_spread(h, width) << shift).__or__, below) if h else below
+        codes[key] = listed
+        return listed
 
     found = sorted(decode(codes[root] if root in codes else assemble(root), len(group)))
     # walk and assemble refer to themselves, so their closures wait for the
@@ -243,23 +244,26 @@ def _level_cuts(mu: LSubset, budget: int, pick) -> tuple[tuple[int, LSubset], ..
     irreducibles, levels = _level_masks(mu)
     leq, n, full = lat._leq, len(group), (1 << len(group)) - 1
     packed = _pack(levels, n)
-    weighed, cuts = 0, []
+    width, decode = _birkhoff(lat)
+    # mu's per-element code: a cut at j by M clears the bits at j and above of the elements outside M
+    code, everyone = sum(_spread(lv, width) << k for k, lv in enumerate(levels)), _spread(full, width)
+    weighed, cuts, codes = 0, [], []
     for j, level in zip(irreducibles, levels):
         if not level:
             continue
-        spread = sum(1 << k * n for k, i in enumerate(irreducibles) if leq[j][i])
+        ups = [k for k, i in enumerate(irreducibles) if leq[j][i]]
+        spread, bits = sum(1 << k * n for k in ups), sum(1 << k for k in ups)
         above = reduce(int.__or__, (lv for i, lv in zip(irreducibles, levels) if i != j and leq[j][i]), 0)
         count, masks = pick(j, level, above)
         weighed += count
         cuts.extend(packed & ~(full * spread) | packed & m * spread for m in masks)
+        codes.extend(code & ~((everyone ^ _spread(m, width)) * bits) for m in masks)
     work = weighed * (weighed + 1)
     if work > budget:
         raise InstanceTooLargeError(work, budget, (
             f"the level cuts of mu need {work} units of work ({weighed} level cuts and the "
             f"ordered pairs among them), over the budget of {budget}"
         ))
-    width, decode = _birkhoff(lat)
-    codes = [sum(_spread(c >> k * n & full, width) << k for k in range(len(levels))) for c in cuts]
     found = sorted(zip(decode(codes, n), cuts))
     return tuple((c, LSubset(group, lat, tuple(vals))) for vals, c in found)
 
