@@ -135,7 +135,9 @@ def _birkhoff(lat) -> tuple[int, object]:
     size = -(-len(irreducibles) // 8) or 1
     down = {sum(1 << k for k, j in enumerate(irreducibles) if leq[j][a]): a for a in range(len(lat))}
     if size == 1:
-        table = bytes(down.get(c, 0) for c in range(256))
+        table = bytearray(256)
+        for c, a in down.items():
+            table[c] = a
         return 8, lambda codes, n: map(
             bytes.translate, map(int.to_bytes, codes, repeat(n), repeat("little")), repeat(table)
         )
