@@ -192,7 +192,7 @@ def _cmd_maximals(ws: Workspace, args) -> int:
         profile = level_profile(m, mu)
         entry = {
             "values": m.values(),
-            "tip_relation": tip_relation(m, mu).value,
+            "tip_relation": tip_relation(m, mu, budget=args.budget).value,
             "defect_level": profile.unique_defect_level,
             "levels": {a: rel.value for a, rel in profile.witness_levels},
             "verdict": is_maximal(m, mu, budget=args.budget).maximal,

@@ -25,7 +25,8 @@ both against scans of L(mu), and the reduction to L(mu) against the raw
 definition on tiny instances.
 
 ``frattini`` builds one report per parent and budget.  A point a_x meets
-the packed coatom cuts as one mask: bit x at each join-irreducible j ≤ a.
+the coatoms as one mask test each, against the code ``maximal._code``
+gives the point's level map: {x} at each join-irreducible j ≤ a.
 """
 from __future__ import annotations
 
@@ -37,7 +38,7 @@ from .errors import NotAnIsomorphismError, NotNormalInGroupError
 from .groups import GroupHom, _subgroup_table, frattini_classical
 from .lsets import LPoint, LSubset, _irreducibles, _level_masks, contains, intersection_of
 from .lsets import is_normal_in, is_normal_in_group, point_in, pushforward
-from .maximal import DEFAULT_BUDGET, _coatom_scan, _coatoms, _level_cuts, maximal_l_subgroups
+from .maximal import DEFAULT_BUDGET, _code, _coatom_scan, _coatoms, _level_cuts, maximal_l_subgroups
 
 
 class FrattiniReport(NamedTuple):
@@ -106,16 +107,15 @@ def is_non_generator(
 
     A false answer returns the witness eta with <eta, a_x> = mu yet
     <eta> != mu: the first coatom of L(mu) in the scan order of
-    ``maximal._coatom_scan`` whose packed cut misses the point's mask.  A
+    ``maximal._coatom_scan`` whose code misses the point's.  A
     coatom missing a_x generates mu with it, and any witness lies under
     such a coatom, so this is also the first witness of a largest-first
     scan of L(mu), containment-maximal among all witnesses.
     """
     if not point_in(point, mu):
         raise LPointNotInParentError(f"{point} is not a point of the parent")
-    lat, x, n = mu.lattice, mu.group.index(point.point), len(mu.group)
-    a = lat.index(point.height)
-    mask = sum(1 << k * n + x for k, j in enumerate(_irreducibles(lat)) if lat._leq[j][a])
+    lat, x, a = mu.lattice, mu.group.index(point.point), mu.lattice.index(point.height)
+    mask = _code(lat, [1 << x if lat._leq[j][a] else 0 for j in _irreducibles(lat)])
     witness = next((c for p, c in _coatom_scan(mu, budget) if mask & ~p), None)
     return witness is None, witness
 
@@ -203,14 +203,17 @@ def nongenerators_conjugation_closed(
 
     The points are those of ``non_generator_points``, read from the coatoms
     of L(mu) that ``maximal`` caches per parent.  Requires mu normal in the
-    ambient group.  Returns (True, None) or a counterexample naming the
-    point and conjugator; no counterexample is ever expected.
+    ambient group.  Returns (True, None) or the first counterexample, naming
+    the point and conjugator: points in group order and then lattice order,
+    conjugators in group order.  No counterexample is ever expected.
     """
     if not is_normal_in_group(mu):
         raise NotNormalInGroupError("conjugation closure needs mu normal in the group")
     points = non_generator_points(mu, budget=budget)
-    group = mu.group
-    for p in points:
+    group, lat = mu.group, mu.lattice
+    for p in (LPoint(x, a) for x in group.elements for a in lat.elements):
+        if p not in points:
+            continue
         for g in group.elements:
             moved = LPoint(group.conjugate(g, p.point), p.height)
             if moved not in points:

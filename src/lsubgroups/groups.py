@@ -161,84 +161,19 @@ def validate_group(elements: Sequence[str], table: Sequence[Sequence[str]]) -> F
 
 # ---------------------------------------------------------------- builtins
 
-def _cyclic(n: int) -> FiniteGroup:
-    names = ["e"] + [f"g{k}" if k > 1 else "g" for k in range(1, n)]
-    table = [[names[(i + j) % n] for j in range(n)] for i in range(n)]
-    return validate_group(names, table)
+def _from_indices(names: Sequence[str], mul) -> FiniteGroup:
+    # the table of ``mul`` on element indices, validated like any document
+    n = len(names)
+    return validate_group(names, [[names[mul(x, y)] for y in range(n)] for x in range(n)])
 
 
-def _klein_four() -> FiniteGroup:
-    names = ["e", "a", "b", "c"]
-    prod = {
-        ("e", x): x for x in names
-    }
-    prod.update({(x, "e"): x for x in names})
-    prod.update({(x, x): "e" for x in names})
-    prod.update({("a", "b"): "c", ("b", "a"): "c", ("b", "c"): "a", ("c", "b"): "a",
-                 ("a", "c"): "b", ("c", "a"): "b"})
-    table = [[prod[(x, y)] for y in names] for x in names]
-    return validate_group(names, table)
-
-
-def _dihedral8() -> FiniteGroup:
-    # Words s^i r^j with r^4 = s^2 = e and r s = s r^-1.
-    names = ["e", "r", "r2", "r3", "s", "sr", "sr2", "sr3"]
-
-    def decode(name: str) -> tuple[int, int]:
-        i = 1 if name.startswith("s") else 0
-        rest = name[1:] if i else name
-        if rest in ("", "e"):
-            j = 0
-        elif rest == "r":
-            j = 1
-        else:
-            j = int(rest[1:])
-        return i, j
-
-    def encode(i: int, j: int) -> str:
-        j %= 4
-        base = "" if j == 0 else ("r" if j == 1 else f"r{j}")
-        if i % 2 == 0:
-            return base or "e"
-        return "s" + base if base else "s"
-
-    def mul(x: str, y: str) -> str:
-        i, j = decode(x)
-        k, l = decode(y)
-        return encode(i + k, (-j if k else j) + l)
-
-    table = [[mul(x, y) for y in names] for x in names]
-    return validate_group(names, table)
-
-
-def _quaternion8() -> FiniteGroup:
-    # Standard unit quaternions: i^2 = j^2 = k^2 = -1, ij = k, jk = i, ki = j.
-    names = ["1", "-1", "i", "-i", "j", "-j", "k", "-k"]
-    unit_mul = {
-        ("1", x): (1, x) for x in "1ijk"
-    }
-    unit_mul.update({(x, "1"): (1, x) for x in "1ijk"})
-    unit_mul.update({
-        ("i", "i"): (-1, "1"), ("j", "j"): (-1, "1"), ("k", "k"): (-1, "1"),
-        ("i", "j"): (1, "k"), ("j", "i"): (-1, "k"),
-        ("j", "k"): (1, "i"), ("k", "j"): (-1, "i"),
-        ("k", "i"): (1, "j"), ("i", "k"): (-1, "j"),
-    })
-
-    def split(name: str) -> tuple[int, str]:
-        return (-1, name[1:]) if name.startswith("-") else (1, name)
-
-    def fuse(sign: int, unit: str) -> str:
-        return unit if sign > 0 else f"-{unit}"
-
-    def mul(x: str, y: str) -> str:
-        sx, ux = split(x)
-        sy, uy = split(y)
-        sp, up = unit_mul[(ux, uy)]
-        return fuse(sx * sy * sp, up)
-
-    table = [[mul(x, y) for y in names] for x in names]
-    return validate_group(names, table)
+def _quaternion_product(x: int, y: int) -> int:
+    # ±u is 2u + (1 when negative), for the units 1, i, j, k as u = 0..3.
+    # The unit of a product is u XOR v, negated when u = v ≠ 0 (u² = -1) or
+    # when v does not follow u in the cycle i → j → k (ji = -k)
+    u, v = x >> 1, y >> 1
+    flip = 1 if u and v and (v - u) % 3 != 1 else 0
+    return 2 * (u ^ v) + ((x ^ y ^ flip) & 1)
 
 
 @lru_cache(maxsize=64)
@@ -246,16 +181,30 @@ def builtin_group(name: str) -> FiniteGroup:
     """Builtin groups with fixed element names: Q8, D8, V4 and Cn (e.g. C6).
 
     One shared, validated group per name: repeat calls return the same
-    object, with its subgroup table and lower covers.
+    object, with its subgroup table and lower covers.  The elements, by
+    index:
+
+    - Q8: 1, -1, i, -i, j, -j, k, -k; ±u is element 2u + (1 when negative)
+      for the units 1, i, j, k, with u² = -1 for u ≠ 1 and ij = k, jk = i,
+      ki = j;
+    - D8: e, r, r2, r3, s, sr, sr2, sr3; element 4i + j is s^i r^j, with
+      r⁴ = s² = e and r^j s = s r^-j;
+    - V4: e, a, b, c, multiplied by XOR of the indices;
+    - Cn: e, g, g2, ..., g(n-1); element k is g^k, multiplied by adding
+      the indices mod n.
     """
     if name == "Q8":
-        return _quaternion8()
+        return _from_indices(("1", "-1", "i", "-i", "j", "-j", "k", "-k"), _quaternion_product)
     if name == "D8":
-        return _dihedral8()
+        return _from_indices(
+            ("e", "r", "r2", "r3", "s", "sr", "sr2", "sr3"),
+            lambda x, y: (x ^ y) & 4 | ((-x if y & 4 else x) + y) % 4,
+        )
     if name == "V4":
-        return _klein_four()
+        return _from_indices(("e", "a", "b", "c"), int.__xor__)
     if name.startswith("C") and name[1:].isdigit() and int(name[1:]) >= 1:
-        return _cyclic(int(name[1:]))
+        n = int(name[1:])
+        return _from_indices(("e", "g", *(f"g{k}" for k in range(2, n)))[:n], lambda x, y: (x + y) % n)
     raise UnknownBuiltinError(f"unknown builtin group {name!r}")
 
 

@@ -16,13 +16,13 @@ eta lies under one: take j minimal where eta differs from mu and M ⊇ eta_j.
 If mu_i is not inside M at some i > j, the cut lies strictly under a cut
 at i; otherwise it differs from mu only at j, under no other cut.  So the
 coatoms are the cuts whose M holds mu's levels strictly above j.  They are
-found once per parent and cached with their cuts packed into integers; the
+found once per parent and cached with their Birkhoff codes (below); the
 maximal L-subgroups are the non-constant ones, and the Frattini module
 reads them, ``frattini.maximal_avoiding`` through the same builder.
 
 ``is_maximal`` answers by the definition: eta is maximal exactly when no
-coatom is strictly above it, one mask test per coatom against eta packed
-the same way.  A no also names a point of mu outside eta that fails to
+coatom is strictly above it, one mask test per coatom against eta's
+code.  A no also names a point of mu outside eta that fails to
 generate mu when adjoined, from the lattice-point test (eta
 is maximal iff adjoining any missing point generates mu), which
 ``_lpoint_verdict`` keeps as the reference the tests hold the coatoms to.
@@ -34,17 +34,19 @@ its choices leave on the later join-irreducibles, so it is walked once and
 a repeat is charged its recorded visits.  As eta(x) is the join of the
 join-irreducibles whose level holds x (Birkhoff), a member packs into one
 integer with a field per group element, put together from the recorded
-subtrees by one OR per level and decoded through a table, as the level
-cuts are.  One level classifier places each level of eta inside mu's; the
-level profile and the sufficient pattern read it, and the profile pins
-down the single defect level that maximality forces when the images are
-jointly supstar.
+subtrees by one OR per level and decoded through a table.  The level cuts
+are packed the same way, and no module but this one knows the layout:
+``_code`` packs any level map, a point's among them.  One level classifier
+places each level of eta inside mu's; the level profile and the sufficient
+pattern read it, and the profile pins down the single defect level that
+maximality forces when the images are jointly supstar.
 """
 from __future__ import annotations
 
 import enum
 from functools import lru_cache, reduce
 from itertools import repeat
+from math import prod
 from typing import NamedTuple
 
 from .errors import InstanceTooLargeError, NotAnIsomorphismError
@@ -117,10 +119,7 @@ def candidate_space_size(mu: LSubset) -> int:
 
     A statistic only; the enumeration budget counts the work actually done.
     """
-    total = 1
-    for x in mu.group.elements:
-        total *= len(mu.lattice.down_set(mu.value(x)))
-    return total
+    return prod(map(_down_sizes(mu.lattice).__getitem__, mu.value_indices()))
 
 
 @lru_cache(maxsize=64)
@@ -221,21 +220,23 @@ def _enumeration(mu: LSubset, budget: int) -> tuple[LSubset, ...]:
     return tuple(map(LSubset, repeat(group), repeat(lat), map(tuple, found)))
 
 
-def _pack(levels: tuple[int, ...], n: int) -> int:
-    # one level mask per join-irreducible, |G| bits each, the first lowest
-    return sum(level << k * n for k, level in enumerate(levels))
+def _code(lat, levels) -> int:
+    # the Birkhoff code of a level map, one level mask per join-irreducible in
+    # _irreducibles order: element x's field holds bit k when level k holds x.
+    # Containment of level maps is containment of their codes
+    width = _birkhoff(lat)[0]
+    return sum(_spread(level, width) << k for k, level in enumerate(levels))
 
 
 def _level_cuts(mu: LSubset, budget: int, pick) -> tuple[tuple[int, LSubset], ...]:
-    """The level cuts of mu that ``pick`` keeps, each with its packed form, in canonical order.
+    """The level cuts of mu that ``pick`` keeps, each with its code, in canonical order.
 
     ``pick(j, level, above)`` sees each join-irreducible j where mu's level
     is the non-empty mask ``level``, with ``above`` the OR of mu's levels
     strictly above j, and returns how many cuts at j it weighed and the
     masks M it keeps.  The builder compares no cuts.  The budget counts
-    n + n² units for the n cuts weighed.  A cut is packed into one integer,
-    its levels at the join-irreducibles laid out by ``_pack``, and its
-    L-subset is decoded from its per-element code (see ``_birkhoff``).  Raises
+    n + n² units for the n cuts weighed.  A cut is packed into its
+    Birkhoff code (see ``_code``), from which its L-subset is decoded.  Raises
     NotAnLSubgroupError when mu is not an L-subgroup,
     NonDistributiveLatticeError over a non-distributive lattice and
     InstanceTooLargeError when the work exceeds ``budget``.
@@ -245,20 +246,17 @@ def _level_cuts(mu: LSubset, budget: int, pick) -> tuple[tuple[int, LSubset], ..
     group, lat = mu.group, mu.lattice
     irreducibles, levels = _level_masks(mu)
     leq, n, full = lat._leq, len(group), (1 << len(group)) - 1
-    packed = _pack(levels, n)
     width, decode = _birkhoff(lat)
-    # mu's per-element code: a cut at j by M clears the bits at j and above of the elements outside M
-    code, everyone = sum(_spread(lv, width) << k for k, lv in enumerate(levels)), _spread(full, width)
-    weighed, cuts, codes = 0, [], []
+    # a cut at j by M clears the bits at j and above of the elements outside M
+    code, everyone = _code(lat, levels), _spread(full, width)
+    weighed, codes = 0, []
     for j, level in zip(irreducibles, levels):
         if not level:
             continue
-        ups = [k for k, i in enumerate(irreducibles) if leq[j][i]]
-        spread, bits = sum(1 << k * n for k in ups), sum(1 << k for k in ups)
+        bits = sum(1 << k for k, i in enumerate(irreducibles) if leq[j][i])
         above = reduce(int.__or__, (lv for i, lv in zip(irreducibles, levels) if i != j and leq[j][i]), 0)
         count, masks = pick(j, level, above)
         weighed += count
-        cuts.extend(packed & ~(full * spread) | packed & m * spread for m in masks)
         codes.extend(code & ~((everyone ^ _spread(m, width)) * bits) for m in masks)
     work = weighed * (weighed + 1)
     if work > budget:
@@ -266,13 +264,13 @@ def _level_cuts(mu: LSubset, budget: int, pick) -> tuple[tuple[int, LSubset], ..
             f"the level cuts of mu need {work} units of work ({weighed} level cuts and the "
             f"ordered pairs among them), over the budget of {budget}"
         ))
-    found = sorted(zip(decode(codes, n), cuts))
+    found = sorted(zip(decode(codes, n), codes))
     return tuple((c, LSubset(group, lat, tuple(vals))) for vals, c in found)
 
 
 @lru_cache(maxsize=64)
 def _coatom_index(mu: LSubset, budget: int) -> tuple[tuple[LSubset, ...], tuple]:
-    """The coatoms of L(mu) in canonical order, alone and with their packed cuts.
+    """The coatoms of L(mu) in canonical order, alone and with their codes.
 
     Constants are kept.  Every cut by a lower cover M of mu_j (∅ when mu_j
     is trivial) is weighed, and kept when M holds mu's levels above j.
@@ -292,7 +290,7 @@ def _coatoms(mu: LSubset, budget: int) -> tuple[LSubset, ...]:
 
 @lru_cache(maxsize=64)
 def _coatom_scan(mu: LSubset, budget: int) -> tuple[tuple[int, LSubset], ...]:
-    """The coatoms with their packed cuts, by rank descending, canonical order on ties.
+    """The coatoms with their codes, by rank descending, canonical order on ties.
 
     Rank, the summed down-set size of the values, grows strictly along
     containment: the first coatom a witness scan accepts is the first hit
@@ -348,7 +346,7 @@ def is_maximal(eta: LSubset, mu: LSubset, *, budget: int = DEFAULT_BUDGET) -> Ma
     """Test whether eta is a maximal L-subgroup of mu.
 
     Looks for a coatom of L(mu) strictly above eta, one mask test each
-    against eta packed once, and returns the first in scan order (see
+    against eta's code, and returns the first in scan order (see
     ``_coatom_scan``) as ``witness_between``, a containment-maximal member
     strictly between.  A negative verdict also carries ``witness_point``:
     the first point of mu outside eta, in group order and then lattice
@@ -360,7 +358,7 @@ def is_maximal(eta: LSubset, mu: LSubset, *, budget: int = DEFAULT_BUDGET) -> Ma
         return MaximalityVerdict(False, "not_proper")
     # every member strictly between eta and mu lies under a coatom strictly
     # above eta, so eta is maximal exactly when there is no such coatom
-    pe = _pack(_level_masks(eta)[1], len(mu.group))
+    pe = _code(mu.lattice, _level_masks(eta)[1])
     theta = next((c for p, c in _coatom_scan(mu, budget) if p != pe and not pe & ~p), None)
     if theta is None:
         return MaximalityVerdict(True)
@@ -379,16 +377,17 @@ def maximal_l_subgroups(mu: LSubset, budget: int = DEFAULT_BUDGET) -> tuple[LSub
 
 # ------------------------------------------------------------ level structure
 
-def tip_relation(eta: LSubset, mu: LSubset) -> TipRelation:
+def tip_relation(eta: LSubset, mu: LSubset, *, budget: int = DEFAULT_BUDGET) -> TipRelation:
     """Relate the tips of a maximal eta and its parent.
 
     Either the tips agree or the parent's tip covers eta's; anything else
     would contradict maximality and is reported as Violation, which the
     harness property ``maximal_tips`` treats as a failure.  Maximality is
-    read from the coatoms of L(mu) at ``DEFAULT_BUDGET``.  Raises
-    NotMaximalError when eta is not maximal in mu.
+    read from the coatoms of L(mu) at ``budget``.  Raises NotMaximalError
+    when eta is not maximal in mu and InstanceTooLargeError when the
+    coatoms exceed the budget.
     """
-    if not is_maximal(eta, mu):
+    if not is_maximal(eta, mu, budget=budget):
         raise NotMaximalError("tip relation is defined for maximal L-subgroups")
     lat = mu.lattice
     e = mu.group.identity

@@ -10,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+import lsubgroups.maximal as maximal_module
 from lsubgroups import builtin_group, l_subset_from_document
 from lsubgroups.cli import main
 
@@ -534,6 +535,20 @@ class TestErrors:
         )
         assert code == 3
         assert "budget" in err
+
+    @pytest.mark.parametrize("budget", ["72", "100000000"])
+    def test_maximals_builds_the_coatoms_once_at_its_budget(self, docs, capsys, budget):
+        # the tip relations read the coatoms that --budget built, not a
+        # second set at the default budget
+        maximal_module._coatom_index.cache_clear()
+        maximal_module._coatom_scan.cache_clear()
+        code, out, err = run(
+            capsys, "maximals", "--budget", budget,
+            "-l", docs["chain5.json"], "-g", docs["d8.json"], "-s", docs["mu_d8.json"],
+        )
+        assert (code, err) == (0, "")
+        assert out.startswith("4 maximal L-subgroup(s)")
+        assert maximal_module._coatom_index.cache_info().misses == 1
 
     def test_large_raw_space_is_not_refused(self, tmp_path, capsys):
         # 4^12 raw candidates, above the default budget, but few members

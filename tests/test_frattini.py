@@ -1,4 +1,5 @@
 """Frattini L-subgroups, non-generators, level comparisons, normality."""
+import importlib
 import random
 from itertools import product as cartesian
 
@@ -51,6 +52,9 @@ from lsubgroups.errors import LPointNotInParentError
 from lsubgroups.maximal import _coatoms
 
 from conftest import D8_PHI, elementary_abelian
+
+# the package exports the function ``frattini`` under the module's name
+frattini_module = importlib.import_module("lsubgroups.frattini")
 
 
 def raw_l_subsets_below(mu):
@@ -414,6 +418,17 @@ class TestConjugationClosure:
     def test_q8_instance(self, q8_maximal_case):
         ok, _ = nongenerators_conjugation_closed(q8_maximal_case["mu"])
         assert ok
+
+    def test_first_counterexample_in_group_then_lattice_order(self, d8_case, monkeypatch):
+        # a point set that conjugation does not permute, whose iteration
+        # order as a set varies with the hash seed: the scan takes the points
+        # in group order, then lattice order, and the conjugators in group
+        # order, so r at a fails first, moved by s
+        points = frozenset(LPoint(x, a) for x in ("sr3", "s", "r") for a in ("b", "a"))
+        monkeypatch.setattr(frattini_module, "non_generator_points", lambda mu, budget: points)
+        ok, counter = nongenerators_conjugation_closed(d8_case["mu"])
+        assert not ok
+        assert counter == {"point": LPoint("r", "a"), "conjugator": "s", "moved": LPoint("r3", "a")}
 
     def test_requires_normal_parent(self, five_chain):
         d8 = builtin_group("D8")

@@ -369,22 +369,27 @@ def level_cuts_by_pair_filter(mu, pick):
     """Reference for the closed-form cut choices: every cut theta^{j,M} with
     M in ``pick(j, level)``, kept when no other cut lies over it, comparing
     every ordered pair of cuts as packed masks; in canonical order, each
-    unpacked by joining the join-irreducibles whose level holds x."""
+    unpacked by joining the join-irreducibles whose level holds x.  A cut
+    packs per element: element b's bit k, set when the level at the k-th
+    join-irreducible holds b, sits at b * width + k, for a width of 8 bits
+    per started byte of join-irreducibles."""
     group, lat = mu.group, mu.lattice
     irreducibles, levels = _level_masks(mu)
-    n = len(group)
+    width = 8 * (-(-len(irreducibles) // 8) or 1)
     cuts = []
     for j, level in zip(irreducibles, levels):
         if level:
             for m in pick(j, level):
                 cut = [lv & m if lat._leq[j][i] else lv for i, lv in zip(irreducibles, levels)]
-                cuts.append(sum(lv << k * n for k, lv in enumerate(cut)))
+                cuts.append(sum(
+                    1 << b * width + k for k, lv in enumerate(cut) for b in range(len(group)) if lv >> b & 1
+                ))
     found = []
     for c in cuts:
         if any(c != d and not c & ~d for d in cuts):
             continue
         vals = {
-            x: lat.join_set(lat.elements[i] for k, i in enumerate(irreducibles) if c >> k * n + b & 1)
+            x: lat.join_set(lat.elements[i] for k, i in enumerate(irreducibles) if c >> b * width + k & 1)
             for b, x in enumerate(group.elements)
         }
         found.append((c, l_subset(group, lat, vals)))
@@ -563,6 +568,13 @@ class TestTipRelation:
         assert transport_maximal(g, q8_maximal_case["eta"], q8_maximal_case["mu"])[1].maximal
         with pytest.raises(NotMaximalError):
             tip_relation(d8_case["phi"], d8_case["mu"])
+
+    def test_budget_reaches_the_coatoms(self, d8_case):
+        # the D8 parent's coatoms need 72 units (see the budget test above)
+        eta, mu = d8_case["eta4"], d8_case["mu"]
+        with pytest.raises(InstanceTooLargeError, match=r"need 72 units of work \(8 level cuts"):
+            tip_relation(eta, mu, budget=71)
+        assert tip_relation(eta, mu, budget=72) is TipRelation.PARENT_COVERS
 
     def test_violation_is_reported(self, d8_case, monkeypatch):
         # a tip two steps below mu's: with the maximality gate bypassed the
