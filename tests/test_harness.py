@@ -37,6 +37,7 @@ from lsubgroups.harness import (
     PROPERTIES,
     SKIPPED,
     Instance,
+    _named_quotient,
     _single_defect_pattern_over_images,
 )
 
@@ -266,6 +267,27 @@ class TestPinnedInstances:
             for name, prop in PROPERTIES.items():
                 outcome = prop(inst)  # raises PropertyFailure on violation
                 assert outcome in (None, SKIPPED), name
+
+
+class TestNamedQuotients:
+    @pytest.mark.parametrize("name, target, image", [
+        ("D8", "C2", {"e": "e", "r": "e", "r2": "e", "r3": "e", "s": "g", "sr": "g", "sr2": "g", "sr3": "g"}),
+        ("Q8", "V4", {"1": "e", "-1": "e", "i": "a", "-i": "a", "j": "b", "-j": "b", "k": "c", "-k": "c"}),
+        ("V4", "C2", {"e": "e", "a": "g", "b": "e", "c": "g"}),
+        ("C6", "C3", {"e": "e", "g": "g", "g2": "g2", "g3": "e", "g4": "g", "g5": "g2"}),
+        ("C12", "C6", {
+            "e": "e", "g": "g", "g2": "g2", "g3": "g3", "g4": "g4", "g5": "g5",
+            "g6": "e", "g7": "g", "g8": "g2", "g9": "g3", "g10": "g4", "g11": "g5",
+        }),
+    ])
+    def test_document_is_pinned(self, name, target, image):
+        hom = _named_quotient(name, builtin_group(name))
+        assert hom.target is builtin_group(target)
+        assert hom.as_document() == {"map": image}
+
+    @pytest.mark.parametrize("name", ["C1", "C2", "C3"])
+    def test_groups_of_prime_order_or_less_have_none(self, name):
+        assert _named_quotient(name, builtin_group(name)) is None
 
 
 class TestCrispPatternSearch:
