@@ -273,14 +273,23 @@ def _subgroup_table(group: FiniteGroup) -> dict[int, tuple[int, ...] | None]:
     return group._subgroups
 
 
-def subgroup_closure(group: FiniteGroup, seed: Iterable[str]) -> frozenset[str]:
-    """Smallest subgroup containing ``seed``; closure of the empty set is {e}.
+def _closure(group: FiniteGroup, mask: int) -> int:
+    """The least subgroup holding the element bitmask ``mask``; {e} for 0.
 
-    The first subgroup in the table that holds the seed: the table runs by
+    The first subgroup in the table that holds ``mask``: the table runs by
     size, so it is the least one.
     """
-    seed = _mask(group, seed)
-    return _names(group, next(m for m in _subgroup_table(group) if not seed & ~m))
+    return next(m for m in _subgroup_table(group) if not mask & ~m)
+
+
+def _subgroups_within(group: FiniteGroup, bound: int) -> tuple[int, ...]:
+    """The subgroups inside the element bitmask ``bound``, in table order (smallest first)."""
+    return tuple(m for m in _subgroup_table(group) if not m & ~bound)
+
+
+def subgroup_closure(group: FiniteGroup, seed: Iterable[str]) -> frozenset[str]:
+    """Smallest subgroup containing ``seed``; closure of the empty set is {e}."""
+    return _names(group, _closure(group, _mask(group, seed)))
 
 
 def is_subgroup(group: FiniteGroup, subset: Iterable[str]) -> bool:
@@ -295,7 +304,7 @@ def is_subgroup(group: FiniteGroup, subset: Iterable[str]) -> bool:
 
 def all_subgroups(group: FiniteGroup) -> tuple[frozenset[str], ...]:
     """Every subgroup, sorted by (size, element indices)."""
-    return tuple(_names(group, m) for m in _subgroup_table(group))
+    return tuple(_names(group, m) for m in _subgroups_within(group, (1 << len(group)) - 1))
 
 
 def _require_subgroup(group: FiniteGroup, subset: Iterable[str], label: str) -> int:
@@ -320,8 +329,8 @@ def _lower_covers(group: FiniteGroup, mask: int) -> tuple[int, ...] | None:
         # largest first: a subgroup under a larger proper one lies under a
         # maximal one, which is met earlier
         found: list[int] = []
-        for s in reversed(table):
-            if s != mask and not s & ~mask and not any(not s & ~m for m in found):
+        for s in reversed(_subgroups_within(group, mask)):
+            if s != mask and not any(not s & ~m for m in found):
                 found.append(s)
         covers = table[mask] = tuple(reversed(found))
     return covers

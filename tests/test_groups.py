@@ -30,6 +30,7 @@ from lsubgroups import (
     validate_hom,
 )
 from lsubgroups.errors import DocumentError
+from lsubgroups.groups import _closure, _subgroups_within
 
 from conftest import dihedral, elementary_abelian
 
@@ -75,6 +76,17 @@ def search_closure(group, seed):
                         nxt.append(z)
         frontier = nxt
     return frozenset(current)
+
+
+def fixpoint_closure(group, mask):
+    """Oracle: add the identity, products and inverses until nothing changes."""
+    current = {group.identity_index} | {i for i in range(len(group)) if mask >> i & 1}
+    while True:
+        grown = current | {group.inverse_index(i) for i in current}
+        grown |= {group.op_index(i, j) for i in current for j in current}
+        if grown == current:
+            return sum(1 << i for i in current)
+        current = grown
 
 
 def search_subgroups(group):
@@ -297,6 +309,22 @@ class TestSubgroupTable:
             for seed in combinations(range(len(g)), r):
                 expected = frozenset(g.elements[i] for i in search_closure(g, seed))
                 assert subgroup_closure(g, [g.elements[i] for i in seed]) == expected
+
+    @pytest.mark.parametrize("name", ["V4", "C6", "Q8", "D8", "C12"])
+    def test_mask_closure_of_every_mask(self, name):
+        g = builtin_group(name)
+        assert _closure(g, 0) == 1 << g.identity_index
+        for mask in range(1 << len(g)):
+            assert _closure(g, mask) == fixpoint_closure(g, mask)
+
+    @pytest.mark.parametrize("name", ["V4", "C6", "Q8", "D8", "C12"])
+    def test_subgroups_within_every_mask(self, name):
+        g = builtin_group(name)
+        subgroups = all_subgroups(g)
+        for bound in range(1 << len(g)):
+            inside = frozenset(x for i, x in enumerate(g.elements) if bound >> i & 1)
+            expected = tuple(sum(1 << g.index(x) for x in h) for h in subgroups if h <= inside)
+            assert _subgroups_within(g, bound) == expected
 
     @pytest.mark.parametrize("name", ["D16", "C2^4", "D24"])
     def test_maximal_subgroups_and_frattini_of_every_subgroup(self, name):
