@@ -35,7 +35,7 @@ from typing import NamedTuple
 
 from .errors import HypothesisNotMetError, LPointNotInParentError
 from .errors import NotAnIsomorphismError, NotNormalInGroupError
-from .groups import GroupHom, _subgroup_table, frattini_classical
+from .groups import GroupHom, _subgroups_within, frattini_classical
 from .lsets import LPoint, LSubset, _irreducibles, _level_masks, contains, intersection_of
 from .lsets import is_normal_in, is_normal_in_group, point_in, pushforward
 from .maximal import DEFAULT_BUDGET, _code, _coatom_scan, _coatoms, _level_cuts, maximal_l_subgroups
@@ -150,10 +150,6 @@ def _meet(family: tuple[LSubset, ...], mu: LSubset) -> LSubset:
     return intersection_of(family) if family else mu
 
 
-def _phi_only(mu: LSubset, budget: int) -> LSubset:
-    return _meet(maximal_l_subgroups(mu, budget=budget), mu)
-
-
 def check_nongenerator_inclusion(mu: LSubset, budget: int = DEFAULT_BUDGET) -> dict:
     """Compare the non-generator subgroup with the Frattini L-subgroup.
 
@@ -183,7 +179,7 @@ def frattini_level_compare(mu: LSubset, b: str, budget: int = DEFAULT_BUDGET) ->
     if not mu.lattice.is_upper_well_ordered():
         raise HypothesisNotMetError("level comparison is stated over chain lattices")
     level_mu = mu.level(b)
-    phi = _phi_only(mu, budget)
+    phi = frattini(mu, budget).phi
     classical = frattini_classical(mu.group, level_mu) if level_mu else frozenset()
     level_phi = phi.level(b)
     return {
@@ -227,16 +223,15 @@ def frattini_is_normal(mu: LSubset, budget: int = DEFAULT_BUDGET) -> bool:
         raise HypothesisNotMetError("normality of phi is stated over chain lattices")
     if not is_normal_in_group(mu):
         raise NotNormalInGroupError("normality of phi needs mu normal in the group")
-    return is_normal_in(_phi_only(mu, budget), mu)
+    return is_normal_in(frattini(mu, budget).phi, mu)
 
 
 def frattini_image_inclusion(f: GroupHom, mu: LSubset, budget: int = DEFAULT_BUDGET) -> bool:
     """Return whether f(phi(mu)) sits inside phi(f(mu)) for an isomorphism f."""
     if not f.bijective:
         raise NotAnIsomorphismError("the image comparison requires an isomorphism")
-    phi_source = _phi_only(mu, budget)
-    image_mu = pushforward(f, mu)
-    phi_target = _phi_only(image_mu, budget)
+    phi_source = frattini(mu, budget).phi
+    phi_target = frattini(pushforward(f, mu), budget).phi
     return contains(phi_target, pushforward(f, phi_source))
 
 
@@ -259,7 +254,7 @@ def maximal_avoiding(
     if point_in(point, theta):
         raise LPointNotInParentError(f"{point} already lies inside theta")
     x, a = mu.group.index(point.point), mu.lattice.index(point.height)
-    below, leq, table = contains(mu, theta), mu.lattice._leq, _subgroup_table(mu.group)
+    below, leq = contains(mu, theta), mu.lattice._leq
     seeds = dict(zip(*_level_masks(theta)))
 
     def pick(j: int, level: int, above: int) -> tuple[int, list[int]]:
@@ -269,8 +264,8 @@ def maximal_avoiding(
         # lies under a maximal one, met earlier; ∅ comes last and qualifies
         # only when no subgroup does (x = e and theta_j empty)
         tops: list[int] = []
-        for h in (*reversed(table), 0):
-            if not seeds[j] & ~h and not h & ~level and not h >> x & 1 and all(h & ~t for t in tops):
+        for h in (*reversed(_subgroups_within(mu.group, level)), 0):
+            if not seeds[j] & ~h and not h >> x & 1 and all(h & ~t for t in tops):
                 tops.append(h)
         return len(tops), tops
 

@@ -4,11 +4,11 @@ Everything here is classical: validation of Cayley tables, a handful of
 builtin groups used throughout the examples, subgroup closure and
 enumeration, normality, classical Frattini subgroups, and validated
 homomorphisms.  Inside the library a subgroup is a bitmask over element
-indices, and each group keeps one table of its subgroup masks, built once
-by coset extension and holding the lower covers of each mask once asked
-for; closure, enumeration, maximal subgroups and classical Frattini
-subgroups all read it.  Element names appear only in arguments and
-results.
+indices, and each group keeps one table of its subgroup masks, smallest
+first, built once by coset extension and holding the lower covers of each
+mask once asked for.  ``_closure`` (the first entry over a mask) and
+``_subgroups_within`` (the entries under a mask) are the only readers of
+its order.  Element names appear only in arguments and results.
 """
 from __future__ import annotations
 

@@ -51,7 +51,7 @@ from typing import NamedTuple
 
 from .errors import InstanceTooLargeError, NotAnIsomorphismError
 from .errors import NotAnLSubgroupError, NotMaximalError
-from .groups import GroupHom, _lower_covers, _subgroup_table
+from .groups import GroupHom, _closure, _lower_covers, _subgroups_within
 from .lsets import _down_sizes, _irreducibles, _level_masks
 from .lsets import (
     LPoint,
@@ -164,7 +164,6 @@ def _enumeration(mu: LSubset, budget: int) -> tuple[LSubset, ...]:
     leq, m = lat._leq, len(irreducibles)
     # at position k, the later positions whose bound the choice meets
     later = [[leq[j][i] for i in irreducibles[k + 1:]] for k, j in enumerate(irreducibles)]
-    subgroups = (0, *_subgroup_table(group))
     fitting: dict[int, list[int]] = {}  # bound mask -> the subgroups (or ∅) inside it
     records = {(): (1, 1, ())}  # key -> (visits, members, ((choice, child key), ...))
     visited = members = 0
@@ -185,7 +184,7 @@ def _enumeration(mu: LSubset, budget: int) -> tuple[LSubset, ...]:
         else:
             bound, rest, meets = key[0], key[1:], later[m - len(key)]
             if bound not in fitting:
-                fitting[bound] = [h for h in subgroups if not h & ~bound]
+                fitting[bound] = [0, *_subgroups_within(group, bound)]
             children = tuple(
                 (h, tuple([b & h if meet else b for b, meet in zip(rest, meets)])) for h in fitting[bound]
             ) if True in meets else tuple(zip(fitting[bound], repeat(rest)))
@@ -324,7 +323,7 @@ def _lpoint_verdict(eta: LSubset, mu: LSubset) -> MaximalityVerdict:
     # j ≤ a, or ∅ when theta_j is empty: j is join-prime, so j is under the
     # tip exactly when it is under some value
     group, lat = mu.group, mu.lattice
-    leq, table = lat._leq, _subgroup_table(group)
+    leq = lat._leq
     irreducibles, have = _level_masks(eta)
     want = _level_masks(mu)[1]
     closures = {0: 0}
@@ -335,7 +334,7 @@ def _lpoint_verdict(eta: LSubset, mu: LSubset) -> MaximalityVerdict:
             for j, level, target in zip(irreducibles, have, want):
                 theta = level | 1 << x if leq[j][a] else level
                 if theta not in closures:
-                    closures[theta] = next(m for m in table if not theta & ~m)
+                    closures[theta] = _closure(group, theta)
                 if closures[theta] != target:
                     point = LPoint(group.elements[x], lat.elements[a])
                     return MaximalityVerdict(False, "point_fails_to_generate", witness_point=point)
@@ -445,8 +444,11 @@ def sufficient_maximal_check(eta: LSubset, mu: LSubset) -> bool:
     implies maximality (the harness property ``sufficient_condition_sound``
     checks it); a false answer implies nothing.
     """
-    if not is_l_subgroup_of(eta, mu):
-        return False
+    return is_l_subgroup_of(eta, mu) and _sufficient_pattern(eta, mu)
+
+
+def _sufficient_pattern(eta: LSubset, mu: LSubset) -> bool:
+    # the level pattern of sufficient_maximal_check, for eta already in L(mu)
     tip = mu.value(mu.group.identity)
     if eta.value(mu.group.identity) != tip:
         return False

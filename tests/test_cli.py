@@ -346,6 +346,22 @@ class TestWithoutAsserts:
         assert found == []
 
 
+class TestModuleBoundaries:
+    def test_only_groups_and_lsets_touch_the_subgroup_table(self):
+        # groups._closure and groups._subgroups_within are the only readers
+        # of the table's order, and lsets tests membership in it; any other
+        # module goes through those, so the table can change in one place
+        found = [
+            f"{path.name}:{node.lineno}"
+            for path in sorted((SRC / "lsubgroups").glob("*.py"))
+            if path.stem not in ("groups", "lsets")
+            for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+            if isinstance(node, ast.ImportFrom) and any(a.name == "_subgroup_table" for a in node.names)
+            or isinstance(node, ast.Attribute) and node.attr == "_subgroup_table"
+        ]
+        assert found == []
+
+
 class TestColdImport:
     """A command that does not verify loads neither the harness nor dataclasses."""
 
