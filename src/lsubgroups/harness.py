@@ -282,7 +282,7 @@ def _named_quotient(name: str, g: FiniteGroup) -> GroupHom | None:
     elif name == "V4":
         target, image = "C2", lambda i: i & 1
     else:  # Cn onto C(n/p), for the first p of 2, 3 that divides n and is less than it
-        n = int(name[1:]) if name.startswith("C") and name[1:].isdigit() else 0
+        n = int(name[1:])
         m = next((n // p for p in (2, 3) if n % p == 0 and n > p), None)
         if m is None:
             return None
