@@ -465,9 +465,12 @@ def _search_l_subgroup_values(
     Depth-first assignment over inverse-pair orbits (x and x⁻¹ must share a
     value), with the identity first so every later value can be clipped to
     it, and with each product constraint checked once per orbit triple, as
-    soon as its three orbits are assigned.  Yields in lexicographic order
-    of the value tuple with respect to element order and lattice index.
-    This is the engine of ``generate_oracle`` and the reference the tests
+    soon as its three orbits are assigned.  Each orbit's values between its
+    bounds are fixed before the walk.  Yields in lexicographic order of the
+    orbits' values by lattice index, the identity's orbit first and then
+    the orbits by least element index: the lexicographic order of the value
+    tuple when the identity is element 0, as in every builtin group, but
+    not otherwise.  This is the engine of ``generate_oracle`` and the reference the tests
     hold the level-map enumeration of ``maximal.enumerate_l_subgroups`` to.
     """
     n = len(group)
@@ -506,31 +509,32 @@ def _search_l_subgroup_values(
     lower = lower or tuple(lat.index(lat.bottom) for _ in range(n))
     upper = upper or tuple(lat.index(lat.top) for _ in range(n))
 
-    vals = [0] * n
+    # each orbit's values between the bounds of all its elements, fixed
+    # before the walk; a node only drops those not under the identity's
+    # value, where an L-subgroup has its tip
+    domains = [
+        [v for v in range(nl) if all(leq[lower[i]][v] and leq[v][upper[i]] for i in orbit)]
+        for orbit in orbits
+    ]
 
-    def domain(step: int) -> list[int]:
-        orbit = orbits[step]
-        lo = lower[orbit[0]]
-        hi = upper[orbit[0]]
-        for i in orbit[1:]:
-            lo = lat._join[lo][lower[i]]
-            hi = meet[hi][upper[i]]
-        if step > 0:
-            hi = meet[hi][vals[e]]  # the tip of an L-subgroup sits at the identity
-        return [v for v in range(nl) if leq[lo][v] and leq[v][hi]]
+    vals = [0] * n
+    last = len(orbits) - 1
 
     def walk(step: int):
-        if step == len(orbits):
-            yield tuple(vals)
-            return
-        for v in domain(step):
-            for i in orbits[step]:
+        orbit, bucket, tip = orbits[step], buckets[step], vals[e]
+        for v in domains[step]:
+            if step and not leq[v][tip]:
+                continue
+            for i in orbit:
                 vals[i] = v
-            ok = all(
-                leq[meet[vals[i]][vals[j]]][vals[p]] for i, j, p in buckets[step]
-            )
-            if ok:
-                yield from walk(step + 1)
+            for i, j, p in bucket:
+                if not leq[meet[vals[i]][vals[j]]][vals[p]]:
+                    break
+            else:
+                if step == last:
+                    yield tuple(vals)
+                else:
+                    yield from walk(step + 1)
 
     yield from walk(0)
 

@@ -48,6 +48,7 @@ from lsubgroups import (
     set_product,
     subgroup_closure,
     union_of,
+    validate_group,
     validate_hom,
     validate_lattice,
 )
@@ -70,6 +71,15 @@ def levelwise_is_l_subgroup_of(eta, mu):
         is_subgroup(eta.group, lv) and lv <= mu.level(a)
         for a in eta.lattice.elements
         if (lv := eta.level(a))
+    )
+
+
+def c4_identity_third():
+    """C4 = <g> listed as g, g2, e, g3: the identity is element 2."""
+    names = ["g", "g2", "e", "g3"]
+    power = {"e": 0, "g": 1, "g2": 2, "g3": 3}
+    return validate_group(
+        names, [[names[[1, 2, 0, 3].index((power[x] + power[y]) % 4)] for y in names] for x in names]
     )
 
 
@@ -553,6 +563,14 @@ class TestGenerationOracle:
         raw = random_l_subset_below(random.Random(seed), inst.mu)
         assert generate(raw) == generate_oracle(raw)
 
+    @pytest.mark.parametrize("kind", ["chain3", "chain4", "product2x2"])
+    def test_matches_with_the_identity_not_first(self, kind):
+        group, lat = c4_identity_third(), make_lattice(kind)
+        rng = random.Random(41)
+        for _ in range(20):
+            raw = random_l_subset_below(rng, constant(group, lat, lat.top))
+            assert generate(raw) == generate_oracle(raw)
+
 
 class TestElementSearch:
     """The element-wise search behind ``generate_oracle``, unbounded, against
@@ -576,6 +594,40 @@ class TestElementSearch:
                 if lsets._pointwise_is_l_subgroup(LSubset(group, lat, vals))
             ]
             assert found == expected, name
+
+    @staticmethod
+    def draw_bounds(rng, n, lat):
+        # each side is left open in one draw of three; a drawn lower bound
+        # lies under the upper one at about half of the elements
+        leq, nl, bottom = lat._leq, len(lat), lat.index(lat.bottom)
+        upper = [rng.randrange(nl) for _ in range(n)]
+        lower = [rng.choice([v for v in range(nl) if leq[v][u]]) if rng.random() < 0.5 else bottom for u in upper]
+        side = rng.randrange(3)
+        return (None if side == 1 else tuple(lower)), (None if side == 2 else tuple(upper))
+
+    @pytest.mark.parametrize("kind", ["chain3", "product2x2"])
+    @pytest.mark.parametrize(
+        "group", [builtin_group(name) for name in ("C5", "C6", "Q8", "D8")] + [c4_identity_third()],
+        ids=["C5", "C6", "Q8", "D8", "C4 identity third"],
+    )
+    def test_bounded_walk_yields_the_filtered_box_in_order(self, kind, group):
+        # the product space between the bounds, filtered by the pointwise
+        # test, in the documented order: by the identity's value first, then
+        # by element order (plain lexicographic order when e is element 0)
+        lat = make_lattice(kind)
+        leq, n, e = lat._leq, len(group), group.identity_index
+        rng = random.Random(f"{kind} {group.elements}")
+        for _ in range(12):
+            lower, upper = self.draw_bounds(rng, n, lat)
+            lo = lower or (lat.index(lat.bottom),) * n
+            hi = upper or (lat.index(lat.top),) * n
+            box = cartesian(*([v for v in range(len(lat)) if leq[lo[i]][v] and leq[v][hi[i]]] for i in range(n)))
+            expected = sorted(
+                (vals for vals in box if lsets._pointwise_is_l_subgroup(LSubset(group, lat, vals))),
+                key=lambda vals: (vals[e], vals),
+            )
+            found = list(lsets._search_l_subgroup_values(group, lat, lower=lower, upper=upper))
+            assert found == expected, (lower, upper)
 
 
 class TestDiamondGeneration:
