@@ -470,8 +470,9 @@ def _search_l_subgroup_values(
     orbits' values by lattice index, the identity's orbit first and then
     the orbits by least element index: the lexicographic order of the value
     tuple when the identity is element 0, as in every builtin group, but
-    not otherwise.  This is the engine of ``generate_oracle`` and the reference the tests
-    hold the level-map enumeration of ``maximal.enumerate_l_subgroups`` to.
+    not otherwise.  This is the engine of ``generate_oracle`` and the
+    reference the tests hold the level-map enumeration of
+    ``maximal.enumerate_l_subgroups`` to.
     """
     n = len(group)
     leq, meet = lat._leq, lat._meet

@@ -76,10 +76,9 @@ def levelwise_is_l_subgroup_of(eta, mu):
 
 def c4_identity_third():
     """C4 = <g> listed as g, g2, e, g3: the identity is element 2."""
-    names = ["g", "g2", "e", "g3"]
-    power = {"e": 0, "g": 1, "g2": 2, "g3": 3}
+    powers, names = ["e", "g", "g2", "g3"], ["g", "g2", "e", "g3"]
     return validate_group(
-        names, [[names[[1, 2, 0, 3].index((power[x] + power[y]) % 4)] for y in names] for x in names]
+        names, [[powers[(powers.index(x) + powers.index(y)) % 4] for y in names] for x in names]
     )
 
 
@@ -573,8 +572,9 @@ class TestGenerationOracle:
 
 
 class TestElementSearch:
-    """The element-wise search behind ``generate_oracle``, unbounded, against
-    a lexicographic filter of the whole product space by the pointwise test."""
+    """The element-wise search behind ``generate_oracle`` against the product
+    space filtered by the pointwise test: unbounded in lexicographic order,
+    and between seeded bounds in the order its docstring states."""
 
     @pytest.mark.parametrize(
         "kind, names",
