@@ -36,7 +36,7 @@ from typing import NamedTuple
 from .errors import HypothesisNotMetError, LPointNotInParentError
 from .errors import NotAnIsomorphismError, NotNormalInGroupError
 from .groups import GroupHom, _subgroups_within, frattini_classical
-from .lsets import LPoint, LSubset, _irreducibles, _level_masks, contains, intersection_of
+from .lsets import LPoint, LSubset, _level_masks, contains, intersection_of
 from .lsets import is_normal_in, is_normal_in_group, point_in, pushforward
 from .maximal import DEFAULT_BUDGET, _code, _coatom_scan, _coatoms, _level_cuts, maximal_l_subgroups
 
@@ -115,7 +115,7 @@ def is_non_generator(
     if not point_in(point, mu):
         raise LPointNotInParentError(f"{point} is not a point of the parent")
     lat, x, a = mu.lattice, mu.group.index(point.point), mu.lattice.index(point.height)
-    mask = _code(lat, [1 << x if lat._leq[j][a] else 0 for j in _irreducibles(lat)])
+    mask = _code(lat, [1 << x if lat._leq[j][a] else 0 for j in lat._irreducibles])
     witness = next((c for p, c in _coatom_scan(mu, budget) if mask & ~p), None)
     return witness is None, witness
 

@@ -12,6 +12,7 @@ its order.  Element names appear only in arguments and results.
 """
 from __future__ import annotations
 
+import re
 from functools import lru_cache, reduce
 from operator import and_
 from typing import Iterable, Mapping, Sequence
@@ -202,7 +203,8 @@ def builtin_group(name: str) -> FiniteGroup:
         )
     if name == "V4":
         return _from_indices(("e", "a", "b", "c"), int.__xor__)
-    if name.startswith("C") and name[1:].isdigit() and int(name[1:]) >= 1:
+    # n is a positive ASCII decimal with no leading zero, so each Cn has one name
+    if re.fullmatch(r"C[1-9][0-9]*", name):
         n = int(name[1:])
         return _from_indices(("e", "g", *(f"g{k}" for k in range(2, n)))[:n], lambda x, y: (x + y) % n)
     raise UnknownBuiltinError(f"unknown builtin group {name!r}")
@@ -394,10 +396,14 @@ class GroupHom:
 
 
 def validate_hom(source: FiniteGroup, target: FiniteGroup, mapping: Mapping[str, str]) -> GroupHom:
-    """Check totality and f(xy) = f(x)f(y); derive injective/surjective flags."""
+    """Check totality, unknown keys and f(xy) = f(x)f(y); derive injective/surjective flags."""
     missing = [x for x in source.elements if x not in mapping]
     if missing:
         raise NotAHomomorphismError(f"map is not total; missing {missing}")
+    # in the map's own order: keys of mixed types do not sort
+    extra = [x for x in mapping if x not in source]
+    if extra:
+        raise NotAHomomorphismError(f"map mentions unknown source elements {extra}")
     f = [target.index(mapping[x]) for x in source.elements]
     table, target_table = source._table, target._table
     for i, x in enumerate(source.elements):

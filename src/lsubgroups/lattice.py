@@ -1,12 +1,14 @@
 """Finite bounded lattices over named elements.
 
 A lattice is built from a list of element names and a set of generating
-order pairs; the reflexive-transitive closure, the join/meet tables and the
-distributivity flag are all computed during validation.  Instances are
+order pairs; the reflexive-transitive closure, the join/meet tables, the
+rank, the join-irreducibles and the distributivity flag are all computed
+during validation, from integer up-set and down-set rows.  Instances are
 immutable and every query is read only.
 """
 from __future__ import annotations
 
+from functools import reduce
 from itertools import combinations
 from typing import Iterable, Sequence
 
@@ -26,22 +28,17 @@ class FiniteLattice:
     ``distributive`` flag records whether a ∧ (b ∨ c) = (a ∧ b) ∨ (a ∧ c)
     holds for all triples.  Non-distributive lattices are constructible for
     negative tests, but theorem-level operations elsewhere refuse them.
+    ``_down_sizes`` holds the down-set sizes, a rank, and ``_irreducibles``
+    the join-irreducibles in rank order, the layout of every level map.
     """
 
     __slots__ = (
-        "elements",
-        "top",
-        "bottom",
-        "distributive",
-        "_index",
-        "_leq",
-        "_join",
-        "_meet",
-        "_chain",
-        "_hash",
+        "elements", "top", "bottom", "distributive", "_index", "_leq", "_join", "_meet", "_chain",
+        "_down_sizes", "_irreducibles", "_hash",
     )
 
-    def __init__(self, elements, leq, join, meet, top, bottom, distributive, chain):
+    def __init__(self, elements, leq, join, meet, top, bottom, distributive, chain,
+                 down_sizes, irreducibles):
         # Use validate_lattice() / chain_lattice(); this constructor trusts its input.
         self.elements: tuple[str, ...] = elements
         self._index = {name: i for i, name in enumerate(elements)}
@@ -52,6 +49,8 @@ class FiniteLattice:
         self.bottom: str = bottom
         self.distributive: bool = distributive
         self._chain = chain
+        self._down_sizes: tuple[int, ...] = down_sizes
+        self._irreducibles: tuple[int, ...] = irreducibles
         self._hash = hash((elements, tuple(map(tuple, leq))))
 
     # ------------------------------------------------------------ queries
@@ -164,10 +163,12 @@ class FiniteLattice:
 def validate_lattice(elements: Sequence[str], pairs: Iterable[Sequence[str]]) -> FiniteLattice:
     """Build a lattice from element names and generating ≤ pairs.
 
-    The order is the reflexive-transitive closure of ``pairs``.  Raises
-    NotAPosetError when antisymmetry fails and NotALatticeError when some
-    pair of elements has no least upper bound or greatest lower bound.
-    Distributivity is checked over all triples and recorded as a flag.
+    The order is the reflexive-transitive closure of ``pairs``, as integer
+    up-set and down-set rows.  Raises NotAPosetError when antisymmetry fails
+    and NotALatticeError when some pair has no least upper bound (no element
+    whose up-set is ``up[i] & up[j]``) or, dually, greatest lower bound.
+    The distributivity flag holds when each join-irreducible is join-prime
+    (Davey & Priestley, *Introduction to Lattices and Order*, ch. 5).
     """
     elements = tuple(elements)
     if not elements:
@@ -176,75 +177,77 @@ def validate_lattice(elements: Sequence[str], pairs: Iterable[Sequence[str]]) ->
         raise NotALatticeError("duplicate element names")
     index = {name: i for i, name in enumerate(elements)}
     n = len(elements)
+    full = (1 << n) - 1
 
-    leq = [[i == j for j in range(n)] for i in range(n)]
+    up = [1 << i for i in range(n)]
     for pair in pairs:
         lo, hi = pair
         if lo not in index or hi not in index:
             raise UnknownElementError(f"order pair ({lo!r}, {hi!r}) uses unknown elements")
-        leq[index[lo]][index[hi]] = True
+        up[index[lo]] |= 1 << index[hi]
 
-    # Warshall closure; n stays small so cubic cost is irrelevant.
+    # Warshall closure on bit rows: all that is below k is below k's up-set
     for k in range(n):
-        row_k = leq[k]
+        bit, row_k = 1 << k, up[k]
         for i in range(n):
-            if leq[i][k]:
-                row_i = leq[i]
-                for j in range(n):
-                    if row_k[j]:
-                        row_i[j] = True
+            if up[i] & bit:
+                up[i] |= row_k
+    # rows[i][j] is "1" when i ≤ j; the columns are the down-sets
+    rows = [format(row, f"0{n}b")[::-1] for row in up]
+    down = [int("".join(column)[::-1], 2) for column in zip(*rows)]
 
     for i in range(n):
-        for j in range(i + 1, n):
-            if leq[i][j] and leq[j][i]:
-                raise NotAPosetError(
-                    f"antisymmetry fails: {elements[i]!r} and {elements[j]!r} are order-equivalent"
-                )
+        twins = up[i] & down[i] & ~((2 << i) - 1)
+        if twins:
+            j = (twins & -twins).bit_length() - 1
+            raise NotAPosetError(
+                f"antisymmetry fails: {elements[i]!r} and {elements[j]!r} are order-equivalent"
+            )
 
+    by_up = {row: k for k, row in enumerate(up)}
+    by_down = {row: k for k, row in enumerate(down)}
     join = [[0] * n for _ in range(n)]
     meet = [[0] * n for _ in range(n)]
-    everything = range(n)
     for i in range(n):
         for j in range(i, n):
-            ubs = [k for k in everything if leq[i][k] and leq[j][k]]
-            least = [u for u in ubs if all(leq[u][v] for v in ubs)]
-            if len(least) != 1:
+            least = by_up.get(up[i] & up[j])
+            if least is None:
                 raise NotALatticeError(
                     f"{elements[i]!r} and {elements[j]!r} have no least upper bound"
                 )
-            join[i][j] = join[j][i] = least[0]
+            join[i][j] = join[j][i] = least
 
-            lbs = [k for k in everything if leq[k][i] and leq[k][j]]
-            greatest = [l for l in lbs if all(leq[v][l] for v in lbs)]
-            if len(greatest) != 1:
+            greatest = by_down.get(down[i] & down[j])
+            if greatest is None:
                 raise NotALatticeError(
                     f"{elements[i]!r} and {elements[j]!r} have no greatest lower bound"
                 )
-            meet[i][j] = meet[j][i] = greatest[0]
+            meet[i][j] = meet[j][i] = greatest
 
-    top_i = 0
-    bottom_i = 0
-    for i in range(1, n):
-        top_i = join[top_i][i]
-        bottom_i = meet[bottom_i][i]
-
-    distributive = all(
-        meet[a][join[b][c]] == join[meet[a][b]][meet[a][c]]
-        for a in everything
-        for b in everything
-        for c in everything
+    # |down-set| grows strictly along the order, so it is a rank; j is
+    # join-irreducible when the elements strictly below it have a greatest
+    sizes = tuple(row.bit_count() for row in down)
+    irreducibles = tuple(
+        j for j in sorted(range(n), key=sizes.__getitem__) if down[j] ^ 1 << j in by_down
     )
-    chain = all(leq[i][j] or leq[j][i] for i in range(n) for j in range(i + 1, n))
+    # j is join-prime when the join of the elements not above j, whose
+    # up-set is the AND of theirs, is not above j
+    distributive = all(
+        reduce(int.__and__, (up[x] for x in range(n) if not up[j] >> x & 1), full) & ~up[j]
+        for j in irreducibles
+    )
 
     return FiniteLattice(
         elements,
-        leq,
+        [[bit == "1" for bit in row] for row in rows],
         join,
         meet,
-        elements[top_i],
-        elements[bottom_i],
+        elements[by_down[full]],
+        elements[by_up[full]],
         distributive,
-        chain,
+        all(up[i] | down[i] == full for i in range(n)),
+        sizes,
+        irreducibles,
     )
 
 

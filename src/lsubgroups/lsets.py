@@ -17,7 +17,7 @@ pointwise equality of lattice elements, there is no tolerance anywhere.
 """
 from __future__ import annotations
 
-from functools import lru_cache, reduce
+from functools import lru_cache
 from typing import Iterable, Mapping, NamedTuple
 
 from .errors import (
@@ -276,29 +276,8 @@ def _pointwise_is_l_subgroup(mu: LSubset) -> bool:
 
 
 @lru_cache(maxsize=64)
-def _down_sizes(lat: FiniteLattice) -> tuple[int, ...]:
-    # |down-set| grows strictly along the order, no matter how the carrier
-    # happens to be listed, which makes it a linear extension and a rank
-    leq = lat._leq
-    n = len(lat.elements)
-    return tuple(sum(1 for j in range(n) if leq[j][i]) for i in range(n))
-
-
-@lru_cache(maxsize=64)
-def _irreducibles(lat: FiniteLattice) -> tuple[int, ...]:
-    # the join-irreducibles in _down_sizes order: j is one when the elements
-    # strictly below it join to less than j
-    leq, join, bottom = lat._leq, lat._join, lat.index(lat.bottom)
-    order = sorted(range(len(lat)), key=_down_sizes(lat).__getitem__)
-    return tuple(
-        j for j in order
-        if reduce(lambda a, i: join[a][i], (i for i in order if i != j and leq[i][j]), bottom) != j
-    )
-
-
-@lru_cache(maxsize=64)
 def _level_masks(mu: LSubset) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    # the join-irreducibles in _down_sizes order, and mu's level at each: the
+    # the lattice's join-irreducibles, in order, and mu's level at each: the
     # elements of each attained value in one mask, ORed into every level below
     lat = mu.lattice
     if not lat.distributive:
@@ -306,7 +285,7 @@ def _level_masks(mu: LSubset) -> tuple[tuple[int, ...], tuple[int, ...]]:
     by_value: dict[int, int] = {}
     for x, v in enumerate(mu.value_indices()):
         by_value[v] = by_value.get(v, 0) | 1 << x
-    irreducibles, leq = _irreducibles(lat), lat._leq
+    irreducibles, leq = lat._irreducibles, lat._leq
     return irreducibles, tuple(
         sum(mask for v, mask in by_value.items() if leq[j][v]) for j in irreducibles
     )
@@ -423,7 +402,7 @@ def generate(eta: LSubset) -> LSubset:
         raise NonDistributiveLatticeError("generation requires a distributive lattice")
     leq, join, tip = lat._leq, lat._join, lat.index(eta.tip())
     vals = [lat.index(lat.bottom)] * len(group)
-    for a in _irreducibles(lat):
+    for a in lat._irreducibles:
         if leq[a][tip]:
             level = (x for x, v in zip(group.elements, eta._vals) if leq[a][v])
             for x in subgroup_closure(group, level):
@@ -495,14 +474,15 @@ def _search_l_subgroup_values(
 
     # a triple (i, j, ij) constrains three orbits: each orbit triple is
     # checked once, at the step at which all three are known, and never when
-    # ij shares an orbit with i or j, as meet(v_i, v_j) ≤ v_i always holds
+    # ij shares an orbit with i or j, as meet(v_i, v_j) ≤ v_i always holds,
+    # nor when ij is the identity, whose value every later one is clipped to
     buckets: list[list[tuple[int, int, int]]] = [[] for _ in orbits]
     checked: set[tuple[int, int, int]] = set()
     for i in range(n):
         for j in range(n):
             p = group.op_index(i, j)
             key = (min(pos[i], pos[j]), max(pos[i], pos[j]), pos[p])
-            if pos[p] in key[:2] or key in checked:
+            if pos[p] in key[:2] or pos[p] == 0 or key in checked:
                 continue
             checked.add(key)
             buckets[max(key)].append((i, j, p))

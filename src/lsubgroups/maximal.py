@@ -52,7 +52,7 @@ from typing import NamedTuple
 from .errors import InstanceTooLargeError, NotAnIsomorphismError
 from .errors import NotAnLSubgroupError, NotMaximalError
 from .groups import GroupHom, _closure, _lower_covers, _subgroups_within
-from .lsets import _down_sizes, _irreducibles, _level_masks
+from .lsets import _level_masks
 from .lsets import (
     LPoint,
     LSubset,
@@ -119,18 +119,18 @@ def candidate_space_size(mu: LSubset) -> int:
 
     A statistic only; the enumeration budget counts the work actually done.
     """
-    return prod(map(_down_sizes(mu.lattice).__getitem__, mu.value_indices()))
+    return prod(map(mu.lattice._down_sizes.__getitem__, mu.value_indices()))
 
 
 @lru_cache(maxsize=64)
 def _birkhoff(lat) -> tuple[int, object]:
     # a member's value at x is the join of the join-irreducibles whose level
     # holds x, so it packs into a field of one bit per join-irreducible, in
-    # _irreducibles order.  Returns the field width in bits and a decoder of
-    # codes with one field per group element into their values as lattice
-    # indices, bytes for one-byte fields and tuples for wider ones, which
-    # sort in canonical order either way
-    irreducibles, leq = _irreducibles(lat), lat._leq
+    # the lattice's _irreducibles order.  Returns the field width in bits and
+    # a decoder of codes with one field per group element into their values
+    # as lattice indices, bytes for one-byte fields and tuples for wider
+    # ones, which sort in canonical order either way
+    irreducibles, leq = lat._irreducibles, lat._leq
     size = -(-len(irreducibles) // 8) or 1
     down = {sum(1 << k for k, j in enumerate(irreducibles) if leq[j][a]): a for a in range(len(lat))}
     if size == 1:
@@ -221,8 +221,8 @@ def _enumeration(mu: LSubset, budget: int) -> tuple[LSubset, ...]:
 
 def _code(lat, levels) -> int:
     # the Birkhoff code of a level map, one level mask per join-irreducible in
-    # _irreducibles order: element x's field holds bit k when level k holds x.
-    # Containment of level maps is containment of their codes
+    # the lattice's _irreducibles order: element x's field holds bit k when
+    # level k holds x.  Containment of level maps is containment of their codes
     width = _birkhoff(lat)[0]
     return sum(_spread(level, width) << k for k, level in enumerate(levels))
 
@@ -295,7 +295,7 @@ def _coatom_scan(mu: LSubset, budget: int) -> tuple[tuple[int, LSubset], ...]:
     containment: the first coatom a witness scan accepts is the first hit
     of a scan of all of L(mu) by rank whenever every hit lies under one.
     """
-    sizes = _down_sizes(mu.lattice)
+    sizes = mu.lattice._down_sizes
     cuts = _coatom_index(mu, budget)[1]
     return tuple(sorted(cuts, key=lambda cut: -sum(sizes[v] for v in cut[1].value_indices())))
 

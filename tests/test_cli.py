@@ -136,6 +136,17 @@ class TestValidate:
         assert code == 2
         assert "error" in err
 
+    def test_large_lattice(self, tmp_path, capsys):
+        # 256 elements: the product of two 16-element chains
+        names = [f"({i},{j})" for i in range(16) for j in range(16)]
+        pairs = [[f"({i},{j})", f"({i + 1},{j})"] for i in range(15) for j in range(16)]
+        pairs += [[f"({i},{j})", f"({i},{j + 1})"] for i in range(16) for j in range(15)]
+        path = tmp_path / "product16x16.json"
+        path.write_text(json.dumps({"elements": names, "le": pairs}))
+        code, out, _ = run(capsys, "validate", "-l", str(path))
+        assert code == 0
+        assert out.startswith("lattice: 256 elements") and "distributive=True" in out
+
     def test_pair_diagnostics(self, docs, capsys):
         code, out, _ = run(
             capsys, "validate", "--format", "json",
@@ -482,6 +493,14 @@ class TestErrors:
         code, out, err = run(capsys, "levels", *[a for pair in paths.items() for a in pair])
         assert (code, out) == (2, "")
         assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
+
+    def test_builtin_name_that_is_not_a_decimal(self, tmp_path, capsys):
+        # "²" passes str.isdigit() but not int(): this used to end in a traceback
+        path = tmp_path / "c_squared.json"
+        path.write_text(json.dumps({"builtin": "C\u00b2"}))
+        code, out, err = run(capsys, "validate", "-g", str(path))
+        assert (code, out) == (2, "")
+        assert err == "error: unknown builtin group 'C\u00b2'\n"
 
     @pytest.mark.parametrize("command", ["maximals", "frattini", "nongen"])
     def test_parent_that_is_not_an_l_subgroup(self, tmp_path, docs, capsys, command):

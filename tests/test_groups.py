@@ -206,8 +206,12 @@ class TestBuiltins:
         assert g.inverse("g") == "g5"
 
     def test_unknown(self):
-        with pytest.raises(UnknownBuiltinError):
-            builtin_group("S5")
+        # Cn takes n as an ASCII decimal with no leading zero, so each cyclic
+        # group has one name: a superscript two passes str.isdigit() but not
+        # int(), and C03 or an Arabic-Indic three would alias C3
+        for name in ["S5", "C0", "C", "C²", "C03", "C\u0663", "C-3", "C 3", "C3 "]:
+            with pytest.raises(UnknownBuiltinError):
+                builtin_group(name)
 
     def test_one_shared_group_per_name(self):
         assert builtin_group("D8") is builtin_group("D8")
@@ -466,8 +470,19 @@ class TestDocuments:
         with pytest.raises(DocumentError):
             group_from_document(doc)
 
-    @pytest.mark.parametrize("mapping", [{"e": "e", "g": ["g"]}, {"e": "e", "g": 5}])
+    @pytest.mark.parametrize("mapping", [
+        {"e": "e", "g": ["g"]},
+        {"e": "e", "g": 5},
+        {"e": "e", "g": "g", "zzz": "e"},
+        {"e": "e", "g": "g", 5: "e", "zzz": "e"},
+    ])
     def test_malformed_hom(self, mapping):
         g = builtin_group("C2")
         with pytest.raises(DocumentError):
             hom_from_document({"map": mapping}, g, g)
+
+    def test_hom_names_its_unknown_keys(self):
+        # in the map's order, with no sort that keys of mixed types would break
+        g = builtin_group("C2")
+        with pytest.raises(NotAHomomorphismError, match=r"unknown source elements \['zzz', 5\]"):
+            validate_hom(g, g, {"e": "e", "zzz": "e", "g": "g", 5: "e"})

@@ -1,4 +1,9 @@
 """Lattice validation, order queries and the frame laws."""
+import hashlib
+import json
+import random
+from collections import Counter
+from functools import reduce
 from itertools import chain, combinations, permutations
 
 import pytest
@@ -10,9 +15,10 @@ from lsubgroups import (
     UnknownElementError,
     chain_lattice,
     lattice_from_document,
+    make_lattice,
     validate_lattice,
 )
-from lsubgroups.errors import DocumentError
+from lsubgroups.errors import DocumentError, LSubgroupsError
 
 
 def diamond():
@@ -222,3 +228,220 @@ def test_structural_equality_and_hash():
     assert one == two
     assert hash(one) == hash(two)
     assert one != chain_lattice(["0", "a", "1"])
+
+
+# ------------------------------------------------------------------ oracle
+
+def cubic_lattice(elements, pairs):
+    """The former builder, the reference for ``validate_lattice``.
+
+    A Warshall closure on boolean rows, each pair's bounds by a search over
+    all elements, and distributivity over all triples.  Returns the tables,
+    flags, rank and join-irreducibles that a lattice built from the same
+    input carries, or raises the same first error.
+    """
+    elements = tuple(elements)
+    if not elements:
+        raise NotALatticeError("a lattice needs at least one element")
+    if len(set(elements)) != len(elements):
+        raise NotALatticeError("duplicate element names")
+    index = {name: i for i, name in enumerate(elements)}
+    n = len(elements)
+
+    leq = [[i == j for j in range(n)] for i in range(n)]
+    for pair in pairs:
+        lo, hi = pair
+        if lo not in index or hi not in index:
+            raise UnknownElementError(f"order pair ({lo!r}, {hi!r}) uses unknown elements")
+        leq[index[lo]][index[hi]] = True
+
+    for k in range(n):
+        row_k = leq[k]
+        for i in range(n):
+            if leq[i][k]:
+                row_i = leq[i]
+                for j in range(n):
+                    if row_k[j]:
+                        row_i[j] = True
+
+    for i in range(n):
+        for j in range(i + 1, n):
+            if leq[i][j] and leq[j][i]:
+                raise NotAPosetError(
+                    f"antisymmetry fails: {elements[i]!r} and {elements[j]!r} are order-equivalent"
+                )
+
+    join = [[0] * n for _ in range(n)]
+    meet = [[0] * n for _ in range(n)]
+    everything = range(n)
+    for i in range(n):
+        for j in range(i, n):
+            ubs = [k for k in everything if leq[i][k] and leq[j][k]]
+            least = [u for u in ubs if all(leq[u][v] for v in ubs)]
+            if len(least) != 1:
+                raise NotALatticeError(
+                    f"{elements[i]!r} and {elements[j]!r} have no least upper bound"
+                )
+            join[i][j] = join[j][i] = least[0]
+
+            lbs = [k for k in everything if leq[k][i] and leq[k][j]]
+            greatest = [l for l in lbs if all(leq[v][l] for v in lbs)]
+            if len(greatest) != 1:
+                raise NotALatticeError(
+                    f"{elements[i]!r} and {elements[j]!r} have no greatest lower bound"
+                )
+            meet[i][j] = meet[j][i] = greatest[0]
+
+    top_i = 0
+    bottom_i = 0
+    for i in range(1, n):
+        top_i = join[top_i][i]
+        bottom_i = meet[bottom_i][i]
+
+    distributive = all(
+        meet[a][join[b][c]] == join[meet[a][b]][meet[a][c]]
+        for a in everything
+        for b in everything
+        for c in everything
+    )
+    chained = all(leq[i][j] or leq[j][i] for i in range(n) for j in range(i + 1, n))
+
+    # the rank and the join-irreducibles as the L-subset modules once
+    # computed them for themselves
+    sizes = tuple(sum(1 for j in range(n) if leq[j][i]) for i in range(n))
+    order = sorted(range(n), key=sizes.__getitem__)
+    irreducibles = tuple(
+        j for j in order
+        if reduce(lambda a, i: join[a][i], (i for i in order if i != j and leq[i][j]), bottom_i) != j
+    )
+    return {
+        "elements": elements, "leq": leq, "join": join, "meet": meet,
+        "top": elements[top_i], "bottom": elements[bottom_i],
+        "distributive": distributive, "chain": chained,
+        "down_sizes": sizes, "irreducibles": irreducibles,
+    }
+
+
+def tables(lat):
+    return {
+        "elements": lat.elements, "leq": lat._leq, "join": lat._join, "meet": lat._meet,
+        "top": lat.top, "bottom": lat.bottom,
+        "distributive": lat.distributive, "chain": lat.is_chain(),
+        "down_sizes": lat._down_sizes, "irreducibles": lat._irreducibles,
+    }
+
+
+def outcome(build, elements, pairs):
+    """What a builder makes of the input: its tables, or its error's type and message."""
+    try:
+        result = build(elements, pairs)
+    except LSubgroupsError as exc:
+        return type(exc), str(exc)
+    return result if isinstance(result, dict) else tables(result)
+
+
+def kind_relation(kind):
+    """The elements and generating pairs ``make_lattice`` validates for a kind."""
+    if kind.startswith("chain"):
+        lat = make_lattice(kind)
+        return list(lat.elements), list(zip(lat.elements, lat.elements[1:]))
+    if kind.startswith("divisors"):
+        size = int(kind[len("divisors"):])
+        divs = [d for d in range(1, size + 1) if size % d == 0]
+        return [str(d) for d in divs], [(str(d), str(e)) for d in divs for e in divs if d != e and e % d == 0]
+    m, n = map(int, kind[len("product"):].split("x"))
+    names = [f"({i},{j})" for i in range(m) for j in range(n)]
+    pairs = [(f"({i},{j})", f"({i + 1},{j})") for i in range(m - 1) for j in range(n)]
+    pairs += [(f"({i},{j})", f"({i},{j + 1})") for i in range(m) for j in range(n - 1)]
+    return names, pairs
+
+
+HARNESS_KINDS = (
+    [f"chain{k}" for k in range(1, 17)]
+    + ["divisors30", "divisors60", "divisors720", "divisors5040"]
+    + [f"product{m}x{n}" for m in range(1, 6) for n in range(1, 6)]
+)
+
+M3 = (["0", "a", "b", "c", "1"], [("0", "a"), ("0", "b"), ("0", "c"), ("a", "1"), ("b", "1"), ("c", "1")])
+N5 = (["0", "x", "z", "y", "1"], [("0", "x"), ("x", "z"), ("z", "1"), ("0", "y"), ("y", "1")])
+
+
+def random_relation(rng):
+    """Up to nine elements under a random order, listed and paired in random order.
+
+    Most draws add a bottom and a top, so most are lattices, about half of
+    them non-distributive; some add a reversed pair (antisymmetry fails
+    when it closes a cycle) or a pair with an unknown element.
+    """
+    n = rng.randint(1, 9)
+    names = [f"x{k}" for k in range(n)]
+    density = rng.random()
+    pairs = [(names[i], names[j]) for i in range(n) for j in range(i + 1, n) if rng.random() < density / 2]
+    if rng.random() < 0.8:
+        pairs += [(names[0], x) for x in names[1:]] + [(x, names[-1]) for x in names[:-1]]
+    roll = rng.random()
+    if roll < 0.08 and n > 1:
+        i, j = sorted(rng.sample(range(n), 2))
+        pairs.append((names[j], names[i]))
+    elif roll < 0.12:
+        pairs.insert(rng.randint(0, len(pairs)), (rng.choice(names), "zz")[:: rng.choice((1, -1))])
+    rng.shuffle(names)
+    rng.shuffle(pairs)
+    return names, pairs
+
+
+class TestAgainstTheCubicBuilder:
+    @pytest.mark.parametrize("kind", HARNESS_KINDS)
+    def test_harness_kinds(self, kind):
+        relation = kind_relation(kind)
+        assert validate_lattice(*relation) == make_lattice(kind)
+        assert outcome(validate_lattice, *relation) == outcome(cubic_lattice, *relation)
+
+    @pytest.mark.parametrize("relation", [M3, N5], ids=["M3", "N5"])
+    def test_non_distributive(self, relation):
+        built = outcome(validate_lattice, *relation)
+        assert built == outcome(cubic_lattice, *relation)
+        assert built["distributive"] is False
+
+    def test_seeded_random_relations(self):
+        rng = random.Random(2026)
+        seen = Counter()
+        for _ in range(6000):
+            relation = random_relation(rng)
+            built = outcome(validate_lattice, *relation)
+            assert built == outcome(cubic_lattice, *relation), relation
+            if isinstance(built, dict):
+                seen["distributive" if built["distributive"] else "non-distributive"] += 1
+            else:
+                seen[built[0].__name__ + (" lub" if "upper" in built[1] else "")] += 1
+        # each kind of input and each first error turns up often
+        assert min(seen.values()) >= 100 and len(seen) == 6, seen
+        assert seen["non-distributive"] >= 1500, seen
+
+    @pytest.mark.parametrize("elements, pairs", [
+        ([], []), (["a", "b", "a"], []), (["a", "b"], [("a", "b"), ("b", "a")]),
+    ])
+    def test_degenerate_inputs(self, elements, pairs):
+        assert outcome(validate_lattice, elements, pairs) == outcome(cubic_lattice, elements, pairs)
+
+
+class TestPinnedTables:
+    @pytest.mark.parametrize("kind, digest", [
+        ("chain1", "cf9aa0107af23d86480f2abbb6862b0a8174a2ef4ada8783392e86b3bccf8f84"),
+        ("chain5", "71c6f6ed40b9a17da10a65ef1035bdbc3a7138bfe2a7176b4281b0083766fc77"),
+        ("chain16", "eb4a588c01ad8ca9269b5e82e44c7b6dcaca9baab0d30104cc552d06a79c7d47"),
+        ("divisors30", "660ecf2d1dbaa5da3c01fbd8dc566209e76eae7babf7f2678bb47ecb7de9383b"),
+        ("divisors720", "65a2b7d1378e51b8bbfcc6f2667ee92f5aea93a3de29e56ecf91c1229d7aff88"),
+        ("product2x3", "6cbb5b8166e347a072ab1713609b9e3e07bfe45f3b5f79d3e759a940284e7bc5"),
+        ("product3x3", "410ebf14e2c2d4ce091bca453ea526a929c1a23762b37ca640859c5bcdd351f5"),
+    ])
+    def test_table_is_pinned(self, kind, digest):
+        # elements, order, joins, meets, bounds, both flags and the
+        # join-irreducibles in order, byte for byte, as the cubic builder
+        # and the former rank computations gave them
+        lat = make_lattice(kind)
+        document = json.dumps([
+            list(lat.elements), lat._leq, lat._join, lat._meet, lat.top, lat.bottom,
+            lat.distributive, lat.is_chain(), list(lat._irreducibles),
+        ])
+        assert hashlib.sha256(document.encode()).hexdigest() == digest
