@@ -7,6 +7,10 @@ cross-validation errors (``--trials`` below 1 and ``--budget`` below 0
 among them), 3 when a search budget is exceeded, and 141 (128 + SIGPIPE,
 as a shell reports a process killed by a broken pipe) when the reader of
 standard output goes away first, as in ``lsubgroups verify | head``.
+
+Importing this module loads only ``lsubgroups.errors``.  Each command
+imports the layers it runs when it runs, so ``hasse -l`` loads only the
+lattice layer and only ``frattini`` and ``nongen`` load every layer.
 """
 from __future__ import annotations
 
@@ -14,27 +18,15 @@ import argparse
 import json
 import os
 import sys
+from typing import TYPE_CHECKING
 
-from .errors import DocumentError, InstanceTooLargeError, LSubgroupsError, NotAnLSubgroupError
-from .frattini import frattini, non_generator_subgroup
-from .groups import FiniteGroup, group_from_document
-from .lattice import FiniteLattice, lattice_from_document
-from .lsets import (
-    LSubset,
-    contains,
-    generate,
-    is_l_subgroup,
-    is_l_subgroup_of,
-    is_proper_l_subgroup,
-    l_subset_from_document,
-)
-from .maximal import (
-    DEFAULT_BUDGET,
-    is_maximal,
-    level_profile,
-    maximal_l_subgroups,
-    tip_relation,
-)
+from .errors import DEFAULT_BUDGET, DocumentError, InstanceTooLargeError, LSubgroupsError
+from .errors import NotAnLSubgroupError
+
+if TYPE_CHECKING:
+    from .groups import FiniteGroup
+    from .lattice import FiniteLattice
+    from .lsets import LSubset
 
 EXIT_OK = 0
 EXIT_VERIFICATION_FAILED = 1
@@ -71,6 +63,8 @@ class Workspace:
         if self._lattice is None:
             if not self.args.lattice:
                 raise DocumentError("this command needs a lattice document (-l)")
+            from .lattice import lattice_from_document
+
             self._lattice = lattice_from_document(_load_json(self.args.lattice))
         return self._lattice
 
@@ -78,6 +72,8 @@ class Workspace:
         if self._group is None:
             if not self.args.group:
                 raise DocumentError("this command needs a group document (-g)")
+            from .groups import group_from_document
+
             self._group = group_from_document(_load_json(self.args.group))
         return self._group
 
@@ -85,11 +81,15 @@ class Workspace:
         path = path or self.args.subset
         if not path:
             raise DocumentError("this command needs an L-subset document (-s)")
+        from .lsets import l_subset_from_document
+
         return l_subset_from_document(_load_json(path), self.group(), self.lattice())
 
 
 def _parent(ws: Workspace) -> LSubset:
     """The -s document of a command that needs it to be an L-subgroup."""
+    from .lsets import is_l_subgroup
+
     mu = ws.subset()
     if not is_l_subgroup(mu):
         raise NotAnLSubgroupError("the parent L-subset (-s) is not an L-subgroup")
@@ -132,6 +132,8 @@ def _cmd_validate(ws: Workspace, args) -> int:
         payload["group"] = {"order": len(grp), "identity": grp.identity}
         lines.append(f"group: order {len(grp)}, identity {grp.identity}")
     if args.subset:
+        from .lsets import is_l_subgroup
+
         sub = ws.subset()
         ok = is_l_subgroup(sub)
         payload["subset"] = {
@@ -144,6 +146,8 @@ def _cmd_validate(ws: Workspace, args) -> int:
     if args.subset2:
         if not args.subset:
             raise DocumentError("-s2 needs a first L-subset to compare against")
+        from .lsets import contains, is_l_subgroup, is_l_subgroup_of, is_proper_l_subgroup
+
         sub = ws.subset()
         second = ws.subset(args.subset2)
         member = is_l_subgroup_of(second, sub)
@@ -177,6 +181,8 @@ def _cmd_levels(ws: Workspace, args) -> int:
 
 
 def _cmd_generate(ws: Workspace, args) -> int:
+    from .lsets import generate
+
     sub = ws.subset()
     gen = generate(sub)
     _emit(args, gen.as_document(), _value_table("generated L-subgroup", gen))
@@ -184,6 +190,8 @@ def _cmd_generate(ws: Workspace, args) -> int:
 
 
 def _cmd_maximals(ws: Workspace, args) -> int:
+    from .maximal import is_maximal, level_profile, maximal_l_subgroups, tip_relation
+
     mu = _parent(ws)
     maximals = maximal_l_subgroups(mu, budget=args.budget)
     payload = {"count": len(maximals), "maximals": []}
@@ -204,6 +212,8 @@ def _cmd_maximals(ws: Workspace, args) -> int:
 
 
 def _cmd_frattini(ws: Workspace, args) -> int:
+    from .frattini import frattini
+
     mu = _parent(ws)
     report = frattini(mu, budget=args.budget)
     table = "\n".join(
@@ -219,6 +229,8 @@ def _cmd_frattini(ws: Workspace, args) -> int:
 
 
 def _cmd_nongen(ws: Workspace, args) -> int:
+    from .frattini import non_generator_subgroup
+
     mu = _parent(ws)
     lam = non_generator_subgroup(mu, budget=args.budget)
     lat = mu.lattice

@@ -1,4 +1,4 @@
-"""Exception types shared across the package.
+"""Exception types, and the default search budget, shared across the package.
 
 Every structural defect gets its own class so callers (and the CLI exit-code
 mapping) can distinguish bad input from blown search budgets.
@@ -96,6 +96,11 @@ class HypothesisNotMetError(LSubgroupsError):
 
 
 # ---------------------------------------------------------------- search
+
+# units of work a search may spend unless the caller passes a budget; defined
+# here, not in maximal, so that the CLI's parser needs no library layer
+DEFAULT_BUDGET = 10_000_000
+
 
 class InstanceTooLargeError(LSubgroupsError):
     """A search space, or the work a computation does or needs, exceeds the budget."""

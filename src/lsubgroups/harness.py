@@ -108,6 +108,22 @@ class InstanceSpec:
             builtin_group(name)
 
 
+def _divisors(n: int) -> list[int]:
+    """The divisors of n in ascending order, from its prime factorisation."""
+    divs, p = [1], 2
+    while p * p <= n:
+        if n % p == 0:
+            powers = [1]
+            while n % p == 0:
+                n //= p
+                powers.append(powers[-1] * p)
+            divs = [d * q for d in divs for q in powers]
+        p += 1
+    if n > 1:  # what is left is one prime
+        divs += [d * n for d in divs]
+    return sorted(divs)
+
+
 @lru_cache(maxsize=64)
 def make_lattice(kind: str) -> FiniteLattice:
     """Build the named lattice kind; see InstanceSpec for the grammar.
@@ -124,7 +140,7 @@ def make_lattice(kind: str) -> FiniteLattice:
             raise ValueError(f"unknown lattice kind {kind!r}: a chain has 1 to 16 elements")
         return chain_lattice(["0"] if size == "1" else ["0", *_CHAIN_MIDS[: int(size) - 2], "1"])
     if shape == "divisors":
-        divs = [d for d in range(1, int(size) + 1) if int(size) % d == 0]
+        divs = _divisors(int(size))
         pairs = [(str(d), str(e)) for d in divs for e in divs if d != e and e % d == 0]
         return validate_lattice([str(d) for d in divs], pairs)
     m, n = int(m), int(n)

@@ -136,8 +136,24 @@ class FiniteLattice:
         return tuple(b for b in self.elements if self.is_cover(b, a))
 
     def covering_pairs(self) -> tuple[tuple[str, str], ...]:
-        """All (lower, upper) covering pairs, in carrier order."""
-        return tuple((a, b) for a in self.elements for b in self.covers_of(a))
+        """All (lower, upper) covering pairs, in carrier order.
+
+        On integer up-set and down-set rows, b covers a exactly when the
+        interval ``up[a] & down[b]`` holds a and b and nothing else.
+        """
+        up = [sum(1 << j for j, le in enumerate(row) if le) for row in self._leq]
+        down = [sum(1 << i for i, le in enumerate(column) if le) for column in zip(*self._leq)]
+        names = self.elements
+        pairs = []
+        for a, row in enumerate(up):
+            above = row ^ (1 << a)
+            while above:
+                low = above & -above
+                b = low.bit_length() - 1
+                if row & down[b] == low | (1 << a):
+                    pairs.append((names[a], names[b]))
+                above ^= low
+        return tuple(pairs)
 
     def is_supstar_subset(self, names: Iterable[str]) -> bool:
         """True when every non-empty subset of ``names`` contains its supremum.

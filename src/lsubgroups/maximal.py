@@ -49,7 +49,7 @@ from itertools import repeat
 from math import prod
 from typing import NamedTuple
 
-from .errors import InstanceTooLargeError, NotAnIsomorphismError
+from .errors import DEFAULT_BUDGET, InstanceTooLargeError, NotAnIsomorphismError
 from .errors import NotAnLSubgroupError, NotMaximalError
 from .groups import GroupHom, _closure, _lower_covers, _subgroups_within
 from .lsets import _level_masks
@@ -63,8 +63,6 @@ from .lsets import (
     pullback,
     pushforward,
 )
-
-DEFAULT_BUDGET = 10_000_000
 
 
 class LevelRelation(enum.Enum):

@@ -60,10 +60,10 @@ def run_module(argv, *flags):
     )
 
 
-def run_python(code):
+def run_python(code, *argv):
     """Run a snippet in a fresh interpreter and return what it prints, parsed as JSON."""
     done = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, env=module_env(), timeout=300,
+        [sys.executable, "-c", code, *argv], capture_output=True, env=module_env(), timeout=300,
     )
     assert done.returncode == 0, done.stderr.decode()
     return json.loads(done.stdout)
@@ -373,16 +373,102 @@ class TestModuleBoundaries:
         assert found == []
 
 
+# the library layers a command loads besides the package, cli and errors
+COMMAND_LAYERS = {
+    "validate": "lattice groups lsets",
+    "levels": "lattice groups lsets",
+    "generate": "lattice groups lsets",
+    "hasse": "lattice",
+    "maximals": "lattice groups lsets maximal",
+    "frattini": "lattice groups lsets maximal frattini",
+    "nongen": "lattice groups lsets maximal frattini",
+}
+LOAD_CASES = {
+    **{case: (argv, code, COMMAND_LAYERS[argv[0]]) for case, (argv, code, *_) in SAMPLE_BYTES.items()},
+    "hasse levels": (["hasse", *D8_SAMPLE, "--format", "dot"], 0, "lattice groups lsets"),
+    "validate bad group": (["validate", "-l", "chain5.json", "-g", "bad_group.json"], 2, "lattice groups"),
+}
+RUN_AND_LIST_MODULES = (
+    "import contextlib, io, json, sys, lsubgroups.cli\n"
+    "with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):\n"
+    "    code = lsubgroups.cli.main(sys.argv[1:])\n"
+    "print(json.dumps([code, sorted(m for m in sys.modules if m.startswith('lsubgroups'))]))"
+)
+
+# what ``from lsubgroups import *`` bound when all of the package's imports
+# were eager: the library's exports and the submodules bound on the package
+STAR_NAMES = sorted({
+    *(name for module, names in PACKAGE_EXPORTS.items() if module != "harness" for name in names.split()),
+    "errors", "groups", "lattice", "lsets", "maximal",
+})
+
+
 class TestColdImport:
-    """A command that does not verify loads neither the harness nor dataclasses."""
+    """``import lsubgroups`` loads no layer, a CLI command only the layers it
+    runs, and the package namespace is the same whatever loaded first."""
 
     def test_cli_import_leaves_the_harness_and_dataclasses_unloaded(self):
         loaded = run_python(
             "import json, sys, types, lsubgroups.cli, lsubgroups\n"
-            "print(json.dumps([[m for m in ('lsubgroups.harness', 'dataclasses') if m in sys.modules],"
-            " isinstance(lsubgroups.frattini, types.FunctionType)]))"
+            "before = sorted(m for m in sys.modules if m.startswith('lsubgroups'))\n"
+            "function = isinstance(lsubgroups.frattini, types.FunctionType)\n"
+            "print(json.dumps([before, [m for m in ('lsubgroups.harness', 'dataclasses') if m in sys.modules],"
+            " function]))"
         )
-        assert loaded == [[], True]
+        assert loaded == [["lsubgroups", "lsubgroups.cli", "lsubgroups.errors"], [], True]
+
+    @pytest.mark.parametrize("case", sorted(LOAD_CASES))
+    def test_a_command_loads_only_the_layers_it_runs(self, tmp_path, case):
+        argv, code, layers = LOAD_CASES[case]
+        # a two-element table whose product a·a is not an element
+        bad = tmp_path / "bad_group.json"
+        bad.write_text(json.dumps({"elements": ["e", "a"], "table": [["e", "a"], ["a", "b"]]}))
+        argv = [str(bad if a == "bad_group.json" else SAMPLES / a) if a.endswith(".json") else a for a in argv]
+        expected = sorted(["lsubgroups", "lsubgroups.cli", "lsubgroups.errors",
+                           *(f"lsubgroups.{layer}" for layer in layers.split())])
+        assert run_python(RUN_AND_LIST_MODULES, *argv) == [code, expected]
+
+    @pytest.mark.parametrize("first", [
+        "import lsubgroups.frattini",
+        "import lsubgroups.harness",
+        "import lsubgroups.frattini as imported\nassert isinstance(imported, types.FunctionType)",
+        "from lsubgroups.frattini import frattini",
+        "import lsubgroups.maximal, lsubgroups.frattini",
+    ], ids=["frattini", "harness", "frattini-as", "from-frattini", "maximal-then-frattini"])
+    def test_frattini_is_the_function_after_any_first_import(self, first):
+        assert run_python(
+            f"import json, sys, types\n{first}\nimport lsubgroups\n"
+            "print(json.dumps([isinstance(lsubgroups.frattini, types.FunctionType),"
+            " lsubgroups.frattini is sys.modules['lsubgroups.frattini'].frattini]))"
+        ) == [True, True]
+
+    def test_frattini_is_the_function_after_cli_commands(self):
+        samples = [str(SAMPLES / a) for a in D8_SAMPLE[1::2]]
+        assert run_python(
+            "import contextlib, io, json, sys, types, lsubgroups, lsubgroups.cli\n"
+            "l, g, s = sys.argv[1:]\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    codes = [lsubgroups.cli.main(['frattini', '-l', l, '-g', g, '-s', s]),"
+            " lsubgroups.cli.main(['validate', '-l', l, '-g', g, '-s', s])]\n"
+            "print(json.dumps([codes, isinstance(lsubgroups.frattini, types.FunctionType)]))",
+            *samples,
+        ) == [[0, 0], True]
+
+    def test_star_import_binds_the_names_the_eager_package_bound(self):
+        assert len(STAR_NAMES) == 96
+        bound = run_python(
+            "import json\nnames = {}\nexec('from lsubgroups import *', names)\n"
+            "print(json.dumps(sorted(set(names) - {'__builtins__'})))"
+        )
+        assert bound == STAR_NAMES
+
+    def test_dir_lists_every_export_before_the_first_load(self):
+        listed, loaded = run_python(
+            "import json, sys, lsubgroups\n"
+            "print(json.dumps([dir(lsubgroups), [m for m in sys.modules if m.startswith('lsubgroups.')]]))"
+        )
+        assert loaded == []
+        assert {name for names in PACKAGE_EXPORTS.values() for name in names.split()} <= set(listed)
 
     def test_a_harness_name_loads_it_on_first_use(self):
         seen = run_python(

@@ -425,6 +425,33 @@ class TestAgainstTheCubicBuilder:
         assert outcome(validate_lattice, elements, pairs) == outcome(cubic_lattice, elements, pairs)
 
 
+def pairwise_covers(lat):
+    """The covering pairs by the pairwise cover test, the reference."""
+    return tuple((a, b) for a in lat.elements for b in lat.elements if lat.is_cover(b, a))
+
+
+class TestCoveringPairs:
+    @pytest.mark.parametrize("kind", [*HARNESS_KINDS, "product16x16", "divisors720720"])
+    def test_harness_kinds(self, kind):
+        lat = make_lattice(kind)
+        assert lat.covering_pairs() == pairwise_covers(lat)
+
+    @pytest.mark.parametrize("relation", [M3, N5], ids=["M3", "N5"])
+    def test_non_distributive(self, relation):
+        lat = validate_lattice(*relation)
+        assert lat.covering_pairs() == pairwise_covers(lat)
+
+
+class TestDivisorKinds:
+    def test_factorisation_matches_trial_division(self):
+        # kind_relation lists the divisors by trial division over 1..N;
+        # __wrapped__ skips make_lattice's cache, which these would flush
+        for size in [*range(1, 2001), 720720]:
+            kind = f"divisors{size}"
+            built = make_lattice.__wrapped__(kind)
+            assert tables(built) == tables(validate_lattice(*kind_relation(kind))), kind
+
+
 class TestPinnedTables:
     @pytest.mark.parametrize("kind, digest", [
         ("chain1", "cf9aa0107af23d86480f2abbb6862b0a8174a2ef4ada8783392e86b3bccf8f84"),
