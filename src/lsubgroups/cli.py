@@ -58,6 +58,7 @@ class Workspace:
         self.args = args
         self._lattice: FiniteLattice | None = None
         self._group: FiniteGroup | None = None
+        self._subsets: dict[str, LSubset] = {}
 
     def lattice(self) -> FiniteLattice:
         if self._lattice is None:
@@ -81,9 +82,11 @@ class Workspace:
         path = path or self.args.subset
         if not path:
             raise DocumentError("this command needs an L-subset document (-s)")
-        from .lsets import l_subset_from_document
+        if path not in self._subsets:
+            from .lsets import l_subset_from_document
 
-        return l_subset_from_document(_load_json(path), self.group(), self.lattice())
+            self._subsets[path] = l_subset_from_document(_load_json(path), self.group(), self.lattice())
+        return self._subsets[path]
 
 
 def _parent(ws: Workspace) -> LSubset:
@@ -264,12 +267,17 @@ def _cmd_verify(ws: Workspace, args) -> int:
     return EXIT_OK if report.passed else EXIT_VERIFICATION_FAILED
 
 
+def _dot_id(name: str) -> str:
+    """A DOT quoted ID: the name with backslash and double quote escaped."""
+    return '"' + name.replace("\\", "\\\\").replace('"', '\\"') + '"'
+
+
 def _dot_lattice(lat: FiniteLattice) -> str:
     lines = ["digraph lattice {", "  rankdir=BT;"]
     for name in lat.elements:
-        lines.append(f'  "{name}";')
+        lines.append(f"  {_dot_id(name)};")
     for lo, hi in lat.covering_pairs():
-        lines.append(f'  "{lo}" -> "{hi}";')
+        lines.append(f"  {_dot_id(lo)} -> {_dot_id(hi)};")
     lines.append("}")
     return "\n".join(lines)
 
@@ -285,14 +293,14 @@ def _dot_levels(sub: LSubset) -> str:
     sets = list(seen)
     lines = ["digraph levels {", "  rankdir=BT;"]
     for lv in sets:
-        lines.append(f'  "{seen[lv]}";')
+        lines.append(f"  {_dot_id(seen[lv])};")
     for lo in sets:
         for hi in sets:
             if not lo < hi:
                 continue
             if any(lo < mid < hi for mid in sets):
                 continue
-            lines.append(f'  "{seen[lo]}" -> "{seen[hi]}";')
+            lines.append(f"  {_dot_id(seen[lo])} -> {_dot_id(seen[hi])};")
     lines.append("}")
     return "\n".join(lines)
 

@@ -28,7 +28,7 @@ from .frattini import (
 from .groups import (
     FiniteGroup,
     GroupHom,
-    all_subgroups,
+    _subgroups_within,
     builtin_group,
     frattini_classical,
     identity_hom,
@@ -159,20 +159,21 @@ def _resolve(rng: random.Random, kinds: str) -> str:
 def _chain_valued_l_subgroup(
     rng: random.Random, group: FiniteGroup, lat: FiniteLattice, density: float
 ) -> LSubset:
-    # climb a random subgroup chain up to the whole group, thin it by the
-    # density knob, then label antitonely with a descending value sequence
-    subs = all_subgroups(group)
-    full = frozenset(group.elements)
-    chain = [frozenset([group.identity])]
+    # climb a random chain of subgroup masks up to the whole group, thin it by
+    # the density knob, then label antitonely with a descending value sequence
+    full = (1 << len(group)) - 1
+    subs = _subgroups_within(group, full)
+    chain = [1 << group.identity_index]
     while chain[-1] != full:
-        ups = [s for s in subs if chain[-1] < s]
+        low = chain[-1]
+        ups = [s for s in subs if s != low and not low & ~s]
         chain.append(rng.choice(ups))
     kept = [h for h in chain[:-1] if rng.random() < density] + [full]
 
     values = []
     current = lat.top if rng.random() < 0.7 else rng.choice(lat.elements)
     for _ in kept:
-        values.append(current)
+        values.append(lat.index(current))
         if rng.random() < 0.85:
             # mostly step down a single cover so the labels spread out;
             # occasionally drop further to keep coarse instances in the mix
@@ -182,20 +183,17 @@ def _chain_valued_l_subgroup(
             if below:
                 current = rng.choice(below)
 
-    mapping = {}
-    for x in group.elements:
-        first = next(i for i, h in enumerate(kept) if x in h)
-        mapping[x] = values[first]
-    return l_subset(group, lat, mapping)
+    return LSubset(group, lat, tuple(
+        values[next(k for k, h in enumerate(kept) if h >> x & 1)] for x in range(len(group))
+    ))
 
 
 def random_l_subset_below(rng: random.Random, mu: LSubset) -> LSubset:
     """Uniform raw L-subset under mu: independent draws from each down-set."""
-    lat = mu.lattice
-    mapping = {
-        x: rng.choice(lat.down_set(mu.value(x))) for x in mu.group.elements
-    }
-    return l_subset(mu.group, lat, mapping, parent=mu)
+    rows = mu.lattice._leq
+    return LSubset(mu.group, mu.lattice, tuple(
+        rng.choice([a for a, row in enumerate(rows) if row[v]]) for v in mu.value_indices()
+    ))
 
 
 def random_l_subgroup(
@@ -844,18 +842,12 @@ def _single_defect_pattern_over_images(eta: LSubset, mu: LSubset) -> bool:
 def search_converse_counterexample() -> ConverseCounterexample:
     """Find a pair whose level pattern matches yet maximality fails.
 
-    The pool is the reference Q8 pair, swept first, and then the instances
-    of seeds 0-7 over chains of 4 or 5 elements, so the search always
-    succeeds; SearchExhaustedError is treated as a failure of the suite.
+    The pool is the reference Q8 pair alone, which always qualifies, so the
+    search always succeeds; SearchExhaustedError is treated as a failure of
+    the suite.
     """
-    pool = [reference_nonmaximal_pair()]
-    for seed in range(8):
-        pool.append(random_l_subgroup(InstanceSpec(seed=seed, lattice_kind="chain4-5")))
-    for mu, eta in pool:
-        if not is_proper_l_subgroup(eta, mu):
-            continue
-        if not _single_defect_pattern_over_images(eta, mu):
-            continue
+    mu, eta = reference_nonmaximal_pair()
+    if is_proper_l_subgroup(eta, mu) and _single_defect_pattern_over_images(eta, mu):
         verdict = is_maximal(eta, mu)
         if not verdict.maximal:
             return ConverseCounterexample(

@@ -30,19 +30,23 @@ class FiniteLattice:
     negative tests, but theorem-level operations elsewhere refuse them.
     ``_down_sizes`` holds the down-set sizes, a rank, and ``_irreducibles``
     the join-irreducibles in rank order, the layout of every level map.
+    ``_up`` and ``_down`` hold each element's up-set and down-set as integer
+    bit rows, which the cover queries read.
     """
 
     __slots__ = (
-        "elements", "top", "bottom", "distributive", "_index", "_leq", "_join", "_meet", "_chain",
-        "_down_sizes", "_irreducibles", "_hash",
+        "elements", "top", "bottom", "distributive", "_index", "_leq", "_up", "_down", "_join",
+        "_meet", "_chain", "_down_sizes", "_irreducibles", "_hash",
     )
 
-    def __init__(self, elements, leq, join, meet, top, bottom, distributive, chain,
+    def __init__(self, elements, leq, up, down, join, meet, top, bottom, distributive, chain,
                  down_sizes, irreducibles):
         # Use validate_lattice() / chain_lattice(); this constructor trusts its input.
         self.elements: tuple[str, ...] = elements
         self._index = {name: i for i, name in enumerate(elements)}
         self._leq = leq
+        self._up: tuple[int, ...] = up
+        self._down: tuple[int, ...] = down
         self._join = join
         self._meet = meet
         self.top: str = top
@@ -122,30 +126,20 @@ class FiniteLattice:
         return tuple(x for j, x in enumerate(self.elements) if self._leq[j][i])
 
     def is_cover(self, b: str, a: str) -> bool:
-        """True when b covers a: a < b with nothing strictly between."""
+        """True when b covers a (a < b, nothing between): ``up[a] & down[b]`` is {a, b}."""
         i, j = self.index(a), self.index(b)
-        if i == j or not self._leq[i][j]:
-            return False
-        leq = self._leq
-        return not any(
-            k != i and k != j and leq[i][k] and leq[k][j] for k in range(len(self.elements))
-        )
+        return i != j and self._up[i] & self._down[j] == 1 << i | 1 << j
 
     def covers_of(self, a: str) -> tuple[str, ...]:
         """The covers of a (the upper neighbours in the Hasse diagram)."""
         return tuple(b for b in self.elements if self.is_cover(b, a))
 
     def covering_pairs(self) -> tuple[tuple[str, str], ...]:
-        """All (lower, upper) covering pairs, in carrier order.
-
-        On integer up-set and down-set rows, b covers a exactly when the
-        interval ``up[a] & down[b]`` holds a and b and nothing else.
-        """
-        up = [sum(1 << j for j, le in enumerate(row) if le) for row in self._leq]
-        down = [sum(1 << i for i, le in enumerate(column) if le) for column in zip(*self._leq)]
+        """All (lower, upper) covering pairs, in carrier order, by the test of ``is_cover``."""
+        down = self._down
         names = self.elements
         pairs = []
-        for a, row in enumerate(up):
+        for a, row in enumerate(self._up):
             above = row ^ (1 << a)
             while above:
                 low = above & -above
@@ -256,6 +250,8 @@ def validate_lattice(elements: Sequence[str], pairs: Iterable[Sequence[str]]) ->
     return FiniteLattice(
         elements,
         [[bit == "1" for bit in row] for row in rows],
+        tuple(up),
+        tuple(down),
         join,
         meet,
         elements[by_down[full]],

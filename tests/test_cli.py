@@ -4,12 +4,14 @@ import hashlib
 import importlib
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+import lsubgroups.cli as cli_module
 import lsubgroups.maximal as maximal_module
 from lsubgroups import builtin_group, l_subset_from_document
 from lsubgroups.cli import main
@@ -158,6 +160,19 @@ class TestValidate:
         assert payload["subset2"]["contained_in_first"] is True
         assert payload["subset2"]["member_of_first"] is True
         assert payload["subset2"]["proper_member"] is True
+
+    def test_each_document_is_read_once(self, docs, capsys, monkeypatch):
+        reads = []
+        load = cli_module._load_json
+        monkeypatch.setattr(cli_module, "_load_json", lambda path: reads.append(path) or load(path))
+        code, _, _ = run(
+            capsys, "validate",
+            "-l", docs["chain5.json"], "-g", docs["q8.json"],
+            "-s", docs["mu_q8.json"], "-s2", docs["eta_q8.json"],
+        )
+        assert code == 0
+        names = ("chain5.json", "q8.json", "mu_q8.json", "eta_q8.json")
+        assert sorted(reads) == sorted(docs[name] for name in names)
 
 
 class TestLevels:
@@ -515,6 +530,40 @@ class TestHasse:
         )
         assert code == 0
         assert '"{e}" -> "{e,r2}";' in out
+
+    @pytest.mark.parametrize("with_subset", [False, True], ids=["lattice", "levels"])
+    def test_quotes_and_backslashes_are_escaped(self, tmp_path, capsys, with_subset):
+        # each ID is one quoted DOT string that decodes back to its name
+        odd = ['a"b', "c\\", '\\"']
+        lattice = tmp_path / "odd_chain.json"
+        lattice.write_text(json.dumps({"chain": ["0", *odd, "1"]}))
+        argv = ["hasse", "--format", "dot", "-l", str(lattice)]
+        if with_subset:
+            names = ["e", *odd]  # C4 with three awkward element names
+            table = [[names[(i + j) % 4] for j in range(4)] for i in range(4)]
+            values = dict(zip(names, ["1", *odd]))
+            for name, payload in [("odd_c4.json", {"elements": names, "table": table}),
+                                  ("odd_mu.json", {"values": values})]:
+                (tmp_path / name).write_text(json.dumps(payload))
+            argv += ["-g", str(tmp_path / "odd_c4.json"), "-s", str(tmp_path / "odd_mu.json")]
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        quoted = r'"(?:[^"\\]|\\.)*"'
+        nodes, edges = [], []
+        for line in out.splitlines()[2:-1]:
+            match = re.fullmatch(rf"  ({quoted})(?: -> ({quoted}))?;", line)
+            assert match, line
+            lo, hi = (re.sub(r"\\(.)", r"\1", g[1:-1]) if g else None for g in match.groups())
+            if hi is None:
+                nodes.append(lo)
+            else:
+                edges.append((lo, hi))
+        if with_subset:  # the levels from the bottom value up, each edge from smaller to larger
+            assert nodes == ['{e,a"b,c\\,\\"}', '{e,c\\,\\"}', '{e,\\"}', "{e}"]
+            assert edges == list(zip(nodes[1:], nodes))
+        else:
+            assert nodes == ["0", *odd, "1"]
+            assert edges == list(zip(nodes, nodes[1:]))
 
     def test_dot_only_for_hasse(self, docs, capsys):
         code, _, err = run(

@@ -31,17 +31,18 @@ from lsubgroups import (
 )
 from lsubgroups import UnknownBuiltinError
 from lsubgroups import are_jointly_supstar, enumerate_l_subgroups, is_maximal, is_proper_l_subgroup
-from lsubgroups import level_profile, lsets
+from lsubgroups import harness, l_subset, level_profile, lsets, validate_group
 from lsubgroups.groups import all_subgroups
 from lsubgroups.harness import (
     PROPERTIES,
     SKIPPED,
     Instance,
+    _chain_valued_l_subgroup,
     _named_quotient,
     _single_defect_pattern_over_images,
 )
 
-from conftest import Q8_ETA_CONVERSE, Q8_MU_CONVERSE, Q8_THETA_WITNESS
+from conftest import Q8_ETA_CONVERSE, Q8_MU_CONVERSE, Q8_THETA_WITNESS, dihedral, elementary_abelian
 
 
 class TestLatticeKinds:
@@ -155,6 +156,71 @@ class TestGenerator:
         for kind in ["product2x2", "product2x3", "divisors12"]:
             mu, eta = random_l_subgroup(InstanceSpec(seed=5, lattice_kind=kind))
             assert is_l_subgroup_of(eta, mu)
+
+
+def name_based_parent(rng, group, lat, density):
+    """The parent draw on subgroups as name sets and a scanned cover test, the oracle."""
+    subs = all_subgroups(group)
+    full = frozenset(group.elements)
+    chain = [frozenset([group.identity])]
+    while chain[-1] != full:
+        chain.append(rng.choice([s for s in subs if chain[-1] < s]))
+    kept = [h for h in chain[:-1] if rng.random() < density] + [full]
+
+    def lower_covers(b):
+        strictly_below = [a for a in lat.elements if a != b and lat.leq(a, b)]
+        return [a for a in strictly_below if not any(a != c and lat.leq(a, c) for c in strictly_below)]
+
+    values = []
+    current = lat.top if rng.random() < 0.7 else rng.choice(lat.elements)
+    for _ in kept:
+        values.append(current)
+        if rng.random() < 0.85:
+            below = lower_covers(current)
+            if rng.random() < 0.2:
+                below = [a for a in lat.down_set(current) if a != current]
+            if below:
+                current = rng.choice(below)
+    mapping = {x: values[next(i for i, h in enumerate(kept) if x in h)] for x in group.elements}
+    return l_subset(group, lat, mapping)
+
+
+def name_based_raw(rng, mu):
+    """The raw draw under mu on down-sets of names, validated against mu, the oracle."""
+    lat = mu.lattice
+    mapping = {x: rng.choice(lat.down_set(mu.value(x))) for x in mu.group.elements}
+    return l_subset(mu.group, lat, mapping, parent=mu)
+
+
+def relisted(group, shift):
+    """The same group with its element list rotated by ``shift``."""
+    names = group.elements[shift:] + group.elements[:shift]
+    return validate_group(names, [[group.op(x, y) for y in names] for x in names])
+
+
+class TestDrawsMatchTheNameBasedOracle:
+    LATTICES = ["chain2", "chain3", "chain4", "chain5", "chain6", "product2x3", "divisors30", "chain16"]
+
+    @pytest.mark.parametrize("make_group", [
+        lambda: builtin_group("V4"), lambda: builtin_group("C6"), lambda: builtin_group("Q8"),
+        lambda: builtin_group("D8"), lambda: builtin_group("C12"),
+        lambda: elementary_abelian(5), lambda: dihedral(16), lambda: relisted(builtin_group("D8"), 3),
+    ], ids=["V4", "C6", "Q8", "D8", "C12", "C2^5", "D16", "D8-relisted"])
+    def test_same_draws_and_same_states(self, make_group):
+        group = make_group()
+        for kind in self.LATTICES:
+            lat = make_lattice(kind)
+            for seed in range(20):
+                rng, oracle_rng = random.Random(f"{seed}:{kind}"), random.Random(f"{seed}:{kind}")
+                mu = _chain_valued_l_subgroup(rng, group, lat, 0.6)
+                assert mu == name_based_parent(oracle_rng, group, lat, 0.6), (kind, seed)
+                assert rng.getstate() == oracle_rng.getstate()
+                for _ in range(3):
+                    assert random_l_subset_below(rng, mu) == name_based_raw(oracle_rng, mu)
+                    assert rng.getstate() == oracle_rng.getstate()
+
+    def test_the_relisted_group_has_its_identity_inside(self):
+        assert relisted(builtin_group("D8"), 3).identity_index == 5
 
 
 class TestCrispCollapse:
@@ -335,6 +401,17 @@ class TestConverseSearch:
     def test_search_finds_the_reference_instance(self):
         found = search_converse_counterexample()
         assert found.mu.values() == Q8_MU_CONVERSE
+        assert found.eta.values() == Q8_ETA_CONVERSE
+        assert found.witness.values() == Q8_THETA_WITNESS
+        assert found.defect_level == "c"
+
+    def test_the_reference_pair_alone_is_searched(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the search built a seeded instance")
+
+        monkeypatch.setattr(harness, "build_instance", refuse)
+        monkeypatch.setattr(harness, "random_l_subgroup", refuse)
+        found = search_converse_counterexample()
         assert found.eta.values() == Q8_ETA_CONVERSE
         assert found.witness.values() == Q8_THETA_WITNESS
         assert found.defect_level == "c"

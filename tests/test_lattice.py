@@ -314,8 +314,11 @@ def cubic_lattice(elements, pairs):
         j for j in order
         if reduce(lambda a, i: join[a][i], (i for i in order if i != j and leq[i][j]), bottom_i) != j
     )
+    # the up-set and down-set rows the lattice keeps, read off the matrix
+    up = tuple(sum(1 << j for j in range(n) if leq[i][j]) for i in range(n))
+    down = tuple(sum(1 << i for i in range(n) if leq[i][j]) for j in range(n))
     return {
-        "elements": elements, "leq": leq, "join": join, "meet": meet,
+        "elements": elements, "leq": leq, "up": up, "down": down, "join": join, "meet": meet,
         "top": elements[top_i], "bottom": elements[bottom_i],
         "distributive": distributive, "chain": chained,
         "down_sizes": sizes, "irreducibles": irreducibles,
@@ -324,8 +327,8 @@ def cubic_lattice(elements, pairs):
 
 def tables(lat):
     return {
-        "elements": lat.elements, "leq": lat._leq, "join": lat._join, "meet": lat._meet,
-        "top": lat.top, "bottom": lat.bottom,
+        "elements": lat.elements, "leq": lat._leq, "up": lat._up, "down": lat._down,
+        "join": lat._join, "meet": lat._meet, "top": lat.top, "bottom": lat.bottom,
         "distributive": lat.distributive, "chain": lat.is_chain(),
         "down_sizes": lat._down_sizes, "irreducibles": lat._irreducibles,
     }
@@ -426,20 +429,33 @@ class TestAgainstTheCubicBuilder:
 
 
 def pairwise_covers(lat):
-    """The covering pairs by the pairwise cover test, the reference."""
-    return tuple((a, b) for a in lat.elements for b in lat.elements if lat.is_cover(b, a))
+    """The covering pairs by a scan of the order matrix, the reference.
+
+    b covers a when a < b and no third element k has a ≤ k ≤ b.
+    """
+    leq, names = lat._leq, lat.elements
+    pairs = []
+    for a, row in enumerate(leq):
+        above = [k for k, le in enumerate(row) if le and k != a]
+        pairs += [(names[a], names[b]) for b in above if not any(leq[k][b] for k in above if k != b)]
+    return tuple(pairs)
+
+
+def assert_covers_match_the_scan(lat):
+    expected = pairwise_covers(lat)
+    assert lat.covering_pairs() == expected
+    names = lat.elements
+    assert tuple((a, b) for a in names for b in names if lat.is_cover(b, a)) == expected
 
 
 class TestCoveringPairs:
     @pytest.mark.parametrize("kind", [*HARNESS_KINDS, "product16x16", "divisors720720"])
     def test_harness_kinds(self, kind):
-        lat = make_lattice(kind)
-        assert lat.covering_pairs() == pairwise_covers(lat)
+        assert_covers_match_the_scan(make_lattice(kind))
 
     @pytest.mark.parametrize("relation", [M3, N5], ids=["M3", "N5"])
     def test_non_distributive(self, relation):
-        lat = validate_lattice(*relation)
-        assert lat.covering_pairs() == pairwise_covers(lat)
+        assert_covers_match_the_scan(validate_lattice(*relation))
 
 
 class TestDivisorKinds:
