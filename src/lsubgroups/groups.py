@@ -177,6 +177,10 @@ def _quaternion_product(x: int, y: int) -> int:
     return 2 * (u ^ v) + ((x ^ y ^ flip) & 1)
 
 
+# the largest n for which ``builtin_group`` builds Cn
+_MAX_CYCLIC_ORDER = 256
+
+
 @lru_cache(maxsize=64)
 def builtin_group(name: str) -> FiniteGroup:
     """Builtin groups with fixed element names: Q8, D8, V4 and Cn (e.g. C6).
@@ -192,7 +196,9 @@ def builtin_group(name: str) -> FiniteGroup:
       r⁴ = s² = e and r^j s = s r^-j;
     - V4: e, a, b, c, multiplied by XOR of the indices;
     - Cn: e, g, g2, ..., g(n-1); element k is g^k, multiplied by adding
-      the indices mod n.
+      the indices mod n.  n runs from 1 to 256: the table has n² entries
+      and validating it takes time cubic in n, so a larger n is refused
+      before anything is built.
     """
     if name == "Q8":
         return _from_indices(("1", "-1", "i", "-i", "j", "-j", "k", "-k"), _quaternion_product)
@@ -205,6 +211,11 @@ def builtin_group(name: str) -> FiniteGroup:
         return _from_indices(("e", "a", "b", "c"), int.__xor__)
     # n is a positive ASCII decimal with no leading zero, so each Cn has one name
     if re.fullmatch(r"C[1-9][0-9]*", name):
+        # the length test comes first, so that no huge decimal is converted
+        if len(name) > len(str(_MAX_CYCLIC_ORDER)) + 1 or int(name[1:]) > _MAX_CYCLIC_ORDER:
+            raise UnknownBuiltinError(
+                f"builtin group {name!r} is too large: Cn is built for n up to {_MAX_CYCLIC_ORDER}"
+            )
         n = int(name[1:])
         return _from_indices(("e", "g", *(f"g{k}" for k in range(2, n)))[:n], lambda x, y: (x + y) % n)
     raise UnknownBuiltinError(f"unknown builtin group {name!r}")

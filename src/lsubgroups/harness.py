@@ -12,7 +12,7 @@ from __future__ import annotations
 import random
 import re
 from dataclasses import asdict, dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Callable
 
 from . import lsets
@@ -210,8 +210,10 @@ _SPACE_CAP = 60_000
 class Instance:
     """One concrete generated instance: the (mu, eta) pair and its seeded samples.
 
-    Derived data (L(mu), the maximals, the Frattini report) is not kept
-    here; the properties ask the library, whose caches serve repeat calls.
+    L(mu) is listed once, on first use of ``members``, and kept for the
+    properties that read it.  The other derived data (the maximals, the
+    Frattini report) is not kept here; the properties ask the library,
+    whose caches serve repeat calls.
     """
 
     def __init__(self, spec: InstanceSpec, trial: int, lattice_kind: str, group_name: str):
@@ -257,6 +259,11 @@ class Instance:
         inst.eta = eta
         inst._draw_samples(random.Random(f"pinned:{label}:{seed}"))
         return inst
+
+    @cached_property
+    def members(self) -> tuple[LSubset, ...]:
+        """L(mu) in canonical order, listed on first use."""
+        return enumerate_l_subgroups(self.mu)
 
     def _draw_samples(self, rng: random.Random) -> None:
         # three raw L-subsets under mu, then three points of mu; the hom pool
@@ -471,7 +478,7 @@ def prop_normality_matches_top_parent(inst: Instance):
 
 
 def prop_maximality_strategies_agree(inst: Instance):
-    pool = enumerate_l_subgroups(inst.mu)
+    pool = inst.members
     if len(pool) > 120:
         rng = random.Random(f"{inst.spec.seed}:{inst.trial}:agree")
         pool = tuple(rng.sample(pool, 60)) + maximal_l_subgroups(inst.mu) + (inst.eta,)
@@ -501,7 +508,7 @@ def prop_maximal_level_profiles(inst: Instance):
 
 
 def prop_sufficient_condition_sound(inst: Instance):
-    pool = enumerate_l_subgroups(inst.mu)
+    pool = inst.members
     if len(pool) > 120:
         rng = random.Random(f"{inst.spec.seed}:{inst.trial}:suff")
         pool = tuple(rng.sample(pool, 60)) + maximal_l_subgroups(inst.mu)
@@ -596,7 +603,7 @@ def prop_maximal_avoiding_exists(inst: Instance):
     if not inst.lattice.is_upper_well_ordered():
         return SKIPPED
     rng = random.Random(f"{inst.spec.seed}:{inst.trial}:zorn")
-    pool = enumerate_l_subgroups(inst.mu)
+    pool = inst.members
     theta = pool[rng.randrange(len(pool))]
     missing = [
         LPoint(x, a)

@@ -152,71 +152,6 @@ def _spread(mask: int, width: int) -> int:
     return int(("0" * (width // 4 - 1)).join(format(mask, "b")), 16)
 
 
-@lru_cache(maxsize=64)
-def _enumeration(mu: LSubset, budget: int) -> tuple[LSubset, ...]:
-    # A node's key is the bounds left on the join-irreducibles from its own
-    # on: mu's levels met with the levels chosen below each (antitone).  A
-    # repeat that the budget runs out in is walked again to the exact visit.
-    group, lat = mu.group, mu.lattice
-    irreducibles, levels = _level_masks(mu)
-    leq, m = lat._leq, len(irreducibles)
-    # at position k, the later positions whose bound the choice meets
-    later = [[leq[j][i] for i in irreducibles[k + 1:]] for k, j in enumerate(irreducibles)]
-    fitting: dict[int, list[int]] = {}  # bound mask -> the subgroups (or ∅) inside it
-    records = {(): (1, 1, ())}  # key -> (visits, members, ((choice, child key), ...))
-    visited = members = 0
-
-    def walk(key: tuple[int, ...]) -> None:
-        nonlocal visited, members
-        visited += 1
-        if visited > budget:
-            raise InstanceTooLargeError(visited, budget, (
-                f"enumeration of L(mu) exceeded its budget of {budget} partial level maps "
-                f"after {members} members"
-            ))
-        if not key:  # a leaf: walked only to be refused, or as all of L(mu) over one element
-            members += 1
-            return
-        if key in records:  # a repeat that the budget runs out in
-            children = records[key][2]
-        else:
-            bound, rest, meets = key[0], key[1:], later[m - len(key)]
-            if bound not in fitting:
-                fitting[bound] = [0, *_subgroups_within(group, bound)]
-            children = tuple(
-                (h, tuple([b & h if meet else b for b, meet in zip(rest, meets)])) for h in fitting[bound]
-            ) if True in meets else tuple(zip(fitting[bound], repeat(rest)))
-        start = visited - 1, members
-        for _, child in children:
-            record = records.get(child)
-            if record is not None and visited + record[0] <= budget:
-                visited += record[0]
-                members += record[1]
-            else:
-                walk(child)
-        records[key] = (visited - start[0], members - start[1], children)
-
-    root = tuple(levels)
-    walk(root)
-    width, decode = _birkhoff(lat)
-    codes: dict[tuple[int, ...], list[int]] = {(): [0]}
-
-    def assemble(key: tuple[int, ...]) -> list[int]:
-        shift, listed = m - len(key), []
-        for h, child in records[key][2]:
-            below = codes[child] if child in codes else assemble(child)
-            listed += map((_spread(h, width) << shift).__or__, below) if h else below
-        codes[key] = listed
-        return listed
-
-    found = sorted(decode(codes[root] if root in codes else assemble(root), len(group)))
-    # walk and assemble refer to themselves, so their closures wait for the
-    # cycle collector: free the codes and records before building the members
-    codes.clear()
-    records.clear()
-    return tuple(map(LSubset, repeat(group), repeat(lat), map(tuple, found)))
-
-
 def _code(lat, levels) -> int:
     # the Birkhoff code of a level map, one level mask per join-irreducible in
     # the lattice's _irreducibles order: element x's field holds bit k when
@@ -303,14 +238,77 @@ def enumerate_l_subgroups(mu: LSubset, budget: int = DEFAULT_BUDGET) -> tuple[LS
 
     Found as level maps (see the module docstring); mu need not be an
     L-subgroup.  Canonical order is lexicographic on the value tuple (group
-    element order, lattice index order).  The budget counts units of work,
-    here one per partial level map of the depth-first walk; a repeated
-    subtree, walked once, is charged its full visit count each time.
-    Raises NonDistributiveLatticeError over a non-distributive lattice and
+    element order, lattice index order).  Each call walks L(mu) afresh and
+    returns a new tuple that nothing else holds, so a listing is freed as
+    soon as its caller drops it; a caller that reads L(mu) more than once
+    keeps the tuple itself.  The budget counts units of work, here one per
+    partial level map of the depth-first walk; a repeated subtree, walked
+    once, is charged its full visit count each time.  Raises
+    NonDistributiveLatticeError over a non-distributive lattice and
     InstanceTooLargeError once the walk has visited more than ``budget``
     partial level maps, naming how many members it had found by then.
     """
-    return _enumeration(mu, budget)
+    # A node's key is the bounds left on the join-irreducibles from its own
+    # on: mu's levels met with the levels chosen below each (antitone).  A
+    # repeat that the budget runs out in is walked again to the exact visit.
+    group, lat = mu.group, mu.lattice
+    irreducibles, levels = _level_masks(mu)
+    leq, m = lat._leq, len(irreducibles)
+    # at position k, the later positions whose bound the choice meets
+    later = [[leq[j][i] for i in irreducibles[k + 1:]] for k, j in enumerate(irreducibles)]
+    fitting: dict[int, list[int]] = {}  # bound mask -> the subgroups (or ∅) inside it
+    records = {(): (1, 1, ())}  # key -> (visits, members, ((choice, child key), ...))
+    visited = members = 0
+
+    def walk(key: tuple[int, ...]) -> None:
+        nonlocal visited, members
+        visited += 1
+        if visited > budget:
+            raise InstanceTooLargeError(visited, budget, (
+                f"enumeration of L(mu) exceeded its budget of {budget} partial level maps "
+                f"after {members} members"
+            ))
+        if not key:  # a leaf: walked only to be refused, or as all of L(mu) over one element
+            members += 1
+            return
+        if key in records:  # a repeat that the budget runs out in
+            children = records[key][2]
+        else:
+            bound, rest, meets = key[0], key[1:], later[m - len(key)]
+            if bound not in fitting:
+                fitting[bound] = [0, *_subgroups_within(group, bound)]
+            children = tuple(
+                (h, tuple([b & h if meet else b for b, meet in zip(rest, meets)])) for h in fitting[bound]
+            ) if True in meets else tuple(zip(fitting[bound], repeat(rest)))
+        start = visited - 1, members
+        for _, child in children:
+            record = records.get(child)
+            if record is not None and visited + record[0] <= budget:
+                visited += record[0]
+                members += record[1]
+            else:
+                walk(child)
+        records[key] = (visited - start[0], members - start[1], children)
+
+    root = tuple(levels)
+    walk(root)
+    width, decode = _birkhoff(lat)
+    codes: dict[tuple[int, ...], list[int]] = {(): [0]}
+
+    def assemble(key: tuple[int, ...]) -> list[int]:
+        shift, listed = m - len(key), []
+        for h, child in records[key][2]:
+            below = codes[child] if child in codes else assemble(child)
+            listed += map((_spread(h, width) << shift).__or__, below) if h else below
+        codes[key] = listed
+        return listed
+
+    found = sorted(decode(codes[root] if root in codes else assemble(root), len(group)))
+    # walk and assemble refer to themselves, so their closures wait for the
+    # cycle collector: free the codes and records before building the members
+    codes.clear()
+    records.clear()
+    return tuple(map(LSubset, repeat(group), repeat(lat), map(tuple, found)))
 
 
 # --------------------------------------------------------------- maximality

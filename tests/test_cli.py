@@ -637,6 +637,14 @@ class TestErrors:
         assert (code, out) == (2, "")
         assert err == "error: unknown builtin group 'C\u00b2'\n"
 
+    def test_cyclic_builtin_past_the_limit(self, tmp_path, capsys):
+        # a 22-byte document used to ask for a table of 10^10 entries
+        path = tmp_path / "c100000.json"
+        path.write_text(json.dumps({"builtin": "C100000"}))
+        code, out, err = run(capsys, "validate", "-g", str(path))
+        assert (code, out) == (2, "")
+        assert err == "error: builtin group 'C100000' is too large: Cn is built for n up to 256\n"
+
     @pytest.mark.parametrize("command", ["maximals", "frattini", "nongen"])
     def test_parent_that_is_not_an_l_subgroup(self, tmp_path, docs, capsys, command):
         # r at the top but r2 = r·r at the bottom breaks the subgroup law

@@ -3,6 +3,7 @@ import hashlib
 import json
 import random
 import re
+import time
 from itertools import combinations
 
 import pytest
@@ -212,6 +213,20 @@ class TestBuiltins:
         for name in ["S5", "C0", "C", "C²", "C03", "C\u0663", "C-3", "C 3", "C3 "]:
             with pytest.raises(UnknownBuiltinError):
                 builtin_group(name)
+
+    @pytest.mark.parametrize("name", ["C257", "C100000", "C" + "9" * 5000])
+    def test_cyclic_order_is_bounded(self, name):
+        # a 20-byte document used to ask for an n x n table, and a name of more
+        # than 4,300 digits ended in int()'s ValueError; both are refused at once
+        start = time.perf_counter()
+        with pytest.raises(UnknownBuiltinError) as refused:
+            builtin_group(name)
+        assert time.perf_counter() - start < 0.1
+        assert str(refused.value) == f"builtin group {name!r} is too large: Cn is built for n up to 256"
+
+    def test_largest_cyclic_group_builds(self):
+        g = builtin_group("C256")
+        assert len(g.elements) == 256 and g.op("g255", "g") == "e"
 
     def test_one_shared_group_per_name(self):
         assert builtin_group("D8") is builtin_group("D8")

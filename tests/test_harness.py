@@ -305,6 +305,32 @@ class TestSuite:
         assert report.properties["frattini_normal_in_parent"].skipped == 2
 
 
+class TestOneListingPerInstance:
+    """The properties that read L(mu) share the instance's one listing."""
+
+    @staticmethod
+    def listings(monkeypatch, inst) -> int:
+        calls = []
+
+        def counted(mu, *args, **kwargs):
+            calls.append(mu)
+            return enumerate_l_subgroups(mu, *args, **kwargs)
+
+        monkeypatch.setattr(harness, "enumerate_l_subgroups", counted)
+        for name, prop in PROPERTIES.items():
+            assert prop(inst) in (None, SKIPPED), name
+        assert all(mu is inst.mu for mu in calls)
+        return len(calls)
+
+    def test_built_instance(self, monkeypatch):
+        inst = build_instance(InstanceSpec(0), override_lattice="chain4", override_group="D8")
+        assert self.listings(monkeypatch, inst) == 1
+
+    def test_pinned_instance(self, monkeypatch, d8_case):
+        inst = Instance.pinned(d8_case["mu"], d8_case["eta1"], "D8", label="dihedral")
+        assert self.listings(monkeypatch, inst) == 1
+
+
 class TestOracleLimits:
     @pytest.mark.parametrize("limit", ["_ORACLE_MAX_ORDER", "_ORACLE_MAX_LEVELS"])
     def test_exhaustive_meet_skips_what_the_oracle_refuses(self, monkeypatch, limit):

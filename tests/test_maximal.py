@@ -1,4 +1,5 @@
 """Maximal L-subgroups: strategies, profiles, transport, enumeration."""
+import gc
 from functools import reduce
 from itertools import product as cartesian
 from operator import and_
@@ -142,6 +143,18 @@ class TestEnumeration:
         mu = constant(builtin_group("C12"), chain_lattice(["0", "a", "b", "1"]), "1")
         assert candidate_space_size(mu) == 16_777_216 > DEFAULT_BUDGET
         assert len(enumerate_l_subgroups(mu)) == 65
+
+    def test_listing_is_freed_with_its_caller(self):
+        # each call returns a fresh tuple that nothing else keeps: once the
+        # caller drops it, none of its members outlives the next collection
+        g = elementary_abelian(4)
+        mu = constant(g, chain_lattice(["0", "a", "b", "1"]), "1")
+        members = enumerate_l_subgroups(mu)
+        assert len(members) == 2550
+        del members
+        gc.collect()
+        left = [o for o in gc.get_objects() if isinstance(o, LSubset) and o.group is g and o is not mu]
+        assert left == []
 
     def test_non_distributive_refused(self):
         pentagon = validate_lattice(
