@@ -42,7 +42,6 @@ from .lsets import (
     LPoint,
     LSubset,
     _pointwise_is_l_subgroup,
-    adjoin_point,
     are_jointly_supstar,
     characteristic,
     constant,

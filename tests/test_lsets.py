@@ -55,6 +55,8 @@ from lsubgroups import (
 from lsubgroups import lsets
 from lsubgroups.errors import DocumentError
 
+from element_walk import meet_over_walk, search_l_subgroup_values
+
 
 def levelwise_is_l_subgroup(mu):
     """Oracle: every non-empty level, over every lattice element, is a
@@ -129,6 +131,13 @@ def pentagon():
     )
 
 
+def m3():
+    return validate_lattice(
+        ["0", "a", "b", "c", "1"],
+        [("0", "a"), ("0", "b"), ("0", "c"), ("a", "1"), ("b", "1"), ("c", "1")],
+    )
+
+
 class TestLevelsAndStats:
     def test_levels_of_d8_parent(self, d8_case):
         mu = d8_case["mu"]
@@ -174,6 +183,13 @@ class TestConstructors:
         values["zz"] = "a"
         with pytest.raises(UnknownElementError):
             l_subset(d8, five_chain, values)
+
+    def test_unknown_keys_of_mixed_types_listed_in_map_order(self):
+        # keys that do not sort together are still reported, not a TypeError
+        v4 = builtin_group("V4")
+        values = {"zz": "0", **{x: "1" for x in v4.elements}, 1: "0"}
+        with pytest.raises(UnknownElementError, match=r"unknown group elements \['zz', 1\]"):
+            l_subset(v4, chain_lattice(["0", "1"]), values)
 
     def test_parent_cap_enforced(self, d8_case):
         mu = d8_case["mu"]
@@ -553,6 +569,14 @@ class TestGenerationOracle:
         with pytest.raises(InstanceTooLargeError, match="8 elements x 7 levels exceeds budget 8 x 6"):
             generate_oracle(d8)
 
+    @pytest.mark.parametrize("lattice", [m3, pentagon], ids=["M3", "N5"])
+    def test_non_distributive_refused(self, lattice):
+        # as generate is: the level maps it meets over need a distributive lattice
+        lat = lattice()
+        eta = l_subset(builtin_group("C2"), lat, {"e": lat.elements[1], "g": lat.elements[3]})
+        with pytest.raises(NonDistributiveLatticeError):
+            generate_oracle(eta)
+
     @settings(max_examples=30, deadline=None)
     @given(seed=st.integers(min_value=0, max_value=10_000))
     def test_matches_on_random_instances(self, seed):
@@ -562,19 +586,49 @@ class TestGenerationOracle:
         raw = random_l_subset_below(random.Random(seed), inst.mu)
         assert generate(raw) == generate_oracle(raw)
 
-    @pytest.mark.parametrize("kind", ["chain3", "chain4", "product2x2"])
+    @pytest.mark.parametrize("kind", ["chain3", "chain4", "product2x2", "product2x3", "divisors12"])
     def test_matches_with_the_identity_not_first(self, kind):
         group, lat = c4_identity_third(), make_lattice(kind)
         rng = random.Random(41)
         for _ in range(20):
             raw = random_l_subset_below(rng, constant(group, lat, lat.top))
-            assert generate(raw) == generate_oracle(raw)
+            assert generate(raw) == generate_oracle(raw) == meet_over_walk(raw)
+
+
+class TestOracleMatchesTheWalk:
+    """``generate_oracle`` meets the members of L(c), with c the constant at
+    eta's tip, that contain eta; the element walk meets every L-subgroup of
+    the group above eta.  The two agree on seeded raws over chains, products
+    and divisor lattices, and on raws whose tip is below the top, where c is
+    a proper constant.  ``TestGenerationOracle`` holds them together on the
+    C4 listed with its identity third."""
+
+    @pytest.mark.parametrize("kind", ["chain2-6", "product2x3", "divisors12", "chain1"])
+    def test_seeded_raws(self, kind):
+        spec = InstanceSpec(seed=7, lattice_kind=kind)
+        for trial in range(25):
+            for raw in build_instance(spec, trial).raws:
+                assert generate_oracle(raw) == meet_over_walk(raw), (trial, raw.values())
+
+    @pytest.mark.parametrize("kind", ["chain4", "product2x3", "divisors12"])
+    def test_tips_below_the_top(self, kind):
+        spec = InstanceSpec(seed=11, lattice_kind=kind)
+        proper = 0
+        for trial in range(10):
+            inst = build_instance(spec, trial)
+            lat = inst.lattice
+            for a in lat.elements:
+                raw = intersection_of([inst.raws[0], constant(inst.group, lat, a)])
+                proper += raw.tip() != lat.top
+                assert generate_oracle(raw) == meet_over_walk(raw), (trial, a, raw.values())
+        assert proper
 
 
 class TestElementSearch:
-    """The element-wise search behind ``generate_oracle`` against the product
-    space filtered by the pointwise test: unbounded in lexicographic order,
-    and between seeded bounds in the order its docstring states."""
+    """The element walk, the reference for the level-map enumeration and the
+    oracle, against the product space filtered by the pointwise test:
+    unbounded in lexicographic order, and between seeded bounds in the order
+    its docstring states."""
 
     @pytest.mark.parametrize(
         "kind, names",
@@ -588,7 +642,7 @@ class TestElementSearch:
         lat = make_lattice(kind)
         for name in names:
             group = builtin_group(name)
-            found = list(lsets._search_l_subgroup_values(group, lat, lower=None, upper=None))
+            found = list(search_l_subgroup_values(group, lat, lower=None, upper=None))
             expected = [
                 vals for vals in cartesian(range(len(lat)), repeat=len(group))
                 if lsets._pointwise_is_l_subgroup(LSubset(group, lat, vals))
@@ -626,7 +680,7 @@ class TestElementSearch:
                 (vals for vals in box if lsets._pointwise_is_l_subgroup(LSubset(group, lat, vals))),
                 key=lambda vals: (vals[e], vals),
             )
-            found = list(lsets._search_l_subgroup_values(group, lat, lower=lower, upper=upper))
+            found = list(search_l_subgroup_values(group, lat, lower=lower, upper=upper))
             assert found == expected, (lower, upper)
 
 

@@ -54,11 +54,12 @@ from lsubgroups import (
     validate_hom,
     validate_lattice,
 )
-from lsubgroups.lsets import _level_masks, _search_l_subgroup_values
+from lsubgroups.lsets import _level_masks
 from lsubgroups.groups import _indices, _lower_covers, _subgroup_table
 from lsubgroups.maximal import _coatom_index, _coatoms, _lpoint_verdict
 
 from conftest import dihedral, elementary_abelian
+from element_walk import search_l_subgroup_values
 
 
 def brute_force_l_subgroups(mu):
@@ -176,7 +177,7 @@ class TestLevelMapsMatchTheElementSearch:
 
     @staticmethod
     def by_search(mu):
-        found = _search_l_subgroup_values(mu.group, mu.lattice, lower=None, upper=mu.value_indices())
+        found = search_l_subgroup_values(mu.group, mu.lattice, lower=None, upper=mu.value_indices())
         return sorted(
             (LSubset(mu.group, mu.lattice, vals) for vals in found), key=lambda s: s.value_indices()
         )
