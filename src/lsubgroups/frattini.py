@@ -20,13 +20,13 @@ rather than over all L-subsets of mu: adjoining a point to eta and to the
 subgroup generated by eta produce the same generated subgroup.
 ``maximal_avoiding`` reads the same cut builder, cutting only at the j
 maximal among the join-irreducibles ≤ a, with the subgroups of mu_j
-maximal among those that hold theta_j and miss x.  The test suite checks
-both against scans of L(mu), and the reduction to L(mu) against the raw
-definition on tiny instances.
+maximal among those that hold theta_j and miss x (``groups._maximal_masks``
+filters them).  The test suite checks both against scans of L(mu), and the
+reduction to L(mu) against the raw definition on tiny instances.
 
 ``frattini`` builds one report per parent and budget.  A point a_x meets
-the coatoms as one mask test each, against the code ``maximal._code``
-gives the point's level map: {x} at each join-irreducible j ≤ a.
+the coatoms as one mask test each, against the code ``maximal._point_code``
+gives its level map: {x} at each join-irreducible j ≤ a.
 """
 from __future__ import annotations
 
@@ -35,10 +35,10 @@ from typing import NamedTuple
 
 from .errors import HypothesisNotMetError, LPointNotInParentError
 from .errors import NotAnIsomorphismError, NotNormalInGroupError
-from .groups import GroupHom, _subgroups_within, frattini_classical
+from .groups import GroupHom, _indices, _maximal_masks, _subgroups_within, frattini_classical
 from .lsets import LPoint, LSubset, _level_masks, contains, intersection_of
 from .lsets import is_normal_in, is_normal_in_group, point_in, pushforward
-from .maximal import DEFAULT_BUDGET, _code, _coatom_scan, _coatoms, _level_cuts, maximal_l_subgroups
+from .maximal import DEFAULT_BUDGET, _coatom_scan, _coatoms, _level_cuts, _point_code, maximal_l_subgroups
 
 
 class FrattiniReport(NamedTuple):
@@ -114,8 +114,7 @@ def is_non_generator(
     """
     if not point_in(point, mu):
         raise LPointNotInParentError(f"{point} is not a point of the parent")
-    lat, x, a = mu.lattice, mu.group.index(point.point), mu.lattice.index(point.height)
-    mask = _code(lat, [1 << x if lat._leq[j][a] else 0 for j in lat._irreducibles])
+    mask = _point_code(mu.lattice, mu.group.index(point.point), mu.lattice.index(point.height))
     witness = next((c for p, c in _coatom_scan(mu, budget) if mask & ~p), None)
     return witness is None, witness
 
@@ -127,23 +126,19 @@ def non_generator_points(
 
     A point is a non-generator exactly when it lies in every coatom of
     L(mu): a_x qualifies when a ≤ lambda(x), for lambda the meet of the
-    coatoms (mu itself when there are none).
+    coatoms (mu itself when there are none), read from the lattice's down rows.
     """
-    lam = _meet(_coatoms(mu, budget), mu)
-    return frozenset(
-        LPoint(x, a) for x in mu.group.elements for a in mu.lattice.down_set(lam.value(x))
-    )
+    lat, lam = mu.lattice, _meet(_coatoms(mu, budget), mu)
+    values = zip(mu.group.elements, lam.value_indices())
+    return frozenset(LPoint(x, lat.elements[a]) for x, v in values for a in _indices(lat._down[v]))
 
 
 def non_generator_subgroup(mu: LSubset, budget: int = DEFAULT_BUDGET) -> LSubset:
     """Join of all non-generator points, a member of L(mu)."""
-    lat = mu.lattice
-    points = non_generator_points(mu, budget=budget)
-    heights: dict[str, list[str]] = {x: [] for x in mu.group.elements}
-    for p in points:
-        heights[p.point].append(p.height)
-    vals = tuple(lat.index(lat.join_set(heights[x])) for x in mu.group.elements)
-    return LSubset(mu.group, lat, vals)
+    lat, tops = mu.lattice, {}
+    for p in non_generator_points(mu, budget=budget):
+        tops[p.point] = lat.join(tops.get(p.point, lat.bottom), p.height)
+    return LSubset(mu.group, lat, tuple(lat.index(tops[x]) for x in mu.group.elements))
 
 
 def _meet(family: tuple[LSubset, ...], mu: LSubset) -> LSubset:
@@ -260,13 +255,10 @@ def maximal_avoiding(
     def pick(j: int, level: int, above: int) -> tuple[int, list[int]]:
         if not (below and leq[j][a]) or any(i != j and leq[j][i] and leq[i][a] for i in seeds):
             return 0, []
-        # largest first: a qualifying subgroup under a larger qualifying one
-        # lies under a maximal one, met earlier; ∅ comes last and qualifies
-        # only when no subgroup does (x = e and theta_j empty)
-        tops: list[int] = []
-        for h in (*reversed(_subgroups_within(mu.group, level)), 0):
-            if not seeds[j] & ~h and not h >> x & 1 and all(h & ~t for t in tops):
-                tops.append(h)
+        # largest first; ∅ comes last and qualifies only when no subgroup
+        # does (x = e and theta_j empty)
+        fits = (*reversed(_subgroups_within(mu.group, level)), 0)
+        tops = _maximal_masks(fits, lambda h: not seeds[j] & ~h and not h >> x & 1)
         return len(tops), tops
 
     return tuple(c for _, c in _level_cuts(mu, budget, pick))

@@ -6,9 +6,10 @@ enumeration, normality, classical Frattini subgroups, and validated
 homomorphisms.  Inside the library a subgroup is a bitmask over element
 indices, and each group keeps one table of its subgroup masks, smallest
 first, built once by coset extension and holding the lower covers of each
-mask once asked for.  ``_closure`` (the first entry over a mask) and
-``_subgroups_within`` (the entries under a mask) are the only readers of
-its order.  Element names appear only in arguments and results.
+mask once asked for.  No other module reads the table: ``_is_subgroup``
+answers membership and ``_closure`` and ``_subgroups_within`` read its
+order; ``_maximal_masks`` keeps the containment-maximal masks of a run.
+Element names appear only in arguments and results.
 """
 from __future__ import annotations
 
@@ -295,6 +296,11 @@ def _closure(group: FiniteGroup, mask: int) -> int:
     return next(m for m in _subgroup_table(group) if not mask & ~m)
 
 
+def _is_subgroup(group: FiniteGroup, mask: int) -> bool:
+    """Is the element bitmask ``mask`` a subgroup?  A lookup in the table, built on first use."""
+    return mask in (group._subgroups or _subgroup_table(group))
+
+
 def _subgroups_within(group: FiniteGroup, bound: int) -> tuple[int, ...]:
     """The subgroups inside the element bitmask ``bound``, in table order (smallest first)."""
     return tuple(m for m in _subgroup_table(group) if not m & ~bound)
@@ -339,14 +345,18 @@ def _lower_covers(group: FiniteGroup, mask: int) -> tuple[int, ...] | None:
         return None
     covers = table[mask]
     if covers is None:
-        # largest first: a subgroup under a larger proper one lies under a
-        # maximal one, which is met earlier
-        found: list[int] = []
-        for s in reversed(_subgroups_within(group, mask)):
-            if s != mask and not any(not s & ~m for m in found):
-                found.append(s)
+        found = _maximal_masks(reversed(_subgroups_within(group, mask)), mask.__ne__)
         covers = table[mask] = tuple(reversed(found))
     return covers
+
+
+def _maximal_masks(masks_largest_first: Iterable[int], keep) -> list[int]:
+    """The containment-maximal masks ``keep`` accepts: those no earlier kept mask holds."""
+    found: list[int] = []
+    for s in masks_largest_first:
+        if keep(s) and all(s & ~m for m in found):
+            found.append(s)
+    return found
 
 
 def maximal_subgroups_of(group: FiniteGroup, sub: Iterable[str]) -> tuple[frozenset[str], ...]:

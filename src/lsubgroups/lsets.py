@@ -9,9 +9,9 @@ transport along group homomorphisms.
 Over a finite distributive lattice every element is the join of the
 join-irreducibles below it, and the level at a join is the intersection of
 the levels at its parts, so both the subgroup test and generation read the
-levels at the join-irreducibles only.  The subgroup test looks those level
-bitmasks up in the group's subgroup table; they are cached per L-subset and
-the maximal module reads the same masks.  The pointwise test is kept only as
+levels at the join-irreducibles only.  The subgroup test asks
+``groups._is_subgroup`` about those level bitmasks, cached per L-subset
+and read by the maximal module too.  The pointwise test is kept only as
 the reference the harness holds it to.  Equality of L-subsets is exact
 pointwise equality of lattice elements, there is no tolerance anywhere.
 """
@@ -28,7 +28,7 @@ from .errors import (
     NotAnLSubgroupError,
     UnknownElementError,
 )
-from .groups import FiniteGroup, GroupHom, _subgroup_table, subgroup_closure
+from .groups import FiniteGroup, GroupHom, _is_subgroup, subgroup_closure
 from .lattice import FiniteLattice
 
 
@@ -297,12 +297,11 @@ def is_l_subgroup(mu: LSubset) -> bool:
 
     True when every non-empty level subset is a subgroup.  Each level is
     the intersection of the levels at the join-irreducibles below it, so
-    only those are read, as bitmasks: each must be empty or in the group's
-    subgroup table.  The harness compares it with the pointwise test.
-    Refuses non-distributive lattices, which the theory does not cover.
+    only those are read, as bitmasks: each must be empty or a subgroup.
+    The harness compares it with the pointwise test.  Refuses
+    non-distributive lattices, which the theory does not cover.
     """
-    table = _subgroup_table(mu.group)
-    return all(not level or level in table for level in _level_masks(mu)[1])
+    return all(not level or _is_subgroup(mu.group, level) for level in _level_masks(mu)[1])
 
 
 def is_l_subgroup_of(eta: LSubset, mu: LSubset) -> bool:
@@ -317,9 +316,8 @@ def is_l_subgroup_of(eta: LSubset, mu: LSubset) -> bool:
     _same_carriers(eta, mu)
     if not mu.lattice.distributive and not contains(mu, eta):
         return False
-    table = _subgroup_table(mu.group)
     return all(
-        not e & ~m and (not e or e in table) and (not m or m in table)
+        not e & ~m and (not e or _is_subgroup(mu.group, e)) and (not m or _is_subgroup(mu.group, m))
         for e, m in zip(_level_masks(eta)[1], _level_masks(mu)[1])
     )
 

@@ -36,10 +36,10 @@ join-irreducibles whose level holds x (Birkhoff), a member packs into one
 integer with a field per group element, put together from the recorded
 subtrees by one OR per level and decoded through a table.  The level cuts
 are packed the same way, and no module but this one knows the layout:
-``_code`` packs any level map, a point's among them.  One level classifier
-places each level of eta inside mu's; the level profile and the sufficient
-pattern read it, and the profile pins down the single defect level that
-maximality forces when the images are jointly supstar.
+``_code`` packs any level map and ``_point_code`` a point's.  One level
+classifier places each level of eta inside mu's; the level profile and the
+sufficient pattern read it, and the profile pins down the single defect
+level that maximality forces when the images are jointly supstar.
 """
 from __future__ import annotations
 
@@ -158,6 +158,12 @@ def _code(lat, levels) -> int:
     # level k holds x.  Containment of level maps is containment of their codes
     width = _birkhoff(lat)[0]
     return sum(_spread(level, width) << k for k, level in enumerate(levels))
+
+
+def _point_code(lat, x: int, a: int) -> int:
+    # the code of a_x, {x} at each join-irreducible j ≤ a: _spread(1 << x, width) is 1 << width * x
+    leq = lat._leq
+    return sum(1 << k for k, j in enumerate(lat._irreducibles) if leq[j][a]) << _birkhoff(lat)[0] * x
 
 
 def _level_cuts(mu: LSubset, budget: int, pick) -> tuple[tuple[int, LSubset], ...]:
@@ -397,7 +403,7 @@ def _level_relations(eta: LSubset, mu: LSubset, elements):
     # yields (a, how eta's level at a sits in mu's) for each a.  The level at
     # a is the meet of the levels at the join-irreducibles below a, the whole
     # group at the bottom; mu is an L-subgroup here, so its non-empty levels
-    # are in the subgroup table
+    # are subgroups
     lat, group = mu.lattice, mu.group
     irreducibles, have = _level_masks(eta)
     want = _level_masks(mu)[1]

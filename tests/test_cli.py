@@ -372,20 +372,32 @@ class TestWithoutAsserts:
         assert found == []
 
 
+def named_outside(owner, names):
+    """Where a library module other than ``owner`` imports, reads or calls one of ``names``."""
+    return [
+        f"{path.name}:{node.lineno}"
+        for path in sorted((SRC / "lsubgroups").glob("*.py"))
+        if path.stem != owner
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.ImportFrom) and any(a.name in names for a in node.names)
+        or isinstance(node, ast.Attribute) and node.attr in names
+        or isinstance(node, ast.Name) and node.id in names
+    ]
+
+
 class TestModuleBoundaries:
-    def test_only_groups_and_lsets_touch_the_subgroup_table(self):
-        # groups._closure and groups._subgroups_within are the only readers
-        # of the table's order, and lsets tests membership in it; any other
-        # module goes through those, so the table can change in one place
-        found = [
-            f"{path.name}:{node.lineno}"
-            for path in sorted((SRC / "lsubgroups").glob("*.py"))
-            if path.stem not in ("groups", "lsets")
-            for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
-            if isinstance(node, ast.ImportFrom) and any(a.name == "_subgroup_table" for a in node.names)
-            or isinstance(node, ast.Attribute) and node.attr == "_subgroup_table"
-        ]
-        assert found == []
+    def test_only_groups_touches_the_subgroup_table(self):
+        # groups._is_subgroup answers membership, and groups._closure and
+        # groups._subgroups_within are the only readers of the table's order;
+        # every other module goes through those, so the table can change in
+        # one place
+        assert named_outside("groups", {"_subgroup_table"}) == []
+
+    def test_only_maximal_builds_level_map_codes(self):
+        # the Birkhoff layout of a level map (one field per group element, one
+        # bit per join-irreducible) is known to maximal alone; a point's code
+        # comes from maximal._point_code
+        assert named_outside("maximal", {"_code", "_spread", "_birkhoff"}) == []
 
 
 # the library layers a command loads besides the package, cli and errors

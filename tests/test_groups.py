@@ -31,7 +31,7 @@ from lsubgroups import (
     validate_hom,
 )
 from lsubgroups.errors import DocumentError
-from lsubgroups.groups import _closure, _subgroups_within
+from lsubgroups.groups import _closure, _is_subgroup, _subgroups_within
 
 from conftest import dihedral, elementary_abelian
 
@@ -335,6 +335,13 @@ class TestSubgroupTable:
         assert _closure(g, 0) == 1 << g.identity_index
         for mask in range(1 << len(g)):
             assert _closure(g, mask) == fixpoint_closure(g, mask)
+
+    @pytest.mark.parametrize("name", ["V4", "C6", "Q8", "D8", "C12"])
+    def test_membership_of_every_mask_matches_the_direct_check(self, name):
+        g = builtin_group(name)
+        for mask in range(1 << len(g)):
+            subset = [x for i, x in enumerate(g.elements) if mask >> i & 1]
+            assert _is_subgroup(g, mask) == is_subgroup(g, subset)
 
     @pytest.mark.parametrize("name", ["V4", "C6", "Q8", "D8", "C12"])
     def test_subgroups_within_every_mask(self, name):

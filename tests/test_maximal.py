@@ -56,7 +56,7 @@ from lsubgroups import (
 )
 from lsubgroups.lsets import _level_masks
 from lsubgroups.groups import _indices, _lower_covers, _subgroup_table
-from lsubgroups.maximal import _coatom_index, _coatoms, _lpoint_verdict
+from lsubgroups.maximal import _code, _coatom_index, _coatoms, _lpoint_verdict, _point_code
 
 from conftest import dihedral, elementary_abelian
 from element_walk import search_l_subgroup_values
@@ -327,6 +327,22 @@ class TestHopelessParent:
         expected = refusal(lambda: enumeration_by_recursive_walk(mu, 10**5))
         assert expected[1].endswith("after 99732 members")
         assert refusal(lambda: enumerate_l_subgroups(mu, budget=10**5)) == expected
+
+
+class TestPointCodes:
+    """A point's code, built in closed form, is the code of its level map."""
+
+    @pytest.mark.parametrize(
+        "kind",
+        [*(f"chain{n}" for n in range(1, 17)), "product2x3", "product3x3", "divisors30", "divisors720"],
+    )
+    def test_matches_the_code_of_the_level_map(self, kind):
+        # chain10 and longer have fields of more than one byte
+        lat = make_lattice(kind)
+        for x in range(8):
+            for a in range(len(lat)):
+                levels = [1 << x if lat._leq[j][a] else 0 for j in lat._irreducibles]
+                assert _point_code(lat, x, a) == _code(lat, levels)
 
 
 class TestClosedFormCoatoms:
