@@ -15,6 +15,7 @@ from typing import Iterable, Sequence
 from .errors import (
     DocumentError,
     EmptySubsetError,
+    InstanceTooLargeError,
     NotALatticeError,
     NotAPosetError,
     UnknownElementError,
@@ -170,17 +171,26 @@ class FiniteLattice:
         }
 
 
+_MAX_ELEMENTS = 1024
+
+
 def validate_lattice(elements: Sequence[str], pairs: Iterable[Sequence[str]]) -> FiniteLattice:
     """Build a lattice from element names and generating ≤ pairs.
 
     The order is the reflexive-transitive closure of ``pairs``, as integer
-    up-set and down-set rows.  Raises NotAPosetError when antisymmetry fails
-    and NotALatticeError when some pair has no least upper bound (no element
-    whose up-set is ``up[i] & up[j]``) or, dually, greatest lower bound.
+    up-set and down-set rows.  Raises InstanceTooLargeError for more than
+    1024 elements, before any row is built, NotAPosetError when antisymmetry
+    fails and NotALatticeError when some pair has no least upper bound (no
+    element whose up-set is ``up[i] & up[j]``) or, dually, greatest lower bound.
     The distributivity flag holds when each join-irreducible is join-prime
     (Davey & Priestley, *Introduction to Lattices and Order*, ch. 5).
     """
     elements = tuple(elements)
+    if len(elements) > _MAX_ELEMENTS:  # the rows and tables below grow as n²
+        raise InstanceTooLargeError(len(elements), _MAX_ELEMENTS, (
+            f"a lattice of {len(elements)} elements is too large: lattices are built "
+            f"for up to {_MAX_ELEMENTS} elements"
+        ))
     if not elements:
         raise NotALatticeError("a lattice needs at least one element")
     if len(set(elements)) != len(elements):
@@ -279,7 +289,7 @@ def lattice_from_document(doc: dict) -> FiniteLattice:
             raise DocumentError("'chain' must be a list of element names")
         try:
             return chain_lattice(names)
-        except (NotALatticeError, NotAPosetError, UnknownElementError) as exc:
+        except (InstanceTooLargeError, NotALatticeError, NotAPosetError, UnknownElementError) as exc:
             raise DocumentError(str(exc)) from exc
     if "elements" not in doc:
         raise DocumentError("lattice document needs 'elements' or 'chain'")
@@ -293,5 +303,5 @@ def lattice_from_document(doc: dict) -> FiniteLattice:
         raise DocumentError("'le' must be a list of [lower, upper] pairs")
     try:
         return validate_lattice(names, pairs)
-    except (NotALatticeError, NotAPosetError, UnknownElementError) as exc:
+    except (InstanceTooLargeError, NotALatticeError, NotAPosetError, UnknownElementError) as exc:
         raise DocumentError(str(exc)) from exc

@@ -337,6 +337,21 @@ class TestVerify:
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
+    def test_failing_property_exits_one(self, capsys, monkeypatch):
+        from lsubgroups import harness
+
+        def always_wrong(inst):
+            harness._fail(reason="intentional")
+
+        monkeypatch.setitem(harness.PROPERTIES, "intentionally_false", always_wrong)
+        code, out, err = run(capsys, "verify", "--trials", "1")
+        assert (code, err) == (1, "")
+        lines = out.splitlines()
+        assert [line for line in lines if line.startswith("FAIL ")] == [
+            "FAIL intentionally_false: trials=1 skipped=0 failures=1"
+        ]
+        assert lines[-1] == "FAILED"
+
     def test_same_report_without_asserts(self):
         # python -O strips assert statements; no answer may depend on them
         argv = ["verify", "--seed", "0", "--trials", "25", "--format", "json"]
@@ -648,6 +663,27 @@ class TestErrors:
         code, out, err = run(capsys, "validate", "-g", str(path))
         assert (code, out) == (2, "")
         assert err == "error: unknown builtin group 'C\u00b2'\n"
+
+    @pytest.mark.parametrize("argv, message", [
+        (["levels", "-g", "d8.json", "-s", "mu_d8.json"], "this command needs a lattice document (-l)"),
+        (["levels", "-l", "chain5.json", "-s", "mu_d8.json"], "this command needs a group document (-g)"),
+        (["levels", "-l", "chain5.json", "-g", "d8.json"], "this command needs an L-subset document (-s)"),
+        (["validate", "-s2", "mu_d8.json"], "-s2 needs a first L-subset to compare against"),
+    ], ids=["no lattice", "no group", "no subset", "second subset alone"])
+    def test_missing_document(self, docs, capsys, argv, message):
+        code, out, err = run(capsys, *[docs.get(arg, arg) for arg in argv])
+        assert (code, out) == (2, "")
+        assert err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("key, n", [("chain", 10_000), ("elements", 1025)])
+    def test_lattice_past_the_limit(self, tmp_path, capsys, key, n):
+        # a 69 KB chain of 10,000 names used to ask for n x n join and meet
+        # tables, projected at minutes and gigabytes
+        path = tmp_path / "large.json"
+        path.write_text(json.dumps({key: [f"c{i}" for i in range(n)]}))
+        code, out, err = run(capsys, "validate", "-l", str(path))
+        assert (code, out) == (2, "")
+        assert err == f"error: a lattice of {n} elements is too large: lattices are built for up to 1024 elements\n"
 
     def test_cyclic_builtin_past_the_limit(self, tmp_path, capsys):
         # a 22-byte document used to ask for a table of 10^10 entries

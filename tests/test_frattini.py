@@ -578,3 +578,21 @@ def test_non_generator_points_cover_all_heights(d8_case):
     for x in mu.group.elements:
         heights = [p.height for p in points if p.point == x]
         assert mu.lattice.join_set(heights) == lam.value(x)
+
+
+def _subgroup_es_of_d8():
+    """The non-normal L-subgroup of D8 that is the characteristic map of {e, s}."""
+    return characteristic(builtin_group("D8"), chain_lattice(["0", "1"]), {"e", "s"})
+
+
+class TestRefusals:
+    @pytest.mark.parametrize("call, error, message", [
+        (lambda: frattini_is_normal(_subgroup_es_of_d8()), NotNormalInGroupError,
+         "normality of phi needs mu normal in the group"),
+        (lambda: maximal_avoiding(_subgroup_es_of_d8(), _subgroup_es_of_d8(), LPoint("r", "1")),
+         LPointNotInParentError, "LPoint(point='r', height='1') is not a point of the parent"),
+    ], ids=["non-normal parent", "point outside mu"])
+    def test_type_and_message(self, call, error, message):
+        with pytest.raises(error) as refused:
+            call()
+        assert (type(refused.value), str(refused.value)) == (error, message)

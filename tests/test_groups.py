@@ -508,3 +508,17 @@ class TestDocuments:
         g = builtin_group("C2")
         with pytest.raises(NotAHomomorphismError, match=r"unknown source elements \['zzz', 5\]"):
             validate_hom(g, g, {"e": "e", "zzz": "e", "g": "g", 5: "e"})
+
+
+class TestRefusals:
+    @pytest.mark.parametrize("call, error, message", [
+        (lambda: validate_group(["e", "g"], [["e", "g"], ["g"]]), NotClosedError,
+         "operation table must be 2x2"),
+        (lambda: group_from_document([]), DocumentError, "group document must be a JSON object"),
+        (lambda: hom_from_document({}, builtin_group("C2"), builtin_group("C2")), DocumentError,
+         "hom document needs a 'map' object"),
+    ], ids=["ragged table", "group document not an object", "hom document without a map"])
+    def test_type_and_message(self, call, error, message):
+        with pytest.raises(error) as refused:
+            call()
+        assert (type(refused.value), str(refused.value)) == (error, message)

@@ -32,6 +32,7 @@ from lsubgroups import (
 from lsubgroups import UnknownBuiltinError
 from lsubgroups import are_jointly_supstar, enumerate_l_subgroups, is_maximal, is_proper_l_subgroup
 from lsubgroups import harness, l_subset, level_profile, lsets, validate_group
+from lsubgroups.errors import SearchExhaustedError
 from lsubgroups.groups import all_subgroups
 from lsubgroups.harness import (
     PROPERTIES,
@@ -277,32 +278,80 @@ class TestSuite:
         with pytest.raises(ValueError):
             run_suite(InstanceSpec(seed=0), trials=0)
 
-    def test_failing_property_is_reported_and_shrunk(self):
+    def test_failing_property_is_reported_and_shrunk(self, monkeypatch):
         # inject a deliberately false property to exercise the failure path
-        from lsubgroups import harness
-
         def always_wrong(inst):
             harness._fail(reason="intentional")
 
-        original = dict(PROPERTIES)
-        PROPERTIES["intentionally_false"] = always_wrong
-        try:
-            report = run_suite(InstanceSpec(seed=2), trials=2)
-            assert not report.passed
-            stats = report.properties["intentionally_false"]
-            assert stats.failures == 2
-            counter = stats.first_counterexample
-            assert counter is not None
-            assert counter["instance"]["lattice"] == "chain2"
-        finally:
-            PROPERTIES.clear()
-            PROPERTIES.update(original)
+        monkeypatch.setitem(PROPERTIES, "intentionally_false", always_wrong)
+        report = run_suite(InstanceSpec(seed=2), trials=2)
+        assert not report.passed
+        stats = report.properties["intentionally_false"]
+        assert stats.failures == 2
+        counter = stats.first_counterexample
+        assert counter is not None
+        assert counter["instance"]["lattice"] == "chain2"
 
     def test_skips_are_counted(self):
         report = run_suite(InstanceSpec(seed=21, lattice_kind="product2x2"), trials=2)
         assert report.passed
         # chain-only checks cannot run over a product lattice
         assert report.properties["frattini_normal_in_parent"].skipped == 2
+
+    def test_erroring_property_is_reported_unshrunk(self, monkeypatch):
+        # an exception other than PropertyFailure fails the property too; its
+        # counterexample is the instance it raised on, with no shrinking
+        def erroring(inst):
+            raise ValueError(f"trial {inst.trial}")
+
+        monkeypatch.setitem(PROPERTIES, "erroring", erroring)
+        spec = InstanceSpec(seed=2)
+        report = run_suite(spec, trials=2)
+        assert not report.passed
+        stats = report.properties["erroring"]
+        assert (stats.trials, stats.skipped, stats.failures) == (2, 0, 2)
+        assert stats.first_counterexample == {
+            "instance": build_instance(spec, 0).describe(),
+            "detail": {"error": "ValueError: trial 0"},
+        }
+
+    def test_exhausted_converse_search_is_a_failure(self, monkeypatch):
+        def exhausted():
+            raise SearchExhaustedError("no level-pattern counterexample found in the pool")
+
+        monkeypatch.setattr(harness, "search_converse_counterexample", exhausted)
+        report = run_suite(InstanceSpec(seed=2), trials=1)
+        assert not report.passed
+        assert report.properties["converse_level_pattern_insufficient"].as_document() == {
+            "trials": 1,
+            "skipped": 0,
+            "failures": 1,
+            "first_counterexample": {
+                "detail": {"error": "no level-pattern counterexample found in the pool"},
+            },
+        }
+
+
+class TestPropertyTable:
+    def test_names_in_report_order(self):
+        # the prop_<name> functions in definition order; the report keeps it
+        assert list(PROPERTIES) == [
+            "generator_soundness", "level_sets_of_intersections", "containment_is_levelwise",
+            "subgroup_tests_agree", "generation_closure_laws", "generation_matches_exhaustive_meet",
+            "sup_property_levelwise_generation", "generation_commutes_with_image",
+            "generation_commutes_with_preimage", "image_preimage_laws", "set_product_associative",
+            "set_product_of_points", "normality_matches_top_parent", "maximality_strategies_agree",
+            "maximal_level_profiles", "sufficient_condition_sound", "maximal_tips",
+            "transport_preserves_maximality", "nongenerators_form_l_subgroup",
+            "nongenerators_inside_frattini", "frattini_below_each_maximal",
+            "fallback_iff_no_maximals", "frattini_level_inclusion", "frattini_normal_in_parent",
+            "nongenerator_conjugation_closure", "frattini_image_inclusion",
+            "maximal_avoiding_exists", "crisp_case_collapses",
+        ]
+
+    def test_each_name_maps_to_its_function(self):
+        for name, prop in PROPERTIES.items():
+            assert prop is getattr(harness, f"prop_{name}")
 
 
 class TestOneListingPerInstance:
@@ -334,8 +383,8 @@ class TestOneListingPerInstance:
 class TestOracleLimits:
     @pytest.mark.parametrize("limit", ["_ORACLE_MAX_ORDER", "_ORACLE_MAX_LEVELS"])
     def test_exhaustive_meet_skips_what_the_oracle_refuses(self, monkeypatch, limit):
-        # the property reads the oracle's own limits, so lowering either one
-        # skips the instance instead of erroring
+        # the property skips whatever the oracle refuses, so lowering either
+        # of the oracle's limits skips the instance instead of erroring
         inst = build_instance(InstanceSpec(0))
         prop = PROPERTIES["generation_matches_exhaustive_meet"]
         assert prop(inst) is None

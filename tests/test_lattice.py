@@ -2,6 +2,7 @@
 import hashlib
 import json
 import random
+import time
 from collections import Counter
 from functools import reduce
 from itertools import chain, combinations, permutations
@@ -10,6 +11,7 @@ import pytest
 
 from lsubgroups import (
     EmptySubsetError,
+    InstanceTooLargeError,
     NotALatticeError,
     NotAPosetError,
     UnknownElementError,
@@ -81,6 +83,24 @@ class TestValidation:
     def test_duplicates_rejected(self):
         with pytest.raises(NotALatticeError):
             validate_lattice(["a", "a"], [])
+
+    @pytest.mark.parametrize("n", [1025, 10_000])
+    def test_element_count_is_bounded(self, n):
+        # the order rows and the join and meet tables grow as n²: 2,000 names
+        # took 5.1 s and 143 MB, so more than 1,024 are refused before any is built
+        start = time.perf_counter()
+        with pytest.raises(InstanceTooLargeError) as refused:
+            chain_lattice([f"c{i}" for i in range(n)])
+        assert time.perf_counter() - start < 0.1
+        assert (refused.value.size, refused.value.budget) == (n, 1024)
+        assert str(refused.value) == (
+            f"a lattice of {n} elements is too large: lattices are built for up to 1024 elements"
+        )
+
+    def test_bound_admits_1024_elements(self):
+        # the next check runs, so the bound let the list through
+        with pytest.raises(NotALatticeError, match="duplicate element names"):
+            validate_lattice(["a"] * 1024, [])
 
 
 class TestJoinMeet:
@@ -220,6 +240,15 @@ class TestDocuments:
     def test_malformed_documents(self, doc):
         with pytest.raises(DocumentError):
             lattice_from_document(doc)
+
+    @pytest.mark.parametrize("doc, message", [
+        ({"chain": [1, 2]}, "'chain' must be a list of element names"),
+        ({"elements": ["0", 1]}, "'elements' must be a list of element names"),
+    ])
+    def test_refusal_messages(self, doc, message):
+        with pytest.raises(DocumentError) as refused:
+            lattice_from_document(doc)
+        assert str(refused.value) == message
 
 
 def test_structural_equality_and_hash():

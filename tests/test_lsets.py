@@ -812,3 +812,17 @@ class TestPoints:
         eta1 = d8_case["eta1"]
         assert point_in(LPoint("r2", "b"), eta1)
         assert not point_in(LPoint("r2", "c"), eta1)
+
+
+class TestRefusals:
+    @pytest.mark.parametrize("call, message", [
+        (lambda: union_of([]), "union of an empty family is undefined"),
+        (lambda: pullback(
+            validate_hom(builtin_group("C2"), builtin_group("C2"), {"e": "e", "g": "g"}),
+            constant(builtin_group("C3"), chain_lattice(["0", "1"]), "1"),
+        ), "pullback needs an L-subset over the target group"),
+    ], ids=["empty union", "pullback over the wrong group"])
+    def test_type_and_message(self, call, message):
+        with pytest.raises(MismatchedCarriersError) as refused:
+            call()
+        assert (type(refused.value), str(refused.value)) == (MismatchedCarriersError, message)

@@ -1,5 +1,6 @@
 """Maximal L-subgroups: strategies, profiles, transport, enumeration."""
 import gc
+import tracemalloc
 from functools import reduce
 from itertools import product as cartesian
 from operator import and_
@@ -327,6 +328,22 @@ class TestHopelessParent:
         expected = refusal(lambda: enumeration_by_recursive_walk(mu, 10**5))
         assert expected[1].endswith("after 99732 members")
         assert refusal(lambda: enumerate_l_subgroups(mu, budget=10**5)) == expected
+
+    def test_refusal_builds_nothing(self):
+        # the walk counts visits and members before it packs any member, so a
+        # refused enumeration allocates under 0.1 MB; a walk that packed the
+        # members as it went peaked at 6.3 MB here, and at 696 MB of RSS at
+        # the default budget
+        mu = self.parent()
+        _subgroup_table(mu.group)  # the group's table is built once, outside the measure
+        tracemalloc.start()
+        try:
+            with pytest.raises(InstanceTooLargeError):
+                enumerate_l_subgroups(mu, budget=10**5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20
 
 
 class TestPointCodes:
@@ -935,3 +952,15 @@ class TestWitnessPins:
             is_l_subgroup_of(inside, mu)
         with pytest.raises(NonDistributiveLatticeError, match="require a distributive lattice"):
             is_maximal(inside, mu)
+
+
+class TestRefusals:
+    @pytest.mark.parametrize("call, error, message", [
+        (lambda: level_profile(constant(builtin_group("C2"), chain_lattice(["0", "1"]), "1"),
+                               constant(builtin_group("C2"), chain_lattice(["0", "1"]), "0")),
+         NotAnLSubgroupError, "level profiles require eta in L(mu)"),
+    ], ids=["eta outside L(mu)"])
+    def test_type_and_message(self, call, error, message):
+        with pytest.raises(error) as refused:
+            call()
+        assert (type(refused.value), str(refused.value)) == (error, message)
