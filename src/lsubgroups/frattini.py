@@ -138,7 +138,7 @@ def non_generator_subgroup(mu: LSubset, budget: int = DEFAULT_BUDGET) -> LSubset
     lat, tops = mu.lattice, {}
     for p in non_generator_points(mu, budget=budget):
         tops[p.point] = lat.join(tops.get(p.point, lat.bottom), p.height)
-    return LSubset(mu.group, lat, tuple(lat.index(tops[x]) for x in mu.group.elements))
+    return LSubset(mu.group, lat, bytes([lat.index(tops[x]) for x in mu.group.elements]))
 
 
 def _meet(family: tuple[LSubset, ...], mu: LSubset) -> LSubset:

@@ -124,11 +124,16 @@ def _divisors(n: int) -> list[int]:
     return sorted(divs)
 
 
+_DIVISORS_MAX = 10**9
+
+
 @lru_cache(maxsize=64)
 def make_lattice(kind: str) -> FiniteLattice:
     """Build the named lattice kind; see InstanceSpec for the grammar.
 
-    One shared, validated lattice per kind.  Chains have 1 to 16 elements.
+    One shared, validated lattice per kind.  Chains have 1 to 16 elements,
+    and ``divisors<n>`` takes n up to 10^9: n is factorised by trial
+    division up to √n, before the lattice's own size bound can refuse it.
     """
     # each size is a positive decimal with no leading zero
     match = re.fullmatch(r"(chain|divisors)([1-9][0-9]*)|product([1-9][0-9]*)x([1-9][0-9]*)", kind)
@@ -140,6 +145,9 @@ def make_lattice(kind: str) -> FiniteLattice:
             raise ValueError(f"unknown lattice kind {kind!r}: a chain has 1 to 16 elements")
         return chain_lattice(["0"] if size == "1" else ["0", *_CHAIN_MIDS[: int(size) - 2], "1"])
     if shape == "divisors":
+        # a size of over ten digits is past the bound; int() refuses very long ones with its own error
+        if len(size) > 10 or int(size) > _DIVISORS_MAX:
+            raise ValueError(f"unknown lattice kind {kind!r}: divisors<n> takes n up to 10^9")
         divs = _divisors(int(size))
         pairs = [(str(d), str(e)) for d in divs for e in divs if d != e and e % d == 0]
         return validate_lattice([str(d) for d in divs], pairs)
@@ -183,17 +191,17 @@ def _chain_valued_l_subgroup(
             if below:
                 current = rng.choice(below)
 
-    return LSubset(group, lat, tuple(
+    return LSubset(group, lat, bytes([
         values[next(k for k, h in enumerate(kept) if h >> x & 1)] for x in range(len(group))
-    ))
+    ]))
 
 
 def random_l_subset_below(rng: random.Random, mu: LSubset) -> LSubset:
     """Uniform raw L-subset under mu: independent draws from each down-set."""
     rows = mu.lattice._leq
-    return LSubset(mu.group, mu.lattice, tuple(
+    return LSubset(mu.group, mu.lattice, bytes([
         rng.choice([a for a, row in enumerate(rows) if row[v]]) for v in mu.value_indices()
-    ))
+    ]))
 
 
 def random_l_subgroup(

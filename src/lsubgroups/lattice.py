@@ -171,7 +171,7 @@ class FiniteLattice:
         }
 
 
-_MAX_ELEMENTS = 1024
+_MAX_ELEMENTS = 256
 
 
 def validate_lattice(elements: Sequence[str], pairs: Iterable[Sequence[str]]) -> FiniteLattice:
@@ -179,14 +179,16 @@ def validate_lattice(elements: Sequence[str], pairs: Iterable[Sequence[str]]) ->
 
     The order is the reflexive-transitive closure of ``pairs``, as integer
     up-set and down-set rows.  Raises InstanceTooLargeError for more than
-    1024 elements, before any row is built, NotAPosetError when antisymmetry
-    fails and NotALatticeError when some pair has no least upper bound (no
-    element whose up-set is ``up[i] & up[j]``) or, dually, greatest lower bound.
+    256 elements, before any row is built, so that every lattice index fits
+    in the one byte per group element that an L-subset keeps.  Raises
+    NotAPosetError when antisymmetry fails and NotALatticeError when some
+    pair has no least upper bound (no element whose up-set is
+    ``up[i] & up[j]``) or, dually, greatest lower bound.
     The distributivity flag holds when each join-irreducible is join-prime
     (Davey & Priestley, *Introduction to Lattices and Order*, ch. 5).
     """
     elements = tuple(elements)
-    if len(elements) > _MAX_ELEMENTS:  # the rows and tables below grow as n²
+    if len(elements) > _MAX_ELEMENTS:  # an index is one byte; the rows and tables grow as n²
         raise InstanceTooLargeError(len(elements), _MAX_ELEMENTS, (
             f"a lattice of {len(elements)} elements is too large: lattices are built "
             f"for up to {_MAX_ELEMENTS} elements"

@@ -6,6 +6,13 @@ points), level subsets, the subgroup and normality predicates, the
 sup-property tests, generation of the smallest containing L-subgroup, and
 transport along group homomorphisms.
 
+Values are held as ``bytes``, one byte per group element holding its
+lattice index, which the 256-element bound of ``validate_lattice`` makes
+room for.  Bytes are immutable, hash and compare by value, sort in the
+lexicographic order of the indices, and are not tracked by the cyclic
+garbage collector, so a long listing of L(mu) sets off no collections
+through its members' values.
+
 Over a finite distributive lattice every element is the join of the
 join-irreducibles below it, and the level at a join is the intersection of
 the levels at its parts, so both the subgroup test and generation read the
@@ -35,15 +42,19 @@ from .lattice import FiniteLattice
 class LSubset:
     """A total map from a finite group into a finite lattice.
 
-    Values are stored as lattice indices aligned with the group's element
-    order, which makes equality, hashing and pointwise folds cheap.  Use
+    Values are stored as ``bytes``, one lattice index per group element in
+    the group's element order, which makes equality, hashing and pointwise
+    folds cheap.  Any other sequence of indices is converted once; bytes
+    are kept as given, since even a no-op ``bytes(b)`` costs a call.  Use
     :func:`l_subset` (or the constructors below) rather than building one
     by hand.
     """
 
     __slots__ = ("group", "lattice", "_vals", "_hash")
 
-    def __init__(self, group: FiniteGroup, lattice: FiniteLattice, vals: tuple[int, ...]):
+    def __init__(self, group: FiniteGroup, lattice: FiniteLattice, vals: bytes | Iterable[int]):
+        if vals.__class__ is not bytes:
+            vals = bytes(vals)
         self.group = group
         self.lattice = lattice
         self._vals = vals
@@ -59,7 +70,8 @@ class LSubset:
         names = self.lattice.elements
         return {x: names[v] for x, v in zip(self.group.elements, self._vals)}
 
-    def value_indices(self) -> tuple[int, ...]:
+    def value_indices(self) -> bytes:
+        """The lattice index of each value, one byte per group element in element order."""
         return self._vals
 
     def __eq__(self, other: object) -> bool:
@@ -123,10 +135,9 @@ class LPoint(NamedTuple):
     height: str
 
     def as_l_subset(self, group: FiniteGroup, lattice: FiniteLattice) -> LSubset:
-        bottom = lattice.index(lattice.bottom)
-        vals = [bottom] * len(group)
+        vals = bytearray([lattice.index(lattice.bottom)]) * len(group)
         vals[group.index(self.point)] = lattice.index(self.height)
-        return LSubset(group, lattice, tuple(vals))
+        return LSubset(group, lattice, bytes(vals))
 
 
 # ------------------------------------------------------------ constructors
@@ -150,7 +161,7 @@ def l_subset(
     missing = [x for x in group.elements if x not in mapping]
     if missing:
         raise UnknownElementError(f"value map is missing group elements {missing}")
-    vals = tuple(lattice.index(mapping[x]) for x in group.elements)
+    vals = bytes([lattice.index(mapping[x]) for x in group.elements])
     result = LSubset(group, lattice, vals)
     if parent is not None:
         _same_carriers(result, parent)
@@ -161,7 +172,7 @@ def l_subset(
 
 def constant(group: FiniteGroup, lattice: FiniteLattice, value: str) -> LSubset:
     v = lattice.index(value)
-    return LSubset(group, lattice, (v,) * len(group))
+    return LSubset(group, lattice, bytes([v]) * len(group))
 
 
 def characteristic(group: FiniteGroup, lattice: FiniteLattice, members: Iterable[str]) -> LSubset:
@@ -170,7 +181,7 @@ def characteristic(group: FiniteGroup, lattice: FiniteLattice, members: Iterable
     top = lattice.index(lattice.top)
     bottom = lattice.index(lattice.bottom)
     return LSubset(
-        group, lattice, tuple(top if x in members else bottom for x in group.elements)
+        group, lattice, bytes([top if x in members else bottom for x in group.elements])
     )
 
 
@@ -209,10 +220,10 @@ def union_of(family: Iterable[LSubset]) -> LSubset:
         raise MismatchedCarriersError("union of an empty family is undefined")
     _same_carriers(*family)
     join = family[0].lattice._join
-    vals = list(family[0]._vals)
+    vals = family[0]._vals
     for member in family[1:]:
         vals = [join[a][b] for a, b in zip(vals, member._vals)]
-    return LSubset(family[0].group, family[0].lattice, tuple(vals))
+    return LSubset(family[0].group, family[0].lattice, vals)
 
 
 def intersection_of(family: Iterable[LSubset]) -> LSubset:
@@ -222,10 +233,10 @@ def intersection_of(family: Iterable[LSubset]) -> LSubset:
         raise MismatchedCarriersError("intersection of an empty family is undefined")
     _same_carriers(*family)
     meet = family[0].lattice._meet
-    vals = list(family[0]._vals)
+    vals = family[0]._vals
     for member in family[1:]:
         vals = [meet[a][b] for a, b in zip(vals, member._vals)]
-    return LSubset(family[0].group, family[0].lattice, tuple(vals))
+    return LSubset(family[0].group, family[0].lattice, vals)
 
 
 def set_product(mu: LSubset, eta: LSubset) -> LSubset:
@@ -242,16 +253,16 @@ def set_product(mu: LSubset, eta: LSubset) -> LSubset:
             zi = group.op_index(group.inverse_index(yi), xi)
             acc = join[acc][meet[mu._vals[yi]][eta._vals[zi]]]
         vals.append(acc)
-    return LSubset(group, lat, tuple(vals))
+    return LSubset(group, lat, bytes(vals))
 
 
 def adjoin_point(eta: LSubset, point: LPoint) -> LSubset:
     """eta ∪ a_x: join the height in at the point, leave everything else."""
     xi = eta.group.index(point.point)
     ai = eta.lattice.index(point.height)
-    vals = list(eta._vals)
+    vals = bytearray(eta._vals)
     vals[xi] = eta.lattice._join[vals[xi]][ai]
-    return LSubset(eta.group, eta.lattice, tuple(vals))
+    return LSubset(eta.group, eta.lattice, bytes(vals))
 
 
 def point_in(point: LPoint, mu: LSubset) -> bool:
@@ -400,14 +411,14 @@ def generate(eta: LSubset) -> LSubset:
     if not lat.distributive:
         raise NonDistributiveLatticeError("generation requires a distributive lattice")
     leq, join, tip = lat._leq, lat._join, lat.index(eta.tip())
-    vals = [lat.index(lat.bottom)] * len(group)
+    vals = bytearray([lat.index(lat.bottom)]) * len(group)
     for a in lat._irreducibles:
         if leq[a][tip]:
             level = (x for x, v in zip(group.elements, eta._vals) if leq[a][v])
             for x in subgroup_closure(group, level):
                 i = group.index(x)
                 vals[i] = join[vals[i]][a]
-    return LSubset(group, lat, tuple(vals))
+    return LSubset(group, lat, bytes(vals))
 
 
 _ORACLE_MAX_ORDER, _ORACLE_MAX_LEVELS = 8, 6
@@ -444,16 +455,15 @@ def pushforward(f: GroupHom, mu: LSubset) -> LSubset:
         raise MismatchedCarriersError("pushforward needs an L-subset over the source group")
     lat, target = mu.lattice, f.target
     join = lat._join
-    vals = [lat.index(lat.bottom)] * len(target)
+    vals = bytearray([lat.index(lat.bottom)]) * len(target)
     for y, v in zip(f.image_indices, mu._vals):
         vals[y] = join[vals[y]][v]
-    return LSubset(target, lat, tuple(vals))
+    return LSubset(target, lat, bytes(vals))
 
 
 def pullback(f: GroupHom, nu: LSubset) -> LSubset:
     """f⁻¹(nu)(x) = nu(f(x))."""
     if nu.group != f.target:
         raise MismatchedCarriersError("pullback needs an L-subset over the target group")
-    lat = nu.lattice
-    vals = tuple(nu._vals[y] for y in f.image_indices)
-    return LSubset(f.source, lat, vals)
+    vals = nu._vals
+    return LSubset(f.source, nu.lattice, bytes([vals[y] for y in f.image_indices]))

@@ -125,9 +125,8 @@ def _birkhoff(lat) -> tuple[int, object]:
     # a member's value at x is the join of the join-irreducibles whose level
     # holds x, so it packs into a field of one bit per join-irreducible, in
     # the lattice's _irreducibles order.  Returns the field width in bits and
-    # a decoder of codes with one field per group element into their values
-    # as lattice indices, bytes for one-byte fields and tuples for wider
-    # ones, which sort in canonical order either way
+    # a decoder of codes with one field per group element into their values,
+    # the bytes of lattice indices that LSubset keeps
     irreducibles, leq = lat._irreducibles, lat._leq
     size = -(-len(irreducibles) // 8) or 1
     down = {sum(1 << k for k, j in enumerate(irreducibles) if leq[j][a]): a for a in range(len(lat))}
@@ -140,7 +139,7 @@ def _birkhoff(lat) -> tuple[int, object]:
         )
     fields = {c.to_bytes(size, "little"): a for c, a in down.items()}
     return 8 * size, lambda codes, n: (
-        tuple(fields[raw[i:i + size]] for i in range(0, n * size, size))
+        bytes([fields[raw[i:i + size]] for i in range(0, n * size, size)])
         for raw in map(int.to_bytes, codes, repeat(n * size), repeat("little"))
     )
 
@@ -203,7 +202,7 @@ def _level_cuts(mu: LSubset, budget: int, pick) -> tuple[tuple[int, LSubset], ..
             f"ordered pairs among them), over the budget of {budget}"
         ))
     found = sorted(zip(decode(codes, n), codes))
-    return tuple((c, LSubset(group, lat, tuple(vals))) for vals, c in found)
+    return tuple((c, LSubset(group, lat, vals)) for vals, c in found)
 
 
 @lru_cache(maxsize=64)
@@ -243,7 +242,7 @@ def enumerate_l_subgroups(mu: LSubset, budget: int = DEFAULT_BUDGET) -> tuple[LS
     """All L-subgroups sitting below mu pointwise, in canonical order.
 
     Found as level maps (see the module docstring); mu need not be an
-    L-subgroup.  Canonical order is lexicographic on the value tuple (group
+    L-subgroup.  Canonical order is lexicographic on the value bytes (group
     element order, lattice index order).  Each call walks L(mu) afresh and
     returns a new tuple that nothing else holds, so a listing is freed as
     soon as its caller drops it; a caller that reads L(mu) more than once
@@ -314,7 +313,7 @@ def enumerate_l_subgroups(mu: LSubset, budget: int = DEFAULT_BUDGET) -> tuple[LS
     # cycle collector: free the codes and records before building the members
     codes.clear()
     records.clear()
-    return tuple(map(LSubset, repeat(group), repeat(lat), map(tuple, found)))
+    return tuple(map(LSubset, repeat(group), repeat(lat), found))
 
 
 # --------------------------------------------------------------- maximality

@@ -675,15 +675,29 @@ class TestErrors:
         assert (code, out) == (2, "")
         assert err == f"error: {message}\n"
 
-    @pytest.mark.parametrize("key, n", [("chain", 10_000), ("elements", 1025)])
+    @pytest.mark.parametrize("key, n", [("chain", 10_000), ("elements", 1025), ("chain", 257), ("elements", 257)])
     def test_lattice_past_the_limit(self, tmp_path, capsys, key, n):
         # a 69 KB chain of 10,000 names used to ask for n x n join and meet
-        # tables, projected at minutes and gigabytes
+        # tables, projected at minutes and gigabytes; past 256 an index no
+        # longer fits the byte an L-subset keeps per value
         path = tmp_path / "large.json"
         path.write_text(json.dumps({key: [f"c{i}" for i in range(n)]}))
         code, out, err = run(capsys, "validate", "-l", str(path))
         assert (code, out) == (2, "")
-        assert err == f"error: a lattice of {n} elements is too large: lattices are built for up to 1024 elements\n"
+        assert err == f"error: a lattice of {n} elements is too large: lattices are built for up to 256 elements\n"
+
+    @pytest.mark.parametrize("key", ["chain", "elements"])
+    def test_lattice_at_the_limit(self, tmp_path, capsys, key):
+        # 256 elements are admitted: the chain validates, and the antichain
+        # of "elements" with no order pairs fails only as a lattice
+        path = tmp_path / "large.json"
+        path.write_text(json.dumps({key: [f"c{i}" for i in range(256)]}))
+        code, out, err = run(capsys, "validate", "-l", str(path))
+        if key == "chain":
+            assert (code, err) == (0, "")
+        else:
+            assert (code, out) == (2, "")
+            assert "no least upper bound" in err
 
     def test_cyclic_builtin_past_the_limit(self, tmp_path, capsys):
         # a 22-byte document used to ask for a table of 10^10 entries

@@ -1,6 +1,7 @@
 """Instance generation, the theorem suite, and the counterexample search."""
 import json
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -103,6 +104,24 @@ class TestLatticeKinds:
         for kind in ("chain0", "chain17", "chain30"):
             with pytest.raises(ValueError, match="unknown lattice kind"):
                 make_lattice(kind)
+
+    @pytest.mark.parametrize("size", ["1000000001", "1000000000039", "9" * 30, "7" * 5000])
+    def test_divisor_sizes_past_the_bound_are_refused_before_factorising(self, size):
+        # trial division runs to √n; the prime 10^12 + 39 took 0.36 s, and a
+        # 20-digit prime would take minutes
+        kind = f"divisors{size}"
+        start = time.perf_counter()
+        with pytest.raises(ValueError) as refused:
+            make_lattice(kind)
+        assert time.perf_counter() - start < 0.05
+        assert str(refused.value) == f"unknown lattice kind {kind!r}: divisors<n> takes n up to 10^9"
+        with pytest.raises(ValueError, match="takes n up to 10\\^9"):
+            InstanceSpec(0, lattice_kind=f"chain3|{kind}")
+
+    def test_divisor_sizes_up_to_the_bound_build(self):
+        assert len(make_lattice("divisors720720")) == 240
+        assert len(make_lattice("divisors999999937")) == 2  # the largest prime under 10^9
+        assert len(make_lattice("divisors1000000000")) == 100
 
 
 class TestSharedCarriers:

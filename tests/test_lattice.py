@@ -84,23 +84,23 @@ class TestValidation:
         with pytest.raises(NotALatticeError):
             validate_lattice(["a", "a"], [])
 
-    @pytest.mark.parametrize("n", [1025, 10_000])
+    @pytest.mark.parametrize("n", [257, 1025, 10_000])
     def test_element_count_is_bounded(self, n):
-        # the order rows and the join and meet tables grow as n²: 2,000 names
-        # took 5.1 s and 143 MB, so more than 1,024 are refused before any is built
+        # an L-subset keeps one byte per value, so a lattice index must fit
+        # in a byte, and more than 256 names are refused before any row is built
         start = time.perf_counter()
         with pytest.raises(InstanceTooLargeError) as refused:
             chain_lattice([f"c{i}" for i in range(n)])
         assert time.perf_counter() - start < 0.1
-        assert (refused.value.size, refused.value.budget) == (n, 1024)
+        assert (refused.value.size, refused.value.budget) == (n, 256)
         assert str(refused.value) == (
-            f"a lattice of {n} elements is too large: lattices are built for up to 1024 elements"
+            f"a lattice of {n} elements is too large: lattices are built for up to 256 elements"
         )
 
-    def test_bound_admits_1024_elements(self):
+    def test_bound_admits_256_elements(self):
         # the next check runs, so the bound let the list through
         with pytest.raises(NotALatticeError, match="duplicate element names"):
-            validate_lattice(["a"] * 1024, [])
+            validate_lattice(["a"] * 256, [])
 
 
 class TestJoinMeet:

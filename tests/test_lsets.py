@@ -41,6 +41,8 @@ from lsubgroups import (
     l_subset_from_document,
     level_profile,
     make_lattice,
+    maximal_l_subgroups,
+    non_generator_subgroup,
     point_in,
     pullback,
     pushforward,
@@ -217,6 +219,81 @@ class TestConstructors:
         values["e"] = ["1"]
         with pytest.raises(DocumentError, match="must be a lattice element name"):
             l_subset_from_document({"values": values}, d8, five_chain)
+
+
+class TestValueRepresentation:
+    """Values are bytes, one lattice index per group element, whatever built them."""
+
+    @staticmethod
+    def assert_one_representation(sub):
+        # equal, with equal hashes, to the same values built from a tuple, a
+        # list, bytes and names
+        vals = sub.value_indices()
+        assert type(vals) is bytes and len(vals) == len(sub.group)
+        rebuilt = [
+            LSubset(sub.group, sub.lattice, tuple(vals)),
+            LSubset(sub.group, sub.lattice, list(vals)),
+            LSubset(sub.group, sub.lattice, bytes(vals)),
+            l_subset(sub.group, sub.lattice, sub.values()),
+        ]
+        for other in rebuilt:
+            assert type(other.value_indices()) is bytes
+            assert other == sub and hash(other) == hash(sub)
+
+    def test_tuple_list_bytes_and_names_agree(self, d8, five_chain):
+        names = {x: five_chain.elements[i % 5] for i, x in enumerate(d8.elements)}
+        indices = [five_chain.index(names[x]) for x in d8.elements]
+        vals = bytes(indices)
+        built = [
+            LSubset(d8, five_chain, tuple(indices)),
+            LSubset(d8, five_chain, indices),
+            LSubset(d8, five_chain, vals),
+            l_subset(d8, five_chain, names),
+        ]
+        assert built[2].value_indices() is vals  # bytes are kept, not copied
+        assert {hash(sub) for sub in built} == {hash(vals)}
+        for sub in built:
+            assert sub == built[0] and sub.value_indices() == vals
+            self.assert_one_representation(sub)
+
+    def test_members_coatoms_and_generated(self, d8_case):
+        mu = d8_case["mu"]
+        members = enumerate_l_subgroups(mu)
+        assert len(members) > 1
+        for sub in (*members, *maximal_l_subgroups(mu), generate(d8_case["eta1"])):
+            self.assert_one_representation(sub)
+
+    def test_every_constructor_builds_bytes(self, d8_case):
+        group, lat, mu, eta = d8_case["group"], d8_case["lattice"], d8_case["mu"], d8_case["eta1"]
+        point = LPoint("r", "b")
+        iso = validate_hom(group, group, {x: x for x in group.elements})
+        built = [
+            constant(group, lat, "c"),
+            characteristic(group, lat, ["e", "r2"]),
+            union_of([mu, eta]),
+            intersection_of([mu, eta]),
+            intersection_of([eta]),
+            set_product(mu, eta),
+            adjoin_point(eta, point),
+            point.as_l_subset(group, lat),
+            pushforward(iso, eta),
+            pullback(iso, eta),
+            non_generator_subgroup(mu),
+            frattini(mu).phi,
+            random_l_subset_below(random.Random(0), mu),
+        ]
+        for sub in built:
+            self.assert_one_representation(sub)
+
+    def test_wide_level_codes_decode_to_bytes(self):
+        # chain16 has 15 join-irreducibles, so each element's field in the
+        # level-map codes is two bytes wide
+        lat = make_lattice("chain16")
+        mu = constant(builtin_group("C3"), lat, "1")
+        members = enumerate_l_subgroups(mu)
+        assert len(members) == 136  # e at or above the other two, which agree: 16 + 15 + ... + 1
+        for sub in (*members, *maximal_l_subgroups(mu)):
+            self.assert_one_representation(sub)
 
 
 class TestSetAlgebra:
