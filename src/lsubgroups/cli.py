@@ -45,7 +45,7 @@ def _load_json(path: str) -> dict:
         raise DocumentError(f"cannot read {path}: {exc.strerror}")
     except UnicodeDecodeError as exc:
         raise DocumentError(f"{path}: not UTF-8 text: {exc.reason} at byte {exc.start}")
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # malformed JSON, or an integer past the digit limit of int()
         raise DocumentError(f"{path}: {exc}")
     except RecursionError:
         raise DocumentError(f"{path}: JSON nested too deeply to read")

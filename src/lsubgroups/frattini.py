@@ -33,12 +33,12 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import NamedTuple
 
-from .errors import HypothesisNotMetError, LPointNotInParentError
+from .errors import DEFAULT_BUDGET, HypothesisNotMetError, LPointNotInParentError
 from .errors import NotAnIsomorphismError, NotNormalInGroupError
 from .groups import GroupHom, _indices, _maximal_masks, _subgroups_within, frattini_classical
 from .lsets import LPoint, LSubset, _level_masks, contains, intersection_of
 from .lsets import is_normal_in, is_normal_in_group, point_in, pushforward
-from .maximal import DEFAULT_BUDGET, _coatom_scan, _coatoms, _level_cuts, _point_code, maximal_l_subgroups
+from .maximal import _coatom_index, _highest_coatom, _level_cuts, _point_code, maximal_l_subgroups
 
 
 class FrattiniReport(NamedTuple):
@@ -82,7 +82,7 @@ def constant_obstructed(mu: LSubset, budget: int = DEFAULT_BUDGET) -> bool:
     obstructed ones the non-generator subgroup can be strictly smaller,
     starting with mu the characteristic function of the trivial subgroup.
     """
-    return any(c.is_constant() for c in _coatoms(mu, budget))
+    return any(c.is_constant() for _, c in _coatom_index(mu, budget))
 
 
 def frattini(mu: LSubset, budget: int = DEFAULT_BUDGET) -> FrattiniReport:
@@ -106,16 +106,16 @@ def is_non_generator(
     """Decide whether the point can always be dropped from generating families.
 
     A false answer returns the witness eta with <eta, a_x> = mu yet
-    <eta> != mu: the first coatom of L(mu) in the scan order of
-    ``maximal._coatom_scan`` whose code misses the point's.  A
-    coatom missing a_x generates mu with it, and any witness lies under
+    <eta> != mu: the coatom of L(mu) of highest rank whose code misses the
+    point's, first in canonical order on ties (``maximal._highest_coatom``).
+    A coatom missing a_x generates mu with it, and any witness lies under
     such a coatom, so this is also the first witness of a largest-first
     scan of L(mu), containment-maximal among all witnesses.
     """
     if not point_in(point, mu):
         raise LPointNotInParentError(f"{point} is not a point of the parent")
     mask = _point_code(mu.lattice, mu.group.index(point.point), mu.lattice.index(point.height))
-    witness = next((c for p, c in _coatom_scan(mu, budget) if mask & ~p), None)
+    witness = _highest_coatom(mu, budget, lambda p: mask & ~p)
     return witness is None, witness
 
 
@@ -128,7 +128,7 @@ def non_generator_points(
     L(mu): a_x qualifies when a ≤ lambda(x), for lambda the meet of the
     coatoms (mu itself when there are none), read from the lattice's down rows.
     """
-    lat, lam = mu.lattice, _meet(_coatoms(mu, budget), mu)
+    lat, lam = mu.lattice, _meet(tuple(c for _, c in _coatom_index(mu, budget)), mu)
     values = zip(mu.group.elements, lam.value_indices())
     return frozenset(LPoint(x, lat.elements[a]) for x, v in values for a in _indices(lat._down[v]))
 

@@ -38,7 +38,7 @@ from .groups import (
     subgroup_closure,
     validate_hom,
 )
-from .lattice import FiniteLattice, chain_lattice, validate_lattice
+from .lattice import FiniteLattice, _refuse_past_the_bound, chain_lattice, validate_lattice
 from .lsets import (
     LPoint,
     LSubset,
@@ -152,6 +152,7 @@ def make_lattice(kind: str) -> FiniteLattice:
         pairs = [(str(d), str(e)) for d in divs for e in divs if d != e and e % d == 0]
         return validate_lattice([str(d) for d in divs], pairs)
     m, n = int(m), int(n)
+    _refuse_past_the_bound(m * n)  # before the m·n names and the order pairs are built
     names = [f"({i},{j})" for i in range(m) for j in range(n)]
     pairs = [(f"({i},{j})", f"({i + 1},{j})") for i in range(m - 1) for j in range(n)]
     pairs += [(f"({i},{j})", f"({i},{j + 1})") for i in range(m) for j in range(n - 1)]

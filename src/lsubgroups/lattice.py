@@ -174,6 +174,12 @@ class FiniteLattice:
 _MAX_ELEMENTS = 256
 
 
+def _refuse_past_the_bound(n: int) -> None:
+    if n > _MAX_ELEMENTS:  # an index is one byte; the rows and tables grow as n²
+        message = f"a lattice of {n} elements is too large: lattices are built for up to {_MAX_ELEMENTS} elements"
+        raise InstanceTooLargeError(n, _MAX_ELEMENTS, message)
+
+
 def validate_lattice(elements: Sequence[str], pairs: Iterable[Sequence[str]]) -> FiniteLattice:
     """Build a lattice from element names and generating ≤ pairs.
 
@@ -188,11 +194,7 @@ def validate_lattice(elements: Sequence[str], pairs: Iterable[Sequence[str]]) ->
     (Davey & Priestley, *Introduction to Lattices and Order*, ch. 5).
     """
     elements = tuple(elements)
-    if len(elements) > _MAX_ELEMENTS:  # an index is one byte; the rows and tables grow as n²
-        raise InstanceTooLargeError(len(elements), _MAX_ELEMENTS, (
-            f"a lattice of {len(elements)} elements is too large: lattices are built "
-            f"for up to {_MAX_ELEMENTS} elements"
-        ))
+    _refuse_past_the_bound(len(elements))
     if not elements:
         raise NotALatticeError("a lattice needs at least one element")
     if len(set(elements)) != len(elements):

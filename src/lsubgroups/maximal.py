@@ -16,9 +16,9 @@ eta lies under one: take j minimal where eta differs from mu and M ⊇ eta_j.
 If mu_i is not inside M at some i > j, the cut lies strictly under a cut
 at i; otherwise it differs from mu only at j, under no other cut.  So the
 coatoms are the cuts whose M holds mu's levels strictly above j.  They are
-found once per parent and cached with their Birkhoff codes (below); the
-maximal L-subgroups are the non-constant ones, and the Frattini module
-reads them, ``frattini.maximal_avoiding`` through the same builder.
+found once per parent and kept in one cache with their Birkhoff codes
+(below); the maximal L-subgroups are the non-constant ones, and the Frattini
+module reads them, ``frattini.maximal_avoiding`` through the same builder.
 
 ``is_maximal`` answers by the definition: eta is maximal exactly when no
 coatom is strictly above it, one mask test per coatom against eta's
@@ -206,8 +206,8 @@ def _level_cuts(mu: LSubset, budget: int, pick) -> tuple[tuple[int, LSubset], ..
 
 
 @lru_cache(maxsize=64)
-def _coatom_index(mu: LSubset, budget: int) -> tuple[tuple[LSubset, ...], tuple]:
-    """The coatoms of L(mu) in canonical order, alone and with their codes.
+def _coatom_index(mu: LSubset, budget: int) -> tuple[tuple[int, LSubset], ...]:
+    """The coatoms of L(mu) in canonical order, with their codes: the one coatom cache.
 
     Constants are kept.  Every cut by a lower cover M of mu_j (∅ when mu_j
     is trivial) is weighed, and kept when M holds mu's levels above j.
@@ -216,26 +216,21 @@ def _coatom_index(mu: LSubset, budget: int) -> tuple[tuple[LSubset, ...], tuple]
         covers = _lower_covers(mu.group, level) or (0,)
         return len(covers), [m for m in covers if not above & ~m]
 
-    cuts = _level_cuts(mu, budget, pick)
-    return tuple(c for _, c in cuts), cuts
+    return _level_cuts(mu, budget, pick)
 
 
-def _coatoms(mu: LSubset, budget: int) -> tuple[LSubset, ...]:
-    """Members of L(mu) other than mu with nothing strictly between them and mu."""
-    return _coatom_index(mu, budget)[0]
-
-
-@lru_cache(maxsize=64)
-def _coatom_scan(mu: LSubset, budget: int) -> tuple[tuple[int, LSubset], ...]:
-    """The coatoms with their codes, by rank descending, canonical order on ties.
+def _highest_coatom(mu: LSubset, budget: int, hit) -> LSubset | None:
+    """The highest-ranked coatom whose code ``hit`` accepts, the first in canonical order on ties.
 
     Rank, the summed down-set size of the values, grows strictly along
-    containment: the first coatom a witness scan accepts is the first hit
-    of a scan of all of L(mu) by rank whenever every hit lies under one.
+    containment, so the coatom returned is the first hit of a scan of all
+    of L(mu) by rank whenever every hit there lies under an accepted coatom.
     """
-    sizes = mu.lattice._down_sizes
-    cuts = _coatom_index(mu, budget)[1]
-    return tuple(sorted(cuts, key=lambda cut: -sum(sizes[v] for v in cut[1].value_indices())))
+    sizes, best, top = mu.lattice._down_sizes, None, -1
+    for p, c in _coatom_index(mu, budget):
+        if hit(p) and (rank := sum(map(sizes.__getitem__, c.value_indices()))) > top:
+            best, top = c, rank
+    return best
 
 
 def enumerate_l_subgroups(mu: LSubset, budget: int = DEFAULT_BUDGET) -> tuple[LSubset, ...]:
@@ -346,11 +341,11 @@ def is_maximal(eta: LSubset, mu: LSubset, *, budget: int = DEFAULT_BUDGET) -> Ma
     """Test whether eta is a maximal L-subgroup of mu.
 
     Looks for a coatom of L(mu) strictly above eta, one mask test each
-    against eta's code, and returns the first in scan order (see
-    ``_coatom_scan``) as ``witness_between``, a containment-maximal member
-    strictly between.  A negative verdict also carries ``witness_point``:
-    the first point of mu outside eta, in group order and then lattice
-    order, whose adjunction fails to generate mu (see ``_lpoint_verdict``).
+    against eta's code, and returns the highest-ranked (``_highest_coatom``)
+    as ``witness_between``, a containment-maximal member strictly between.
+    A negative verdict also carries ``witness_point``: the first point of
+    mu outside eta, in group order and then lattice order, whose adjunction
+    fails to generate mu (see ``_lpoint_verdict``).
     A candidate that is not a proper L-subgroup of mu is never maximal and
     is reported with reason ``not_proper``.
     """
@@ -359,7 +354,7 @@ def is_maximal(eta: LSubset, mu: LSubset, *, budget: int = DEFAULT_BUDGET) -> Ma
     # every member strictly between eta and mu lies under a coatom strictly
     # above eta, so eta is maximal exactly when there is no such coatom
     pe = _code(mu.lattice, _level_masks(eta)[1])
-    theta = next((c for p, c in _coatom_scan(mu, budget) if p != pe and not pe & ~p), None)
+    theta = _highest_coatom(mu, budget, lambda p: p != pe and not pe & ~p)
     if theta is None:
         return MaximalityVerdict(True)
     point = _lpoint_verdict(eta, mu).witness_point
@@ -372,7 +367,7 @@ def maximal_l_subgroups(mu: LSubset, budget: int = DEFAULT_BUDGET) -> tuple[LSub
     These are the non-constant coatoms of L(mu): proper members with
     nothing in L(mu) strictly between them and mu.
     """
-    return tuple(c for c in _coatoms(mu, budget) if not c.is_constant())
+    return tuple(c for _, c in _coatom_index(mu, budget) if not c.is_constant())
 
 
 # ------------------------------------------------------------ level structure

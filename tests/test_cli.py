@@ -656,6 +656,16 @@ class TestErrors:
         assert (code, out) == (2, "")
         assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
 
+    def test_integer_past_the_digit_limit(self, tmp_path, capsys):
+        # json.load raises a plain ValueError for an integer longer than the
+        # int() digit limit; that used to end in a traceback and exit 1.
+        # Without the limit the 'chain' check refuses the number instead
+        path = tmp_path / "huge.json"
+        path.write_text('{"chain": [' + "7" * 5000 + "]}")
+        code, out, err = run(capsys, "validate", "-l", str(path))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
+
     def test_builtin_name_that_is_not_a_decimal(self, tmp_path, capsys):
         # "²" passes str.isdigit() but not int(): this used to end in a traceback
         path = tmp_path / "c_squared.json"
@@ -781,7 +791,6 @@ class TestErrors:
         # the tip relations read the coatoms that --budget built, not a
         # second set at the default budget
         maximal_module._coatom_index.cache_clear()
-        maximal_module._coatom_scan.cache_clear()
         code, out, err = run(
             capsys, "maximals", "--budget", budget,
             "-l", docs["chain5.json"], "-g", docs["d8.json"], "-s", docs["mu_d8.json"],

@@ -123,6 +123,20 @@ class TestLatticeKinds:
         assert len(make_lattice("divisors999999937")) == 2  # the largest prime under 10^9
         assert len(make_lattice("divisors1000000000")) == 100
 
+    @pytest.mark.parametrize("build", [
+        make_lattice, lambda kind: InstanceSpec(0, lattice_kind=f"chain3|{kind}"),
+    ], ids=["make_lattice", "InstanceSpec"])
+    def test_product_sizes_past_the_bound_are_refused_before_building(self, build):
+        # the m·n names and order pairs used to be built before the lattice's
+        # own bound refused them: product300x300 took 0.24 s
+        start = time.perf_counter()
+        with pytest.raises(InstanceTooLargeError) as refused:
+            build("product100000x100000")
+        assert time.perf_counter() - start < 0.05
+        assert str(refused.value) == (
+            "a lattice of 10000000000 elements is too large: lattices are built for up to 256 elements"
+        )
+
 
 class TestSharedCarriers:
     def test_instances_reuse_the_group_and_its_subgroup_table(self):

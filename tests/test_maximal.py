@@ -57,7 +57,7 @@ from lsubgroups import (
 )
 from lsubgroups.lsets import _level_masks
 from lsubgroups.groups import _indices, _lower_covers, _subgroup_table
-from lsubgroups.maximal import _code, _coatom_index, _coatoms, _lpoint_verdict, _point_code
+from lsubgroups.maximal import _code, _coatom_index, _lpoint_verdict, _point_code
 
 from conftest import dihedral, elementary_abelian
 from element_walk import search_l_subgroup_values
@@ -388,6 +388,19 @@ class TestClosedFormCoatoms:
         info = lsets._level_masks.cache_info()
         assert (info.misses, info.hits) == (1, 1)
 
+    def test_every_coatom_reader_shares_one_build(self, d8_case):
+        # the maximals, both maximality verdicts and the non-generator
+        # witness read one coatom list per parent and budget
+        mu, eta, phi = d8_case["mu"], d8_case["eta1"], d8_case["phi"]
+        maximal_module._coatom_index.cache_clear()
+        assert len(maximal_l_subgroups(mu)) == 4
+        assert is_maximal(eta, mu).maximal
+        assert is_maximal(phi, mu).reason == "strictly_between"
+        points = (LPoint(x, a) for x in mu.group.elements for a in mu.lattice.elements)
+        outside = next(p for p in points if point_in(p, mu) and not point_in(p, phi))
+        assert is_non_generator(outside, mu)[1] is not None
+        assert maximal_module._coatom_index.cache_info().misses == 1
+
     def test_budget_counts_cuts_and_the_pairs_among_them(self, d8_case):
         # mu's levels at the join-irreducibles a, b, c, 1 are D8, the Klein
         # subgroup, the centre and {e}, with 3 + 3 + 1 + 1 lower covers: 8
@@ -490,14 +503,14 @@ class TestClosedFormCutsMatchThePairFilter:
             mu = build_instance(spec, trial).mu
             for parent in (mu, *enumerate_l_subgroups(mu)[::7]):
                 expected = level_cuts_by_pair_filter(parent, self.covers(parent))
-                assert list(_coatom_index(parent, DEFAULT_BUDGET)[1]) == expected
+                assert list(_coatom_index(parent, DEFAULT_BUDGET)) == expected
 
     @pytest.mark.parametrize("name", sorted(SCALE_PARENTS))
     def test_coatoms_on_constant_tops(self, name):
         build, size, kind = SCALE_PARENTS[name]
         lat = make_lattice(kind)
         mu = constant(build(size), lat, lat.top)
-        assert list(_coatom_index(mu, DEFAULT_BUDGET)[1]) == level_cuts_by_pair_filter(mu, self.covers(mu))
+        assert list(_coatom_index(mu, DEFAULT_BUDGET)) == level_cuts_by_pair_filter(mu, self.covers(mu))
 
     @pytest.mark.parametrize("kind", ["chain2-6", "product2x3", "product3x3", "divisors30"])
     def test_avoiding_on_seeded_parents(self, kind):
@@ -898,7 +911,7 @@ def highest_coatom_by_contains(mu, keep):
     order on ties, compared point by point."""
     lat = mu.lattice
     return min(
-        (c for c in _coatoms(mu, DEFAULT_BUDGET) if keep(c)),
+        (c for _, c in _coatom_index(mu, DEFAULT_BUDGET) if keep(c)),
         key=lambda c: -sum(len(lat.down_set(v)) for v in c.values().values()),
         default=None,
     )
