@@ -45,8 +45,10 @@ def _load_json(path: str) -> dict:
         raise DocumentError(f"cannot read {path}: {exc.strerror}")
     except UnicodeDecodeError as exc:
         raise DocumentError(f"{path}: not UTF-8 text: {exc.reason} at byte {exc.start}")
-    except ValueError as exc:  # malformed JSON, or an integer past the digit limit of int()
+    except json.JSONDecodeError as exc:
         raise DocumentError(f"{path}: {exc}")
+    except ValueError:  # json.load met an integer past the digit limit of int()
+        raise DocumentError(f"{path}: holds an integer longer than {sys.get_int_max_str_digits():,} digits")
     except RecursionError:
         raise DocumentError(f"{path}: JSON nested too deeply to read")
 

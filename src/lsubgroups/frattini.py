@@ -24,9 +24,12 @@ maximal among those that hold theta_j and miss x (``groups._maximal_masks``
 filters them).  The test suite checks both against scans of L(mu), and the
 reduction to L(mu) against the raw definition on tiny instances.
 
-``frattini`` builds one report per parent and budget.  A point a_x meets
-the coatoms as one mask test each, against the code ``maximal._point_code``
-gives its level map: {x} at each join-irreducible j ≤ a.
+``frattini`` builds one report per parent and budget.  Both meets are
+one AND over the Birkhoff codes of the coatoms, decoded once
+(``maximal._meet_of_cuts``): phi over the non-constant ones, the
+non-generator subgroup over all of them.  A point a_x meets the coatoms as
+one mask test each, against the code ``maximal._point_code`` gives its
+level map: {x} at each join-irreducible j ≤ a.
 """
 from __future__ import annotations
 
@@ -36,9 +39,10 @@ from typing import NamedTuple
 from .errors import DEFAULT_BUDGET, HypothesisNotMetError, LPointNotInParentError
 from .errors import NotAnIsomorphismError, NotNormalInGroupError
 from .groups import GroupHom, _indices, _maximal_masks, _subgroups_within, frattini_classical
-from .lsets import LPoint, LSubset, _level_masks, contains, intersection_of
+from .lsets import LPoint, LSubset, _level_masks, contains
 from .lsets import is_normal_in, is_normal_in_group, point_in, pushforward
-from .maximal import _coatom_index, _highest_coatom, _level_cuts, _point_code, maximal_l_subgroups
+from .maximal import _coatom_index, _highest_coatom, _level_cuts, _meet_of_cuts, _point_code
+from .maximal import maximal_l_subgroups
 
 
 class FrattiniReport(NamedTuple):
@@ -48,9 +52,10 @@ class FrattiniReport(NamedTuple):
     mu itself.  Both sides come from the level cuts of mu (see the module
     docstring): ``nongen`` is the join of all non-generator points, which is
     the meet of all coatoms of L(mu); phi is the meet of the non-constant
-    ones, so it always contains ``nongen``.  Over a finite chain the two
-    coincide unless some coatom is constant (see ``constant_obstructed``);
-    the harness property ``nongenerators_inside_frattini`` checks both.
+    ones, so it always contains ``nongen``.  Each meet is one AND of the
+    coatoms' codes.  Over a finite chain the two coincide unless some
+    coatom is constant (see ``constant_obstructed``); the harness property
+    ``nongenerators_inside_frattini`` checks both.
     """
 
     phi: LSubset
@@ -94,7 +99,7 @@ def frattini(mu: LSubset, budget: int = DEFAULT_BUDGET) -> FrattiniReport:
 @lru_cache(maxsize=64)
 def _frattini_report(mu: LSubset, budget: int) -> FrattiniReport:
     maximals = maximal_l_subgroups(mu, budget=budget)
-    phi = _meet(maximals, mu)
+    phi = _meet_of_cuts(mu, [cut for cut in _coatom_index(mu, budget) if not cut[1].is_constant()])
     nongen = non_generator_subgroup(mu, budget=budget)
     obstructed = constant_obstructed(mu, budget=budget)
     return FrattiniReport(phi, len(maximals), not maximals, nongen, nongen == phi, obstructed)
@@ -126,23 +131,27 @@ def non_generator_points(
 
     A point is a non-generator exactly when it lies in every coatom of
     L(mu): a_x qualifies when a ≤ lambda(x), for lambda the meet of the
-    coatoms (mu itself when there are none), read from the lattice's down rows.
+    coatoms (mu itself when there are none), one AND of their codes, read
+    from the lattice's down rows.
     """
-    lat, lam = mu.lattice, _meet(tuple(c for _, c in _coatom_index(mu, budget)), mu)
+    lat, lam = mu.lattice, _meet_of_cuts(mu, _coatom_index(mu, budget))
     values = zip(mu.group.elements, lam.value_indices())
     return frozenset(LPoint(x, lat.elements[a]) for x, v in values for a in _indices(lat._down[v]))
 
 
 def non_generator_subgroup(mu: LSubset, budget: int = DEFAULT_BUDGET) -> LSubset:
-    """Join of all non-generator points, a member of L(mu)."""
-    lat, tops = mu.lattice, {}
-    for p in non_generator_points(mu, budget=budget):
-        tops[p.point] = lat.join(tops.get(p.point, lat.bottom), p.height)
-    return LSubset(mu.group, lat, bytes([lat.index(tops[x]) for x in mu.group.elements]))
+    """Join of all non-generator points, a member of L(mu).
 
-
-def _meet(family: tuple[LSubset, ...], mu: LSubset) -> LSubset:
-    return intersection_of(family) if family else mu
+    The points are folded by group and lattice index into one byte per
+    element, joined through the lattice's join table.
+    """
+    group, lat = mu.group, mu.lattice
+    at, height, join = group._index, lat._index, lat._join
+    tops = bytearray([height[lat.bottom]]) * len(group)
+    for x, a in non_generator_points(mu, budget=budget):
+        i = at[x]
+        tops[i] = join[tops[i]][height[a]]
+    return LSubset(group, lat, bytes(tops))
 
 
 def check_nongenerator_inclusion(mu: LSubset, budget: int = DEFAULT_BUDGET) -> dict:

@@ -101,7 +101,8 @@ class InstanceSpec:
     def __post_init__(self) -> None:
         for kind in self.lattice_kind.split("|"):
             bounds = _CHAIN_RANGE.fullmatch(kind)
-            if bounds and int(bounds[1]) > int(bounds[2]):
+            # decimals without leading zeros compare as (length, digits), with no int()
+            if bounds and (len(bounds[1]), bounds[1]) > (len(bounds[2]), bounds[2]):
                 raise ValueError(f"unknown lattice kind {kind!r}: the range is empty")
             make_lattice(f"chain{bounds[2]}" if bounds else kind)
         for name in self.group_kind.split("|"):
@@ -140,17 +141,20 @@ def make_lattice(kind: str) -> FiniteLattice:
     if match is None:
         raise ValueError(f"unknown lattice kind {kind!r}")
     shape, size, m, n = match.groups()
+    # digits are counted before int(), which refuses very long decimals with its own error
     if shape == "chain":
-        if int(size) > len(_CHAIN_MIDS) + 2:
+        if len(size) > 2 or int(size) > len(_CHAIN_MIDS) + 2:
             raise ValueError(f"unknown lattice kind {kind!r}: a chain has 1 to 16 elements")
         return chain_lattice(["0"] if size == "1" else ["0", *_CHAIN_MIDS[: int(size) - 2], "1"])
     if shape == "divisors":
-        # a size of over ten digits is past the bound; int() refuses very long ones with its own error
         if len(size) > 10 or int(size) > _DIVISORS_MAX:
             raise ValueError(f"unknown lattice kind {kind!r}: divisors<n> takes n up to 10^9")
         divs = _divisors(int(size))
         pairs = [(str(d), str(e)) for d in divs for e in divs if d != e and e % d == 0]
         return validate_lattice([str(d) for d in divs], pairs)
+    if max(len(m), len(n)) > 10:  # m·n has at least len(m) + len(n) - 1 digits
+        power = len(m) + len(n) - 2
+        _refuse_past_the_bound(10**power, f"at least 10^{power}")
     m, n = int(m), int(n)
     _refuse_past_the_bound(m * n)  # before the m·n names and the order pairs are built
     names = [f"({i},{j})" for i in range(m) for j in range(n)]

@@ -174,9 +174,13 @@ class FiniteLattice:
 _MAX_ELEMENTS = 256
 
 
-def _refuse_past_the_bound(n: int) -> None:
+def _refuse_past_the_bound(n: int, count: str | None = None) -> None:
+    # count, when given, stands for n in the message
     if n > _MAX_ELEMENTS:  # an index is one byte; the rows and tables grow as n²
-        message = f"a lattice of {n} elements is too large: lattices are built for up to {_MAX_ELEMENTS} elements"
+        message = (
+            f"a lattice of {count or n} elements is too large: "
+            f"lattices are built for up to {_MAX_ELEMENTS} elements"
+        )
         raise InstanceTooLargeError(n, _MAX_ELEMENTS, message)
 
 

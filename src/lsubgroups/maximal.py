@@ -219,6 +219,20 @@ def _coatom_index(mu: LSubset, budget: int) -> tuple[tuple[int, LSubset], ...]:
     return _level_cuts(mu, budget, pick)
 
 
+def _meet_of_cuts(mu: LSubset, cuts) -> LSubset:
+    """The meet of the (code, L-subset) cuts ``cuts``, or mu when there are none.
+
+    Over a distributive lattice the meet of two values keeps exactly the
+    join-irreducibles below both, so the meet of level maps is the AND of
+    their codes, decoded once.
+    """
+    codes = [p for p, _ in cuts]
+    if not codes:
+        return mu
+    decode = _birkhoff(mu.lattice)[1]
+    return LSubset(mu.group, mu.lattice, next(decode([reduce(int.__and__, codes)], len(mu.group))))
+
+
 def _highest_coatom(mu: LSubset, budget: int, hit) -> LSubset | None:
     """The highest-ranked coatom whose code ``hit`` accepts, the first in canonical order on ties.
 

@@ -658,13 +658,17 @@ class TestErrors:
 
     def test_integer_past_the_digit_limit(self, tmp_path, capsys):
         # json.load raises a plain ValueError for an integer longer than the
-        # int() digit limit; that used to end in a traceback and exit 1.
-        # Without the limit the 'chain' check refuses the number instead
+        # int() digit limit; that used to end in a traceback and exit 1, and
+        # then in Python's advice to raise the limit, which a CLI user cannot
+        # follow.  Without the limit the 'chain' check refuses the number instead
         path = tmp_path / "huge.json"
         path.write_text('{"chain": [' + "7" * 5000 + "]}")
         code, out, err = run(capsys, "validate", "-l", str(path))
         assert (code, out) == (2, "")
         assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
+        assert "set_int_max_str_digits" not in err
+        if getattr(sys, "get_int_max_str_digits", lambda: 0)() == 4300:
+            assert err == f"error: {path}: holds an integer longer than 4,300 digits\n"
 
     def test_builtin_name_that_is_not_a_decimal(self, tmp_path, capsys):
         # "²" passes str.isdigit() but not int(): this used to end in a traceback

@@ -33,6 +33,7 @@ from lsubgroups import (
     generate,
     identity_hom,
     inner_automorphism,
+    intersection_of,
     is_l_subgroup,
     is_l_subgroup_of,
     is_maximal,
@@ -40,6 +41,7 @@ from lsubgroups import (
     l_subset,
     make_lattice,
     maximal_avoiding,
+    maximal_l_subgroups,
     non_generator_points,
     non_generator_subgroup,
     nongenerators_conjugation_closed,
@@ -145,6 +147,26 @@ def is_non_generator_by_scan(point, mu, scan):
         if eta != mu and generate(adjoin_point(eta, point)) == mu:
             return False, eta
     return True, None
+
+
+def phi_by_intersection(mu):
+    """Oracle: the pointwise meet of the maximal L-subgroups, mu when there are none."""
+    maximals = maximal_l_subgroups(mu)
+    return intersection_of(maximals) if maximals else mu
+
+
+def nongen_by_intersection(mu):
+    """Oracle: the pointwise meet of every coatom of L(mu), mu when there are none."""
+    coatoms = [c for _, c in _coatom_index(mu, DEFAULT_BUDGET)]
+    return intersection_of(coatoms) if coatoms else mu
+
+
+def nongen_by_name_fold(mu):
+    """Oracle: the join of the non-generator points, folded by element and lattice names."""
+    lat, tops = mu.lattice, {}
+    for p in non_generator_points(mu):
+        tops[p.point] = lat.join(tops.get(p.point, lat.bottom), p.height)
+    return l_subset(mu.group, lat, tops)
 
 
 class TestWorkedFrattini:
@@ -292,6 +314,71 @@ class TestCoatomsMatchTheReferenceSearch:
                 assert (verdict.witness_point is None) == verdict.maximal
             assert constant_obstructed(mu) == constant_obstructed_by_pairwise_scan(mu)
             assert constant_obstructed(mu) == any(c.is_constant() for c in coatoms)
+
+
+class TestMeetsMatchTheIntersections:
+    """phi and the non-generator subgroup, each one AND of coatom codes,
+    against the pointwise meets of the decoded coatoms and against the
+    name-level join of the non-generator points."""
+
+    @staticmethod
+    def check(mu):
+        report = frattini(mu)
+        assert report.phi == phi_by_intersection(mu)
+        nongen = non_generator_subgroup(mu)
+        assert nongen == report.nongen == nongen_by_intersection(mu) == nongen_by_name_fold(mu)
+        return report
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            InstanceSpec(0),
+            InstanceSpec(1, lattice_kind="product2x3|divisors30|chain1"),
+            InstanceSpec(3, subgroup_density=0.0),
+            InstanceSpec(11, lattice_kind="chain16", group_kind="D8|Q8|C6|V4|C2"),
+        ],
+        ids=["chains", "products", "constants", "chain16"],
+    )
+    def test_seeded_parents(self, spec):
+        seen = {"fallback": 0, "obstructed": 0, "maximal": 0}
+        for trial in range(60):
+            report = self.check(build_instance(spec, trial).mu)
+            seen["fallback"] += report.used_fallback
+            seen["obstructed"] += report.constant_obstructed
+            seen["maximal"] += report.maximal_count > 0
+        if spec.subgroup_density == 0.0:  # a constant parent over a non-trivial group has no constant coatom
+            assert seen.pop("obstructed") == 0
+        assert all(seen.values()), seen
+
+    def test_wide_fields(self):
+        # more than 8 join-irreducibles: a value's code spans two bytes
+        lat = make_lattice("chain16")
+        assert len(lat._irreducibles) > 8
+        for name in ("D8", "Q8", "C6"):
+            group = builtin_group(name)
+            for mu in (constant(group, lat, "1"), characteristic(group, lat, [group.identity])):
+                self.check(mu)
+
+    @pytest.mark.parametrize("group, kind", [
+        ("D8", "chain5"), ("Q8", "product2x3"), ("C6", "divisors30"), ("V4", "chain16"), ("C1", "chain3"),
+    ])
+    def test_constant_tops(self, group, kind):
+        lat = make_lattice(kind)
+        report = self.check(constant(builtin_group(group), lat, lat.top))
+        assert report.used_fallback == (group == "C1")
+
+    @pytest.mark.parametrize("group, lattice, mu", [
+        ("D8", ["0", "1"], {"e": "1"}),
+        ("C6", ["0", "1"], {"e": "1"}),
+        ("C2", ["0", "m", "1"], {"e": "1", "g": "m"}),
+    ], ids=["d8_fallback", "c6_fallback", "c2_obstructed"])
+    def test_fallback_and_obstructed(self, group, lattice, mu):
+        g, lat = builtin_group(group), chain_lattice(lattice)
+        report = self.check(l_subset(g, lat, {x: mu.get(x, "0") for x in g.elements}))
+        assert report.constant_obstructed and not report.equality_holds
+
+    def test_frattini_reads_no_intersection_of(self):
+        assert "intersection_of" not in vars(frattini_module)
 
 
 class TestChainEqualityBoundary:

@@ -118,6 +118,29 @@ class TestLatticeKinds:
         with pytest.raises(ValueError, match="takes n up to 10\\^9"):
             InstanceSpec(0, lattice_kind=f"chain3|{kind}")
 
+    @pytest.mark.parametrize("build", [
+        make_lattice, lambda kind: InstanceSpec(0, lattice_kind=f"chain3|{kind}"),
+    ], ids=["make_lattice", "InstanceSpec"])
+    def test_chain_sizes_past_the_digit_limit_are_refused_as_unknown(self, build):
+        # int() refuses a decimal longer than 4,300 digits with its own error
+        kind = "chain" + "7" * 5000
+        start = time.perf_counter()
+        with pytest.raises(ValueError) as refused:
+            build(kind)
+        assert time.perf_counter() - start < 0.05
+        assert str(refused.value) == f"unknown lattice kind {kind!r}: a chain has 1 to 16 elements"
+
+    @pytest.mark.parametrize("low, high, message", [
+        ("7" * 5000, "3", "the range is empty"),
+        ("2", "7" * 5000, "a chain has 1 to 16 elements"),
+        ("7" * 5000, "7" * 5000, "a chain has 1 to 16 elements"),
+    ], ids=["long_low", "long_high", "both_long"])
+    def test_chain_ranges_past_the_digit_limit_are_refused_as_unknown(self, low, high, message):
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match=f"^unknown lattice kind '[^']*': {message}$"):
+            InstanceSpec(0, lattice_kind=f"chain{low}-{high}")
+        assert time.perf_counter() - start < 0.05
+
     def test_divisor_sizes_up_to_the_bound_build(self):
         assert len(make_lattice("divisors720720")) == 240
         assert len(make_lattice("divisors999999937")) == 2  # the largest prime under 10^9
@@ -136,6 +159,23 @@ class TestLatticeKinds:
         assert str(refused.value) == (
             "a lattice of 10000000000 elements is too large: lattices are built for up to 256 elements"
         )
+
+    @pytest.mark.parametrize("build", [
+        make_lattice, lambda kind: InstanceSpec(0, lattice_kind=f"chain3|{kind}"),
+    ], ids=["make_lattice", "InstanceSpec"])
+    @pytest.mark.parametrize("m, n, power", [
+        ("7" * 5000, "2", 4999), ("3", "7" * 5000, 4999), ("7" * 5000, "7" * 5000, 9998), ("1", "9" * 11, 10),
+    ], ids=["long_m", "long_n", "both_long", "eleven_digits"])
+    def test_product_sizes_past_the_digit_limit_are_refused_as_too_large(self, build, m, n, power):
+        # the size is never printed, so no decimal past int()'s digit limit is made
+        start = time.perf_counter()
+        with pytest.raises(InstanceTooLargeError) as refused:
+            build(f"product{m}x{n}")
+        assert time.perf_counter() - start < 0.05
+        assert str(refused.value) == (
+            f"a lattice of at least 10^{power} elements is too large: lattices are built for up to 256 elements"
+        )
+        assert (refused.value.size, refused.value.budget) == (10**power, 256)
 
 
 class TestSharedCarriers:
