@@ -33,7 +33,7 @@ level map: {x} at each join-irreducible j ≤ a.
 """
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import lru_cache, reduce
 from typing import NamedTuple
 
 from .errors import DEFAULT_BUDGET, HypothesisNotMetError, LPointNotInParentError
@@ -202,22 +202,29 @@ def nongenerators_conjugation_closed(
     """Check that conjugation permutes the non-generator points.
 
     The points are those of ``non_generator_points``, read from the coatoms
-    of L(mu) that ``maximal`` caches per parent.  Requires mu normal in the
-    ambient group.  Returns (True, None) or the first counterexample, naming
-    the point and conjugator: points in group order and then lattice order,
-    conjugators in group order.  No counterexample is ever expected.
+    of L(mu) that ``maximal`` caches per parent, folded into one mask of
+    heights per element.  Requires mu normal in the ambient group.  Returns
+    (True, None) or the first counterexample, naming the point and
+    conjugator: points in group order and then lattice order, conjugators
+    in group order, each conjugate read off the table by index.  No
+    counterexample is ever expected.
     """
     if not is_normal_in_group(mu):
         raise NotNormalInGroupError("conjugation closure needs mu normal in the group")
-    points = non_generator_points(mu, budget=budget)
     group, lat = mu.group, mu.lattice
-    for p in (LPoint(x, a) for x in group.elements for a in lat.elements):
-        if p not in points:
-            continue
-        for g in group.elements:
-            moved = LPoint(group.conjugate(g, p.point), p.height)
-            if moved not in points:
-                return False, {"point": p, "conjugator": g, "moved": moved}
+    held = [0] * len(group)
+    for x, a in non_generator_points(mu, budget=budget):
+        held[group._index[x]] |= 1 << lat._index[a]
+    table, inv, names = group._table, group._inv, group.elements
+    for x, heights in enumerate(held):
+        conjugates = [table[row[x]][inv[g]] for g, row in enumerate(table)]
+        missing = heights & ~reduce(int.__and__, map(held.__getitem__, conjugates))
+        if missing:
+            low = missing & -missing
+            g, y = next((g, y) for g, y in enumerate(conjugates) if not held[y] & low)
+            a = lat.elements[low.bit_length() - 1]
+            point, image = LPoint(names[x], a), LPoint(names[y], a)
+            return False, {"point": point, "conjugator": names[g], "moved": image}
     return True, None
 
 

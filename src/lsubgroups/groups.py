@@ -88,7 +88,8 @@ class FiniteGroup:
         gi, xi = self.index(g), self.index(x)
         return self.elements[self._table[self._table[gi][xi]][self._inv[gi]]]
 
-    # index-level accessors used by the search code
+    # index-level accessors for callers outside the library, such as the
+    # tests; the library's own loops read the rows of ``_table`` and ``_inv``
     def op_index(self, i: int, j: int) -> int:
         return self._table[i][j]
 
@@ -314,10 +315,9 @@ def subgroup_closure(group: FiniteGroup, seed: Iterable[str]) -> frozenset[str]:
 def is_subgroup(group: FiniteGroup, subset: Iterable[str]) -> bool:
     """Direct check: non-empty, closed under products and inverses."""
     idxs = {group.index(x) for x in subset}
-    if not idxs:
-        return False
-    return all(group.op_index(i, j) in idxs for i in idxs for j in idxs) and all(
-        group.inverse_index(i) in idxs for i in idxs
+    table, inv = group._table, group._inv
+    return bool(idxs) and all(table[i][j] in idxs for i in idxs for j in idxs) and all(
+        inv[i] in idxs for i in idxs
     )
 
 
@@ -443,7 +443,9 @@ def identity_hom(group: FiniteGroup) -> GroupHom:
 
 
 def inner_automorphism(group: FiniteGroup, g: str) -> GroupHom:
-    return validate_hom(group, group, {x: group.conjugate(g, x) for x in group.elements})
+    table, names, gi = group._table, group.elements, group.index(g)
+    row, back = table[gi], group._inv[gi]
+    return validate_hom(group, group, {x: names[table[row[i]][back]] for i, x in enumerate(names)})
 
 
 # ---------------------------------------------------------- documents

@@ -19,8 +19,9 @@ the levels at its parts, so both the subgroup test and generation read the
 levels at the join-irreducibles only.  The subgroup test asks
 ``groups._is_subgroup`` about those level bitmasks, cached per L-subset
 and read by the maximal module too.  The pointwise test is kept only as
-the reference the harness holds it to.  Equality of L-subsets is exact
-pointwise equality of lattice elements, there is no tolerance anywhere.
+the reference the harness holds it to; it, the set product and the
+normality tests read the rows of the group's Cayley table by index.
+Equality of L-subsets is exact pointwise equality, with no tolerance.
 """
 from __future__ import annotations
 
@@ -77,11 +78,9 @@ class LSubset:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, LSubset):
             return NotImplemented
-        return (
-            self._vals == other._vals
-            and self.group == other.group
-            and self.lattice == other.lattice
-        )
+        # tuples compare item by item with ``is`` before ``==``, so shared
+        # carriers skip the structural comparison
+        return self._vals == other._vals and (self.group, self.lattice) == (other.group, other.lattice)
 
     def __hash__(self) -> int:
         return self._hash
@@ -200,9 +199,10 @@ def l_subset_from_document(doc: dict, group: FiniteGroup, lattice: FiniteLattice
 # ------------------------------------------------------------ set algebra
 
 def _same_carriers(*subsets: LSubset) -> None:
-    first = subsets[0]
+    # by ``is`` first, then structurally, as in ``LSubset.__eq__``
+    carriers = subsets[0].group, subsets[0].lattice
     for other in subsets[1:]:
-        if other.group != first.group or other.lattice != first.lattice:
+        if (other.group, other.lattice) != carriers:
             raise MismatchedCarriersError("operands live over different carriers")
 
 
@@ -242,17 +242,13 @@ def intersection_of(family: Iterable[LSubset]) -> LSubset:
 def set_product(mu: LSubset, eta: LSubset) -> LSubset:
     """(mu ∘ eta)(x) = join over all factorisations x = yz of mu(y) ∧ eta(z)."""
     _same_carriers(mu, eta)
-    group, lat = mu.group, mu.lattice
-    join, meet = lat._join, lat._meet
-    bottom = lat.index(lat.bottom)
-    n = len(group)
-    vals = []
-    for xi in range(n):
-        acc = bottom
-        for yi in range(n):
-            zi = group.op_index(group.inverse_index(yi), xi)
-            acc = join[acc][meet[mu._vals[yi]][eta._vals[zi]]]
-        vals.append(acc)
+    group, lat, ev = mu.group, mu.lattice, eta._vals
+    join, meet, bottom = lat._join, lat._meet, lat.index(lat.bottom)
+    # z = y⁻¹x runs along row y⁻¹ of the table; a bottom mu(y) adds nothing
+    vals = [bottom] * len(group)
+    for a, row in zip(mu._vals, map(group._table.__getitem__, group._inv)):
+        if a != bottom:
+            vals = [join[v][meet[a][ev[z]]] for v, z in zip(vals, row)]
     return LSubset(group, lat, bytes(vals))
 
 
@@ -274,15 +270,14 @@ def point_in(point: LPoint, mu: LSubset) -> bool:
 
 def _pointwise_is_l_subgroup(mu: LSubset) -> bool:
     # the reference for is_l_subgroup, read only by the harness
-    group, lat = mu.group, mu.lattice
-    vals = mu._vals
-    leq, meet = lat._leq, lat._meet
-    n = len(group)
-    for i in range(n):
-        if vals[group.inverse_index(i)] != vals[i]:
+    table, inv = mu.group._table, mu.group._inv
+    vals, leq, meet = mu._vals, mu.lattice._leq, mu.lattice._meet
+    for i, a in enumerate(vals):
+        if vals[inv[i]] != a:
             return False
-        for j in range(n):
-            if not leq[meet[vals[i]][vals[j]]][vals[group.op_index(i, j)]]:
+        meet_a = meet[a]
+        for b, k in zip(vals, table[i]):
+            if not leq[meet_a[b]][vals[k]]:
                 return False
     return True
 
@@ -341,40 +336,35 @@ def is_proper_l_subgroup(eta: LSubset, mu: LSubset) -> bool:
 def is_normal_in_group(mu: LSubset) -> bool:
     """Is mu a normal L-subgroup of the whole group?
 
-    Answered pointwise: mu(xy) = mu(yx) for all x, y.  The level route
-    (every non-empty level subset is a normal subgroup of the group) is the
-    tests' reference.
+    Answered on the Cayley table: mu(xy) = mu(yx) for all x, y, each
+    unordered pair read once, from row x and row y.  The level route (every
+    non-empty level subset is a normal subgroup of the group) is the tests'
+    reference.
     """
     if not is_l_subgroup(mu):
         raise NotAnLSubgroupError("normality is defined for L-subgroups")
-    group = mu.group
-    vals = mu._vals
-    n = len(group)
+    vals, table, n = mu._vals, mu.group._table, len(mu.group)
     return all(
-        vals[group.op_index(i, j)] == vals[group.op_index(j, i)]
-        for i in range(n)
-        for j in range(n)
+        vals[row[j]] == vals[table[j][i]] for i, row in enumerate(table) for j in range(i + 1, n)
     )
 
 
 def is_normal_in(eta: LSubset, mu: LSubset) -> bool:
     """Is eta a normal L-subgroup of mu?
 
-    Answered pointwise: eta(yxy⁻¹) ≥ eta(x) ∧ mu(y) for all x, y.  The
-    level route (every non-empty level of eta is normal in the matching
-    level of mu) is the tests' reference.
+    Answered on the Cayley table: eta(yxy⁻¹) ≥ eta(x) ∧ mu(y) for all x,
+    y, with yx read along row y and (yx)y⁻¹ along row yx.  The level route
+    (every non-empty level of eta is normal in the matching level of mu) is
+    the tests' reference.
     """
     if not is_l_subgroup_of(eta, mu):
         raise NotAnLSubgroupError("normality in mu is defined for members of L(mu)")
-    group, lat = eta.group, eta.lattice
-    leq, meet = lat._leq, lat._meet
-    ev, mv = eta._vals, mu._vals
-    op, inv = group.op_index, group.inverse_index
-    n = len(group)
+    table, inv = eta.group._table, eta.group._inv
+    leq, meet, ev = eta.lattice._leq, eta.lattice._meet, eta._vals
     return all(
-        leq[meet[ev[xi]][mv[yi]]][ev[op(op(yi, xi), inv(yi))]]
-        for xi in range(n)
-        for yi in range(n)
+        leq[meet[m][e]][ev[table[z][inv[yi]]]]
+        for yi, m in enumerate(mu._vals)
+        for e, z in zip(ev, table[yi])
     )
 
 
@@ -451,7 +441,7 @@ def generate_oracle(eta: LSubset) -> LSubset:
 
 def pushforward(f: GroupHom, mu: LSubset) -> LSubset:
     """f(mu)(y) = join of mu over the fibre of y; bottom on empty fibres."""
-    if mu.group != f.source:
+    if mu.group is not f.source and mu.group != f.source:
         raise MismatchedCarriersError("pushforward needs an L-subset over the source group")
     lat, target = mu.lattice, f.target
     join = lat._join
@@ -463,7 +453,7 @@ def pushforward(f: GroupHom, mu: LSubset) -> LSubset:
 
 def pullback(f: GroupHom, nu: LSubset) -> LSubset:
     """f⁻¹(nu)(x) = nu(f(x))."""
-    if nu.group != f.target:
+    if nu.group is not f.target and nu.group != f.target:
         raise MismatchedCarriersError("pullback needs an L-subset over the target group")
     vals = nu._vals
     return LSubset(f.source, nu.lattice, bytes([vals[y] for y in f.image_indices]))

@@ -3,13 +3,22 @@
 The value tables are frozen literals so every test checks the library
 against independently written data rather than against other library calls.
 ``elementary_abelian`` and ``dihedral`` build the larger groups the tests
-share; import them with ``from conftest import ...``.
+share, and ``SEEDED_SPECS`` parametrizes a test over seeded instances;
+import them with ``from conftest import ...``.
 """
 import pytest
 
-from lsubgroups import builtin_group, chain_lattice, l_subset, validate_group
+from lsubgroups import InstanceSpec, builtin_group, chain_lattice, l_subset, validate_group
 
 FIVE_CHAIN = ["0", "a", "b", "c", "1"]
+
+# seeded instances over chains, a product lattice and a divisor lattice, on
+# which the fast routes are held to their references
+SEEDED_SPECS = pytest.mark.parametrize(
+    "spec",
+    [InstanceSpec(0), InstanceSpec(1, lattice_kind="product2x3"), InstanceSpec(1, lattice_kind="divisors30")],
+    ids=["chains", "product2x3", "divisors30"],
+)
 
 # D8 with centre C = {e, r2} and Klein subgroup K = {e, r2, s, sr2}
 D8_MU = {

@@ -38,6 +38,7 @@ from lsubgroups import (
     is_l_subgroup_of,
     is_maximal,
     is_non_generator,
+    is_normal_in_group,
     l_subset,
     make_lattice,
     maximal_avoiding,
@@ -53,7 +54,7 @@ from lsubgroups import (
 from lsubgroups.errors import LPointNotInParentError
 from lsubgroups.maximal import _coatom_index
 
-from conftest import D8_PHI, elementary_abelian
+from conftest import D8_PHI, SEEDED_SPECS, elementary_abelian
 
 # the package exports the function ``frattini`` under the module's name
 frattini_module = importlib.import_module("lsubgroups.frattini")
@@ -523,6 +524,68 @@ class TestConjugationClosure:
         mu = characteristic(d8, five_chain, ["e", "s"])
         with pytest.raises(NotNormalInGroupError):
             nongenerators_conjugation_closed(mu)
+
+
+def conjugation_scan_by_names(mu, points):
+    """Oracle: the point-by-point scan of ``nongenerators_conjugation_closed``
+    by names, each conjugate looked up in the frozenset ``points``: points in
+    group order and then lattice order, conjugators in group order."""
+    group, lat = mu.group, mu.lattice
+    for p in (LPoint(x, a) for x in group.elements for a in lat.elements):
+        if p not in points:
+            continue
+        for g in group.elements:
+            moved = LPoint(group.conjugate(g, p.point), p.height)
+            if moved not in points:
+                return False, {"point": p, "conjugator": g, "moved": moved}
+    return True, None
+
+
+def is_abelian(group):
+    return all(group.op(x, y) == group.op(y, x) for x in group.elements for y in group.elements)
+
+
+class TestConjugationClosureMatchesTheNameScan:
+    """The closure check folds the points into one mask of heights per
+    element and conjugates by table index; the scan over ``LPoint`` names
+    stays here as its reference, on the non-generator points of seeded
+    normal parents and on seeded point sets put in their place, some closed
+    under conjugation and some not, so that the first counterexample is
+    compared too."""
+
+    @staticmethod
+    def normal_parents(spec, trials=40):
+        for trial in range(trials):
+            mu = build_instance(spec, trial).mu
+            if is_normal_in_group(mu):
+                yield mu
+
+    @SEEDED_SPECS
+    def test_non_generator_points(self, spec):
+        groups = set()
+        for mu in self.normal_parents(spec):
+            expected = conjugation_scan_by_names(mu, non_generator_points(mu))
+            assert nongenerators_conjugation_closed(mu) == expected == (True, None)
+            groups.add(mu.group)
+        assert any(not is_abelian(group) for group in groups)
+
+    @SEEDED_SPECS
+    def test_seeded_point_sets(self, spec, monkeypatch):
+        rng = random.Random(2026)
+        seen = set()
+        for mu in self.normal_parents(spec):
+            group, lat = mu.group, mu.lattice
+            every = [LPoint(x, a) for x in group.elements for a in lat.elements]
+            for _ in range(4):
+                drawn = {p for p in every if rng.random() < 0.3}
+                closed = {LPoint(group.conjugate(g, x), a) for x, a in drawn for g in group.elements}
+                spoiled = closed - {rng.choice(sorted(closed))} if closed else closed
+                for points in map(frozenset, (drawn, closed, spoiled)):
+                    monkeypatch.setattr(frattini_module, "non_generator_points", lambda mu, budget, points=points: points)
+                    result = nongenerators_conjugation_closed(mu)
+                    assert result == conjugation_scan_by_names(mu, points)
+                    seen.add(result[0])
+        assert seen == {True, False}
 
 
 class TestFrattiniNormality:

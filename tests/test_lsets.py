@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lsubgroups import (
+    FiniteGroup,
     InstanceSpec,
     InstanceTooLargeError,
     LPoint,
@@ -29,6 +30,7 @@ from lsubgroups import (
     generate,
     generate_oracle,
     has_sup_property,
+    inner_automorphism,
     intersection_of,
     is_l_subgroup,
     is_l_subgroup_of,
@@ -43,6 +45,7 @@ from lsubgroups import (
     make_lattice,
     maximal_l_subgroups,
     non_generator_subgroup,
+    nongenerators_conjugation_closed,
     point_in,
     pullback,
     pushforward,
@@ -57,6 +60,7 @@ from lsubgroups import (
 from lsubgroups import lsets
 from lsubgroups.errors import DocumentError
 
+from conftest import SEEDED_SPECS
 from element_walk import meet_over_walk, search_l_subgroup_values
 
 
@@ -468,16 +472,9 @@ class TestUnattainedIrreducibleLevels:
         assert patterned >= 3
 
 
-SEEDED_SPECS = pytest.mark.parametrize(
-    "spec",
-    [InstanceSpec(0), InstanceSpec(1, lattice_kind="product2x3"), InstanceSpec(1, lattice_kind="divisors30")],
-    ids=["chains", "product2x3", "divisors30"],
-)
-
-
 class TestPredicatesMatchTheLevelRoute:
     """The subgroup test reads the level masks at the join-irreducibles and
-    normality is answered pointwise; the frozenset level characterisations
+    normality is read off the Cayley table; the frozenset level characterisations
     stay here as the reference, with the pointwise subgroup test, checked on
     seeded instances over chains, a product lattice and a divisor lattice."""
 
@@ -532,6 +529,74 @@ class TestPredicatesMatchTheLevelRoute:
                     assert answer == levelwise_is_normal_in(probe, parent)
                     seen.add(answer)
         assert seen == {True, False}
+
+
+def set_product_by_names(mu, eta):
+    """Oracle: (mu ∘ eta)(x) as the join over every y of mu(y) ∧ eta(y⁻¹x),
+    read pair by pair through element and lattice names."""
+    group, lat = mu.group, mu.lattice
+    return l_subset(group, lat, {
+        x: lat.join_set(
+            lat.meet(mu.value(y), eta.value(group.op(group.inverse(y), x))) for y in group.elements
+        )
+        for x in group.elements
+    })
+
+
+class TestSetProductMatchesThePairwiseRoute:
+    """The set product runs along the rows of the Cayley table; the
+    name-level pairwise join stays here as its reference, on every ordered
+    pair of probes of seeded instances."""
+
+    @SEEDED_SPECS
+    def test_seeded_pairs(self, spec):
+        moved = 0
+        for _, probes in seeded_probes(spec, trials=12, cap=4):
+            for mu, eta in cartesian(probes, repeat=2):
+                product = set_product(mu, eta)
+                assert product == set_product_by_names(mu, eta)
+                moved += product not in (mu, eta)
+        assert moved
+
+
+class TestKernelsReadTheTable:
+    """No check pays a method call per group pair: with the index and name
+    accessors of ``FiniteGroup`` refusing, the set product, both normality
+    tests, the pointwise and direct subgroup tests, inner automorphisms and
+    the conjugation closure still answer, and answer as before."""
+
+    @pytest.mark.parametrize("case, member", [("d8_case", "phi"), ("q8_maximal_case", "eta")])
+    def test_worked_cases(self, case, member, request, monkeypatch):
+        data = request.getfixturevalue(case)
+        group, mu, eta = data["group"], data["mu"], data[member]
+        levels = [mu.level(a) for a in mu.lattice.elements]
+        expected = (
+            set_product_by_names(mu, eta),
+            set_product_by_names(eta, mu),
+            levelwise_is_normal_in_group(mu),
+            levelwise_is_normal_in(eta, mu),
+            levelwise_is_l_subgroup(mu),
+            levelwise_is_l_subgroup(eta),
+            [is_subgroup(group, level) for level in levels],
+            {x: group.conjugate(group.elements[1], x) for x in group.elements},
+        )
+
+        def refuse(*args):
+            raise AssertionError("a per-pair accessor of FiniteGroup was called")
+
+        for name in ("op_index", "inverse_index", "conjugate"):
+            monkeypatch.setattr(FiniteGroup, name, refuse)
+        assert (
+            set_product(mu, eta),
+            set_product(eta, mu),
+            is_normal_in_group(mu),
+            is_normal_in(eta, mu),
+            lsets._pointwise_is_l_subgroup(mu),
+            lsets._pointwise_is_l_subgroup(eta),
+            [is_subgroup(group, level) for level in levels],
+            inner_automorphism(group, group.elements[1]).mapping,
+        ) == expected
+        assert nongenerators_conjugation_closed(mu) == (True, None)
 
 
 class TestNormality:
