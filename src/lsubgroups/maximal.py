@@ -56,7 +56,8 @@ from .lsets import _level_masks
 from .lsets import (
     LPoint,
     LSubset,
-    generate,  # unused; bench/tests/test_bench.py::test_tracer_restores_every_binding reads it
+    generate,  # unused; read by bench/tests/test_bench.py::test_tracer_restores_every_binding
+    # and patched by tests/test_maximal.py::TestTipRelation::test_preconditions_read_the_coatoms
     is_l_subgroup,
     is_l_subgroup_of,
     is_proper_l_subgroup,

@@ -414,6 +414,23 @@ class TestModuleBoundaries:
         # comes from maximal._point_code
         assert named_outside("maximal", {"_code", "_spread", "_birkhoff"}) == []
 
+    def test_library_imports_only_the_stdlib(self):
+        # the library runs on a bare interpreter: every absolute import is of
+        # a standard-library module (sys.stdlib_module_names exists from 3.10,
+        # the floor in pyproject.toml); relative imports stay in the package
+        outside = [
+            f"{path.name}:{node.lineno} {name}"
+            for path in sorted((SRC / "lsubgroups").glob("*.py"))
+            for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+            for name in (
+                [a.name for a in node.names] if isinstance(node, ast.Import)
+                else [node.module] if isinstance(node, ast.ImportFrom) and node.level == 0
+                else []
+            )
+            if name.partition(".")[0] not in sys.stdlib_module_names
+        ]
+        assert outside == []
+
 
 # the library layers a command loads besides the package, cli and errors
 COMMAND_LAYERS = {

@@ -328,6 +328,11 @@ class TestMeetsMatchTheIntersections:
         assert report.phi == phi_by_intersection(mu)
         nongen = non_generator_subgroup(mu)
         assert nongen == report.nongen == nongen_by_intersection(mu) == nongen_by_name_fold(mu)
+        # the report splits the coatoms itself; the public functions agree
+        maximals = maximal_l_subgroups(mu)
+        assert report.maximal_count == len(maximals)
+        assert report.used_fallback == (not maximals)
+        assert report.constant_obstructed == any(c.is_constant() for _, c in _coatom_index(mu, DEFAULT_BUDGET))
         return report
 
     @pytest.mark.parametrize(
@@ -509,13 +514,14 @@ class TestConjugationClosure:
         assert ok
 
     def test_first_counterexample_in_group_then_lattice_order(self, d8_case, monkeypatch):
-        # a point set that conjugation does not permute, whose iteration
-        # order as a set varies with the hash seed: the scan takes the points
-        # in group order, then lattice order, and the conjugators in group
-        # order, so r at a fails first, moved by s
-        points = frozenset(LPoint(x, a) for x in ("sr3", "s", "r") for a in ("b", "a"))
-        monkeypatch.setattr(frattini_module, "non_generator_points", lambda mu, budget: points)
-        ok, counter = nongenerators_conjugation_closed(d8_case["mu"])
+        # a lambda that conjugation does not preserve, b at sr3, s and r:
+        # the scan takes the points in group order, then lattice order, and
+        # the conjugators in group order, so r at a fails first, moved by s
+        mu = d8_case["mu"]
+        inject_nongen(monkeypatch, l_subset(mu.group, mu.lattice, {
+            x: "b" if x in ("sr3", "s", "r") else "0" for x in mu.group.elements
+        }))
+        ok, counter = nongenerators_conjugation_closed(mu)
         assert not ok
         assert counter == {"point": LPoint("r", "a"), "conjugator": "s", "moved": LPoint("r3", "a")}
 
@@ -524,6 +530,19 @@ class TestConjugationClosure:
         mu = characteristic(d8, five_chain, ["e", "s"])
         with pytest.raises(NotNormalInGroupError):
             nongenerators_conjugation_closed(mu)
+
+
+def inject_nongen(monkeypatch, lam):
+    """Make the ``frattini`` report that the closure check reads carry lam as its lambda."""
+    monkeypatch.setattr(
+        frattini_module, "frattini",
+        lambda mu, budget=DEFAULT_BUDGET: frattini(mu, budget)._replace(nongen=lam),
+    )
+
+
+def points_below(lam):
+    lat = lam.lattice
+    return frozenset(LPoint(x, a) for x, v in lam.values().items() for a in lat.down_set(v))
 
 
 def conjugation_scan_by_names(mu, points):
@@ -546,12 +565,12 @@ def is_abelian(group):
 
 
 class TestConjugationClosureMatchesTheNameScan:
-    """The closure check folds the points into one mask of heights per
-    element and conjugates by table index; the scan over ``LPoint`` names
-    stays here as its reference, on the non-generator points of seeded
-    normal parents and on seeded point sets put in their place, some closed
-    under conjugation and some not, so that the first counterexample is
-    compared too."""
+    """The closure check reads lambda's value at each element as its
+    down-set row of heights and conjugates by table index; the scan over
+    ``LPoint`` names stays here as its reference, on the non-generator
+    points of seeded normal parents and on seeded lambdas put in their
+    place, some closed under conjugation and some not, so that the first
+    counterexample is compared too."""
 
     @staticmethod
     def normal_parents(spec, trials=40):
@@ -571,19 +590,25 @@ class TestConjugationClosureMatchesTheNameScan:
 
     @SEEDED_SPECS
     def test_seeded_point_sets(self, spec, monkeypatch):
+        # a drawn lambda, its closure under conjugation (each value joined
+        # over its conjugates) and that closure with one value lowered
         rng = random.Random(2026)
         seen = set()
         for mu in self.normal_parents(spec):
             group, lat = mu.group, mu.lattice
-            every = [LPoint(x, a) for x in group.elements for a in lat.elements]
             for _ in range(4):
-                drawn = {p for p in every if rng.random() < 0.3}
-                closed = {LPoint(group.conjugate(g, x), a) for x, a in drawn for g in group.elements}
-                spoiled = closed - {rng.choice(sorted(closed))} if closed else closed
-                for points in map(frozenset, (drawn, closed, spoiled)):
-                    monkeypatch.setattr(frattini_module, "non_generator_points", lambda mu, budget, points=points: points)
+                drawn = random_l_subset_below(rng, mu)
+                closed = {x: lat.join_set(drawn.value(group.conjugate(g, x)) for g in group.elements)
+                          for x in group.elements}
+                spoiled = dict(closed)
+                raised = [x for x, v in closed.items() if v != lat.bottom]
+                if raised:
+                    x = rng.choice(raised)
+                    spoiled[x] = rng.choice([a for a in lat.down_set(closed[x]) if a != closed[x]])
+                for lam in (drawn, l_subset(group, lat, closed), l_subset(group, lat, spoiled)):
+                    inject_nongen(monkeypatch, lam)
                     result = nongenerators_conjugation_closed(mu)
-                    assert result == conjugation_scan_by_names(mu, points)
+                    assert result == conjugation_scan_by_names(mu, points_below(lam))
                     seen.add(result[0])
         assert seen == {True, False}
 
