@@ -65,6 +65,7 @@ from .lsets import (
 from .maximal import (
     LevelRelation,
     _lpoint_verdict,
+    _point_fails,
     _sufficient_pattern,
     candidate_space_size,
     enumerate_l_subgroups,
@@ -483,15 +484,20 @@ def prop_maximality_strategies_agree(inst: Instance):
     if len(pool) > 120:
         rng = random.Random(f"{inst.spec.seed}:{inst.trial}:agree")
         pool = tuple(rng.sample(pool, 60)) + maximal_l_subgroups(inst.mu) + (inst.eta,)
+    mu, group, lat = inst.mu, inst.group, inst.lattice
     for nu in pool:
-        verdict = is_maximal(nu, inst.mu)
+        verdict = is_maximal(nu, mu)
         if verdict.reason == "not_proper":
             continue
         if verdict.maximal:
-            by_point = _lpoint_verdict(nu, inst.mu).maximal
-        else:  # a negative verdict already holds the point route's answer
-            by_point = verdict.witness_point is None
-        if verdict.maximal != by_point:
+            agree = _lpoint_verdict(nu, mu).maximal
+        elif (p := verdict.witness_point) is None:
+            agree = False
+        else:  # the named point must be a point of mu outside nu that fails to generate mu
+            x, a = group.index(p.point), lat.index(p.height)
+            inside = lat._leq[a][mu.value_indices()[x]] and not lat._leq[a][nu.value_indices()[x]]
+            agree = inside and _point_fails(nu, mu, x, a)
+        if not agree:
             _fail(candidate=nu.values(), reason="strategies disagree")
 
 

@@ -17,10 +17,11 @@ Over a finite distributive lattice every element is the join of the
 join-irreducibles below it, and the level at a join is the intersection of
 the levels at its parts, so both the subgroup test and generation read the
 levels at the join-irreducibles only.  The subgroup test asks
-``groups._is_subgroup`` about those level bitmasks, cached per L-subset
-and read by the maximal module too.  The pointwise test is kept only as
-the reference the harness holds it to; it, the set product and the
-normality tests read the rows of the group's Cayley table by index.
+``groups._is_subgroup`` about those level bitmasks, each read off the
+values by one ``bytes.translate`` through a per-lattice table, cached per
+L-subset and read by the maximal module too.  The pointwise test is kept
+only as the reference the harness holds it to; it, the set product and
+the normality tests read the rows of the group's Cayley table by index.
 Equality of L-subsets is exact pointwise equality, with no tolerance.
 """
 from __future__ import annotations
@@ -282,19 +283,23 @@ def _pointwise_is_l_subgroup(mu: LSubset) -> bool:
 
 
 @lru_cache(maxsize=64)
+def _level_rows(lat: FiniteLattice) -> tuple[bytes, ...]:
+    # per join-irreducible j, a bytes.translate table taking each lattice
+    # index a to the digit "1" when j ≤ a and "0" otherwise, padded to 256
+    leq, n = lat._leq, len(lat)
+    return tuple(bytes(48 + leq[j][a] for a in range(n)).ljust(256, b"0") for j in lat._irreducibles)
+
+
+@lru_cache(maxsize=64)
 def _level_masks(mu: LSubset) -> tuple[tuple[int, ...], tuple[int, ...]]:
     # the lattice's join-irreducibles, in order, and mu's level at each: the
-    # elements of each attained value in one mask, ORed into every level below
+    # values reversed, so element 0 is the last digit, translated to one
+    # binary digit per element and read as one integer
     lat = mu.lattice
     if not lat.distributive:
         raise NonDistributiveLatticeError("L-subgroup tests require a distributive lattice")
-    by_value: dict[int, int] = {}
-    for x, v in enumerate(mu.value_indices()):
-        by_value[v] = by_value.get(v, 0) | 1 << x
-    irreducibles, leq = lat._irreducibles, lat._leq
-    return irreducibles, tuple(
-        sum(mask for v, mask in by_value.items() if leq[j][v]) for j in irreducibles
-    )
+    vals = mu.value_indices()[::-1]
+    return lat._irreducibles, tuple(int(vals.translate(row), 2) for row in _level_rows(lat))
 
 
 def is_l_subgroup(mu: LSubset) -> bool:

@@ -22,12 +22,14 @@ module reads them, ``frattini.maximal_avoiding`` through the same builder.
 
 ``is_maximal`` answers by the definition: eta is maximal exactly when no
 coatom is strictly above it, one mask test per coatom against eta's
-code.  A no also names a point of mu outside eta that fails to
-generate mu when adjoined, from the lattice-point test (eta
-is maximal iff adjoining any missing point generates mu), which
-``_lpoint_verdict`` keeps as the reference the tests hold the coatoms to.
-It compares the generated levels at the join-irreducibles, as bitmasks,
-with mu's, and builds no L-subset per point.
+code.  A no also names a point of mu outside eta that fails to generate
+mu when adjoined, read off those coatoms in closed form: <eta ∪ a_x>
+falls short of mu exactly when it lies under a coatom, that is when
+a ≤ theta(x) for a coatom theta above eta.  The lattice-point search
+(eta is maximal iff adjoining any missing point generates mu) is kept as
+``_lpoint_verdict``, the reference the tests hold the closed form to;
+``_point_fails`` decides one point by comparing the generated levels at
+the join-irreducibles, as bitmasks, with mu's, and builds no L-subset.
 ``enumerate_l_subgroups`` walks L(mu) as level maps, depth first over the
 join-irreducibles.  The subtree below a node depends only on the bounds
 its choices leave on the later join-irreducibles, so it is walked once and
@@ -122,27 +124,31 @@ def candidate_space_size(mu: LSubset) -> int:
 
 
 @lru_cache(maxsize=64)
-def _birkhoff(lat) -> tuple[int, object]:
+def _birkhoff(lat) -> tuple[int, object, object, bytes]:
     # a member's value at x is the join of the join-irreducibles whose level
     # holds x, so it packs into a field of one bit per join-irreducible, in
-    # the lattice's _irreducibles order.  Returns the field width in bits and
-    # a decoder of codes with one field per group element into their values,
-    # the bytes of lattice indices that LSubset keeps
+    # the lattice's _irreducibles order.  Returns the field width in bits, a
+    # decoder of codes with one field per group element into their values,
+    # the bytes of lattice indices that LSubset keeps, an encoder of values
+    # into their code, and a translate table of each index's down-set size
+    # less one (a rank that fits a byte), each table padded to 256 bytes
     irreducibles, leq = lat._irreducibles, lat._leq
     size = -(-len(irreducibles) // 8) or 1
-    down = {sum(1 << k for k, j in enumerate(irreducibles) if leq[j][a]): a for a in range(len(lat))}
+    fields = [sum(1 << k for k, j in enumerate(irreducibles) if leq[j][a]) for a in range(len(lat))]
+    ranks = bytes(s - 1 for s in lat._down_sizes).ljust(256, b"\0")
     if size == 1:
-        table = bytearray(256)
-        for c, a in down.items():
+        table, encoding = bytearray(256), bytes(fields).ljust(256, b"\0")
+        for a, c in enumerate(fields):
             table[c] = a
         return 8, lambda codes, n: map(
             bytes.translate, map(int.to_bytes, codes, repeat(n), repeat("little")), repeat(table)
-        )
-    fields = {c.to_bytes(size, "little"): a for c, a in down.items()}
+        ), lambda vals: int.from_bytes(vals.translate(encoding), "little"), ranks
+    raws = [c.to_bytes(size, "little") for c in fields]
+    by_raw = dict(zip(raws, range(len(lat))))
     return 8 * size, lambda codes, n: (
-        bytes([fields[raw[i:i + size]] for i in range(0, n * size, size)])
+        bytes([by_raw[raw[i:i + size]] for i in range(0, n * size, size)])
         for raw in map(int.to_bytes, codes, repeat(n * size), repeat("little"))
-    )
+    ), lambda vals: int.from_bytes(b"".join(map(raws.__getitem__, vals)), "little"), ranks
 
 
 @lru_cache(maxsize=4096)
@@ -184,7 +190,7 @@ def _level_cuts(mu: LSubset, budget: int, pick) -> tuple[tuple[int, LSubset], ..
     group, lat = mu.group, mu.lattice
     irreducibles, levels = _level_masks(mu)
     leq, n, full = lat._leq, len(group), (1 << len(group)) - 1
-    width, decode = _birkhoff(lat)
+    width, decode = _birkhoff(lat)[:2]
     # a cut at j by M clears the bits at j and above of the elements outside M
     code, everyone = _code(lat, levels), _spread(full, width)
     weighed, codes = 0, []
@@ -234,18 +240,21 @@ def _meet_of_cuts(mu: LSubset, cuts) -> LSubset:
     return LSubset(mu.group, mu.lattice, next(decode([reduce(int.__and__, codes)], len(mu.group))))
 
 
-def _highest_coatom(mu: LSubset, budget: int, hit) -> LSubset | None:
-    """The highest-ranked coatom whose code ``hit`` accepts, the first in canonical order on ties.
+def _highest(lat, coatoms: list[LSubset]) -> LSubset | None:
+    """The highest-ranked of ``coatoms``, the first on ties; None when there are none.
 
     Rank, the summed down-set size of the values, grows strictly along
     containment, so the coatom returned is the first hit of a scan of all
-    of L(mu) by rank whenever every hit there lies under an accepted coatom.
+    of L(mu) by rank whenever every hit there lies under one of
+    ``coatoms``.  Each rank is one translate of the values and one sum.
     """
-    sizes, best, top = mu.lattice._down_sizes, None, -1
-    for p, c in _coatom_index(mu, budget):
-        if hit(p) and (rank := sum(map(sizes.__getitem__, c.value_indices()))) > top:
-            best, top = c, rank
-    return best
+    ranks = _birkhoff(lat)[3]
+    return max(coatoms, key=lambda c: sum(c.value_indices().translate(ranks)), default=None)
+
+
+def _highest_coatom(mu: LSubset, budget: int, hit) -> LSubset | None:
+    """The highest-ranked coatom whose code ``hit`` accepts, the first in canonical order on ties."""
+    return _highest(mu.lattice, [c for p, c in _coatom_index(mu, budget) if hit(p)])
 
 
 def enumerate_l_subgroups(mu: LSubset, budget: int = DEFAULT_BUDGET) -> tuple[LSubset, ...]:
@@ -307,7 +316,7 @@ def enumerate_l_subgroups(mu: LSubset, budget: int = DEFAULT_BUDGET) -> tuple[LS
 
     root = tuple(levels)
     walk(root)
-    width, decode = _birkhoff(lat)
+    width, decode = _birkhoff(lat)[:2]
     codes: dict[tuple[int, ...], list[int]] = {(): [0]}
 
     def assemble(key: tuple[int, ...]) -> list[int]:
@@ -328,39 +337,47 @@ def enumerate_l_subgroups(mu: LSubset, budget: int = DEFAULT_BUDGET) -> tuple[LS
 
 # --------------------------------------------------------------- maximality
 
+def _point_fails(nu: LSubset, mu: LSubset, x: int, a: int) -> bool:
+    # does adjoining the point a_x (indices) to nu in L(mu) fail to generate
+    # mu?  At each join-irreducible j, <nu ∪ a_x> has the closure of theta_j,
+    # nu's level with x added when j ≤ a, or ∅ when theta_j is empty: j is
+    # join-prime, so j is under the tip exactly when it is under some value
+    group, leq = mu.group, mu.lattice._leq
+    irreducibles, have = _level_masks(nu)
+    for j, level, target in zip(irreducibles, have, _level_masks(mu)[1]):
+        theta = level | 1 << x if leq[j][a] else level
+        if (theta and _closure(group, theta)) != target:
+            return True
+    return False
+
+
 def _lpoint_verdict(eta: LSubset, mu: LSubset) -> MaximalityVerdict:
-    # eta is a proper member of L(mu).  At each join-irreducible j,
-    # <eta ∪ a_x> has the closure of theta_j, eta's level with x added when
-    # j ≤ a, or ∅ when theta_j is empty: j is join-prime, so j is under the
-    # tip exactly when it is under some value
-    group, lat = mu.group, mu.lattice
+    # the point route, kept as the reference for is_maximal's witness_point:
+    # eta, a proper member of L(mu), is maximal iff adjoining any point of mu
+    # outside eta generates mu; the first point that fails, in group order
+    # and then lattice order, is the witness
+    lat = mu.lattice
     leq = lat._leq
-    irreducibles, have = _level_masks(eta)
-    want = _level_masks(mu)[1]
-    closures = {0: 0}
     for x, (cap, low) in enumerate(zip(mu.value_indices(), eta.value_indices())):
         for a in range(len(lat)):
-            if not leq[a][cap] or leq[a][low]:
-                continue
-            for j, level, target in zip(irreducibles, have, want):
-                theta = level | 1 << x if leq[j][a] else level
-                if theta not in closures:
-                    closures[theta] = _closure(group, theta)
-                if closures[theta] != target:
-                    point = LPoint(group.elements[x], lat.elements[a])
-                    return MaximalityVerdict(False, "point_fails_to_generate", witness_point=point)
+            if leq[a][cap] and not leq[a][low] and _point_fails(eta, mu, x, a):
+                point = LPoint(mu.group.elements[x], lat.elements[a])
+                return MaximalityVerdict(False, "point_fails_to_generate", witness_point=point)
     return MaximalityVerdict(True)
 
 
 def is_maximal(eta: LSubset, mu: LSubset, *, budget: int = DEFAULT_BUDGET) -> MaximalityVerdict:
     """Test whether eta is a maximal L-subgroup of mu.
 
-    Looks for a coatom of L(mu) strictly above eta, one mask test each
-    against eta's code, and returns the highest-ranked (``_highest_coatom``)
-    as ``witness_between``, a containment-maximal member strictly between.
-    A negative verdict also carries ``witness_point``: the first point of
-    mu outside eta, in group order and then lattice order, whose adjunction
-    fails to generate mu (see ``_lpoint_verdict``).
+    One pass over the coatoms of L(mu) keeps the hits, those strictly above
+    eta, by one mask test each against eta's code; eta is maximal exactly
+    when there is none.  Otherwise the highest-ranked hit (``_highest``)
+    is ``witness_between``, a containment-maximal member strictly between.
+    ``witness_point`` is the first x, in group order, where the hits'
+    values reach a lattice index outside eta(x)'s down-set, at the lowest
+    such index a: a_x fails to generate mu exactly when a ≤ theta(x) for a
+    hit theta (see the module docstring), so this is the first failing
+    point of the search ``_lpoint_verdict``, kept as its reference.
     A candidate that is not a proper L-subgroup of mu is never maximal and
     is reported with reason ``not_proper``.
     """
@@ -368,11 +385,20 @@ def is_maximal(eta: LSubset, mu: LSubset, *, budget: int = DEFAULT_BUDGET) -> Ma
         return MaximalityVerdict(False, "not_proper")
     # every member strictly between eta and mu lies under a coatom strictly
     # above eta, so eta is maximal exactly when there is no such coatom
-    pe = _code(mu.lattice, _level_masks(eta)[1])
-    theta = _highest_coatom(mu, budget, lambda p: p != pe and not pe & ~p)
-    if theta is None:
+    lat, low = mu.lattice, eta.value_indices()
+    pe = _birkhoff(lat)[2](low)
+    hits = [c for p, c in _coatom_index(mu, budget) if p != pe and not pe & ~p]
+    if not hits:
         return MaximalityVerdict(True)
-    point = _lpoint_verdict(eta, mu).witness_point
+    down = lat._down
+    for x, v in enumerate(low):  # some hit lies above eta at some x, where the loop stops
+        missing = 0
+        for c in hits:
+            missing |= down[c.value_indices()[x]]
+        if missing := missing & ~down[v]:
+            break
+    point = LPoint(mu.group.elements[x], lat.elements[(missing & -missing).bit_length() - 1])
+    theta = _highest(lat, hits)
     return MaximalityVerdict(False, "strictly_between", witness_between=theta, witness_point=point)
 
 

@@ -411,8 +411,11 @@ class TestModuleBoundaries:
     def test_only_maximal_builds_level_map_codes(self):
         # the Birkhoff layout of a level map (one field per group element, one
         # bit per join-irreducible) is known to maximal alone; a point's code
-        # comes from maximal._point_code
+        # comes from maximal._point_code, and the encoder of values and the
+        # rank table ride on _birkhoff; the digit tables that read a level
+        # mask off the values are lsets' alone, behind _level_masks
         assert named_outside("maximal", {"_code", "_spread", "_birkhoff"}) == []
+        assert named_outside("lsets", {"_level_rows"}) == []
 
     def test_library_imports_only_the_stdlib(self):
         # the library runs on a bare interpreter: every absolute import is of

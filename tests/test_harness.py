@@ -32,13 +32,14 @@ from lsubgroups import (
 )
 from lsubgroups import UnknownBuiltinError
 from lsubgroups import are_jointly_supstar, enumerate_l_subgroups, is_maximal, is_proper_l_subgroup
-from lsubgroups import harness, l_subset, level_profile, lsets, validate_group
+from lsubgroups import LPoint, adjoin_point, harness, l_subset, level_profile, lsets, point_in, validate_group
 from lsubgroups.errors import SearchExhaustedError
 from lsubgroups.groups import all_subgroups
 from lsubgroups.harness import (
     PROPERTIES,
     SKIPPED,
     Instance,
+    PropertyFailure,
     _chain_valued_l_subgroup,
     _named_quotient,
     _single_defect_pattern_over_images,
@@ -425,6 +426,58 @@ class TestPropertyTable:
     def test_each_name_maps_to_its_function(self):
         for name, prop in PROPERTIES.items():
             assert prop is getattr(harness, f"prop_{name}")
+
+
+def all_points(mu):
+    return [LPoint(x, a) for x in mu.group.elements for a in mu.lattice.elements]
+
+
+class TestMaximalityAgreementChecksThePoint:
+    """A negative verdict must name a point of mu outside the candidate that
+    fails to generate mu: ``maximality_strategies_agree`` reports a verdict
+    naming any other point, or none, as a disagreement."""
+
+    INSTANCES = [build_instance(InstanceSpec(seed=0), trial) for trial in range(12)]
+    # each turns the point of a negative verdict into a wrong one, or keeps it when there is none
+    WRONG = {
+        "generates_mu": lambda nu, mu, point: next((
+            p for p in all_points(mu)
+            if point_in(p, mu) and not point_in(p, nu) and generate(adjoin_point(nu, p)) == mu
+        ), point),
+        "outside_mu": lambda nu, mu, point: next((p for p in all_points(mu) if not point_in(p, mu)), point),
+        "inside_nu": lambda nu, mu, point: LPoint(mu.group.identity, nu.value(mu.group.identity)),
+        "none": lambda nu, mu, point: None,
+    }
+
+    def test_real_verdicts_pass(self):
+        for inst in self.INSTANCES:
+            harness.prop_maximality_strategies_agree(inst)
+
+    @pytest.mark.parametrize("wrong", sorted(WRONG))
+    def test_a_wrong_point_is_a_disagreement(self, wrong, monkeypatch):
+        changed = False
+
+        def lying(nu, mu, **kwargs):
+            nonlocal changed
+            verdict = is_maximal(nu, mu, **kwargs)
+            if verdict.maximal or verdict.reason == "not_proper":
+                return verdict
+            point = self.WRONG[wrong](nu, mu, verdict.witness_point)
+            changed |= point != verdict.witness_point
+            return verdict._replace(witness_point=point)
+
+        monkeypatch.setattr(harness, "is_maximal", lying)
+        failed = 0
+        for inst in self.INSTANCES:
+            changed = False
+            try:
+                harness.prop_maximality_strategies_agree(inst)
+            except PropertyFailure as exc:
+                assert changed and exc.detail["reason"] == "strategies disagree"
+                failed += 1
+            else:
+                assert not changed
+        assert failed >= 3
 
 
 class TestOneListingPerInstance:

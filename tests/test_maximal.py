@@ -1,5 +1,6 @@
 """Maximal L-subgroups: strategies, profiles, transport, enumeration."""
 import gc
+import random
 import tracemalloc
 from functools import reduce
 from itertools import product as cartesian
@@ -7,6 +8,7 @@ from operator import and_
 
 import pytest
 
+import lsubgroups.groups as groups_module
 import lsubgroups.maximal as maximal_module
 from lsubgroups import lsets
 from lsubgroups import (
@@ -57,7 +59,7 @@ from lsubgroups import (
 )
 from lsubgroups.lsets import _level_masks
 from lsubgroups.groups import _indices, _lower_covers, _subgroup_table
-from lsubgroups.maximal import _code, _coatom_index, _lpoint_verdict, _point_code
+from lsubgroups.maximal import _code, _coatom_index, _highest_coatom, _lpoint_verdict, _point_code, _point_fails
 
 from conftest import dihedral, elementary_abelian
 from element_walk import search_l_subgroup_values
@@ -965,6 +967,103 @@ class TestWitnessPins:
             is_l_subgroup_of(inside, mu)
         with pytest.raises(NonDistributiveLatticeError, match="require a distributive lattice"):
             is_maximal(inside, mu)
+
+
+class TestClosedFormWitness:
+    """``is_maximal`` reads both witnesses off the coatoms above the
+    candidate, with no point search and no subgroup closure, and its codes
+    and ranks hold where a field or a rank outgrows one byte."""
+
+    def test_no_point_search(self, monkeypatch):
+        cases = []
+        for seed in range(16):
+            mu = build_instance(InstanceSpec(seed, lattice_kind="chain2-6|product2x3|divisors30")).mu
+            cases += [(nu, mu, is_maximal(nu, mu)) for nu in enumerate_l_subgroups(mu)]
+
+        def refuse(*args):
+            raise AssertionError("is_maximal ran the point search")
+
+        monkeypatch.setattr(maximal_module, "_lpoint_verdict", refuse)
+        monkeypatch.setattr(maximal_module, "_closure", refuse)
+        monkeypatch.setattr(groups_module, "_closure", refuse)
+        assert [is_maximal(nu, mu) for nu, mu, _ in cases] == [verdict for *_, verdict in cases]
+        assert sum(verdict.witness_point is not None for *_, verdict in cases) > 100
+
+    def test_points_match_generation_over_chain16(self):
+        # sixteen join-irreducibles give two-byte fields, past the one-byte translate
+        checked = negative = 0
+        for seed in (1, 2, 3, 4, 7):
+            mu = build_instance(InstanceSpec(seed, lattice_kind="chain16")).mu
+            assert maximal_module._birkhoff(mu.lattice)[0] == 16
+            for nu in enumerate_l_subgroups(mu):
+                verdict, expected = is_maximal(nu, mu), lpoint_verdict_by_generate(nu, mu)
+                assert (verdict.maximal, verdict.witness_point) == (expected.maximal, expected.witness_point)
+                assert verdict == is_maximal_by_contains(nu, mu)
+                checked += 1
+                negative += verdict.witness_point is not None
+        assert checked > 800 and negative > 400
+
+    def test_chain_of_256(self):
+        # the top's down-set has 256 elements, kept as 255 in the rank table
+        lat = chain_lattice([f"t{k}" for k in range(256)])
+        v4 = builtin_group("V4")
+
+        def member(e, a, bc):
+            return l_subset(v4, lat, {"e": f"t{e}", "a": f"t{a}", "b": f"t{bc}", "c": f"t{bc}"})
+
+        mu, rng = member(255, 200, 100), random.Random(0)
+        pool = [mu, *maximal_l_subgroups(mu)]
+        for _ in range(24):
+            bc = rng.randrange(101)
+            a = rng.randrange(bc, 201)
+            pool.append(member(rng.randrange(a, 256), a, bc))
+        verdicts = [is_maximal(nu, mu) for nu in pool]
+        assert verdicts == [is_maximal_by_contains(nu, mu) for nu in pool]
+        assert sum(v.maximal for v in verdicts) == 3 and sum(v.witness_point is not None for v in verdicts) > 10
+        for x, cap in zip(v4.elements, mu.value_indices()):
+            for a in {0, 1, 99, 100, 101, 199, 200, 201, 254, 255} & set(range(cap + 1)):
+                point, mask = LPoint(x, lat.elements[a]), _point_code(lat, v4.index(x), a)
+                assert _highest_coatom(mu, DEFAULT_BUDGET, lambda p: mask & ~p) == highest_coatom_by_contains(
+                    mu, lambda c: not point_in(point, c)
+                )
+
+
+class TestPointFails:
+    """``_point_fails`` decides one point of the point route as generation
+    does, over every member of L(mu) but mu, constants included, so a level
+    left empty at a join-irreducible not under the point stays empty."""
+
+    @staticmethod
+    def check(mu):
+        lat, checked, failing = mu.lattice, 0, 0
+        for nu in enumerate_l_subgroups(mu):
+            if nu == mu:
+                continue
+            for x, (cap, low) in enumerate(zip(mu.value_indices(), nu.value_indices())):
+                for a in range(len(lat)):
+                    if lat._leq[a][cap] and not lat._leq[a][low]:
+                        fails = generate(adjoin_point(nu, LPoint(mu.group.elements[x], lat.elements[a]))) != mu
+                        assert _point_fails(nu, mu, x, a) == fails
+                        checked += 1
+                        failing += fails
+        return checked, failing
+
+    @pytest.mark.parametrize("kind, seeds", [("chain2-6", 30), ("product2x3", 20), ("divisors30", 12)])
+    def test_seeded_parents(self, kind, seeds):
+        checked = failing = 0
+        for seed in range(seeds):
+            c, f = self.check(build_instance(InstanceSpec(seed, lattice_kind=kind)).mu)
+            checked, failing = checked + c, failing + f
+        assert 0 < failing < checked
+
+    @pytest.mark.parametrize("group", ["C1", "C2", "V4"])
+    def test_constant_tops_over_short_chains(self, group):
+        checked = failing = 0
+        for n in range(1, 5):
+            lat = make_lattice(f"chain{n}")
+            c, f = self.check(constant(builtin_group(group), lat, lat.top))
+            checked, failing = checked + c, failing + f
+        assert 0 < failing < checked
 
 
 class TestRefusals:
