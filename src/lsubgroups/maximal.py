@@ -38,7 +38,7 @@ join-irreducibles whose level holds x (Birkhoff), a member packs into one
 integer with a field per group element, put together from the recorded
 subtrees by one OR per level and decoded through a table.  The level cuts
 are packed the same way, and no module but this one knows the layout:
-``_code`` packs any level map and ``_point_code`` a point's.  One level
+``_code`` packs a map's values and ``_point_code`` a point's.  One level
 classifier places each level of eta inside mu's; the level profile and the
 sufficient pattern read it, and the profile pins down the single defect
 level that maximality forces when the images are jointly supstar.
@@ -129,9 +129,9 @@ def _birkhoff(lat) -> tuple[int, object, object, bytes]:
     # holds x, so it packs into a field of one bit per join-irreducible, in
     # the lattice's _irreducibles order.  Returns the field width in bits, a
     # decoder of codes with one field per group element into their values,
-    # the bytes of lattice indices that LSubset keeps, an encoder of values
-    # into their code, and a translate table of each index's down-set size
-    # less one (a rank that fits a byte), each table padded to 256 bytes
+    # the bytes of lattice indices that LSubset keeps, the encoder back that
+    # _code wraps, and a translate table of each index's down-set size less
+    # one (a rank that fits a byte), each table padded to 256 bytes
     irreducibles, leq = lat._irreducibles, lat._leq
     size = -(-len(irreducibles) // 8) or 1
     fields = [sum(1 << k for k, j in enumerate(irreducibles) if leq[j][a]) for a in range(len(lat))]
@@ -158,12 +158,11 @@ def _spread(mask: int, width: int) -> int:
     return int(("0" * (width // 4 - 1)).join(format(mask, "b")), 16)
 
 
-def _code(lat, levels) -> int:
-    # the Birkhoff code of a level map, one level mask per join-irreducible in
-    # the lattice's _irreducibles order: element x's field holds bit k when
-    # level k holds x.  Containment of level maps is containment of their codes
-    width = _birkhoff(lat)[0]
-    return sum(_spread(level, width) << k for k, level in enumerate(levels))
+def _code(lat, vals: bytes) -> int:
+    # the Birkhoff code of a map's values, the lattice indices by group
+    # element: element x's field holds bit k when the k-th join-irreducible
+    # is under vals[x].  Containment of members is containment of their codes
+    return _birkhoff(lat)[2](vals)
 
 
 def _point_code(lat, x: int, a: int) -> int:
@@ -190,9 +189,9 @@ def _level_cuts(mu: LSubset, budget: int, pick) -> tuple[tuple[int, LSubset], ..
     group, lat = mu.group, mu.lattice
     irreducibles, levels = _level_masks(mu)
     leq, n, full = lat._leq, len(group), (1 << len(group)) - 1
-    width, decode = _birkhoff(lat)[:2]
+    width, decode, *_ = _birkhoff(lat)
     # a cut at j by M clears the bits at j and above of the elements outside M
-    code, everyone = _code(lat, levels), _spread(full, width)
+    code, everyone = _code(lat, mu.value_indices()), _spread(full, width)
     weighed, codes = 0, []
     for j, level in zip(irreducibles, levels):
         if not level:
@@ -248,7 +247,7 @@ def _highest(lat, coatoms: list[LSubset]) -> LSubset | None:
     of L(mu) by rank whenever every hit there lies under one of
     ``coatoms``.  Each rank is one translate of the values and one sum.
     """
-    ranks = _birkhoff(lat)[3]
+    *_, ranks = _birkhoff(lat)
     return max(coatoms, key=lambda c: sum(c.value_indices().translate(ranks)), default=None)
 
 
@@ -316,7 +315,7 @@ def enumerate_l_subgroups(mu: LSubset, budget: int = DEFAULT_BUDGET) -> tuple[LS
 
     root = tuple(levels)
     walk(root)
-    width, decode = _birkhoff(lat)[:2]
+    width, decode, *_ = _birkhoff(lat)
     codes: dict[tuple[int, ...], list[int]] = {(): [0]}
 
     def assemble(key: tuple[int, ...]) -> list[int]:
@@ -337,16 +336,20 @@ def enumerate_l_subgroups(mu: LSubset, budget: int = DEFAULT_BUDGET) -> tuple[LS
 
 # --------------------------------------------------------------- maximality
 
-def _point_fails(nu: LSubset, mu: LSubset, x: int, a: int) -> bool:
+def _point_fails(nu: LSubset, mu: LSubset, x: int, a: int, closures: dict | None = None) -> bool:
     # does adjoining the point a_x (indices) to nu in L(mu) fail to generate
     # mu?  At each join-irreducible j, <nu ∪ a_x> has the closure of theta_j,
     # nu's level with x added when j ≤ a, or ∅ when theta_j is empty: j is
-    # join-prime, so j is under the tip exactly when it is under some value
+    # join-prime, so j is under the tip exactly when it is under some value.
+    # ``closures`` keeps each mask's closure across calls on one group
     group, leq = mu.group, mu.lattice._leq
+    closures = {0: 0} if closures is None else closures
     irreducibles, have = _level_masks(nu)
     for j, level, target in zip(irreducibles, have, _level_masks(mu)[1]):
         theta = level | 1 << x if leq[j][a] else level
-        if (theta and _closure(group, theta)) != target:
+        if theta not in closures:
+            closures[theta] = _closure(group, theta)
+        if closures[theta] != target:
             return True
     return False
 
@@ -356,11 +359,11 @@ def _lpoint_verdict(eta: LSubset, mu: LSubset) -> MaximalityVerdict:
     # eta, a proper member of L(mu), is maximal iff adjoining any point of mu
     # outside eta generates mu; the first point that fails, in group order
     # and then lattice order, is the witness
-    lat = mu.lattice
+    lat, closures = mu.lattice, {0: 0}
     leq = lat._leq
     for x, (cap, low) in enumerate(zip(mu.value_indices(), eta.value_indices())):
         for a in range(len(lat)):
-            if leq[a][cap] and not leq[a][low] and _point_fails(eta, mu, x, a):
+            if leq[a][cap] and not leq[a][low] and _point_fails(eta, mu, x, a, closures):
                 point = LPoint(mu.group.elements[x], lat.elements[a])
                 return MaximalityVerdict(False, "point_fails_to_generate", witness_point=point)
     return MaximalityVerdict(True)
@@ -386,7 +389,7 @@ def is_maximal(eta: LSubset, mu: LSubset, *, budget: int = DEFAULT_BUDGET) -> Ma
     # every member strictly between eta and mu lies under a coatom strictly
     # above eta, so eta is maximal exactly when there is no such coatom
     lat, low = mu.lattice, eta.value_indices()
-    pe = _birkhoff(lat)[2](low)
+    pe = _code(lat, low)
     hits = [c for p, c in _coatom_index(mu, budget) if p != pe and not pe & ~p]
     if not hits:
         return MaximalityVerdict(True)

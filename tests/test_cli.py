@@ -411,9 +411,10 @@ class TestModuleBoundaries:
     def test_only_maximal_builds_level_map_codes(self):
         # the Birkhoff layout of a level map (one field per group element, one
         # bit per join-irreducible) is known to maximal alone; a point's code
-        # comes from maximal._point_code, and the encoder of values and the
-        # rank table ride on _birkhoff; the digit tables that read a level
-        # mask off the values are lsets' alone, behind _level_masks
+        # comes from maximal._point_code and any map's from maximal._code, the
+        # one encoder, whose table rides on _birkhoff with the rank table; the
+        # digit tables that read a level mask off the values are lsets' alone,
+        # behind _level_masks
         assert named_outside("maximal", {"_code", "_spread", "_birkhoff"}) == []
         assert named_outside("lsets", {"_level_rows"}) == []
 

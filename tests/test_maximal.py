@@ -356,12 +356,27 @@ class TestPointCodes:
         [*(f"chain{n}" for n in range(1, 17)), "product2x3", "product3x3", "divisors30", "divisors720"],
     )
     def test_matches_the_code_of_the_level_map(self, kind):
-        # chain10 and longer have fields of more than one byte
+        # chain10 and longer have fields of more than one byte; a_x takes the
+        # value a at x and the bottom, under no join-irreducible, elsewhere
         lat = make_lattice(kind)
         for x in range(8):
             for a in range(len(lat)):
-                levels = [1 << x if lat._leq[j][a] else 0 for j in lat._irreducibles]
-                assert _point_code(lat, x, a) == _code(lat, levels)
+                vals = bytearray([lat.index(lat.bottom)] * 8)
+                vals[x] = a
+                assert _point_code(lat, x, a) == _code(lat, bytes(vals))
+
+    @pytest.mark.parametrize("kind", ["chain2-6", "chain16", "product2x3", "divisors30"])
+    def test_member_code_holds_its_levels(self, kind):
+        # field x of a member's code holds bit k exactly when its level at the
+        # k-th join-irreducible holds x
+        for seed in range(4):
+            mu = build_instance(InstanceSpec(seed, lattice_kind=kind)).mu
+            lat, n = mu.lattice, len(mu.group)
+            width = maximal_module._birkhoff(lat)[0]
+            for nu in enumerate_l_subgroups(mu)[:40]:
+                code = _code(lat, nu.value_indices())
+                for k, level in enumerate(_level_masks(nu)[1]):
+                    assert level == sum(1 << x for x in range(n) if code >> width * x + k & 1)
 
 
 class TestClosedFormCoatoms:
