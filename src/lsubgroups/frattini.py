@@ -41,7 +41,7 @@ from .errors import NotAnIsomorphismError, NotNormalInGroupError
 from .groups import GroupHom, _indices, _maximal_masks, _subgroups_within, frattini_classical
 from .lsets import LPoint, LSubset, _level_masks, contains
 from .lsets import is_normal_in, is_normal_in_group, point_in, pushforward
-from .maximal import _coatom_index, _highest_coatom, _level_cuts, _meet_of_cuts, _point_code
+from .maximal import _coatom_index, _highest, _level_cuts, _meet_of_cuts, _point_code
 
 
 class FrattiniReport(NamedTuple):
@@ -111,7 +111,7 @@ def is_non_generator(
 
     A false answer returns the witness eta with <eta, a_x> = mu yet
     <eta> != mu: the coatom of L(mu) of highest rank whose code misses the
-    point's, first in canonical order on ties (``maximal._highest_coatom``).
+    point's, first in canonical order on ties (``maximal._highest``).
     A coatom missing a_x generates mu with it, and any witness lies under
     such a coatom, so this is also the first witness of a largest-first
     scan of L(mu), containment-maximal among all witnesses.
@@ -119,7 +119,7 @@ def is_non_generator(
     if not point_in(point, mu):
         raise LPointNotInParentError(f"{point} is not a point of the parent")
     mask = _point_code(mu.lattice, mu.group.index(point.point), mu.lattice.index(point.height))
-    witness = _highest_coatom(mu, budget, lambda p: mask & ~p)
+    witness = _highest(mu.lattice, [c for p, c in _coatom_index(mu, budget) if mask & ~p])
     return witness is None, witness
 
 
@@ -257,14 +257,15 @@ def maximal_avoiding(
     cuts at the j maximal under a are incomparable: they are the answer,
     with no filter.  The budget counts n + n² units for the n cuts built.
     Never empty when theta ∈ L(mu); empty when theta is not below mu or the
-    point lies in the L-subgroup theta generates.
+    point lies in the L-subgroup theta generates.  Mismatched carriers
+    raise MismatchedCarriersError before any other check.
     """
+    below, leq = contains(mu, theta), mu.lattice._leq
     if not point_in(point, mu):
         raise LPointNotInParentError(f"{point} is not a point of the parent")
     if point_in(point, theta):
         raise LPointNotInParentError(f"{point} already lies inside theta")
     x, a = mu.group.index(point.point), mu.lattice.index(point.height)
-    below, leq = contains(mu, theta), mu.lattice._leq
     seeds = dict(zip(*_level_masks(theta)))
 
     def pick(j: int, level: int, above: int) -> tuple[int, list[int]]:

@@ -334,15 +334,13 @@ def _require_subgroup(group: FiniteGroup, subset: Iterable[str], label: str) -> 
     return _mask(group, sub)
 
 
-def _lower_covers(group: FiniteGroup, mask: int) -> tuple[int, ...] | None:
+def _lower_covers(group: FiniteGroup, mask: int) -> tuple[int, ...]:
     """Maximal proper subgroups of the subgroup with element bitmask ``mask``.
 
-    Bitmasks in ``all_subgroups`` order; None when ``mask`` is not a
-    subgroup.  Filled into the subgroup table per mask on first use.
+    Bitmasks in ``all_subgroups`` order; ``mask`` must be a subgroup, as at
+    every caller (KeyError otherwise).  Filled into the table on first use.
     """
     table = _subgroup_table(group)
-    if mask not in table:
-        return None
     covers = table[mask]
     if covers is None:
         found = _maximal_masks(reversed(_subgroups_within(group, mask)), mask.__ne__)

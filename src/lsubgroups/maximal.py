@@ -28,8 +28,8 @@ falls short of mu exactly when it lies under a coatom, that is when
 a ≤ theta(x) for a coatom theta above eta.  The lattice-point search
 (eta is maximal iff adjoining any missing point generates mu) is kept as
 ``_lpoint_verdict``, the reference the tests hold the closed form to;
-``_point_fails`` decides one point by comparing the generated levels at
-the join-irreducibles, as bitmasks, with mu's, and builds no L-subset.
+``_point_fails`` decides one point on bitmasks: it closes only the levels
+the point changes, compares each level with mu's and builds no L-subset.
 ``enumerate_l_subgroups`` walks L(mu) as level maps, depth first over the
 join-irreducibles.  The subtree below a node depends only on the bounds
 its choices leave on the later join-irreducibles, so it is walked once and
@@ -166,9 +166,8 @@ def _code(lat, vals: bytes) -> int:
 
 
 def _point_code(lat, x: int, a: int) -> int:
-    # the code of a_x, {x} at each join-irreducible j ≤ a: _spread(1 << x, width) is 1 << width * x
-    leq = lat._leq
-    return sum(1 << k for k, j in enumerate(lat._irreducibles) if leq[j][a]) << _birkhoff(lat)[0] * x
+    # the code of a_x, {x} at each join-irreducible j ≤ a: a's field shifted to x's place
+    return _code(lat, bytes([a])) << _birkhoff(lat)[0] * x
 
 
 def _level_cuts(mu: LSubset, budget: int, pick) -> tuple[tuple[int, LSubset], ...]:
@@ -251,11 +250,6 @@ def _highest(lat, coatoms: list[LSubset]) -> LSubset | None:
     return max(coatoms, key=lambda c: sum(c.value_indices().translate(ranks)), default=None)
 
 
-def _highest_coatom(mu: LSubset, budget: int, hit) -> LSubset | None:
-    """The highest-ranked coatom whose code ``hit`` accepts, the first in canonical order on ties."""
-    return _highest(mu.lattice, [c for p, c in _coatom_index(mu, budget) if hit(p)])
-
-
 def enumerate_l_subgroups(mu: LSubset, budget: int = DEFAULT_BUDGET) -> tuple[LSubset, ...]:
     """All L-subgroups sitting below mu pointwise, in canonical order.
 
@@ -336,20 +330,18 @@ def enumerate_l_subgroups(mu: LSubset, budget: int = DEFAULT_BUDGET) -> tuple[LS
 
 # --------------------------------------------------------------- maximality
 
-def _point_fails(nu: LSubset, mu: LSubset, x: int, a: int, closures: dict | None = None) -> bool:
+def _point_fails(nu: LSubset, mu: LSubset, x: int, a: int) -> bool:
     # does adjoining the point a_x (indices) to nu in L(mu) fail to generate
-    # mu?  At each join-irreducible j, <nu ∪ a_x> has the closure of theta_j,
-    # nu's level with x added when j ≤ a, or ∅ when theta_j is empty: j is
-    # join-prime, so j is under the tip exactly when it is under some value.
-    # ``closures`` keeps each mask's closure across calls on one group
-    group, leq = mu.group, mu.lattice._leq
-    closures = {0: 0} if closures is None else closures
+    # mu?  At each join-irreducible j, <nu ∪ a_x> has nu's level closed with
+    # x added when j ≤ a: j is join-prime, so j is under the tip exactly when
+    # it is under some value.  Only a level the point changes is closed; nu
+    # is in L(mu), so every other level is a subgroup or ∅ as it stands
+    group, leq, bit = mu.group, mu.lattice._leq, 1 << x
     irreducibles, have = _level_masks(nu)
     for j, level, target in zip(irreducibles, have, _level_masks(mu)[1]):
-        theta = level | 1 << x if leq[j][a] else level
-        if theta not in closures:
-            closures[theta] = _closure(group, theta)
-        if closures[theta] != target:
+        if leq[j][a] and not level & bit:
+            level = _closure(group, level | bit)
+        if level != target:
             return True
     return False
 
@@ -359,11 +351,10 @@ def _lpoint_verdict(eta: LSubset, mu: LSubset) -> MaximalityVerdict:
     # eta, a proper member of L(mu), is maximal iff adjoining any point of mu
     # outside eta generates mu; the first point that fails, in group order
     # and then lattice order, is the witness
-    lat, closures = mu.lattice, {0: 0}
-    leq = lat._leq
+    lat, leq = mu.lattice, mu.lattice._leq
     for x, (cap, low) in enumerate(zip(mu.value_indices(), eta.value_indices())):
         for a in range(len(lat)):
-            if leq[a][cap] and not leq[a][low] and _point_fails(eta, mu, x, a, closures):
+            if leq[a][cap] and not leq[a][low] and _point_fails(eta, mu, x, a):
                 point = LPoint(mu.group.elements[x], lat.elements[a])
                 return MaximalityVerdict(False, "point_fails_to_generate", witness_point=point)
     return MaximalityVerdict(True)

@@ -51,7 +51,7 @@ from lsubgroups import (
     validate_hom,
     validate_lattice,
 )
-from lsubgroups.errors import LPointNotInParentError
+from lsubgroups.errors import LPointNotInParentError, MismatchedCarriersError
 from lsubgroups.maximal import _coatom_index
 
 from conftest import D8_PHI, SEEDED_SPECS, elementary_abelian
@@ -668,6 +668,17 @@ class TestMaximalAvoiding:
     def test_point_already_inside_is_rejected(self, d8_case):
         with pytest.raises(LPointNotInParentError):
             maximal_avoiding(d8_case["mu"], d8_case["mu"], LPoint("e", "1"))
+
+    @pytest.mark.parametrize("theta", [
+        lambda: constant(builtin_group("Q8"), make_lattice("chain3"), "0"),
+        lambda: constant(builtin_group("D8"), chain_lattice(["0", "1", "a"]), "a"),
+    ], ids=["another group", "the same names in another order"])
+    def test_carriers_are_checked_first(self, theta):
+        # Q8 has no element r, and over the reordered chain a_r lies inside
+        # theta: either read of theta before the carrier check raises its own error
+        mu = constant(builtin_group("D8"), make_lattice("chain3"), "1")
+        with pytest.raises(MismatchedCarriersError, match="operands live over different carriers"):
+            maximal_avoiding(mu, theta(), LPoint("r", "a"))
 
     def test_parent_that_is_not_an_l_subgroup(self):
         # the enumeration route accepted this parent (L(mu) holds only the

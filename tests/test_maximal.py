@@ -58,8 +58,8 @@ from lsubgroups import (
     validate_lattice,
 )
 from lsubgroups.lsets import _level_masks
-from lsubgroups.groups import _indices, _lower_covers, _subgroup_table
-from lsubgroups.maximal import _code, _coatom_index, _highest_coatom, _lpoint_verdict, _point_code, _point_fails
+from lsubgroups.groups import _closure, _indices, _lower_covers, _subgroup_table
+from lsubgroups.maximal import _code, _coatom_index, _highest, _lpoint_verdict, _point_code, _point_fails
 
 from conftest import dihedral, elementary_abelian
 from element_walk import search_l_subgroup_values
@@ -1038,19 +1038,26 @@ class TestClosedFormWitness:
         for x, cap in zip(v4.elements, mu.value_indices()):
             for a in {0, 1, 99, 100, 101, 199, 200, 201, 254, 255} & set(range(cap + 1)):
                 point, mask = LPoint(x, lat.elements[a]), _point_code(lat, v4.index(x), a)
-                assert _highest_coatom(mu, DEFAULT_BUDGET, lambda p: mask & ~p) == highest_coatom_by_contains(
-                    mu, lambda c: not point_in(point, c)
-                )
+                missing = [c for p, c in _coatom_index(mu, DEFAULT_BUDGET) if mask & ~p]
+                assert _highest(lat, missing) == highest_coatom_by_contains(mu, lambda c: not point_in(point, c))
 
 
 class TestPointFails:
     """``_point_fails`` decides one point of the point route as generation
     does, over every member of L(mu) but mu, constants included, so a level
-    left empty at a join-irreducible not under the point stays empty."""
+    left empty at a join-irreducible not under the point stays empty.  The
+    levels of a member are subgroups or ∅ already, so every mask it closes
+    is a level with x added."""
 
     @staticmethod
-    def check(mu):
-        lat, checked, failing = mu.lattice, 0, 0
+    def check(mu, monkeypatch):
+        lat, checked, failing, closed = mu.lattice, 0, 0, []
+
+        def recorded(group, mask):
+            closed.append(mask)
+            return _closure(group, mask)
+
+        monkeypatch.setattr(maximal_module, "_closure", recorded)
         for nu in enumerate_l_subgroups(mu):
             if nu == mu:
                 continue
@@ -1059,24 +1066,26 @@ class TestPointFails:
                     if lat._leq[a][cap] and not lat._leq[a][low]:
                         fails = generate(adjoin_point(nu, LPoint(mu.group.elements[x], lat.elements[a]))) != mu
                         assert _point_fails(nu, mu, x, a) == fails
+                        assert all(mask >> x & 1 for mask in closed)
+                        closed.clear()
                         checked += 1
                         failing += fails
         return checked, failing
 
     @pytest.mark.parametrize("kind, seeds", [("chain2-6", 30), ("product2x3", 20), ("divisors30", 12)])
-    def test_seeded_parents(self, kind, seeds):
+    def test_seeded_parents(self, kind, seeds, monkeypatch):
         checked = failing = 0
         for seed in range(seeds):
-            c, f = self.check(build_instance(InstanceSpec(seed, lattice_kind=kind)).mu)
+            c, f = self.check(build_instance(InstanceSpec(seed, lattice_kind=kind)).mu, monkeypatch)
             checked, failing = checked + c, failing + f
         assert 0 < failing < checked
 
     @pytest.mark.parametrize("group", ["C1", "C2", "V4"])
-    def test_constant_tops_over_short_chains(self, group):
+    def test_constant_tops_over_short_chains(self, group, monkeypatch):
         checked = failing = 0
         for n in range(1, 5):
             lat = make_lattice(f"chain{n}")
-            c, f = self.check(constant(builtin_group(group), lat, lat.top))
+            c, f = self.check(constant(builtin_group(group), lat, lat.top), monkeypatch)
             checked, failing = checked + c, failing + f
         assert 0 < failing < checked
 
