@@ -113,7 +113,12 @@ def validate_group(elements: Sequence[str], table: Sequence[Sequence[str]]) -> F
     Checks, in order: entries name known elements (NotClosedError),
     associativity over all triples (NotAssociativeError), existence of a
     two-sided identity (NoIdentityError) and of two-sided inverses
-    (NoInverseError).
+    (NoInverseError).  Each check compares whole rows: (ij)k = i(jk) for
+    all k is row ij against row i read along row j, the identity is the
+    first element whose row and column are both the element order, and the
+    inverse of i is where the identity stands in row i, checked on the
+    other side (in a monoid a two-sided inverse is the only right inverse).
+    An error names the first failing triple, or element, in index order.
     """
     elements = tuple(elements)
     if not elements or len(set(elements)) != len(elements):
@@ -132,32 +137,27 @@ def validate_group(elements: Sequence[str], table: Sequence[Sequence[str]]) -> F
             out.append(index[entry])
         t.append(out)
 
-    for i in range(n):
-        for j in range(n):
-            tij = t[i][j]
-            for k in range(n):
-                if t[tij][k] != t[i][t[j][k]]:
-                    raise NotAssociativeError(
-                        f"({elements[i]}*{elements[j]})*{elements[k]} != "
-                        f"{elements[i]}*({elements[j]}*{elements[k]})"
-                    )
+    for i, row in enumerate(t):
+        along_i = row.__getitem__
+        for j, tij in enumerate(row):
+            if t[tij] != list(map(along_i, t[j])):
+                k = next(k for k, (a, b) in enumerate(zip(t[tij], t[j])) if a != row[b])
+                raise NotAssociativeError(
+                    f"({elements[i]}*{elements[j]})*{elements[k]} != "
+                    f"{elements[i]}*({elements[j]}*{elements[k]})"
+                )
 
-    identity = None
-    for i in range(n):
-        if all(t[i][j] == j and t[j][i] == j for j in range(n)):
-            identity = i
-            break
+    order = list(range(n))
+    identity = next((i for i, row in enumerate(t) if row == order and [r[i] for r in t] == order), None)
     if identity is None:
         raise NoIdentityError("no two-sided identity element")
 
-    inverse = [-1] * n
-    for i in range(n):
-        for j in range(n):
-            if t[i][j] == identity and t[j][i] == identity:
-                inverse[i] = j
-                break
-        if inverse[i] < 0:
+    inverse = []
+    for i, row in enumerate(t):
+        j = row.index(identity) if identity in row else None
+        if j is None or t[j][i] != identity:
             raise NoInverseError(f"element {elements[i]!r} has no two-sided inverse")
+        inverse.append(j)
 
     return FiniteGroup(elements, t, identity, inverse)
 
@@ -449,10 +449,15 @@ def inner_automorphism(group: FiniteGroup, g: str) -> GroupHom:
 # ---------------------------------------------------------- documents
 
 def group_from_document(doc: dict) -> FiniteGroup:
-    """Parse ``{"elements": [...], "table": [[...], ...]}`` or ``{"builtin": "D8"}``."""
+    """Parse ``{"elements": [...], "table": [[...], ...]}`` or ``{"builtin": "D8"}``.
+
+    A document that gives ``builtin`` together with ``elements`` or ``table`` is refused.
+    """
     if not isinstance(doc, dict):
         raise DocumentError("group document must be a JSON object")
     if "builtin" in doc:
+        if "elements" in doc or "table" in doc:
+            raise DocumentError("group document gives 'builtin' together with 'elements' or 'table'")
         if not isinstance(doc["builtin"], str):
             raise DocumentError("'builtin' must be a group name")
         try:

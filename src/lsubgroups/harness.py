@@ -91,7 +91,8 @@ class InstanceSpec:
     group name, or names joined with ``|``.  ``subgroup_density`` in [0, 1]
     controls how many links the generating subgroup chains keep; at zero
     both members of the pair degenerate to constants.  A bad alternative
-    of either kind is refused when the spec is made, whatever the seed.
+    of either kind, and a density outside [0, 1] (NaN included), is refused
+    with ValueError when the spec is made, whatever the seed.
     """
 
     seed: int
@@ -100,6 +101,9 @@ class InstanceSpec:
     subgroup_density: float = 0.6
 
     def __post_init__(self) -> None:
+        # NaN fails both comparisons
+        if not 0 <= self.subgroup_density <= 1:
+            raise ValueError(f"subgroup_density {self.subgroup_density!r} is outside [0, 1]")
         for kind in self.lattice_kind.split("|"):
             bounds = _CHAIN_RANGE.fullmatch(kind)
             # decimals without leading zeros compare as (length, digits), with no int()

@@ -102,18 +102,12 @@ class LSubset:
     def tip(self) -> str:
         """Join of all membership values."""
         lat = self.lattice
-        acc = self._vals[0]
-        for v in self._vals[1:]:
-            acc = lat._join[acc][v]
-        return lat.elements[acc]
+        return lat.elements[lat._fold(lat._join, lat.bottom, self._vals)]
 
     def tail(self) -> str:
         """Meet of all membership values."""
         lat = self.lattice
-        acc = self._vals[0]
-        for v in self._vals[1:]:
-            acc = lat._meet[acc][v]
-        return lat.elements[acc]
+        return lat.elements[lat._fold(lat._meet, lat.top, self._vals)]
 
     def image(self) -> frozenset[str]:
         """The set of attained values."""
@@ -134,9 +128,7 @@ class LPoint(NamedTuple):
     height: str
 
     def as_l_subset(self, group: FiniteGroup, lattice: FiniteLattice) -> LSubset:
-        vals = bytearray([lattice.index(lattice.bottom)]) * len(group)
-        vals[group.index(self.point)] = lattice.index(self.height)
-        return LSubset(group, lattice, bytes(vals))
+        return adjoin_point(constant(group, lattice, lattice.bottom), self)
 
 
 # ------------------------------------------------------------ constructors
@@ -213,30 +205,28 @@ def contains(outer: LSubset, inner: LSubset) -> bool:
     return all(leq[i][o] for i, o in zip(inner._vals, outer._vals))
 
 
-def union_of(family: Iterable[LSubset]) -> LSubset:
-    """Pointwise join of a non-empty family over shared carriers."""
+def _pointwise(family: Iterable[LSubset], meet: bool) -> LSubset:
+    # the pointwise meet, or join, of a non-empty family over shared carriers
     family = list(family)
     if not family:
-        raise MismatchedCarriersError("union of an empty family is undefined")
+        name = "intersection" if meet else "union"
+        raise MismatchedCarriersError(f"{name} of an empty family is undefined")
     _same_carriers(*family)
-    join = family[0].lattice._join
-    vals = family[0]._vals
+    lat, vals = family[0].lattice, family[0]._vals
+    table = lat._meet if meet else lat._join
     for member in family[1:]:
-        vals = [join[a][b] for a, b in zip(vals, member._vals)]
-    return LSubset(family[0].group, family[0].lattice, vals)
+        vals = [table[a][b] for a, b in zip(vals, member._vals)]
+    return LSubset(family[0].group, lat, vals)
+
+
+def union_of(family: Iterable[LSubset]) -> LSubset:
+    """Pointwise join of a non-empty family over shared carriers."""
+    return _pointwise(family, meet=False)
 
 
 def intersection_of(family: Iterable[LSubset]) -> LSubset:
     """Pointwise meet of a non-empty family over shared carriers."""
-    family = list(family)
-    if not family:
-        raise MismatchedCarriersError("intersection of an empty family is undefined")
-    _same_carriers(*family)
-    meet = family[0].lattice._meet
-    vals = family[0]._vals
-    for member in family[1:]:
-        vals = [meet[a][b] for a, b in zip(vals, member._vals)]
-    return LSubset(family[0].group, family[0].lattice, vals)
+    return _pointwise(family, meet=True)
 
 
 def set_product(mu: LSubset, eta: LSubset) -> LSubset:
@@ -404,7 +394,7 @@ def generate(eta: LSubset) -> LSubset:
     lat, group = eta.lattice, eta.group
     if not lat.distributive:
         raise NonDistributiveLatticeError("generation requires a distributive lattice")
-    leq, join, tip = lat._leq, lat._join, lat.index(eta.tip())
+    leq, join, tip = lat._leq, lat._join, lat._fold(lat._join, lat.bottom, eta._vals)
     vals = bytearray([lat.index(lat.bottom)]) * len(group)
     for a in lat._irreducibles:
         if leq[a][tip]:

@@ -435,6 +435,25 @@ class TestModuleBoundaries:
         ]
         assert outside == []
 
+    def test_library_has_no_unused_imports(self):
+        # a name an import binds is read somewhere in its module; annotations
+        # count, as they stay in the syntax tree under postponed evaluation
+        unused = []
+        for path in sorted((SRC / "lsubgroups").glob("*.py")):
+            tree = ast.parse(path.read_text(), filename=str(path))
+            read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+            unused += [
+                f"{path.stem}.{name}"
+                for node in ast.walk(tree)
+                if isinstance(node, ast.Import)
+                or isinstance(node, ast.ImportFrom) and node.module != "__future__"
+                for name in ((a.asname or a.name).partition(".")[0] for a in node.names)
+                if name not in read
+            ]
+        # generate stays imported in maximal until the benchmark's tracer goes:
+        # bench/tests/test_bench.py::test_tracer_restores_every_binding reads it
+        assert unused == ["maximal.generate"]
+
 
 # the library layers a command loads besides the package, cli and errors
 COMMAND_LAYERS = {
@@ -661,8 +680,10 @@ class TestErrors:
         ("-l", None),
         ("-l", b'{"chain": ["0", "\xff"]}'),
         ("-l", "[" * 100_000 + "]" * 100_000),
+        ("-l", json.dumps({"chain": FIVE_CHAIN, "le": [["1", "0"]]})),
+        ("-g", json.dumps({"builtin": "D8", **builtin_group("D8").as_document()})),
     ], ids=["builtin number", "builtin list", "table entry list", "value list", "directory",
-            "not utf-8", "nested deep"])
+            "not utf-8", "nested deep", "chain with le", "builtin with table"])
     def test_malformed_document(self, tmp_path, docs, capsys, flag, content):
         # each used to end in a traceback and exit 1
         path = tmp_path / "malformed.json"

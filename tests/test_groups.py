@@ -9,6 +9,7 @@ from itertools import combinations
 import pytest
 
 from lsubgroups import (
+    FiniteGroup,
     NoIdentityError,
     NoInverseError,
     NotAHomomorphismError,
@@ -140,6 +141,96 @@ def relabelled(group, seed):
     names = list(group.elements)
     random.Random(seed).shuffle(names)
     return validate_group(names, [[group.op(x, y) for y in names] for x in names])
+
+
+def validate_group_by_triples(elements, table):
+    """The former ``validate_group``, verbatim: the reference for its row comparisons."""
+    elements = tuple(elements)
+    if not elements or len(set(elements)) != len(elements):
+        raise NotClosedError("element names must be non-empty and unique")
+    index = {name: i for i, name in enumerate(elements)}
+    n = len(elements)
+    if len(table) != n or any(len(row) != n for row in table):
+        raise NotClosedError(f"operation table must be {n}x{n}")
+
+    t: list[list[int]] = []
+    for row in table:
+        out = []
+        for entry in row:
+            if entry not in index:
+                raise NotClosedError(f"table entry {entry!r} is not an element")
+            out.append(index[entry])
+        t.append(out)
+
+    for i in range(n):
+        for j in range(n):
+            tij = t[i][j]
+            for k in range(n):
+                if t[tij][k] != t[i][t[j][k]]:
+                    raise NotAssociativeError(
+                        f"({elements[i]}*{elements[j]})*{elements[k]} != "
+                        f"{elements[i]}*({elements[j]}*{elements[k]})"
+                    )
+
+    identity = None
+    for i in range(n):
+        if all(t[i][j] == j and t[j][i] == j for j in range(n)):
+            identity = i
+            break
+    if identity is None:
+        raise NoIdentityError("no two-sided identity element")
+
+    inverse = [-1] * n
+    for i in range(n):
+        for j in range(n):
+            if t[i][j] == identity and t[j][i] == identity:
+                inverse[i] = j
+                break
+        if inverse[i] < 0:
+            raise NoInverseError(f"element {elements[i]!r} has no two-sided inverse")
+
+    return FiniteGroup(elements, t, identity, inverse)
+
+
+def validation_outcome(validate, elements, table):
+    """(identity index, inverses) on success, else (error type, message)."""
+    try:
+        group = validate(elements, table)
+    except (NotClosedError, NotAssociativeError, NoIdentityError, NoInverseError) as exc:
+        return type(exc), str(exc)
+    return group.identity_index, [group.inverse_index(i) for i in range(len(group))]
+
+
+# every builtin but the larger Cn, whose reference runs take seconds, and the
+# shared builders up to order 32 (D8 is the builtin)
+REFERENCE_GROUPS = [
+    "Q8", "D8", "V4", *(f"C{n}" for n in (*range(1, 17), 24, 32)),
+    *(f"C2^{k}" for k in range(1, 6)), *(f"D{order}" for order in range(4, 33, 2) if order != 8),
+]
+
+
+class TestRowsMatchTheTriples:
+    @pytest.mark.parametrize("name", REFERENCE_GROUPS)
+    def test_group_tables(self, name):
+        names, table = named_group(name).as_document().values()
+        assert validation_outcome(validate_group, names, table) == validation_outcome(
+            validate_group_by_triples, names, table
+        )
+
+    @pytest.mark.parametrize("name", [name for name in REFERENCE_GROUPS if name != "C1"])
+    def test_one_entry_corruptions(self, name):
+        # each error keeps its type and its message, which names the first
+        # failing triple or element
+        group = named_group(name)
+        names, n = list(group.elements), len(group)
+        rng = random.Random(n)
+        for _ in range(20):
+            table = [[group.op(x, y) for y in names] for x in names]
+            i, j = rng.randrange(n), rng.randrange(n)
+            table[i][j] = names[(names.index(table[i][j]) + rng.randrange(1, n)) % n]
+            assert validation_outcome(validate_group, names, table) == validation_outcome(
+                validate_group_by_triples, names, table
+            )
 
 
 class TestValidation:
@@ -517,7 +608,23 @@ class TestRefusals:
         (lambda: group_from_document([]), DocumentError, "group document must be a JSON object"),
         (lambda: hom_from_document({}, builtin_group("C2"), builtin_group("C2")), DocumentError,
          "hom document needs a 'map' object"),
-    ], ids=["ragged table", "group document not an object", "hom document without a map"])
+        (lambda: group_from_document(
+            {"builtin": "V4", "elements": ["e", "a", "b", "c"], "table": KLEIN_TABLE}
+        ), DocumentError, "group document gives 'builtin' together with 'elements' or 'table'"),
+        (lambda: group_from_document({"builtin": "C2", "table": [["e"]]}), DocumentError,
+         "group document gives 'builtin' together with 'elements' or 'table'"),
+        # xy = y: every row is the element order, no column is
+        (lambda: validate_group(["a", "b", "c"], [["a", "b", "c"]] * 3), NoIdentityError,
+         "no two-sided identity element"),
+        # e > a > z under the meet: a monoid whose zero is z
+        (lambda: validate_group(["e", "a", "z"], [["e", "a", "z"], ["a", "a", "z"], ["z", "z", "z"]]),
+         NoInverseError, "element 'a' has no two-sided inverse"),
+        # (a*a)*k = a*(a*k) holds for k = a, b and fails first at k = c
+        (lambda: validate_group(["a", "b", "c"], [["a", "a", "b"], ["a", "b", "c"], ["a", "c", "a"]]),
+         NotAssociativeError, "(a*a)*c != a*(a*c)"),
+    ], ids=["ragged table", "group document not an object", "hom document without a map",
+            "builtin with elements and table", "builtin with table", "right-zero semigroup",
+            "monoid with a zero", "first failure past k = 0"])
     def test_type_and_message(self, call, error, message):
         with pytest.raises(error) as refused:
             call()

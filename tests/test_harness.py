@@ -83,21 +83,23 @@ class TestLatticeKinds:
         with pytest.raises(ValueError, match="unknown lattice kind"):
             InstanceSpec(0, lattice_kind=kind)
 
-    @pytest.mark.parametrize("lattice_kind, group_kind, error, message", [
-        ("chain2-6", "C0|D8", UnknownBuiltinError, "unknown builtin group 'C0'"),
-        ("chain2-6", "X9|V4", UnknownBuiltinError, "unknown builtin group 'X9'"),
-        ("chain0-4", "Q8", ValueError, "unknown lattice kind 'chain0-4'"),
-        ("chain3-2", "Q8", ValueError, "unknown lattice kind 'chain3-2'"),
-        ("chain2-x", "Q8", ValueError, "unknown lattice kind 'chain2-x'"),
-        ("chain2-17", "Q8", ValueError, "unknown lattice kind 'chain17'"),
-        ("chain2-6|moebius", "Q8", ValueError, "unknown lattice kind 'moebius'"),
+    @pytest.mark.parametrize("lattice_kind, group_kind, error, message, density", [
+        ("chain2-6", "C0|D8", UnknownBuiltinError, "unknown builtin group 'C0'", 0.6),
+        ("chain2-6", "X9|V4", UnknownBuiltinError, "unknown builtin group 'X9'", 0.6),
+        ("chain0-4", "Q8", ValueError, "unknown lattice kind 'chain0-4'", 0.6),
+        ("chain3-2", "Q8", ValueError, "unknown lattice kind 'chain3-2'", 0.6),
+        ("chain2-x", "Q8", ValueError, "unknown lattice kind 'chain2-x'", 0.6),
+        ("chain2-17", "Q8", ValueError, "unknown lattice kind 'chain17'", 0.6),
+        ("chain2-6|moebius", "Q8", ValueError, "unknown lattice kind 'moebius'", 0.6),
+        *(("chain2-6", "Q8", ValueError, rf"subgroup_density {d!r} is outside \[0, 1\]", d)
+          for d in (float("nan"), -1.0, 2.0, float("inf"))),
     ])
-    def test_malformed_spec_is_refused_on_every_seed(self, lattice_kind, group_kind, error, message):
-        # every alternative is checked when the spec is made, not only the
-        # ones that some trial happens to draw
+    def test_malformed_spec_is_refused_on_every_seed(self, lattice_kind, group_kind, error, message, density):
+        # every alternative, and the density, is checked when the spec is
+        # made, not only the ones that some trial happens to draw
         for seed in range(4):
             with pytest.raises(error, match=message):
-                InstanceSpec(seed, lattice_kind=lattice_kind, group_kind=group_kind)
+                InstanceSpec(seed, lattice_kind=lattice_kind, group_kind=group_kind, subgroup_density=density)
 
     def test_chain_lengths_run_from_one_to_sixteen(self):
         assert len(make_lattice("chain1")) == 1

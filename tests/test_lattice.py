@@ -215,6 +215,9 @@ class TestSupstar:
             assert lat.is_supstar_subset(xs) == brute
 
 
+MIXED_SHAPES = "lattice document gives 'chain' together with 'elements' or 'le'"
+
+
 class TestDocuments:
     def test_chain_shorthand(self):
         lat = lattice_from_document({"chain": ["0", "a", "1"]})
@@ -244,6 +247,10 @@ class TestDocuments:
     @pytest.mark.parametrize("doc, message", [
         ({"chain": [1, 2]}, "'chain' must be a list of element names"),
         ({"elements": ["0", 1]}, "'elements' must be a list of element names"),
+        ({"chain": ["0", "1"], "le": [["1", "0"]]}, MIXED_SHAPES),
+        ({"chain": ["0", "1"], "elements": ["0", "1"]}, MIXED_SHAPES),
+        ({"chain": ["0", "0"]}, "duplicate element names"),
+        ({"elements": ["0", "1", "0"], "le": [["0", "1"]]}, "duplicate element names"),
     ])
     def test_refusal_messages(self, doc, message):
         with pytest.raises(DocumentError) as refused:

@@ -959,11 +959,12 @@ class TestPoints:
 class TestRefusals:
     @pytest.mark.parametrize("call, message", [
         (lambda: union_of([]), "union of an empty family is undefined"),
+        (lambda: intersection_of([]), "intersection of an empty family is undefined"),
         (lambda: pullback(
             validate_hom(builtin_group("C2"), builtin_group("C2"), {"e": "e", "g": "g"}),
             constant(builtin_group("C3"), chain_lattice(["0", "1"]), "1"),
         ), "pullback needs an L-subset over the target group"),
-    ], ids=["empty union", "pullback over the wrong group"])
+    ], ids=["empty union", "empty intersection", "pullback over the wrong group"])
     def test_type_and_message(self, call, message):
         with pytest.raises(MismatchedCarriersError) as refused:
             call()
