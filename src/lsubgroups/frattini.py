@@ -4,9 +4,9 @@ The Frattini L-subgroup of mu is the pointwise meet of all maximal
 L-subgroups of mu, falling back to mu itself when there are none.  A point
 a_x of mu is a non-generator when it can be dropped from any generating
 family: whenever adjoining a_x to some L-subset of mu generates mu, that
-L-subset already generates mu on its own.  Over chain lattices the join of
-all non-generator points coincides with the Frattini L-subgroup, and the
-report produced here carries both sides of that comparison.
+L-subset already generates mu on its own.  Over every finite distributive
+lattice the join of all non-generator points is the Frattini L-subgroup
+unless some coatom of L(mu) is constant; the report carries both sides.
 
 Both constructions read the coatoms of L(mu), the members other than mu
 with nothing strictly between them and mu, which ``maximal`` builds in
@@ -52,9 +52,9 @@ class FrattiniReport(NamedTuple):
     docstring): ``nongen`` is the join of all non-generator points, which is
     the meet of all coatoms of L(mu); phi is the meet of the non-constant
     ones (``maximal_count`` of them), so it always contains ``nongen``.
-    Each meet is one AND of the coatoms' codes.  Over a finite chain the two
-    coincide unless some coatom is constant (``constant_obstructed``); the
-    harness property ``nongenerators_inside_frattini`` checks both.
+    Each meet is one AND of the coatoms' codes.  Over every finite distributive
+    lattice the two coincide unless some coatom is constant
+    (``constant_obstructed``); ``nongenerators_inside_frattini`` checks both.
     """
 
     phi: LSubset
@@ -82,8 +82,8 @@ def constant_obstructed(mu: LSubset, budget: int = DEFAULT_BUDGET) -> bool:
     maximal L-subgroup, so it enters the meet that gives the non-generator
     subgroup but not the one that gives phi: adjoining a missing point to it
     generates mu while the constant itself does not.  On instances free of
-    this obstruction the two constructions coincide over chain lattices; on
-    obstructed ones the non-generator subgroup can be strictly smaller,
+    this obstruction the two coincide over every finite distributive lattice;
+    on obstructed ones the non-generator subgroup can be strictly smaller,
     starting with mu the characteristic function of the trivial subgroup.
     """
     return frattini(mu, budget).constant_obstructed
@@ -176,10 +176,11 @@ def frattini_level_compare(mu: LSubset, b: str, budget: int = DEFAULT_BUDGET) ->
     ``forward_inclusion`` asks whether the classical Frattini subgroup of
     the level subset mu_b sits inside the level of the Frattini L-subgroup;
     ``reverse_inclusion`` reports the converse, which can fail.  Requires a
-    chain lattice.  The forward inclusion is only guaranteed for attained
-    levels of a parent whose Frattini L-subgroup keeps the tip, so both of
-    those facts are reported (``level_attained``, ``tip_condition_holds``)
-    rather than enforced.
+    chain lattice, the one Frattini statement here that does: off chains, F20
+    and S4 break the forward inclusion (the README's scope list gives them).
+    It is only guaranteed for attained levels of a parent whose Frattini
+    L-subgroup keeps the tip, so both of those facts are reported
+    (``level_attained``, ``tip_condition_holds``) rather than enforced.
     """
     if not mu.lattice.is_upper_well_ordered():
         raise HypothesisNotMetError("level comparison is stated over chain lattices")
@@ -228,9 +229,11 @@ def nongenerators_conjugation_closed(
 
 
 def frattini_is_normal(mu: LSubset, budget: int = DEFAULT_BUDGET) -> bool:
-    """Over a chain lattice, return whether phi of a normal mu is normal in mu."""
-    if not mu.lattice.is_upper_well_ordered():
-        raise HypothesisNotMetError("normality of phi is stated over chain lattices")
+    """Return whether phi of a normal mu is normal in mu, as it always is.
+
+    Conjugation by g fixes a normal mu, so it permutes the non-constant
+    coatoms of L(mu) and fixes phi: phi(yxy⁻¹) = phi(x) ≥ phi(x) ∧ mu(y).
+    """
     if not is_normal_in_group(mu):
         raise NotNormalInGroupError("normality of phi needs mu normal in the group")
     return is_normal_in(frattini(mu, budget).phi, mu)

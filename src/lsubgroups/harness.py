@@ -554,14 +554,11 @@ def prop_nongenerators_inside_frattini(inst: Instance):
     report = frattini(inst.mu)
     if not contains(report.phi, report.nongen):
         _fail(reason="non-generator subgroup escapes phi")
-    # equality over chains is only a theorem away from constant-obstructed
-    # instances; on those the non-generator subgroup can sit strictly lower
-    if (
-        inst.lattice.is_upper_well_ordered()
-        and not report.constant_obstructed
-        and not report.equality_holds
-    ):
-        _fail(reason="chain lattice, unobstructed, but the two constructions differ")
+    # equality off constant-obstructed instances, on every lattice: there
+    # both sides are meets of the same coatoms, so this is a cheap sanity
+    # check of the report (checking phi by its definition is in ROADMAP.md)
+    if not report.constant_obstructed and not report.equality_holds:
+        _fail(reason="unobstructed, but the two constructions differ")
 
 
 def prop_frattini_below_each_maximal(inst: Instance):
@@ -580,6 +577,7 @@ def prop_fallback_iff_no_maximals(inst: Instance):
 
 
 def prop_frattini_level_inclusion(inst: Instance):
+    # the suite's one chain skip: F20 and S4 break the inclusion off chains
     if not inst.lattice.is_upper_well_ordered():
         return SKIPPED
     report = frattini(inst.mu)
@@ -591,7 +589,7 @@ def prop_frattini_level_inclusion(inst: Instance):
 
 
 def prop_frattini_normal_in_parent(inst: Instance):
-    if not inst.lattice.is_upper_well_ordered() or not is_normal_in_group(inst.mu):
+    if not is_normal_in_group(inst.mu):
         return SKIPPED
     if not frattini_is_normal(inst.mu):
         _fail(reason="phi is not normal in mu")
@@ -611,8 +609,6 @@ def prop_frattini_image_inclusion(inst: Instance):
 
 
 def prop_maximal_avoiding_exists(inst: Instance):
-    if not inst.lattice.is_upper_well_ordered():
-        return SKIPPED
     rng = random.Random(f"{inst.spec.seed}:{inst.trial}:zorn")
     pool = inst.members
     theta = pool[rng.randrange(len(pool))]

@@ -2,9 +2,9 @@
 
 The value tables are frozen literals so every test checks the library
 against independently written data rather than against other library calls.
-``elementary_abelian`` and ``dihedral`` build the larger groups the tests
-share, and ``SEEDED_SPECS`` parametrizes a test over seeded instances;
-import them with ``from conftest import ...``.
+``elementary_abelian``, ``dihedral`` and ``permutation_group`` build the
+larger groups the tests share, and ``SEEDED_SPECS`` parametrizes a test over
+seeded instances; import them with ``from conftest import ...``.
 """
 import pytest
 
@@ -92,6 +92,25 @@ def dihedral(order):
         [names[pairs.index(((a + b) % 2, ((-i if b else i) + j) % n))] for b, j in pairs]
         for a, i in pairs
     ]
+    return validate_group(names, table)
+
+
+def permutation_group(*generators):
+    """The group the permutations generate, each a tuple of images of 0..n-1.
+
+    Elements are named by their images ("1230" sends 0 to 1) and listed
+    breadth first from the identity under right multiplication by the
+    generators; p*q applies p first.
+    """
+    elements = [tuple(range(len(generators[0])))]
+    for p in elements:  # grows while it is read: breadth first
+        for g in generators:
+            q = tuple(g[i] for i in p)
+            if q not in elements:
+                elements.append(q)
+    names = ["".join(map(str, p)) for p in elements]
+    index = {p: i for i, p in enumerate(elements)}
+    table = [[names[index[tuple(q[i] for i in p)]] for q in elements] for p in elements]
     return validate_group(names, table)
 
 

@@ -454,6 +454,43 @@ class TestModuleBoundaries:
         # bench/tests/test_bench.py::test_tracer_restores_every_binding reads it
         assert unused == ["maximal.generate"]
 
+    def test_chain_hypothesis_is_stated_once(self):
+        # the level comparison is the one statement that needs a chain (F20
+        # and S4 break it off chains): the library refuses there alone, and
+        # the harness skips off chains there alone
+        def owners(path, hit):
+            found = []
+
+            def visit(node, owner):
+                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    owner = f"{path.stem}.{node.name}"
+                if hit(node):
+                    found.append(owner)
+                for child in ast.iter_child_nodes(node):
+                    visit(child, owner)
+
+            visit(ast.parse(path.read_text(), filename=str(path)), path.stem)
+            return found
+
+        def named(node, name):
+            return isinstance(node, ast.Name) and node.id == name or (
+                isinstance(node, ast.Attribute) and node.attr == name
+            )
+
+        def raises_hypothesis(node):
+            return isinstance(node, ast.Raise) and node.exc is not None and any(
+                named(n, "HypothesisNotMetError") for n in ast.walk(node.exc)
+            )
+
+        raises = [
+            owner
+            for path in sorted((SRC / "lsubgroups").glob("*.py"))
+            for owner in owners(path, raises_hypothesis)
+        ]
+        assert raises == ["frattini.frattini_level_compare"]
+        reads = owners(SRC / "lsubgroups" / "harness.py", lambda node: named(node, "is_upper_well_ordered"))
+        assert reads == ["harness.prop_frattini_level_inclusion"]
+
 
 # the library layers a command loads besides the package, cli and errors
 COMMAND_LAYERS = {

@@ -16,6 +16,7 @@ from lsubgroups import (
     NotAnLSubgroupError,
     NotNormalInGroupError,
     adjoin_point,
+    all_subgroups,
     build_instance,
     builtin_group,
     chain_lattice,
@@ -38,6 +39,7 @@ from lsubgroups import (
     is_l_subgroup_of,
     is_maximal,
     is_non_generator,
+    is_normal_subgroup,
     is_normal_in_group,
     l_subset,
     make_lattice,
@@ -48,13 +50,14 @@ from lsubgroups import (
     nongenerators_conjugation_closed,
     point_in,
     random_l_subset_below,
+    subgroup_closure,
     validate_hom,
     validate_lattice,
 )
 from lsubgroups.errors import LPointNotInParentError, MismatchedCarriersError
 from lsubgroups.maximal import _coatom_index
 
-from conftest import D8_PHI, SEEDED_SPECS, elementary_abelian
+from conftest import D8_PHI, SEEDED_SPECS, elementary_abelian, permutation_group
 
 # the package exports the function ``frattini`` under the module's name
 frattini_module = importlib.import_module("lsubgroups.frattini")
@@ -160,6 +163,22 @@ def nongen_by_intersection(mu):
     """Oracle: the pointwise meet of every coatom of L(mu), mu when there are none."""
     coatoms = [c for _, c in _coatom_index(mu, DEFAULT_BUDGET)]
     return intersection_of(coatoms) if coatoms else mu
+
+
+# F20 = <x ↦ x+1, x ↦ 2x> on 5 points and S4 = <(0 1 2 3), (0 1)>, each with
+# a cyclic H of order 4 that is not normal (<x ↦ 2x> and <(0 1 2 3)>), and
+# the count of maximal L-subgroups of c4_parent over each
+F20 = ((1, 2, 3, 4, 0), (0, 2, 4, 1, 3))
+S4 = ((1, 2, 3, 0), (1, 0, 2, 3))
+C4_CASES = {"F20": (F20, "02413", 7), "S4": (S4, "1230", 9)}
+
+
+def c4_parent(generators, h):
+    """Over the 2x2 product: (1,1) on H = <h> and (1,0) elsewhere."""
+    group = permutation_group(*generators)
+    inside = subgroup_closure(group, [h])
+    values = {x: "(1,1)" if x in inside else "(1,0)" for x in group.elements}
+    return l_subset(group, make_lattice("product2x2"), values)
 
 
 def nongen_by_name_fold(mu):
@@ -390,7 +409,10 @@ class TestMeetsMatchTheIntersections:
 class TestChainEqualityBoundary:
     """The non-generator subgroup can sit strictly below phi on instances
     where a constant member of L(mu) has nothing strictly between it and mu;
-    these pin the exact behaviour on the two smallest such cases."""
+    these pin the exact behaviour on the two smallest such cases, both over
+    chains.  The boundary is the same over every finite distributive
+    lattice: unobstructed, both sides are meets of the same coatoms, which
+    the harness checks over products and divisor lattices too."""
 
     def test_characteristic_of_trivial_subgroup(self):
         lat = chain_lattice(["0", "1"])
@@ -489,6 +511,21 @@ class TestLevelCompare:
         mu = constant(builtin_group("C2"), lat, "1")
         with pytest.raises(HypothesisNotMetError):
             frattini_level_compare(mu, "1")
+
+    @pytest.mark.parametrize("name", C4_CASES)
+    def test_off_chains_the_inclusion_fails(self, name):
+        # why the refusal stays: phi keeps the tip and (1,1) is attained, yet
+        # the classical Frattini subgroup of the level escapes phi's level
+        generators, h, maximal_count = C4_CASES[name]
+        mu = c4_parent(generators, h)
+        group, phi = mu.group, frattini(mu).phi
+        assert is_l_subgroup(mu)
+        assert len(maximal_l_subgroups(mu)) == maximal_count
+        assert phi.value(group.identity) == mu.value(group.identity) == "(1,1)"
+        assert len(frattini_classical(group, mu.level("(1,1)"))) == 2
+        assert phi.level("(1,1)") == {group.identity}
+        with pytest.raises(HypothesisNotMetError, match="stated over chain lattices"):
+            frattini_level_compare(mu, "(1,1)")
 
     def test_trivial_group(self, five_chain):
         g = builtin_group("C1")
@@ -624,13 +661,25 @@ class TestFrattiniNormality:
         mu = constant(builtin_group("C1"), five_chain, "1")
         assert frattini_is_normal(mu)
 
-    def test_needs_chain(self):
+    def test_holds_off_chains(self):
         lat = validate_lattice(
             ["0", "p", "q", "1"], [("0", "p"), ("0", "q"), ("p", "1"), ("q", "1")]
         )
-        mu = constant(builtin_group("C2"), lat, "1")
-        with pytest.raises(HypothesisNotMetError):
-            frattini_is_normal(mu)
+        assert frattini_is_normal(constant(builtin_group("C2"), lat, "1"))
+        # a on a normal subgroup of S4 and b ≤ a elsewhere, over three lattices
+        s4 = permutation_group(*S4)
+        normals = [h for h in all_subgroups(s4) if is_normal_subgroup(s4, h, s4.elements)]
+        parents = [
+            l_subset(s4, lat, {x: a if x in h else b for x in s4.elements})
+            for lat in map(make_lattice, ["product2x2", "product2x3", "divisors30"])
+            for a in lat.elements
+            for b in lat.down_set(a)
+            for h in normals
+        ]
+        assert len(parents) == 216
+        assert all(frattini_is_normal(mu) for mu in parents)
+        with pytest.raises(NotNormalInGroupError):
+            frattini_is_normal(c4_parent(S4, "1230"))
 
 
 class TestFrattiniTransport:

@@ -369,10 +369,21 @@ class TestSuite:
         assert counter["instance"]["lattice"] == "chain2"
 
     def test_skips_are_counted(self):
-        report = run_suite(InstanceSpec(seed=21, lattice_kind="product2x2"), trials=2)
+        spec = InstanceSpec(seed=1, lattice_kind="product2x2|product2x3|divisors12|divisors30")
+        report = run_suite(spec, trials=40)
         assert report.passed
-        # chain-only checks cannot run over a product lattice
-        assert report.properties["frattini_normal_in_parent"].skipped == 2
+        # off chains only the level comparison skips on every trial; phi's
+        # normality skips a parent not normal in the group, maximal_avoiding
+        # a theta that holds every point of mu
+        skipped = {
+            name: report.properties[name].skipped
+            for name in ("frattini_normal_in_parent", "maximal_avoiding_exists",
+                         "nongenerators_inside_frattini", "frattini_level_inclusion")
+        }
+        assert skipped == {
+            "frattini_normal_in_parent": 0, "maximal_avoiding_exists": 11,
+            "nongenerators_inside_frattini": 0, "frattini_level_inclusion": 40,
+        }
 
     def test_erroring_property_is_reported_unshrunk(self, monkeypatch):
         # an exception other than PropertyFailure fails the property too; its
