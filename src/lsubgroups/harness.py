@@ -15,7 +15,7 @@ import random
 import re
 from dataclasses import asdict, dataclass, field
 from functools import cached_property, lru_cache
-from typing import Callable
+from typing import Callable, Iterable
 
 from .errors import InstanceTooLargeError, SearchExhaustedError
 from .frattini import (
@@ -345,10 +345,10 @@ def _fail(**detail) -> None:
 
 
 def prop_generator_soundness(inst: Instance):
+    # membership needs mu's level at each join-irreducible empty or a subgroup;
+    # every level is an intersection of those, so mu is an L-subgroup as well
     if not is_l_subgroup_of(inst.eta, inst.mu):
         _fail(reason="generated pair fails the L(mu) membership test")
-    if not is_l_subgroup(inst.mu):
-        _fail(reason="generated parent is not an L-subgroup")
 
 
 def prop_level_sets_of_intersections(inst: Instance):
@@ -483,13 +483,18 @@ def prop_normality_matches_top_parent(inst: Instance):
         _fail(reason="normality in the group differs from normality below the constant top")
 
 
+def _pool(inst: Instance, label: str, *extra: LSubset) -> tuple[LSubset, ...]:
+    """L(mu) up to 120 members; past that, 60 of them drawn by the label's
+    stream, then the maximals, then extra."""
+    if len(inst.members) <= 120:
+        return inst.members
+    rng = random.Random(f"{inst.spec.seed}:{inst.trial}:{label}")
+    return (*rng.sample(inst.members, 60), *maximal_l_subgroups(inst.mu), *extra)
+
+
 def prop_maximality_strategies_agree(inst: Instance):
-    pool = inst.members
-    if len(pool) > 120:
-        rng = random.Random(f"{inst.spec.seed}:{inst.trial}:agree")
-        pool = tuple(rng.sample(pool, 60)) + maximal_l_subgroups(inst.mu) + (inst.eta,)
     mu, group, lat = inst.mu, inst.group, inst.lattice
-    for nu in pool:
+    for nu in _pool(inst, "agree", inst.eta):
         verdict = is_maximal(nu, mu)
         if verdict.reason == "not_proper":
             continue
@@ -519,12 +524,8 @@ def prop_maximal_level_profiles(inst: Instance):
 
 
 def prop_sufficient_condition_sound(inst: Instance):
-    pool = inst.members
-    if len(pool) > 120:
-        rng = random.Random(f"{inst.spec.seed}:{inst.trial}:suff")
-        pool = tuple(rng.sample(pool, 60)) + maximal_l_subgroups(inst.mu)
     # the pool lies in L(mu), mu being an L-subgroup, so only the pattern is left to test
-    for nu in pool:
+    for nu in _pool(inst, "suff"):
         if _sufficient_pattern(nu, inst.mu):
             if not is_maximal(nu, inst.mu).maximal:
                 _fail(candidate=nu.values(), reason="pattern held but candidate is not maximal")
@@ -695,39 +696,29 @@ class SuiteReport:
 _SHRINK_GROUPS = ["C2", "C3", "V4", "C6", "Q8", "D8"]
 
 
-def _still_fails(prop: Callable, candidate: Instance) -> bool:
-    try:
-        prop(candidate)
-    except PropertyFailure:
-        return True
-    except Exception:
-        return False
-    return False
+def _first_failing(prop: Callable, variants: Iterable[Instance], best: Instance) -> Instance:
+    # the first variant on which prop still fails, else best; a variant on
+    # which prop raises anything else does not count as failing
+    for candidate in variants:
+        try:
+            prop(candidate)
+        except PropertyFailure:
+            return candidate
+        except Exception:
+            pass
+    return best
 
 
 def _shrink(spec: InstanceSpec, trial: int, prop: Callable, first: Instance) -> dict:
     """Smallest failing variant: lattice size first, then group order.
 
-    Reruns the property on deterministically regenerated instances and
-    keeps the smallest variant that still fails.
+    Reruns the property on deterministically regenerated instances, built
+    lazily smallest first, and keeps the first variant that still fails.
     """
-    best = first
-    for n in range(2, len(best.lattice)):
-        candidate = build_instance(
-            spec, trial, override_lattice=f"chain{n}", override_group=best.group_name
-        )
-        if _still_fails(prop, candidate):
-            best = candidate
-            break
-    for g in _SHRINK_GROUPS:
-        if len(builtin_group(g)) >= len(best.group):
-            continue
-        candidate = build_instance(
-            spec, trial, override_lattice=best.lattice_kind, override_group=g
-        )
-        if _still_fails(prop, candidate):
-            best = candidate
-            break
+    chains = [f"chain{n}" for n in range(2, len(first.lattice))]
+    best = _first_failing(prop, (build_instance(spec, trial, k, first.group_name) for k in chains), first)
+    groups = [g for g in _SHRINK_GROUPS if len(builtin_group(g)) < len(best.group)]
+    best = _first_failing(prop, (build_instance(spec, trial, best.lattice_kind, g) for g in groups), best)
     return best.describe()
 
 
@@ -749,24 +740,17 @@ def run_suite(spec: InstanceSpec, trials: int) -> SuiteReport:
             entry.trials += 1
             try:
                 outcome = prop(inst)
-            except PropertyFailure as failure:
+            except Exception as failure:  # an erroring property is a failing property
                 entry.failures += 1
                 if entry.first_counterexample is None:
-                    shrunk = _shrink(spec, trial, prop, inst)
-                    entry.first_counterexample = {
-                        "instance": shrunk,
-                        "detail": {k: str(v) for k, v in failure.detail.items()},
-                    }
-            except Exception as unexpected:  # an erroring property is a failing property
-                entry.failures += 1
-                if entry.first_counterexample is None:
-                    entry.first_counterexample = {
-                        "instance": inst.describe(),
-                        "detail": {"error": f"{type(unexpected).__name__}: {unexpected}"},
-                    }
+                    if isinstance(failure, PropertyFailure):  # shrunk; an error is kept as raised
+                        found = _shrink(spec, trial, prop, inst)
+                        detail = {k: str(v) for k, v in failure.detail.items()}
+                    else:
+                        found, detail = inst.describe(), {"error": f"{type(failure).__name__}: {failure}"}
+                    entry.first_counterexample = {"instance": found, "detail": detail}
             else:
-                if outcome == SKIPPED:
-                    entry.skipped += 1
+                entry.skipped += outcome == SKIPPED
 
     converse = PropertyStats(trials=1)
     try:

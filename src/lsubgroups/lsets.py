@@ -416,9 +416,9 @@ def generate_oracle(eta: LSubset) -> LSubset:
     is enough to meet the members of L(c) that contain eta, which
     ``maximal.enumerate_l_subgroups`` lists.  Raises
     NonDistributiveLatticeError over a non-distributive lattice, as
-    ``generate`` does.  Refuses more than 8 elements or 6 levels: the
-    bound no longer guards the enumeration, but the theorem suite skips
-    by it and its pinned report depends on those skips.
+    ``generate`` does.  Refuses more than 8 elements or 6 levels: a pinned
+    refusal contract, which the default theorem suite never reaches, until
+    a bound by the count of L(c) replaces it (ROADMAP.md).
     """
     from .maximal import enumerate_l_subgroups  # maximal imports this module
 

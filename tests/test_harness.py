@@ -1,4 +1,5 @@
 """Instance generation, the theorem suite, and the counterexample search."""
+import hashlib
 import json
 import random
 import time
@@ -364,9 +365,27 @@ class TestSuite:
         assert not report.passed
         stats = report.properties["intentionally_false"]
         assert stats.failures == 2
-        counter = stats.first_counterexample
-        assert counter is not None
-        assert counter["instance"]["lattice"] == "chain2"
+        # drawn as (chain3, D8); chain2 still fails, then C2, the first smaller group
+        assert stats.first_counterexample == {
+            "instance": build_instance(InstanceSpec(2), 0, "chain2", "C2").describe(),
+            "detail": {"reason": "intentional"},
+        }
+
+    def test_a_counterexample_with_no_smaller_failing_variant_is_kept(self, monkeypatch):
+        # fails only on the drawn (chain3, D8): neither chain2 nor any smaller
+        # group fails, so the drawn instance itself is reported
+        def drawn_only(inst):
+            if (inst.lattice_kind, inst.group_name) == ("chain3", "D8"):
+                harness._fail(reason="drawn")
+
+        monkeypatch.setitem(PROPERTIES, "drawn_only", drawn_only)
+        report = run_suite(InstanceSpec(seed=2), trials=2)
+        stats = report.properties["drawn_only"]
+        assert (stats.trials, stats.skipped, stats.failures) == (2, 0, 2)
+        assert stats.first_counterexample == {
+            "instance": build_instance(InstanceSpec(2), 0).describe(),
+            "detail": {"reason": "drawn"},
+        }
 
     def test_skips_are_counted(self):
         spec = InstanceSpec(seed=1, lattice_kind="product2x2|product2x3|divisors12|divisors30")
@@ -491,6 +510,35 @@ class TestMaximalityAgreementChecksThePoint:
             else:
                 assert not changed
         assert failed >= 3
+
+
+class TestSampledPools:
+    """Past 120 members the maximality properties read 60 seeded members of
+    L(mu), then the maximals (and, for ``agree``, eta).  The pinned ``verify``
+    digests record only counts, so the candidates read are pinned here, on the
+    four trials of the default plan whose L(mu) is sampled."""
+
+    TRIALS = (71, 157, 179, 188)
+
+    @pytest.mark.parametrize("label, patched, prop, digest", [
+        ("agree", "is_maximal", "maximality_strategies_agree",
+         "879fcdab3bfb992dcd834fd8e2916b631fa937d9882b9cd00210bec5927d6f53"),
+        ("suff", "_sufficient_pattern", "sufficient_condition_sound",
+         "c63dd6586c08f2b1db893fe2cf21fc7442f0901c0fe98a303f8f2b6a98853c12"),
+    ], ids=["agree", "suff"])
+    def test_candidates_are_pinned(self, monkeypatch, label, patched, prop, digest):
+        real, read = getattr(harness, patched), []
+
+        def recording(nu, mu, **kwargs):
+            read.append(nu.value_indices())
+            return real(nu, mu, **kwargs)
+
+        monkeypatch.setattr(harness, patched, recording)
+        for trial in self.TRIALS:
+            inst = build_instance(InstanceSpec(0), trial)
+            assert len(inst.members) > 120
+            PROPERTIES[prop](inst)
+        assert hashlib.sha256(b"|".join(read)).hexdigest() == digest
 
 
 class TestOneListingPerInstance:
