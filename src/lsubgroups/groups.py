@@ -9,7 +9,9 @@ first, built once by coset extension and holding the lower covers of each
 mask once asked for.  No other module reads the table: ``_is_subgroup``
 answers membership and ``_closure`` and ``_subgroups_within`` read its
 order; ``_maximal_masks`` keeps the containment-maximal masks of a run.
-Element names appear only in arguments and results.
+A homomorphism is stored once, as ``image_indices``: f(x) by target index,
+in source order.  Element names appear only in arguments and results, and
+for a homomorphism only in ``mapping``, in calls and in documents.
 """
 from __future__ import annotations
 
@@ -382,40 +384,54 @@ def frattini_classical(group: FiniteGroup, sub: Iterable[str]) -> frozenset[str]
 # ------------------------------------------------------- homomorphisms
 
 class GroupHom:
-    """A validated homomorphism; ``image_indices`` holds f(x) by target index, in source order."""
+    """A homomorphism stored as ``image_indices``: f(x) by target index, in
+    source order.  Made only once f(xy) = f(x)f(y) holds on the two tables."""
 
-    __slots__ = ("source", "target", "mapping", "image_indices", "injective", "surjective")
+    __slots__ = ("source", "target", "image_indices")
 
-    def __init__(self, source: FiniteGroup, target: FiniteGroup, mapping: dict[str, str],
-                 image_indices: tuple[int, ...], injective: bool, surjective: bool):
-        self.source = source
-        self.target = target
-        self.mapping = mapping
-        self.image_indices = image_indices
-        self.injective = injective
-        self.surjective = surjective
+    def __init__(self, source: FiniteGroup, target: FiniteGroup, image_indices: Iterable[int]):
+        f = tuple(image_indices)
+        if len(f) != len(source) or not set(f) <= set(range(len(target))):
+            raise NotAHomomorphismError(f"a hom needs {len(source)} image indices, each below {len(target)}")
+        for x, fx, row in zip(source.elements, f, source._table):
+            for y, fy, xy in zip(source.elements, f, row):
+                if f[xy] != target._table[fx][fy]:
+                    raise NotAHomomorphismError(f"f({x}*{y}) != f({x})*f({y})")
+        self.source, self.target, self.image_indices = source, target, f
 
     def __call__(self, x: str) -> str:
-        return self.mapping[x]
+        return self.target.elements[self.image_indices[self.source.index(x)]]
 
     def __repr__(self) -> str:
-        kind = "iso" if self.injective and self.surjective else "hom"
+        kind = "iso" if self.bijective else "hom"
         return f"GroupHom({kind}, {len(self.source)}->{len(self.target)})"
+
+    @property
+    def injective(self) -> bool:
+        return len(set(self.image_indices)) == len(self.source)
+
+    @property
+    def surjective(self) -> bool:
+        return len(set(self.image_indices)) == len(self.target)
 
     @property
     def bijective(self) -> bool:
         return self.injective and self.surjective
 
+    @property
+    def mapping(self) -> dict[str, str]:
+        return dict(zip(self.source.elements, map(self.target.elements.__getitem__, self.image_indices)))
+
     def preimage(self, y: str) -> tuple[str, ...]:
-        self.target.index(y)
-        return tuple(x for x in self.source.elements if self.mapping[x] == y)
+        yi = self.target.index(y)
+        return tuple(x for x, v in zip(self.source.elements, self.image_indices) if v == yi)
 
     def as_document(self) -> dict:
-        return {"map": {x: self.mapping[x] for x in self.source.elements}}
+        return {"map": self.mapping}
 
 
 def validate_hom(source: FiniteGroup, target: FiniteGroup, mapping: Mapping[str, str]) -> GroupHom:
-    """Check totality, unknown keys and f(xy) = f(x)f(y); derive injective/surjective flags."""
+    """Check totality, unknown keys and target names, then f(xy) = f(x)f(y) on the image indices."""
     missing = [x for x in source.elements if x not in mapping]
     if missing:
         raise NotAHomomorphismError(f"map is not total; missing {missing}")
@@ -423,27 +439,16 @@ def validate_hom(source: FiniteGroup, target: FiniteGroup, mapping: Mapping[str,
     extra = [x for x in mapping if x not in source]
     if extra:
         raise NotAHomomorphismError(f"map mentions unknown source elements {extra}")
-    f = [target.index(mapping[x]) for x in source.elements]
-    table, target_table = source._table, target._table
-    for i, x in enumerate(source.elements):
-        for j, y in enumerate(source.elements):
-            if f[table[i][j]] != target_table[f[i]][f[j]]:
-                raise NotAHomomorphismError(f"f({x}*{y}) != f({x})*f({y})")
-    image = set(f)
-    injective = len(image) == len(source)
-    surjective = len(image) == len(target)
-    clean = {x: mapping[x] for x in source.elements}
-    return GroupHom(source, target, clean, tuple(f), injective, surjective)
+    return GroupHom(source, target, [target.index(mapping[x]) for x in source.elements])
 
 
 def identity_hom(group: FiniteGroup) -> GroupHom:
-    return validate_hom(group, group, {x: x for x in group.elements})
+    return GroupHom(group, group, range(len(group)))
 
 
 def inner_automorphism(group: FiniteGroup, g: str) -> GroupHom:
-    table, names, gi = group._table, group.elements, group.index(g)
-    row, back = table[gi], group._inv[gi]
-    return validate_hom(group, group, {x: names[table[row[i]][back]] for i, x in enumerate(names)})
+    gi = group.index(g)
+    return GroupHom(group, group, [group._table[r][group._inv[gi]] for r in group._table[gi]])
 
 
 # ---------------------------------------------------------- documents

@@ -17,7 +17,7 @@ from dataclasses import asdict, dataclass, field
 from functools import cached_property, lru_cache
 from typing import Callable, Iterable
 
-from .errors import InstanceTooLargeError, SearchExhaustedError
+from .errors import HypothesisNotMetError, InstanceTooLargeError, NotNormalInGroupError, SearchExhaustedError
 from .frattini import (
     frattini,
     frattini_image_inclusion,
@@ -36,7 +36,6 @@ from .groups import (
     inner_automorphism,
     maximal_subgroups_of,
     subgroup_closure,
-    validate_hom,
 )
 from .lattice import FiniteLattice, _refuse_past_the_bound, chain_lattice, validate_lattice
 from .lsets import (
@@ -251,7 +250,7 @@ class Instance:
             self.points.append(LPoint(x, rng.choice(lat.down_set(mu.value(x)))))
         rng = random.Random(f"{spec.seed}:{trial}:homs")
         self.homs = [identity_hom(g), inner_automorphism(g, rng.choice(g.elements))]
-        self.homs.append(validate_hom(g, builtin_group("C1"), {x: "e" for x in g.elements}))
+        self.homs.append(GroupHom(g, builtin_group("C1"), [0] * len(g)))
         named = _named_quotient(group_name, g)
         if named is not None:
             self.homs.append(named)
@@ -299,8 +298,7 @@ def _named_quotient(name: str, g: FiniteGroup) -> GroupHom | None:
         if m is None:
             return None
         target, image = f"C{m}", lambda i: i % m
-    quotient = builtin_group(target)
-    return validate_hom(g, quotient, {x: quotient.elements[image(i)] for i, x in enumerate(g.elements)})
+    return GroupHom(g, builtin_group(target), map(image, range(len(g))))
 
 
 def build_instance(
@@ -435,30 +433,26 @@ def prop_generation_commutes_with_preimage(inst: Instance):
 def prop_image_preimage_laws(inst: Instance):
     raw1, raw2 = inst.raws[0], inst.raws[1]
     for f in inst.homs:
-        lhs = pushforward(f, union_of([raw1, raw2]))
-        rhs = union_of([pushforward(f, raw1), pushforward(f, raw2)])
-        if lhs != rhs:
+        image1, image2 = pushforward(f, raw1), pushforward(f, raw2)
+        if pushforward(f, union_of([raw1, raw2])) != union_of([image1, image2]):
             _fail(law="image of union", hom=f.as_document())
-        lhs = pushforward(f, intersection_of([raw1, raw2]))
-        rhs = intersection_of([pushforward(f, raw1), pushforward(f, raw2)])
-        if not contains(rhs, lhs):
+        if not contains(intersection_of([image1, image2]), pushforward(f, intersection_of([raw1, raw2]))):
             _fail(law="image of intersection", hom=f.as_document())
-        back = pullback(f, pushforward(f, raw1))
+        back = pullback(f, image1)
         if not contains(back, raw1):
             _fail(law="preimage of image grows", hom=f.as_document())
         if f.injective and back != raw1:
             _fail(law="preimage of image equals for injective", hom=f.as_document())
-        nu = union_of([pushforward(f, raw2), constant(f.target, inst.lattice, inst.points[0].height)])
-        forth = pushforward(f, pullback(f, nu))
+        nu = union_of([image2, constant(f.target, inst.lattice, inst.points[0].height)])
+        nu_back = pullback(f, nu)
+        forth = pushforward(f, nu_back)
         if not contains(nu, forth):
             _fail(law="image of preimage shrinks", hom=f.as_document())
         if f.surjective and forth != nu:
             _fail(law="image of preimage equals for surjective", hom=f.as_document())
-        if contains(nu, pushforward(f, raw1)) != contains(pullback(f, nu), raw1):
+        if contains(nu, image1) != contains(nu_back, raw1):
             _fail(law="adjunction", hom=f.as_document())
-        if f.injective and (
-            contains(raw1, pullback(f, nu)) != contains(pushforward(f, raw1), nu)
-        ):
+        if f.injective and contains(raw1, nu_back) != contains(image1, nu):
             _fail(law="injective adjunction", hom=f.as_document())
 
 
@@ -578,28 +572,32 @@ def prop_fallback_iff_no_maximals(inst: Instance):
 
 
 def prop_frattini_level_inclusion(inst: Instance):
-    # the suite's one chain skip: F20 and S4 break the inclusion off chains
-    if not inst.lattice.is_upper_well_ordered():
-        return SKIPPED
-    report = frattini(inst.mu)
-    if report.phi.value(inst.group.identity) != inst.mu.value(inst.group.identity):
-        return SKIPPED
+    # the suite's one chain skip reads the library's refusal: F20 and S4 break the inclusion off chains
     for b in sorted(inst.mu.image()):
-        if not frattini_level_compare(inst.mu, b)["forward_inclusion"]:
+        try:
+            row = frattini_level_compare(inst.mu, b)
+        except HypothesisNotMetError:
+            return SKIPPED
+        if not row["tip_condition_holds"]:  # the same on every row
+            return SKIPPED
+        if not row["forward_inclusion"]:
             _fail(level=b, reason="classical Frattini of the level escapes the level of phi")
 
 
 def prop_frattini_normal_in_parent(inst: Instance):
-    if not is_normal_in_group(inst.mu):
+    try:
+        normal = frattini_is_normal(inst.mu)
+    except NotNormalInGroupError:  # the library's refusal: mu is not normal in the group
         return SKIPPED
-    if not frattini_is_normal(inst.mu):
+    if not normal:
         _fail(reason="phi is not normal in mu")
 
 
 def prop_nongenerator_conjugation_closure(inst: Instance):
-    if not is_normal_in_group(inst.mu):
+    try:
+        ok, counter = nongenerators_conjugation_closed(inst.mu)
+    except NotNormalInGroupError:  # the library's refusal: mu is not normal in the group
         return SKIPPED
-    ok, counter = nongenerators_conjugation_closed(inst.mu)
     if not ok:
         _fail(reason="conjugation moved a non-generator outside the set", counter=str(counter))
 

@@ -3,8 +3,9 @@
 The value tables are frozen literals so every test checks the library
 against independently written data rather than against other library calls.
 ``elementary_abelian``, ``dihedral`` and ``permutation_group`` build the
-larger groups the tests share, and ``SEEDED_SPECS`` parametrizes a test over
-seeded instances; import them with ``from conftest import ...``.
+larger groups the tests share (``F20`` and ``S4`` are generator pairs for the
+last), and ``SEEDED_SPECS`` parametrizes a test over seeded instances;
+import them with ``from conftest import ...``.
 """
 import pytest
 
@@ -93,6 +94,12 @@ def dihedral(order):
         for a, i in pairs
     ]
     return validate_group(names, table)
+
+
+# generators for permutation_group: F20 = <x ↦ x+1, x ↦ 2x> on 5 points and
+# S4 = <(0 1 2 3), (0 1)>
+F20 = ((1, 2, 3, 4, 0), (0, 2, 4, 1, 3))
+S4 = ((1, 2, 3, 0), (1, 0, 2, 3))
 
 
 def permutation_group(*generators):

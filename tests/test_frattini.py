@@ -57,7 +57,7 @@ from lsubgroups import (
 from lsubgroups.errors import LPointNotInParentError, MismatchedCarriersError
 from lsubgroups.maximal import _coatom_index
 
-from conftest import D8_PHI, SEEDED_SPECS, elementary_abelian, permutation_group
+from conftest import D8_PHI, F20, S4, SEEDED_SPECS, elementary_abelian, permutation_group
 
 # the package exports the function ``frattini`` under the module's name
 frattini_module = importlib.import_module("lsubgroups.frattini")
@@ -165,11 +165,8 @@ def nongen_by_intersection(mu):
     return intersection_of(coatoms) if coatoms else mu
 
 
-# F20 = <x ↦ x+1, x ↦ 2x> on 5 points and S4 = <(0 1 2 3), (0 1)>, each with
-# a cyclic H of order 4 that is not normal (<x ↦ 2x> and <(0 1 2 3)>), and
-# the count of maximal L-subgroups of c4_parent over each
-F20 = ((1, 2, 3, 4, 0), (0, 2, 4, 1, 3))
-S4 = ((1, 2, 3, 0), (1, 0, 2, 3))
+# F20 and S4 each have a cyclic H of order 4 that is not normal (<x ↦ 2x>
+# and <(0 1 2 3)>); the count of maximal L-subgroups of c4_parent over each
 C4_CASES = {"F20": (F20, "02413", 7), "S4": (S4, "1230", 9)}
 
 

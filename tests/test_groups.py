@@ -10,6 +10,7 @@ import pytest
 
 from lsubgroups import (
     FiniteGroup,
+    GroupHom,
     NoIdentityError,
     NoInverseError,
     NotAHomomorphismError,
@@ -17,8 +18,10 @@ from lsubgroups import (
     NotASubgroupError,
     NotClosedError,
     UnknownBuiltinError,
+    UnknownElementError,
     all_subgroups,
     builtin_group,
+    chain_lattice,
     frattini_classical,
     group_from_document,
     hom_from_document,
@@ -26,7 +29,9 @@ from lsubgroups import (
     inner_automorphism,
     is_normal_subgroup,
     is_subgroup,
+    l_subset,
     maximal_subgroups_of,
+    pushforward,
     subgroup_closure,
     validate_group,
     validate_hom,
@@ -34,7 +39,7 @@ from lsubgroups import (
 from lsubgroups.errors import DocumentError
 from lsubgroups.groups import _closure, _is_subgroup, _subgroups_within
 
-from conftest import dihedral, elementary_abelian
+from conftest import F20, S4, dihedral, elementary_abelian, permutation_group
 
 KLEIN_TABLE = [
     ["e", "a", "b", "c"],
@@ -543,6 +548,39 @@ class TestHoms:
         f = inner_automorphism(g, "r")
         assert f.bijective
         assert f("s") == "sr2"
+
+    def test_the_map_is_stored_once(self):
+        # the hom is its image indices: the name map is a fresh copy, the
+        # flags are read off the indices, and a call names an unknown element
+        f = identity_hom(builtin_group("D8"))
+        f.mapping["r"] = "e"
+        assert f("r") == "r"
+        assert f.as_document()["map"]["r"] == "r"
+        lat = chain_lattice(["0", "1"])
+        mu = l_subset(f.source, lat, {x: "1" if x in ("e", "r") else "0" for x in f.source.elements})
+        assert pushforward(f, mu) == mu
+        with pytest.raises(AttributeError):
+            f.injective = False
+        assert f.injective
+        with pytest.raises(UnknownElementError, match="'zz'"):
+            f("zz")
+
+    @pytest.mark.parametrize("indices", [[0, 0, 0], [0], [0, 2], [0, -1]])
+    def test_image_indices_are_checked(self, indices):
+        # one index per source element, each naming a target element
+        c2 = builtin_group("C2")
+        with pytest.raises(NotAHomomorphismError, match="a hom needs 2 image indices, each below 2"):
+            GroupHom(c2, c2, indices)
+
+    @pytest.mark.parametrize("group", [
+        *map(builtin_group, ["Q8", "D8", "V4", "C6", "C12"]), permutation_group(*S4), permutation_group(*F20),
+    ], ids=["Q8", "D8", "V4", "C6", "C12", "S4", "F20"])
+    def test_index_route_builds_the_name_route_hom(self, group):
+        for g in group.elements:
+            by_names = validate_hom(group, group, {x: group.conjugate(g, x) for x in group.elements})
+            assert inner_automorphism(group, g).image_indices == by_names.image_indices
+        by_names = validate_hom(group, group, {x: x for x in group.elements})
+        assert identity_hom(group).image_indices == by_names.image_indices
 
 
 class TestDocuments:

@@ -31,7 +31,7 @@ from lsubgroups import (
     search_converse_counterexample,
     subgroup_closure,
 )
-from lsubgroups import UnknownBuiltinError
+from lsubgroups import HypothesisNotMetError, NotNormalInGroupError, UnknownBuiltinError, constant
 from lsubgroups import are_jointly_supstar, enumerate_l_subgroups, is_maximal, is_proper_l_subgroup
 from lsubgroups import LPoint, adjoin_point, harness, l_subset, level_profile, lsets, point_in, validate_group
 from lsubgroups.errors import SearchExhaustedError
@@ -510,6 +510,72 @@ class TestMaximalityAgreementChecksThePoint:
             else:
                 assert not changed
         assert failed >= 3
+
+
+def _refusing(error):
+    def refuse(*args, **kwargs):
+        raise error("refused")
+    return refuse
+
+
+def _row(forward, tip):
+    return lambda mu, b, **kwargs: {"forward_inclusion": forward, "tip_condition_holds": tip}
+
+
+class TestPropertiesReadTheLibrary:
+    """A property that reads a library function reports that function's
+    wrong answer as a failure, and skips on its typed refusal, the one
+    statement of the theorem's hypothesis, or on a row whose tip condition
+    fails."""
+
+    # chain4 and D8, on which each of the four runs to the end with the real library
+    INSTANCE = build_instance(InstanceSpec(seed=0), 4)
+
+    @pytest.mark.parametrize("prop, patched, wrong, detail", [
+        ("image_preimage_laws", "pullback",
+         lambda f, nu: constant(f.source, nu.lattice, nu.lattice.top),
+         {"law": "preimage of image equals for injective"}),
+        ("frattini_normal_in_parent", "frattini_is_normal", lambda mu, **kwargs: False,
+         {"reason": "phi is not normal in mu"}),
+        ("nongenerator_conjugation_closure", "nongenerators_conjugation_closed",
+         lambda mu, **kwargs: (False, {"conjugator": mu.group.identity}),
+         {"reason": "conjugation moved a non-generator outside the set"}),
+        ("frattini_level_inclusion", "frattini_level_compare", _row(False, True),
+         {"reason": "classical Frattini of the level escapes the level of phi"}),
+    ], ids=["image_preimage_laws", "frattini_normal_in_parent", "nongenerator_conjugation_closure",
+            "frattini_level_inclusion"])
+    def test_a_wrong_answer_fails(self, monkeypatch, prop, patched, wrong, detail):
+        PROPERTIES[prop](self.INSTANCE)  # the real library passes
+        monkeypatch.setattr(harness, patched, wrong)
+        with pytest.raises(PropertyFailure) as failure:
+            PROPERTIES[prop](self.INSTANCE)
+        assert detail.items() <= failure.value.detail.items()
+
+    @pytest.mark.parametrize("prop, patched, refusal", [
+        ("frattini_normal_in_parent", "frattini_is_normal", _refusing(NotNormalInGroupError)),
+        ("nongenerator_conjugation_closure", "nongenerators_conjugation_closed",
+         _refusing(NotNormalInGroupError)),
+        ("frattini_level_inclusion", "frattini_level_compare", _refusing(HypothesisNotMetError)),
+        ("frattini_level_inclusion", "frattini_level_compare", _row(False, False)),
+    ], ids=["frattini_normal_in_parent", "nongenerator_conjugation_closure", "frattini_level_inclusion",
+            "frattini_level_inclusion-tip"])
+    def test_a_refusal_is_a_skip(self, monkeypatch, prop, patched, refusal):
+        monkeypatch.setattr(harness, patched, refusal)
+        assert PROPERTIES[prop](self.INSTANCE) == SKIPPED
+
+    def test_a_variant_that_errors_is_not_a_failing_one(self):
+        # the shrink pass keeps the first variant that raises PropertyFailure;
+        # one that raises anything else is passed over, and with no failing
+        # variant the instance it started from is kept
+        variants = [build_instance(InstanceSpec(seed=0), trial) for trial in (1, 2)]
+
+        def prop(inst):
+            if inst is variants[0]:
+                raise ValueError("not a failure")
+            raise PropertyFailure({"trial": inst.trial})
+
+        assert harness._first_failing(prop, variants, self.INSTANCE) is variants[1]
+        assert harness._first_failing(prop, variants[:1], self.INSTANCE) is self.INSTANCE
 
 
 class TestSampledPools:
