@@ -34,14 +34,14 @@ the point changes, compares each level with mu's and builds no L-subset.
 join-irreducibles.  The subtree below a node depends only on the bounds
 its choices leave on the later join-irreducibles, so it is walked once and
 a repeat is charged its recorded visits.  As eta(x) is the join of the
-join-irreducibles whose level holds x (Birkhoff), a member packs into one
-integer with a field per group element, put together from the recorded
-subtrees by one OR per level and decoded through a table.  The level cuts
-are packed the same way, and no module but this one knows the layout:
-``_code`` packs a map's values and ``_point_code`` a point's.  One level
-classifier places each level of eta inside mu's; the level profile and the
-sufficient pattern read it, and the profile pins down the single defect
-level that maximality forces when the images are jointly supstar.
+join-irreducibles whose level holds x (Birkhoff), a member is one integer
+with a field per group element, packed in one pass over the records,
+children first, by one OR per level, and decoded through a table.  The
+level cuts are packed the same way, and no module but this one knows the
+layout: ``_code`` packs a map's values and ``_point_code`` a point's.  One
+level classifier places each level of eta inside mu's; the level profile
+and the sufficient pattern read it, and the profile pins down the single
+defect level that maximality forces when the images are jointly supstar.
 """
 from __future__ import annotations
 
@@ -267,7 +267,7 @@ def enumerate_l_subgroups(mu: LSubset, budget: int = DEFAULT_BUDGET) -> tuple[LS
     """
     # A node's key is the bounds left on the join-irreducibles from its own
     # on: mu's levels met with the levels chosen below each (antitone).  A
-    # repeat that the budget runs out in is walked again to the exact visit.
+    # repeat that the budget runs out in is walked again from its key alone.
     group, lat = mu.group, mu.lattice
     irreducibles, levels = _level_masks(mu)
     leq, m = lat._leq, len(irreducibles)
@@ -288,15 +288,12 @@ def enumerate_l_subgroups(mu: LSubset, budget: int = DEFAULT_BUDGET) -> tuple[LS
         if not key:  # a leaf: walked only to be refused, or as all of L(mu) over one element
             members += 1
             return
-        if key in records:  # a repeat that the budget runs out in
-            children = records[key][2]
-        else:
-            bound, rest, meets = key[0], key[1:], later[m - len(key)]
-            if bound not in fitting:
-                fitting[bound] = [0, *_subgroups_within(group, bound)]
-            children = tuple(
-                (h, tuple([b & h if meet else b for b, meet in zip(rest, meets)])) for h in fitting[bound]
-            ) if True in meets else tuple(zip(fitting[bound], repeat(rest)))
+        bound, rest, meets = key[0], key[1:], later[m - len(key)]
+        if bound not in fitting:
+            fitting[bound] = [0, *_subgroups_within(group, bound)]
+        children = tuple(
+            (h, tuple([b & h if meet else b for b, meet in zip(rest, meets)])) for h in fitting[bound]
+        ) if True in meets else tuple(zip(fitting[bound], repeat(rest)))
         start = visited - 1, members
         for _, child in children:
             record = records.get(child)
@@ -309,20 +306,17 @@ def enumerate_l_subgroups(mu: LSubset, budget: int = DEFAULT_BUDGET) -> tuple[LS
 
     root = tuple(levels)
     walk(root)
+    # each key was recorded once, after its children: one pass packs them first
     width, decode, *_ = _birkhoff(lat)
-    codes: dict[tuple[int, ...], list[int]] = {(): [0]}
-
-    def assemble(key: tuple[int, ...]) -> list[int]:
-        shift, listed = m - len(key), []
-        for h, child in records[key][2]:
-            below = codes[child] if child in codes else assemble(child)
-            listed += map((_spread(h, width) << shift).__or__, below) if h else below
+    codes: dict[tuple[int, ...], list[int]] = {}
+    for key, (_, _, children) in records.items():
+        shift, listed = m - len(key), [] if children else [0]
+        for h, child in children:
+            listed += map((_spread(h, width) << shift).__or__, codes[child]) if h else codes[child]
         codes[key] = listed
-        return listed
-
-    found = sorted(decode(codes[root] if root in codes else assemble(root), len(group)))
-    # walk and assemble refer to themselves, so their closures wait for the
-    # cycle collector: free the codes and records before building the members
+    found = sorted(decode(codes[root], len(group)))
+    # walk refers to itself, so its closure waits for the cycle collector:
+    # free the records and codes before building the members
     codes.clear()
     records.clear()
     return tuple(map(LSubset, repeat(group), repeat(lat), found))

@@ -1,0 +1,84 @@
+"""Known mutants of the library that the theorem suite itself must catch.
+
+Each entry names a file under ``src/``, one exact anchor string in it, the
+replacement, and the property of ``lsubgroups verify`` expected to fail.
+Pytest does not collect this module; ``tests/test_harness.py`` checks that
+each anchor occurs exactly once in its file.  Run it from the repository
+root as a script:
+
+    python tests/suite_mutants.py
+
+For each entry it copies ``src/`` into a temporary directory, applies the
+entry there and runs ``python -m lsubgroups.cli verify --seed 0 --trials
+200`` on the copy.  A mutant is caught when that run exits 1 with a
+``FAIL`` line for the entry's property.  The script lists the survivors and
+exits 1 if there are any.
+"""
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parent.parent
+VERIFY = ["-m", "lsubgroups.cli", "verify", "--seed", "0", "--trials", "200"]
+
+
+class Mutant(NamedTuple):
+    path: str  # relative to the repository root
+    anchor: str
+    replacement: str
+    fails: str  # the property expected to fail
+
+
+MUTANTS = (
+    # phi met over every coatom, constant ones included, whenever a maximal exists
+    Mutant("src/lsubgroups/frattini.py", "_meet_of_cuts(mu, maximals)",
+           "_meet_of_cuts(mu, coatoms if maximals else maximals)", "frattini_below_each_maximal"),
+    # mu named as the witness of every point that is not a non-generator
+    Mutant("src/lsubgroups/frattini.py", "return witness is None, witness",
+           "return witness is None, witness if witness is None else mu", "nongenerators_inside_frattini"),
+    # the last coatom dropped
+    Mutant("src/lsubgroups/maximal.py", "return _level_cuts(mu, budget, pick)\n",
+           "return _level_cuts(mu, budget, pick)[:-1]\n", "maximality_strategies_agree"),
+)
+
+
+def fail_line(mutant: Mutant) -> str | None:
+    """Run the suite on a copy of src/ with the mutant applied.
+
+    Returns the property's FAIL line when the run exits 1, and None otherwise.
+    """
+    with tempfile.TemporaryDirectory() as tmp:
+        src = Path(tmp) / "src"
+        shutil.copytree(ROOT / "src", src, ignore=shutil.ignore_patterns("__pycache__"))
+        target = Path(tmp) / mutant.path
+        text = target.read_text()
+        if text.count(mutant.anchor) != 1:
+            raise SystemExit(f"{mutant.path}: the anchor {mutant.anchor!r} must occur exactly once")
+        target.write_text(text.replace(mutant.anchor, mutant.replacement))
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        run = subprocess.run([sys.executable, *VERIFY], cwd=tmp, env=env, capture_output=True, text=True)
+    lines = [line for line in run.stdout.splitlines() if line.startswith(f"FAIL {mutant.fails}:")]
+    return lines[0] if run.returncode == 1 and lines else None
+
+
+def main() -> int:
+    survivors = []
+    for m in MUTANTS:
+        line = fail_line(m)
+        if line is None:
+            survivors.append(m)
+            print(f"survived: {m.path}: {m.anchor!r} -> {m.replacement!r} (expected {m.fails} to fail)")
+        else:
+            print(f"caught: {m.path}: {m.anchor!r}: {line}")
+    print(f"{len(MUTANTS) - len(survivors)} of {len(MUTANTS)} mutants caught")
+    return 1 if survivors else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

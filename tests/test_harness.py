@@ -32,6 +32,7 @@ from lsubgroups import (
     subgroup_closure,
 )
 from lsubgroups import HypothesisNotMetError, NotNormalInGroupError, UnknownBuiltinError, constant
+from lsubgroups import MaximalityVerdict, TipRelation, is_non_generator
 from lsubgroups import are_jointly_supstar, enumerate_l_subgroups, is_maximal, is_proper_l_subgroup
 from lsubgroups import LPoint, adjoin_point, harness, l_subset, level_profile, lsets, point_in, validate_group
 from lsubgroups.errors import SearchExhaustedError
@@ -47,6 +48,7 @@ from lsubgroups.harness import (
 )
 
 from conftest import Q8_ETA_CONVERSE, Q8_MU_CONVERSE, Q8_THETA_WITNESS, dihedral, elementary_abelian
+from suite_mutants import MUTANTS, ROOT
 
 
 class TestLatticeKinds:
@@ -528,27 +530,54 @@ class TestPropertiesReadTheLibrary:
     statement of the theorem's hypothesis, or on a row whose tip condition
     fails."""
 
-    # chain4 and D8, on which each of the four runs to the end with the real library
+    # chain4 and D8, on which each of the first four runs to the end with the real library
     INSTANCE = build_instance(InstanceSpec(seed=0), 4)
+    # chain5 and D8: 80 members and 5 maximals, for the properties that read the maximals
+    MAXIMALS = build_instance(InstanceSpec(seed=0), 3)
 
-    @pytest.mark.parametrize("prop, patched, wrong, detail", [
-        ("image_preimage_laws", "pullback",
+    @pytest.mark.parametrize("inst, prop, patched, wrong, detail", [
+        (INSTANCE, "image_preimage_laws", "pullback",
          lambda f, nu: constant(f.source, nu.lattice, nu.lattice.top),
          {"law": "preimage of image equals for injective"}),
-        ("frattini_normal_in_parent", "frattini_is_normal", lambda mu, **kwargs: False,
+        (INSTANCE, "frattini_normal_in_parent", "frattini_is_normal", lambda mu, **kwargs: False,
          {"reason": "phi is not normal in mu"}),
-        ("nongenerator_conjugation_closure", "nongenerators_conjugation_closed",
+        (INSTANCE, "nongenerator_conjugation_closure", "nongenerators_conjugation_closed",
          lambda mu, **kwargs: (False, {"conjugator": mu.group.identity}),
          {"reason": "conjugation moved a non-generator outside the set"}),
-        ("frattini_level_inclusion", "frattini_level_compare", _row(False, True),
+        (INSTANCE, "frattini_level_inclusion", "frattini_level_compare", _row(False, True),
          {"reason": "classical Frattini of the level escapes the level of phi"}),
+        (MAXIMALS, "maximal_tips", "tip_relation", lambda eta, mu, **kwargs: TipRelation.VIOLATION,
+         {"reason": "tip relation violated"}),
+        (MAXIMALS, "transport_preserves_maximality", "transport_maximal",
+         lambda f, eta, mu, **kwargs: (eta, MaximalityVerdict(False)),
+         {"reason": "transported subgroup lost maximality"}),
+        (MAXIMALS, "maximal_avoiding_exists", "maximal_avoiding", lambda mu, theta, point, **kwargs: (),
+         {"reason": "no maximal member avoiding the point"}),
+        (MAXIMALS, "nongenerators_form_l_subgroup", "is_l_subgroup_of", lambda eta, mu: False,
+         {"reason": "non-generator subgroup is not in L(mu)"}),
+        (MAXIMALS, "fallback_iff_no_maximals", "maximal_l_subgroups", lambda mu, **kwargs: (),
+         {"reason": "fallback flag disagrees with the maximal count"}),
+        (MAXIMALS, "frattini_image_inclusion", "frattini_image_inclusion", lambda f, mu, **kwargs: False,
+         {"reason": "image of phi escapes phi of the image"}),
+        (MAXIMALS, "sufficient_condition_sound", "is_maximal",
+         lambda eta, mu, **kwargs: MaximalityVerdict(False),
+         {"reason": "pattern held but candidate is not maximal"}),
+        (MAXIMALS, "frattini_below_each_maximal", "frattini",
+         lambda mu, **kwargs: frattini(mu)._replace(phi=mu),
+         {"reason": "phi is not the meet of the maximal subgroups"}),
+        (MAXIMALS, "nongenerators_inside_frattini", "is_non_generator",
+         lambda point, mu, **kwargs: (is_non_generator(point, mu)[0], mu),
+         {"reason": "the witness is mu, or does not generate mu with the point"}),
     ], ids=["image_preimage_laws", "frattini_normal_in_parent", "nongenerator_conjugation_closure",
-            "frattini_level_inclusion"])
-    def test_a_wrong_answer_fails(self, monkeypatch, prop, patched, wrong, detail):
-        PROPERTIES[prop](self.INSTANCE)  # the real library passes
+            "frattini_level_inclusion", "maximal_tips", "transport_preserves_maximality",
+            "maximal_avoiding_exists", "nongenerators_form_l_subgroup", "fallback_iff_no_maximals",
+            "frattini_image_inclusion", "sufficient_condition_sound", "frattini_below_each_maximal",
+            "nongenerators_inside_frattini"])
+    def test_a_wrong_answer_fails(self, monkeypatch, inst, prop, patched, wrong, detail):
+        assert PROPERTIES[prop](inst) is None  # the real library passes
         monkeypatch.setattr(harness, patched, wrong)
         with pytest.raises(PropertyFailure) as failure:
-            PROPERTIES[prop](self.INSTANCE)
+            PROPERTIES[prop](inst)
         assert detail.items() <= failure.value.detail.items()
 
     @pytest.mark.parametrize("prop, patched, refusal", [
@@ -576,6 +605,13 @@ class TestPropertiesReadTheLibrary:
 
         assert harness._first_failing(prop, variants, self.INSTANCE) is variants[1]
         assert harness._first_failing(prop, variants[:1], self.INSTANCE) is self.INSTANCE
+
+
+def test_each_suite_mutant_anchor_occurs_once():
+    # tests/suite_mutants.py applies each entry by replacing its anchor, so a
+    # change to the library that moves or repeats one shows here, not only in CI
+    for mutant in MUTANTS:
+        assert (ROOT / mutant.path).read_text().count(mutant.anchor) == 1, mutant
 
 
 class TestSampledPools:
