@@ -3,12 +3,18 @@
 Everything here is classical: validation of Cayley tables, a handful of
 builtin groups used throughout the examples, subgroup closure and
 enumeration, normality, classical Frattini subgroups, and validated
-homomorphisms.  Inside the library a subgroup is a bitmask over element
-indices, and each group keeps one table of its subgroup masks, smallest
-first, built once by coset extension and holding the lower covers of each
-mask once asked for.  No other module reads the table: ``_is_subgroup``
+homomorphisms.  A table is checked for associativity by Light's test
+(Clifford & Preston, The Algebraic Theory of Semigroups, vol. I, 1961):
+only the triples whose middle is one of a greedy generating set.  Inside
+the library a subgroup is a bitmask over element indices, and each group
+keeps one table of its subgroup masks, smallest first, holding the lower
+covers of each mask once asked for.  The table is built once, by canonical
+augmentation over greedy generating sequences (McKay, J. Algorithms 26,
+1998): each subgroup is built once, from the span of its greedy sequence
+less the last element.  No other module reads the table: ``_is_subgroup``
 answers membership and ``_closure`` and ``_subgroups_within`` read its
-order; ``_maximal_masks`` keeps the containment-maximal masks of a run.
+order, the latter once per bound, through a bounded memo;
+``_maximal_masks`` keeps the containment-maximal masks of a run.
 A homomorphism is stored once, as ``image_indices``: f(x) by target index,
 in source order.  Element names appear only in arguments and results, and
 for a homomorphism only in ``mapping``, in calls and in documents.
@@ -17,7 +23,8 @@ from __future__ import annotations
 
 import re
 from functools import lru_cache, reduce
-from operator import and_
+from itertools import islice
+from operator import and_, itemgetter
 from typing import Iterable, Mapping, Sequence
 
 from .errors import (
@@ -38,12 +45,13 @@ class FiniteGroup:
 
     Elements are opaque names; the table maps (row, column) index pairs to
     the index of the product.  Instances are immutable; the only interior
-    state is one private memo, the subgroup table of ``_subgroup_table``,
-    which is safe to share: ``builtin_group`` hands out one shared group
-    per name, so each builtin builds its table once per process.
+    state is two private memos, the subgroup table of ``_subgroup_table``
+    and the bounds of ``_subgroups_within``, which are safe to share:
+    ``builtin_group`` hands out one shared group per name, so each builtin
+    builds its table once per process.
     """
 
-    __slots__ = ("elements", "identity", "_index", "_table", "_inv", "_subgroups", "_hash")
+    __slots__ = ("elements", "identity", "_index", "_table", "_inv", "_subgroups", "_within", "_hash")
 
     def __init__(self, elements, table, identity_index, inverse):
         self.elements: tuple[str, ...] = elements
@@ -52,6 +60,7 @@ class FiniteGroup:
         self.identity: str = elements[identity_index]
         self._inv = inverse
         self._subgroups: dict[int, tuple[int, ...] | None] | None = None
+        self._within: dict[int, tuple[int, ...]] = {}
         self._hash = hash((elements, tuple(map(tuple, table))))
 
     def __len__(self) -> int:
@@ -109,18 +118,60 @@ class FiniteGroup:
         }
 
 
+def _product_generators(t: list[list[int]]) -> list[int]:
+    """A greedy generating sequence of the table ``t`` under products alone.
+
+    The least element outside the span so far, repeatedly, where the span
+    is everything reached from the generators by right multiplication with
+    them.  No group axiom is needed, so validation can use it before the
+    table is known to be associative.
+    """
+    gens: list[int] = []
+    span: list[int] = []
+    seen = bytearray(len(t))
+    for g in range(len(t)):
+        if seen[g]:
+            continue
+        gens.append(g)
+        fresh = len(span)
+        # g and the span so far times g; then each element new since, times every generator
+        for w in [g, *(t[z][g] for z in span)]:
+            if not seen[w]:
+                seen[w] = 1
+                span.append(w)
+        for z in islice(span, fresh, None):  # also reads what the loop appends
+            for w in map(t[z].__getitem__, gens):
+                if not seen[w]:
+                    seen[w] = 1
+                    span.append(w)
+    return gens
+
+
+def _light_associative(t: list[list[int]]) -> bool:
+    """Light's test: (x·s)·y = x·(s·y) for each greedy generator s, row by row."""
+    return all(
+        t[row[s]] == list(map(row.__getitem__, t[s])) for s in _product_generators(t) for row in t
+    )
+
+
 def validate_group(elements: Sequence[str], table: Sequence[Sequence[str]]) -> FiniteGroup:
     """Validate an operation table and derive identity and inverses.
 
     Checks, in order: entries name known elements (NotClosedError),
     associativity over all triples (NotAssociativeError), existence of a
     two-sided identity (NoIdentityError) and of two-sided inverses
-    (NoInverseError).  Each check compares whole rows: (ij)k = i(jk) for
-    all k is row ij against row i read along row j, the identity is the
-    first element whose row and column are both the element order, and the
-    inverse of i is where the identity stands in row i, checked on the
-    other side (in a monoid a two-sided inverse is the only right inverse).
-    An error names the first failing triple, or element, in index order.
+    (NoInverseError).  Associativity is decided by Light's test (Clifford &
+    Preston, The Algebraic Theory of Semigroups, vol. I, 1961): the
+    triples (x, s, y) whose middle s is one of the greedy generators of
+    ``_product_generators`` are enough, as the middles that pass are closed
+    under products.  Only when the test fails are all triples scanned, so
+    that the error names the first failing one.  Each check compares whole
+    rows: (ij)k = i(jk) for all k is row ij against row i read along row
+    j, the identity is the first element whose row and column are both the
+    element order, and the inverse of i is where the identity stands in row
+    i, checked on the other side (in a monoid a two-sided inverse is the
+    only right inverse).  An error names the first failing triple, or
+    element, in index order.
     """
     elements = tuple(elements)
     if not elements or len(set(elements)) != len(elements):
@@ -139,15 +190,16 @@ def validate_group(elements: Sequence[str], table: Sequence[Sequence[str]]) -> F
             out.append(index[entry])
         t.append(out)
 
-    for i, row in enumerate(t):
-        along_i = row.__getitem__
-        for j, tij in enumerate(row):
-            if t[tij] != list(map(along_i, t[j])):
-                k = next(k for k, (a, b) in enumerate(zip(t[tij], t[j])) if a != row[b])
-                raise NotAssociativeError(
-                    f"({elements[i]}*{elements[j]})*{elements[k]} != "
-                    f"{elements[i]}*({elements[j]}*{elements[k]})"
-                )
+    if not _light_associative(t):
+        for i, row in enumerate(t):
+            along_i = row.__getitem__
+            for j, tij in enumerate(row):
+                if t[tij] != list(map(along_i, t[j])):
+                    k = next(k for k, (a, b) in enumerate(zip(t[tij], t[j])) if a != row[b])
+                    raise NotAssociativeError(
+                        f"({elements[i]}*{elements[j]})*{elements[k]} != "
+                        f"{elements[i]}*({elements[j]}*{elements[k]})"
+                    )
 
     order = list(range(n))
     identity = next((i for i, row in enumerate(t) if row == order and [r[i] for r in t] == order), None)
@@ -200,9 +252,8 @@ def builtin_group(name: str) -> FiniteGroup:
       r⁴ = s² = e and r^j s = s r^-j;
     - V4: e, a, b, c, multiplied by XOR of the indices;
     - Cn: e, g, g2, ..., g(n-1); element k is g^k, multiplied by adding
-      the indices mod n.  n runs from 1 to 256: the table has n² entries
-      and validating it takes time cubic in n, so a larger n is refused
-      before anything is built.
+      the indices mod n.  n runs from 1 to 256: the table has n² entries,
+      so a larger n is refused before anything is built.
     """
     if name == "Q8":
         return _from_indices(("1", "-1", "i", "-i", "j", "-j", "k", "-k"), _quaternion_product)
@@ -227,6 +278,13 @@ def builtin_group(name: str) -> FiniteGroup:
 
 # ------------------------------------------------------------- subgroups
 
+# each byte with its bits in reverse order: read through it, a little-endian
+# mask compares low bit first
+_LOW_BIT_FIRST = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))
+# the most bounds one group's ``_subgroups_within`` memo holds
+_WITHIN_MEMO_SIZE = 1024
+
+
 def _indices(mask: int) -> tuple[int, ...]:
     """Element indices of the set bits of ``mask``, ascending."""
     found = []
@@ -248,45 +306,79 @@ def _names(group: FiniteGroup, mask: int) -> frozenset[str]:
     return frozenset(map(group.elements.__getitem__, _indices(mask)))
 
 
+def _greedy_walk(group: FiniteGroup) -> tuple[list[tuple[int, tuple[int, ...]]], int]:
+    """Every subgroup, each built once, with its greedy generating sequence.
+
+    Returns the (mask, sequence) pairs in the order built, the trivial
+    subgroup first, and the number of closures attempted.  The greedy
+    sequence of a subgroup K starts with its least element other than e,
+    and each next element is the least one of K outside the span so far.
+    Cut off its last element g, and what is left is the greedy sequence of
+    the span H, with g the least element of K outside H and above H's last
+    generator.  So each subgroup has one parent, and the walk is canonical
+    augmentation (McKay, J. Algorithms 26, 1998): H is extended only by an
+    element g above its last generator that is the least of its right coset
+    Hg; <H, g> is closed as the union of the right cosets H·r reached from
+    H·g by right multiplication with H's generators and g (Dimino's coset
+    step), and kept only when no element below g joins it.  The closure is
+    abandoned as soon as one does.
+    """
+    table, n = group._table, len(group)
+    full = (1 << n) - 1
+    bits = [1 << i for i in range(n)]
+    # H·g is column g of the bit table read at the members of H; index n
+    # reads 0, so that the getter of the trivial subgroup returns a tuple
+    columns = [[*map(bits.__getitem__, column), 0] for column in zip(*table)]
+    walked = [(1 << group.identity_index, ())]
+    attempts = 0
+    for h, gens in walked:
+        coset_of = itemgetter(*_indices(h), n)
+        # the elements outside H above its last generator, less each coset tried
+        untried = full & ~h & -(2 << gens[-1] if gens else 1)
+        while untried:
+            g = (untried & -untried).bit_length() - 1
+            coset = sum(coset_of(columns[g]))
+            untried &= ~coset
+            below = (1 << g) - 1
+            if coset & below:
+                continue
+            attempts += 1
+            step = gens + (g,)
+            bigger, reps = h | coset, [g]
+            for r in reps:
+                row = table[r]
+                for s in step:
+                    y = row[s]
+                    if not bigger >> y & 1:
+                        coset = sum(coset_of(columns[y]))
+                        if coset & below:
+                            break
+                        bigger |= coset
+                        reps.append(y)
+                else:
+                    continue
+                break
+            else:
+                walked.append((bigger, step))
+    return walked, attempts
+
+
 def _subgroup_table(group: FiniteGroup) -> dict[int, tuple[int, ...] | None]:
     """Every subgroup as an element bitmask, mapped to its lower covers.
 
     Keys run in ``all_subgroups`` order: by size, then by element indices.
     The covers start as None and are filled in by ``_lower_covers``.  Built
-    once per group by coset extension (Dimino's algorithm): for a known
-    subgroup H, found with generators S, and an element g outside it,
-    <H, g> is the union of the right cosets H·r reached from H·g by right
-    multiplication with S and g.  Every subgroup other than {e} is <H, g>
-    for one of its maximal subgroups H, so extending from {e} finds them
-    all; the elements of H·g all give the same <H, g> and are tried once.
+    once per group by ``_greedy_walk`` and sorted.
     """
     if group._subgroups is not None:
         return group._subgroups
-    table = group._table
-    trivial = 1 << group.identity_index
-    generators = {trivial: ()}
-    queue = [trivial]
-    for h in queue:
-        members = _indices(h)
-        tried = h
-        for g in range(len(group)):
-            if tried >> g & 1:
-                continue
-            coset = sum(1 << table[x][g] for x in members)
-            tried |= coset
-            step = generators[h] + (g,)
-            bigger, reps = h | coset, [g]
-            for r in reps:
-                for s in step:
-                    y = table[r][s]
-                    if not bigger >> y & 1:
-                        bigger |= sum(1 << table[x][y] for x in members)
-                        reps.append(y)
-            if bigger not in generators:
-                generators[bigger] = step
-                queue.append(bigger)
-    queue.sort(key=lambda m: (m.bit_count(), _indices(m)))
-    group._subgroups = dict.fromkeys(queue)
+    n = len(group)
+    full, width = (1 << n) - 1, (n + 7) // 8
+    masks = [h for h, _ in _greedy_walk(group)[0]]
+    # of two masks of one size, the one that holds the lowest index where
+    # they differ comes first, and so does its complement read low bit first
+    masks.sort(key=lambda m: (m.bit_count(), (m ^ full).to_bytes(width, "little").translate(_LOW_BIT_FIRST)))
+    group._subgroups = dict.fromkeys(masks)
     return group._subgroups
 
 
@@ -305,8 +397,20 @@ def _is_subgroup(group: FiniteGroup, mask: int) -> bool:
 
 
 def _subgroups_within(group: FiniteGroup, bound: int) -> tuple[int, ...]:
-    """The subgroups inside the element bitmask ``bound``, in table order (smallest first)."""
-    return tuple(m for m in _subgroup_table(group) if not m & ~bound)
+    """The subgroups inside the element bitmask ``bound``, in table order (smallest first).
+
+    Each bound is scanned once per group: the answer is kept in the group's
+    memo, which is emptied once it holds ``_WITHIN_MEMO_SIZE`` bounds.
+    """
+    memo = group._within
+    found = memo.get(bound)
+    if found is None:
+        outside = ~bound
+        found = tuple([m for m in _subgroup_table(group) if not m & outside])
+        if len(memo) >= _WITHIN_MEMO_SIZE:
+            memo.clear()
+        memo[bound] = found
+    return found
 
 
 def subgroup_closure(group: FiniteGroup, seed: Iterable[str]) -> frozenset[str]:

@@ -273,7 +273,6 @@ def enumerate_l_subgroups(mu: LSubset, budget: int = DEFAULT_BUDGET) -> tuple[LS
     leq, m = lat._leq, len(irreducibles)
     # at position k, the later positions whose bound the choice meets
     later = [[leq[j][i] for i in irreducibles[k + 1:]] for k, j in enumerate(irreducibles)]
-    fitting: dict[int, list[int]] = {}  # bound mask -> the subgroups (or ∅) inside it
     records = {(): (1, 1, ())}  # key -> (visits, members, ((choice, child key), ...))
     visited = members = 0
 
@@ -288,12 +287,14 @@ def enumerate_l_subgroups(mu: LSubset, budget: int = DEFAULT_BUDGET) -> tuple[LS
         if not key:  # a leaf: walked only to be refused, or as all of L(mu) over one element
             members += 1
             return
-        bound, rest, meets = key[0], key[1:], later[m - len(key)]
-        if bound not in fitting:
-            fitting[bound] = [0, *_subgroups_within(group, bound)]
-        children = tuple(
-            (h, tuple([b & h if meet else b for b, meet in zip(rest, meets)])) for h in fitting[bound]
-        ) if True in meets else tuple(zip(fitting[bound], repeat(rest)))
+        rest, meets = key[1:], later[m - len(key)]
+        fits = (0, *_subgroups_within(group, key[0]))  # ∅ and the subgroups inside the bound
+        if False not in meets:
+            children = tuple((h, tuple(map(h.__and__, rest))) for h in fits)
+        elif True in meets:
+            children = tuple((h, tuple([b & h if meet else b for b, meet in zip(rest, meets)])) for h in fits)
+        else:
+            children = tuple(zip(fits, repeat(rest)))
         start = visited - 1, members
         for _, child in children:
             record = records.get(child)

@@ -2,10 +2,11 @@
 
 The value tables are frozen literals so every test checks the library
 against independently written data rather than against other library calls.
-``elementary_abelian``, ``dihedral`` and ``permutation_group`` build the
-larger groups the tests share (``F20`` and ``S4`` are generator pairs for the
-last), and ``SEEDED_SPECS`` parametrizes a test over seeded instances;
-import them with ``from conftest import ...``.
+``elementary_abelian``, ``dihedral``, ``permutation_group`` and
+``direct_product`` build the larger groups the tests share (``F20``, ``S4``,
+``A5`` and ``S5`` are generator pairs for ``permutation_group``), and
+``SEEDED_SPECS`` parametrizes a test over seeded instances; import them with
+``from conftest import ...``.
 """
 import pytest
 
@@ -96,10 +97,12 @@ def dihedral(order):
     return validate_group(names, table)
 
 
-# generators for permutation_group: F20 = <x ↦ x+1, x ↦ 2x> on 5 points and
-# S4 = <(0 1 2 3), (0 1)>
+# generators for permutation_group: F20 = <x ↦ x+1, x ↦ 2x> on 5 points,
+# S4 = <(0 1 2 3), (0 1)>, A5 = <(0 1 2 3 4), (0 1 2)> and S5 = <(0 1 2 3 4), (0 1)>
 F20 = ((1, 2, 3, 4, 0), (0, 2, 4, 1, 3))
 S4 = ((1, 2, 3, 0), (1, 0, 2, 3))
+A5 = ((1, 2, 3, 4, 0), (1, 2, 0, 3, 4))
+S5 = ((1, 2, 3, 4, 0), (1, 0, 2, 3, 4))
 
 
 def permutation_group(*generators):
@@ -118,6 +121,24 @@ def permutation_group(*generators):
     names = ["".join(map(str, p)) for p in elements]
     index = {p: i for i, p in enumerate(elements)}
     table = [[names[index[tuple(q[i] for i in p)]] for q in elements] for p in elements]
+    return validate_group(names, table)
+
+
+def direct_product(*groups):
+    """The direct product, on tuples of element indices in lexicographic order.
+
+    Elements are named by their components joined with ``.``; the first
+    factor varies slowest.
+    """
+    tuples = [()]
+    for g in groups:
+        tuples = [(*p, i) for p in tuples for i in range(len(g))]
+    index = {p: k for k, p in enumerate(tuples)}
+    names = [".".join(g.elements[i] for g, i in zip(groups, p)) for p in tuples]
+    table = [
+        [names[index[tuple(g.op_index(a, b) for g, a, b in zip(groups, p, q))]] for q in tuples]
+        for p in tuples
+    ]
     return validate_group(names, table)
 
 

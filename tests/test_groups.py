@@ -37,9 +37,19 @@ from lsubgroups import (
     validate_hom,
 )
 from lsubgroups.errors import DocumentError
-from lsubgroups.groups import _closure, _is_subgroup, _subgroups_within
+from lsubgroups.groups import (
+    _WITHIN_MEMO_SIZE,
+    _closure,
+    _greedy_walk,
+    _is_subgroup,
+    _light_associative,
+    _product_generators,
+    _subgroup_table,
+    _subgroups_within,
+)
 
-from conftest import F20, S4, dihedral, elementary_abelian, permutation_group
+from conftest import A5, F20, S4, S5, dihedral, direct_product, elementary_abelian, permutation_group
+from dimino import dimino_subgroup_masks
 
 KLEIN_TABLE = [
     ["e", "a", "b", "c"],
@@ -99,8 +109,8 @@ def fixpoint_closure(group, mask):
 def search_subgroups(group):
     """Oracle: every subgroup, extending known ones by one element and closing.
 
-    The search the library ran before its coset-extension table, in the
-    same order: by size, then by element indices.
+    The search the library ran before its subgroup table, in the same
+    order: by size, then by element indices.
     """
     memo = {}
 
@@ -142,9 +152,15 @@ def named_group(name):
 
 
 def relabelled(group, seed):
-    """The same group with its elements listed in a seeded random order."""
+    """The same group with its elements listed in a seeded random order.
+
+    The identity is moved off index 0 when the shuffle leaves it there, as
+    every builtin and shared builder lists it first.
+    """
     names = list(group.elements)
     random.Random(seed).shuffle(names)
+    if names[0] == group.identity and len(names) > 1:
+        names[0], names[1] = names[1], names[0]
     return validate_group(names, [[group.op(x, y) for y in names] for x in names])
 
 
@@ -233,9 +249,74 @@ class TestRowsMatchTheTriples:
             table = [[group.op(x, y) for y in names] for x in names]
             i, j = rng.randrange(n), rng.randrange(n)
             table[i][j] = names[(names.index(table[i][j]) + rng.randrange(1, n)) % n]
-            assert validation_outcome(validate_group, names, table) == validation_outcome(
-                validate_group_by_triples, names, table
-            )
+            outcome = validation_outcome(validate_group_by_triples, names, table)
+            # a changed entry repeats a value in its row, so no group has the table
+            assert isinstance(outcome[0], type) and issubclass(outcome[0], Exception)
+            assert validation_outcome(validate_group, names, table) == outcome
+
+
+def first_failing_triple(t):
+    """The first (i, j, k) in index order with (ij)k != i(jk), or None."""
+    n = len(t)
+    return next(((i, j, k) for i in range(n) for j in range(n) for k in range(n)
+                 if t[t[i][j]][k] != t[i][t[j][k]]), None)
+
+
+class TestLightsTest:
+    """Associativity is checked for greedy generators in the middle only."""
+
+    @pytest.mark.parametrize("name", ["C1", "C6", "V4", "Q8", "D8", "C2^4", "D12"])
+    def test_generators_span_the_table_by_right_multiplication(self, name):
+        g = named_group(name)
+        t = [[g.op_index(x, y) for y in range(len(g))] for x in range(len(g))]
+
+        def span(gens):
+            reached = list(gens)
+            for z in reached:
+                reached += [w for w in map(t[z].__getitem__, gens) if w not in reached]
+            return set(reached)
+
+        gens = _product_generators(t)
+        assert span(gens) == set(range(len(g)))
+        # greedy: each generator is the least element outside the span of those before it
+        for k, s in enumerate(gens):
+            assert s == min(set(range(len(g))) - span(gens[:k]))
+
+    @pytest.mark.parametrize("name", ["C6", "Q8", "D8", "C2^3", "D12"])
+    def test_agrees_with_the_triples_on_one_entry_corruptions(self, name):
+        g = named_group(name)
+        n = len(g)
+        rng = random.Random(name)
+        for _ in range(30):
+            t = [[g.op_index(x, y) for y in range(n)] for x in range(n)]
+            i, j = rng.randrange(n), rng.randrange(n)
+            t[i][j] = (t[i][j] + rng.randrange(1, n)) % n
+            assert _light_associative(t) == (first_failing_triple(t) is None)
+
+    def test_first_failing_triple_with_a_middle_that_is_not_a_generator(self):
+        # C6 with g3*g3 made g: the first failing triple is (g, g2, g3), and
+        # g2 is no generator, so the message comes from the full scan
+        g = builtin_group("C6")
+        names, table = g.as_document().values()
+        table[3][3] = "g"
+        t = [[names.index(x) for x in row] for row in table]
+        i, j, k = first_failing_triple(t)
+        assert (i, j, k) == (1, 2, 3) and j not in _product_generators(t)
+        with pytest.raises(NotAssociativeError) as refused:
+            validate_group(names, table)
+        assert str(refused.value) == "(g*g2)*g3 != g*(g2*g3)"
+        assert validation_outcome(validate_group, names, table) == validation_outcome(
+            validate_group_by_triples, names, table
+        )
+
+    def test_a_left_zero_table_is_associative(self):
+        # x*y = x: every element is its own greedy generator, and the test
+        # passes on every middle; the table has no identity
+        names = ["a", "b", "c"]
+        t = [[0, 0, 0], [1, 1, 1], [2, 2, 2]]
+        assert _product_generators(t) == [0, 1, 2] and _light_associative(t)
+        with pytest.raises(NoIdentityError):
+            validate_group(names, [[names[v] for v in row] for row in t])
 
 
 class TestValidation:
@@ -399,7 +480,7 @@ class TestSubgroups:
 
 
 class TestSubgroupTable:
-    """The coset-extension table against the breadth-first search it replaced."""
+    """The subgroup table against a breadth-first search."""
 
     @pytest.mark.parametrize(
         "name", ["C1", "C2", "V4", "C6", "D8", "Q8", "C12", "D16", "C2^4", "D24", "C2^5"]
@@ -465,6 +546,84 @@ class TestSubgroupTable:
             counts[len(h)] = counts.get(len(h), 0) + 1
         assert counts == {1: 1, 2: 63, 4: 651, 8: 1395, 16: 651, 32: 63, 64: 1}
         assert sum(counts.values()) == 2825
+
+
+# the groups whose subgroup tables are held to Dimino's builder, besides the
+# builtin Cn: the other reference groups, two non-nilpotent groups of the
+# shared builders and five groups of order 60-120, by ``comparison_group``'s names
+COMPARISON_GROUPS = [
+    *(name for name in REFERENCE_GROUPS if not re.fullmatch(r"C[0-9]+", name)),
+    "S4", "F20", "A5", "S5", "Q8xD8", "D8xC2^3", "C2^6",
+]
+
+
+def comparison_group(name):
+    """A group of COMPARISON_GROUPS by name."""
+    generators = {"S4": S4, "F20": F20, "A5": A5, "S5": S5}
+    if name in generators:
+        return permutation_group(*generators[name])
+    if name == "Q8xD8":
+        return direct_product(builtin_group("Q8"), builtin_group("D8"))
+    if name == "D8xC2^3":
+        return direct_product(builtin_group("D8"), elementary_abelian(3))
+    return named_group(name)
+
+
+class TestGreedyWalk:
+    """The walk over greedy generating sequences against Dimino's builder."""
+
+    def test_builtin_cyclic_groups(self):
+        # Dimino's builder takes seconds over every Cn up to C256: the rest
+        # run in tests/subgroup_table_heavy.py
+        for n in (*range(1, 65), 96, 128, 255, 256):
+            g = builtin_group(f"C{n}")
+            assert list(_subgroup_table(g)) == dimino_subgroup_masks(g)
+
+    @pytest.mark.parametrize("name", COMPARISON_GROUPS)
+    def test_keys_and_order(self, name):
+        g = comparison_group(name)
+        assert list(_subgroup_table(g)) == dimino_subgroup_masks(g)
+
+    @pytest.mark.parametrize("name", [*COMPARISON_GROUPS, "C12", "C32", "C256"])
+    def test_keys_and_order_with_the_identity_off_index_0(self, name):
+        g = relabelled(comparison_group(name), name)
+        assert g.identity_index != 0
+        assert list(_subgroup_table(g)) == dimino_subgroup_masks(g)
+
+    @pytest.mark.parametrize("name", ["C1", "V4", "D8", "S4", "Q8xD8"])
+    def test_each_subgroup_is_built_once_from_its_greedy_sequence(self, name):
+        g = comparison_group(name)
+        walked, attempts = _greedy_walk(g)
+        masks = [h for h, _ in walked]
+        assert sorted(masks) == sorted(_subgroup_table(g))
+        for h, gens in walked:
+            span = 1 << g.identity_index
+            for k, x in enumerate(gens):
+                # the least element outside the span so far
+                assert x == (h & ~span & -(h & ~span)).bit_length() - 1
+                span = _closure(g, span | 1 << x)
+            assert span == h
+        assert attempts >= len(walked) - 1
+        if name == "Q8xD8":
+            assert (attempts, len(walked)) == (707, 189)
+
+
+class TestSubgroupsWithinMemo:
+    @pytest.mark.parametrize("name", ["C2^4", "D16", "S4", "D24~"])
+    def test_memo_matches_a_fresh_scan_for_every_subgroup(self, name):
+        g = relabelled(named_group("D24"), 5) if name == "D24~" else comparison_group(name)
+        table = _subgroup_table(g)
+        for h in table:
+            fresh = tuple(m for m in table if not m & ~h)
+            first = _subgroups_within(g, h)
+            assert first == fresh and _subgroups_within(g, h) is first
+
+    def test_memo_is_bounded(self):
+        g = validate_group(*builtin_group("C12").as_document().values())
+        table = _subgroup_table(g)
+        for bound in range(1 << len(g)):
+            assert _subgroups_within(g, bound) == tuple(m for m in table if not m & ~bound)
+            assert len(g._within) <= _WITHIN_MEMO_SIZE
 
 
 class TestNormality:
