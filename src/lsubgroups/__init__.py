@@ -29,9 +29,9 @@ _EXPORTS = {
         "InstanceTooLargeError", "LPointNotInParentError", "LSubgroupsError",
         "MismatchedCarriersError", "NoIdentityError", "NoInverseError",
         "NonDistributiveLatticeError", "NotAHomomorphismError", "NotALatticeError",
-        "NotAPosetError", "NotAnIsomorphismError", "NotAnLSubgroupError", "NotAssociativeError",
-        "NotASubgroupError", "NotClosedError", "NotMaximalError", "NotNormalInGroupError",
-        "SearchExhaustedError", "UnknownBuiltinError", "UnknownElementError",
+        "NotAPosetError", "NotAnLSubgroupError", "NotAssociativeError", "NotASubgroupError",
+        "NotClosedError", "NotMaximalError", "SearchExhaustedError", "UnknownBuiltinError",
+        "UnknownElementError",
     ),
     "lattice": ("FiniteLattice", "chain_lattice", "lattice_from_document", "validate_lattice"),
     "groups": (
@@ -50,14 +50,11 @@ _EXPORTS = {
     "maximal": (
         "LevelProfile", "LevelRelation", "MaximalityVerdict", "TipRelation",
         "candidate_space_size", "enumerate_l_subgroups", "is_maximal", "level_profile",
-        "maximal_l_subgroups", "sufficient_maximal_check", "tip_relation", "transport_maximal",
-        "transport_maximal_preimage",
+        "maximal_l_subgroups", "sufficient_maximal_check", "tip_relation",
     ),
     "frattini": (
-        "FrattiniReport", "check_nongenerator_inclusion", "constant_obstructed", "frattini",
-        "frattini_image_inclusion", "frattini_is_normal", "frattini_level_compare",
-        "is_non_generator", "maximal_avoiding", "non_generator_points", "non_generator_subgroup",
-        "nongenerators_conjugation_closed",
+        "FrattiniReport", "frattini", "frattini_level_compare", "is_non_generator",
+        "maximal_avoiding", "non_generator_points", "non_generator_subgroup",
     ),
 }
 

@@ -65,10 +65,6 @@ class NotAHomomorphismError(LSubgroupsError):
     """A map between groups does not respect the operations."""
 
 
-class NotAnIsomorphismError(LSubgroupsError):
-    """A bijective homomorphism was required."""
-
-
 # ---------------------------------------------------------------- L-subsets
 
 class MismatchedCarriersError(LSubgroupsError):
@@ -81,10 +77,6 @@ class NotAnLSubgroupError(LSubgroupsError):
 
 class LPointNotInParentError(LSubgroupsError):
     """The lattice point exceeds the parent's membership value."""
-
-
-class NotNormalInGroupError(LSubgroupsError):
-    """The parent L-subgroup must be normal in the ambient group."""
 
 
 class NotMaximalError(LSubgroupsError):

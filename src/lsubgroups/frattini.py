@@ -33,14 +33,12 @@ gives its level map: {x} at each join-irreducible j ≤ a.
 """
 from __future__ import annotations
 
-from functools import lru_cache, reduce
+from functools import lru_cache
 from typing import NamedTuple
 
 from .errors import DEFAULT_BUDGET, HypothesisNotMetError, LPointNotInParentError
-from .errors import NotAnIsomorphismError, NotNormalInGroupError
-from .groups import GroupHom, _indices, _maximal_masks, _subgroups_within, frattini_classical
-from .lsets import LPoint, LSubset, _level_masks, contains
-from .lsets import is_normal_in, is_normal_in_group, point_in, pushforward
+from .groups import _indices, _maximal_masks, _subgroups_within, frattini_classical
+from .lsets import LPoint, LSubset, _level_masks, contains, point_in
 from .maximal import _coatom_index, _highest, _level_cuts, _meet_of_cuts, _point_code
 
 
@@ -73,20 +71,6 @@ class FrattiniReport(NamedTuple):
             "equality_holds": self.equality_holds,
             "constant_obstructed": self.constant_obstructed,
         }
-
-
-def constant_obstructed(mu: LSubset, budget: int = DEFAULT_BUDGET) -> bool:
-    """True when some coatom of L(mu) is constant, as the ``frattini`` report says.
-
-    Such a constant has nothing strictly between it and mu, yet it is not a
-    maximal L-subgroup, so it enters the meet that gives the non-generator
-    subgroup but not the one that gives phi: adjoining a missing point to it
-    generates mu while the constant itself does not.  On instances free of
-    this obstruction the two coincide over every finite distributive lattice;
-    on obstructed ones the non-generator subgroup can be strictly smaller,
-    starting with mu the characteristic function of the trivial subgroup.
-    """
-    return frattini(mu, budget).constant_obstructed
 
 
 def frattini(mu: LSubset, budget: int = DEFAULT_BUDGET) -> FrattiniReport:
@@ -155,34 +139,20 @@ def non_generator_subgroup(mu: LSubset, budget: int = DEFAULT_BUDGET) -> LSubset
     return LSubset(group, lat, bytes(tops))
 
 
-def check_nongenerator_inclusion(mu: LSubset, budget: int = DEFAULT_BUDGET) -> dict:
-    """Compare the non-generator subgroup with the Frattini L-subgroup.
-
-    Returns the inclusion, the equality and the obstruction flag; the
-    harness property ``nongenerators_inside_frattini`` states when the
-    first two hold.
-    """
-    report = frattini(mu, budget=budget)
-    return {
-        "inclusion": contains(report.phi, report.nongen),
-        "equality": report.equality_holds,
-        "constant_obstructed": report.constant_obstructed,
-    }
-
-
 def frattini_level_compare(mu: LSubset, b: str, budget: int = DEFAULT_BUDGET) -> dict:
     """Compare the classical Frattini subgroup of a level with the level of phi.
 
     ``forward_inclusion`` asks whether the classical Frattini subgroup of
     the level subset mu_b sits inside the level of the Frattini L-subgroup;
-    ``reverse_inclusion`` reports the converse, which can fail.  Requires a
-    chain lattice, the one Frattini statement here that does: off chains, F20
-    and S4 break the forward inclusion (the README's scope list gives them).
+    ``reverse_inclusion`` reports the converse, which can fail.  Requires the
+    paper's upper well-ordered lattice, which a finite lattice is exactly when
+    it is a chain; no other Frattini statement here does: off chains, F20 and
+    S4 break the forward inclusion (the README's scope list gives them).
     It is only guaranteed for attained levels of a parent whose Frattini
     L-subgroup keeps the tip, so both of those facts are reported
     (``level_attained``, ``tip_condition_holds``) rather than enforced.
     """
-    if not mu.lattice.is_upper_well_ordered():
+    if not mu.lattice.is_chain():
         raise HypothesisNotMetError("level comparison is stated over chain lattices")
     level_mu = mu.level(b)
     phi = frattini(mu, budget).phi
@@ -196,56 +166,6 @@ def frattini_level_compare(mu: LSubset, b: str, budget: int = DEFAULT_BUDGET) ->
         "classical": classical,
         "phi_level": level_phi,
     }
-
-
-def nongenerators_conjugation_closed(
-    mu: LSubset, budget: int = DEFAULT_BUDGET
-) -> tuple[bool, dict | None]:
-    """Check that conjugation permutes the non-generator points.
-
-    The points below lambda, the non-generator subgroup of the ``frattini``
-    report, are read as one mask of heights per element: the lattice's
-    down-set row of its value.  Requires mu normal in the ambient group.
-    Returns (True, None) or the first counterexample, naming the point and
-    conjugator: points in group order and then lattice order, conjugators
-    in group order, each conjugate read off the table by index.  No
-    counterexample is ever expected.
-    """
-    if not is_normal_in_group(mu):
-        raise NotNormalInGroupError("conjugation closure needs mu normal in the group")
-    group, lat = mu.group, mu.lattice
-    held = [lat._down[v] for v in frattini(mu, budget).nongen.value_indices()]
-    table, inv, names = group._table, group._inv, group.elements
-    for x, heights in enumerate(held):
-        conjugates = [table[row[x]][inv[g]] for g, row in enumerate(table)]
-        missing = heights & ~reduce(int.__and__, map(held.__getitem__, conjugates))
-        if missing:
-            low = missing & -missing
-            g, y = next((g, y) for g, y in enumerate(conjugates) if not held[y] & low)
-            a = lat.elements[low.bit_length() - 1]
-            point, image = LPoint(names[x], a), LPoint(names[y], a)
-            return False, {"point": point, "conjugator": names[g], "moved": image}
-    return True, None
-
-
-def frattini_is_normal(mu: LSubset, budget: int = DEFAULT_BUDGET) -> bool:
-    """Return whether phi of a normal mu is normal in mu, as it always is.
-
-    Conjugation by g fixes a normal mu, so it permutes the non-constant
-    coatoms of L(mu) and fixes phi: phi(yxy⁻¹) = phi(x) ≥ phi(x) ∧ mu(y).
-    """
-    if not is_normal_in_group(mu):
-        raise NotNormalInGroupError("normality of phi needs mu normal in the group")
-    return is_normal_in(frattini(mu, budget).phi, mu)
-
-
-def frattini_image_inclusion(f: GroupHom, mu: LSubset, budget: int = DEFAULT_BUDGET) -> bool:
-    """Return whether f(phi(mu)) sits inside phi(f(mu)) for an isomorphism f."""
-    if not f.bijective:
-        raise NotAnIsomorphismError("the image comparison requires an isomorphism")
-    phi_source = frattini(mu, budget).phi
-    phi_target = frattini(pushforward(f, mu), budget).phi
-    return contains(phi_target, pushforward(f, phi_source))
 
 
 def maximal_avoiding(

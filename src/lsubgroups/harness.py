@@ -17,16 +17,8 @@ from dataclasses import asdict, dataclass, field
 from functools import cached_property, lru_cache
 from typing import Callable, Iterable
 
-from .errors import HypothesisNotMetError, InstanceTooLargeError, NotNormalInGroupError, SearchExhaustedError
-from .frattini import (
-    frattini,
-    frattini_image_inclusion,
-    frattini_is_normal,
-    frattini_level_compare,
-    is_non_generator,
-    maximal_avoiding,
-    nongenerators_conjugation_closed,
-)
+from .errors import HypothesisNotMetError, InstanceTooLargeError, SearchExhaustedError
+from .frattini import frattini, frattini_level_compare, is_non_generator, maximal_avoiding
 from .groups import (
     FiniteGroup,
     GroupHom,
@@ -75,7 +67,6 @@ from .maximal import (
     level_profile,
     maximal_l_subgroups,
     tip_relation,
-    transport_maximal,
     TipRelation,
 )
 
@@ -535,11 +526,14 @@ def prop_maximal_tips(inst: Instance):
 
 
 def prop_transport_preserves_maximality(inst: Instance):
+    # an isomorphism f maps L(mu) onto L(f(mu)) and keeps containment, so coatoms go to coatoms
     maximals = maximal_l_subgroups(inst.mu)
     if not maximals:
         return SKIPPED
-    _, verdict = transport_maximal(inst.iso, maximals[0], inst.mu)
-    if not verdict.maximal:
+    f, eta = inst.iso, maximals[0]
+    if not f.bijective or not is_maximal(eta, inst.mu).maximal:
+        _fail(reason="transport needs an isomorphism and a maximal L-subgroup")
+    if not is_maximal(pushforward(f, eta), pushforward(f, inst.mu)).maximal:
         _fail(reason="transported subgroup lost maximality")
 
 
@@ -595,25 +589,33 @@ def prop_frattini_level_inclusion(inst: Instance):
 
 
 def prop_frattini_normal_in_parent(inst: Instance):
-    try:
-        normal = frattini_is_normal(inst.mu)
-    except NotNormalInGroupError:  # the library's refusal: mu is not normal in the group
+    # conjugation by y fixes a normal mu, so it permutes the non-constant
+    # coatoms of L(mu) and fixes phi, their meet: phi(yxy⁻¹) = phi(x) ≥ phi(x) ∧ mu(y)
+    if not is_normal_in_group(inst.mu):
         return SKIPPED
-    if not normal:
+    if not is_normal_in(frattini(inst.mu).phi, inst.mu):
         _fail(reason="phi is not normal in mu")
 
 
 def prop_nongenerator_conjugation_closure(inst: Instance):
-    try:
-        ok, counter = nongenerators_conjugation_closed(inst.mu)
-    except NotNormalInGroupError:  # the library's refusal: mu is not normal in the group
+    # conjugation by g fixes a normal mu, so it permutes the coatoms of L(mu) and fixes lambda, their meet
+    if not is_normal_in_group(inst.mu):
         return SKIPPED
-    if not ok:
-        _fail(reason="conjugation moved a non-generator outside the set", counter=str(counter))
+    lam, table, names = frattini(inst.mu).nongen.value_indices(), inst.group._table, inst.group.elements
+    for g, (row, back) in enumerate(zip(table, inst.group._inv)):
+        moved = bytes(lam[table[gx][back]] for gx in row)  # lambda(gxg⁻¹) for each x
+        if moved != lam:
+            x = next(x for x, (a, b) in enumerate(zip(moved, lam)) if a != b)
+            _fail(reason="conjugation moved a non-generator outside the set",
+                  conjugator=names[g], element=names[x])
 
 
 def prop_frattini_image_inclusion(inst: Instance):
-    if not frattini_image_inclusion(inst.iso, inst.mu):
+    # an isomorphism f carries the maximal L-subgroups of mu onto those of f(mu)
+    if not inst.iso.bijective:
+        _fail(reason="the transport map is not an isomorphism")
+    image = pushforward(inst.iso, frattini(inst.mu).phi)
+    if not contains(frattini(pushforward(inst.iso, inst.mu)).phi, image):
         _fail(reason="image of phi escapes phi of the image")
 
 

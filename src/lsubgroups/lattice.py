@@ -118,10 +118,6 @@ class FiniteLattice:
     def is_chain(self) -> bool:
         return self._chain
 
-    def is_upper_well_ordered(self) -> bool:
-        """Every non-empty subset of a finite chain contains its supremum."""
-        return self._chain
-
     def down_set(self, a: str) -> tuple[str, ...]:
         """All elements ≤ a, in carrier order."""
         i = self.index(a)

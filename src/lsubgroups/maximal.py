@@ -51,9 +51,8 @@ from itertools import repeat
 from math import prod
 from typing import NamedTuple
 
-from .errors import DEFAULT_BUDGET, InstanceTooLargeError, NotAnIsomorphismError
-from .errors import NotAnLSubgroupError, NotMaximalError
-from .groups import GroupHom, _closure, _lower_covers, _subgroups_within
+from .errors import DEFAULT_BUDGET, InstanceTooLargeError, NotAnLSubgroupError, NotMaximalError
+from .groups import _closure, _lower_covers, _subgroups_within
 from .lsets import _level_masks
 from .lsets import (
     LPoint,
@@ -63,8 +62,6 @@ from .lsets import (
     is_l_subgroup,
     is_l_subgroup_of,
     is_proper_l_subgroup,
-    pullback,
-    pushforward,
 )
 
 
@@ -481,34 +478,3 @@ def _sufficient_pattern(eta: LSubset, mu: LSubset) -> bool:
     rows = _level_relations(eta, mu, mu.lattice.down_set(tip))
     defects = [rel for _, rel in rows if rel is not LevelRelation.EQUAL]
     return defects == [LevelRelation.PROPER_MAXIMAL_SUBGROUP]
-
-
-# ---------------------------------------------------------------- transport
-
-def _transport(
-    move, f: GroupHom, eta: LSubset, mu: LSubset, budget: int
-) -> tuple[LSubset, MaximalityVerdict]:
-    # move is pushforward or pullback; both keep maximality along a bijection
-    if not f.bijective:
-        raise NotAnIsomorphismError("transport requires a bijective homomorphism")
-    if not is_maximal(eta, mu, budget=budget):
-        raise NotMaximalError("transport requires a maximal L-subgroup")
-    moved = move(f, eta)
-    return moved, is_maximal(moved, move(f, mu), budget=budget)
-
-
-def transport_maximal(
-    f: GroupHom, eta: LSubset, mu: LSubset, budget: int = DEFAULT_BUDGET
-) -> tuple[LSubset, MaximalityVerdict]:
-    """Push a maximal L-subgroup through an isomorphism.
-
-    Returns f(eta) together with its maximality verdict inside f(mu).
-    """
-    return _transport(pushforward, f, eta, mu, budget)
-
-
-def transport_maximal_preimage(
-    f: GroupHom, theta: LSubset, nu: LSubset, budget: int = DEFAULT_BUDGET
-) -> tuple[LSubset, MaximalityVerdict]:
-    """Pull a maximal L-subgroup back through an isomorphism."""
-    return _transport(pullback, f, theta, nu, budget)

@@ -45,6 +45,10 @@ MUTANTS = (
     # the last coatom dropped
     Mutant("src/lsubgroups/maximal.py", "return _level_cuts(mu, budget, pick)\n",
            "return _level_cuts(mu, budget, pick)[:-1]\n", "maximality_strategies_agree"),
+    # lambda raised to mu's value at the last element, which conjugation can move
+    Mutant("src/lsubgroups/frattini.py", "tops = bytearray([height[lat.bottom]]) * len(group)",
+           "tops = bytearray([height[lat.bottom]]) * len(group)\n"
+           "    tops[-1] = height[mu.value(group.elements[-1])]", "nongenerator_conjugation_closure"),
 )
 
 

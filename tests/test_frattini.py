@@ -14,22 +14,17 @@ from lsubgroups import (
     LSubset,
     MaximalityVerdict,
     NotAnLSubgroupError,
-    NotNormalInGroupError,
     adjoin_point,
     all_subgroups,
     build_instance,
     builtin_group,
     chain_lattice,
     characteristic,
-    check_nongenerator_inclusion,
     constant,
-    constant_obstructed,
     contains,
     enumerate_l_subgroups,
     frattini,
     frattini_classical,
-    frattini_image_inclusion,
-    frattini_is_normal,
     frattini_level_compare,
     generate,
     identity_hom,
@@ -39,6 +34,7 @@ from lsubgroups import (
     is_l_subgroup_of,
     is_maximal,
     is_non_generator,
+    is_normal_in,
     is_normal_subgroup,
     is_normal_in_group,
     l_subset,
@@ -47,14 +43,16 @@ from lsubgroups import (
     maximal_l_subgroups,
     non_generator_points,
     non_generator_subgroup,
-    nongenerators_conjugation_closed,
     point_in,
+    pushforward,
     random_l_subset_below,
     subgroup_closure,
     validate_hom,
     validate_lattice,
 )
+from lsubgroups import harness
 from lsubgroups.errors import LPointNotInParentError, MismatchedCarriersError
+from lsubgroups.harness import PROPERTIES, SKIPPED, Instance, PropertyFailure
 from lsubgroups.maximal import _coatom_index
 
 from conftest import D8_PHI, F20, S4, SEEDED_SPECS, elementary_abelian, permutation_group
@@ -329,8 +327,8 @@ class TestCoatomsMatchTheReferenceSearch:
                 verdict = is_maximal(eta, mu)
                 assert verdict == expected._replace(witness_point=verdict.witness_point)
                 assert (verdict.witness_point is None) == verdict.maximal
-            assert constant_obstructed(mu) == constant_obstructed_by_pairwise_scan(mu)
-            assert constant_obstructed(mu) == any(c.is_constant() for c in coatoms)
+            assert frattini(mu).constant_obstructed == constant_obstructed_by_pairwise_scan(mu)
+            assert frattini(mu).constant_obstructed == any(c.is_constant() for c in coatoms)
 
 
 class TestMeetsMatchTheIntersections:
@@ -443,23 +441,33 @@ class TestChainEqualityBoundary:
             is_non_generator(point, mu, method="chain")
 
     def test_worked_instances_are_unobstructed(self, d8_case, q8_maximal_case):
-        assert not constant_obstructed(d8_case["mu"])
-        assert not constant_obstructed(q8_maximal_case["mu"])
+        assert not frattini(d8_case["mu"]).constant_obstructed
+        assert not frattini(q8_maximal_case["mu"]).constant_obstructed
+
+
+def inclusion_report(mu):
+    """The inclusion, the equality and the obstruction flag, read off the ``frattini`` report."""
+    report = frattini(mu)
+    return {
+        "inclusion": contains(report.phi, report.nongen),
+        "equality": report.equality_holds,
+        "constant_obstructed": report.constant_obstructed,
+    }
 
 
 class TestInclusionReport:
     def test_worked_instance(self, d8_case):
-        result = check_nongenerator_inclusion(d8_case["mu"])
+        result = inclusion_report(d8_case["mu"])
         assert result == {"inclusion": True, "equality": True, "constant_obstructed": False}
 
     def test_q8_instance(self, q8_maximal_case):
-        result = check_nongenerator_inclusion(q8_maximal_case["mu"])
+        result = inclusion_report(q8_maximal_case["mu"])
         assert result["inclusion"] and result["equality"]
 
     def test_obstructed_instance_reports_honestly(self):
         lat = chain_lattice(["0", "1"])
         mu = characteristic(builtin_group("C6"), lat, ["e"])
-        result = check_nongenerator_inclusion(mu)
+        result = inclusion_report(mu)
         assert result["inclusion"]
         assert not result["equality"]
         assert result["constant_obstructed"]
@@ -531,45 +539,51 @@ class TestLevelCompare:
         assert result["forward_inclusion"] and result["reverse_inclusion"]
 
 
+def conjugation_closure(mu, group_name):
+    """The outcome of ``nongenerator_conjugation_closure`` on mu: None, SKIPPED,
+    or the detail of its failure."""
+    try:
+        return PROPERTIES["nongenerator_conjugation_closure"](Instance.pinned(mu, mu, group_name))
+    except PropertyFailure as failure:
+        return failure.detail
+
+
 class TestConjugationClosure:
     def test_worked_instance(self, d8_case):
-        ok, counter = nongenerators_conjugation_closed(d8_case["mu"])
-        assert ok and counter is None
+        assert conjugation_closure(d8_case["mu"], "D8") is None
 
     def test_abelian_parent(self, five_chain):
         g = builtin_group("C6")
         mu = l_subset(g, five_chain, {"e": "1", "g3": "b", "g": "a", "g2": "a",
                                       "g4": "a", "g5": "a"})
-        ok, _ = nongenerators_conjugation_closed(mu)
-        assert ok
+        assert conjugation_closure(mu, "C6") is None
 
     def test_q8_instance(self, q8_maximal_case):
-        ok, _ = nongenerators_conjugation_closed(q8_maximal_case["mu"])
-        assert ok
+        assert conjugation_closure(q8_maximal_case["mu"], "Q8") is None
 
     def test_first_counterexample_in_group_then_lattice_order(self, d8_case, monkeypatch):
-        # a lambda that conjugation does not preserve, b at sr3, s and r:
-        # the scan takes the points in group order, then lattice order, and
-        # the conjugators in group order, so r at a fails first, moved by s
+        # a lambda that conjugation does not preserve, b at sr3, s and r: the
+        # property takes the conjugators in group order and, for each, the
+        # elements in group order, so conjugation by r moves s first
         mu = d8_case["mu"]
         inject_nongen(monkeypatch, l_subset(mu.group, mu.lattice, {
             x: "b" if x in ("sr3", "s", "r") else "0" for x in mu.group.elements
         }))
-        ok, counter = nongenerators_conjugation_closed(mu)
-        assert not ok
-        assert counter == {"point": LPoint("r", "a"), "conjugator": "s", "moved": LPoint("r3", "a")}
+        assert conjugation_closure(mu, "D8") == {
+            "reason": "conjugation moved a non-generator outside the set", "conjugator": "r", "element": "s",
+        }
 
     def test_requires_normal_parent(self, five_chain):
         d8 = builtin_group("D8")
         mu = characteristic(d8, five_chain, ["e", "s"])
-        with pytest.raises(NotNormalInGroupError):
-            nongenerators_conjugation_closed(mu)
+        assert not is_normal_in_group(mu)
+        assert conjugation_closure(mu, "D8") == SKIPPED
 
 
 def inject_nongen(monkeypatch, lam):
-    """Make the ``frattini`` report that the closure check reads carry lam as its lambda."""
+    """Make the ``frattini`` report that the closure property reads carry lam as its lambda."""
     monkeypatch.setattr(
-        frattini_module, "frattini",
+        harness, "frattini",
         lambda mu, budget=DEFAULT_BUDGET: frattini(mu, budget)._replace(nongen=lam),
     )
 
@@ -580,18 +594,16 @@ def points_below(lam):
 
 
 def conjugation_scan_by_names(mu, points):
-    """Oracle: the point-by-point scan of ``nongenerators_conjugation_closed``
-    by names, each conjugate looked up in the frozenset ``points``: points in
-    group order and then lattice order, conjugators in group order."""
+    """Oracle: conjugation by each g, in group order, keeps the set of points
+    below lambda; the first element x, in group order, whose points and those
+    of gxg⁻¹ differ names the failure."""
     group, lat = mu.group, mu.lattice
-    for p in (LPoint(x, a) for x in group.elements for a in lat.elements):
-        if p not in points:
-            continue
-        for g in group.elements:
-            moved = LPoint(group.conjugate(g, p.point), p.height)
-            if moved not in points:
-                return False, {"point": p, "conjugator": g, "moved": moved}
-    return True, None
+    for g in group.elements:
+        for x in group.elements:
+            moved = group.conjugate(g, x)
+            if any((LPoint(x, a) in points) != (LPoint(moved, a) in points) for a in lat.elements):
+                return {"reason": "conjugation moved a non-generator outside the set", "conjugator": g, "element": x}
+    return None
 
 
 def is_abelian(group):
@@ -599,26 +611,25 @@ def is_abelian(group):
 
 
 class TestConjugationClosureMatchesTheNameScan:
-    """The closure check reads lambda's value at each element as its
-    down-set row of heights and conjugates by table index; the scan over
-    ``LPoint`` names stays here as its reference, on the non-generator
-    points of seeded normal parents and on seeded lambdas put in their
-    place, some closed under conjugation and some not, so that the first
-    counterexample is compared too."""
+    """The closure property reads lambda's value at each element as one byte
+    and conjugates by table index; the scan over ``LPoint`` names stays here
+    as its reference, on the non-generator points of seeded normal parents
+    and on seeded lambdas put in their place, some closed under conjugation
+    and some not, so that the first counterexample is compared too."""
 
     @staticmethod
     def normal_parents(spec, trials=40):
         for trial in range(trials):
-            mu = build_instance(spec, trial).mu
-            if is_normal_in_group(mu):
-                yield mu
+            inst = build_instance(spec, trial)
+            if is_normal_in_group(inst.mu):
+                yield inst.mu, inst.group_name
 
     @SEEDED_SPECS
     def test_non_generator_points(self, spec):
         groups = set()
-        for mu in self.normal_parents(spec):
+        for mu, name in self.normal_parents(spec):
             expected = conjugation_scan_by_names(mu, non_generator_points(mu))
-            assert nongenerators_conjugation_closed(mu) == expected == (True, None)
+            assert conjugation_closure(mu, name) == expected is None
             groups.add(mu.group)
         assert any(not is_abelian(group) for group in groups)
 
@@ -628,7 +639,7 @@ class TestConjugationClosureMatchesTheNameScan:
         # over its conjugates) and that closure with one value lowered
         rng = random.Random(2026)
         seen = set()
-        for mu in self.normal_parents(spec):
+        for mu, name in self.normal_parents(spec):
             group, lat = mu.group, mu.lattice
             for _ in range(4):
                 drawn = random_l_subset_below(rng, mu)
@@ -641,28 +652,34 @@ class TestConjugationClosureMatchesTheNameScan:
                     spoiled[x] = rng.choice([a for a in lat.down_set(closed[x]) if a != closed[x]])
                 for lam in (drawn, l_subset(group, lat, closed), l_subset(group, lat, spoiled)):
                     inject_nongen(monkeypatch, lam)
-                    result = nongenerators_conjugation_closed(mu)
+                    result = conjugation_closure(mu, name)
                     assert result == conjugation_scan_by_names(mu, points_below(lam))
-                    seen.add(result[0])
+                    seen.add(result is None)
         assert seen == {True, False}
+
+
+def phi_is_normal(mu):
+    """``frattini_normal_in_parent`` on mu, which must be normal in the group."""
+    assert is_normal_in_group(mu)
+    return is_normal_in(frattini(mu).phi, mu)
 
 
 class TestFrattiniNormality:
     def test_worked_instance(self, d8_case):
-        assert frattini_is_normal(d8_case["mu"])
+        assert phi_is_normal(d8_case["mu"])
 
     def test_q8_instance(self, q8_maximal_case):
-        assert frattini_is_normal(q8_maximal_case["mu"])
+        assert phi_is_normal(q8_maximal_case["mu"])
 
     def test_trivial_instance(self, five_chain):
         mu = constant(builtin_group("C1"), five_chain, "1")
-        assert frattini_is_normal(mu)
+        assert phi_is_normal(mu)
 
     def test_holds_off_chains(self):
         lat = validate_lattice(
             ["0", "p", "q", "1"], [("0", "p"), ("0", "q"), ("p", "1"), ("q", "1")]
         )
-        assert frattini_is_normal(constant(builtin_group("C2"), lat, "1"))
+        assert phi_is_normal(constant(builtin_group("C2"), lat, "1"))
         # a on a normal subgroup of S4 and b ≤ a elsewhere, over three lattices
         s4 = permutation_group(*S4)
         normals = [h for h in all_subgroups(s4) if is_normal_subgroup(s4, h, s4.elements)]
@@ -674,30 +691,40 @@ class TestFrattiniNormality:
             for h in normals
         ]
         assert len(parents) == 216
-        assert all(frattini_is_normal(mu) for mu in parents)
-        with pytest.raises(NotNormalInGroupError):
-            frattini_is_normal(c4_parent(S4, "1230"))
+        assert all(phi_is_normal(mu) for mu in parents)
+        assert not is_normal_in_group(c4_parent(S4, "1230"))
+
+
+def image_inclusion(f, mu):
+    """``frattini_image_inclusion`` for f: f(phi(mu)) inside phi(f(mu))."""
+    return contains(frattini(pushforward(f, mu)).phi, pushforward(f, frattini(mu).phi))
 
 
 class TestFrattiniTransport:
     def test_identity_gives_equality(self, d8_case):
-        assert frattini_image_inclusion(identity_hom(d8_case["group"]), d8_case["mu"])
+        f = identity_hom(d8_case["group"])
+        assert pushforward(f, frattini(d8_case["mu"]).phi) == frattini(pushforward(f, d8_case["mu"])).phi
 
     def test_q8_relabeling(self, q8_maximal_case):
         g = q8_maximal_case["group"]
         swap = {"1": "1", "-1": "-1", "i": "j", "-i": "-j", "j": "i", "-j": "-i",
                 "k": "-k", "-k": "k"}
-        assert frattini_image_inclusion(validate_hom(g, g, swap), q8_maximal_case["mu"])
+        assert image_inclusion(validate_hom(g, g, swap), q8_maximal_case["mu"])
 
     def test_inner_automorphism(self, d8_case):
-        assert frattini_image_inclusion(inner_automorphism(d8_case["group"], "sr"), d8_case["mu"])
+        assert image_inclusion(inner_automorphism(d8_case["group"], "sr"), d8_case["mu"])
 
     def test_requires_isomorphism(self, d8_case):
+        # the property reports a transport map that is not an isomorphism
         d8 = d8_case["group"]
         c2 = builtin_group("C2")
-        f = validate_hom(d8, c2, {x: ("g" if x.startswith("s") else "e") for x in d8.elements})
-        with pytest.raises(Exception):
-            frattini_image_inclusion(f, d8_case["mu"])
+        inst = Instance.pinned(d8_case["mu"], d8_case["mu"], "D8")
+        prop = PROPERTIES["frattini_image_inclusion"]
+        assert prop(inst) is None
+        inst.iso = validate_hom(d8, c2, {x: ("g" if x.startswith("s") else "e") for x in d8.elements})
+        with pytest.raises(PropertyFailure) as failure:
+            prop(inst)
+        assert failure.value.detail == {"reason": "the transport map is not an isomorphism"}
 
 
 class TestMaximalAvoiding:
@@ -820,11 +847,9 @@ def _subgroup_es_of_d8():
 
 class TestRefusals:
     @pytest.mark.parametrize("call, error, message", [
-        (lambda: frattini_is_normal(_subgroup_es_of_d8()), NotNormalInGroupError,
-         "normality of phi needs mu normal in the group"),
         (lambda: maximal_avoiding(_subgroup_es_of_d8(), _subgroup_es_of_d8(), LPoint("r", "1")),
          LPointNotInParentError, "LPoint(point='r', height='1') is not a point of the parent"),
-    ], ids=["non-normal parent", "point outside mu"])
+    ], ids=["point outside mu"])
     def test_type_and_message(self, call, error, message):
         with pytest.raises(error) as refused:
             call()

@@ -31,7 +31,7 @@ from lsubgroups import (
     search_converse_counterexample,
     subgroup_closure,
 )
-from lsubgroups import HypothesisNotMetError, NotNormalInGroupError, UnknownBuiltinError, constant
+from lsubgroups import HypothesisNotMetError, UnknownBuiltinError, constant
 from lsubgroups import MaximalityVerdict, TipRelation, is_non_generator
 from lsubgroups import are_jointly_supstar, enumerate_l_subgroups, is_maximal, is_proper_l_subgroup
 from lsubgroups import LPoint, adjoin_point, harness, l_subset, level_profile, lsets, point_in, validate_group
@@ -526,30 +526,33 @@ def _row(forward, tip):
 
 class TestPropertiesReadTheLibrary:
     """A property that reads a library function reports that function's
-    wrong answer as a failure, and skips on its typed refusal, the one
-    statement of the theorem's hypothesis, or on a row whose tip condition
-    fails."""
+    wrong answer as a failure.  It skips where the theorem's hypothesis
+    fails: on the level comparison's typed refusal, on a row whose tip
+    condition fails, or where the normality properties' own
+    ``is_normal_in_group`` test says no."""
 
     # chain4 and D8, on which each of the first four runs to the end with the real library
     INSTANCE = build_instance(InstanceSpec(seed=0), 4)
     # chain5 and D8: 80 members and 5 maximals, for the properties that read the maximals
     MAXIMALS = build_instance(InstanceSpec(seed=0), 3)
+    # chain6 and V4, whose first raw sample is no L-subgroup (trial 4's samples are constants)
+    GENERATION = build_instance(InstanceSpec(seed=0), 0)
 
     @pytest.mark.parametrize("inst, prop, patched, wrong, detail", [
         (INSTANCE, "image_preimage_laws", "pullback",
          lambda f, nu: constant(f.source, nu.lattice, nu.lattice.top),
          {"law": "preimage of image equals for injective"}),
-        (INSTANCE, "frattini_normal_in_parent", "frattini_is_normal", lambda mu, **kwargs: False,
+        (INSTANCE, "frattini_normal_in_parent", "is_normal_in", lambda eta, mu: False,
          {"reason": "phi is not normal in mu"}),
-        (INSTANCE, "nongenerator_conjugation_closure", "nongenerators_conjugation_closed",
-         lambda mu, **kwargs: (False, {"conjugator": mu.group.identity}),
-         {"reason": "conjugation moved a non-generator outside the set"}),
+        (INSTANCE, "nongenerator_conjugation_closure", "frattini",
+         lambda mu, **kwargs: frattini(mu)._replace(nongen=characteristic(mu.group, mu.lattice, ["e", "s"])),
+         {"reason": "conjugation moved a non-generator outside the set", "conjugator": "r", "element": "s"}),
         (INSTANCE, "frattini_level_inclusion", "frattini_level_compare", _row(False, True),
          {"reason": "classical Frattini of the level escapes the level of phi"}),
         (MAXIMALS, "maximal_tips", "tip_relation", lambda eta, mu, **kwargs: TipRelation.VIOLATION,
          {"reason": "tip relation violated"}),
-        (MAXIMALS, "transport_preserves_maximality", "transport_maximal",
-         lambda f, eta, mu, **kwargs: (eta, MaximalityVerdict(False)),
+        (MAXIMALS, "transport_preserves_maximality", "pushforward",
+         lambda f, nu: constant(f.target, nu.lattice, nu.lattice.bottom),
          {"reason": "transported subgroup lost maximality"}),
         (MAXIMALS, "maximal_avoiding_exists", "maximal_avoiding", lambda mu, theta, point, **kwargs: (),
          {"reason": "no maximal member avoiding the point"}),
@@ -557,7 +560,7 @@ class TestPropertiesReadTheLibrary:
          {"reason": "non-generator subgroup is not in L(mu)"}),
         (MAXIMALS, "fallback_iff_no_maximals", "maximal_l_subgroups", lambda mu, **kwargs: (),
          {"reason": "fallback flag disagrees with the maximal count"}),
-        (MAXIMALS, "frattini_image_inclusion", "frattini_image_inclusion", lambda f, mu, **kwargs: False,
+        (MAXIMALS, "frattini_image_inclusion", "contains", lambda nu, eta: False,
          {"reason": "image of phi escapes phi of the image"}),
         (MAXIMALS, "sufficient_condition_sound", "is_maximal",
          lambda eta, mu, **kwargs: MaximalityVerdict(False),
@@ -568,11 +571,24 @@ class TestPropertiesReadTheLibrary:
         (MAXIMALS, "nongenerators_inside_frattini", "is_non_generator",
          lambda point, mu, **kwargs: (is_non_generator(point, mu)[0], mu),
          {"reason": "the witness is mu, or does not generate mu with the point"}),
+        # generation that hands back its input
+        (GENERATION, "generation_closure_laws", "generate", lambda eta: eta,
+         {"reason": "generation does not give an L-subgroup"}),
+        (GENERATION, "generation_matches_exhaustive_meet", "generate", lambda eta: eta,
+         {"reason": "formula and exhaustive meet disagree"}),
+        (GENERATION, "sup_property_levelwise_generation", "generate", lambda eta: eta,
+         {"reason": "level of generated subgroup differs from generated level"}),
+        (GENERATION, "generation_commutes_with_image", "generate", lambda eta: eta,
+         {"reason": "image of an L-subgroup is not an L-subgroup"}),
+        (GENERATION, "generation_commutes_with_preimage", "generate", lambda eta: eta,
+         {"reason": "preimage of an L-subgroup is not an L-subgroup"}),
     ], ids=["image_preimage_laws", "frattini_normal_in_parent", "nongenerator_conjugation_closure",
             "frattini_level_inclusion", "maximal_tips", "transport_preserves_maximality",
             "maximal_avoiding_exists", "nongenerators_form_l_subgroup", "fallback_iff_no_maximals",
             "frattini_image_inclusion", "sufficient_condition_sound", "frattini_below_each_maximal",
-            "nongenerators_inside_frattini"])
+            "nongenerators_inside_frattini", "generation_closure_laws",
+            "generation_matches_exhaustive_meet", "sup_property_levelwise_generation",
+            "generation_commutes_with_image", "generation_commutes_with_preimage"])
     def test_a_wrong_answer_fails(self, monkeypatch, inst, prop, patched, wrong, detail):
         assert PROPERTIES[prop](inst) is None  # the real library passes
         monkeypatch.setattr(harness, patched, wrong)
@@ -581,9 +597,8 @@ class TestPropertiesReadTheLibrary:
         assert detail.items() <= failure.value.detail.items()
 
     @pytest.mark.parametrize("prop, patched, refusal", [
-        ("frattini_normal_in_parent", "frattini_is_normal", _refusing(NotNormalInGroupError)),
-        ("nongenerator_conjugation_closure", "nongenerators_conjugation_closed",
-         _refusing(NotNormalInGroupError)),
+        ("frattini_normal_in_parent", "is_normal_in_group", lambda mu: False),
+        ("nongenerator_conjugation_closure", "is_normal_in_group", lambda mu: False),
         ("frattini_level_inclusion", "frattini_level_compare", _refusing(HypothesisNotMetError)),
         ("frattini_level_inclusion", "frattini_level_compare", _row(False, False)),
     ], ids=["frattini_normal_in_parent", "nongenerator_conjugation_closure", "frattini_level_inclusion",

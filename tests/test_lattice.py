@@ -164,11 +164,8 @@ class TestFrameLaws:
 class TestOrderQueries:
     def test_chain_flags(self):
         assert chain_lattice(["0", "a", "b", "c", "1"]).is_chain()
-        assert chain_lattice(["0", "a", "b", "c", "1"]).is_upper_well_ordered()
         assert not diamond().is_chain()
-        assert not diamond().is_upper_well_ordered()
-        single = chain_lattice(["x"])
-        assert single.is_chain() and single.is_upper_well_ordered()
+        assert chain_lattice(["x"]).is_chain()
 
     def test_covers_on_chain(self):
         lat = chain_lattice(["0", "a", "b", "c", "1"])

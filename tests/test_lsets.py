@@ -45,7 +45,6 @@ from lsubgroups import (
     make_lattice,
     maximal_l_subgroups,
     non_generator_subgroup,
-    nongenerators_conjugation_closed,
     point_in,
     pullback,
     pushforward,
@@ -59,6 +58,7 @@ from lsubgroups import (
 )
 from lsubgroups import lsets
 from lsubgroups.errors import DocumentError
+from lsubgroups.harness import PROPERTIES, Instance
 
 from conftest import SEEDED_SPECS
 from element_walk import meet_over_walk, search_l_subgroup_values
@@ -563,7 +563,8 @@ class TestKernelsReadTheTable:
     """No check pays a method call per group pair: with the index and name
     accessors of ``FiniteGroup`` refusing, the set product, both normality
     tests, the pointwise and direct subgroup tests, inner automorphisms and
-    the conjugation closure still answer, and answer as before."""
+    the suite's conjugation-closure property still answer, and answer as
+    before."""
 
     @pytest.mark.parametrize("case, member", [("d8_case", "phi"), ("q8_maximal_case", "eta")])
     def test_worked_cases(self, case, member, request, monkeypatch):
@@ -581,6 +582,8 @@ class TestKernelsReadTheTable:
             {x: group.conjugate(group.elements[1], x) for x in group.elements},
         )
 
+        closure = Instance.pinned(mu, eta, {"d8_case": "D8", "q8_maximal_case": "Q8"}[case])
+
         def refuse(*args):
             raise AssertionError("a per-pair accessor of FiniteGroup was called")
 
@@ -596,7 +599,7 @@ class TestKernelsReadTheTable:
             [is_subgroup(group, level) for level in levels],
             inner_automorphism(group, group.elements[1]).mapping,
         ) == expected
-        assert nongenerators_conjugation_closed(mu) == (True, None)
+        assert PROPERTIES["nongenerator_conjugation_closure"](closure) is None
 
 
 class TestNormality:

@@ -9,6 +9,7 @@ from operator import and_
 import pytest
 
 import lsubgroups.groups as groups_module
+import lsubgroups.harness as harness_module
 import lsubgroups.maximal as maximal_module
 from lsubgroups import lsets
 from lsubgroups import (
@@ -20,7 +21,6 @@ from lsubgroups import (
     LevelRelation,
     MaximalityVerdict,
     NonDistributiveLatticeError,
-    NotAnIsomorphismError,
     NotAnLSubgroupError,
     NotMaximalError,
     TipRelation,
@@ -30,7 +30,6 @@ from lsubgroups import (
     candidate_space_size,
     chain_lattice,
     constant,
-    constant_obstructed,
     contains,
     enumerate_l_subgroups,
     frattini,
@@ -49,14 +48,15 @@ from lsubgroups import (
     maximal_l_subgroups,
     non_generator_points,
     point_in,
+    pullback,
+    pushforward,
     search_converse_counterexample,
     sufficient_maximal_check,
     tip_relation,
-    transport_maximal,
-    transport_maximal_preimage,
     validate_hom,
     validate_lattice,
 )
+from lsubgroups.harness import PROPERTIES, Instance, PropertyFailure
 from lsubgroups.lsets import _level_masks
 from lsubgroups.groups import _closure, _indices, _lower_covers, _subgroup_table
 from lsubgroups.maximal import _code, _coatom_index, _highest, _lpoint_verdict, _point_code, _point_fails
@@ -391,7 +391,7 @@ class TestClosedFormCoatoms:
         c2 = builtin_group("C2")
         mu = l_subset(c2, lat, {"e": "0", "g": "1"})
         assert enumerate_l_subgroups(mu) == (constant(c2, lat, "0"),)
-        for call in (maximal_l_subgroups, constant_obstructed, frattini, non_generator_points):
+        for call in (maximal_l_subgroups, frattini, non_generator_points):
             with pytest.raises(NotAnLSubgroupError, match="require mu to be an L-subgroup"):
                 call(mu)
         with pytest.raises(NotAnLSubgroupError):
@@ -439,7 +439,7 @@ class TestClosedFormCoatoms:
         top = constant(group, lat, lat.top)
         report = frattini(top, budget=10**5)
         assert report.maximal_count == 3 * maximal_subgroups
-        assert not constant_obstructed(top)
+        assert not report.constant_obstructed
 
 
 def level_cuts_by_pair_filter(mu, pick):
@@ -639,10 +639,10 @@ class TestTipRelation:
         assert tip_relation(d8_case["eta4"], d8_case["mu"]) is TipRelation.PARENT_COVERS
         assert tip_relation(q8_maximal_case["eta"], q8_maximal_case["mu"]) is TipRelation.EQUAL
         f = inner_automorphism(d8_case["group"], "r")
-        assert transport_maximal(f, d8_case["eta1"], d8_case["mu"])[1].maximal
-        assert transport_maximal_preimage(f, d8_case["eta2"], d8_case["mu"])[1].maximal
+        assert transported(pushforward, f, d8_case["eta1"], d8_case["mu"]).maximal
+        assert transported(pullback, f, d8_case["eta2"], d8_case["mu"]).maximal
         g = identity_hom(q8_maximal_case["group"])
-        assert transport_maximal(g, q8_maximal_case["eta"], q8_maximal_case["mu"])[1].maximal
+        assert transported(pushforward, g, q8_maximal_case["eta"], q8_maximal_case["mu"]).maximal
         with pytest.raises(NotMaximalError):
             tip_relation(d8_case["phi"], d8_case["mu"])
 
@@ -804,43 +804,56 @@ class TestSufficientCheck:
         assert not sufficient_maximal_check(eta, mu)
 
 
+def transported(move, f, eta, mu):
+    """The maximality verdict of eta moved along f (pushforward or pullback) inside mu moved."""
+    return is_maximal(move(f, eta), move(f, mu))
+
+
 class TestTransport:
+    """An isomorphism keeps maximality both ways; ``transport_preserves_maximality``
+    states it in ``verify`` and reports a map or an input that breaks its
+    hypotheses."""
+
     def test_identity(self, q8_maximal_case):
         f = identity_hom(q8_maximal_case["group"])
-        image, verdict = transport_maximal(f, q8_maximal_case["eta"], q8_maximal_case["mu"])
-        assert image == q8_maximal_case["eta"]
-        assert verdict.maximal
+        assert pushforward(f, q8_maximal_case["eta"]) == q8_maximal_case["eta"]
+        assert transported(pushforward, f, q8_maximal_case["eta"], q8_maximal_case["mu"]).maximal
 
     def test_inner_automorphism_of_d8(self, d8_case):
         f = inner_automorphism(d8_case["group"], "r")
-        image, verdict = transport_maximal(f, d8_case["eta1"], d8_case["mu"])
-        assert verdict.maximal
+        assert transported(pushforward, f, d8_case["eta1"], d8_case["mu"]).maximal
 
     def test_q8_relabeling(self, q8_maximal_case):
         g = q8_maximal_case["group"]
         swap = {"1": "1", "-1": "-1", "i": "j", "-i": "-j", "j": "i", "-j": "-i",
                 "k": "-k", "-k": "k"}
         f = validate_hom(g, g, swap)
-        image, verdict = transport_maximal(f, q8_maximal_case["eta"], q8_maximal_case["mu"])
-        assert verdict.maximal
-        assert image.value("j") == "b"
+        assert transported(pushforward, f, q8_maximal_case["eta"], q8_maximal_case["mu"]).maximal
+        assert pushforward(f, q8_maximal_case["eta"]).value("j") == "b"
 
     def test_preimage_direction(self, d8_case):
         f = inner_automorphism(d8_case["group"], "s")
-        back, verdict = transport_maximal_preimage(f, d8_case["eta2"], d8_case["mu"])
-        assert verdict.maximal
+        assert transported(pullback, f, d8_case["eta2"], d8_case["mu"]).maximal
+
+    @staticmethod
+    def property_failure(inst):
+        prop = PROPERTIES["transport_preserves_maximality"]
+        with pytest.raises(PropertyFailure) as failure:
+            prop(inst)
+        return failure.value.detail["reason"]
 
     def test_requires_isomorphism(self, d8_case):
         d8 = d8_case["group"]
         c2 = builtin_group("C2")
-        f = validate_hom(d8, c2, {x: ("g" if x.startswith("s") else "e") for x in d8.elements})
-        with pytest.raises(NotAnIsomorphismError):
-            transport_maximal(f, d8_case["eta1"], d8_case["mu"])
+        inst = Instance.pinned(d8_case["mu"], d8_case["eta1"], "D8")
+        assert PROPERTIES["transport_preserves_maximality"](inst) is None
+        inst.iso = validate_hom(d8, c2, {x: ("g" if x.startswith("s") else "e") for x in d8.elements})
+        assert self.property_failure(inst) == "transport needs an isomorphism and a maximal L-subgroup"
 
-    def test_requires_maximal_input(self, d8_case):
-        f = identity_hom(d8_case["group"])
-        with pytest.raises(NotMaximalError):
-            transport_maximal(f, d8_case["phi"], d8_case["mu"])
+    def test_requires_maximal_input(self, d8_case, monkeypatch):
+        inst = Instance.pinned(d8_case["mu"], d8_case["eta1"], "D8")
+        monkeypatch.setattr(harness_module, "maximal_l_subgroups", lambda mu: (d8_case["phi"],))
+        assert self.property_failure(inst) == "transport needs an isomorphism and a maximal L-subgroup"
 
 
 class TestScrambledElementOrder:
