@@ -344,7 +344,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--budget", type=int, default=DEFAULT_BUDGET,
-        help="units of work for the coatoms of L(mu): one per level cut and one per ordered pair of cuts",
+        help="the largest answer a search may build: at most this many coatoms of L(mu)",
     )
     parser.add_argument("--seed", type=int, default=0, help="seed for verify")
     parser.add_argument("--trials", type=int, default=25, help="instances for verify")

@@ -89,16 +89,21 @@ class HypothesisNotMetError(LSubgroupsError):
 
 # ---------------------------------------------------------------- search
 
-# units of work a search may spend unless the caller passes a budget; defined
-# here, not in maximal, so that the CLI's parser needs no library layer
+# the largest answer a search may build unless the caller passes a budget:
+# members of L(mu), or level cuts; defined here, not in maximal, so that the
+# CLI's parser needs no library layer
 DEFAULT_BUDGET = 10_000_000
 
 
 class InstanceTooLargeError(LSubgroupsError):
-    """A search space, or the work a computation does or needs, exceeds the budget."""
+    """An answer, or an input, is larger than the bound set on it.
+
+    ``size`` is how far the refusing layer got, or the size it was given;
+    ``budget`` is the bound it passed.
+    """
 
     def __init__(self, size, budget, message: str | None = None):
-        super().__init__(message or f"candidate space {size} exceeds budget {budget}")
+        super().__init__(message or f"{size} exceeds budget {budget}")
         self.size = size
         self.budget = budget
 

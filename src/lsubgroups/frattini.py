@@ -178,7 +178,7 @@ def maximal_avoiding(
     hold theta_j and miss x, so nu lies under the level cut theta^{j,K}.
     A cut at j lies strictly under one at any j' with j < j' ≤ a, and the
     cuts at the j maximal under a are incomparable: they are the answer,
-    with no filter.  The budget counts n + n² units for the n cuts built.
+    with no filter.  The budget is the largest answer it may build.
     Never empty when theta ∈ L(mu); empty when theta is not below mu or the
     point lies in the L-subgroup theta generates.  Mismatched carriers
     raise MismatchedCarriersError before any other check.
@@ -191,13 +191,12 @@ def maximal_avoiding(
     x, a = mu.group.index(point.point), mu.lattice.index(point.height)
     seeds = dict(zip(*_level_masks(theta)))
 
-    def pick(j: int, level: int, above: int) -> tuple[int, list[int]]:
+    def pick(j: int, level: int, above: int) -> list[int]:
         if not (below and leq[j][a]) or any(i != j and leq[j][i] and leq[i][a] for i in seeds):
-            return 0, []
+            return []
         # largest first; ∅ comes last and qualifies only when no subgroup
         # does (x = e and theta_j empty)
         fits = (*reversed(_subgroups_within(mu.group, level)), 0)
-        tops = _maximal_masks(fits, lambda h: not seeds[j] & ~h and not h >> x & 1)
-        return len(tops), tops
+        return _maximal_masks(fits, lambda h: not seeds[j] & ~h and not h >> x & 1)
 
     return tuple(c for _, c in _level_cuts(mu, budget, pick))

@@ -61,7 +61,7 @@ class FiniteGroup:
         self._inv = inverse
         self._subgroups: dict[int, tuple[int, ...] | None] | None = None
         self._within: dict[int, tuple[int, ...]] = {}
-        self._hash = hash((elements, tuple(map(tuple, table))))
+        self._hash = hash(elements)  # __eq__ compares the elements first
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -237,7 +237,7 @@ def _quaternion_product(x: int, y: int) -> int:
 _MAX_CYCLIC_ORDER = 256
 
 
-@lru_cache(maxsize=64)
+@lru_cache(maxsize=None)  # 259 names; refusals are not cached
 def builtin_group(name: str) -> FiniteGroup:
     """Builtin groups with fixed element names: Q8, D8, V4 and Cn (e.g. C6).
 

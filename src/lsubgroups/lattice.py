@@ -56,7 +56,7 @@ class FiniteLattice:
         self._chain = chain
         self._down_sizes: tuple[int, ...] = down_sizes
         self._irreducibles: tuple[int, ...] = irreducibles
-        self._hash = hash((elements, tuple(map(tuple, leq))))
+        self._hash = hash(elements)  # __eq__ compares the elements first
 
     # ------------------------------------------------------------ queries
 

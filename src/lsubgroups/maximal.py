@@ -33,7 +33,7 @@ the point changes, compares each level with mu's and builds no L-subset.
 ``enumerate_l_subgroups`` walks L(mu) as level maps, depth first over the
 join-irreducibles.  The subtree below a node depends only on the bounds
 its choices leave on the later join-irreducibles, so it is walked once and
-a repeat is charged its recorded visits.  As eta(x) is the join of the
+a repeat adds its recorded member count.  As eta(x) is the join of the
 join-irreducibles whose level holds x (Birkhoff), a member is one integer
 with a field per group element, packed in one pass over the records,
 children first, by one OR per level, and decoded through a table.  The
@@ -115,7 +115,7 @@ class LevelProfile(NamedTuple):
 def candidate_space_size(mu: LSubset) -> int:
     """Size of the raw search space: the product of the down-set sizes.
 
-    A statistic only; the enumeration budget counts the work actually done.
+    A statistic only; the enumeration budget counts members of L(mu).
     """
     return prod(map(mu.lattice._down_sizes.__getitem__, mu.value_indices()))
 
@@ -172,13 +172,13 @@ def _level_cuts(mu: LSubset, budget: int, pick) -> tuple[tuple[int, LSubset], ..
 
     ``pick(j, level, above)`` sees each join-irreducible j where mu's level
     is the non-empty mask ``level``, with ``above`` the OR of mu's levels
-    strictly above j, and returns how many cuts at j it weighed and the
-    masks M it keeps.  The builder compares no cuts.  The budget counts
-    n + n² units for the n cuts weighed.  A cut is packed into its
-    Birkhoff code (see ``_code``), from which its L-subset is decoded.  Raises
+    strictly above j, and returns the masks M it keeps.  The builder
+    compares no cuts.  A cut is packed into its Birkhoff code (see
+    ``_code``), from which its L-subset is decoded.  Raises
     NotAnLSubgroupError when mu is not an L-subgroup,
     NonDistributiveLatticeError over a non-distributive lattice and
-    InstanceTooLargeError when the work exceeds ``budget``.
+    InstanceTooLargeError when more than ``budget`` cuts are kept, before
+    any of them is decoded.
     """
     if not is_l_subgroup(mu):
         raise NotAnLSubgroupError("level cuts of mu require mu to be an L-subgroup")
@@ -188,21 +188,17 @@ def _level_cuts(mu: LSubset, budget: int, pick) -> tuple[tuple[int, LSubset], ..
     width, decode, *_ = _birkhoff(lat)
     # a cut at j by M clears the bits at j and above of the elements outside M
     code, everyone = _code(lat, mu.value_indices()), _spread(full, width)
-    weighed, codes = 0, []
+    codes = []
     for j, level in zip(irreducibles, levels):
         if not level:
             continue
         bits = sum(1 << k for k, i in enumerate(irreducibles) if leq[j][i])
         above = reduce(int.__or__, (lv for i, lv in zip(irreducibles, levels) if i != j and leq[j][i]), 0)
-        count, masks = pick(j, level, above)
-        weighed += count
-        codes.extend(code & ~((everyone ^ _spread(m, width)) * bits) for m in masks)
-    work = weighed * (weighed + 1)
-    if work > budget:
-        raise InstanceTooLargeError(work, budget, (
-            f"the level cuts of mu need {work} units of work ({weighed} level cuts and the "
-            f"ordered pairs among them), over the budget of {budget}"
-        ))
+        codes.extend(code & ~((everyone ^ _spread(m, width)) * bits) for m in pick(j, level, above))
+    if len(codes) > budget:
+        raise InstanceTooLargeError(
+            len(codes), budget, f"the level cuts of mu number {len(codes)}, over the budget of {budget}"
+        )
     found = sorted(zip(decode(codes, n), codes))
     return tuple((c, LSubset(group, lat, vals)) for vals, c in found)
 
@@ -211,12 +207,11 @@ def _level_cuts(mu: LSubset, budget: int, pick) -> tuple[tuple[int, LSubset], ..
 def _coatom_index(mu: LSubset, budget: int) -> tuple[tuple[int, LSubset], ...]:
     """The coatoms of L(mu) in canonical order, with their codes: the one coatom cache.
 
-    Constants are kept.  Every cut by a lower cover M of mu_j (∅ when mu_j
-    is trivial) is weighed, and kept when M holds mu's levels above j.
+    Constants are kept.  A cut by a lower cover M of mu_j (∅ when mu_j is
+    trivial) is kept when M holds mu's levels above j.
     """
-    def pick(j: int, level: int, above: int) -> tuple[int, list[int]]:
-        covers = _lower_covers(mu.group, level) or (0,)
-        return len(covers), [m for m in covers if not above & ~m]
+    def pick(j: int, level: int, above: int) -> list[int]:
+        return [m for m in _lower_covers(mu.group, level) or (0,) if not above & ~m]
 
     return _level_cuts(mu, budget, pick)
 
@@ -255,34 +250,32 @@ def enumerate_l_subgroups(mu: LSubset, budget: int = DEFAULT_BUDGET) -> tuple[LS
     element order, lattice index order).  Each call walks L(mu) afresh and
     returns a new tuple that nothing else holds, so a listing is freed as
     soon as its caller drops it; a caller that reads L(mu) more than once
-    keeps the tuple itself.  The budget counts units of work, here one per
-    partial level map of the depth-first walk; a repeated subtree, walked
-    once, is charged its full visit count each time.  Raises
-    NonDistributiveLatticeError over a non-distributive lattice and
-    InstanceTooLargeError once the walk has visited more than ``budget``
-    partial level maps, naming how many members it had found by then.
+    keeps the tuple itself.  The budget is the largest listing the call may
+    build.  Raises NonDistributiveLatticeError over a non-distributive
+    lattice and InstanceTooLargeError as soon as the walk has counted more
+    than ``budget`` members, before it packs any, naming how many it had
+    counted.  The walk stays bounded by the listing: each key it walks, and
+    each child of one, lies over at least one member of its own.
     """
     # A node's key is the bounds left on the join-irreducibles from its own
-    # on: mu's levels met with the levels chosen below each (antitone).  A
-    # repeat that the budget runs out in is walked again from its key alone.
+    # on: mu's levels met with the levels chosen below each (antitone).
     group, lat = mu.group, mu.lattice
     irreducibles, levels = _level_masks(mu)
     leq, m = lat._leq, len(irreducibles)
     # at position k, the later positions whose bound the choice meets
     later = [[leq[j][i] for i in irreducibles[k + 1:]] for k, j in enumerate(irreducibles)]
-    records = {(): (1, 1, ())}  # key -> (visits, members, ((choice, child key), ...))
-    visited = members = 0
+    records = {(): (1, ())}  # key -> (members, ((choice, child key), ...)); a leaf is the empty key
+    members = 0
 
     def walk(key: tuple[int, ...]) -> None:
-        nonlocal visited, members
-        visited += 1
-        if visited > budget:
-            raise InstanceTooLargeError(visited, budget, (
-                f"enumeration of L(mu) exceeded its budget of {budget} partial level maps "
-                f"after {members} members"
-            ))
-        if not key:  # a leaf: walked only to be refused, or as all of L(mu) over one element
-            members += 1
+        nonlocal members
+        record = records.get(key)
+        if record is not None:
+            members += record[0]
+            if members > budget:
+                raise InstanceTooLargeError(members, budget, (
+                    f"enumeration of L(mu) stopped at {members} members, over its budget of {budget}"
+                ))
             return
         rest, meets = key[1:], later[m - len(key)]
         fits = (0, *_subgroups_within(group, key[0]))  # ∅ and the subgroups inside the bound
@@ -292,22 +285,17 @@ def enumerate_l_subgroups(mu: LSubset, budget: int = DEFAULT_BUDGET) -> tuple[LS
             children = tuple((h, tuple([b & h if meet else b for b, meet in zip(rest, meets)])) for h in fits)
         else:
             children = tuple(zip(fits, repeat(rest)))
-        start = visited - 1, members
+        start = members
         for _, child in children:
-            record = records.get(child)
-            if record is not None and visited + record[0] <= budget:
-                visited += record[0]
-                members += record[1]
-            else:
-                walk(child)
-        records[key] = (visited - start[0], members - start[1], children)
+            walk(child)
+        records[key] = (members - start, children)
 
     root = tuple(levels)
     walk(root)
     # each key was recorded once, after its children: one pass packs them first
     width, decode, *_ = _birkhoff(lat)
     codes: dict[tuple[int, ...], list[int]] = {}
-    for key, (_, _, children) in records.items():
+    for key, (_, children) in records.items():
         shift, listed = m - len(key), [] if children else [0]
         for h, child in children:
             listed += map((_spread(h, width) << shift).__or__, codes[child]) if h else codes[child]

@@ -49,6 +49,9 @@ MUTANTS = (
     Mutant("src/lsubgroups/frattini.py", "tops = bytearray([height[lat.bottom]]) * len(group)",
            "tops = bytearray([height[lat.bottom]]) * len(group)\n"
            "    tops[-1] = height[mu.value(group.elements[-1])]", "nongenerator_conjugation_closure"),
+    # the set product's operands swapped, which keeps it associative
+    Mutant("src/lsubgroups/lsets.py", "group, lat, ev = mu.group, mu.lattice, eta._vals",
+           "group, lat, ev = mu.group, mu.lattice, mu._vals\n    mu = eta", "set_product_of_points"),
 )
 
 

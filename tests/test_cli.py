@@ -291,8 +291,9 @@ SAMPLE_BYTES = {
         "5956bf2c9d37a86854d13c94021d694abb67c3035666cfcc85626d2fd350f8d5", EMPTY),
     "nongen q8 json": (["nongen", *Q8_SAMPLE, "--format", "json"], 0,
         "96e1c906fb2668ec62b35f6ea265089dd1151380b97a6003c22d1b7dda3a4774", EMPTY),
-    "maximals budget 10": (["maximals", "--budget", "10", *D8_SAMPLE], 3,
-        EMPTY, "59decbe632702f5a90f47c6f88a2e787c8a89e438543f8ec408d652f9b3ee63b"),
+    # the D8 parent has 4 coatoms: "error: the level cuts of mu number 4, over the budget of 3"
+    "maximals budget 3": (["maximals", "--budget", "3", *D8_SAMPLE], 3,
+        EMPTY, "3466bd1c41edfff88fae1b0e7535c771b61c2015a0f6e4ad3e46d634a5c925d0"),
 }
 
 
@@ -866,12 +867,12 @@ class TestErrors:
             assert (child.wait(timeout=300), err) == (141, b"")
 
     def test_budget_exceeded(self, docs, capsys):
-        code, _, err = run(
-            capsys, "maximals", "--budget", "10",
-            "-l", docs["chain5.json"], "-g", docs["d8.json"], "-s", docs["mu_d8.json"],
+        # the budget is the most coatoms a command may build: the D8 parent has 4
+        argv = ["-l", docs["chain5.json"], "-g", docs["d8.json"], "-s", docs["mu_d8.json"]]
+        assert run(capsys, "maximals", "--budget", "3", *argv) == (
+            3, "", "error: the level cuts of mu number 4, over the budget of 3\n"
         )
-        assert code == 3
-        assert "budget" in err
+        assert run(capsys, "maximals", "--budget", "4", *argv)[0] == 0
 
     @pytest.mark.parametrize("budget", ["72", "100000000"])
     def test_maximals_builds_the_coatoms_once_at_its_budget(self, docs, capsys, budget):

@@ -765,13 +765,15 @@ class TestMaximalAvoiding:
     def test_budget_counts_the_cuts_it_builds(self, d8_case):
         # r2 at height b: b is the largest join-irreducible under b, and two
         # subgroups of the Klein level there, {e, s} and {e, sr2}, miss r2:
-        # 2 cuts, 2 + 2² = 6 units.  The four cuts at a by {e, s}, {e, sr2},
-        # {e, sr} and {e, sr3} lie under these two and are never built
+        # 2 cuts, the answer.  The four cuts at a by {e, s}, {e, sr2}, {e, sr}
+        # and {e, sr3} lie under these two and are never built
         mu, theta = d8_case["mu"], constant(d8_case["group"], d8_case["lattice"], "0")
         point = LPoint("r2", "b")
-        with pytest.raises(InstanceTooLargeError, match=r"need 6 units of work \(2 level cuts"):
-            maximal_avoiding(mu, theta, point, budget=5)
-        tops = maximal_avoiding(mu, theta, point, budget=6)
+        with pytest.raises(InstanceTooLargeError) as refused:
+            maximal_avoiding(mu, theta, point, budget=1)
+        assert str(refused.value) == "the level cuts of mu number 2, over the budget of 1"
+        assert (refused.value.size, refused.value.budget) == (2, 1)
+        tops = maximal_avoiding(mu, theta, point, budget=2)
         assert [sorted(nu.level("b")) for nu in tops] == [["e", "sr2"], ["e", "s"]]
 
     def test_constant_top_of_c2_5_over_divisors30(self):

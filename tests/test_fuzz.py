@@ -32,7 +32,7 @@ COMMANDS = [
       for command in ("maximals", "frattini", "nongen")
       for sample in (D8, Q8)
       for fmt in ([], ["--format", "json"])),
-    ["maximals", "--budget", "10", *D8],
+    ["maximals", "--budget", "3", *D8],
 ]
 
 MUTATIONS = ("drop_key", "swap_type", "duplicate_element", "rename_element", "nest", "truncate")

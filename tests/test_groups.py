@@ -409,6 +409,14 @@ class TestBuiltins:
         assert builtin_group("D8") is builtin_group("D8")
         assert builtin_group("C6") is not builtin_group("C12")
 
+    def test_a_name_keeps_its_group_past_64_other_names(self):
+        # a cache of 64 entries dropped C2 once C3 to C69 had been asked for,
+        # and the next call built it again, with an empty subgroup table
+        first = builtin_group("C2")
+        for n in range(3, 70):
+            builtin_group(f"C{n}")
+        assert builtin_group("C2") is first
+
     def test_unknown_name_raises_on_every_call(self):
         for _ in range(3):
             with pytest.raises(UnknownBuiltinError):

@@ -35,6 +35,7 @@ from lsubgroups import HypothesisNotMetError, UnknownBuiltinError, constant
 from lsubgroups import MaximalityVerdict, TipRelation, is_non_generator
 from lsubgroups import are_jointly_supstar, enumerate_l_subgroups, is_maximal, is_proper_l_subgroup
 from lsubgroups import LPoint, adjoin_point, harness, l_subset, level_profile, lsets, point_in, validate_group
+from lsubgroups import is_l_subgroup, is_normal_in, set_product
 from lsubgroups.errors import SearchExhaustedError
 from lsubgroups.groups import all_subgroups
 from lsubgroups.harness import (
@@ -526,10 +527,11 @@ def _row(forward, tip):
 
 class TestPropertiesReadTheLibrary:
     """A property that reads a library function reports that function's
-    wrong answer as a failure.  It skips where the theorem's hypothesis
-    fails: on the level comparison's typed refusal, on a row whose tip
-    condition fails, or where the normality properties' own
-    ``is_normal_in_group`` test says no."""
+    wrong answer as a failure, and one that reads none reports a wrong
+    instance.  It skips where the theorem's hypothesis fails: on the level
+    comparison's typed refusal, on a row whose tip condition fails, or
+    where the normality properties' own ``is_normal_in_group`` test says
+    no."""
 
     # chain4 and D8, on which each of the first four runs to the end with the real library
     INSTANCE = build_instance(InstanceSpec(seed=0), 4)
@@ -537,6 +539,12 @@ class TestPropertiesReadTheLibrary:
     MAXIMALS = build_instance(InstanceSpec(seed=0), 3)
     # chain6 and V4, whose first raw sample is no L-subgroup (trial 4's samples are constants)
     GENERATION = build_instance(InstanceSpec(seed=0), 0)
+    # chain6 and C6, whose raw samples tell a product that squares its right operand
+    PRODUCTS = build_instance(InstanceSpec(seed=0), 2)
+    # chain5 and Q8, whose first two points, -i and -k, do not commute and sit above the bottom
+    POINTS = build_instance(InstanceSpec(seed=0), 9)
+    # chain2 and D8, with mu's top level of order 4 and its 3 maximal subgroups
+    CRISP = build_instance(InstanceSpec(seed=0), 1, override_lattice="chain2", override_group="D8")
 
     @pytest.mark.parametrize("inst, prop, patched, wrong, detail", [
         (INSTANCE, "image_preimage_laws", "pullback",
@@ -582,19 +590,50 @@ class TestPropertiesReadTheLibrary:
          {"reason": "image of an L-subgroup is not an L-subgroup"}),
         (GENERATION, "generation_commutes_with_preimage", "generate", lambda eta: eta,
          {"reason": "preimage of an L-subgroup is not an L-subgroup"}),
+        (INSTANCE, "generator_soundness", "is_l_subgroup_of", lambda eta, mu: False,
+         {"reason": "generated pair fails the L(mu) membership test"}),
+        (INSTANCE, "level_sets_of_intersections", "intersection_of", lambda family: family[0],
+         {"reason": "level of intersection differs from intersection of levels"}),
+        (INSTANCE, "subgroup_tests_agree", "is_l_subgroup", lambda eta: False,
+         {"reason": "pointwise and levelwise verdicts differ"}),
+        (PRODUCTS, "set_product_associative", "set_product", lambda a, b: set_product(a, set_product(b, b)),
+         {"reason": "set product is not associative"}),
+        # the operands swapped, as in the suite's mutant of set_product
+        (POINTS, "set_product_of_points", "set_product", lambda a, b: set_product(b, a),
+         {"reason": "product of points is not the point of the product"}),
+        (INSTANCE, "normality_matches_top_parent", "is_normal_in", lambda eta, mu: not is_normal_in(eta, mu),
+         {"reason": "normality in the group differs from normality below the constant top"}),
+        (MAXIMALS, "maximal_level_profiles", "level_profile",
+         lambda eta, mu: level_profile(eta, mu)._replace(unique_defect_level=None),
+         {"reason": "no unique defect level"}),
+        (CRISP, "crisp_case_collapses", "maximal_l_subgroups", lambda mu, **kwargs: (),
+         {"reason": "crisp maximal subgroups differ from classical ones"}),
     ], ids=["image_preimage_laws", "frattini_normal_in_parent", "nongenerator_conjugation_closure",
             "frattini_level_inclusion", "maximal_tips", "transport_preserves_maximality",
             "maximal_avoiding_exists", "nongenerators_form_l_subgroup", "fallback_iff_no_maximals",
             "frattini_image_inclusion", "sufficient_condition_sound", "frattini_below_each_maximal",
             "nongenerators_inside_frattini", "generation_closure_laws",
             "generation_matches_exhaustive_meet", "sup_property_levelwise_generation",
-            "generation_commutes_with_image", "generation_commutes_with_preimage"])
+            "generation_commutes_with_image", "generation_commutes_with_preimage",
+            "generator_soundness", "level_sets_of_intersections", "subgroup_tests_agree",
+            "set_product_associative", "set_product_of_points", "normality_matches_top_parent",
+            "maximal_level_profiles", "crisp_case_collapses"])
     def test_a_wrong_answer_fails(self, monkeypatch, inst, prop, patched, wrong, detail):
         assert PROPERTIES[prop](inst) is None  # the real library passes
         monkeypatch.setattr(harness, patched, wrong)
         with pytest.raises(PropertyFailure) as failure:
             PROPERTIES[prop](inst)
         assert detail.items() <= failure.value.detail.items()
+
+    def test_a_wrong_instance_fails(self):
+        # containment_is_levelwise reads only the levels of the pair, so it is
+        # fed mu and eta swapped, with eta strictly below mu
+        inst = self.MAXIMALS
+        assert inst.eta != inst.mu and PROPERTIES["containment_is_levelwise"](inst) is None
+        swapped = Instance.pinned(inst.eta, inst.mu, inst.group_name, label="swapped")
+        with pytest.raises(PropertyFailure) as failure:
+            PROPERTIES["containment_is_levelwise"](swapped)
+        assert failure.value.detail["reason"] == "eta level escapes mu level"
 
     @pytest.mark.parametrize("prop, patched, refusal", [
         ("frattini_normal_in_parent", "is_normal_in_group", lambda mu: False),

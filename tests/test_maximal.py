@@ -1,6 +1,7 @@
 """Maximal L-subgroups: strategies, profiles, transport, enumeration."""
 import gc
 import random
+import time
 import tracemalloc
 from functools import reduce
 from itertools import product as cartesian
@@ -132,18 +133,21 @@ class TestEnumeration:
         assert len(enumerate_l_subgroups(mu)) == 2
 
     def test_budget_guard(self, d8_case):
-        with pytest.raises(InstanceTooLargeError):
-            enumerate_l_subgroups(d8_case["mu"], budget=100)
+        # the budget is the largest listing: the d8 parent has 94 members
+        error = refusal(lambda: enumerate_l_subgroups(d8_case["mu"], budget=93))
+        assert error[1] == "enumeration of L(mu) stopped at 94 members, over its budget of 93"
+        assert error[3:] == (94, 93)
+        assert len(enumerate_l_subgroups(d8_case["mu"], budget=94)) == 94
 
     def test_budget_error_names_the_enumeration_and_its_progress(self, d8_case):
-        # the walk over the d8 parent visits 204 partial level maps
-        with pytest.raises(InstanceTooLargeError, match=r"enumeration of L\(mu\) .* after \d+ members"):
-            enumerate_l_subgroups(d8_case["mu"], budget=203)
-        assert len(enumerate_l_subgroups(d8_case["mu"], budget=204)) == 94
+        # a recorded subtree adds its members at once, so the count can pass
+        # the budget by more than one
+        error = refusal(lambda: enumerate_l_subgroups(d8_case["mu"], budget=50))
+        assert error[1] == "enumeration of L(mu) stopped at 54 members, over its budget of 50"
+        assert error[3:] == (54, 50)
 
     def test_budget_counts_work_not_the_raw_space(self):
-        # 4^12 raw candidates, yet the walk lists every member after
-        # visiting 98 partial level maps
+        # 4^12 raw candidates, yet L(mu) holds 65 members
         mu = constant(builtin_group("C12"), chain_lattice(["0", "a", "b", "1"]), "1")
         assert candidate_space_size(mu) == 16_777_216 > DEFAULT_BUDGET
         assert len(enumerate_l_subgroups(mu)) == 65
@@ -172,11 +176,23 @@ class TestEnumeration:
             maximal_l_subgroups(mu)
 
 
+# seeded parents over chains, products and divisor lattices; chain10 and
+# longer have more than 8 join-irreducibles, so a member's code needs more
+# than one byte per element
+SEEDED_FAMILIES = {
+    "chains": InstanceSpec(0),
+    **{kind: InstanceSpec(1, lattice_kind=kind) for kind in (
+        "product2x2", "product2x3", "divisors12", "divisors30", "chain1", "chain2", "chain10", "chain12", "chain16"
+    )},
+}
+
+
 class TestLevelMapsMatchTheElementSearch:
     """The level-map enumeration against the element-wise search, which
     stays as its reference, on seeded parents over chains, products and
     divisor lattices, on parents that are not L-subgroups, and on the
-    trivial group."""
+    trivial group; each listing fits a budget of its own size, and a
+    budget one short of it is refused."""
 
     @staticmethod
     def by_search(mu):
@@ -185,33 +201,29 @@ class TestLevelMapsMatchTheElementSearch:
             (LSubset(mu.group, mu.lattice, vals) for vals in found), key=lambda s: s.value_indices()
         )
 
-    @pytest.mark.parametrize(
-        "spec",
-        [InstanceSpec(0)]
-        + [
-            InstanceSpec(1, lattice_kind=kind)
-            for kind in ("product2x2", "product2x3", "divisors12", "divisors30", "chain1", "chain2")
-        ]
-        # more than 8 join-irreducibles: a member's code needs more than one byte per element
-        + [InstanceSpec(1, lattice_kind=kind) for kind in ("chain10", "chain12", "chain16")],
-        ids=["chains", "product2x2", "product2x3", "divisors12", "divisors30", "chain1", "chain2",
-             "chain10", "chain12", "chain16"],
-    )
+    @classmethod
+    def check(cls, mu):
+        # the listing fits a budget of its own size, and one less is refused
+        members = cls.by_search(mu)
+        assert list(enumerate_l_subgroups(mu, budget=len(members))) == members
+        size, budget = refusal(lambda: enumerate_l_subgroups(mu, budget=len(members) - 1))[3:]
+        assert budget < size <= len(members)
+
+    @pytest.mark.parametrize("spec", SEEDED_FAMILIES.values(), ids=SEEDED_FAMILIES)
     def test_seeded_parents(self, spec):
         for trial in range(120):
-            mu = build_instance(spec, trial).mu
-            assert list(enumerate_l_subgroups(mu)) == self.by_search(mu)
+            self.check(build_instance(spec, trial).mu)
 
     def test_parents_that_are_not_l_subgroups(self):
         for trial in range(120):
             for raw in build_instance(InstanceSpec(2), trial).raws:
-                assert list(enumerate_l_subgroups(raw)) == self.by_search(raw)
+                self.check(raw)
 
     @pytest.mark.parametrize("length", [1, 2, 3])
     def test_constant_top_over_the_trivial_group(self, length):
         lat = make_lattice(f"chain{length}")
         mu = constant(builtin_group("C1"), lat, lat.top)
-        assert list(enumerate_l_subgroups(mu)) == self.by_search(mu)
+        self.check(mu)
         assert len(enumerate_l_subgroups(mu)) == length
 
 
@@ -219,26 +231,22 @@ def enumeration_by_recursive_walk(mu, budget):
     """Reference for the memoised walk: the depth-first walk over level maps
     that visits every partial level map in a call of its own and builds each
     member by joining, at each x, the join-irreducibles whose level holds x.
-    Returns the members in canonical order and the number of partial level
-    maps visited; refuses as ``enumerate_l_subgroups`` must."""
+    Returns the members in canonical order; refuses the member after the
+    first ``budget``."""
     group, lat = mu.group, mu.lattice
     irreducibles, levels = _level_masks(mu)
     leq, join, bottom = lat._leq, lat._join, lat.index(lat.bottom)
     earlier = [[p for p in range(k) if leq[irreducibles[p]][j]] for k, j in enumerate(irreducibles)]
     subgroups = [(0, ())] + [(h, _indices(h)) for h in _subgroup_table(group)]
     found = []
-    visited = 0
 
     def walk(k, acc, chosen):
-        nonlocal visited
-        visited += 1
-        if visited > budget:
-            raise InstanceTooLargeError(visited, budget, (
-                f"enumeration of L(mu) exceeded its budget of {budget} partial level maps "
-                f"after {len(found)} members"
-            ))
         if k == len(irreducibles):
             found.append(LSubset(group, lat, tuple(acc)))
+            if len(found) > budget:
+                raise InstanceTooLargeError(len(found), budget, (
+                    f"enumeration of L(mu) stopped at {len(found)} members, over its budget of {budget}"
+                ))
             return
         j, bound = irreducibles[k], levels[k]
         for p in earlier[k]:
@@ -251,7 +259,7 @@ def enumeration_by_recursive_walk(mu, budget):
                 walk(k + 1, nxt, chosen + (h,))
 
     walk(0, [bottom] * len(group), ())
-    return sorted(found, key=lambda s: s.value_indices()), visited
+    return sorted(found, key=lambda s: s.value_indices())
 
 
 def refusal(call):
@@ -263,29 +271,37 @@ def refusal(call):
 
 class TestMemoisedWalkMatchesTheRecursiveWalk:
     """The memoised walk against the recursive walk it replaced, which stays
-    as its reference: the same members in the same order, and the same
-    refusal (type, message, args) at budgets that run out at the first
-    visits, inside the walk and at its last visit, on seeded parents over
-    six lattice kinds and a chain of 12, on parents that are not
-    L-subgroups and on the trivial group."""
+    as its reference for the listing: the same members in the same order.
+    Both refuse every budget below the member count: at the first members,
+    inside the walk and one member short.  The recursive walk stops at the
+    member after the budget; the memoised walk adds a recorded subtree's
+    members at once, so it stops between there and the whole listing.  On
+    seeded parents over six lattice kinds and a chain of 12, on parents
+    that are not L-subgroups and on the trivial group."""
 
     @staticmethod
     def check(mu):
-        members, visits = enumeration_by_recursive_walk(mu, DEFAULT_BUDGET)
-        assert enumerate_l_subgroups(mu, budget=visits) == tuple(members)
-        for budget in {1, 2, visits // 3, visits // 2, 2 * visits // 3, visits - 1}:
-            if 0 < budget < visits:
-                expected = refusal(lambda: enumeration_by_recursive_walk(mu, budget))
-                assert refusal(lambda: enumerate_l_subgroups(mu, budget=budget)) == expected
-        return visits
+        members = enumeration_by_recursive_walk(mu, DEFAULT_BUDGET)
+        total = len(members)
+        assert enumerate_l_subgroups(mu, budget=total) == tuple(members)
+        for budget in {0, 1, 2, total // 3, total // 2, 2 * total // 3, total - 1}:
+            if budget < total:
+                kind, _, _, stopped, limit = refusal(lambda: enumeration_by_recursive_walk(mu, budget))
+                assert (kind, stopped, limit) == (InstanceTooLargeError, budget + 1, budget)
+                kind, message, args, size, limit = refusal(lambda: enumerate_l_subgroups(mu, budget=budget))
+                assert (kind, limit) == (InstanceTooLargeError, budget) and stopped <= size <= total
+                assert args == (message,) == (
+                    f"enumeration of L(mu) stopped at {size} members, over its budget of {budget}",
+                )
+        return total
 
     @pytest.mark.parametrize(
         "kind", ["chain2-6", "chain8", "chain12", "product2x3", "product3x3", "divisors12", "divisors30"]
     )
     def test_seeded_parents(self, kind):
         spec = InstanceSpec(7, lattice_kind=kind, group_kind="Q8|D8|C6|V4|C12|C8")
-        visits = [self.check(build_instance(spec, trial).mu) for trial in range(20)]
-        assert max(visits) > 100
+        sizes = [self.check(build_instance(spec, trial).mu) for trial in range(20)]
+        assert max(sizes) > 30
 
     def test_parents_that_are_not_l_subgroups(self):
         for trial in range(40):
@@ -301,13 +317,17 @@ class TestMemoisedWalkMatchesTheRecursiveWalk:
         assert refusal(lambda: enumerate_l_subgroups(mu, budget=0)) == refusal(
             lambda: enumeration_by_recursive_walk(mu, 0)
         )
+        assert refusal(lambda: enumerate_l_subgroups(mu, budget=length - 1))[1] == (
+            f"enumeration of L(mu) stopped at {length} members, over its budget of {length - 1}"
+        )
 
 
 class TestHopelessParent:
     """Constant-top C2^5 over divisors30: at each of the three atoms the level
-    is one of the 374 subgroups or ∅, so |L(mu)| = 375³, about 5.3·10⁷.  A
-    repeated subtree is charged its recorded visits, so the walk reaches the
-    budget without building any member."""
+    is one of the 374 subgroups or ∅, so |L(mu)| = 375³, about 5.3·10⁷.  The
+    atoms are incomparable, so a choice at one leaves the same bounds on the
+    next: each atom walks one child and adds the rest from its record, and
+    the walk passes the budget without building any member."""
 
     @staticmethod
     def parent():
@@ -315,33 +335,39 @@ class TestHopelessParent:
         return constant(elementary_abelian(5), lat, lat.top)
 
     def test_refused_at_the_default_budget(self):
-        # the root, 70 whole subtrees below the first atom of 1 + 375·376
-        # visits each, one more node there, 345 whole subtrees of 1 + 375
-        # visits, one node and 207 leaves make 10^7 visits and 9,973,332
-        # members; the next visit is refused
-        error = refusal(lambda: enumerate_l_subgroups(self.parent()))
-        assert error[1] == (
-            "enumeration of L(mu) exceeded its budget of 10000000 partial level maps after 9973332 members"
-        )
-        assert error[3:] == (DEFAULT_BUDGET + 1, DEFAULT_BUDGET)
+        # each choice at the first atom lies over 375² = 140,625 members, and
+        # 72 of them make 10,125,000, the first count past 10^7
+        mu = self.parent()
+        _subgroup_table(mu.group)  # the group's table is built once, outside the timing
+        start = time.perf_counter()
+        error = refusal(lambda: enumerate_l_subgroups(mu))
+        assert time.perf_counter() - start < 0.1
+        assert error[1] == "enumeration of L(mu) stopped at 10125000 members, over its budget of 10000000"
+        assert error[3:] == (10_125_000, DEFAULT_BUDGET)
 
     def test_refusal_matches_the_recursive_walk(self):
+        # the recursive walk stops at the member after the budget; the
+        # memoised walk at the end of that member's subtree of 375 below the
+        # second atom, 267 · 375 members
         mu = self.parent()
         expected = refusal(lambda: enumeration_by_recursive_walk(mu, 10**5))
-        assert expected[1].endswith("after 99732 members")
-        assert refusal(lambda: enumerate_l_subgroups(mu, budget=10**5)) == expected
+        assert expected[1] == "enumeration of L(mu) stopped at 100001 members, over its budget of 100000"
+        error = refusal(lambda: enumerate_l_subgroups(mu, budget=10**5))
+        assert error[1] == "enumeration of L(mu) stopped at 100125 members, over its budget of 100000"
+        assert error[3] - expected[3] < 375
 
     def test_refusal_builds_nothing(self):
-        # the walk counts visits and members before it packs any member, so a
-        # refused enumeration allocates under 0.1 MB; a walk that packed the
+        # the walk counts members before it packs any, so a refused
+        # enumeration allocates under 0.1 MB; a walk that packed the
         # members as it went peaked at 6.3 MB here, and at 696 MB of RSS at
         # the default budget
         mu = self.parent()
         _subgroup_table(mu.group)  # the group's table is built once, outside the measure
         tracemalloc.start()
         try:
-            with pytest.raises(InstanceTooLargeError):
-                enumerate_l_subgroups(mu, budget=10**5)
+            for budget in (10**5, DEFAULT_BUDGET):
+                with pytest.raises(InstanceTooLargeError):
+                    enumerate_l_subgroups(mu, budget=budget)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -418,14 +444,15 @@ class TestClosedFormCoatoms:
         assert is_non_generator(outside, mu)[1] is not None
         assert maximal_module._coatom_index.cache_info().misses == 1
 
-    def test_budget_counts_cuts_and_the_pairs_among_them(self, d8_case):
+    def test_budget_counts_the_coatoms(self, d8_case):
         # mu's levels at the join-irreducibles a, b, c, 1 are D8, the Klein
-        # subgroup, the centre and {e}, with 3 + 3 + 1 + 1 lower covers: 8
-        # cuts and 64 ordered pairs, 72 units in all
+        # subgroup, the centre and {e}, with 3 + 3 + 1 + 1 lower covers; 4 of
+        # these 8 cuts are coatoms, and the budget counts only those
         mu = d8_case["mu"]
-        with pytest.raises(InstanceTooLargeError, match=r"need 72 units of work \(8 level cuts"):
-            maximal_l_subgroups(mu, budget=71)
-        assert len(maximal_l_subgroups(mu, budget=72)) == 4
+        error = refusal(lambda: maximal_l_subgroups(mu, budget=3))
+        assert error[1] == "the level cuts of mu number 4, over the budget of 3"
+        assert error[3:] == (4, 3)
+        assert len(maximal_l_subgroups(mu, budget=4)) == 4
 
     @pytest.mark.parametrize(
         "group, maximal_subgroups",
@@ -557,6 +584,44 @@ class TestClosedFormCutsMatchThePairFilter:
                 assert len(tops) == {"30": 48, "6": 32, "5": 16}[a]
 
 
+class TestBudgetIsTheLargestAnswer:
+    """The coatoms refuse exactly the budgets below their count, and
+    ``maximal_avoiding`` the budgets below the length of its answer, naming
+    the count, before any cut is decoded; on the seeded families of
+    ``TestLevelMapsMatchTheElementSearch`` (which holds the listing of L(mu)
+    to the same rule) and on the trivial group."""
+
+    @staticmethod
+    def check(mu):
+        coatoms = _coatom_index(mu, DEFAULT_BUDGET)
+        assert _coatom_index(mu, len(coatoms)) == coatoms
+        if coatoms:
+            error = refusal(lambda: _coatom_index(mu, len(coatoms) - 1))
+            assert error[1] == f"the level cuts of mu number {len(coatoms)}, over the budget of {len(coatoms) - 1}"
+            assert error[3:] == (len(coatoms), len(coatoms) - 1)
+        group, lat = mu.group, mu.lattice
+        theta = constant(group, lat, lat.bottom)
+        points = [LPoint(x, a) for x in group.elements for a in lat.down_set(mu.value(x)) if a != lat.bottom]
+        if points:
+            point = points[len(points) // 2]
+            tops = maximal_avoiding(mu, theta, point)
+            assert tops and maximal_avoiding(mu, theta, point, budget=len(tops)) == tops
+            error = refusal(lambda: maximal_avoiding(mu, theta, point, budget=len(tops) - 1))
+            assert error[3:] == (len(tops), len(tops) - 1)
+        return len(coatoms)
+
+    @pytest.mark.parametrize("spec", SEEDED_FAMILIES.values(), ids=SEEDED_FAMILIES)
+    def test_seeded_parents(self, spec):
+        counts = [self.check(build_instance(spec, trial).mu) for trial in range(120)]
+        # over a one-element lattice L(mu) is {mu}, with no coatom
+        assert max(counts) == 0 if spec.lattice_kind == "chain1" else max(counts) > 1
+
+    @pytest.mark.parametrize("length", [1, 2, 3])
+    def test_constant_top_over_the_trivial_group(self, length):
+        lat = make_lattice(f"chain{length}")
+        assert self.check(constant(builtin_group("C1"), lat, lat.top)) == min(length - 1, 1)
+
+
 class TestWorkedMaximality:
     def test_q8_pair_is_maximal(self, q8_maximal_case):
         verdict = is_maximal(q8_maximal_case["eta"], q8_maximal_case["mu"])
@@ -647,11 +712,12 @@ class TestTipRelation:
             tip_relation(d8_case["phi"], d8_case["mu"])
 
     def test_budget_reaches_the_coatoms(self, d8_case):
-        # the D8 parent's coatoms need 72 units (see the budget test above)
+        # the D8 parent has 4 coatoms (see the budget test above)
         eta, mu = d8_case["eta4"], d8_case["mu"]
-        with pytest.raises(InstanceTooLargeError, match=r"need 72 units of work \(8 level cuts"):
-            tip_relation(eta, mu, budget=71)
-        assert tip_relation(eta, mu, budget=72) is TipRelation.PARENT_COVERS
+        assert refusal(lambda: tip_relation(eta, mu, budget=3))[1] == (
+            "the level cuts of mu number 4, over the budget of 3"
+        )
+        assert tip_relation(eta, mu, budget=4) is TipRelation.PARENT_COVERS
 
     def test_violation_is_reported(self, d8_case, monkeypatch):
         # a tip two steps below mu's: with the maximality gate bypassed the

@@ -13,9 +13,9 @@ from pathlib import Path
 LAYERS_PY = Path(__file__).resolve().parents[1] / "bench" / "layers.py"
 SPAN = re.compile(r'"(lattice|groups|lsets|maximal|frattini|harness|cli)\.([a-z_]+)"')
 
-# groups.builtin_group is left out: it is lru_cache'd so that each builtin
-# name gives one shared, validated group, and the tracer records no span
-# for it
+# groups.builtin_group is left out: it is lru_cache'd with no size bound, so
+# that each of its 259 names gives one shared, validated group for the life
+# of the process, and the tracer records no span for it
 CACHED = {"groups.builtin_group"}
 
 
