@@ -102,8 +102,8 @@ class InstanceTooLargeError(LSubgroupsError):
     ``budget`` is the bound it passed.
     """
 
-    def __init__(self, size, budget, message: str | None = None):
-        super().__init__(message or f"{size} exceeds budget {budget}")
+    def __init__(self, size: int, budget: int, message: str):
+        super().__init__(message)
         self.size = size
         self.budget = budget
 

@@ -130,9 +130,10 @@ _DIVISORS_MAX = 10**9
 def make_lattice(kind: str) -> FiniteLattice:
     """Build the named lattice kind; see InstanceSpec for the grammar.
 
-    One shared, validated lattice per kind.  Chains have 1 to 16 elements,
-    and ``divisors<n>`` takes n up to 10^9: n is factorised by trial
-    division up to √n, before the lattice's own size bound can refuse it.
+    A kind is validated once, and shared while among the 64 kinds used last
+    (kinds are unbounded); one pushed out is rebuilt, equal but a new object.
+    Chains have 1 to 16 elements, and ``divisors<n>`` takes n up to 10^9: n
+    is factorised by trial division up to √n, before the size bound refuses it.
     """
     # each size is a positive decimal with no leading zero
     match = re.fullmatch(r"(chain|divisors)([1-9][0-9]*)|product([1-9][0-9]*)x([1-9][0-9]*)", kind)

@@ -31,7 +31,6 @@ from typing import Iterable, Mapping, NamedTuple
 
 from .errors import (
     DocumentError,
-    InstanceTooLargeError,
     MismatchedCarriersError,
     NonDistributiveLatticeError,
     NotAnLSubgroupError,
@@ -405,7 +404,8 @@ def generate(eta: LSubset) -> LSubset:
     return LSubset(group, lat, bytes(vals))
 
 
-_ORACLE_MAX_ORDER, _ORACLE_MAX_LEVELS = 8, 6
+# the most members of L(c) the oracle lists before it refuses
+_ORACLE_BUDGET = 10_000
 
 
 def generate_oracle(eta: LSubset) -> LSubset:
@@ -416,18 +416,12 @@ def generate_oracle(eta: LSubset) -> LSubset:
     is enough to meet the members of L(c) that contain eta, which
     ``maximal.enumerate_l_subgroups`` lists.  Raises
     NonDistributiveLatticeError over a non-distributive lattice, as
-    ``generate`` does.  Refuses more than 8 elements or 6 levels: a pinned
-    refusal contract, which the default theorem suite never reaches, until
-    a bound by the count of L(c) replaces it (ROADMAP.md).
+    ``generate`` does, and the enumeration's InstanceTooLargeError when
+    L(c) has more than 10,000 members.
     """
     from .maximal import enumerate_l_subgroups  # maximal imports this module
 
-    group, lat = eta.group, eta.lattice
-    if len(group) > _ORACLE_MAX_ORDER or len(lat) > _ORACLE_MAX_LEVELS:
-        raise InstanceTooLargeError(
-            f"{len(group)} elements x {len(lat)} levels", f"{_ORACLE_MAX_ORDER} x {_ORACLE_MAX_LEVELS}"
-        )
-    members = enumerate_l_subgroups(constant(group, lat, eta.tip()))
+    members = enumerate_l_subgroups(constant(eta.group, eta.lattice, eta.tip()), _ORACLE_BUDGET)
     return intersection_of(nu for nu in members if contains(nu, eta))
 
 

@@ -52,6 +52,29 @@ MUTANTS = (
     # the set product's operands swapped, which keeps it associative
     Mutant("src/lsubgroups/lsets.py", "group, lat, ev = mu.group, mu.lattice, eta._vals",
            "group, lat, ev = mu.group, mu.lattice, mu._vals\n    mu = eta", "set_product_of_points"),
+    # eta's levels required to hold mu's, not to lie inside them
+    Mutant("src/lsubgroups/lsets.py", "not e & ~m and", "not m & ~e and", "generator_soundness"),
+    # the pointwise meet or join taken at the first element only
+    Mutant("src/lsubgroups/lsets.py", "vals = [table[a][b] for a, b in zip(vals, member._vals)]",
+           "vals = [table[a][b] for a, b in zip(vals, member._vals)][:1] + list(vals[1:])",
+           "level_sets_of_intersections"),
+    # a level read as the elements at or below a, not at or above it
+    Mutant("src/lsubgroups/lsets.py", "if leq[ai][v]", "if leq[v][ai]", "containment_is_levelwise"),
+    # the level at the last join-irreducible left unchecked
+    Mutant("src/lsubgroups/lsets.py", "for level in _level_masks(mu)[1])",
+           "for level in _level_masks(mu)[1][:-1])", "subgroup_tests_agree"),
+    # the set product joins along row y, not row y⁻¹
+    Mutant("src/lsubgroups/lsets.py", "zip(mu._vals, map(group._table.__getitem__, group._inv))",
+           "zip(mu._vals, group._table)", "set_product_associative"),
+    # eta's value read at zy, not at zy⁻¹
+    Mutant("src/lsubgroups/lsets.py", "ev[table[z][inv[yi]]]", "ev[table[z][yi]]",
+           "normality_matches_top_parent"),
+    # a level called maximal in mu's exactly when it is not a lower cover
+    Mutant("src/lsubgroups/maximal.py", "lv_eta in _lower_covers(group, lv_mu)",
+           "lv_eta not in _lower_covers(group, lv_mu)", "maximal_level_profiles"),
+    # the classical Frattini subgroup taken as the first maximal subgroup alone
+    Mutant("src/lsubgroups/groups.py", "_lower_covers(group, mask), mask)",
+           "_lower_covers(group, mask)[:1], mask)", "crisp_case_collapses"),
 )
 
 

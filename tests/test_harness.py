@@ -72,6 +72,17 @@ class TestLatticeKinds:
         assert lat.join("4", "6") == "12"
         assert lat.meet("4", "6") == "2"
 
+    def test_a_kind_is_shared_while_it_is_cached(self):
+        # one object per kind among the 64 used last; a rebuild is equal and
+        # hashes alike, so caches keyed by the lattice still hit.  __wrapped__
+        # rebuilds without flushing the cache that other tests share
+        assert make_lattice.cache_info().maxsize == 64
+        for kind in ("chain3", "product2x3", "divisors30"):
+            first = make_lattice(kind)
+            assert make_lattice(kind) is first
+            rebuilt = make_lattice.__wrapped__(kind)
+            assert rebuilt is not first and rebuilt == first and hash(rebuilt) == hash(first)
+
     def test_unknown_kind(self):
         with pytest.raises(ValueError, match="unknown lattice kind"):
             make_lattice("moebius")
@@ -724,17 +735,18 @@ class TestOneListingPerInstance:
 
 
 class TestOracleLimits:
-    @pytest.mark.parametrize("limit", ["_ORACLE_MAX_ORDER", "_ORACLE_MAX_LEVELS"])
-    def test_exhaustive_meet_skips_what_the_oracle_refuses(self, monkeypatch, limit):
-        # the property skips whatever the oracle refuses, so lowering either
-        # of the oracle's limits skips the instance instead of erroring
+    def test_exhaustive_meet_skips_what_the_oracle_refuses(self, monkeypatch):
+        # the property skips whatever the oracle refuses, so a budget one
+        # below |L(c)| skips the instance instead of erroring
         inst = build_instance(InstanceSpec(0))
         prop = PROPERTIES["generation_matches_exhaustive_meet"]
         assert prop(inst) is None
-        size = len(inst.group) if limit == "_ORACLE_MAX_ORDER" else len(inst.lattice)
-        monkeypatch.setattr(lsets, limit, size - 1)
-        with pytest.raises(InstanceTooLargeError):
-            generate_oracle(inst.raws[0])
+        raw = inst.raws[0]
+        size = len(enumerate_l_subgroups(constant(inst.group, inst.lattice, raw.tip())))
+        monkeypatch.setattr(lsets, "_ORACLE_BUDGET", size - 1)
+        with pytest.raises(InstanceTooLargeError) as refused:
+            generate_oracle(raw)
+        assert (refused.value.size, refused.value.budget) == (size, size - 1)
         assert prop(inst) == SKIPPED
 
 

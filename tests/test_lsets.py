@@ -1,5 +1,6 @@
 """Level sets, membership algebra, subgroup predicates, generation, transport."""
 import random
+import time
 from itertools import product as cartesian
 
 import pytest
@@ -706,13 +707,45 @@ class TestGenerationOracle:
         assert generate_oracle(seed) == generate(seed) == d8_case["mu"]
 
     def test_guard(self):
-        # at most 8 elements and 6 levels; each limit refuses on its own
-        c12 = constant(builtin_group("C12"), chain_lattice(["0", "1"]), "1")
-        with pytest.raises(InstanceTooLargeError, match="12 elements x 2 levels exceeds budget 8 x 6"):
-            generate_oracle(c12)
-        d8 = constant(builtin_group("D8"), make_lattice("chain7"), "1")
-        with pytest.raises(InstanceTooLargeError, match="8 elements x 7 levels exceeds budget 8 x 6"):
+        # the one bound is the size of L(c), 10,000 members, refused with the
+        # enumeration's own message as soon as the walk counts past it
+        d8 = constant(builtin_group("D8"), make_lattice("chain16"), "1")
+        with pytest.raises(InstanceTooLargeError) as refused:
             generate_oracle(d8)
+        assert str(refused.value) == "enumeration of L(mu) stopped at 11043 members, over its budget of 10000"
+        assert (refused.value.size, refused.value.budget) == (11043, 10000)
+        c256 = constant(builtin_group("C256"), make_lattice("chain16"), "1")
+        start = time.perf_counter()
+        with pytest.raises(InstanceTooLargeError) as refused:
+            generate_oracle(c256)
+        assert time.perf_counter() - start < 0.25  # about 5 ms
+        assert (refused.value.size, refused.value.budget) == (11136, 10000)
+
+    @pytest.mark.parametrize("group, kind, members", [
+        ("C12", "chain2", 7), ("D8", "divisors30", 1331), ("C12", "chain16", 9996),
+    ])
+    def test_answers_within_the_budget(self, group, kind, members):
+        # the shape of the carriers bounds nothing: 12 elements, 8 levels and
+        # 16 levels all answer, the last with L(c) just under the budget
+        lat = make_lattice(kind)
+        top = constant(builtin_group(group), lat, lat.top)
+        assert len(enumerate_l_subgroups(top)) == members
+        assert generate_oracle(top) == generate(top) == top
+
+    @pytest.mark.parametrize("group_kind, lattice_kind", [
+        ("D8", "divisors30"), ("C12|C8", "chain7-8"), ("C12", "chain2"),
+    ])
+    def test_matches_on_larger_carriers(self, group_kind, lattice_kind):
+        # seeded raws over 12 elements, or 7 to 8 levels, or both; every pair
+        # of orders and levels that the plan names is drawn
+        spec = InstanceSpec(seed=5, lattice_kind=lattice_kind, group_kind=group_kind)
+        shapes = set()
+        for trial in range(12):
+            inst = build_instance(spec, trial)
+            shapes.add((len(inst.group), len(inst.lattice)))
+            for raw in inst.raws:
+                assert generate_oracle(raw) == generate(raw), (trial, raw.values())
+        assert len(shapes) == (4 if group_kind == "C12|C8" else 1)
 
     @pytest.mark.parametrize("lattice", [m3, pentagon], ids=["M3", "N5"])
     def test_non_distributive_refused(self, lattice):
