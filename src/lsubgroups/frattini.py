@@ -33,12 +33,12 @@ gives its level map: {x} at each join-irreducible j ≤ a.
 """
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import lru_cache, reduce
 from typing import NamedTuple
 
 from .errors import DEFAULT_BUDGET, HypothesisNotMetError, LPointNotInParentError
-from .groups import _indices, _maximal_masks, _subgroups_within, frattini_classical
-from .lsets import LPoint, LSubset, _level_masks, contains, point_in
+from .groups import _indices, _lower_covers, _maximal_masks, _names, _subgroups_within
+from .lsets import LPoint, LSubset, _level_at, _level_masks, contains, point_in
 from .maximal import _coatom_index, _highest, _level_cuts, _meet_of_cuts, _point_code
 
 
@@ -151,20 +151,22 @@ def frattini_level_compare(mu: LSubset, b: str, budget: int = DEFAULT_BUDGET) ->
     It is only guaranteed for attained levels of a parent whose Frattini
     L-subgroup keeps the tip, so both of those facts are reported
     (``level_attained``, ``tip_condition_holds``) rather than enforced.
+    Both levels at b are bitmasks (``lsets._level_at``); mu's, a subgroup once
+    ``frattini`` accepts mu, meets its maximal subgroups in one AND.
     """
     if not mu.lattice.is_chain():
         raise HypothesisNotMetError("level comparison is stated over chain lattices")
-    level_mu = mu.level(b)
-    phi = frattini(mu, budget).phi
-    classical = frattini_classical(mu.group, level_mu) if level_mu else frozenset()
-    level_phi = phi.level(b)
+    group, a = mu.group, mu.lattice.index(b)
+    phi, e = frattini(mu, budget).phi, group.identity_index
+    level_mu, level_phi = _level_at(mu, a), _level_at(phi, a)
+    classical = reduce(int.__and__, _lower_covers(group, level_mu), level_mu) if level_mu else 0
     return {
-        "forward_inclusion": classical <= level_phi,
-        "reverse_inclusion": level_phi <= classical,
-        "tip_condition_holds": phi.value(mu.group.identity) == mu.value(mu.group.identity),
-        "level_attained": b in mu.image(),
-        "classical": classical,
-        "phi_level": level_phi,
+        "forward_inclusion": not classical & ~level_phi,
+        "reverse_inclusion": not level_phi & ~classical,
+        "tip_condition_holds": phi.value_indices()[e] == mu.value_indices()[e],
+        "level_attained": a in mu.value_indices(),
+        "classical": _names(group, classical),
+        "phi_level": _names(group, level_phi),
     }
 
 

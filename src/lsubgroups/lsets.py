@@ -26,7 +26,7 @@ Equality of L-subsets is exact pointwise equality, with no tolerance.
 """
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import lru_cache, reduce
 from typing import Iterable, Mapping, NamedTuple
 
 from .errors import (
@@ -289,6 +289,13 @@ def _level_masks(mu: LSubset) -> tuple[tuple[int, ...], tuple[int, ...]]:
         raise NonDistributiveLatticeError("L-subgroup tests require a distributive lattice")
     vals = mu.value_indices()[::-1]
     return lat._irreducibles, tuple(int(vals.translate(row), 2) for row in _level_rows(lat))
+
+
+def _level_at(mu: LSubset, a: int) -> int:
+    # mu's level at lattice index a as a bitmask: the meet of its levels at
+    # the join-irreducibles below a (Birkhoff), the whole group at the bottom
+    leq, full = mu.lattice._leq, (1 << len(mu.group)) - 1
+    return reduce(int.__and__, (lv for j, lv in zip(*_level_masks(mu)) if leq[j][a]), full)
 
 
 def is_l_subgroup(mu: LSubset) -> bool:

@@ -39,9 +39,10 @@ with a field per group element, packed in one pass over the records,
 children first, by one OR per level, and decoded through a table.  The
 level cuts are packed the same way, and no module but this one knows the
 layout: ``_code`` packs a map's values and ``_point_code`` a point's.  One
-level classifier places each level of eta inside mu's; the level profile
-and the sufficient pattern read it, and the profile pins down the single
-defect level that maximality forces when the images are jointly supstar.
+level classifier places eta's level at each lattice index inside mu's, as
+masks from ``lsets._level_at``; the profile and the sufficient pattern see
+names only in its rows, and the profile pins down the single defect level
+that maximality forces when the images are jointly supstar.
 """
 from __future__ import annotations
 
@@ -52,8 +53,8 @@ from math import prod
 from typing import NamedTuple
 
 from .errors import DEFAULT_BUDGET, InstanceTooLargeError, NotAnLSubgroupError, NotMaximalError
-from .groups import _closure, _lower_covers, _subgroups_within
-from .lsets import _level_masks
+from .groups import _closure, _indices, _lower_covers, _subgroups_within
+from .lsets import _level_at, _level_masks
 from .lsets import (
     LPoint,
     LSubset,
@@ -408,26 +409,19 @@ def tip_relation(eta: LSubset, mu: LSubset, *, budget: int = DEFAULT_BUDGET) -> 
     return TipRelation.VIOLATION
 
 
-def _level_relations(eta: LSubset, mu: LSubset, elements):
-    # yields (a, how eta's level at a sits in mu's) for each a.  The level at
-    # a is the meet of the levels at the join-irreducibles below a, the whole
-    # group at the bottom; mu is an L-subgroup here, so its non-empty levels
-    # are subgroups
-    lat, group = mu.lattice, mu.group
-    irreducibles, have = _level_masks(eta)
-    want = _level_masks(mu)[1]
-    for a in elements:
-        ai = lat.index(a)
-        lv_eta = lv_mu = (1 << len(group)) - 1
-        for j, h, m in zip(irreducibles, have, want):
-            if lat._leq[j][ai]:
-                lv_eta, lv_mu = lv_eta & h, lv_mu & m
+def _level_relations(eta: LSubset, mu: LSubset, indices):
+    # yields (the name of a, how eta's level at a sits in mu's) for each
+    # lattice index a, both levels read as bitmasks by _level_at; mu is an
+    # L-subgroup here, so its non-empty levels are subgroups
+    group, names = mu.group, mu.lattice.elements
+    for a in indices:
+        lv_eta, lv_mu = _level_at(eta, a), _level_at(mu, a)
         if lv_eta == lv_mu:
-            yield a, LevelRelation.EQUAL
+            yield names[a], LevelRelation.EQUAL
         elif lv_eta and lv_eta in _lower_covers(group, lv_mu):
-            yield a, LevelRelation.PROPER_MAXIMAL_SUBGROUP
+            yield names[a], LevelRelation.PROPER_MAXIMAL_SUBGROUP
         else:
-            yield a, LevelRelation.PROPER_SUBGROUP
+            yield names[a], LevelRelation.PROPER_SUBGROUP
 
 
 def level_profile(eta: LSubset, mu: LSubset) -> LevelProfile:
@@ -440,8 +434,7 @@ def level_profile(eta: LSubset, mu: LSubset) -> LevelProfile:
     """
     if not is_l_subgroup_of(eta, mu):
         raise NotAnLSubgroupError("level profiles require eta in L(mu)")
-    image = eta.image() | mu.image()
-    rows = tuple(_level_relations(eta, mu, [a for a in mu.lattice.elements if a in image]))
+    rows = tuple(_level_relations(eta, mu, sorted(set(eta.value_indices() + mu.value_indices()))))
     defects = [a for a, rel in rows if rel is not LevelRelation.EQUAL]
     return LevelProfile(rows, defects[0] if len(defects) == 1 else None)
 
@@ -460,9 +453,9 @@ def sufficient_maximal_check(eta: LSubset, mu: LSubset) -> bool:
 
 def _sufficient_pattern(eta: LSubset, mu: LSubset) -> bool:
     # the level pattern of sufficient_maximal_check, for eta already in L(mu)
-    tip = mu.value(mu.group.identity)
-    if eta.value(mu.group.identity) != tip:
+    tip = mu.value_indices()[mu.group.identity_index]
+    if eta.value_indices()[mu.group.identity_index] != tip:
         return False
-    rows = _level_relations(eta, mu, mu.lattice.down_set(tip))
+    rows = _level_relations(eta, mu, _indices(mu.lattice._down[tip]))
     defects = [rel for _, rel in rows if rel is not LevelRelation.EQUAL]
     return defects == [LevelRelation.PROPER_MAXIMAL_SUBGROUP]

@@ -4,13 +4,24 @@ The value tables are frozen literals so every test checks the library
 against independently written data rather than against other library calls.
 ``elementary_abelian``, ``dihedral``, ``permutation_group`` and
 ``direct_product`` build the larger groups the tests share (``F20``, ``S4``,
-``A5`` and ``S5`` are generator pairs for ``permutation_group``), and
-``SEEDED_SPECS`` parametrizes a test over seeded instances; import them with
-``from conftest import ...``.
+``A5``, ``S5`` and ``S6`` are generator pairs for ``permutation_group``),
+``parity_parent`` puts a permutation group on a 3-chain by sign and
+``s4_chain_parent`` puts S4 on a 4-chain,
+``level_compare_by_names`` is the names reference for
+``frattini_level_compare``, and ``SEEDED_SPECS`` parametrizes a test over
+seeded instances; import them with ``from conftest import ...``.
 """
 import pytest
 
-from lsubgroups import InstanceSpec, builtin_group, chain_lattice, l_subset, validate_group
+from lsubgroups import (
+    InstanceSpec,
+    builtin_group,
+    chain_lattice,
+    frattini,
+    frattini_classical,
+    l_subset,
+    validate_group,
+)
 
 FIVE_CHAIN = ["0", "a", "b", "c", "1"]
 
@@ -98,11 +109,13 @@ def dihedral(order):
 
 
 # generators for permutation_group: F20 = <x ↦ x+1, x ↦ 2x> on 5 points,
-# S4 = <(0 1 2 3), (0 1)>, A5 = <(0 1 2 3 4), (0 1 2)> and S5 = <(0 1 2 3 4), (0 1)>
+# S4 = <(0 1 2 3), (0 1)>, A5 = <(0 1 2 3 4), (0 1 2)>, S5 = <(0 1 2 3 4), (0 1)>
+# and S6 = <(0 1 2 3 4 5), (0 1)>
 F20 = ((1, 2, 3, 4, 0), (0, 2, 4, 1, 3))
 S4 = ((1, 2, 3, 0), (1, 0, 2, 3))
 A5 = ((1, 2, 3, 4, 0), (1, 2, 0, 3, 4))
 S5 = ((1, 2, 3, 4, 0), (1, 0, 2, 3, 4))
+S6 = ((1, 2, 3, 4, 5, 0), (1, 0, 2, 3, 4, 5))
 
 
 def permutation_group(*generators):
@@ -124,6 +137,55 @@ def permutation_group(*generators):
     return validate_group(names, table)
 
 
+def is_even(name):
+    """Whether the permutation named by its images ("1230") is even: its
+    length less its number of cycles is even."""
+    images, seen, cycles = [int(c) for c in name], set(), 0
+    for start in range(len(images)):
+        if start not in seen:
+            cycles += 1
+            while start not in seen:
+                seen.add(start)
+                start = images[start]
+    return (len(images) - cycles) % 2 == 0
+
+
+def parity_parent(group):
+    """A permutation group on the chain 0 < 1 < 2: the identity at the top,
+    the other even permutations in the middle, the odd ones at the bottom."""
+    return l_subset(group, chain_lattice(["0", "1", "2"]), {
+        x: "2" if x == group.identity else "1" if is_even(x) else "0" for x in group.elements
+    })
+
+
+def s4_chain_parent():
+    """S4 on the chain 0 < 1 < 2 < 3: the identity at 3, the rest of the
+    Klein four-group at 2, the rest of A4 at 1 and the odd permutations at 0."""
+    group = permutation_group(*S4)
+    klein = {"0123", "1032", "2301", "3210"}
+    return l_subset(group, chain_lattice(["0", "1", "2", "3"]), {
+        x: "3" if x == group.identity else "2" if x in klein else "1" if is_even(x) else "0"
+        for x in group.elements
+    })
+
+
+def level_compare_by_names(mu, b):
+    """Reference for ``frattini_level_compare`` over a chain, on names: both
+    levels at b read by ``LSubset.level`` and the classical Frattini subgroup
+    of mu's by ``frattini_classical``."""
+    phi, e = frattini(mu).phi, mu.group.identity
+    level_mu, level_phi = mu.level(b), phi.level(b)
+    classical = frattini_classical(mu.group, level_mu) if level_mu else frozenset()
+    return {
+        "forward_inclusion": classical <= level_phi,
+        "reverse_inclusion": level_phi <= classical,
+        "tip_condition_holds": phi.value(e) == mu.value(e),
+        "level_attained": b in mu.image(),
+        "classical": classical,
+        "phi_level": level_phi,
+    }
+
+
 def direct_product(*groups):
     """The direct product, on tuples of element indices in lexicographic order.
 
@@ -140,6 +202,12 @@ def direct_product(*groups):
         for p in tuples
     ]
     return validate_group(names, table)
+
+
+@pytest.fixture(scope="session")
+def s6_parent():
+    """S6 on a 3-chain by sign (``parity_parent``); about a second to build."""
+    return parity_parent(permutation_group(*S6))
 
 
 @pytest.fixture(scope="session")

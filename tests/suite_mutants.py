@@ -69,6 +69,9 @@ MUTANTS = (
     # eta's value read at zy, not at zy⁻¹
     Mutant("src/lsubgroups/lsets.py", "ev[table[z][inv[yi]]]", "ev[table[z][yi]]",
            "normality_matches_top_parent"),
+    # a level read without the last join-irreducible below its lattice element
+    Mutant("src/lsubgroups/lsets.py", "(lv for j, lv in zip(*_level_masks(mu)) if leq[j][a])",
+           "[lv for j, lv in zip(*_level_masks(mu)) if leq[j][a]][:-1]", "maximal_level_profiles"),
     # a level called maximal in mu's exactly when it is not a lower cover
     Mutant("src/lsubgroups/maximal.py", "lv_eta in _lower_covers(group, lv_mu)",
            "lv_eta not in _lower_covers(group, lv_mu)", "maximal_level_profiles"),

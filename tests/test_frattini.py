@@ -14,6 +14,7 @@ from lsubgroups import (
     LSubset,
     MaximalityVerdict,
     NotAnLSubgroupError,
+    UnknownElementError,
     adjoin_point,
     all_subgroups,
     build_instance,
@@ -55,7 +56,16 @@ from lsubgroups.errors import LPointNotInParentError, MismatchedCarriersError
 from lsubgroups.harness import PROPERTIES, SKIPPED, Instance, PropertyFailure
 from lsubgroups.maximal import _coatom_index
 
-from conftest import D8_PHI, F20, S4, SEEDED_SPECS, elementary_abelian, permutation_group
+from conftest import (
+    D8_PHI,
+    F20,
+    S4,
+    SEEDED_SPECS,
+    elementary_abelian,
+    level_compare_by_names,
+    permutation_group,
+    s4_chain_parent,
+)
 
 # the package exports the function ``frattini`` under the module's name
 frattini_module = importlib.import_module("lsubgroups.frattini")
@@ -504,8 +514,6 @@ class TestLevelCompare:
         assert result["forward_inclusion"] is True
 
     def test_unknown_level_rejected(self, d8_case):
-        from lsubgroups import UnknownElementError
-
         with pytest.raises(UnknownElementError):
             frattini_level_compare(d8_case["mu"], "zz")
 
@@ -537,6 +545,52 @@ class TestLevelCompare:
         mu = constant(g, five_chain, "1")
         result = frattini_level_compare(mu, "1")
         assert result["forward_inclusion"] and result["reverse_inclusion"]
+
+    def test_matches_the_names_reference_on_seeded_chains(self):
+        # the comparison reads both levels as bitmasks; every answer at
+        # every level is held to the names reference
+        rows = []
+        for seed in range(40):
+            mu = build_instance(InstanceSpec(seed, lattice_kind="chain2-6")).mu
+            for b in mu.lattice.elements:
+                result = frattini_level_compare(mu, b)
+                assert result == level_compare_by_names(mu, b)
+                rows.append(result)
+        assert {r["reverse_inclusion"] for r in rows} == {True, False}
+        assert {r["tip_condition_holds"] for r in rows} == {True, False}
+        assert {r["level_attained"] for r in rows} == {True, False}
+
+    def test_chain_valued_s4_parent(self):
+        mu = s4_chain_parent()
+        for b in mu.lattice.elements:
+            assert frattini_level_compare(mu, b) == level_compare_by_names(mu, b)
+
+    def test_s6_parent(self, s6_parent):
+        mu, e = s6_parent, s6_parent.group.identity
+        results = {b: frattini_level_compare(mu, b) for b in mu.lattice.elements}
+        assert results == {b: level_compare_by_names(mu, b) for b in mu.lattice.elements}
+        # phi is e at 1 and everything else at 0: the Frattini subgroups of
+        # S6, A6 and {e} are all {e}
+        assert [r["classical"] for r in results.values()] == [{e}, {e}, {e}]
+        assert [len(r["phi_level"]) for r in results.values()] == [720, 1, 0]
+        assert [r["forward_inclusion"] for r in results.values()] == [True, True, False]
+        assert [r["reverse_inclusion"] for r in results.values()] == [False, True, True]
+        assert not results["2"]["tip_condition_holds"]
+
+    @pytest.mark.parametrize("chain, values, b, error", [
+        (False, {"e": "0", "g": "1"}, "zz", HypothesisNotMetError),
+        (True, {"e": "0", "g": "1"}, "zz", UnknownElementError),
+        (True, {"e": "0", "g": "1"}, "1", NotAnLSubgroupError),
+    ], ids=["non_chain_first", "unknown_level_next", "then_not_an_l_subgroup"])
+    def test_refusal_order(self, chain, values, b, error):
+        # a lattice that is not a chain is refused before the level is
+        # looked up, and an unknown level before the parent is checked
+        lat = chain_lattice(["0", "1"]) if chain else validate_lattice(
+            ["0", "p", "q", "1"], [("0", "p"), ("0", "q"), ("p", "1"), ("q", "1")]
+        )
+        mu = l_subset(builtin_group("C2"), lat, values)
+        with pytest.raises(error):
+            frattini_level_compare(mu, b)
 
 
 def conjugation_closure(mu, group_name):

@@ -621,6 +621,18 @@ class TestNormality:
         assert is_l_subgroup_of(eta, top)
         assert not is_normal_in(eta, top)
 
+    def test_non_normal_only_in_the_last_rows(self, d8):
+        # D8 listed as e, r2, s, sr2, r, r3, sr, sr3, with {e, s} at the top:
+        # every pair (x, y) whose products xy and yx part across the level
+        # lies in G∖N({e, s}) = {r, r3, sr, sr3}, the last four elements, so
+        # a scan of only the first half of the rows would answer normal
+        order = ["e", "r2", "s", "sr2", "r", "r3", "sr", "sr3"]
+        group = validate_group(order, [[d8.op(x, y) for y in order] for x in order])
+        mu = characteristic(group, chain_lattice(["0", "1"]), ["e", "s"])
+        assert is_l_subgroup(mu)
+        assert not levelwise_is_normal_in_group(mu)
+        assert not is_normal_in_group(mu)
+
     def test_normality_in_group_matches_top_parent(self, d8_case):
         top = constant(d8_case["group"], d8_case["lattice"], "1")
         for probe in [d8_case["mu"], d8_case["eta1"]]:

@@ -3,9 +3,8 @@ import gc
 import random
 import time
 import tracemalloc
-from functools import reduce
+from functools import lru_cache
 from itertools import product as cartesian
-from operator import and_
 
 import pytest
 
@@ -19,6 +18,7 @@ from lsubgroups import (
     InstanceTooLargeError,
     LPoint,
     LSubset,
+    LevelProfile,
     LevelRelation,
     MaximalityVerdict,
     NonDistributiveLatticeError,
@@ -47,6 +47,7 @@ from lsubgroups import (
     make_lattice,
     maximal_avoiding,
     maximal_l_subgroups,
+    maximal_subgroups_of,
     non_generator_points,
     point_in,
     pullback,
@@ -62,7 +63,7 @@ from lsubgroups.lsets import _level_masks
 from lsubgroups.groups import _closure, _indices, _lower_covers, _subgroup_table
 from lsubgroups.maximal import _code, _coatom_index, _highest, _lpoint_verdict, _point_code, _point_fails
 
-from conftest import dihedral, elementary_abelian
+from conftest import dihedral, elementary_abelian, s4_chain_parent
 from element_walk import search_l_subgroup_values
 
 
@@ -758,50 +759,78 @@ class TestLevelProfile:
         assert dict(profile.witness_levels)["1"] is LevelRelation.PROPER_SUBGROUP
 
 
+# maximal_subgroups_of re-checks its argument by the O(|H|²) pair test, which
+# on S6 costs tens of ms per level, and the reference asks for each level often
+@lru_cache(maxsize=None)
+def maximal_subgroups_by_names(group, level):
+    return maximal_subgroups_of(group, level)
+
+
 def level_relation_per_element(eta, mu, a):
-    """Reference for the level classifier: each level at a read on its own,
-    as the meet of the levels at the join-irreducibles below a."""
-    ai = mu.lattice.index(a)
-
-    def level_at(s):
-        below = (m for j, m in zip(*lsets._level_masks(s)) if s.lattice._leq[j][ai])
-        return reduce(and_, below, (1 << len(s.group)) - 1)
-
-    lv_eta, lv_mu = level_at(eta), level_at(mu)
+    """Reference for the level classifier, on names: each level at a read on
+    its own by ``LSubset.level``, and a maximal subgroup of mu's level taken
+    from ``maximal_subgroups_of``."""
+    lv_eta, lv_mu = eta.level(a), mu.level(a)
     if lv_eta == lv_mu:
         return LevelRelation.EQUAL
-    if lv_eta and lv_eta in _lower_covers(mu.group, lv_mu):
+    if lv_eta and lv_eta in maximal_subgroups_by_names(mu.group, lv_mu):
         return LevelRelation.PROPER_MAXIMAL_SUBGROUP
     return LevelRelation.PROPER_SUBGROUP
 
 
+def level_answers_by_names(eta, mu):
+    """``level_profile`` and ``sufficient_maximal_check`` of eta in L(mu), on names."""
+    lat, e = mu.lattice, mu.group.identity
+    image = eta.image() | mu.image()
+    rows = tuple((a, level_relation_per_element(eta, mu, a)) for a in lat.elements if a in image)
+    lone = [a for a, rel in rows if rel is not LevelRelation.EQUAL]
+    below_tip = [
+        rel for a in lat.down_set(mu.value(e))
+        if (rel := level_relation_per_element(eta, mu, a)) is not LevelRelation.EQUAL
+    ]
+    sufficient = eta.value(e) == mu.value(e) and below_tip == [LevelRelation.PROPER_MAXIMAL_SUBGROUP]
+    return LevelProfile(rows, lone[0] if len(lone) == 1 else None), sufficient
+
+
 class TestLevelRelationsMatchThePerElementForm:
+    """``level_profile`` and ``sufficient_maximal_check`` read levels as
+    bitmasks; each answer is held to the names reference."""
+
     @pytest.mark.parametrize("kind", ["chain2-6", "product2x3", "divisors30"])
     def test_seeded_instances(self, kind):
         defects = sufficient = 0
         for seed in range(40):
             mu = build_instance(InstanceSpec(seed, lattice_kind=kind)).mu
-            lat, e = mu.lattice, mu.group.identity
             for eta in enumerate_l_subgroups(mu):
-                image = eta.image() | mu.image()
-                rows = tuple(
-                    (a, level_relation_per_element(eta, mu, a)) for a in lat.elements if a in image
-                )
-                lone = [a for a, rel in rows if rel is not LevelRelation.EQUAL]
-                profile = level_profile(eta, mu)
-                assert profile.witness_levels == rows
-                assert profile.unique_defect_level == (lone[0] if len(lone) == 1 else None)
-                below_tip = [
-                    rel for a in lat.down_set(mu.value(e))
-                    if (rel := level_relation_per_element(eta, mu, a)) is not LevelRelation.EQUAL
-                ]
-                expected = eta.value(e) == mu.value(e) and below_tip == [
-                    LevelRelation.PROPER_MAXIMAL_SUBGROUP
-                ]
+                profile, expected = level_answers_by_names(eta, mu)
+                assert level_profile(eta, mu) == profile
                 assert sufficient_maximal_check(eta, mu) == expected
                 defects += profile.unique_defect_level is not None
                 sufficient += expected
         assert defects > 40 and sufficient > 10
+
+    def test_chain_valued_s4_parent(self):
+        mu = s4_chain_parent()
+        members = enumerate_l_subgroups(mu)
+        answers = [(level_profile(eta, mu), sufficient_maximal_check(eta, mu)) for eta in members]
+        assert answers == [level_answers_by_names(eta, mu) for eta in members]
+        # 53 members; the five maximal ones each have one defect level, and
+        # four members meet the sufficient pattern
+        assert len(members) == 53
+        defects = sorted(level_profile(eta, mu).unique_defect_level for eta in maximal_l_subgroups(mu))
+        assert defects == ["1", "2", "2", "2", "3"]
+        assert sum(sufficient for _, sufficient in answers) == 4
+
+    def test_s6_parent(self, s6_parent):
+        mu, phi = s6_parent, frattini(s6_parent).phi
+        for eta in (mu, phi, *maximal_l_subgroups(mu)):
+            profile, expected = level_answers_by_names(eta, mu)
+            assert level_profile(eta, mu) == profile
+            assert sufficient_maximal_check(eta, mu) == expected
+        # phi cuts A6 to {e} and {e} to nothing: two defects, neither maximal
+        assert level_profile(phi, mu).defects() == (
+            ("1", LevelRelation.PROPER_SUBGROUP), ("2", LevelRelation.PROPER_SUBGROUP),
+        )
 
 
 class TestRecords:
