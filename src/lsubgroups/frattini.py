@@ -151,8 +151,9 @@ def frattini_level_compare(mu: LSubset, b: str, budget: int = DEFAULT_BUDGET) ->
     It is only guaranteed for attained levels of a parent whose Frattini
     L-subgroup keeps the tip, so both of those facts are reported
     (``level_attained``, ``tip_condition_holds``) rather than enforced.
-    Both levels at b are bitmasks (``lsets._level_at``); mu's, a subgroup once
-    ``frattini`` accepts mu, meets its maximal subgroups in one AND.
+    Both levels at b are bitmasks, each one translate of the values through
+    b's row (``lsets._level_at``); mu's, a subgroup once ``frattini``
+    accepts mu, meets its maximal subgroups in one AND.
     """
     if not mu.lattice.is_chain():
         raise HypothesisNotMetError("level comparison is stated over chain lattices")

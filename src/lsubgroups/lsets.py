@@ -17,16 +17,18 @@ Over a finite distributive lattice every element is the join of the
 join-irreducibles below it, and the level at a join is the intersection of
 the levels at its parts, so both the subgroup test and generation read the
 levels at the join-irreducibles only.  The subgroup test asks
-``groups._is_subgroup`` about those level bitmasks, each read off the
-values by one ``bytes.translate`` through a per-lattice table, cached per
-L-subset and read by the maximal module too.  The pointwise test is kept
+``groups._is_subgroup`` about those level bitmasks, cached per L-subset
+and read by the maximal module too.  A per-lattice table holds one
+translate row per lattice index, so the level at any index, attained or
+not, is one ``bytes.translate`` of the values through its row, read as
+one integer (``_level_at``).  The pointwise test is kept
 only as the reference the harness holds it to; it, the set product and
 the normality tests read the rows of the group's Cayley table by index.
 Equality of L-subsets is exact pointwise equality, with no tolerance.
 """
 from __future__ import annotations
 
-from functools import lru_cache, reduce
+from functools import lru_cache
 from typing import Iterable, Mapping, NamedTuple
 
 from .errors import (
@@ -273,29 +275,29 @@ def _pointwise_is_l_subgroup(mu: LSubset) -> bool:
 
 @lru_cache(maxsize=64)
 def _level_rows(lat: FiniteLattice) -> tuple[bytes, ...]:
-    # per join-irreducible j, a bytes.translate table taking each lattice
-    # index a to the digit "1" when j ≤ a and "0" otherwise, padded to 256
-    leq, n = lat._leq, len(lat)
-    return tuple(bytes(48 + leq[j][a] for a in range(n)).ljust(256, b"0") for j in lat._irreducibles)
+    # per lattice index a, a bytes.translate table taking each lattice index
+    # b to the digit "1" when a ≤ b and "0" otherwise: a's up-set row in
+    # binary, lowest bit first, padded to 256.  |L| rows of 256 bytes
+    n = len(lat)
+    return tuple(format(up, f"0{n}b")[::-1].encode().ljust(256, b"0") for up in lat._up)
 
 
 @lru_cache(maxsize=64)
 def _level_masks(mu: LSubset) -> tuple[tuple[int, ...], tuple[int, ...]]:
     # the lattice's join-irreducibles, in order, and mu's level at each: the
-    # values reversed, so element 0 is the last digit, translated to one
-    # binary digit per element and read as one integer
+    # values reversed, so element 0 is the last digit, translated through the
+    # irreducible's row to one binary digit per element and read as one integer
     lat = mu.lattice
     if not lat.distributive:
         raise NonDistributiveLatticeError("L-subgroup tests require a distributive lattice")
-    vals = mu.value_indices()[::-1]
-    return lat._irreducibles, tuple(int(vals.translate(row), 2) for row in _level_rows(lat))
+    vals, rows = mu.value_indices()[::-1], _level_rows(lat)
+    return lat._irreducibles, tuple(int(vals.translate(rows[j]), 2) for j in lat._irreducibles)
 
 
 def _level_at(mu: LSubset, a: int) -> int:
-    # mu's level at lattice index a as a bitmask: the meet of its levels at
-    # the join-irreducibles below a (Birkhoff), the whole group at the bottom
-    leq, full = mu.lattice._leq, (1 << len(mu.group)) - 1
-    return reduce(int.__and__, (lv for j, lv in zip(*_level_masks(mu)) if leq[j][a]), full)
+    # mu's level at lattice index a as a bitmask: one translate of the
+    # reversed values through a's row, read as one integer
+    return int(mu.value_indices()[::-1].translate(_level_rows(mu.lattice)[a]), 2)
 
 
 def is_l_subgroup(mu: LSubset) -> bool:

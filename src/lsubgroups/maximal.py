@@ -38,11 +38,14 @@ join-irreducibles whose level holds x (Birkhoff), a member is one integer
 with a field per group element, packed in one pass over the records,
 children first, by one OR per level, and decoded through a table.  The
 level cuts are packed the same way, and no module but this one knows the
-layout: ``_code`` packs a map's values and ``_point_code`` a point's.  One
-level classifier places eta's level at each lattice index inside mu's, as
-masks from ``lsets._level_at``; the profile and the sufficient pattern see
-names only in its rows, and the profile pins down the single defect level
-that maximality forces when the images are jointly supstar.
+layout: ``_code`` packs a map's values and ``_point_code`` a point's.  The
+level profile places eta's level at each index of the two images inside
+mu's, as masks from ``lsets._level_at``, and sees names only in its rows;
+it pins down the single defect level that maximality forces when the
+images are jointly supstar.  The sufficient pattern classifies no index:
+for eta in L(mu) the levels differ exactly at the indices under some
+mu(x) and not under eta(x), read off the lattice's down-set masks in one
+pass over the values, and only the one defect level is read, of each.
 """
 from __future__ import annotations
 
@@ -53,7 +56,7 @@ from math import prod
 from typing import NamedTuple
 
 from .errors import DEFAULT_BUDGET, InstanceTooLargeError, NotAnLSubgroupError, NotMaximalError
-from .groups import _closure, _indices, _lower_covers, _subgroups_within
+from .groups import _closure, _lower_covers, _subgroups_within
 from .lsets import _level_at, _level_masks
 from .lsets import (
     LPoint,
@@ -452,10 +455,19 @@ def sufficient_maximal_check(eta: LSubset, mu: LSubset) -> bool:
 
 
 def _sufficient_pattern(eta: LSubset, mu: LSubset) -> bool:
-    # the level pattern of sufficient_maximal_check, for eta already in L(mu)
-    tip = mu.value_indices()[mu.group.identity_index]
-    if eta.value_indices()[mu.group.identity_index] != tip:
+    # the level pattern of sufficient_maximal_check, for eta already in L(mu).
+    # eta's level at a falls short of mu's exactly when a ≤ mu(x) but not
+    # a ≤ eta(x) at some x, so the defect levels are the bits of defects; each
+    # lies under mu(x) ≤ mu(e), the tip, as mu is an L-subgroup
+    e, ev, mv = mu.group.identity_index, eta.value_indices(), mu.value_indices()
+    if ev[e] != mv[e]:
         return False
-    rows = _level_relations(eta, mu, _indices(mu.lattice._down[tip]))
-    defects = [rel for _, rel in rows if rel is not LevelRelation.EQUAL]
-    return defects == [LevelRelation.PROPER_MAXIMAL_SUBGROUP]
+    down, defects = mu.lattice._down, 0
+    for u, v in zip(ev, mv):
+        if u != v:
+            defects |= down[v] & ~down[u]
+    if not defects or defects & (defects - 1):
+        return False
+    a = defects.bit_length() - 1
+    level = _level_at(eta, a)
+    return bool(level) and level in _lower_covers(mu.group, _level_at(mu, a))

@@ -69,9 +69,12 @@ MUTANTS = (
     # eta's value read at zy, not at zy⁻¹
     Mutant("src/lsubgroups/lsets.py", "ev[table[z][inv[yi]]]", "ev[table[z][yi]]",
            "normality_matches_top_parent"),
-    # a level read without the last join-irreducible below its lattice element
-    Mutant("src/lsubgroups/lsets.py", "(lv for j, lv in zip(*_level_masks(mu)) if leq[j][a])",
-           "[lv for j, lv in zip(*_level_masks(mu)) if leq[j][a]][:-1]", "maximal_level_profiles"),
+    # a level read through the row of the index below it in carrier order
+    Mutant("src/lsubgroups/lsets.py", "_level_rows(mu.lattice)[a]",
+           "_level_rows(mu.lattice)[max(a - 1, 0)]", "maximal_level_profiles"),
+    # the sufficient pattern let through with two or more defect levels
+    Mutant("src/lsubgroups/maximal.py", "if not defects or defects & (defects - 1):",
+           "if not defects:", "sufficient_condition_sound"),
     # a level called maximal in mu's exactly when it is not a lower cover
     Mutant("src/lsubgroups/maximal.py", "lv_eta in _lower_covers(group, lv_mu)",
            "lv_eta not in _lower_covers(group, lv_mu)", "maximal_level_profiles"),

@@ -412,7 +412,7 @@ class TestModuleBoundaries:
         # comes from maximal._point_code and any map's from maximal._code, the
         # one encoder, whose table rides on _birkhoff with the rank table; the
         # digit tables that read a level mask off the values are lsets' alone,
-        # behind _level_masks
+        # behind _level_masks and _level_at
         assert named_outside("maximal", {"_code", "_spread", "_birkhoff"}) == []
         assert named_outside("lsets", {"_level_rows"}) == []
 

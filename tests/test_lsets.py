@@ -1,6 +1,7 @@
 """Level sets, membership algebra, subgroup predicates, generation, transport."""
 import random
 import time
+from functools import reduce
 from itertools import product as cartesian
 
 import pytest
@@ -449,6 +450,43 @@ def two_subgroup_family(seed=10, trials=12):
                 values = {x: lat.join_set(a for h, a in pieces if x in h) for x in group.elements}
                 values[group.identity] = lat.top
                 yield l_subset(group, lat, values)
+
+
+def level_at_by_fold(mu, a):
+    """Reference for ``lsets._level_at``: the AND of mu's levels at the
+    join-irreducibles below a (Birkhoff), the whole group at the bottom."""
+    leq, full = mu.lattice._leq, (1 << len(mu.group)) - 1
+    return reduce(int.__and__, (lv for j, lv in zip(*lsets._level_masks(mu)) if leq[j][a]), full)
+
+
+class TestLevelAtMatchesTheFold:
+    """``lsets._level_at`` reads a level through one translate row per lattice
+    index.  Each level is held to the fold over the join-irreducibles and to
+    ``LSubset.level`` on names, at every index: the bottom, indices that are
+    not join-irreducible and indices that no value attains."""
+
+    @staticmethod
+    def check_every_level(mu) -> int:
+        # returns how many lattice indices no value of mu attains
+        lat, group = mu.lattice, mu.group
+        for a, name in enumerate(lat.elements):
+            mask = lsets._level_at(mu, a)
+            assert mask == level_at_by_fold(mu, a)
+            assert {x for k, x in enumerate(group.elements) if mask >> k & 1} == mu.level(name)
+        return len(lat) - len(set(mu.value_indices()))
+
+    @pytest.mark.parametrize("kind", ["chain2-6", "product2x3", "divisors30"])
+    def test_seeded_instances(self, kind):
+        unattained = 0
+        for seed in range(20):
+            inst = build_instance(InstanceSpec(seed, lattice_kind=kind))
+            unattained += self.check_every_level(inst.mu) + self.check_every_level(inst.eta)
+        assert unattained > 40
+
+    def test_s6_parent(self, s6_parent):
+        # all three levels of the 3-chain are attained, and the bottom's is S6
+        assert self.check_every_level(s6_parent) == 0
+        assert lsets._level_at(s6_parent, 0) == (1 << 720) - 1
 
 
 def unattained_irreducible_defect(mu):

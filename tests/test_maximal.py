@@ -805,6 +805,8 @@ class TestLevelRelationsMatchThePerElementForm:
                 profile, expected = level_answers_by_names(eta, mu)
                 assert level_profile(eta, mu) == profile
                 assert sufficient_maximal_check(eta, mu) == expected
+                # the harness's route, with no membership check in front
+                assert maximal_module._sufficient_pattern(eta, mu) == expected
                 defects += profile.unique_defect_level is not None
                 sufficient += expected
         assert defects > 40 and sufficient > 10
@@ -820,6 +822,27 @@ class TestLevelRelationsMatchThePerElementForm:
         defects = sorted(level_profile(eta, mu).unique_defect_level for eta in maximal_l_subgroups(mu))
         assert defects == ["1", "2", "2", "2", "3"]
         assert sum(sufficient for _, sufficient in answers) == 4
+
+    def test_pattern_reads_at_most_two_levels(self, monkeypatch):
+        # the defect levels come off the down-set rows in one pass over the
+        # values, so the pattern reads eta's and mu's level at the one defect
+        # index at most, never each of the up to 16 indices below the tip
+        real, reads = maximal_module._level_at, []
+
+        def counted(nu, a):
+            reads.append(a)
+            return real(nu, a)
+
+        monkeypatch.setattr(maximal_module, "_level_at", counted)
+        candidates = held = read = 0
+        for seed in (1, 2, 3, 4, 7):
+            mu = build_instance(InstanceSpec(seed, lattice_kind="chain16")).mu
+            for eta in enumerate_l_subgroups(mu):
+                reads.clear()
+                held += maximal_module._sufficient_pattern(eta, mu)
+                assert len(reads) <= 2
+                candidates, read = candidates + 1, read + bool(reads)
+        assert candidates > 800 and read > 20 and held > 0
 
     def test_s6_parent(self, s6_parent):
         mu, phi = s6_parent, frattini(s6_parent).phi
