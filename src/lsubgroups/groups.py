@@ -29,6 +29,7 @@ from typing import Iterable, Mapping, Sequence
 
 from .errors import (
     DocumentError,
+    InstanceTooLargeError,
     NoIdentityError,
     NoInverseError,
     NotAHomomorphismError,
@@ -283,6 +284,8 @@ def builtin_group(name: str) -> FiniteGroup:
 _LOW_BIT_FIRST = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))
 # the most bounds one group's ``_subgroups_within`` memo holds
 _WITHIN_MEMO_SIZE = 1024
+# the most subgroups ``_greedy_walk`` keeps: C2^8's 417,199 fit, C2^9's 8.3 million do not
+_TABLE_BUDGET = 500_000
 
 
 def _indices(mask: int) -> tuple[int, ...]:
@@ -321,7 +324,9 @@ def _greedy_walk(group: FiniteGroup) -> tuple[list[tuple[int, tuple[int, ...]]],
     Hg; <H, g> is closed as the union of the right cosets H·r reached from
     H·g by right multiplication with H's generators and g (Dimino's coset
     step), and kept only when no element below g joins it.  The closure is
-    abandoned as soon as one does.
+    abandoned as soon as one does.  The walk keeps at most
+    ``_TABLE_BUDGET`` subgroups and raises InstanceTooLargeError on the
+    next one, so no table is stored on the group.
     """
     table, n = group._table, len(group)
     full = (1 << n) - 1
@@ -330,7 +335,7 @@ def _greedy_walk(group: FiniteGroup) -> tuple[list[tuple[int, tuple[int, ...]]],
     # reads 0, so that the getter of the trivial subgroup returns a tuple
     columns = [[*map(bits.__getitem__, column), 0] for column in zip(*table)]
     walked = [(1 << group.identity_index, ())]
-    attempts = 0
+    attempts, budget = 0, _TABLE_BUDGET
     for h, gens in walked:
         coset_of = itemgetter(*_indices(h), n)
         # the elements outside H above its last generator, less each coset tried
@@ -359,6 +364,11 @@ def _greedy_walk(group: FiniteGroup) -> tuple[list[tuple[int, tuple[int, ...]]],
                     continue
                 break
             else:
+                if len(walked) == budget:
+                    raise InstanceTooLargeError(budget + 1, budget, (
+                        f"the subgroup table of the group of order {n} stopped at {budget + 1} "
+                        f"subgroups, over its budget of {budget}"
+                    ))
                 walked.append((bigger, step))
     return walked, attempts
 

@@ -17,7 +17,7 @@ from dataclasses import asdict, dataclass, field
 from functools import cached_property, lru_cache
 from typing import Callable, Iterable
 
-from .errors import HypothesisNotMetError, InstanceTooLargeError, SearchExhaustedError
+from .errors import HypothesisNotMetError, InstanceTooLargeError, SearchExhaustedError, UnknownBuiltinError
 from .frattini import frattini, frattini_level_compare, is_non_generator, maximal_avoiding
 from .groups import (
     FiniteGroup,
@@ -223,12 +223,18 @@ class Instance:
     """One concrete instance: the (mu, eta) pair and its seeded samples.
 
     The samples are drawn from ``rng``: three raw L-subsets under mu, then
-    three points of mu; the hom pool and the inner automorphism iso draw
-    from their own streams, seeded by the spec seed and the trial.  L(mu)
-    is listed once, on first use of ``members``, and kept for the
-    properties that read it.  The other derived data (the maximals, the
-    Frattini report) is not kept here; the properties ask the library,
-    whose caches serve repeat calls.
+    three points of mu.  The hom pool is the identity, an inner
+    automorphism, the map onto C1 and, for a builtin with one, the named
+    quotient; the inner automorphism and the isomorphism iso draw from
+    their own streams, seeded by the spec seed and the trial, and the
+    other three depend on the group alone and are shared by its instances.
+    An instance keeps what several properties ask of it: L(mu), listed
+    once, on first use of ``members``, and the answers of ``once``, by
+    which the properties read ``generate`` and mu's normality.  The
+    maximals and the Frattini report are not kept here; the library's
+    caches serve repeat calls.  ``generate`` keeps no cache of its own: the
+    benchmark's tracer reads each call down to the closures it makes, which
+    a call answered from a library cache would not show.
     """
 
     def __init__(self, spec: InstanceSpec, trial: int, lattice_kind: str, group_name: str,
@@ -244,13 +250,11 @@ class Instance:
             x = rng.choice(g.elements)
             self.points.append(LPoint(x, rng.choice(lat.down_set(mu.value(x)))))
         rng = random.Random(f"{spec.seed}:{trial}:homs")
-        self.homs = [identity_hom(g), inner_automorphism(g, rng.choice(g.elements))]
-        self.homs.append(GroupHom(g, builtin_group("C1"), [0] * len(g)))
-        named = _named_quotient(group_name, g)
-        if named is not None:
-            self.homs.append(named)
+        identity, *onto = _fixed_homs(group_name, g)
+        self.homs = [identity, inner_automorphism(g, rng.choice(g.elements)), *onto]
         rng = random.Random(f"{spec.seed}:{trial}:isos")
         self.iso = inner_automorphism(g, rng.choice(g.elements))
+        self._answers: dict[tuple, object] = {}
 
     @classmethod
     def pinned(cls, mu: LSubset, eta: LSubset, group_name: str, label: str = "pinned",
@@ -268,6 +272,17 @@ class Instance:
         """L(mu) in canonical order, listed on first use."""
         return enumerate_l_subgroups(self.mu)
 
+    def once(self, fn: Callable, *args):
+        """``fn(*args)``, computed on the first call for this instance and
+        kept for the next.  The key is the function object and the
+        value-equal arguments, so a function rebound between calls is asked
+        afresh; a call that raises keeps nothing."""
+        key = (fn, *args)
+        answers = self._answers
+        if key not in answers:
+            answers[key] = fn(*args)
+        return answers[key]
+
     def describe(self) -> dict:
         return {
             "seed": self.spec.seed,
@@ -279,8 +294,23 @@ class Instance:
         }
 
 
+@lru_cache(maxsize=64)
+def _fixed_homs(group_name: str, g: FiniteGroup) -> tuple[GroupHom, ...]:
+    # the homs of the pool that depend on the group alone: the identity, the
+    # map onto C1 and the named quotient, if any; kept like ``make_lattice``
+    homs = (identity_hom(g), GroupHom(g, builtin_group("C1"), [0] * len(g)))
+    named = _named_quotient(group_name, g)
+    return homs if named is None else (*homs, named)
+
+
 def _named_quotient(name: str, g: FiniteGroup) -> GroupHom | None:
-    # onto a smaller builtin, by the element indices ``builtin_group`` documents
+    # onto a smaller builtin, by the element indices ``builtin_group``
+    # documents; None unless g is the builtin of that name
+    try:
+        if builtin_group(name) != g:
+            return None
+    except UnknownBuiltinError:
+        return None
     if name == "D8":
         target, image = "C2", lambda i: i >> 2  # s^i r^j -> g^i
     elif name == "Q8":
@@ -369,15 +399,15 @@ def prop_subgroup_tests_agree(inst: Instance):
 
 def prop_generation_closure_laws(inst: Instance):
     raw = inst.raws[0]
-    gen = generate(raw)
+    gen = inst.once(generate, raw)
     if not is_l_subgroup(gen):
         _fail(reason="generation does not give an L-subgroup")
     if not contains(gen, raw):
         _fail(reason="generation is not extensive")
-    if generate(gen) != gen:
+    if inst.once(generate, gen) != gen:
         _fail(reason="generation is not idempotent")
     bigger = union_of([raw, inst.raws[1]])
-    if not contains(generate(bigger), gen):
+    if not contains(inst.once(generate, bigger), gen):
         _fail(reason="generation is not monotone")
     if gen.tip() != raw.tip() or gen.value(inst.group.identity) != raw.tip():
         _fail(reason="generation must preserve the tip and attain it at the identity")
@@ -389,7 +419,7 @@ def prop_generation_matches_exhaustive_meet(inst: Instance):
         oracle = generate_oracle(raw)
     except InstanceTooLargeError:  # beyond the oracle's own bound
         return SKIPPED
-    if generate(raw) != oracle:
+    if inst.once(generate, raw) != oracle:
         _fail(raw=raw.values(), reason="formula and exhaustive meet disagree")
 
 
@@ -397,7 +427,7 @@ def prop_sup_property_levelwise_generation(inst: Instance):
     raw = inst.raws[0]
     if not has_sup_property(raw):
         return SKIPPED
-    gen = generate(raw)
+    gen = inst.once(generate, raw)
     for b in inst.lattice.down_set(raw.tip()):
         if subgroup_closure(inst.group, raw.level(b)) != gen.level(b):
             _fail(level=b, reason="level of generated subgroup differs from generated level")
@@ -405,12 +435,12 @@ def prop_sup_property_levelwise_generation(inst: Instance):
 
 def prop_generation_commutes_with_image(inst: Instance):
     raw = inst.raws[0]
-    gen = generate(raw)
+    gen = inst.once(generate, raw)
     for f in inst.homs:
         image = pushforward(f, gen)
         if not is_l_subgroup(image):
             _fail(hom=f.as_document(), reason="image of an L-subgroup is not an L-subgroup")
-        if generate(pushforward(f, raw)) != image:
+        if inst.once(generate, pushforward(f, raw)) != image:
             _fail(hom=f.as_document(), reason="generation does not commute with the image")
 
 
@@ -418,10 +448,10 @@ def prop_generation_commutes_with_preimage(inst: Instance):
     raw = inst.raws[0]
     for f in inst.homs:
         theta = pushforward(f, raw)
-        preimage = pullback(f, generate(theta))
+        preimage = pullback(f, inst.once(generate, theta))
         if not is_l_subgroup(preimage):
             _fail(hom=f.as_document(), reason="preimage of an L-subgroup is not an L-subgroup")
-        if generate(pullback(f, theta)) != preimage:
+        if inst.once(generate, pullback(f, theta)) != preimage:
             _fail(hom=f.as_document(), reason="generation does not commute with the preimage")
 
 
@@ -468,7 +498,7 @@ def prop_set_product_of_points(inst: Instance):
 
 def prop_normality_matches_top_parent(inst: Instance):
     top = constant(inst.group, inst.lattice, inst.lattice.top)
-    if is_normal_in_group(inst.mu) != is_normal_in(inst.mu, top):
+    if inst.once(is_normal_in_group, inst.mu) != is_normal_in(inst.mu, top):
         _fail(reason="normality in the group differs from normality below the constant top")
 
 
@@ -560,7 +590,7 @@ def prop_nongenerators_inside_frattini(inst: Instance):
             _fail(point=p, reason="verdict disagrees with the non-generator subgroup")
         if not nongen and not witnessed:
             witnessed = True
-            if eta == mu or generate(adjoin_point(eta, p)) != mu:
+            if eta == mu or inst.once(generate, adjoin_point(eta, p)) != mu:
                 _fail(point=p, reason="the witness is mu, or does not generate mu with the point")
 
 
@@ -592,7 +622,7 @@ def prop_frattini_level_inclusion(inst: Instance):
 def prop_frattini_normal_in_parent(inst: Instance):
     # conjugation by y fixes a normal mu, so it permutes the non-constant
     # coatoms of L(mu) and fixes phi, their meet: phi(yxy⁻¹) = phi(x) ≥ phi(x) ∧ mu(y)
-    if not is_normal_in_group(inst.mu):
+    if not inst.once(is_normal_in_group, inst.mu):
         return SKIPPED
     if not is_normal_in(frattini(inst.mu).phi, inst.mu):
         _fail(reason="phi is not normal in mu")
@@ -600,7 +630,7 @@ def prop_frattini_normal_in_parent(inst: Instance):
 
 def prop_nongenerator_conjugation_closure(inst: Instance):
     # conjugation by g fixes a normal mu, so it permutes the coatoms of L(mu) and fixes lambda, their meet
-    if not is_normal_in_group(inst.mu):
+    if not inst.once(is_normal_in_group, inst.mu):
         return SKIPPED
     lam, table, names = frattini(inst.mu).nongen.value_indices(), inst.group._table, inst.group.elements
     for g, (row, back) in enumerate(zip(table, inst.group._inv)):
@@ -649,7 +679,7 @@ def prop_crisp_case_collapses(inst: Instance):
     support = raw.level(lat.top)
     if support:
         expected = characteristic(group, lat, subgroup_closure(group, support))
-        if generate(raw) != expected:
+        if inst.once(generate, raw) != expected:
             _fail(reason="crisp generation differs from classical closure")
     top_level = inst.mu.level(lat.top)
     if top_level:

@@ -16,12 +16,21 @@ subgroup it built.  It then runs ``frattini_level_compare`` at every
 level of S6 and S5 on a 3-chain by sign (``conftest.parity_parent``), with
 Sub(G) built and phi cached, holds each answer to the names reference
 ``conftest.level_compare_by_names`` and prints ``ok`` or ``MISMATCH`` with
-the time of the first call and the best of five more.  It exits 1 on any
-mismatch.
+the time of the first call and the best of five more.  First of all it runs
+a cold CLI ``frattini --budget 10`` on the constant top of C2^9 over a
+3-chain, whose 8.3 million subgroups are past the table's budget of
+500,000, and prints ``ok`` when it exits 3 with the table's refusal,
+with its time and its peak resident set (``ru_maxrss``).  It exits 1 on
+any mismatch.
 """
 from __future__ import annotations
 
+import json
+import os
+import resource
+import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -66,14 +75,49 @@ def level_comparisons(name, mu) -> bool:
     return same
 
 
+def table_refusal() -> bool:
+    """A cold CLI ``frattini`` on the constant top of C2^9 over a 3-chain,
+    in a child process run before any other, so that its ``ru_maxrss`` is
+    the children's peak; True when it exits 3 with the table's refusal."""
+    group = elementary_abelian(9)
+    with tempfile.TemporaryDirectory() as tmp:
+        docs = {
+            "-l": {"chain": ["0", "a", "1"]},
+            "-g": group.as_document(),
+            "-s": {"values": dict.fromkeys(group.elements, "1")},
+        }
+        argv = []
+        for flag, doc in docs.items():
+            path = Path(tmp) / f"{flag[1:]}.json"
+            path.write_text(json.dumps(doc))
+            argv += [flag, str(path)]
+        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+        start = time.perf_counter()
+        child = subprocess.run(
+            [sys.executable, "-m", "lsubgroups.cli", "frattini", "--budget", "10", *argv],
+            capture_output=True, text=True, env=env,
+        )
+        elapsed = time.perf_counter() - start
+    peak_mb = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024
+    refused = (child.returncode, child.stderr) == (3, (
+        "error: the subgroup table of the group of order 512 stopped at 500001 subgroups, "
+        "over its budget of 500000\n"
+    ))
+    print(
+        f"{'ok' if refused else 'MISMATCH'} C2^9 (order 512) frattini: exit {child.returncode} "
+        f"in {elapsed:.1f} s, peak {peak_mb:.0f} MB: {child.stderr.strip()}"
+    )
+    return refused
+
+
 def main() -> int:
+    differ = [] if table_refusal() else ["C2^9 refusal"]
     d8, c2 = builtin_group("D8"), builtin_group("C2")
     named = {
         "C2^7": elementary_abelian(7),
         "D8xD8xC2": direct_product(d8, d8, c2),
         "S5": permutation_group(*S5),
     }
-    differ = []
     for name, group in named.items():
         table, table_s = timed(_subgroup_table, group)
         oracle, oracle_s = timed(dimino_subgroup_masks, group)

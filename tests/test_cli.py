@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 
 import lsubgroups.cli as cli_module
+import lsubgroups.groups as groups_module
 import lsubgroups.maximal as maximal_module
 from lsubgroups import builtin_group, l_subset_from_document
 from lsubgroups.cli import main
@@ -873,6 +874,15 @@ class TestErrors:
             3, "", "error: the level cuts of mu number 4, over the budget of 3\n"
         )
         assert run(capsys, "maximals", "--budget", "4", *argv)[0] == 0
+
+    def test_a_subgroup_table_past_its_budget_exits_3(self, docs, capsys, monkeypatch, tmp_path):
+        # D8 by its table, so that the builtin's cached subgroup table is not read
+        d8 = tmp_path / "d8_table.json"
+        d8.write_text(json.dumps(builtin_group("D8").as_document()))
+        monkeypatch.setattr(groups_module, "_TABLE_BUDGET", 9)
+        assert run(capsys, "frattini", "-l", docs["chain5.json"], "-g", str(d8), "-s", docs["mu_d8.json"]) == (
+            3, "", "error: the subgroup table of the group of order 8 stopped at 10 subgroups, over its budget of 9\n"
+        )
 
     @pytest.mark.parametrize("budget", ["72", "100000000"])
     def test_maximals_builds_the_coatoms_once_at_its_budget(self, docs, capsys, budget):

@@ -36,7 +36,8 @@ from lsubgroups import (
     validate_group,
     validate_hom,
 )
-from lsubgroups.errors import DocumentError
+import lsubgroups.groups as groups_module
+from lsubgroups.errors import DocumentError, InstanceTooLargeError
 from lsubgroups.groups import (
     _WITHIN_MEMO_SIZE,
     _closure,
@@ -614,6 +615,24 @@ class TestGreedyWalk:
         assert attempts >= len(walked) - 1
         if name == "Q8xD8":
             assert (attempts, len(walked)) == (707, 189)
+
+
+class TestTableBudget:
+    """The walk keeps at most ``_TABLE_BUDGET`` subgroups; C2^9's refusal at
+    the real bound runs in tests/subgroup_table_heavy.py."""
+
+    def test_a_table_past_its_budget_is_refused(self, monkeypatch):
+        g = dihedral(8)  # a D8 of its own, whose 10 subgroups no builtin has built
+        monkeypatch.setattr(groups_module, "_TABLE_BUDGET", 9)
+        with pytest.raises(InstanceTooLargeError) as refused:
+            _subgroup_table(g)
+        assert str(refused.value) == (
+            "the subgroup table of the group of order 8 stopped at 10 subgroups, over its budget of 9"
+        )
+        assert (refused.value.size, refused.value.budget) == (10, 9)
+        assert g._subgroups is None
+        monkeypatch.undo()
+        assert list(_subgroup_table(g)) == dimino_subgroup_masks(g)
 
 
 class TestSubgroupsWithinMemo:

@@ -35,7 +35,7 @@ from lsubgroups import HypothesisNotMetError, UnknownBuiltinError, constant
 from lsubgroups import MaximalityVerdict, TipRelation, is_non_generator
 from lsubgroups import are_jointly_supstar, enumerate_l_subgroups, is_maximal, is_proper_l_subgroup
 from lsubgroups import LPoint, adjoin_point, harness, l_subset, level_profile, lsets, point_in, validate_group
-from lsubgroups import is_l_subgroup, is_normal_in, set_product
+from lsubgroups import intersection_of, is_l_subgroup, is_normal_in, set_product
 from lsubgroups.errors import SearchExhaustedError
 from lsubgroups.groups import all_subgroups
 from lsubgroups.harness import (
@@ -48,7 +48,8 @@ from lsubgroups.harness import (
     _single_defect_pattern_over_images,
 )
 
-from conftest import Q8_ETA_CONVERSE, Q8_MU_CONVERSE, Q8_THETA_WITNESS, dihedral, elementary_abelian
+from conftest import Q8_ETA_CONVERSE, Q8_MU_CONVERSE, Q8_THETA_WITNESS, dihedral, direct_product, elementary_abelian
+from conftest import s4_chain_parent
 from suite_mutants import MUTANTS, ROOT
 
 
@@ -734,6 +735,56 @@ class TestOneListingPerInstance:
         assert self.listings(monkeypatch, inst) == 1
 
 
+class TestOneAnswerPerInstance:
+    """The properties ask an instance's ``once`` for ``generate`` and for mu's
+    normality, so each distinct question is answered once per instance; the
+    homs that depend on the group alone are made once per group."""
+
+    @staticmethod
+    def answers(monkeypatch, inst) -> tuple[list, list]:
+        generated, normal = [], []
+
+        def counted(calls, fn):
+            def wrapped(arg):
+                calls.append(arg)
+                return fn(arg)
+            return wrapped
+
+        monkeypatch.setattr(harness, "generate", counted(generated, generate))
+        monkeypatch.setattr(harness, "is_normal_in_group", counted(normal, harness.is_normal_in_group))
+        for name, prop in PROPERTIES.items():
+            assert prop(inst) in (None, SKIPPED), name
+        return generated, normal
+
+    @pytest.mark.parametrize("pinned", [False, True], ids=["built", "pinned"])
+    def test_each_question_is_answered_once(self, monkeypatch, d8_case, pinned):
+        if pinned:
+            inst = Instance.pinned(d8_case["mu"], d8_case["eta1"], "D8", label="dihedral")
+        else:
+            inst = build_instance(InstanceSpec(0), override_lattice="chain4", override_group="D8")
+        generated, normal = self.answers(monkeypatch, inst)
+        assert generated and len(generated) == len(set(generated))
+        assert normal == [inst.mu]
+
+    def test_trials_of_one_group_share_the_fixed_homs(self):
+        first, second = (
+            build_instance(InstanceSpec(0), trial, override_lattice="chain2", override_group="D8")
+            for trial in (0, 1)
+        )
+        assert len(first.homs) == len(second.homs) == 4
+        for k in (0, 2, 3):  # the identity, the map onto C1 and the named quotient
+            assert first.homs[k] is second.homs[k]
+        assert first.homs[1] is not second.homs[1] and first.iso is not second.iso
+        identity = ["e", "r", "r2", "r3", "s", "sr", "sr2", "sr3"]
+        drawn = [
+            [list(inst.homs[1].mapping.values()), list(inst.iso.mapping.values())] for inst in (first, second)
+        ]
+        assert drawn == [
+            [identity, identity],
+            [["e", "r3", "r2", "r", "sr2", "sr", "s", "sr3"], identity],
+        ]
+
+
 class TestOracleLimits:
     def test_exhaustive_meet_skips_what_the_oracle_refuses(self, monkeypatch):
         # the property skips whatever the oracle refuses, so a budget one
@@ -784,6 +835,32 @@ class TestNamedQuotients:
     @pytest.mark.parametrize("name", ["C1", "C2", "C3"])
     def test_groups_of_prime_order_or_less_have_none(self, name):
         assert _named_quotient(name, builtin_group(name)) is None
+
+    def test_a_group_that_is_not_the_builtin_of_its_name_has_none(self):
+        d8, c2 = builtin_group("D8"), builtin_group("C2")
+        assert _named_quotient("S4", s4_chain_parent().group) is None
+        assert _named_quotient("D8xD8xC2", direct_product(d8, d8, c2)) is None
+        assert _named_quotient("C8", dihedral(8)) is None
+
+    def test_pinned_instances_of_groups_that_are_not_builtins_run_every_property(self):
+        # S4 on a 4-chain, and a chain-valued parent of D8×D8×C2 over chain3,
+        # 29,416 members, where the exhaustive-meet oracle refuses L(c)
+        s4_mu = s4_chain_parent()
+        group = direct_product(builtin_group("D8"), builtin_group("D8"), builtin_group("C2"))
+        draw = random.Random(6)
+        mu, eta = (_chain_valued_l_subgroup(draw, group, make_lattice("chain3"), 0.6) for _ in range(2))
+        pinned = [
+            Instance.pinned(s4_mu, intersection_of([s4_mu, constant(s4_mu.group, s4_mu.lattice, "1")]), "S4"),
+            Instance.pinned(mu, intersection_of([mu, eta]), "D8xD8xC2"),
+        ]
+        skipped = []
+        for inst in pinned:
+            assert len(inst.homs) == 3
+            skipped.append([name for name, prop in PROPERTIES.items() if prop(inst) == SKIPPED])
+        assert skipped == [
+            ["frattini_level_inclusion", "crisp_case_collapses"],
+            ["generation_matches_exhaustive_meet", "crisp_case_collapses"],
+        ]
 
 
 class TestCrispPatternSearch:
