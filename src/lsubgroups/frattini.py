@@ -103,7 +103,7 @@ def is_non_generator(
     if not point_in(point, mu):
         raise LPointNotInParentError(f"{point} is not a point of the parent")
     mask = _point_code(mu.lattice, mu.group.index(point.point), mu.lattice.index(point.height))
-    witness = _highest(mu.lattice, [c for p, c in _coatom_index(mu, budget) if mask & ~p])
+    witness = _highest([cut for cut in _coatom_index(mu, budget) if mask & ~cut[0]])
     return witness is None, witness
 
 

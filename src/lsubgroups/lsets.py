@@ -291,7 +291,7 @@ def _level_masks(mu: LSubset) -> tuple[tuple[int, ...], tuple[int, ...]]:
     if not lat.distributive:
         raise NonDistributiveLatticeError("L-subgroup tests require a distributive lattice")
     vals, rows = mu.value_indices()[::-1], _level_rows(lat)
-    return lat._irreducibles, tuple(int(vals.translate(rows[j]), 2) for j in lat._irreducibles)
+    return lat._irreducibles, tuple([int(vals.translate(rows[j]), 2) for j in lat._irreducibles])
 
 
 def _level_at(mu: LSubset, a: int) -> int:
@@ -324,10 +324,11 @@ def is_l_subgroup_of(eta: LSubset, mu: LSubset) -> bool:
     _same_carriers(eta, mu)
     if not mu.lattice.distributive and not contains(mu, eta):
         return False
-    return all(
-        not e & ~m and (not e or _is_subgroup(mu.group, e)) and (not m or _is_subgroup(mu.group, m))
-        for e, m in zip(_level_masks(eta)[1], _level_masks(mu)[1])
-    )
+    group = mu.group
+    for e, m in zip(_level_masks(eta)[1], _level_masks(mu)[1]):
+        if e & ~m or e and not _is_subgroup(group, e) or m and not _is_subgroup(group, m):
+            return False
+    return True
 
 
 def is_proper_l_subgroup(eta: LSubset, mu: LSubset) -> bool:
@@ -422,16 +423,16 @@ def generate_oracle(eta: LSubset) -> LSubset:
 
     The meet of every L-subgroup that contains eta.  Each such nu meets the
     constant c at eta's tip in an L-subgroup that still contains eta, so it
-    is enough to meet the members of L(c) that contain eta, which
-    ``maximal.enumerate_l_subgroups`` lists.  Raises
-    NonDistributiveLatticeError over a non-distributive lattice, as
+    is enough to meet the members of L(c) that contain eta.
+    ``maximal._meet_above`` walks L(c) as ``enumerate_l_subgroups`` does
+    and meets the members in their packed form, without building them.
+    Raises NonDistributiveLatticeError over a non-distributive lattice, as
     ``generate`` does, and the enumeration's InstanceTooLargeError when
     L(c) has more than 10,000 members.
     """
-    from .maximal import enumerate_l_subgroups  # maximal imports this module
+    from .maximal import _meet_above  # maximal imports this module
 
-    members = enumerate_l_subgroups(constant(eta.group, eta.lattice, eta.tip()), _ORACLE_BUDGET)
-    return intersection_of(nu for nu in members if contains(nu, eta))
+    return _meet_above(constant(eta.group, eta.lattice, eta.tip()), eta, _ORACLE_BUDGET)
 
 
 # ---------------------------------------------------------------- transport

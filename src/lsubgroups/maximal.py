@@ -17,8 +17,11 @@ If mu_i is not inside M at some i > j, the cut lies strictly under a cut
 at i; otherwise it differs from mu only at j, under no other cut.  So the
 coatoms are the cuts whose M holds mu's levels strictly above j.  They are
 found once per parent and kept in one cache with their Birkhoff codes
-(below); the maximal L-subgroups are the non-constant ones, and the Frattini
-module reads them, ``frattini.maximal_avoiding`` through the same builder.
+(below) and their ranks, the summed down-set sizes of the values, each
+summed once there; the maximal L-subgroups are the non-constant ones, and
+the Frattini module reads them, ``frattini.maximal_avoiding`` through the
+same builder.  ``is_maximal`` and ``frattini.is_non_generator`` name the
+highest-ranked coatom they hit (``_highest``) by the stored ranks.
 
 ``is_maximal`` answers by the definition: eta is maximal exactly when no
 coatom is strictly above it, one mask test per coatom against eta's
@@ -37,8 +40,12 @@ a repeat adds its recorded member count.  As eta(x) is the join of the
 join-irreducibles whose level holds x (Birkhoff), a member is one integer
 with a field per group element, packed in one pass over the records,
 children first, by one OR per level, and decoded through a table.  The
-level cuts are packed the same way, and no module but this one knows the
-layout: ``_code`` packs a map's values and ``_point_code`` a point's.  The
+exhaustive-meet oracle, ``lsets.generate_oracle``, reads the packed
+members before any is decoded (``_meet_above``): a member contains eta
+exactly when its code holds eta's, and the meet of members is the AND of
+their codes, so the answer is one AND over the codes held and one decode.
+The level cuts are packed the same way, and no module but this one knows
+the layout: ``_code`` packs a map's values and ``_point_code`` a point's.  The
 level profile places eta's level at each index of the two images inside
 mu's, as masks from ``lsets._level_at``, and sees names only in its rows;
 it pins down the single defect level that maximality forces when the
@@ -53,6 +60,7 @@ import enum
 from functools import lru_cache, reduce
 from itertools import repeat
 from math import prod
+from operator import itemgetter
 from typing import NamedTuple
 
 from .errors import DEFAULT_BUDGET, InstanceTooLargeError, NotAnLSubgroupError, NotMaximalError
@@ -208,61 +216,54 @@ def _level_cuts(mu: LSubset, budget: int, pick) -> tuple[tuple[int, LSubset], ..
 
 
 @lru_cache(maxsize=64)
-def _coatom_index(mu: LSubset, budget: int) -> tuple[tuple[int, LSubset], ...]:
-    """The coatoms of L(mu) in canonical order, with their codes: the one coatom cache.
+def _coatom_index(mu: LSubset, budget: int) -> tuple[tuple[int, LSubset, int], ...]:
+    """The coatoms of L(mu) in canonical order as (code, coatom, rank): the one coatom cache.
 
     Constants are kept.  A cut by a lower cover M of mu_j (∅ when mu_j is
-    trivial) is kept when M holds mu's levels above j.
+    trivial) is kept when M holds mu's levels above j.  A coatom's rank,
+    the summed down-set sizes of its values, is one translate of the values
+    and one sum, taken once here for ``_highest``.
     """
     def pick(j: int, level: int, above: int) -> list[int]:
         return [m for m in _lower_covers(mu.group, level) or (0,) if not above & ~m]
 
-    return _level_cuts(mu, budget, pick)
+    ranks, n = _birkhoff(mu.lattice)[3], len(mu.group)
+    cuts = _level_cuts(mu, budget, pick)
+    return tuple((p, c, sum(c.value_indices().translate(ranks)) + n) for p, c in cuts)
 
 
 def _meet_of_cuts(mu: LSubset, cuts) -> LSubset:
-    """The meet of the (code, L-subset) cuts ``cuts``, or mu when there are none.
+    """The meet of the cuts ``cuts``, each led by its code, or mu when there are none.
 
     Over a distributive lattice the meet of two values keeps exactly the
     join-irreducibles below both, so the meet of level maps is the AND of
     their codes, decoded once.
     """
-    codes = [p for p, _ in cuts]
+    codes = [cut[0] for cut in cuts]
     if not codes:
         return mu
     decode = _birkhoff(mu.lattice)[1]
     return LSubset(mu.group, mu.lattice, next(decode([reduce(int.__and__, codes)], len(mu.group))))
 
 
-def _highest(lat, coatoms: list[LSubset]) -> LSubset | None:
-    """The highest-ranked of ``coatoms``, the first on ties; None when there are none.
+def _highest(cuts) -> LSubset | None:
+    """The highest-ranked coatom of the ``_coatom_index`` entries ``cuts``, the first on ties.
 
-    Rank, the summed down-set size of the values, grows strictly along
-    containment, so the coatom returned is the first hit of a scan of all
-    of L(mu) by rank whenever every hit there lies under one of
-    ``coatoms``.  Each rank is one translate of the values and one sum.
+    None when there are none.  Rank, the summed down-set size of the values,
+    grows strictly along containment, so the coatom returned is the first
+    hit of a scan of all of L(mu) by rank whenever every hit there lies
+    under one of ``cuts``.  The ranks are read as ``_coatom_index`` stored
+    them, not summed again.
     """
-    *_, ranks = _birkhoff(lat)
-    return max(coatoms, key=lambda c: sum(c.value_indices().translate(ranks)), default=None)
+    best = max(cuts, key=itemgetter(2), default=None)
+    return None if best is None else best[1]
 
 
-def enumerate_l_subgroups(mu: LSubset, budget: int = DEFAULT_BUDGET) -> tuple[LSubset, ...]:
-    """All L-subgroups sitting below mu pointwise, in canonical order.
-
-    Found as level maps (see the module docstring); mu need not be an
-    L-subgroup.  Canonical order is lexicographic on the value bytes (group
-    element order, lattice index order).  Each call walks L(mu) afresh and
-    returns a new tuple that nothing else holds, so a listing is freed as
-    soon as its caller drops it; a caller that reads L(mu) more than once
-    keeps the tuple itself.  The budget is the largest listing the call may
-    build.  Raises NonDistributiveLatticeError over a non-distributive
-    lattice and InstanceTooLargeError as soon as the walk has counted more
-    than ``budget`` members, before it packs any, naming how many it had
-    counted.  The walk stays bounded by the listing: each key it walks, and
-    each child of one, lies over at least one member of its own.
-    """
-    # A node's key is the bounds left on the join-irreducibles from its own
-    # on: mu's levels met with the levels chosen below each (antitone).
+def _member_codes(mu: LSubset, budget: int) -> list[int]:
+    # the walk of enumerate_l_subgroups and its packing: the Birkhoff code of
+    # every member of L(mu), unsorted.  A node's key is the bounds left on the
+    # join-irreducibles from its own on: mu's levels met with the levels
+    # chosen below each (antitone)
     group, lat = mu.group, mu.lattice
     irreducibles, levels = _level_masks(mu)
     leq, m = lat._leq, len(irreducibles)
@@ -297,19 +298,55 @@ def enumerate_l_subgroups(mu: LSubset, budget: int = DEFAULT_BUDGET) -> tuple[LS
     root = tuple(levels)
     walk(root)
     # each key was recorded once, after its children: one pass packs them first
-    width, decode, *_ = _birkhoff(lat)
+    width = _birkhoff(lat)[0]
     codes: dict[tuple[int, ...], list[int]] = {}
     for key, (_, children) in records.items():
         shift, listed = m - len(key), [] if children else [0]
         for h, child in children:
             listed += map((_spread(h, width) << shift).__or__, codes[child]) if h else codes[child]
         codes[key] = listed
-    found = sorted(decode(codes[root], len(group)))
+    found = codes[root]
     # walk refers to itself, so its closure waits for the cycle collector:
-    # free the records and codes before building the members
+    # free the records and codes before the caller builds anything
     codes.clear()
     records.clear()
+    return found
+
+
+def enumerate_l_subgroups(mu: LSubset, budget: int = DEFAULT_BUDGET) -> tuple[LSubset, ...]:
+    """All L-subgroups sitting below mu pointwise, in canonical order.
+
+    Found as level maps (see the module docstring); mu need not be an
+    L-subgroup.  Canonical order is lexicographic on the value bytes (group
+    element order, lattice index order).  Each call walks L(mu) afresh and
+    returns a new tuple that nothing else holds, so a listing is freed as
+    soon as its caller drops it; a caller that reads L(mu) more than once
+    keeps the tuple itself.  The budget is the largest listing the call may
+    build.  Raises NonDistributiveLatticeError over a non-distributive
+    lattice and InstanceTooLargeError as soon as the walk has counted more
+    than ``budget`` members, before it packs any, naming how many it had
+    counted.  The walk stays bounded by the listing: each key it walks, and
+    each child of one, lies over at least one member of its own.
+    """
+    group, lat = mu.group, mu.lattice
+    found = sorted(_birkhoff(lat)[1](_member_codes(mu, budget), len(group)))
     return tuple(map(LSubset, repeat(group), repeat(lat), found))
+
+
+def _meet_above(mu: LSubset, eta: LSubset, budget: int) -> LSubset:
+    """The meet of the members of L(mu) that contain eta, or mu when there are none.
+
+    A member contains eta exactly when its code holds eta's, and the meet is
+    the AND of the codes held, decoded once: no member is decoded, sorted or
+    wrapped.  Raises as ``enumerate_l_subgroups`` does at ``budget``.
+    """
+    codes = _member_codes(mu, budget)
+    lat = mu.lattice
+    pe, meet = _code(lat, eta.value_indices()), _code(lat, mu.value_indices())
+    for p in codes:
+        if not pe & ~p:
+            meet &= p
+    return LSubset(mu.group, lat, next(_birkhoff(lat)[1]([meet], len(mu.group))))
 
 
 # --------------------------------------------------------------- maximality
@@ -365,18 +402,18 @@ def is_maximal(eta: LSubset, mu: LSubset, *, budget: int = DEFAULT_BUDGET) -> Ma
     # above eta, so eta is maximal exactly when there is no such coatom
     lat, low = mu.lattice, eta.value_indices()
     pe = _code(lat, low)
-    hits = [c for p, c in _coatom_index(mu, budget) if p != pe and not pe & ~p]
+    hits = [cut for cut in _coatom_index(mu, budget) if cut[0] != pe and not pe & ~cut[0]]
     if not hits:
         return MaximalityVerdict(True)
     down = lat._down
     for x, v in enumerate(low):  # some hit lies above eta at some x, where the loop stops
         missing = 0
-        for c in hits:
+        for _, c, _ in hits:
             missing |= down[c.value_indices()[x]]
         if missing := missing & ~down[v]:
             break
     point = LPoint(mu.group.elements[x], lat.elements[(missing & -missing).bit_length() - 1])
-    theta = _highest(lat, hits)
+    theta = _highest(hits)
     return MaximalityVerdict(False, "strictly_between", witness_between=theta, witness_point=point)
 
 
@@ -386,7 +423,7 @@ def maximal_l_subgroups(mu: LSubset, budget: int = DEFAULT_BUDGET) -> tuple[LSub
     These are the non-constant coatoms of L(mu): proper members with
     nothing in L(mu) strictly between them and mu.
     """
-    return tuple(c for _, c in _coatom_index(mu, budget) if not c.is_constant())
+    return tuple(c for _, c, _ in _coatom_index(mu, budget) if not c.is_constant())
 
 
 # ------------------------------------------------------------ level structure

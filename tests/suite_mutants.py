@@ -43,8 +43,8 @@ MUTANTS = (
     Mutant("src/lsubgroups/frattini.py", "return witness is None, witness",
            "return witness is None, witness if witness is None else mu", "nongenerators_inside_frattini"),
     # the last coatom dropped
-    Mutant("src/lsubgroups/maximal.py", "return _level_cuts(mu, budget, pick)\n",
-           "return _level_cuts(mu, budget, pick)[:-1]\n", "maximality_strategies_agree"),
+    Mutant("src/lsubgroups/maximal.py", "cuts = _level_cuts(mu, budget, pick)\n",
+           "cuts = _level_cuts(mu, budget, pick)[:-1]\n", "maximality_strategies_agree"),
     # lambda raised to mu's value at the last element, which conjugation can move
     Mutant("src/lsubgroups/frattini.py", "tops = bytearray([height[lat.bottom]]) * len(group)",
            "tops = bytearray([height[lat.bottom]]) * len(group)\n"
@@ -53,7 +53,9 @@ MUTANTS = (
     Mutant("src/lsubgroups/lsets.py", "group, lat, ev = mu.group, mu.lattice, eta._vals",
            "group, lat, ev = mu.group, mu.lattice, mu._vals\n    mu = eta", "set_product_of_points"),
     # eta's levels required to hold mu's, not to lie inside them
-    Mutant("src/lsubgroups/lsets.py", "not e & ~m and", "not m & ~e and", "generator_soundness"),
+    Mutant("src/lsubgroups/lsets.py", "if e & ~m or", "if m & ~e or", "generator_soundness"),
+    # the oracle meets every member of L(c), not only those that contain eta
+    Mutant("src/lsubgroups/maximal.py", "if not pe & ~p:", "if True:", "generation_matches_exhaustive_meet"),
     # the pointwise meet or join taken at the first element only
     Mutant("src/lsubgroups/lsets.py", "vals = [table[a][b] for a, b in zip(vals, member._vals)]",
            "vals = [table[a][b] for a, b in zip(vals, member._vals)][:1] + list(vals[1:])",

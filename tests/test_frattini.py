@@ -169,7 +169,7 @@ def phi_by_intersection(mu):
 
 def nongen_by_intersection(mu):
     """Oracle: the pointwise meet of every coatom of L(mu), mu when there are none."""
-    coatoms = [c for _, c in _coatom_index(mu, DEFAULT_BUDGET)]
+    coatoms = [c for _, c, _ in _coatom_index(mu, DEFAULT_BUDGET)]
     return intersection_of(coatoms) if coatoms else mu
 
 
@@ -320,7 +320,7 @@ class TestCoatomsMatchTheReferenceSearch:
             scan = by_rank(mu)
             coatoms = coatoms_largest_first(mu)
             cuts = _coatom_index(mu, DEFAULT_BUDGET)
-            assert tuple(c for _, c in cuts) == tuple(sorted(coatoms, key=LSubset.value_indices))
+            assert tuple(c for _, c, _ in cuts) == tuple(sorted(coatoms, key=LSubset.value_indices))
             points = non_generator_points(mu)
             for x in mu.group.elements:
                 for a in mu.lattice.down_set(mu.value(x)):
@@ -356,7 +356,7 @@ class TestMeetsMatchTheIntersections:
         maximals = maximal_l_subgroups(mu)
         assert report.maximal_count == len(maximals)
         assert report.used_fallback == (not maximals)
-        assert report.constant_obstructed == any(c.is_constant() for _, c in _coatom_index(mu, DEFAULT_BUDGET))
+        assert report.constant_obstructed == any(c.is_constant() for _, c, _ in _coatom_index(mu, DEFAULT_BUDGET))
         return report
 
     @pytest.mark.parametrize(

@@ -823,6 +823,40 @@ class TestGenerationOracle:
             assert generate(raw) == generate_oracle(raw) == meet_over_walk(raw)
 
 
+def oracle_by_members(eta):
+    """Reference for ``generate_oracle``: the pointwise meet of the listed
+    members of L(c), c the constant at eta's tip, that contain eta, under
+    the oracle's budget."""
+    c = constant(eta.group, eta.lattice, eta.tip())
+    return intersection_of(nu for nu in enumerate_l_subgroups(c, lsets._ORACLE_BUDGET) if contains(nu, eta))
+
+
+class TestOracleMatchesTheMembersRoute:
+    """``generate_oracle`` meets the codes of the members of L(c) that hold
+    eta's code; the reference decodes and lists the members and meets those
+    that contain eta pointwise.  They give the same answer, or the same
+    refusal, on seeded raws over chains, products and divisor lattices, and
+    over chain16, whose sixteen join-irreducibles take two-byte code fields
+    and where L(c) of D8's top passes the budget."""
+
+    @pytest.mark.parametrize("kind", ["chain2-6", "product2x3", "divisors30", "chain16"])
+    def test_seeded_raws(self, kind):
+        spec = InstanceSpec(seed=3, lattice_kind=kind)
+        for trial in range(20):
+            for raw in build_instance(spec, trial).raws:
+                assert generate_oracle(raw) == oracle_by_members(raw), (trial, raw.values())
+
+    @pytest.mark.parametrize("group", ["D8", "C256"])
+    def test_refusals_over_chain16(self, group):
+        top = constant(builtin_group(group), make_lattice("chain16"), "1")
+        refusals = []
+        for route in (generate_oracle, oracle_by_members):
+            with pytest.raises(InstanceTooLargeError) as refused:
+                route(top)
+            refusals.append((str(refused.value), refused.value.size, refused.value.budget))
+        assert refusals[0] == refusals[1]
+
+
 class TestOracleMatchesTheWalk:
     """``generate_oracle`` meets the members of L(c), with c the constant at
     eta's tip, that contain eta; the element walk meets every L-subgroup of

@@ -548,14 +548,29 @@ class TestClosedFormCutsMatchThePairFilter:
             mu = build_instance(spec, trial).mu
             for parent in (mu, *enumerate_l_subgroups(mu)[::7]):
                 expected = level_cuts_by_pair_filter(parent, self.covers(parent))
-                assert list(_coatom_index(parent, DEFAULT_BUDGET)) == expected
+                assert [(p, c) for p, c, _ in _coatom_index(parent, DEFAULT_BUDGET)] == expected
+
+    @pytest.mark.parametrize("kind", ["chain2-6", "chain16", "product2x3", "product3x3", "divisors30"])
+    def test_ranks_on_seeded_parents(self, kind):
+        # each coatom's stored rank is the summed down-set sizes of its values
+        spec = InstanceSpec(7, lattice_kind=kind, group_kind="Q8|D8|C6|V4|C12|C8")
+        checked = 0
+        for trial in range(30):
+            mu = build_instance(spec, trial).mu
+            lat = mu.lattice
+            for parent in (mu, *enumerate_l_subgroups(mu)[::7]):
+                for _, c, rank in _coatom_index(parent, DEFAULT_BUDGET):
+                    assert rank == sum(len(lat.down_set(v)) for v in c.values().values())
+                    checked += 1
+        assert checked > 200
 
     @pytest.mark.parametrize("name", sorted(SCALE_PARENTS))
     def test_coatoms_on_constant_tops(self, name):
         build, size, kind = SCALE_PARENTS[name]
         lat = make_lattice(kind)
         mu = constant(build(size), lat, lat.top)
-        assert list(_coatom_index(mu, DEFAULT_BUDGET)) == level_cuts_by_pair_filter(mu, self.covers(mu))
+        cuts = [(p, c) for p, c, _ in _coatom_index(mu, DEFAULT_BUDGET)]
+        assert cuts == level_cuts_by_pair_filter(mu, self.covers(mu))
 
     @pytest.mark.parametrize("kind", ["chain2-6", "product2x3", "product3x3", "divisors30"])
     def test_avoiding_on_seeded_parents(self, kind):
@@ -1059,7 +1074,7 @@ def highest_coatom_by_contains(mu, keep):
     order on ties, compared point by point."""
     lat = mu.lattice
     return min(
-        (c for _, c in _coatom_index(mu, DEFAULT_BUDGET) if keep(c)),
+        (c for _, c, _ in _coatom_index(mu, DEFAULT_BUDGET) if keep(c)),
         key=lambda c: -sum(len(lat.down_set(v)) for v in c.values().values()),
         default=None,
     )
@@ -1166,11 +1181,18 @@ class TestClosedFormWitness:
         verdicts = [is_maximal(nu, mu) for nu in pool]
         assert verdicts == [is_maximal_by_contains(nu, mu) for nu in pool]
         assert sum(v.maximal for v in verdicts) == 3 and sum(v.witness_point is not None for v in verdicts) > 10
+        cuts = _coatom_index(mu, DEFAULT_BUDGET)
+        assert [r for *_, r in cuts] == [sum(map(len, map(lat.down_set, c.values().values()))) for _, c, _ in cuts]
+        for nu in pool:
+            # the stored ranks pick the contains scan's witness_between, which is_maximal_by_contains names
+            pe = _code(lat, nu.value_indices())
+            above = [cut for cut in cuts if cut[0] != pe and not pe & ~cut[0]]
+            assert _highest(above) == highest_coatom_by_contains(mu, lambda c: c != nu and contains(c, nu))
         for x, cap in zip(v4.elements, mu.value_indices()):
             for a in {0, 1, 99, 100, 101, 199, 200, 201, 254, 255} & set(range(cap + 1)):
                 point, mask = LPoint(x, lat.elements[a]), _point_code(lat, v4.index(x), a)
-                missing = [c for p, c in _coatom_index(mu, DEFAULT_BUDGET) if mask & ~p]
-                assert _highest(lat, missing) == highest_coatom_by_contains(mu, lambda c: not point_in(point, c))
+                missing = [cut for cut in cuts if mask & ~cut[0]]
+                assert _highest(missing) == highest_coatom_by_contains(mu, lambda c: not point_in(point, c))
 
 
 class TestPointFails:
