@@ -24,20 +24,19 @@ maximal among those that hold theta_j and miss x (``groups._maximal_masks``
 filters them).  The test suite checks both against scans of L(mu), and the
 reduction to L(mu) against the raw definition on tiny instances.
 
-``frattini`` builds one report per parent and budget, testing each coatom
-for constancy once.  Both meets are one AND over the coatoms' Birkhoff
-codes, decoded once (``maximal._meet_of_cuts``): phi over the non-constant
-ones, the non-generator subgroup over all of them.  A point a_x meets the
-coatoms as one mask test each, against the code ``maximal._point_code``
+``frattini`` keeps no cache: each call builds its report from the one
+coatom cache, ``maximal._coatom_index``.  Both meets are one AND over the
+coatoms' codes (``maximal._meet_of_cuts``): phi over the non-constant ones
+(``_phi``), the non-generator subgroup over all of them.  A point a_x meets
+the coatoms as one mask test each, against the code ``maximal._point_code``
 gives its level map: {x} at each join-irreducible j ≤ a.
 """
 from __future__ import annotations
 
-from functools import lru_cache, reduce
 from typing import NamedTuple
 
 from .errors import DEFAULT_BUDGET, HypothesisNotMetError, LPointNotInParentError
-from .groups import _indices, _lower_covers, _maximal_masks, _names, _subgroups_within
+from .groups import _frattini_mask, _indices, _maximal_masks, _names, _subgroups_within
 from .lsets import LPoint, LSubset, _level_at, _level_masks, contains, point_in
 from .maximal import _coatom_index, _highest, _level_cuts, _meet_of_cuts, _point_code
 
@@ -73,19 +72,18 @@ class FrattiniReport(NamedTuple):
         }
 
 
-def frattini(mu: LSubset, budget: int = DEFAULT_BUDGET) -> FrattiniReport:
-    """The Frattini L-subgroup of mu and its non-generator subgroup, once per (mu, budget)."""
-    return _frattini_report(mu, budget)
-
-
-# a plain function keeps ``frattini`` a function that tracers can wrap
-@lru_cache(maxsize=64)
-def _frattini_report(mu: LSubset, budget: int) -> FrattiniReport:
+def _phi(mu: LSubset, budget: int) -> tuple[LSubset, int, int]:
+    """Phi, the AND of the non-constant coatoms' codes (mu if none), and the two coatom counts."""
     coatoms = _coatom_index(mu, budget)
     maximals = [cut for cut in coatoms if not cut[1].is_constant()]
-    phi, nongen = _meet_of_cuts(mu, maximals), non_generator_subgroup(mu, budget=budget)
-    obstructed = len(maximals) < len(coatoms)
-    return FrattiniReport(phi, len(maximals), not maximals, nongen, nongen == phi, obstructed)
+    return _meet_of_cuts(mu, maximals), len(maximals), len(coatoms)
+
+
+def frattini(mu: LSubset, budget: int = DEFAULT_BUDGET) -> FrattiniReport:
+    """The Frattini L-subgroup of mu and its non-generator subgroup, built afresh on each call."""
+    phi, maximals, coatoms = _phi(mu, budget)
+    nongen = non_generator_subgroup(mu, budget=budget)
+    return FrattiniReport(phi, maximals, not maximals, nongen, nongen == phi, maximals < coatoms)
 
 
 def is_non_generator(
@@ -151,16 +149,16 @@ def frattini_level_compare(mu: LSubset, b: str, budget: int = DEFAULT_BUDGET) ->
     It is only guaranteed for attained levels of a parent whose Frattini
     L-subgroup keeps the tip, so both of those facts are reported
     (``level_attained``, ``tip_condition_holds``) rather than enforced.
-    Both levels at b are bitmasks, each one translate of the values through
-    b's row (``lsets._level_at``); mu's, a subgroup once ``frattini``
-    accepts mu, meets its maximal subgroups in one AND.
+    Phi is read alone (``_phi``), refused past the budget as in ``frattini``.
+    Both levels at b are bitmasks (``lsets._level_at``); mu's, a subgroup once
+    the coatoms accept mu, meets its maximal subgroups in ``_frattini_mask``.
     """
     if not mu.lattice.is_chain():
         raise HypothesisNotMetError("level comparison is stated over chain lattices")
     group, a = mu.group, mu.lattice.index(b)
-    phi, e = frattini(mu, budget).phi, group.identity_index
+    phi, e = _phi(mu, budget)[0], group.identity_index
     level_mu, level_phi = _level_at(mu, a), _level_at(phi, a)
-    classical = reduce(int.__and__, _lower_covers(group, level_mu), level_mu) if level_mu else 0
+    classical = _frattini_mask(group, level_mu) if level_mu else 0
     return {
         "forward_inclusion": not classical & ~level_phi,
         "reverse_inclusion": not level_phi & ~classical,

@@ -489,10 +489,14 @@ def is_normal_subgroup(group: FiniteGroup, normal: Iterable[str], ambient: Itera
     return all(normal >> table[table[h][x]][inv[h]] & 1 for h in _indices(ambient) for x in inside)
 
 
+def _frattini_mask(group: FiniteGroup, mask: int) -> int:
+    """Phi of the subgroup ``mask``: the AND of its lower covers, ``mask`` when it has none."""
+    return reduce(and_, _lower_covers(group, mask), mask)
+
+
 def frattini_classical(group: FiniteGroup, sub: Iterable[str]) -> frozenset[str]:
     """Intersection of the maximal subgroups of ``sub``; ``sub`` itself when none exist."""
-    mask = _require_subgroup(group, sub, "argument")
-    return _names(group, reduce(and_, _lower_covers(group, mask), mask))
+    return _names(group, _frattini_mask(group, _require_subgroup(group, sub, "argument")))
 
 
 # ------------------------------------------------------- homomorphisms

@@ -78,14 +78,15 @@ _CHAIN_RANGE = re.compile(r"chain([1-9][0-9]*)-([1-9][0-9]*)")
 class InstanceSpec:
     """Deterministic recipe for a random instance.
 
-    ``lattice_kind`` accepts ``chain<n>``, ``chain<a>-<b>`` (length drawn
-    from the range), ``product<m>x<n>``, ``divisors<n>``, or several of
-    these joined with ``|`` to be drawn from.  ``group_kind`` is a builtin
-    group name, or names joined with ``|``.  ``subgroup_density`` in [0, 1]
-    controls how many links the generating subgroup chains keep; at zero
-    both members of the pair degenerate to constants.  A bad alternative
-    of either kind, and a density outside [0, 1] (NaN included), is refused
-    with ValueError when the spec is made, whatever the seed.
+    ``lattice_kind`` accepts ``chain<n>``, ``chain<a>-<b>`` (length drawn from
+    the range), ``product<m>x<n>``, ``divisors<n>``, or several of these joined
+    with ``|`` to be drawn from.  ``group_kind`` is a builtin group name, or
+    names joined with ``|``.  ``subgroup_density`` in [0, 1] controls how many
+    links the generating subgroup chains keep; at zero both members of the pair
+    degenerate to constants.  Every alternative of either kind, and the density,
+    is checked when the spec is made, whatever the seed: an unknown group name
+    raises UnknownBuiltinError, a lattice of over 256 elements (``product20x20``)
+    InstanceTooLargeError, and any other bad kind or density ValueError.
     """
 
     seed: int
@@ -230,11 +231,10 @@ class Instance:
     other three depend on the group alone and are shared by its instances.
     An instance keeps what several properties ask of it: L(mu), listed
     once, on first use of ``members``, and the answers of ``once``, by
-    which the properties read ``generate`` and mu's normality.  The
-    maximals and the Frattini report are not kept here; the library's
-    caches serve repeat calls.  ``generate`` keeps no cache of its own: the
-    benchmark's tracer reads each call down to the closures it makes, which
-    a call answered from a library cache would not show.
+    which the properties read ``generate``, mu's normality and the Frattini
+    reports.  The maximals are not kept: each call reads the coatom cache.
+    ``generate`` keeps no cache of its own: the benchmark's tracer reads
+    each call down to the closures it makes, which a cached answer would not show.
     """
 
     def __init__(self, spec: InstanceSpec, trial: int, lattice_kind: str, group_name: str,
@@ -569,12 +569,12 @@ def prop_transport_preserves_maximality(inst: Instance):
 
 
 def prop_nongenerators_form_l_subgroup(inst: Instance):
-    if not is_l_subgroup_of(frattini(inst.mu).nongen, inst.mu):
+    if not is_l_subgroup_of(inst.once(frattini, inst.mu).nongen, inst.mu):
         _fail(reason="non-generator subgroup is not in L(mu)")
 
 
 def prop_nongenerators_inside_frattini(inst: Instance):
-    mu, report = inst.mu, frattini(inst.mu)
+    mu, report = inst.mu, inst.once(frattini, inst.mu)
     if not contains(report.phi, report.nongen):
         _fail(reason="non-generator subgroup escapes phi")
     # equality off constant-obstructed instances, on every lattice: there
@@ -596,13 +596,13 @@ def prop_nongenerators_inside_frattini(inst: Instance):
 
 def prop_frattini_below_each_maximal(inst: Instance):
     # the pointwise meet, a route the report's AND of Birkhoff codes does not share
-    if frattini(inst.mu).phi != intersection_of(maximal_l_subgroups(inst.mu) or [inst.mu]):
+    if inst.once(frattini, inst.mu).phi != intersection_of(maximal_l_subgroups(inst.mu) or [inst.mu]):
         _fail(reason="phi is not the meet of the maximal subgroups")
 
 
 def prop_fallback_iff_no_maximals(inst: Instance):
     # a cheap sanity check of the report: frattini_below_each_maximal checks phi itself
-    if frattini(inst.mu).used_fallback != (len(maximal_l_subgroups(inst.mu)) == 0):
+    if inst.once(frattini, inst.mu).used_fallback != (len(maximal_l_subgroups(inst.mu)) == 0):
         _fail(reason="fallback flag disagrees with the maximal count")
 
 
@@ -624,7 +624,7 @@ def prop_frattini_normal_in_parent(inst: Instance):
     # coatoms of L(mu) and fixes phi, their meet: phi(yxy⁻¹) = phi(x) ≥ phi(x) ∧ mu(y)
     if not inst.once(is_normal_in_group, inst.mu):
         return SKIPPED
-    if not is_normal_in(frattini(inst.mu).phi, inst.mu):
+    if not is_normal_in(inst.once(frattini, inst.mu).phi, inst.mu):
         _fail(reason="phi is not normal in mu")
 
 
@@ -632,7 +632,7 @@ def prop_nongenerator_conjugation_closure(inst: Instance):
     # conjugation by g fixes a normal mu, so it permutes the coatoms of L(mu) and fixes lambda, their meet
     if not inst.once(is_normal_in_group, inst.mu):
         return SKIPPED
-    lam, table, names = frattini(inst.mu).nongen.value_indices(), inst.group._table, inst.group.elements
+    lam, table, names = inst.once(frattini, inst.mu).nongen.value_indices(), inst.group._table, inst.group.elements
     for g, (row, back) in enumerate(zip(table, inst.group._inv)):
         moved = bytes(lam[table[gx][back]] for gx in row)  # lambda(gxg⁻¹) for each x
         if moved != lam:
@@ -645,8 +645,8 @@ def prop_frattini_image_inclusion(inst: Instance):
     # an isomorphism f carries the maximal L-subgroups of mu onto those of f(mu)
     if not inst.iso.bijective:
         _fail(reason="the transport map is not an isomorphism")
-    image = pushforward(inst.iso, frattini(inst.mu).phi)
-    if not contains(frattini(pushforward(inst.iso, inst.mu)).phi, image):
+    image = pushforward(inst.iso, inst.once(frattini, inst.mu).phi)
+    if not contains(inst.once(frattini, pushforward(inst.iso, inst.mu)).phi, image):
         _fail(reason="image of phi escapes phi of the image")
 
 
@@ -692,7 +692,7 @@ def prop_crisp_case_collapses(inst: Instance):
         if maximal_l_subgroups(inst.mu) != expected_maximals:
             _fail(reason="crisp maximal subgroups differ from classical ones")
         expected_phi = characteristic(group, lat, frattini_classical(group, top_level))
-        if frattini(inst.mu).phi != expected_phi:
+        if inst.once(frattini, inst.mu).phi != expected_phi:
             _fail(reason="crisp phi differs from the classical Frattini subgroup")
 
 

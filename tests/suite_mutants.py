@@ -11,8 +11,10 @@ root as a script:
 For each entry it copies ``src/`` into a temporary directory, applies the
 entry there and runs ``python -m lsubgroups.cli verify --seed 0 --trials
 200`` on the copy.  A mutant is caught when that run exits 1 with a
-``FAIL`` line for the entry's property.  The script lists the survivors and
-exits 1 if there are any.
+``FAIL`` line for the entry's property.  Under each entry the script prints
+every ``FAIL`` line of its run, so each property that the mutant fails shows
+with its failure count, not only the expected one.  It lists the survivors
+and exits 1 if there are any.
 """
 from __future__ import annotations
 
@@ -86,10 +88,10 @@ MUTANTS = (
 )
 
 
-def fail_line(mutant: Mutant) -> str | None:
+def fail_lines(mutant: Mutant) -> tuple[int, list[str]]:
     """Run the suite on a copy of src/ with the mutant applied.
 
-    Returns the property's FAIL line when the run exits 1, and None otherwise.
+    Returns the run's exit code and its FAIL lines, in report order.
     """
     with tempfile.TemporaryDirectory() as tmp:
         src = Path(tmp) / "src"
@@ -101,19 +103,21 @@ def fail_line(mutant: Mutant) -> str | None:
         target.write_text(text.replace(mutant.anchor, mutant.replacement))
         env = {**os.environ, "PYTHONPATH": str(src)}
         run = subprocess.run([sys.executable, *VERIFY], cwd=tmp, env=env, capture_output=True, text=True)
-    lines = [line for line in run.stdout.splitlines() if line.startswith(f"FAIL {mutant.fails}:")]
-    return lines[0] if run.returncode == 1 and lines else None
+    return run.returncode, [line for line in run.stdout.splitlines() if line.startswith("FAIL ")]
 
 
 def main() -> int:
     survivors = []
     for m in MUTANTS:
-        line = fail_line(m)
-        if line is None:
+        code, lines = fail_lines(m)
+        expected = [line for line in lines if line.startswith(f"FAIL {m.fails}:")]
+        if code == 1 and expected:
+            print(f"caught: {m.path}: {m.anchor!r}: {expected[0]}")
+        else:
             survivors.append(m)
             print(f"survived: {m.path}: {m.anchor!r} -> {m.replacement!r} (expected {m.fails} to fail)")
-        else:
-            print(f"caught: {m.path}: {m.anchor!r}: {line}")
+        for line in lines:
+            print(f"    {line}")
     print(f"{len(MUTANTS) - len(survivors)} of {len(MUTANTS)} mutants caught")
     return 1 if survivors else 0
 

@@ -1,7 +1,10 @@
 """Frattini L-subgroups, non-generators, level comparisons, normality."""
+import ast
 import importlib
 import random
+import types
 from itertools import product as cartesian
+from pathlib import Path
 
 import pytest
 
@@ -409,6 +412,41 @@ class TestMeetsMatchTheIntersections:
 
     def test_frattini_reads_no_intersection_of(self):
         assert "intersection_of" not in vars(frattini_module)
+
+
+class TestFrattiniKeepsNoCache:
+    """``frattini`` builds each report afresh from the one coatom cache,
+    ``maximal._coatom_index``, and the level comparison reads phi alone."""
+
+    def test_module_imports_no_cache(self):
+        tree = ast.parse(Path(frattini_module.__file__).read_text())
+        imports = [node for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))]
+        modules = {node.module for node in imports if isinstance(node, ast.ImportFrom)}
+        modules |= {alias.name for node in imports for alias in node.names}
+        assert "functools" not in modules and "lru_cache" not in modules
+        names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        assert "lru_cache" not in names
+
+    def test_frattini_is_a_plain_function(self):
+        assert isinstance(frattini_module.frattini, types.FunctionType)
+        assert not hasattr(frattini_module.frattini, "cache_info")
+
+    def test_repeat_calls_build_equal_reports_from_one_coatom_build(self, d8_case):
+        _coatom_index.cache_clear()
+        first, second = frattini(d8_case["mu"]), frattini(d8_case["mu"])
+        assert first == second and first is not second
+        assert _coatom_index.cache_info().misses == 1
+
+    def test_level_compare_refuses_past_the_budget_as_frattini_does(self, d8_case):
+        # 4 of the 8 level cuts of the worked parent are coatoms (see
+        # test_maximal.py), and both calls count the same coatoms
+        refusals = []
+        for call in (frattini, lambda mu, budget: frattini_level_compare(mu, "b", budget)):
+            with pytest.raises(InstanceTooLargeError) as refused:
+                call(d8_case["mu"], 3)
+            refusals.append((str(refused.value), refused.value.size, refused.value.budget))
+        assert refusals == [("the level cuts of mu number 4, over the budget of 3", 4, 3)] * 2
+        assert frattini_level_compare(d8_case["mu"], "b", 4) == frattini_level_compare(d8_case["mu"], "b")
 
 
 class TestChainEqualityBoundary:

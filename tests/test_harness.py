@@ -1,5 +1,6 @@
 """Instance generation, the theorem suite, and the counterexample search."""
 import hashlib
+import importlib
 import json
 import random
 import time
@@ -51,6 +52,9 @@ from lsubgroups.harness import (
 from conftest import Q8_ETA_CONVERSE, Q8_MU_CONVERSE, Q8_THETA_WITNESS, dihedral, direct_product, elementary_abelian
 from conftest import s4_chain_parent
 from suite_mutants import MUTANTS, ROOT
+
+frattini_module = importlib.import_module("lsubgroups.frattini")
+maximal_module = importlib.import_module("lsubgroups.maximal")
 
 
 class TestLatticeKinds:
@@ -736,13 +740,14 @@ class TestOneListingPerInstance:
 
 
 class TestOneAnswerPerInstance:
-    """The properties ask an instance's ``once`` for ``generate`` and for mu's
-    normality, so each distinct question is answered once per instance; the
-    homs that depend on the group alone are made once per group."""
+    """The properties ask an instance's ``once`` for ``generate``, for mu's
+    normality and for the Frattini reports, so each distinct question is
+    answered once per instance; the homs that depend on the group alone are
+    made once per group."""
 
     @staticmethod
-    def answers(monkeypatch, inst) -> tuple[list, list]:
-        generated, normal = [], []
+    def answers(monkeypatch, inst) -> tuple[list, list, list]:
+        generated, normal, reports = [], [], []
 
         def counted(calls, fn):
             def wrapped(arg):
@@ -752,9 +757,10 @@ class TestOneAnswerPerInstance:
 
         monkeypatch.setattr(harness, "generate", counted(generated, generate))
         monkeypatch.setattr(harness, "is_normal_in_group", counted(normal, harness.is_normal_in_group))
+        monkeypatch.setattr(harness, "frattini", counted(reports, frattini))
         for name, prop in PROPERTIES.items():
             assert prop(inst) in (None, SKIPPED), name
-        return generated, normal
+        return generated, normal, reports
 
     @pytest.mark.parametrize("pinned", [False, True], ids=["built", "pinned"])
     def test_each_question_is_answered_once(self, monkeypatch, d8_case, pinned):
@@ -762,9 +768,11 @@ class TestOneAnswerPerInstance:
             inst = Instance.pinned(d8_case["mu"], d8_case["eta1"], "D8", label="dihedral")
         else:
             inst = build_instance(InstanceSpec(0), override_lattice="chain4", override_group="D8")
-        generated, normal = self.answers(monkeypatch, inst)
+        generated, normal, reports = self.answers(monkeypatch, inst)
         assert generated and len(generated) == len(set(generated))
         assert normal == [inst.mu]
+        # the image of mu under iso is mu itself here, so it reuses mu's report
+        assert reports == [inst.mu]
 
     def test_trials_of_one_group_share_the_fixed_homs(self):
         first, second = (
@@ -783,6 +791,43 @@ class TestOneAnswerPerInstance:
             [identity, identity],
             [["e", "r3", "r2", "r", "sr2", "sr", "s", "sr3"], identity],
         ]
+
+
+class TestWorkCountsPerPass:
+    """Work counts of one pass of the ``verify --seed 0 --trials 50`` plan,
+    read through counting wrappers, so a change that repeats work shows
+    here even where ``verify`` still passes and no timing can see it."""
+
+    def test_frattini_layer(self, monkeypatch):
+        counts, comparing = dict.fromkeys(("reports", "phi_meets_in_compare"), 0), []
+        report, meet = frattini_module.FrattiniReport, frattini_module._meet_of_cuts
+        compare = harness.frattini_level_compare
+
+        def built(*fields):
+            counts["reports"] += 1
+            return report(*fields)
+
+        def comparing_levels(*args):
+            comparing.append(args)
+            try:
+                return compare(*args)
+            finally:
+                comparing.pop()
+
+        def meeting(*args):
+            counts["phi_meets_in_compare"] += bool(comparing)
+            return meet(*args)
+
+        monkeypatch.setattr(frattini_module, "FrattiniReport", built)
+        monkeypatch.setattr(harness, "frattini_level_compare", comparing_levels)
+        monkeypatch.setattr(frattini_module, "_meet_of_cuts", meeting)
+        maximal_module._coatom_index.cache_clear()
+        assert run_suite(InstanceSpec(seed=0), trials=50).passed
+        counts["coatom_misses"] = maximal_module._coatom_index.cache_info().misses
+        # one report per instance, since each of the 50 images of mu under
+        # iso is mu; one coatom build for each of the 43 distinct parents and
+        # the Q8 parent of the converse search; one phi per level compared
+        assert counts == {"reports": 50, "phi_meets_in_compare": 74, "coatom_misses": 44}
 
 
 class TestOracleLimits:
