@@ -26,8 +26,8 @@ reduction to L(mu) against the raw definition on tiny instances.
 
 ``frattini`` keeps no cache: each call builds its report from the one
 coatom cache, ``maximal._coatom_index``.  Both meets are one AND over the
-coatoms' codes (``maximal._meet_of_cuts``): phi over the non-constant ones
-(``_phi``), the non-generator subgroup over all of them.  A point a_x meets
+coatoms' codes (``maximal._meet_of_codes``): phi over the non-constant
+ones (``_phi``), the non-generator subgroup over all.  A point a_x meets
 the coatoms as one mask test each, against the code ``maximal._point_code``
 gives its level map: {x} at each join-irreducible j ≤ a.
 """
@@ -38,7 +38,7 @@ from typing import NamedTuple
 from .errors import DEFAULT_BUDGET, HypothesisNotMetError, LPointNotInParentError
 from .groups import _frattini_mask, _indices, _maximal_masks, _names, _subgroups_within
 from .lsets import LPoint, LSubset, _level_at, _level_masks, contains, point_in
-from .maximal import _coatom_index, _highest, _level_cuts, _meet_of_cuts, _point_code
+from .maximal import _coatom_index, _highest, _level_cuts, _meet_of_codes, _point_code
 
 
 class FrattiniReport(NamedTuple):
@@ -75,8 +75,8 @@ class FrattiniReport(NamedTuple):
 def _phi(mu: LSubset, budget: int) -> tuple[LSubset, int, int]:
     """Phi, the AND of the non-constant coatoms' codes (mu if none), and the two coatom counts."""
     coatoms = _coatom_index(mu, budget)
-    maximals = [cut for cut in coatoms if not cut[1].is_constant()]
-    return _meet_of_cuts(mu, maximals), len(maximals), len(coatoms)
+    maximals = [p for p, c, _ in coatoms if not c.is_constant()]
+    return _meet_of_codes(mu, maximals), len(maximals), len(coatoms)
 
 
 def frattini(mu: LSubset, budget: int = DEFAULT_BUDGET) -> FrattiniReport:
@@ -115,7 +115,7 @@ def non_generator_points(
     coatoms (mu itself when there are none), one AND of their codes, read
     from the lattice's down rows.
     """
-    lat, lam = mu.lattice, _meet_of_cuts(mu, _coatom_index(mu, budget))
+    lat, lam = mu.lattice, _meet_of_codes(mu, [cut[0] for cut in _coatom_index(mu, budget)])
     values = zip(mu.group.elements, lam.value_indices())
     return frozenset(LPoint(x, lat.elements[a]) for x, v in values for a in _indices(lat._down[v]))
 

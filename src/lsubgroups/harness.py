@@ -14,7 +14,7 @@ from __future__ import annotations
 import random
 import re
 from dataclasses import asdict, dataclass, field
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from typing import Callable, Iterable
 
 from .errors import HypothesisNotMetError, InstanceTooLargeError, SearchExhaustedError, UnknownBuiltinError
@@ -229,9 +229,9 @@ class Instance:
     quotient; the inner automorphism and the isomorphism iso draw from
     their own streams, seeded by the spec seed and the trial, and the
     other three depend on the group alone and are shared by its instances.
-    An instance keeps what several properties ask of it: L(mu), listed
-    once, on first use of ``members``, and the answers of ``once``, by
-    which the properties read ``generate``, mu's normality and the Frattini
+    An instance keeps what several properties ask of it in one memo, the
+    answers of ``once``, by which the properties read L(mu) (``members``,
+    listed on first use), ``generate``, mu's normality and the Frattini
     reports.  The maximals are not kept: each call reads the coatom cache.
     ``generate`` keeps no cache of its own: the benchmark's tracer reads
     each call down to the closures it makes, which a cached answer would not show.
@@ -267,10 +267,10 @@ class Instance:
         return cls(InstanceSpec(seed=seed), -1, label, group_name, mu, eta,
                    random.Random(f"pinned:{label}:{seed}"))
 
-    @cached_property
+    @property
     def members(self) -> tuple[LSubset, ...]:
-        """L(mu) in canonical order, listed on first use."""
-        return enumerate_l_subgroups(self.mu)
+        """L(mu) in canonical order, listed on first use and kept by ``once``."""
+        return self.once(enumerate_l_subgroups, self.mu)
 
     def once(self, fn: Callable, *args):
         """``fn(*args)``, computed on the first call for this instance and

@@ -40,12 +40,12 @@ a repeat adds its recorded member count.  As eta(x) is the join of the
 join-irreducibles whose level holds x (Birkhoff), a member is one integer
 with a field per group element, packed in one pass over the records,
 children first, by one OR per level, and decoded through a table.  The
-exhaustive-meet oracle, ``lsets.generate_oracle``, reads the packed
-members before any is decoded (``_meet_above``): a member contains eta
-exactly when its code holds eta's, and the meet of members is the AND of
-their codes, so the answer is one AND over the codes held and one decode.
-The level cuts are packed the same way, and no module but this one knows
-the layout: ``_code`` packs a map's values and ``_point_code`` a point's.  The
+level cuts are packed the same way, and no module but this one knows the
+layout: ``_code`` packs a map's values and ``_point_code`` a point's.  The
+meet of members is the AND of their codes, decoded once by
+``_meet_of_codes`` for phi, lambda and ``lsets.generate_oracle``, whose
+exhaustive meet (``_meet_above``) keeps, before any member is decoded, the
+codes that hold eta's: exactly the members that contain eta.  The
 level profile places eta's level at each index of the two images inside
 mu's, as masks from ``lsets._level_at``, and sees names only in its rows;
 it pins down the single defect level that maximality forces when the
@@ -232,14 +232,13 @@ def _coatom_index(mu: LSubset, budget: int) -> tuple[tuple[int, LSubset, int], .
     return tuple((p, c, sum(c.value_indices().translate(ranks)) + n) for p, c in cuts)
 
 
-def _meet_of_cuts(mu: LSubset, cuts) -> LSubset:
-    """The meet of the cuts ``cuts``, each led by its code, or mu when there are none.
+def _meet_of_codes(mu: LSubset, codes: list[int]) -> LSubset:
+    """The meet of the members of L(mu) with Birkhoff codes ``codes``, or mu when there are none.
 
     Over a distributive lattice the meet of two values keeps exactly the
     join-irreducibles below both, so the meet of level maps is the AND of
-    their codes, decoded once.
+    their codes, decoded once.  Phi, lambda and the oracle all meet here.
     """
-    codes = [cut[0] for cut in cuts]
     if not codes:
         return mu
     decode = _birkhoff(mu.lattice)[1]
@@ -336,17 +335,12 @@ def enumerate_l_subgroups(mu: LSubset, budget: int = DEFAULT_BUDGET) -> tuple[LS
 def _meet_above(mu: LSubset, eta: LSubset, budget: int) -> LSubset:
     """The meet of the members of L(mu) that contain eta, or mu when there are none.
 
-    A member contains eta exactly when its code holds eta's, and the meet is
-    the AND of the codes held, decoded once: no member is decoded, sorted or
-    wrapped.  Raises as ``enumerate_l_subgroups`` does at ``budget``.
+    A member contains eta exactly when its code holds eta's; the codes held
+    go to ``_meet_of_codes``: no member is decoded, sorted or wrapped.
+    Raises as ``enumerate_l_subgroups`` does at ``budget``.
     """
-    codes = _member_codes(mu, budget)
-    lat = mu.lattice
-    pe, meet = _code(lat, eta.value_indices()), _code(lat, mu.value_indices())
-    for p in codes:
-        if not pe & ~p:
-            meet &= p
-    return LSubset(mu.group, lat, next(_birkhoff(lat)[1]([meet], len(mu.group))))
+    pe = _code(mu.lattice, eta.value_indices())
+    return _meet_of_codes(mu, [p for p in _member_codes(mu, budget) if not pe & ~p])
 
 
 # --------------------------------------------------------------- maximality

@@ -39,8 +39,9 @@ class Mutant(NamedTuple):
 
 MUTANTS = (
     # phi met over every coatom, constant ones included, whenever a maximal exists
-    Mutant("src/lsubgroups/frattini.py", "_meet_of_cuts(mu, maximals)",
-           "_meet_of_cuts(mu, coatoms if maximals else maximals)", "frattini_below_each_maximal"),
+    Mutant("src/lsubgroups/frattini.py", "_meet_of_codes(mu, maximals)",
+           "_meet_of_codes(mu, [cut[0] for cut in coatoms] if maximals else maximals)",
+           "frattini_below_each_maximal"),
     # mu named as the witness of every point that is not a non-generator
     Mutant("src/lsubgroups/frattini.py", "return witness is None, witness",
            "return witness is None, witness if witness is None else mu", "nongenerators_inside_frattini"),
@@ -57,7 +58,7 @@ MUTANTS = (
     # eta's levels required to hold mu's, not to lie inside them
     Mutant("src/lsubgroups/lsets.py", "if e & ~m or", "if m & ~e or", "generator_soundness"),
     # the oracle meets every member of L(c), not only those that contain eta
-    Mutant("src/lsubgroups/maximal.py", "if not pe & ~p:", "if True:", "generation_matches_exhaustive_meet"),
+    Mutant("src/lsubgroups/maximal.py", "if not pe & ~p", "if True", "generation_matches_exhaustive_meet"),
     # the pointwise meet or join taken at the first element only
     Mutant("src/lsubgroups/lsets.py", "vals = [table[a][b] for a, b in zip(vals, member._vals)]",
            "vals = [table[a][b] for a, b in zip(vals, member._vals)][:1] + list(vals[1:])",
@@ -85,6 +86,9 @@ MUTANTS = (
     # the classical Frattini subgroup taken as the first maximal subgroup alone
     Mutant("src/lsubgroups/groups.py", "_lower_covers(group, mask), mask)",
            "_lower_covers(group, mask)[:1], mask)", "crisp_case_collapses"),
+    # every meet of codes (phi, lambda and the exhaustive-meet oracle) taken as the first code alone
+    Mutant("src/lsubgroups/maximal.py", "reduce(int.__and__, codes)",
+           "reduce(int.__and__, codes[:1])", "frattini_below_each_maximal"),
 )
 
 

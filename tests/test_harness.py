@@ -33,7 +33,7 @@ from lsubgroups import (
     subgroup_closure,
 )
 from lsubgroups import HypothesisNotMetError, UnknownBuiltinError, constant
-from lsubgroups import MaximalityVerdict, TipRelation, is_non_generator
+from lsubgroups import LevelRelation, MaximalityVerdict, TipRelation, is_non_generator
 from lsubgroups import are_jointly_supstar, enumerate_l_subgroups, is_maximal, is_proper_l_subgroup
 from lsubgroups import LPoint, adjoin_point, harness, l_subset, level_profile, lsets, point_in, validate_group
 from lsubgroups import intersection_of, is_l_subgroup, is_normal_in, set_product
@@ -541,6 +541,14 @@ def _row(forward, tip):
     return lambda mu, b, **kwargs: {"forward_inclusion": forward, "tip_condition_holds": tip}
 
 
+def _demoted(eta, mu):
+    # the profile with its lone defect level called a proper subgroup, not a maximal one
+    profile = level_profile(eta, mu)
+    rows = tuple((a, LevelRelation.PROPER_SUBGROUP if a == profile.unique_defect_level else rel)
+                 for a, rel in profile.witness_levels)
+    return profile._replace(witness_levels=rows)
+
+
 class TestPropertiesReadTheLibrary:
     """A property that reads a library function reports that function's
     wrong answer as a failure, and one that reads none reports a wrong
@@ -624,6 +632,27 @@ class TestPropertiesReadTheLibrary:
          {"reason": "no unique defect level"}),
         (CRISP, "crisp_case_collapses", "maximal_l_subgroups", lambda mu, **kwargs: (),
          {"reason": "crisp maximal subgroups differ from classical ones"}),
+        # a second branch of each of these properties: four of the five maximals
+        # of MAXIMALS keep mu's tip, and phi lies strictly below mu
+        (MAXIMALS, "maximal_level_profiles", "level_profile", _demoted,
+         {"reason": "equal-tip defect level not classically maximal"}),
+        (MAXIMALS, "nongenerators_inside_frattini", "frattini",
+         lambda mu, **kwargs: frattini(mu)._replace(nongen=mu),
+         {"reason": "non-generator subgroup escapes phi"}),
+        (MAXIMALS, "nongenerators_inside_frattini", "frattini",
+         lambda mu, **kwargs: frattini(mu)._replace(equality_holds=False),
+         {"reason": "unobstructed, but the two constructions differ"}),
+        (MAXIMALS, "nongenerators_inside_frattini", "is_non_generator",
+         lambda point, mu, **kwargs: (not is_non_generator(point, mu)[0], mu),
+         {"reason": "verdict disagrees with the non-generator subgroup"}),
+        (MAXIMALS, "maximal_avoiding_exists", "maximal_avoiding", lambda mu, theta, point, **kwargs: (mu,),
+         {"reason": "avoiding witness violates its constraints"}),
+        (CRISP, "crisp_case_collapses", "generate",
+         lambda eta: constant(eta.group, eta.lattice, eta.lattice.bottom),
+         {"reason": "crisp generation differs from classical closure"}),
+        (CRISP, "crisp_case_collapses", "frattini",
+         lambda mu, **kwargs: frattini(mu)._replace(phi=constant(mu.group, mu.lattice, mu.lattice.bottom)),
+         {"reason": "crisp phi differs from the classical Frattini subgroup"}),
     ], ids=["image_preimage_laws", "frattini_normal_in_parent", "nongenerator_conjugation_closure",
             "frattini_level_inclusion", "maximal_tips", "transport_preserves_maximality",
             "maximal_avoiding_exists", "nongenerators_form_l_subgroup", "fallback_iff_no_maximals",
@@ -633,7 +662,11 @@ class TestPropertiesReadTheLibrary:
             "generation_commutes_with_image", "generation_commutes_with_preimage",
             "generator_soundness", "level_sets_of_intersections", "subgroup_tests_agree",
             "set_product_associative", "set_product_of_points", "normality_matches_top_parent",
-            "maximal_level_profiles", "crisp_case_collapses"])
+            "maximal_level_profiles", "crisp_case_collapses",
+            "maximal_level_profiles-equal-tip", "nongenerators_inside_frattini-escapes",
+            "nongenerators_inside_frattini-unobstructed", "nongenerators_inside_frattini-verdict",
+            "maximal_avoiding_exists-constraints", "crisp_case_collapses-generation",
+            "crisp_case_collapses-phi"])
     def test_a_wrong_answer_fails(self, monkeypatch, inst, prop, patched, wrong, detail):
         assert PROPERTIES[prop](inst) is None  # the real library passes
         monkeypatch.setattr(harness, patched, wrong)
@@ -800,7 +833,7 @@ class TestWorkCountsPerPass:
 
     def test_frattini_layer(self, monkeypatch):
         counts, comparing = dict.fromkeys(("reports", "phi_meets_in_compare"), 0), []
-        report, meet = frattini_module.FrattiniReport, frattini_module._meet_of_cuts
+        report, meet = frattini_module.FrattiniReport, frattini_module._meet_of_codes
         compare = harness.frattini_level_compare
 
         def built(*fields):
@@ -820,7 +853,7 @@ class TestWorkCountsPerPass:
 
         monkeypatch.setattr(frattini_module, "FrattiniReport", built)
         monkeypatch.setattr(harness, "frattini_level_compare", comparing_levels)
-        monkeypatch.setattr(frattini_module, "_meet_of_cuts", meeting)
+        monkeypatch.setattr(frattini_module, "_meet_of_codes", meeting)
         maximal_module._coatom_index.cache_clear()
         assert run_suite(InstanceSpec(seed=0), trials=50).passed
         counts["coatom_misses"] = maximal_module._coatom_index.cache_info().misses
@@ -828,6 +861,30 @@ class TestWorkCountsPerPass:
         # iso is mu; one coatom build for each of the 43 distinct parents and
         # the Q8 parent of the converse search; one phi per level compared
         assert counts == {"reports": 50, "phi_meets_in_compare": 74, "coatom_misses": 44}
+
+    def test_generation_normality_homs_and_listings(self, monkeypatch):
+        counts = dict.fromkeys(("generate", "is_normal_in_group", "homs_built", "enumerate_l_subgroups",
+                                "generate_oracle", "member_walks"), 0)
+
+        def counted(name, fn):
+            def wrapped(*args, **kwargs):
+                counts[name] += 1
+                return fn(*args, **kwargs)
+            return wrapped
+
+        for name in ("generate", "is_normal_in_group", "enumerate_l_subgroups", "generate_oracle"):
+            monkeypatch.setattr(harness, name, counted(name, getattr(harness, name)))
+        monkeypatch.setattr(maximal_module, "_member_codes", counted("member_walks", maximal_module._member_codes))
+        monkeypatch.setattr(harness.GroupHom, "__init__", counted("homs_built", harness.GroupHom.__init__))
+        harness._fixed_homs.cache_clear()
+        maximal_module._coatom_index.cache_clear()
+        assert run_suite(InstanceSpec(seed=0), trials=50).passed
+        # generate and mu's normality answered once per question per instance
+        # (Instance.once); two drawn homs per instance and the 3 fixed homs of
+        # each of the 4 groups; L(mu) listed once per instance, and each
+        # listing and each oracle call walks L(mu) or L(c) once
+        assert counts == {"generate": 278, "is_normal_in_group": 50, "homs_built": 112,
+                          "enumerate_l_subgroups": 50, "generate_oracle": 50, "member_walks": 100}
 
 
 class TestOracleLimits:
