@@ -886,6 +886,29 @@ class TestWorkCountsPerPass:
         assert counts == {"generate": 278, "is_normal_in_group": 50, "homs_built": 112,
                           "enumerate_l_subgroups": 50, "generate_oracle": 50, "member_walks": 100}
 
+    def test_member_walk_visits_and_listings(self, monkeypatch):
+        counts = dict.fromkeys(("first_visits", "members_listed"), 0)
+        within, member_codes = maximal_module._subgroups_within, maximal_module._member_codes
+
+        def visited(*args):
+            counts["first_visits"] += 1
+            return within(*args)
+
+        def listed(*args):
+            found = member_codes(*args)
+            counts["members_listed"] += len(found)
+            return found
+
+        monkeypatch.setattr(maximal_module, "_subgroups_within", visited)
+        monkeypatch.setattr(maximal_module, "_member_codes", listed)
+        maximal_module._coatom_index.cache_clear()
+        assert run_suite(InstanceSpec(seed=0), trials=50).passed
+        # only the walk of _member_codes reads _subgroups_within in maximal,
+        # once per distinct subtree it meets: a repeat is read off its record.
+        # The 100 listings (50 of L(mu), 50 of L(c) for the oracle) hold
+        # 2,524 members in all
+        assert counts == {"first_visits": 769, "members_listed": 2524}
+
 
 class TestOracleLimits:
     def test_exhaustive_meet_skips_what_the_oracle_refuses(self, monkeypatch):
