@@ -35,11 +35,16 @@ a ≤ theta(x) for a coatom theta above eta.  The lattice-point search
 the point changes, compares each level with mu's and builds no L-subset.
 ``enumerate_l_subgroups`` walks L(mu) as level maps, depth first over the
 join-irreducibles.  The subtree below a node depends only on the bounds
-its choices leave on the later join-irreducibles, so it is walked once and
-a repeat adds its recorded member count.  As eta(x) is the join of the
-join-irreducibles whose level holds x (Birkhoff), a member is one integer
-with a field per group element, packed in one pass over the records,
-children first, by one OR per level, and decoded through a table.  The
+its choices leave on the later join-irreducibles, so it is walked once: a
+repeat is read off its record in its parent's loop, with no call.  At the
+last join-irreducible a node's members are its choices, ∅ and the
+subgroups inside its bound, so it is counted in one step, and a count
+that passes the budget stops at the member after it, as one member at a
+time would: each refusal names the count it always did.  As eta(x) is the
+join of the join-irreducibles whose level holds x (Birkhoff), a member is
+one integer with a field per group element, packed in one pass over the
+records, children first, by one OR per level (a last level in one map
+over its choices), and decoded through a table.  The
 level cuts are packed the same way, and no module but this one knows the
 layout: ``_code`` packs a map's values and ``_point_code`` a point's.  The
 meet of members is the AND of their codes, decoded once by
@@ -268,48 +273,60 @@ def _member_codes(mu: LSubset, budget: int) -> list[int]:
     leq, m = lat._leq, len(irreducibles)
     # at position k, the later positions whose bound the choice meets
     later = [[leq[j][i] for i in irreducibles[k + 1:]] for k, j in enumerate(irreducibles)]
-    records = {(): (1, ())}  # key -> (members, ((choice, child key), ...)); a leaf is the empty key
+    # key -> (members, ((choice, child key), ...)), or (members, choices) at
+    # the last join-irreducible, where every child is the leaf, the empty key
+    records = {(): (1, ())}
     members = 0
 
-    def walk(key: tuple[int, ...]) -> None:
+    def walk(children) -> None:
+        # one call per key with two or more positions left: a recorded child
+        # adds its count here, and a last-level child, whose members are its
+        # choices, is counted and recorded here too
         nonlocal members
-        record = records.get(key)
-        if record is not None:
-            members += record[0]
+        for _, key in children:
+            record = records.get(key)
+            if record is not None:
+                members += record[0]
+            else:
+                fits = (0, *_subgroups_within(group, key[0]))  # ∅ and the subgroups inside the bound
+                if len(key) == 1:
+                    records[key] = (len(fits), fits)
+                    # one member at a time would stop at the one after the budget
+                    members = min(members + len(fits), budget + 1)
+                else:
+                    rest, meets = key[1:], later[m - len(key)]
+                    if False not in meets:
+                        below = tuple((h, tuple(map(h.__and__, rest))) for h in fits)
+                    elif True in meets:
+                        below = tuple((h, tuple([b & h if meet else b for b, meet in zip(rest, meets)]))
+                                      for h in fits)
+                    else:
+                        below = tuple(zip(fits, repeat(rest)))
+                    start = members
+                    walk(below)
+                    records[key] = (members - start, below)
             if members > budget:
                 raise InstanceTooLargeError(members, budget, (
                     f"enumeration of L(mu) stopped at {members} members, over its budget of {budget}"
                 ))
-            return
-        rest, meets = key[1:], later[m - len(key)]
-        fits = (0, *_subgroups_within(group, key[0]))  # ∅ and the subgroups inside the bound
-        if False not in meets:
-            children = tuple((h, tuple(map(h.__and__, rest))) for h in fits)
-        elif True in meets:
-            children = tuple((h, tuple([b & h if meet else b for b, meet in zip(rest, meets)])) for h in fits)
-        else:
-            children = tuple(zip(fits, repeat(rest)))
-        start = members
-        for _, child in children:
-            walk(child)
-        records[key] = (members - start, children)
 
     root = tuple(levels)
-    walk(root)
+    try:
+        walk(((0, root),))
+    finally:
+        walk = None  # walk calls itself through this name: unbind it, and no cycle is left
     # each key was recorded once, after its children: one pass packs them first
     width = _birkhoff(lat)[0]
-    codes: dict[tuple[int, ...], list[int]] = {}
+    codes: dict[tuple[int, ...], list[int]] = {(): [0]}
     for key, (_, children) in records.items():
-        shift, listed = m - len(key), [] if children else [0]
-        for h, child in children:
-            listed += map((_spread(h, width) << shift).__or__, codes[child]) if h else codes[child]
-        codes[key] = listed
-    found = codes[root]
-    # walk refers to itself, so its closure waits for the cycle collector:
-    # free the records and codes before the caller builds anything
-    codes.clear()
-    records.clear()
-    return found
+        if len(key) == 1:
+            codes[key] = list(map(int.__lshift__, map(_spread, children, repeat(width)), repeat(m - 1)))
+        elif key:
+            shift, listed = m - len(key), []
+            for h, child in children:
+                listed += map((_spread(h, width) << shift).__or__, codes[child]) if h else codes[child]
+            codes[key] = listed
+    return codes[root]
 
 
 def enumerate_l_subgroups(mu: LSubset, budget: int = DEFAULT_BUDGET) -> tuple[LSubset, ...]:

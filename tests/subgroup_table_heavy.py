@@ -16,12 +16,17 @@ subgroup it built.  It then runs ``frattini_level_compare`` at every
 level of S6 and S5 on a 3-chain by sign (``conftest.parity_parent``), with
 Sub(G) built and phi cached, holds each answer to the names reference
 ``conftest.level_compare_by_names`` and prints ``ok`` or ``MISMATCH`` with
-the time of the first call and the best of five more.  First of all it runs
+the time of the first call and the best of five more.  It then runs
+``TestMemoisedWalkMatchesTheRecursiveWalk.check`` (``test_maximal``) on
+the constant top of C2^5 over a 4-chain, 40,000 members: the listing must
+equal the recursive walk's, and budgets 0, 1, 2, n/3, n/2, 2n/3 and n - 1
+must each be refused by both walks, the recursive one at the member after
+the budget; it prints ``ok`` or ``MISMATCH`` and its time.  First of all it runs
 a cold CLI ``frattini --budget 10`` on the constant top of C2^9 over a
 3-chain, whose 8.3 million subgroups are past the table's budget of
 500,000, and prints ``ok`` when it exits 3 with the table's refusal,
 with its time and its peak resident set (``ru_maxrss``).  It exits 1 on
-any mismatch.
+any mismatch.  Run it without ``-O``: the walk's sweep checks by assert.
 """
 from __future__ import annotations
 
@@ -47,8 +52,9 @@ from conftest import (  # noqa: E402
     permutation_group,
 )
 from dimino import dimino_subgroup_masks  # noqa: E402
-from lsubgroups import builtin_group, frattini, frattini_level_compare  # noqa: E402
+from lsubgroups import builtin_group, constant, frattini, frattini_level_compare, make_lattice  # noqa: E402
 from lsubgroups.groups import _greedy_walk, _subgroup_table  # noqa: E402
+from test_maximal import TestMemoisedWalkMatchesTheRecursiveWalk  # noqa: E402
 
 
 def timed(build, group):
@@ -73,6 +79,25 @@ def level_comparisons(name, mu) -> bool:
             f"first {first_s * 1e3:.3f} ms, best of 5 {best_s * 1e3:.3f} ms"
         )
     return same
+
+
+def walk_refusals() -> bool:
+    """The memoised walk against the recursive walk on the constant top of
+    C2^5 over a 4-chain: the listing and the refusal sweep of
+    ``TestMemoisedWalkMatchesTheRecursiveWalk.check``; True when both hold."""
+    lat = make_lattice("chain4")
+    mu = constant(elementary_abelian(5), lat, lat.top)
+    start = time.perf_counter()
+    try:
+        members = TestMemoisedWalkMatchesTheRecursiveWalk.check(mu)
+    except AssertionError:
+        members = None
+    elapsed = time.perf_counter() - start
+    print(
+        f"{'MISMATCH' if members is None else 'ok'} C2^5 over chain4 (constant top, {members} members): "
+        f"listing and refusals at 7 budgets against the recursive walk in {elapsed:.1f} s"
+    )
+    return members == 40_000
 
 
 def table_refusal() -> bool:
@@ -140,6 +165,8 @@ def main() -> int:
     for name, group in [("S6", permutation_group(*S6)), ("S5", named["S5"])]:
         if not level_comparisons(f"{name} by sign", parity_parent(group)):
             differ.append(f"{name} level comparison")
+    if not walk_refusals():
+        differ.append("C2^5 walk refusals")
     if differ:
         print(f"tables differ on: {', '.join(differ)}")
     return 1 if differ else 0

@@ -89,6 +89,9 @@ MUTANTS = (
     # every meet of codes (phi, lambda and the exhaustive-meet oracle) taken as the first code alone
     Mutant("src/lsubgroups/maximal.py", "reduce(int.__and__, codes)",
            "reduce(int.__and__, codes[:1])", "frattini_below_each_maximal"),
+    # the ∅ choice dropped from the codes packed at the last join-irreducible
+    Mutant("src/lsubgroups/maximal.py", "map(_spread, children, repeat(width))",
+           "map(_spread, children[1:], repeat(width))", "generation_matches_exhaustive_meet"),
 )
 
 

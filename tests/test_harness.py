@@ -37,6 +37,7 @@ from lsubgroups import LevelRelation, MaximalityVerdict, TipRelation, is_non_gen
 from lsubgroups import are_jointly_supstar, enumerate_l_subgroups, is_maximal, is_proper_l_subgroup
 from lsubgroups import LPoint, adjoin_point, harness, l_subset, level_profile, lsets, point_in, validate_group
 from lsubgroups import intersection_of, is_l_subgroup, is_normal_in, set_product
+from lsubgroups import LSubset, pullback, pushforward
 from lsubgroups.errors import SearchExhaustedError
 from lsubgroups.groups import all_subgroups
 from lsubgroups.harness import (
@@ -549,6 +550,35 @@ def _demoted(eta, mu):
     return profile._replace(witness_levels=rows)
 
 
+def _on_l_subgroups(transport, group_of):
+    # the transport where its argument is an L-subgroup, and the constant
+    # bottom on the group it maps to anywhere else
+    def wrong(f, nu):
+        if is_l_subgroup(nu):
+            return transport(f, nu)
+        return constant(group_of(f), nu.lattice, nu.lattice.bottom)
+    return wrong
+
+
+def _tops_l_subgroups(eta):
+    # generation right on a raw L-subset, and the constant top on an L-subgroup
+    return constant(eta.group, eta.lattice, eta.lattice.top) if is_l_subgroup(eta) else generate(eta)
+
+
+def _lifted(f, nu):
+    # the preimage with the identity's value lifted to the preimage's tip
+    back = pullback(f, nu)
+    vals = bytearray(back.value_indices())
+    vals[back.group.identity_index] = back.lattice.index(back.tip())
+    return LSubset(back.group, back.lattice, bytes(vals))
+
+
+def _at_the_last_element(outer, inner):
+    # containment read only at the group's last element
+    x = outer.group.elements[-1]
+    return outer.lattice.leq(inner.value(x), outer.value(x))
+
+
 class TestPropertiesReadTheLibrary:
     """A property that reads a library function reports that function's
     wrong answer as a failure, and one that reads none reports a wrong
@@ -569,6 +599,14 @@ class TestPropertiesReadTheLibrary:
     POINTS = build_instance(InstanceSpec(seed=0), 9)
     # chain2 and D8, with mu's top level of order 4 and its 3 maximal subgroups
     CRISP = build_instance(InstanceSpec(seed=0), 1, override_lattice="chain2", override_group="D8")
+    # chain4 and V4, whose first two samples generate more together than the union of what each generates
+    UNIONS = build_instance(InstanceSpec(seed=0), 33)
+    # chain6 and V4, whose first sample is an L-subgroup and whose second sample's identity value is below its tip
+    LIFTS = build_instance(InstanceSpec(seed=0), 18)
+    # chain3 and V4, whose first sample is the constant bottom
+    BOTTOM = build_instance(InstanceSpec(seed=0), 38)
+    # chain3 and Q8, where containment read at the last element alone breaks the adjunction
+    ADJOINT = build_instance(InstanceSpec(seed=0), 14)
 
     @pytest.mark.parametrize("inst, prop, patched, wrong, detail", [
         (INSTANCE, "image_preimage_laws", "pullback",
@@ -653,6 +691,42 @@ class TestPropertiesReadTheLibrary:
         (CRISP, "crisp_case_collapses", "frattini",
          lambda mu, **kwargs: frattini(mu)._replace(phi=constant(mu.group, mu.lattice, mu.lattice.bottom)),
          {"reason": "crisp phi differs from the classical Frattini subgroup"}),
+        # the other branches of the generation laws
+        (GENERATION, "generation_closure_laws", "generate",
+         lambda eta: constant(eta.group, eta.lattice, eta.lattice.bottom),
+         {"reason": "generation is not extensive"}),
+        (GENERATION, "generation_closure_laws", "generate", _tops_l_subgroups,
+         {"reason": "generation is not idempotent"}),
+        # MAXIMALS' first sample is an L-subgroup, below the constant top, and
+        # its union with the second is not
+        (MAXIMALS, "generation_closure_laws", "generate", _tops_l_subgroups,
+         {"reason": "generation is not monotone"}),
+        (GENERATION, "generation_closure_laws", "generate",
+         lambda eta: constant(eta.group, eta.lattice, eta.lattice.top),
+         {"reason": "generation must preserve the tip and attain it at the identity"}),
+        (GENERATION, "generation_commutes_with_image", "pushforward",
+         _on_l_subgroups(pushforward, lambda f: f.target),
+         {"reason": "generation does not commute with the image"}),
+        (GENERATION, "generation_commutes_with_preimage", "pullback",
+         _on_l_subgroups(pullback, lambda f: f.source),
+         {"reason": "generation does not commute with the preimage"}),
+        # the other branches of the image and preimage laws
+        (UNIONS, "image_preimage_laws", "pushforward", lambda f, nu: generate(pushforward(f, nu)),
+         {"law": "image of union"}),
+        (INSTANCE, "image_preimage_laws", "contains", lambda outer, inner: False,
+         {"law": "image of intersection"}),
+        (GENERATION, "image_preimage_laws", "pullback",
+         lambda f, nu: constant(f.source, nu.lattice, nu.lattice.bottom),
+         {"law": "preimage of image grows"}),
+        (LIFTS, "image_preimage_laws", "pullback", _lifted,
+         {"law": "image of preimage shrinks"}),
+        (BOTTOM, "image_preimage_laws", "pullback",
+         lambda f, nu: constant(f.source, nu.lattice, nu.lattice.bottom),
+         {"law": "image of preimage equals for surjective"}),
+        (ADJOINT, "image_preimage_laws", "contains", _at_the_last_element,
+         {"law": "adjunction"}),
+        (POINTS, "image_preimage_laws", "contains", _at_the_last_element,
+         {"law": "injective adjunction"}),
     ], ids=["image_preimage_laws", "frattini_normal_in_parent", "nongenerator_conjugation_closure",
             "frattini_level_inclusion", "maximal_tips", "transport_preserves_maximality",
             "maximal_avoiding_exists", "nongenerators_form_l_subgroup", "fallback_iff_no_maximals",
@@ -666,7 +740,13 @@ class TestPropertiesReadTheLibrary:
             "maximal_level_profiles-equal-tip", "nongenerators_inside_frattini-escapes",
             "nongenerators_inside_frattini-unobstructed", "nongenerators_inside_frattini-verdict",
             "maximal_avoiding_exists-constraints", "crisp_case_collapses-generation",
-            "crisp_case_collapses-phi"])
+            "crisp_case_collapses-phi", "generation_closure_laws-extensive",
+            "generation_closure_laws-idempotent", "generation_closure_laws-monotone",
+            "generation_closure_laws-tip", "generation_commutes_with_image-commutes",
+            "generation_commutes_with_preimage-commutes", "image_preimage_laws-union",
+            "image_preimage_laws-intersection", "image_preimage_laws-grows", "image_preimage_laws-shrinks",
+            "image_preimage_laws-surjective", "image_preimage_laws-adjunction",
+            "image_preimage_laws-injective-adjunction"])
     def test_a_wrong_answer_fails(self, monkeypatch, inst, prop, patched, wrong, detail):
         assert PROPERTIES[prop](inst) is None  # the real library passes
         monkeypatch.setattr(harness, patched, wrong)

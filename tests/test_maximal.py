@@ -304,6 +304,35 @@ class TestMemoisedWalkMatchesTheRecursiveWalk:
         sizes = [self.check(build_instance(spec, trial).mu) for trial in range(20)]
         assert max(sizes) > 30
 
+    @pytest.mark.parametrize("rank, kind, size", [(5, "chain4", 40_000), (4, "product2x3", 39_508)])
+    def test_constant_tops_of_tens_of_thousands(self, rank, kind, size):
+        # a last-level key here has up to hundreds of choices (374 subgroups
+        # of C2^5 and ∅), each counted and packed in one step;
+        # tests/subgroup_table_heavy.py runs the refusal sweep on the first
+        lat = make_lattice(kind)
+        mu = constant(elementary_abelian(rank), lat, lat.top)
+        members = enumerate_l_subgroups(mu, budget=size)
+        assert len(members) == size and members == tuple(enumeration_by_recursive_walk(mu, size))
+
+    def test_the_walk_leaves_no_cyclic_garbage(self):
+        # walk calls itself, so until it is unbound each walk, listed or
+        # refused, would leave a cycle for the collector
+        lat = make_lattice("chain3")
+        mu = constant(builtin_group("D8"), lat, lat.top)
+        maximal_module._member_codes(mu, DEFAULT_BUDGET)
+        gc.collect()
+        gc.disable()
+        try:
+            for budget in (DEFAULT_BUDGET, 3) * 5:
+                try:
+                    maximal_module._member_codes(mu, budget)
+                except InstanceTooLargeError:
+                    pass
+            left = gc.collect()
+        finally:
+            gc.enable()
+        assert left == 0
+
     def test_parents_that_are_not_l_subgroups(self):
         for trial in range(40):
             for raw in build_instance(InstanceSpec(2), trial).raws:
