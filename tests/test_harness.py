@@ -989,6 +989,37 @@ class TestWorkCountsPerPass:
         # 2,524 members in all
         assert counts == {"first_visits": 769, "members_listed": 2524}
 
+    def test_coatom_layer(self, monkeypatch):
+        # maximal's bindings serve _coatom_index and is_maximal, frattini's
+        # serve maximal_avoiding and is_non_generator; each route counts its
+        # calls and the cuts built or the coatoms handed over
+        counts = {}
+
+        def counted(module, name):
+            fn = getattr(module, name)
+
+            def wrapped(*args):
+                found = fn(*args)
+                calls, items = counts.get((module.__name__, name), (0, 0))
+                counts[module.__name__, name] = calls + 1, items + len(found if name == "_level_cuts" else args[0])
+                return found
+            monkeypatch.setattr(module, name, wrapped)
+
+        for module in (maximal_module, frattini_module):
+            counted(module, "_level_cuts")
+            counted(module, "_highest")
+        maximal_module._coatom_index.cache_clear()
+        assert run_suite(InstanceSpec(seed=0), trials=50).passed
+        # the 44 coatom builds of test_frattini_layer's misses hold 91 cuts;
+        # is_maximal ranks only when some coatom lies strictly above eta, and
+        # is_non_generator ranks on every call, mostly with no coatom missed
+        assert counts == {
+            ("lsubgroups.maximal", "_level_cuts"): (44, 91),
+            ("lsubgroups.frattini", "_level_cuts"): (37, 44),
+            ("lsubgroups.maximal", "_highest"): (1011, 2424),
+            ("lsubgroups.frattini", "_highest"): (150, 31),
+        }
+
 
 class TestOracleLimits:
     def test_exhaustive_meet_skips_what_the_oracle_refuses(self, monkeypatch):

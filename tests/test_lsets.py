@@ -59,6 +59,7 @@ from lsubgroups import (
     validate_lattice,
 )
 from lsubgroups import lsets
+from lsubgroups import maximal as maximal_module
 from lsubgroups.errors import DocumentError
 from lsubgroups.harness import PROPERTIES, Instance
 
@@ -855,6 +856,19 @@ class TestOracleMatchesTheMembersRoute:
                 route(top)
             refusals.append((str(refused.value), refused.value.size, refused.value.budget))
         assert refusals[0] == refusals[1]
+
+    def test_any_order_of_the_codes(self, monkeypatch):
+        # the walk lists L(c) smallest first, so the first code that holds
+        # eta's is already the meet; listed largest first, a meet that reads
+        # only its first code differs on 80 of these 150 raws
+        member_codes = maximal_module._member_codes
+        monkeypatch.setattr(maximal_module, "_member_codes", lambda *args: member_codes(*args)[::-1])
+        checked = 0
+        for trial in range(50):
+            for raw in build_instance(InstanceSpec(0), trial).raws:
+                assert generate_oracle(raw) == generate(raw), (trial, raw.values())
+                checked += 1
+        assert checked == 150
 
 
 class TestOracleMatchesTheWalk:
