@@ -75,7 +75,7 @@ class FrattiniReport(NamedTuple):
 def _phi(mu: LSubset, budget: int) -> tuple[LSubset, int, int]:
     """Phi, the AND of the non-constant coatoms' codes (mu if none), and the two coatom counts."""
     coatoms = _coatom_index(mu, budget)
-    maximals = [p for p, c, _ in coatoms if not c.is_constant()]
+    maximals = [p for p, c in coatoms if not c.is_constant()]
     return _meet_of_codes(mu, maximals), len(maximals), len(coatoms)
 
 

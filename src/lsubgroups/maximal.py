@@ -17,11 +17,11 @@ If mu_i is not inside M at some i > j, the cut lies strictly under a cut
 at i; otherwise it differs from mu only at j, under no other cut.  So the
 coatoms are the cuts whose M holds mu's levels strictly above j.  They are
 found once per parent and kept in one cache with their Birkhoff codes
-(below) and their ranks, the summed down-set sizes of the values, each
-summed once there; the maximal L-subgroups are the non-constant ones, and
-the Frattini module reads them, ``frattini.maximal_avoiding`` through the
-same builder.  ``is_maximal`` and ``frattini.is_non_generator`` name the
-highest-ranked coatom they hit (``_highest``) by the stored ranks.
+(below); the maximal L-subgroups are the non-constant ones, and the
+Frattini module reads them, ``frattini.maximal_avoiding`` through the same
+builder.  ``is_maximal`` and ``frattini.is_non_generator`` name the
+highest-ranked coatom they hit (``_highest``), ranked by the summed
+down-set sizes of its values only there, when two or more are hit.
 
 ``is_maximal`` answers by the definition: eta is maximal exactly when no
 coatom is strictly above it, one mask test per coatom against eta's
@@ -65,7 +65,6 @@ import enum
 from functools import lru_cache, reduce
 from itertools import repeat
 from math import prod
-from operator import itemgetter
 from typing import NamedTuple
 
 from .errors import DEFAULT_BUDGET, InstanceTooLargeError, NotAnLSubgroupError, NotMaximalError
@@ -221,20 +220,17 @@ def _level_cuts(mu: LSubset, budget: int, pick) -> tuple[tuple[int, LSubset], ..
 
 
 @lru_cache(maxsize=64)
-def _coatom_index(mu: LSubset, budget: int) -> tuple[tuple[int, LSubset, int], ...]:
-    """The coatoms of L(mu) in canonical order as (code, coatom, rank): the one coatom cache.
+def _coatom_index(mu: LSubset, budget: int) -> tuple[tuple[int, LSubset], ...]:
+    """The coatoms of L(mu) in canonical order as (code, coatom): the one coatom cache.
 
     Constants are kept.  A cut by a lower cover M of mu_j (∅ when mu_j is
-    trivial) is kept when M holds mu's levels above j.  A coatom's rank,
-    the summed down-set sizes of its values, is one translate of the values
-    and one sum, taken once here for ``_highest``.
+    trivial) is kept when M holds mu's levels above j.  The cache holds the
+    pairs ``_level_cuts`` builds; only ``_highest`` ranks coatoms.
     """
     def pick(j: int, level: int, above: int) -> list[int]:
         return [m for m in _lower_covers(mu.group, level) or (0,) if not above & ~m]
 
-    ranks, n = _birkhoff(mu.lattice)[3], len(mu.group)
-    cuts = _level_cuts(mu, budget, pick)
-    return tuple((p, c, sum(c.value_indices().translate(ranks)) + n) for p, c in cuts)
+    return _level_cuts(mu, budget, pick)
 
 
 def _meet_of_codes(mu: LSubset, codes: list[int]) -> LSubset:
@@ -251,16 +247,19 @@ def _meet_of_codes(mu: LSubset, codes: list[int]) -> LSubset:
 
 
 def _highest(cuts) -> LSubset | None:
-    """The highest-ranked coatom of the ``_coatom_index`` entries ``cuts``, the first on ties.
+    """The highest-ranked coatom of the (code, coatom) pairs ``cuts``, the first on ties.
 
     None when there are none.  Rank, the summed down-set size of the values,
     grows strictly along containment, so the coatom returned is the first
     hit of a scan of all of L(mu) by rank whenever every hit there lies
-    under one of ``cuts``.  The ranks are read as ``_coatom_index`` stored
-    them, not summed again.
+    under one of ``cuts``.  A lone coatom is returned unranked; two or more
+    are ranked here, each by one translate of its values through
+    ``_birkhoff``'s rank table and one sum.
     """
-    best = max(cuts, key=itemgetter(2), default=None)
-    return None if best is None else best[1]
+    if len(cuts) < 2:
+        return cuts[0][1] if cuts else None
+    ranks = _birkhoff(cuts[0][1].lattice)[3]
+    return max(cuts, key=lambda cut: sum(cut[1].value_indices().translate(ranks)))[1]
 
 
 def _member_codes(mu: LSubset, budget: int) -> list[int]:
@@ -419,7 +418,7 @@ def is_maximal(eta: LSubset, mu: LSubset, *, budget: int = DEFAULT_BUDGET) -> Ma
     down = lat._down
     for x, v in enumerate(low):  # some hit lies above eta at some x, where the loop stops
         missing = 0
-        for _, c, _ in hits:
+        for _, c in hits:
             missing |= down[c.value_indices()[x]]
         if missing := missing & ~down[v]:
             break
@@ -434,7 +433,7 @@ def maximal_l_subgroups(mu: LSubset, budget: int = DEFAULT_BUDGET) -> tuple[LSub
     These are the non-constant coatoms of L(mu): proper members with
     nothing in L(mu) strictly between them and mu.
     """
-    return tuple(c for _, c, _ in _coatom_index(mu, budget) if not c.is_constant())
+    return tuple(c for _, c in _coatom_index(mu, budget) if not c.is_constant())
 
 
 # ------------------------------------------------------------ level structure

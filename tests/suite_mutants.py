@@ -46,8 +46,8 @@ MUTANTS = (
     Mutant("src/lsubgroups/frattini.py", "return witness is None, witness",
            "return witness is None, witness if witness is None else mu", "nongenerators_inside_frattini"),
     # the last coatom dropped
-    Mutant("src/lsubgroups/maximal.py", "cuts = _level_cuts(mu, budget, pick)\n",
-           "cuts = _level_cuts(mu, budget, pick)[:-1]\n", "maximality_strategies_agree"),
+    Mutant("src/lsubgroups/maximal.py", "return _level_cuts(mu, budget, pick)\n",
+           "return _level_cuts(mu, budget, pick)[:-1]\n", "maximality_strategies_agree"),
     # lambda raised to mu's value at the last element, which conjugation can move
     Mutant("src/lsubgroups/frattini.py", "tops = bytearray([height[lat.bottom]]) * len(group)",
            "tops = bytearray([height[lat.bottom]]) * len(group)\n"

@@ -411,7 +411,8 @@ class TestModuleBoundaries:
         # the Birkhoff layout of a level map (one field per group element, one
         # bit per join-irreducible) is known to maximal alone; a point's code
         # comes from maximal._point_code and any map's from maximal._code, the
-        # one encoder, whose table rides on _birkhoff with the rank table; the
+        # one encoder, whose table rides on _birkhoff with the rank table that
+        # maximal._highest reads when it picks a witness; the
         # digit tables that read a level mask off the values are lsets' alone,
         # behind _level_masks and _level_at
         assert named_outside("maximal", {"_code", "_spread", "_birkhoff"}) == []

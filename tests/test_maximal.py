@@ -577,28 +577,31 @@ class TestClosedFormCutsMatchThePairFilter:
             mu = build_instance(spec, trial).mu
             for parent in (mu, *enumerate_l_subgroups(mu)[::7]):
                 expected = level_cuts_by_pair_filter(parent, self.covers(parent))
-                assert [(p, c) for p, c, _ in _coatom_index(parent, DEFAULT_BUDGET)] == expected
+                assert list(_coatom_index(parent, DEFAULT_BUDGET)) == expected
 
     @pytest.mark.parametrize("kind", ["chain2-6", "chain16", "product2x3", "product3x3", "divisors30"])
     def test_ranks_on_seeded_parents(self, kind):
-        # each coatom's stored rank is the summed down-set sizes of its values
+        # _highest picks, from each run of coatoms it is handed, the one of
+        # highest summed down-set sizes of its values, the first on ties
         spec = InstanceSpec(7, lattice_kind=kind, group_kind="Q8|D8|C6|V4|C12|C8")
-        checked = 0
+        checked = flips = 0
         for trial in range(30):
             mu = build_instance(spec, trial).mu
-            lat = mu.lattice
             for parent in (mu, *enumerate_l_subgroups(mu)[::7]):
-                for _, c, rank in _coatom_index(parent, DEFAULT_BUDGET):
-                    assert rank == sum(len(lat.down_set(v)) for v in c.values().values())
-                    checked += 1
-        assert checked > 200
+                cuts = _coatom_index(parent, DEFAULT_BUDGET)
+                for order in (cuts, cuts[::-1]):
+                    for k in range(len(order)):
+                        assert _highest(order[k:]) == highest_by_summed_down_sets(order[k:])
+                        checked += 1
+                flips += _highest(cuts) != _highest(cuts[::-1])
+        assert checked > 400 and flips > 0
 
     @pytest.mark.parametrize("name", sorted(SCALE_PARENTS))
     def test_coatoms_on_constant_tops(self, name):
         build, size, kind = SCALE_PARENTS[name]
         lat = make_lattice(kind)
         mu = constant(build(size), lat, lat.top)
-        cuts = [(p, c) for p, c, _ in _coatom_index(mu, DEFAULT_BUDGET)]
+        cuts = list(_coatom_index(mu, DEFAULT_BUDGET))
         assert cuts == level_cuts_by_pair_filter(mu, self.covers(mu))
 
     @pytest.mark.parametrize("kind", ["chain2-6", "product2x3", "product3x3", "divisors30"])
@@ -1097,13 +1100,24 @@ class TestRandomInstances:
             assert list(maximal_l_subgroups(inst.mu)) == brute_force_maximals(inst.mu)
 
 
+def highest_by_summed_down_sets(cuts):
+    """Reference for ``_highest``: the coatom of the (code, coatom) pairs
+    ``cuts`` of highest summed down-set sizes of its values, the first in the
+    order handed on ties."""
+    return max(
+        (c for _, c in cuts),
+        key=lambda c: sum(len(c.lattice.down_set(v)) for v in c.values().values()),
+        default=None,
+    )
+
+
 def highest_coatom_by_contains(mu, keep):
     """Reference for the witness scans: the coatom of highest rank (summed
     down-set sizes of the values) that ``keep`` accepts, first in canonical
     order on ties, compared point by point."""
     lat = mu.lattice
     return min(
-        (c for _, c, _ in _coatom_index(mu, DEFAULT_BUDGET) if keep(c)),
+        (c for _, c in _coatom_index(mu, DEFAULT_BUDGET) if keep(c)),
         key=lambda c: -sum(len(lat.down_set(v)) for v in c.values().values()),
         default=None,
     )
@@ -1211,9 +1225,12 @@ class TestClosedFormWitness:
         assert verdicts == [is_maximal_by_contains(nu, mu) for nu in pool]
         assert sum(v.maximal for v in verdicts) == 3 and sum(v.witness_point is not None for v in verdicts) > 10
         cuts = _coatom_index(mu, DEFAULT_BUDGET)
-        assert [r for *_, r in cuts] == [sum(map(len, map(lat.down_set, c.values().values()))) for _, c, _ in cuts]
+        for order in (cuts, cuts[::-1]):
+            for k in range(len(order)):
+                # a rank past one byte, from the top's down-set of 256, in either order handed
+                assert _highest(order[k:]) == highest_by_summed_down_sets(order[k:])
         for nu in pool:
-            # the stored ranks pick the contains scan's witness_between, which is_maximal_by_contains names
+            # _highest picks the contains scan's witness_between, which is_maximal_by_contains names
             pe = _code(lat, nu.value_indices())
             above = [cut for cut in cuts if cut[0] != pe and not pe & ~cut[0]]
             assert _highest(above) == highest_coatom_by_contains(mu, lambda c: c != nu and contains(c, nu))
