@@ -581,8 +581,9 @@ class TestClosedFormCutsMatchThePairFilter:
 
     @pytest.mark.parametrize("kind", ["chain2-6", "chain16", "product2x3", "product3x3", "divisors30"])
     def test_ranks_on_seeded_parents(self, kind):
-        # _highest picks, from each run of coatoms it is handed, the one of
-        # highest summed down-set sizes of its values, the first on ties
+        # _highest picks, from every suffix of the coatoms in canonical and in
+        # reverse order, the one of highest summed down-set sizes of its
+        # values, the first on ties; on some parents the two orders differ
         spec = InstanceSpec(7, lattice_kind=kind, group_kind="Q8|D8|C6|V4|C12|C8")
         checked = flips = 0
         for trial in range(30):
@@ -1115,12 +1116,7 @@ def highest_coatom_by_contains(mu, keep):
     """Reference for the witness scans: the coatom of highest rank (summed
     down-set sizes of the values) that ``keep`` accepts, first in canonical
     order on ties, compared point by point."""
-    lat = mu.lattice
-    return min(
-        (c for _, c in _coatom_index(mu, DEFAULT_BUDGET) if keep(c)),
-        key=lambda c: -sum(len(lat.down_set(v)) for v in c.values().values()),
-        default=None,
-    )
+    return highest_by_summed_down_sets([cut for cut in _coatom_index(mu, DEFAULT_BUDGET) if keep(cut[1])])
 
 
 def is_maximal_by_contains(eta, mu):
